@@ -156,8 +156,8 @@ def shape_derivative_formula(
 
     if field.applies_to("inner"):
         stiffness, mass, boundary = assemble_forms(mesh)
-        a_full = stiffness.mat + beta * boundary.mat
-        residual = a_full @ u - lam * (mass.mat @ u)
+        a_full = stiffness + beta * boundary
+        residual = a_full @ u - lam * (mass @ u)
         ring = np.arange(0, n_a)
         pts = mesh.nodes[ring]
         weights, _ = _ring_arclength_weights(pts)

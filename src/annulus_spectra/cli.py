@@ -136,12 +136,14 @@ def _parse_res(text: str):
         n_r, n_a = (int(p) for p in text.lower().split("x"))
     except ValueError as err:
         raise UsageError(f"resolution must look like 64x256, got {text!r}") from err
+    if n_r < 2 or n_a < 8:
+        raise UsageError(f"resolution needs at least 2 radial layers and 8 rays, got {text!r}")
     return n_r, n_a
 
 
 def _parse_beta(text: str) -> float:
     value = float(text)
-    if value < 0.0:
+    if not value >= 0.0:  # also rejects nan
         raise UsageError("beta must be nonnegative (use inf for Dirichlet)")
     return value
 
@@ -582,10 +584,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.func(args)
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -5,8 +5,8 @@ parameterizations along rays through the domain center, so every node sits
 exactly on a ray and boundary nodes sit exactly on the curves.  Assembly
 produces exact per-triangle P1 stiffness, consistent mass and exact
 two-point Robin edge mass; the inner (Dirichlet) ring is eliminated.  The
-smallest eigenpair of the SPD pencil comes from shifted inverse power
-iteration with an ILU-preconditioned conjugate gradient inner solver.
+smallest eigenpair of the SPD pencil comes from shift-invert Lanczos
+(ARPACK) on one sparse LU factorization of the stiffness side.
 """
 
 from __future__ import annotations
@@ -17,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import spilu
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .errors import GeometryError, RangeError, SolverError, StarShapeError
 from .geometry import AnnularDomain
 
-RAYLEIGH_RTOL = 1e-12
 RESIDUAL_FACTOR = 1e-10
-CG_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -166,25 +164,8 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int, validate: bool = Tru
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SparseSymmetric:
-    """CSR matrix that is symmetric by construction."""
-
-    mat: sparse.csr_matrix
-
-    def __post_init__(self):
-        m = self.mat
-        if m.shape[0] != m.shape[1]:
-            raise GeometryError("matrix must be square")
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
-    @staticmethod
-    def from_triplets(rows, cols, vals, n) -> "SparseSymmetric":
-        m = sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-        return SparseSymmetric(((m + m.T) * 0.5).tocsr())
+def _from_triplets(rows, cols, vals, n) -> sparse.csr_matrix:
+    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 def assemble_forms(mesh: Mesh):
@@ -208,8 +189,8 @@ def assemble_forms(mesh: Mesh):
             mv.append(area / 12.0 * (2.0 if i == j else 1.0) * np.ones_like(area))
     rows = np.concatenate(rows)
     cols = np.concatenate(cols)
-    stiffness = SparseSymmetric.from_triplets(rows, cols, np.concatenate(kv), n)
-    mass = SparseSymmetric.from_triplets(rows, cols, np.concatenate(mv), n)
+    stiffness = _from_triplets(rows, cols, np.concatenate(kv), n)
+    mass = _from_triplets(rows, cols, np.concatenate(mv), n)
 
     e = mesh.outer_edges
     lengths = np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)
@@ -219,9 +200,7 @@ def assemble_forms(mesh: Mesh):
             er.append(e[:, i])
             ec.append(e[:, j])
             ev.append(lengths / (3.0 if i == j else 6.0))
-    boundary = SparseSymmetric.from_triplets(
-        np.concatenate(er), np.concatenate(ec), np.concatenate(ev), n
-    )
+    boundary = _from_triplets(np.concatenate(er), np.concatenate(ec), np.concatenate(ev), n)
     return stiffness, mass, boundary
 
 
@@ -232,19 +211,19 @@ def assemble(mesh: Mesh, beta: float, dirichlet_outer: bool = False):
     and the outer ring too when dirichlet_outer is set (the beta = inf
     emulation).  free_map sends free indices back to mesh node ids.
     """
-    if not dirichlet_outer and (beta < 0.0 or math.isinf(beta)):
+    if not dirichlet_outer and not 0.0 <= beta < math.inf:
         raise RangeError("beta must be finite and nonnegative (use dirichlet_outer for inf)")
     stiffness, mass, boundary = assemble_forms(mesh)
     fixed = set(mesh.inner_nodes.tolist())
     if dirichlet_outer:
         fixed |= set(mesh.outer_nodes.tolist())
-        a_full = stiffness.mat
+        a_full = stiffness
     else:
-        a_full = (stiffness.mat + beta * boundary.mat).tocsr()
+        a_full = (stiffness + beta * boundary).tocsr()
     free_map = np.array(sorted(set(range(len(mesh.nodes))) - fixed), dtype=np.int64)
     a_ff = a_full[free_map][:, free_map].tocsr()
-    m_ff = mass.mat[free_map][:, free_map].tocsr()
-    return SparseSymmetric(a_ff), SparseSymmetric(m_ff), free_map
+    m_ff = mass[free_map][:, free_map].tocsr()
+    return a_ff, m_ff, free_map
 
 
 # ---------------------------------------------------------------------------
@@ -252,121 +231,49 @@ def assemble(mesh: Mesh, beta: float, dirichlet_outer: bool = False):
 # ---------------------------------------------------------------------------
 
 
-class _IndefiniteMatrix(Exception):
-    pass
+def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix):
+    """Smallest eigenpair of the SPD pencil (A, M) by shift-invert Lanczos.
 
-
-def _pcg(a_mat, b, precond, rtol, maxiter):
-    """Preconditioned conjugate gradients; returns (x, iterations)."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return x, 0
-    z = precond(r)
-    p = z.copy()
-    rz = float(r @ z)
-    for it in range(1, maxiter + 1):
-        ap = a_mat @ p
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise _IndefiniteMatrix
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        if np.linalg.norm(r) <= rtol * norm_b:
-            return x, it
-        z = precond(r)
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    raise SolverError(f"CG did not reach rtol={rtol:.1e} in {maxiter} iterations")
-
-
-def smallest_eigenpair(
-    a: SparseSymmetric,
-    m: SparseSymmetric,
-    rtol: float = RAYLEIGH_RTOL,
-    max_outer: int = 200,
-    cg_rtol: float = CG_RTOL,
-    cg_maxiter: int = 5000,
-):
-    """Smallest eigenpair of the SPD pencil (A, M) by inverse iteration.
-
-    Iterates y <- (A - sigma M)^{-1} M x with an ILU-preconditioned CG
-    solver; once the Rayleigh quotient settles, the shift moves just below
-    it to accelerate the tail.  Convergence requires both a relative
-    Rayleigh increment below rtol and a generalized residual below
-    RESIDUAL_FACTOR * ||u||.  The returned stats carry the iteration counts,
-    the residual norm and error_bound, a bound on |rho - lambda| from the
-    final residual.
+    A is factored once by sparse LU and ARPACK runs Lanczos on A^{-1} M
+    (shift 0) from the constant start vector, so the result is
+    deterministic.  The eigenvector is M-normalised and oriented to a
+    nonnegative sum; the eigenvalue is its Rayleigh quotient.  The returned
+    stats carry outer_iterations (the number of LU solves), the residual
+    norm and error_bound, a bound on |rho - lambda| from the residual.
     """
-    a_mat, m_mat = a.mat, m.mat
-    n = a.dim
+    n = a.shape[0]
+    try:
+        lu = splu(a.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    except RuntimeError as err:
+        raise SolverError(f"LU factorization failed: {err}") from err
+    solves = 0
 
-    def make_solver(shift):
-        shifted = (a_mat - shift * m_mat).tocsc() if shift else a_mat.tocsc()
-        try:
-            # symmetric-mode incomplete factorization keeps the
-            # preconditioner (nearly) SPD, which CG requires
-            ilu = spilu(
-                shifted,
-                drop_tol=1e-5,
-                fill_factor=12,
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options={"SymmetricMode": True},
-            )
-        except RuntimeError as err:
-            raise SolverError(f"ILU factorization failed: {err}") from err
-        return shifted.tocsr(), ilu.solve
+    def solve(b):
+        nonlocal solves
+        solves += 1
+        return lu.solve(b)
 
-    shifted, precond = make_solver(0.0)
-    shift = 0.0
-    mass_diag = m_mat.diagonal()
-    x = np.ones(n)
-    x /= math.sqrt(float(x @ (m_mat @ x)))
-    rho_prev = float(x @ (a_mat @ x))
-    cg_total = 0
-    refactor_budget = 12
-    res = math.inf
-    for outer in range(1, max_outer + 1):
-        try:
-            y, its = _pcg(shifted, m_mat @ x, precond, cg_rtol, cg_maxiter)
-        except _IndefiniteMatrix:
-            # the shift overtook the lowest eigenvalue; back off toward zero
-            shift *= 0.5
-            shifted, precond = make_solver(shift)
-            continue
-        cg_total += its
-        y /= math.sqrt(float(y @ (m_mat @ y)))
-        rho = float(y @ (a_mat @ y))
-        r = a_mat @ y - rho * (m_mat @ y)
-        res = float(np.linalg.norm(r))
-        x = y
-        delta = abs(rho - rho_prev) / abs(rho)
-        rho_prev = rho
-        # certified eigenvalue-error bound |rho - lambda| <= ||r||_(M^-1),
-        # overestimated through the mass diagonal: P1 consistent mass has
-        # M >= diag(M) / 2, so ||r||_(M^-1) <= sqrt(2 r' diag(M)^-1 r)
-        bound = 2.0 * math.sqrt(float(r @ (r / mass_diag)))
-        if delta <= rtol and res <= 0.5 * RESIDUAL_FACTOR * float(np.linalg.norm(y)):
-            if float(np.sum(y)) < 0.0:
-                y = -y
-            stats = {
-                "outer_iterations": outer,
-                "cg_iterations": cg_total,
-                "residual": res,
-                "error_bound": bound,
-            }
-            return rho, y, stats
-        # refreshing the shift to just below rho keeps pace with clustered
-        # spectra
-        if delta < 3e-2 and bound < 0.3 * (rho - shift) and refactor_budget > 0:
-            shift = max(rho - 2.0 * bound, 0.0)
-            shifted, precond = make_solver(shift)
-            refactor_budget -= 1
-    raise SolverError(f"inverse iteration stalled after {max_outer} steps (residual {res:.3e})")
+    op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
+    try:
+        _, vecs = eigsh(a, k=1, M=m, sigma=0.0, which="LM", v0=np.ones(n), OPinv=op_inv)
+    except ArpackNoConvergence as err:
+        raise SolverError(f"shift-invert Lanczos did not converge: {err}") from err
+    y = vecs[:, 0]
+    y /= math.sqrt(float(y @ (m @ y)))
+    if float(np.sum(y)) < 0.0:
+        y = -y
+    rho = float(y @ (a @ y))
+    r = a @ y - rho * (m @ y)
+    # certified eigenvalue-error bound |rho - lambda| <= ||r||_(M^-1),
+    # overestimated through the mass diagonal: P1 consistent mass has
+    # M >= diag(M) / 2, so ||r||_(M^-1) <= sqrt(2 r' diag(M)^-1 r)
+    bound = 2.0 * math.sqrt(float(r @ (r / m.diagonal())))
+    stats = {
+        "outer_iterations": solves,
+        "residual": float(np.linalg.norm(r)),
+        "error_bound": bound,
+    }
+    return rho, y, stats
 
 
 @dataclass(frozen=True)
@@ -395,7 +302,6 @@ class FemEigenResult:
             "resolution": f"{n_r}x{n_a}",
             "nodes": int(len(self.mesh.nodes)),
             "outer_iterations": self.stats["outer_iterations"],
-            "cg_iterations": self.stats["cg_iterations"],
             "residual": self.stats["residual"],
         }
 
@@ -418,7 +324,7 @@ def solve_on_mesh(mesh: Mesh, beta: float) -> FemEigenResult:
     u[free_map] = u_free
     if float(np.min(u)) < -1e-10:
         raise SolverError(f"eigenvector lost positivity (min {float(np.min(u)):.3e})")
-    res = float(np.linalg.norm(a.mat @ u_free - lam * (m.mat @ u_free)))
+    res = float(np.linalg.norm(a @ u_free - lam * (m @ u_free)))
     if res > RESIDUAL_FACTOR * float(np.linalg.norm(u_free)):
         raise SolverError(f"generalized residual {res:.3e} above tolerance")
     return FemEigenResult(lam=float(lam), u=u, mesh=mesh, beta=beta, free_map=free_map, stats=stats)
@@ -431,7 +337,7 @@ def beta_form_value(result: FemEigenResult) -> float:
     """
     _, mass, boundary = assemble_forms(result.mesh)
     u = result.u
-    return float(u @ (boundary.mat @ u)) / float(u @ (mass.mat @ u))
+    return float(u @ (boundary @ u)) / float(u @ (mass @ u))
 
 
 @dataclass(frozen=True)
@@ -499,6 +405,8 @@ def read_mesh(path) -> Mesh:
         inner, outer = [], []
         for _ in range(e):
             parts = fh.readline().split()
+            if parts[2] not in ("inner", "outer"):
+                raise GeometryError(f"unknown boundary edge tag {parts[2]!r} in {path}")
             (outer if parts[2] == "outer" else inner).append((int(parts[0]), int(parts[1])))
     n_a = len(outer)
     n_r = (n // n_a) - 1 if n_a else 0

@@ -153,7 +153,7 @@ def solve_shell(
     tolerance; beta may be 0 (Neumann closure) or inf (Dirichlet).
     """
     shell = ShellSpec(n, r1, r2)
-    if beta < 0.0:
+    if not beta >= 0.0:  # also rejects nan
         raise RangeError("beta must be nonnegative")
     d = r2 - r1
     if lam_max is None:

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleError, InvalidWebError, RangeError
+from .errors import DomainError, EmptyBodyError, InfeasibleError, InvalidWebError, RangeError
 from .fem import solve_domain
 from .geometry import (
     AnnularDomain,
@@ -396,7 +396,7 @@ def _eroded_outer(domain: AnnularDomain, delta: float):
         return Circle(domain.outer.center, domain.outer.radius - delta).to_polygon(CLIP_SAMPLES)
     try:
         return inner_parallel(domain.outer.to_polygon(CLIP_SAMPLES), delta)
-    except Exception:
+    except EmptyBodyError:
         return None
 
 

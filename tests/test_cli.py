@@ -26,6 +26,11 @@ class TestShellCommand:
     def test_missing_argument_usage_error(self):
         assert main(["shell", "--n", "3", "--r1", "1", "--beta", "1"]) == 2
 
+    @pytest.mark.parametrize("beta", ["nan", "-1"])
+    def test_invalid_beta_usage_error(self, beta, capsys):
+        assert main(["shell", "--n", "2", "--r1", "1", "--r2", "2", "--beta", beta]) == 2
+        assert "beta must be nonnegative" in capsys.readouterr().err
+
     def test_writes_profile_and_report(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(
@@ -62,6 +67,20 @@ class TestFemCommand:
             ["fem", "--outer", "blob 1 2", "--inner", "circle 0 0 1", "--beta", "1"]
         )
         assert code == 1  # parse failure surfaces as a package error
+
+    def test_nan_beta_usage_error(self, capsys):
+        code = main(
+            ["fem", "--outer", "circle 0 0 2", "--inner", "circle 0.5 0 1", "--beta", "nan"]
+        )
+        assert code == 2
+        assert "beta must be nonnegative" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("res", ["1x0", "2x7", "1x64"])
+    def test_resolution_floor_usage_error(self, res, capsys):
+        args = ["fem", "--outer", "circle 0 0 2", "--inner", "circle 0.5 0 1", "--beta", "1"]
+        code = main(args + ["--res", res])
+        assert code == 2
+        assert "at least 2 radial layers and 8 rays" in capsys.readouterr().err
 
     def test_determinism_rerun(self, tmp_path, capsys):
         args = [

@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from annulus_spectra.errors import RangeError
+from annulus_spectra.errors import GeometryError, RangeError
 from annulus_spectra.fem import (
     Mesh,
     assemble,
@@ -12,6 +13,7 @@ from annulus_spectra.fem import (
     convergence_study,
     mesh_annular,
     read_mesh,
+    smallest_eigenpair,
     solve_domain,
     solve_on_mesh,
     write_eigenvector_csv,
@@ -81,13 +83,13 @@ class TestAssembly:
         mesh = Mesh(nodes, tris, empty, empty, (1, 1))
         stiffness, mass, _ = assemble_forms(mesh)
         expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-        assert np.allclose(stiffness.mat.toarray(), expected, atol=1e-15)
-        assert np.allclose(mass.mat.toarray().sum(), 0.5, atol=1e-15)
+        assert np.allclose(stiffness.toarray(), expected, atol=1e-15)
+        assert np.allclose(mass.toarray().sum(), 0.5, atol=1e-15)
 
     def test_mass_partition_of_unity(self):
         mesh = mesh_annular(CONCENTRIC, 8, 32)
         _, mass, _ = assemble_forms(mesh)
-        assert mass.mat.sum() == pytest.approx(mesh.area, rel=1e-13)
+        assert mass.sum() == pytest.approx(mesh.area, rel=1e-13)
 
     def test_boundary_mass_partition_of_unity(self):
         mesh = mesh_annular(CONCENTRIC, 8, 32)
@@ -95,31 +97,38 @@ class TestAssembly:
         p = mesh.nodes
         e = mesh.outer_edges
         perim = float(np.sum(np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)))
-        assert boundary.mat.sum() == pytest.approx(perim, rel=1e-13)
+        assert boundary.sum() == pytest.approx(perim, rel=1e-13)
 
     def test_elimination_bookkeeping(self):
         mesh = mesh_annular(CONCENTRIC, 4, 16)
         a, m, free = assemble(mesh, 1.0)
-        assert a.dim == m.dim == len(free) == len(mesh.nodes) - len(mesh.inner_nodes)
+        assert a.shape[0] == m.shape[0] == len(free) == len(mesh.nodes) - len(mesh.inner_nodes)
         assert not set(free.tolist()) & set(mesh.inner_nodes.tolist())
         a2, _, free2 = assemble(mesh, 0.0, dirichlet_outer=True)
-        assert a2.dim == len(mesh.nodes) - len(mesh.inner_nodes) - len(mesh.outer_nodes)
+        assert a2.shape[0] == len(mesh.nodes) - len(mesh.inner_nodes) - len(mesh.outer_nodes)
 
     def test_symmetry_exact(self):
         mesh = mesh_annular(ECCENTRIC, 8, 32)
         a, m, _ = assemble(mesh, 2.5)
-        assert (a.mat - a.mat.T).nnz == 0
-        assert (m.mat - m.mat.T).nnz == 0
+        assert (a - a.T).nnz == 0
+        assert (m - m.T).nnz == 0
 
     def test_infinite_beta_rejected_without_flag(self):
         mesh = mesh_annular(CONCENTRIC, 4, 16)
         with pytest.raises(RangeError):
             assemble(mesh, float("inf"))
 
+    def test_nan_beta_rejected(self):
+        mesh = mesh_annular(CONCENTRIC, 4, 16)
+        with pytest.raises(RangeError):
+            assemble(mesh, float("nan"))
+        with pytest.raises(RangeError):
+            solve_on_mesh(mesh, float("nan"))
+
 
 class TestSmallestEigenpair:
     def test_thin_ring_tracks_radial(self):
-        # near-degenerate angular modes; the adaptive shift must keep up
+        # near-degenerate angular modes crowd the lowest eigenvalue
         dom = AnnularDomain(Circle((0, 0), 1.05), Circle((0, 0), 1.0))
         res = solve_domain(dom, 1.0, 8, 512)
         rad = solve_shell(2, 1.0, 1.05, 1.0)
@@ -135,12 +144,30 @@ class TestSmallestEigenpair:
         rad = solve_shell(2, 1.0, 2.0, 0.0)
         assert res.lam == pytest.approx(rad.lam, rel=2e-3)
 
+    @pytest.mark.parametrize("beta", [0.0, 2.5, math.inf])
+    def test_matches_dense_eigh(self, beta):
+        # dense LAPACK on the same pencil is an eigensolver independent of
+        # the sparse LU + Lanczos path.  Its eigenvalue carries a backward
+        # error near eps * ||A|| (up to 5e-13 here); the Rayleigh quotient of
+        # its eigenvector is exact to round-off, which error_bound can bound.
+        mesh = mesh_annular(ECCENTRIC, 8, 32)
+        dirichlet = math.isinf(beta)
+        a, m, _ = assemble(mesh, 0.0 if dirichlet else beta, dirichlet)
+        lam, u, stats = smallest_eigenpair(a, m)
+        _, vecs = eigh(a.toarray(), m.toarray(), subset_by_index=[0, 0])
+        v = vecs[:, 0]
+        lam_dense = float(v @ (a @ v)) / float(v @ (m @ v))
+        assert lam == pytest.approx(lam_dense, rel=1e-12)
+        assert stats["error_bound"] >= abs(lam - lam_dense)
+        assert float(u @ (m @ u)) == pytest.approx(1.0, rel=1e-12)
+        assert float(np.sum(u)) > 0.0
+
     def test_eigenvector_structure(self):
         res = solve_domain(CONCENTRIC, 1.0, 32, 128)
         assert np.all(res.u[res.mesh.inner_nodes] == 0.0)
         assert float(np.min(res.u)) >= -1e-10
         _, mass, _ = assemble_forms(res.mesh)
-        assert float(res.u @ (mass.mat @ res.u)) == pytest.approx(1.0, rel=1e-12)
+        assert float(res.u @ (mass @ res.u)) == pytest.approx(1.0, rel=1e-12)
 
 
 class TestSolveDomain:
@@ -212,6 +239,14 @@ class TestMeshIO:
         assert np.array_equal(np.sort(again.outer_edges, axis=None), np.sort(mesh.outer_edges, axis=None))
         head = path.read_text().splitlines()[0].split()
         assert head[0] == "nodes" and head[2] == "triangles" and head[4] == "edges"
+
+    def test_unknown_edge_tag_rejected(self, tmp_path):
+        mesh = mesh_annular(ECCENTRIC, 4, 16)
+        path = tmp_path / "mesh.txt"
+        write_mesh(mesh, path)
+        path.write_text(path.read_text().replace(" inner\n", " hole\n", 1))
+        with pytest.raises(GeometryError, match="hole"):
+            read_mesh(path)
 
     def test_eigenvector_csv(self, tmp_path):
         res = solve_domain(CONCENTRIC, 1.0, 4, 16)

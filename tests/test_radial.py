@@ -101,6 +101,11 @@ class TestSolveShell:
             scaled = solve_shell(3, 1.0 * s, 2.0 * s, 2.0 / s).lam
             assert base == pytest.approx(s * s * scaled, rel=1e-9)
 
+    @pytest.mark.parametrize("beta", [-1.0, float("nan")])
+    def test_invalid_beta_rejected(self, beta):
+        with pytest.raises(RangeError):
+            solve_shell(2, 1.0, 2.0, beta)
+
     def test_bracket_failure(self):
         with pytest.raises(BracketError):
             solve_shell(2, 1.0, 2.0, 1.0, lam_max=0.5)
