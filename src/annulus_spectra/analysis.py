@@ -102,9 +102,7 @@ class PerturbationField:
         curve = outer if self.target == "outer" else inner
         theta = 2.0 * np.pi * np.arange(n_poly) / n_poly
         dirs = np.column_stack([np.cos(theta), np.sin(theta)])
-        base = np.array(
-            [domain.center + curve.ray_length(domain.center, u) * u for u in dirs]
-        )
+        base = domain.center + curve.ray_length(domain.center, dirs)[:, None] * dirs
         nu = curve.outward_normal(base)
         moved = base + t * self.amplitude * np.cos(self.mode * theta)[:, None] * nu
         poly = PolygonCurve(ConvexPolygon(moved))

@@ -148,6 +148,18 @@ def _parse_beta(text: str) -> float:
     return value
 
 
+def _positive(flag: str):
+    """Argument type for a flag that takes a positive finite float."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (value > 0.0 and math.isfinite(value)):  # also rejects nan
+            raise UsageError(f"{flag} must be positive and finite, got {text!r}")
+        return value
+
+    return parse
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -516,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_shell = sub.add_parser("shell", help="radial solve on a concentric shell")
     p_shell.add_argument("--n", type=int, required=True, help="space dimension (>= 2)")
-    p_shell.add_argument("--r1", type=float, required=True)
-    p_shell.add_argument("--r2", type=float, required=True)
+    p_shell.add_argument("--r1", type=_positive("--r1"), required=True)
+    p_shell.add_argument("--r2", type=_positive("--r2"), required=True)
     p_shell.add_argument("--beta", type=_parse_beta, required=True, help="Robin parameter (inf ok)")
     p_shell.add_argument("--method", choices=("shooting", "fd", "closed3d"), default="shooting")
     p_shell.add_argument("--grid", type=int, default=radial.PROFILE_SAMPLES)
@@ -548,12 +560,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="parameter sweeps with CSV + SVG output")
     p_sweep.add_argument("--kind", choices=("beta", "offset", "resolution"), required=True)
     p_sweep.add_argument("--n", type=int, default=2)
-    p_sweep.add_argument("--r1", type=float, default=1.0)
-    p_sweep.add_argument("--r2", type=float, default=2.0)
+    p_sweep.add_argument("--r1", type=_positive("--r1"), default=1.0)
+    p_sweep.add_argument("--r2", type=_positive("--r2"), default=2.0)
     p_sweep.add_argument("--beta", type=_parse_beta, default=1.0)
-    p_sweep.add_argument("--beta-min", type=float, default=1e-3)
-    p_sweep.add_argument("--beta-max", type=float, default=1e4)
-    p_sweep.add_argument("--gap", type=float, default=0.08)
+    p_sweep.add_argument("--beta-min", type=_positive("--beta-min"), default=1e-3)
+    p_sweep.add_argument("--beta-max", type=_positive("--beta-max"), default=1e4)
+    p_sweep.add_argument("--gap", type=_positive("--gap"), default=0.08)
     p_sweep.add_argument("--steps", type=int, default=8)
     p_sweep.add_argument("--res", default="32x128")
     p_sweep.add_argument("--out", default=".")

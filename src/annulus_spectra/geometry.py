@@ -33,6 +33,8 @@ CONTAINMENT_SAMPLES = 4096
 CONTAINMENT_REL_GAP = 1e-9
 # Default discretization when a curve must be reduced to a polygon.
 DEFAULT_NGON = 1024
+# Rays x edges per block in the batched polygon ray cast.
+RAY_BLOCK = 1 << 17
 
 
 def unit_ball_volume(n: int) -> float:
@@ -43,6 +45,12 @@ def unit_ball_volume(n: int) -> float:
 def _as_point(p) -> np.ndarray:
     q = np.asarray(p, dtype=float).reshape(2)
     return q
+
+
+def _as_directions(direction):
+    """(m, 2) direction rows, and whether a single direction was given."""
+    u = np.asarray(direction, dtype=float)
+    return u.reshape(-1, 2), u.ndim == 1
 
 
 def _shoelace(verts: np.ndarray) -> float:
@@ -349,8 +357,13 @@ class BoundaryCurve:
         """Distance from points (anywhere) to the curve."""
         raise NotImplementedError
 
-    def ray_length(self, origin, direction) -> float:
-        """t > 0 with origin + t * direction on the curve (origin inside)."""
+    def ray_length(self, origin, direction):
+        """t > 0 with origin + t * direction on the curve (origin inside).
+
+        direction is one unit vector, giving a float, or an (m, 2) array
+        of unit vectors, giving an (m,) array of lengths.  StarShapeError
+        if any ray fails to leave through exactly one boundary point.
+        """
         raise NotImplementedError
 
     def sample(self, n: int) -> np.ndarray:
@@ -435,15 +448,13 @@ class Circle(BoundaryCurve):
 
     def ray_length(self, origin, direction):
         o = _as_point(origin) - self._c()
-        u = _as_point(direction)
-        b = float(o @ u)
-        disc = b * b - (o @ o - self.radius**2)
-        if disc <= 0.0:
-            raise StarShapeError("ray misses the circle")
-        t = -b + math.sqrt(disc)
-        if t <= 0.0:
+        u, single = _as_directions(direction)
+        cc = o @ o - self.radius**2
+        if not cc < 0.0:
             raise StarShapeError("ray origin is outside the circle")
-        return t
+        b = u[:, 0] * o[0] + u[:, 1] * o[1]
+        t = -b + np.sqrt(b * b - cc)
+        return float(t[0]) if single else t
 
     def sample(self, n):
         th = 2.0 * np.pi * np.arange(n) / n
@@ -568,19 +579,16 @@ class Ellipse(BoundaryCurve):
 
     def ray_length(self, origin, direction):
         o = _as_point(origin) - self._c()
-        u = _as_point(direction)
+        u, single = _as_directions(direction)
         os = np.array([o[0] / self.a, o[1] / self.b])
-        us = np.array([u[0] / self.a, u[1] / self.b])
-        aa = us @ us
-        bb = os @ us
         cc = os @ os - 1.0
-        disc = bb * bb - aa * cc
-        if disc <= 0.0:
-            raise StarShapeError("ray misses the ellipse")
-        t = (-bb + math.sqrt(disc)) / aa
-        if t <= 0.0:
+        if not cc < 0.0:
             raise StarShapeError("ray origin is outside the ellipse")
-        return t
+        usx, usy = u[:, 0] / self.a, u[:, 1] / self.b
+        aa = usx * usx + usy * usy
+        bb = os[0] * usx + os[1] * usy
+        t = (-bb + np.sqrt(bb * bb - aa * cc)) / aa
+        return float(t[0]) if single else t
 
     def sample(self, n):
         t = 2.0 * np.pi * np.arange(n) / n
@@ -635,31 +643,32 @@ class PolygonCurve(BoundaryCurve):
         return self.polygon.distance_to_boundary(points)
 
     def ray_length(self, origin, direction):
-        o = _as_point(origin)
-        u = _as_point(direction)
+        """Nearest edge crossing along each ray; crossings within
+        1e-9 * scale of each other (at a vertex) count as one."""
+        u, single = _as_directions(direction)
         v = self.polygon.vertices
-        w = np.roll(v, -1, axis=0)
-        hits = []
-        for i in range(len(v)):
-            e = w[i] - v[i]
-            denom = u[0] * e[1] - u[1] * e[0]
-            if abs(denom) < 1e-300:
-                continue
-            dv = v[i] - o
-            t = (dv[0] * e[1] - dv[1] * e[0]) / denom
-            s = (dv[0] * u[1] - dv[1] * u[0]) / denom
-            if t > 1e-12 * self.scale and -1e-12 <= s <= 1.0 + 1e-12:
-                hits.append(t)
-        if not hits:
-            raise StarShapeError("ray misses the polygon")
-        hits = sorted(hits)
-        merged = [hits[0]]
-        for t in hits[1:]:
-            if t - merged[-1] > 1e-9 * self.scale:
-                merged.append(t)
-        if len(merged) != 1:
-            raise StarShapeError("ray crosses the polygon more than once")
-        return merged[0]
+        e = np.roll(v, -1, axis=0) - v
+        dv = v - _as_point(origin)
+        t_num = dv[:, 0] * e[:, 1] - dv[:, 1] * e[:, 0]
+        scale = self.scale
+        out = np.empty(len(u))
+        step = max(1, RAY_BLOCK // len(v))
+        for start in range(0, len(u), step):
+            ux, uy = u[start : start + step, :1], u[start : start + step, 1:]
+            denom = ux * e[:, 1] - uy * e[:, 0]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = t_num / denom
+                s = (dv[:, 0] * uy - dv[:, 1] * ux) / denom
+            hit = (np.abs(denom) >= 1e-300) & (t > 1e-12 * scale)
+            hit &= (s >= -1e-12) & (s <= 1.0 + 1e-12)
+            first = np.min(np.where(hit, t, np.inf), axis=1)
+            last = np.max(np.where(hit, t, -np.inf), axis=1)
+            if not np.all(np.isfinite(first)):
+                raise StarShapeError("ray misses the polygon")
+            if np.any(last - first > 1e-9 * scale):
+                raise StarShapeError("ray crosses the polygon more than once")
+            out[start : start + step] = first
+        return float(out[0]) if single else out
 
     def sample(self, n):
         return self.polygon.sample_boundary(n)
@@ -758,11 +767,6 @@ class AnnularDomain:
     @property
     def area(self) -> float:
         return self.outer.area() - self.inner.area()
-
-    @property
-    def min_gap(self) -> float:
-        pts = self.inner.sample(CONTAINMENT_SAMPLES)
-        return float(np.min(self.outer.distance(pts)))
 
     def contains(self, points, tol: float = 0.0):
         p = np.atleast_2d(np.asarray(points, dtype=float))

@@ -259,12 +259,9 @@ def _quad_grid(web: WebFunction, quad_level):
     delta = 1e-6 * dtheta
 
     def ray_points(angles):
-        out_in = np.empty((len(angles), 2))
-        out_out = np.empty((len(angles), 2))
-        for j, th in enumerate(angles):
-            u = np.array([math.cos(th), math.sin(th)])
-            out_in[j] = center + web.domain.inner.ray_length(center, u) * u
-            out_out[j] = center + web.domain.outer.ray_length(center, u) * u
+        u = np.column_stack([np.cos(angles), np.sin(angles)])
+        out_in = center + web.domain.inner.ray_length(center, u)[:, None] * u
+        out_out = center + web.domain.outer.ray_length(center, u)[:, None] * u
         return out_in, out_out
 
     g_in, g_out = ray_points(theta)

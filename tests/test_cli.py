@@ -31,6 +31,14 @@ class TestShellCommand:
         assert main(["shell", "--n", "2", "--r1", "1", "--r2", "2", "--beta", beta]) == 2
         assert "beta must be nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--r1", "nan"), ("--r1", "-1"), ("--r2", "inf")])
+    def test_invalid_radius_usage_error(self, flag, value, capsys):
+        args = {"--r1": "1", "--r2": "2"}
+        args[flag] = value
+        argv = ["shell", "--n", "2", "--r1", args["--r1"], "--r2", args["--r2"], "--beta", "1"]
+        assert main(argv) == 2
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+
     def test_writes_profile_and_report(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(
@@ -139,6 +147,21 @@ class TestSweepCommand:
         assert main(
             ["sweep", "--kind", "beta", "--steps", "1", "--out", str(tmp_path)]
         ) == 2
+
+    @pytest.mark.parametrize(
+        "kind, flag, value",
+        [
+            ("beta", "--r1", "0"),
+            ("beta", "--r2", "nan"),
+            ("beta", "--beta-min", "nan"),
+            ("beta", "--beta-max", "inf"),
+            ("offset", "--gap", "-0.5"),
+        ],
+    )
+    def test_invalid_float_flag_usage_error(self, kind, flag, value, tmp_path, capsys):
+        argv = ["sweep", "--kind", kind, flag, value, "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert f"{flag} must be positive and finite" in capsys.readouterr().err
 
     def test_offset_sweep_margins(self, tmp_path, capsys):
         code = main(

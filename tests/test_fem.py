@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from annulus_spectra.errors import GeometryError, RangeError
+from annulus_spectra.errors import GeometryError, RangeError, StarShapeError
 from annulus_spectra.fem import (
     Mesh,
+    _validate_mesh,
     assemble,
     assemble_forms,
     beta_form_value,
@@ -67,6 +68,48 @@ class TestMeshAnnular:
             object.__setattr__(bad, "inner", dom.inner)
             object.__setattr__(bad, "center", np.array([3.0, 0.0]))
             mesh_annular(bad, 4, 16)
+
+    def test_ray_failure_names_the_center(self):
+        bad = AnnularDomain.__new__(AnnularDomain)
+        object.__setattr__(bad, "outer", ECCENTRIC.outer)
+        object.__setattr__(bad, "inner", ECCENTRIC.inner)
+        object.__setattr__(bad, "center", np.array([1.7, 0.0]))  # in the annulus
+        with pytest.raises(StarShapeError, match="not star shaped about its center"):
+            mesh_annular(bad, 4, 16)
+
+    def test_triangles_match_per_quad_split(self):
+        n_r, n_a = 4, 16
+        mesh = mesh_annular(ECCENTRIC, n_r, n_a)
+        p = mesh.nodes
+        expected = []
+        for i in range(n_r):
+            for k in range(n_a):
+                a, b = i * n_a + k, i * n_a + (k + 1) % n_a
+                c, d = (i + 1) * n_a + (k + 1) % n_a, (i + 1) * n_a + k
+                if np.hypot(*(p[a] - p[c])) <= np.hypot(*(p[b] - p[d])) * (1.0 + 1e-9):
+                    quad = [(a, b, c), (a, c, d)]
+                else:
+                    quad = [(a, b, d), (b, c, d)]
+                for tri in quad:
+                    u, v, w = p[list(tri)]
+                    cross = (v - u)[0] * (w - u)[1] - (v - u)[1] * (w - u)[0]
+                    expected.append(tri if cross >= 0.0 else (tri[0], tri[2], tri[1]))
+        assert np.array_equal(mesh.triangles, np.array(expected))
+
+    def test_validation_rejects_duplicated_triangle(self):
+        mesh = mesh_annular(ECCENTRIC, 4, 16)
+        tris = np.concatenate([mesh.triangles, mesh.triangles[:1]])
+        bad = Mesh(mesh.nodes, tris, mesh.inner_edges, mesh.outer_edges, mesh.resolution)
+        with pytest.raises(GeometryError, match="mesh is not conforming"):
+            _validate_mesh(bad, ECCENTRIC)
+
+    def test_validation_rejects_dropped_boundary_edge(self):
+        mesh = mesh_annular(ECCENTRIC, 4, 16)
+        bad = Mesh(
+            mesh.nodes, mesh.triangles, mesh.inner_edges, mesh.outer_edges[1:], mesh.resolution
+        )
+        with pytest.raises(GeometryError, match="boundary edge bookkeeping is inconsistent"):
+            _validate_mesh(bad, ECCENTRIC)
 
     def test_resolution_floor(self):
         with pytest.raises(RangeError):

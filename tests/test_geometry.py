@@ -16,6 +16,7 @@ from annulus_spectra import (
     InfeasibleError,
     PolygonCurve,
     RangeError,
+    StarShapeError,
     aleksandrov_fenchel_check,
     class_s_data,
     distance_to_boundary,
@@ -390,3 +391,62 @@ class TestConvexIntersection:
         a = ConvexPolygon.regular(64, 1.0, center=(0.0, 0.0))
         b = ConvexPolygon.regular(64, 1.0, center=(5.0, 0.0))
         assert convex_intersection(a, b) is None
+
+
+RAY_CURVES = {
+    "circle": Circle((0.2, -0.1), 1.5),
+    "ellipse": Ellipse((0.1, 0.2), 2.0, 1.2),
+    "polygon": PolygonCurve(ConvexPolygon.regular(256, 1.7, center=(-0.1, 0.05))),
+}
+RAY_ORIGIN = np.array([0.35, 0.3])  # inside every curve, off every center
+
+
+class TestRayLength:
+    @pytest.mark.parametrize("kind", sorted(RAY_CURVES))
+    def test_batch_matches_single_directions(self, kind, rng):
+        curve = RAY_CURVES[kind]
+        dirs = rng.normal(size=(300, 2))
+        dirs /= np.hypot(dirs[:, 0], dirs[:, 1])[:, None]
+        batch = curve.ray_length(RAY_ORIGIN, dirs)
+        single = np.array([curve.ray_length(RAY_ORIGIN, u) for u in dirs])
+        assert batch.shape == (300,)
+        assert np.all(np.abs(batch - single) <= np.spacing(single))
+        hits = RAY_ORIGIN + batch[:, None] * dirs
+        assert np.max(curve.distance(hits)) < 1e-12 * curve.scale
+
+    @pytest.mark.parametrize("kind", sorted(RAY_CURVES))
+    def test_single_direction_returns_float(self, kind):
+        curve = RAY_CURVES[kind]
+        t = curve.ray_length(RAY_ORIGIN, (0.0, -1.0))
+        assert isinstance(t, float)
+        assert curve.ray_length(RAY_ORIGIN, [[0.0, -1.0]]).shape == (1,)
+
+    def test_polygon_rays_through_vertices(self):
+        # both edges at a vertex are hit at the same t: one crossing
+        poly = RAY_CURVES["polygon"]
+        rel = poly.polygon.vertices - RAY_ORIGIN
+        dist = np.hypot(rel[:, 0], rel[:, 1])
+        t = poly.ray_length(RAY_ORIGIN, rel / dist[:, None])
+        assert np.max(np.abs(t - dist)) < 1e-12 * poly.scale
+
+    @pytest.mark.parametrize("kind", sorted(RAY_CURVES))
+    def test_origin_outside_raises(self, kind):
+        theta = 2.0 * np.pi * np.arange(64) / 64
+        dirs = np.column_stack([np.cos(theta), np.sin(theta)])
+        with pytest.raises(StarShapeError):
+            RAY_CURVES[kind].ray_length((5.0, 0.0), dirs)
+
+    @pytest.mark.parametrize("kind", ["circle", "ellipse"])
+    def test_origin_outside_raises_toward_curve(self, kind):
+        # the ray would meet the curve; the origin itself is the fault
+        with pytest.raises(StarShapeError, match="origin is outside"):
+            RAY_CURVES[kind].ray_length((5.0, 0.0), (-1.0, 0.0))
+
+    def test_polygon_ray_crossing_two_edges_raises(self):
+        # from beyond the short side of a thin rectangle, the ray along the
+        # long axis enters and leaves through two separated edges
+        thin = PolygonCurve(ConvexPolygon.rectangle(4.0, 0.2))
+        with pytest.raises(StarShapeError, match="more than once"):
+            thin.ray_length((-3.0, 0.0), (1.0, 0.0))
+        with pytest.raises(StarShapeError, match="misses"):
+            thin.ray_length((-3.0, 0.0), (-1.0, 0.0))
