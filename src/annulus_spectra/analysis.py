@@ -36,7 +36,7 @@ from .geometry import (
     inradius,
     scale_hole_to_class_s,
 )
-from .radial import BRENT_RTOL, ODE_RTOL, solve_shell
+from .radial import LAMBDA_RTOL, PROFILE_RTOL, solve_shell
 
 
 @dataclass(frozen=True)
@@ -381,15 +381,15 @@ def _radial_boundary_ratio(result):
     """(s, error of s) for s = R2^(n-1) phi(R2)^2 / int phi^2 r^(n-1) dr.
 
     Simpson's rule on the sampled profile; the error is its difference to
-    the rule on every second sample plus the ODE tolerance of phi^2 in
-    numerator and denominator.
+    the rule on every second sample plus the stated profile accuracy of
+    phi^2 in numerator and denominator.
     """
     shell = result.shell
     density = result.phi**2 * result.r ** (shell.dim - 1)
     mass = simpson(density, x=result.r)
     coarse = simpson(density[::2], x=result.r[::2])
     s = shell.r_outer ** (shell.dim - 1) * result.phi[-1] ** 2 / mass
-    return float(s), float(s * (abs(mass - coarse) / mass + 4.0 * ODE_RTOL))
+    return float(s), float(s * (abs(mass - coarse) / mass + 4.0 * PROFILE_RTOL))
 
 
 def beta_limits_check(target, resolution=(48, 192), betas=None, nd_rel_tol=1e-3) -> BetaLimitsReport:
@@ -411,7 +411,7 @@ def beta_limits_check(target, resolution=(48, 192), betas=None, nd_rel_tol=1e-3)
     beta.  On the FEM route s is beta_form_value of the beta = 0 solve on
     the same mesh, so both ends hold exactly for the discrete pencil.  The
     bracket is widened by an allowance summed from the solvers' stated
-    tolerances (BRENT_RTOL radially, the eigensolver's residual bound for
+    tolerances (LAMBDA_RTOL radially, the eigensolver's residual bound for
     FEM) and the quadrature error of s.  The largest beta is compared with
     the Dirichlet closure through the constant-test-function gap bound.
     """
@@ -429,7 +429,7 @@ def beta_limits_check(target, resolution=(48, 192), betas=None, nd_rel_tol=1e-3)
     if isinstance(target, ShellSpec):
         method = "radial"
         solve = lambda b: solve_shell(target.dim, target.r_inner, target.r_outer, b)
-        lam_tol = lambda res: BRENT_RTOL * res.lam
+        lam_tol = lambda res: LAMBDA_RTOL * res.lam
         slope_of = _radial_boundary_ratio
         volume = target.volume
         from .geometry import unit_ball_volume

@@ -148,6 +148,18 @@ def _parse_beta(text: str) -> float:
     return value
 
 
+def _int_at_least(flag: str, low: int):
+    """Argument type for a flag that takes an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise UsageError(f"{flag} must be at least {low}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _positive(flag: str):
     """Argument type for a flag that takes a positive finite float."""
 
@@ -188,7 +200,7 @@ def cmd_shell(args) -> int:
     else:
         result = radial.solve_shell(args.n, args.r1, args.r2, args.beta, samples=args.grid)
         report = result.report()
-        report["resolution"] = f"{args.grid} samples, ode rtol {radial.ODE_RTOL:g}"
+        report["resolution"] = f"{args.grid} samples, profile rtol {radial.PROFILE_RTOL:g}"
         print(
             f"lambda = {result.lam:.12g}  r_bar = {result.r_bar:.12g}  "
             f"v_m = {result.v_m:.12g}  v_M = {result.v_M:.12g}"
@@ -527,13 +539,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_shell = sub.add_parser("shell", help="radial solve on a concentric shell")
-    p_shell.add_argument("--n", type=int, required=True, help="space dimension (>= 2)")
+    p_shell.add_argument("--n", type=_int_at_least("--n", 2), required=True, help="space dimension")
     p_shell.add_argument("--r1", type=_positive("--r1"), required=True)
     p_shell.add_argument("--r2", type=_positive("--r2"), required=True)
     p_shell.add_argument("--beta", type=_parse_beta, required=True, help="Robin parameter (inf ok)")
-    p_shell.add_argument("--method", choices=("shooting", "fd", "closed3d"), default="shooting")
-    p_shell.add_argument("--grid", type=int, default=radial.PROFILE_SAMPLES)
-    p_shell.add_argument("--fd-points", type=int, default=20000)
+    p_shell.add_argument("--method", choices=("bessel", "fd", "closed3d"), default="bessel")
+    p_shell.add_argument("--grid", type=_int_at_least("--grid", 2), default=radial.PROFILE_SAMPLES)
+    p_shell.add_argument("--fd-points", type=_int_at_least("--fd-points", 100), default=20000)
     p_shell.add_argument("--out", default=None, help="directory for profile.csv and report JSON")
     p_shell.set_defaults(func=cmd_shell)
 

@@ -6,9 +6,12 @@ The profile phi(r) solves
     phi(R1) = 0,   phi'(R2) + beta phi(R2) = 0,
 
 with beta in [0, inf]; beta = 0 is the Neumann closure and beta = inf the
-Dirichlet one.  Three routes to the same number are provided: adaptive
-shooting (the production path), a symmetric finite-difference pencil
-(second-discretization oracle) and the elementary 3D closed form.
+Dirichlet one.  With nu = n/2 - 1, k = sqrt(lambda) and Z_mu(x) =
+J_mu(x) Y_nu(k R1) - Y_mu(x) J_nu(k R1), phi = c r^-nu Z_nu(k r) and
+phi' = -c k r^-nu Z_(nu+1)(k r) (DLMF 10.6.6); c = -pi R1^(nu+1) / 2 gives
+phi'(R1) = 1 by the Wronskian (DLMF 10.5.2).  Three routes to the same
+number: this Bessel characteristic equation (the production path), a
+symmetric finite-difference pencil (oracle) and the 3D closed form.
 """
 
 from __future__ import annotations
@@ -18,55 +21,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
+from scipy.special import jv, yv
 
 from .errors import BracketError, NumericalError, RangeError
 from .geometry import ShellSpec
 
 PROFILE_SAMPLES = 4097
-BRENT_RTOL = 1e-11
-ODE_RTOL = 1e-12
-
-
-def _integrate(n: int, r1: float, r2: float, lam: float):
-    """Shooting integration from (phi, phi')(R1) = (0, 1)."""
-
-    def rhs(r, y):
-        return (y[1], -lam * y[0] - (n - 1.0) / r * y[1])
-
-    sol = solve_ivp(
-        rhs,
-        (r1, r2),
-        (0.0, 1.0),
-        method="DOP853",
-        rtol=ODE_RTOL,
-        atol=1e-14 * (r2 - r1),
-        dense_output=True,
-    )
-    if not sol.success:
-        raise NumericalError(f"ODE integration failed: {sol.message}")
-    return sol
-
-
-def _end_residual(sol, beta: float) -> float:
-    phi, dphi = sol.y[0, -1], sol.y[1, -1]
-    if math.isinf(beta):
-        return phi
-    return dphi + beta * phi
-
-
-def shoot(n: int, r1: float, r2: float, beta: float, lam_trial: float) -> float:
-    """Boundary residual of the shooting solution at a trial eigenvalue.
-
-    Returns phi'(R2) + beta phi(R2) (or phi(R2) for beta = inf); the first
-    eigenvalue is its smallest positive zero.
-    """
-    ShellSpec(n, r1, r2)
-    if lam_trial < 0.0:
-        raise RangeError("trial eigenvalue must be nonnegative")
-    return _end_residual(_integrate(n, r1, r2, lam_trial), beta)
+# stated accuracies of lambda (measured: 6e-14 at width 1e-3, else 1e-15)
+# and of the profile relative to its maximum (measured: 5e-11 at most)
+LAMBDA_RTOL = 1e-11
+PROFILE_RTOL = 1e-10
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -89,15 +57,15 @@ class RadialEigenResult:
     v_M: float
     method: str
     residual: float
-    _dense: object = None
+    _dense: tuple = None
 
     def value(self, r):
-        """Profile phi at arbitrary radii inside [R1, R2]."""
-        return self._dense(np.asarray(r, dtype=float))[0]
+        """Profile phi at arbitrary radii inside [R1, R2], by the spline in log r."""
+        return self._dense[0](np.log(np.asarray(r, dtype=float)))
 
     def slope(self, r):
-        """Profile derivative phi' at arbitrary radii inside [R1, R2]."""
-        return self._dense(np.asarray(r, dtype=float))[1]
+        """Profile derivative phi' at arbitrary radii inside [R1, R2], likewise."""
+        return self._dense[1](np.log(np.asarray(r, dtype=float)))
 
     def report(self) -> dict:
         return {
@@ -118,112 +86,133 @@ def write_profile_csv(result: RadialEigenResult, path) -> None:
             writer.writerow([f"{v:.17g}" for v in row])
 
 
-def _locate_first_root(n, r1, r2, beta, lam_max):
-    """Walk lambda upward until the boundary residual changes sign."""
-    d = r2 - r1
-    step = (math.pi / d) ** 2 / 16.0
-    lam_prev = 0.0
-    f_prev = _end_residual(_integrate(n, r1, r2, 0.0), beta)
-    if f_prev <= 0.0:
-        raise NumericalError("residual at lambda = 0 should be positive")
-    lam = step
-    while lam <= lam_max:
-        f = _end_residual(_integrate(n, r1, r2, lam), beta)
-        if f == 0.0:
-            return lam, lam, f, f
-        if f < 0.0:
-            return lam_prev, lam, f_prev, f
-        lam_prev, f_prev = lam, f
-        lam += step
-    raise BracketError(f"no sign change of the boundary residual below {lam_max:.6g}")
+def _cross(nu: float, mu: float, k, r1: float, r):
+    """Z_mu(k r) = J_mu(k r) Y_nu(k R1) - Y_mu(k r) J_nu(k R1), vectorized."""
+    return jv(mu, k * r) * yv(nu, k * r1) - yv(mu, k * r) * jv(nu, k * r1)
+
+
+def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
+    """Smallest k > 0 with beta Z_nu(k R2) = k Z_(nu+1)(k R2) (Z_nu(k R2) = 0 at beta = inf).
+
+    Scans the difference, negative below the root, by 1/64 of the root
+    spacing pi / d from near zero to lambda = 4 (pi/d)^2 + (n-1)(n-3)/R2^2,
+    a bound on the Dirichlet eigenvalue of the outer half shell.
+    """
+    nu, d = 0.5 * n - 1.0, r2 - r1
+
+    def g(k):
+        z0 = _cross(nu, nu, k, r1, r2)
+        return z0 if math.isinf(beta) else beta * z0 - k * _cross(nu, nu + 1.0, k, r1, r2)
+
+    step = math.pi / (64.0 * d)
+    k_max = math.sqrt(4.0 * (math.pi / d) ** 2 + max(0.0, (n - 1.0) * (n - 3.0)) / r2**2)
+    ks = step * (np.arange(math.ceil(k_max / step) + 2) + 1.0 / 16.0)
+    up = np.flatnonzero(g(ks) >= 0.0)
+    if len(up) == 0:
+        raise BracketError(f"no root of the characteristic function below k = {ks[-1]:.6g}")
+    lo, hi = (ks[up[0] - 1], ks[up[0]]) if up[0] > 0 else (ks[0] / 16.0, ks[0])
+    while not g(lo) < 0.0:  # root below the scan: lambda_ND on a tiny hole, n >= 4
+        if lo < 1e-200 * ks[0]:
+            raise NumericalError("characteristic function should be negative near k = 0")
+        lo, hi = lo / 16.0, lo
+    return brentq(lambda k: float(g(k)), lo, hi, xtol=1e-15 * hi)
 
 
 def solve_shell(
-    n: int,
-    r1: float,
-    r2: float,
-    beta: float,
-    samples: int = PROFILE_SAMPLES,
-    lam_max: float = None,
+    n: int, r1: float, r2: float, beta: float, samples: int = PROFILE_SAMPLES
 ) -> RadialEigenResult:
     """First Robin-Dirichlet eigenvalue and profile on the shell (R1, R2).
 
-    Brackets the smallest root of the shooting residual starting from
-    lambda = 0 and polishes it with Brent's method to 1e-11 relative
-    tolerance; beta may be 0 (Neumann closure) or inf (Dirichlet).
+    k is the first root of the Bessel characteristic equation, polished by
+    Brent's method; beta may be 0 (Neumann closure) or inf (Dirichlet).
+    The exact profile on PROFILE_SAMPLES knots uniform in t = log r feeds
+    cubic Hermite splines of phi (dphi/dt = r phi') and phi' (by the ODE,
+    d(phi')/dt = -(n-1) phi' - lambda r phi), read by value(), slope() and
+    the `samples` output radii uniform in r.
     """
     shell = ShellSpec(n, r1, r2)
     if not beta >= 0.0:  # also rejects nan
         raise RangeError("beta must be nonnegative")
-    d = r2 - r1
-    if lam_max is None:
-        lam_max = 8.0 * ((math.pi / d) ** 2 + n * n / (r1 * r1))
+    nu = 0.5 * n - 1.0
+    k = _first_root(n, r1, r2, beta)
+    lam = k * k
 
-    lo, hi, f_lo, f_hi = _locate_first_root(n, r1, r2, beta, lam_max)
-    if lo == hi:
-        lam = lo
+    t = np.linspace(math.log(r1), math.log(r2), PROFILE_SAMPLES)
+    r = np.exp(t)
+    r[0], r[-1] = r1, r2
+    c = -0.5 * math.pi * r1 ** (nu + 1.0)
+    scale = c * r**-nu
+    phi = scale * _cross(nu, nu, k, r1, r)
+    dphi = -k * scale * _cross(nu, nu + 1.0, k, r1, r)
+    phi[0] = 0.0
+
+    # the residual's rounding scales with the Bessel moduli sqrt(J^2 + Y^2) of
+    # its products, which may both vanish; measured at most 1.6 of 64 units
+    mod = lambda mu, x: math.hypot(jv(mu, x), yv(mu, x))
+    unit = 64.0 * EPS * (1.0 + k * r2) * abs(scale[-1]) * mod(nu, k * r1)
+    phi_err = unit * mod(nu, k * r2)
+    if math.isinf(beta):
+        residual, tol = phi[-1], phi_err
     else:
-        lam = brentq(
-            lambda L: _end_residual(_integrate(n, r1, r2, L), beta),
-            lo,
-            hi,
-            rtol=BRENT_RTOL,
-            xtol=1e-14 * hi,
-        )
-
-    sol = _integrate(n, r1, r2, lam)
-    rr = np.linspace(r1, r2, samples)
-    vals = sol.sol(rr)
-    phi, dphi = vals[0], vals[1]
-    residual = _end_residual(sol, beta)
+        residual = dphi[-1] + beta * phi[-1]
+        tol = k * unit * mod(nu + 1.0, k * r2) + beta * phi_err
+    if not abs(residual) <= tol:
+        raise NumericalError(f"boundary residual {residual:.3e} above rounding allowance {tol:.3e}")
+    # impose the boundary condition on the better-conditioned side: phi(R2)
+    # nears a zero of Z_nu when beta > k, phi'(R2) one of Z_(nu+1) otherwise
+    if beta > k:
+        phi[-1] = 0.0 if math.isinf(beta) else -dphi[-1] / beta
+    else:
+        dphi[-1] = -beta * phi[-1] if beta else 0.0
 
     if np.any(phi[1:-1] <= 0.0):
         raise NumericalError("profile is not positive inside the shell")
-
+    v_m = float(phi[-1])
     if beta == 0.0:
-        r_bar, v_m = r2, float(phi[-1])
-        v_M = v_m
+        r_bar, v_M = r2, v_m
         if np.any(dphi[:-1] <= 0.0):
             raise NumericalError("Neumann profile should be increasing")
     else:
-        drop = np.where((dphi[:-1] > 0.0) & (dphi[1:] <= 0.0))[0]
+        drop = np.flatnonzero((dphi[:-1] > 0.0) & (dphi[1:] <= 0.0))
         if len(drop) != 1:
             raise NumericalError(f"expected one critical radius, found {len(drop)} candidates")
         i = int(drop[0])
-        r_bar = brentq(
-            lambda r: sol.sol(r)[1], rr[i], rr[i + 1], xtol=1e-12 * d, rtol=8.9e-16
-        )
-        v_M = float(sol.sol(r_bar)[0])
-        v_m = float(phi[-1])
+        z1 = lambda s: _cross(nu, nu + 1.0, k, r1, s)
+        try:
+            r_bar = brentq(z1, r[i], r[i + 1], xtol=EPS * r1)
+        except ValueError as err:  # no sign change: beta below the rounding of phi'
+            raise NumericalError("critical radius not resolved next to R2") from err
+        v_M = c * r_bar**-nu * _cross(nu, nu, k, r1, r_bar)
         if not (r1 < r_bar < r2):
             raise NumericalError("critical radius escaped the shell interior")
         if not (v_m < v_M):
             raise NumericalError("boundary value should stay below the maximum")
-        if math.isfinite(beta):
-            if not 0.0 < v_m:
-                raise NumericalError("Robin boundary value should be positive")
-            tol = 1e-8 * max(abs(dphi[-1]), beta * v_m)
-            if abs(residual) > tol:
-                raise NumericalError(f"Robin residual {residual:.3e} above tolerance {tol:.3e}")
-        else:
-            if abs(residual) > 1e-8 * max(1.0, abs(dphi[-1])):
-                raise NumericalError(f"Dirichlet residual {residual:.3e} too large")
+        if math.isfinite(beta) and not 0.0 < v_m:
+            raise NumericalError("Robin boundary value should be positive")
     if lam <= 0.0:
         raise NumericalError("eigenvalue must be positive")
 
+    dense = (
+        CubicHermiteSpline(t, phi, r * dphi),
+        CubicHermiteSpline(t, dphi, -(n - 1.0) * dphi - lam * r * phi),
+    )
+    rr = np.linspace(r1, r2, samples)
+    phi_out, dphi_out = dense[0](np.log(rr)), dense[1](np.log(rr))
+    # the end samples are the knots, boundary conditions included
+    phi_out[[0, -1]], dphi_out[[0, -1]] = phi[[0, -1]], dphi[[0, -1]]
     return RadialEigenResult(
         shell=shell,
         beta=beta,
         lam=float(lam),
         r=rr,
-        phi=phi,
-        dphi=dphi,
+        phi=phi_out,
+        dphi=dphi_out,
         r_bar=float(r_bar),
-        v_m=float(v_m),
+        v_m=v_m,
         v_M=float(v_M),
-        method="shooting",
+        method="bessel",
         residual=float(residual),
-        _dense=sol.sol,
+        _dense=dense,
     )
 
 

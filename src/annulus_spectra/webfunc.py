@@ -90,10 +90,8 @@ def find_split(domain: AnnularDomain, radial: RadialEigenResult, rtol: float = 1
 
     hole_samples = domain.inner.sample(CLIP_SAMPLES)
     s_free = float(np.min(domain.outer.distance(hole_samples)))
-    perim = domain.inner.perimeter()
-    steiner_at_free = perim * s_free + math.pi * s_free * s_free
-    if target <= steiner_at_free:
-        return (-perim + math.sqrt(perim * perim + 4.0 * math.pi * target)) / (2.0 * math.pi)
+    if radial.r_bar - r1 <= s_free:
+        return radial.r_bar - r1
 
     outer_poly = domain.outer.to_polygon(CLIP_SAMPLES)
     boundary_pts = domain.outer.sample(CLIP_SAMPLES)

@@ -39,6 +39,16 @@ class TestShellCommand:
         assert main(argv) == 2
         assert f"{flag} must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value, extra",
+        [("--n", "1", []), ("--grid", "0", []), ("--fd-points", "10", ["--method", "fd"])],
+    )
+    def test_integer_floor_usage_error(self, flag, value, extra, capsys):
+        args = {"--n": "2", flag: value}
+        argv = ["shell", "--r1", "1", "--r2", "2", "--beta", "1", *extra]
+        assert main(argv + [item for pair in args.items() for item in pair]) == 2
+        assert f"{flag} must be at least" in capsys.readouterr().err
+
     def test_writes_profile_and_report(self, tmp_path, capsys):
         out = tmp_path / "run"
         code = main(
@@ -47,7 +57,7 @@ class TestShellCommand:
         assert code == 0
         assert (out / "profile.csv").exists()
         report = json.loads((out / "shell_report.json").read_text())
-        assert report["method"] == "shooting"
+        assert report["method"] == "bessel"
         assert "resolution" in report
 
 

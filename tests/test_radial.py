@@ -2,40 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import jv, yv
 
-from annulus_spectra.errors import BracketError, RangeError
+from annulus_spectra.errors import AnnulusError, RangeError
 from annulus_spectra.radial import (
+    LAMBDA_RTOL,
     closed_form_3d,
     distance_profiles,
     level_radii,
     radii_monotonicity,
-    shoot,
     solve_shell,
     solve_shell_fd,
     write_profile_csv,
 )
-
-
-class TestShoot:
-    def test_zero_trial_gives_positive_residual(self):
-        # at lambda = 0 the profile is the increasing harmonic one, so the
-        # boundary residual anchors the bracketing from above zero
-        for n in (2, 3, 4):
-            assert shoot(n, 1.0, 2.0, 1.0, 0.0) > 0.0
-
-    def test_residual_vanishes_at_closed_form_3d(self):
-        lam = closed_form_3d(1.0, 2.0, 1.0)
-        assert abs(shoot(3, 1.0, 2.0, 1.0, lam)) <= 1e-9
-
-    def test_sign_change_straddles_fd_eigenvalue(self):
-        lam_fd = solve_shell_fd(2, 1.0, 2.0, 1.0, 20000)
-        lo = shoot(2, 1.0, 2.0, 1.0, lam_fd - 1e-4)
-        hi = shoot(2, 1.0, 2.0, 1.0, lam_fd + 1e-4)
-        assert lo > 0.0 > hi
-
-    def test_negative_trial_rejected(self):
-        with pytest.raises(RangeError):
-            shoot(2, 1.0, 2.0, 1.0, -1.0)
 
 
 class TestClosedForm3d:
@@ -106,10 +87,6 @@ class TestSolveShell:
         with pytest.raises(RangeError):
             solve_shell(2, 1.0, 2.0, beta)
 
-    def test_bracket_failure(self):
-        with pytest.raises(BracketError):
-            solve_shell(2, 1.0, 2.0, 1.0, lam_max=0.5)
-
     def test_cross_method_random_grid(self, rng):
         for _ in range(6):
             n = int(rng.integers(2, 5))
@@ -121,6 +98,80 @@ class TestSolveShell:
             assert abs(lam - lam_fd) / lam <= 1e-6
             if n == 3:
                 assert abs(lam - closed_form_3d(r1, r2, beta)) / lam <= 1e-9
+
+
+def _bessel_profile(res, r):
+    """phi and phi' from DLMF 10: c r^-nu Z_nu(k r) and -c k r^-nu Z_(nu+1)(k r)."""
+    n, r1 = res.shell.dim, res.shell.r_inner
+    nu, k = 0.5 * n - 1.0, math.sqrt(res.lam)
+    ja, ya = jv(nu, k * r1), yv(nu, k * r1)
+    c = -0.5 * math.pi * r1 ** (nu + 1.0) * r**-nu
+    phi = c * (jv(nu, k * r) * ya - yv(nu, k * r) * ja)
+    dphi = -k * c * (jv(nu + 1.0, k * r) * ya - yv(nu + 1.0, k * r) * ja)
+    return phi, dphi
+
+
+class TestBesselSolver:
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_large_beta_below_dirichlet(self, n):
+        lam_d = solve_shell(n, 1.0, 2.0, float("inf")).lam
+        lams = [solve_shell(n, 1.0, 2.0, beta).lam for beta in (1e9, 1e12)]
+        assert lams[0] < lams[1] < lam_d
+
+    @pytest.mark.parametrize(
+        "n, r1, r2",
+        [(2, 1e-3, 2.0), (8, 1e-3, 2.0), (3, 1.0, 1.001), (12, 1.0, 2.0)],
+        ids=["hole-n2", "hole-n8", "thin", "n12"],
+    )
+    def test_extreme_shells_match_fd(self, n, r1, r2):
+        lam = solve_shell(n, r1, r2, 1.0).lam
+        fine = solve_shell_fd(n, r1, r2, 1.0, 20000)
+        coarse = solve_shell_fd(n, r1, r2, 1.0, 10000)
+        assert abs(lam - fine) <= 1e-6 * lam + abs(fine - coarse)
+
+    @pytest.mark.parametrize(
+        "shell, rtol", [((2, 1.0, 2.0, 1.0), 1e-12), ((8, 1e-3, 2.0, 1.0), 1e-10)]
+    )
+    def test_value_and_slope_match_bessel(self, shell, rtol):
+        res = solve_shell(*shell)
+        # most of these log-spaced radii fall between the spline knots
+        r = np.geomspace(shell[1], shell[2], 10007)
+        phi, dphi = _bessel_profile(res, r)
+        assert np.max(np.abs(res.value(r) - phi)) <= rtol * np.max(np.abs(phi))
+        assert np.max(np.abs(res.slope(r) - dphi)) <= rtol * np.max(np.abs(dphi))
+        phi_grid, dphi_grid = _bessel_profile(res, res.r)
+        assert np.max(np.abs(res.phi - phi_grid)) <= rtol * np.max(np.abs(phi))
+        assert np.max(np.abs(res.dphi - dphi_grid)) <= rtol * np.max(np.abs(dphi))
+
+    def test_dirichlet_boundary_value_exact(self):
+        res = solve_shell(2, 1.0, 2.0, float("inf"))
+        assert res.v_m == 0.0
+        assert res.phi[-1] == 0.0
+        assert res.dphi[0] == pytest.approx(1.0, rel=1e-13)
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 8),
+    r1=st.floats(-3.0, math.log10(2.0)).map(lambda e: 10.0**e),
+    width=st.floats(-3.0, math.log10(3.0)).map(lambda e: 10.0**e),
+    beta=st.one_of(
+        st.just(0.0), st.just(math.inf), st.floats(-3.0, 12.0).map(lambda e: 10.0**e)
+    ),
+)
+def test_property_sweep(n, r1, width, beta):
+    # each case is an eigenpair inside the Neumann-Dirichlet bracket with a
+    # positive profile, or a typed package error
+    r2 = r1 + width
+    try:
+        res = solve_shell(n, r1, r2, beta)
+        lam_n = solve_shell(n, r1, r2, 0.0).lam
+        lam_d = solve_shell(n, r1, r2, math.inf).lam
+    except AnnulusError:
+        return
+    assert res.lam > 0.0
+    assert lam_n * (1.0 - LAMBDA_RTOL) <= res.lam <= lam_d * (1.0 + LAMBDA_RTOL)
+    assert np.all(res.phi[1:-1] > 0.0) and res.v_M > 0.0
 
 
 class TestFiniteDifference:
