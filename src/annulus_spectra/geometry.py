@@ -22,6 +22,7 @@ from .errors import (
     EmptyBodyError,
     GeometryError,
     InfeasibleError,
+    NumericalError,
     RangeError,
     StarShapeError,
 )
@@ -35,6 +36,9 @@ CONTAINMENT_REL_GAP = 1e-9
 DEFAULT_NGON = 1024
 # Rays x edges per block in the batched polygon ray cast.
 RAY_BLOCK = 1 << 17
+# Newton steps allowed to the ellipse foot-point solve; points near the
+# evolute's cusps, the slowest, settle in under 50.
+FOOT_POINT_ITERATIONS = 100
 
 
 def unit_ball_volume(n: int) -> float:
@@ -131,19 +135,27 @@ class ConvexPolygon:
         inside = np.all(margin >= -tol, axis=1)
         return inside if inside.size > 1 else bool(inside[0])
 
-    def distance_to_boundary(self, points) -> np.ndarray:
-        """Euclidean distance from each point to the polygon boundary."""
+    def nearest_edge(self, points):
+        """Distance from each point to the boundary and the index of its
+        nearest edge (the first one on ties), one edge at a time."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         v = self.vertices
-        w = np.roll(v, -1, axis=0)
-        d = w - v
+        d = np.roll(v, -1, axis=0) - v
         ll = np.sum(d * d, axis=1)
-        # projection parameter of every point on every edge, clamped
-        t = ((p[:, None, :] - v[None, :, :]) * d[None, :, :]).sum(-1) / ll[None, :]
-        t = np.clip(t, 0.0, 1.0)
-        foot = v[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist = np.min(np.hypot(*(p[:, None, :] - foot).transpose(2, 0, 1)), axis=1)
-        return dist
+        best = np.full(len(p), np.inf)
+        nearest = np.zeros(len(p), dtype=int)
+        for k in range(len(v)):
+            # projection parameter of every point on edge k, clamped
+            t = ((p[:, 0] - v[k, 0]) * d[k, 0] + (p[:, 1] - v[k, 1]) * d[k, 1]) / ll[k]
+            t = np.clip(t, 0.0, 1.0)
+            dist = np.hypot(p[:, 0] - (v[k, 0] + t * d[k, 0]), p[:, 1] - (v[k, 1] + t * d[k, 1]))
+            nearest[dist < best] = k
+            np.minimum(best, dist, out=best)
+        return best, nearest
+
+    def distance_to_boundary(self, points) -> np.ndarray:
+        """Euclidean distance from each point to the polygon boundary."""
+        return self.nearest_edge(points)[0]
 
     def sample_boundary(self, n: int) -> np.ndarray:
         """n points spread along the boundary, proportional to edge length."""
@@ -538,44 +550,55 @@ class Ellipse(BoundaryCurve):
         inside = r <= 1.0 + tol / min(self.a, self.b)
         return inside if inside.size > 1 else bool(inside[0])
 
-    def _param_points(self, t):
-        return self._c() + np.column_stack([self.a * np.cos(t), self.b * np.sin(t)])
-
     def distance(self, points):
-        """Foot-point distance: coarse parameter scan plus vectorized
-        bisection on the orthogonality condition (p - gamma(t)) . gamma'(t)."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        q = p - self._c()
+        """Foot-point distance by Newton's method on Eberly's secular equation
+        (Geometric Tools, 2013), folded into the first quadrant with e0 >= e1.
+
+        With c = e0^2 - e1^2 the foot point is (e0^2 y0 / (tau + c), e1^2 y1 /
+        tau), where tau > 0, Eberly's t shifted by e1^2 so that near-axis
+        points keep their digits, solves F(tau) = (e0 y0 / (tau + c))^2 +
+        (e1 y1 / tau)^2 = 1.  F is convex and decreasing, >= 1 at max(e1 y1,
+        e0 y0 - c) and <= 1 at hypot(e0 y0, e1 y1), so Newton's iterates rise
+        monotonically to the root under that cap.  Axis points (an offset
+        from the major axis that underflows counts as zero) are closed-form.
+        """
+        q = np.abs(np.atleast_2d(np.asarray(points, dtype=float)) - self._c())
+        if self.a >= self.b:
+            (e0, e1), (y0, y1) = (self.a, self.b), q.T
+        else:
+            (e0, e1), (y1, y0) = (self.b, self.a), q.T
+        c = (e0 - e1) * (e0 + e1)
+        z0, z1 = e0 * y0, e1 * y1
         out = np.empty(len(q))
-        for start in range(0, len(q), 8192):
-            out[start : start + 8192] = self._distance_chunk(q[start : start + 8192])
+        minor = y0 == 0.0
+        major = ~minor & (z1 < np.finfo(float).tiny)
+        evolute = major & (z0 < c)
+        out[minor] = np.abs(y1[minor] - e1)
+        out[evolute] = e1 * np.sqrt(1.0 - y0[evolute] ** 2 / c)
+        out[major & ~evolute] = np.abs(y0[major & ~evolute] - e0)
+
+        free = ~(minor | major)
+        y0, y1, z0, z1 = y0[free], y1[free], z0[free], z1[free]
+        tau = np.maximum(z1, z0 - c)
+        cap = np.hypot(z0, z1)
+        todo = np.arange(len(tau))
+        for _ in range(FOOT_POINT_ITERATIONS):
+            t = tau[todo]
+            r0, r1 = z0[todo] / (t + c), z1[todo] / t
+            # Newton step for F = 1, with -F'/2 = r0^2 / (t + c) + r1^2 / t
+            step = (r0 * r0 + r1 * r1 - 1.0) / (2.0 * (r0 * r0 / (t + c) + r1 * r1 / t))
+            moved = np.minimum(t + np.maximum(step, 0.0), cap[todo])
+            tau[todo] = moved
+            todo = todo[moved != t]
+            if len(todo) == 0:
+                break
+        else:
+            raise NumericalError(
+                f"ellipse foot-point Newton iteration did not settle in "
+                f"{FOOT_POINT_ITERATIONS} steps at {len(todo)} points"
+            )
+        out[free] = np.abs(tau - e1 * e1) * np.hypot(y0 / (tau + c), y1 / tau)
         return out
-
-    def _distance_chunk(self, q):
-        a, b = self.a, self.b
-        m = 128
-        tgrid = 2.0 * np.pi * np.arange(m) / m
-        gx, gy = a * np.cos(tgrid), b * np.sin(tgrid)
-        d2 = (q[:, 0][:, None] - gx[None, :]) ** 2 + (q[:, 1][:, None] - gy[None, :]) ** 2
-        t0 = tgrid[np.argmin(d2, axis=1)]
-        step = 2.0 * np.pi / m
-
-        def g(t):
-            return (q[:, 0] - a * np.cos(t)) * (-a * np.sin(t)) + (
-                q[:, 1] - b * np.sin(t)
-            ) * (b * np.cos(t))
-
-        lo, hi = t0 - step, t0 + step
-        glo = g(lo)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            gm = g(mid)
-            left = glo * gm <= 0.0
-            hi = np.where(left, mid, hi)
-            lo = np.where(left, lo, mid)
-            glo = np.where(left, glo, gm)
-        t = 0.5 * (lo + hi)
-        return np.hypot(q[:, 0] - a * np.cos(t), q[:, 1] - b * np.sin(t))
 
     def ray_length(self, origin, direction):
         o = _as_point(origin) - self._c()
@@ -592,7 +615,7 @@ class Ellipse(BoundaryCurve):
 
     def sample(self, n):
         t = 2.0 * np.pi * np.arange(n) / n
-        return self._param_points(t)
+        return self._c() + np.column_stack([self.a * np.cos(t), self.b * np.sin(t)])
 
     def _param_of(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float)) - self._c()
@@ -674,18 +697,8 @@ class PolygonCurve(BoundaryCurve):
         return self.polygon.sample_boundary(n)
 
     def outward_normal(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        n, b = self.polygon.edge_normals_offsets()
-        v = self.polygon.vertices
-        w = np.roll(v, -1, axis=0)
-        d = w - v
-        ll = np.sum(d * d, axis=1)
-        t = ((p[:, None, :] - v[None, :, :]) * d[None, :, :]).sum(-1) / ll[None, :]
-        t = np.clip(t, 0.0, 1.0)
-        foot = v[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist = np.hypot(*(p[:, None, :] - foot).transpose(2, 0, 1))
-        nearest = np.argmin(dist, axis=1)
-        return n[nearest]
+        n, _ = self.polygon.edge_normals_offsets()
+        return n[self.polygon.nearest_edge(points)[1]]
 
     @property
     def scale(self):

@@ -136,34 +136,27 @@ class WebFunction:
     def evaluate(self, points) -> np.ndarray:
         """Web values at points of the closed annulus (vectorized)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d_i = self.domain.inner.distance(pts)
-        d_o = self.domain.outer.distance(pts)
-        shell = self.radial.shell
-        rise = self.radial.value(np.minimum(shell.r_inner + d_i, self.radial.r_bar))
-        fall = self.radial.value(np.maximum(shell.r_outer - d_o, self.radial.r_bar))
-        return np.where(d_i < self.split_s, rise, fall)
+        return self._profile(self.domain.inner.distance(pts), self.domain.outer.distance(pts))[0]
 
-    def gradient_magnitude(self, points) -> np.ndarray:
-        """|grad w| at points: the profile slope off the plateaus, else 0.
+    def _profile(self, d_i, d_o):
+        """(w, |grad w|) from the hole and outer distances of the points.
 
         Distance functions have unit gradient almost everywhere, so the
-        chain rule leaves just the transplanted profile derivative.
+        chain rule leaves just the transplanted profile slope off the
+        plateaus, and 0 on them.
         """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        d_i = self.domain.inner.distance(pts)
-        d_o = self.domain.outer.distance(pts)
         shell = self.radial.shell
-        width_i = self.radial.r_bar - shell.r_inner
-        width_o = shell.r_outer - self.radial.r_bar
+        r_bar = self.radial.r_bar
         in_mi = d_i < self.split_s
-        slope = np.zeros(len(pts))
-        rising = in_mi & (d_i < width_i)
-        falling = ~in_mi & (d_o < width_o)
-        if np.any(rising):
-            slope[rising] = np.abs(self.radial.slope(shell.r_inner + d_i[rising]))
-        if np.any(falling):
-            slope[falling] = np.abs(self.radial.slope(shell.r_outer - d_o[falling]))
-        return slope
+        value = np.empty(len(d_i))
+        value[in_mi] = self.radial.value(np.minimum(shell.r_inner + d_i[in_mi], r_bar))
+        value[~in_mi] = self.radial.value(np.maximum(shell.r_outer - d_o[~in_mi], r_bar))
+        slope = np.zeros(len(d_i))
+        rising = in_mi & (d_i < r_bar - shell.r_inner)
+        falling = ~in_mi & (d_o < shell.r_outer - r_bar)
+        slope[rising] = np.abs(self.radial.slope(shell.r_inner + d_i[rising]))
+        slope[falling] = np.abs(self.radial.slope(shell.r_outer - d_o[falling]))
+        return value, slope
 
     def report(self) -> dict:
         return {
@@ -254,28 +247,24 @@ def _quad_grid(web: WebFunction, quad_level):
     center = web.domain.center
     dtheta = 2.0 * math.pi / n_theta
     theta = dtheta * (np.arange(n_theta) + 0.5)
-    delta = 1e-6 * dtheta
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    rho_in = web.domain.inner.ray_length(center, u)
+    rho_out = web.domain.outer.ray_length(center, u)
+    g_in = center + rho_in[:, None] * u
+    g_out = center + rho_out[:, None] * u
 
-    def ray_points(angles):
-        u = np.column_stack([np.cos(angles), np.sin(angles)])
-        out_in = center + web.domain.inner.ray_length(center, u)[:, None] * u
-        out_out = center + web.domain.outer.ray_length(center, u)[:, None] * u
-        return out_in, out_out
-
-    g_in, g_out = ray_points(theta)
-    g_in_p, g_out_p = ray_points(theta + delta)
-    g_in_m, g_out_m = ray_points(theta - delta)
-    d_in = (g_in_p - g_in_m) / (2.0 * delta)
-    d_out = (g_out_p - g_out_m) / (2.0 * delta)
-
+    # x = center + r u(theta) with r = (1 - s) rho_in + s rho_out, so the
+    # Jacobian is the polar (rho_out - rho_in) r: the radial part of the
+    # boundary tangents drops out of it.  On the outer curve the tangent
+    # g' = rho (u_perp - (n . u_perp) / (n . u) u), n the outward normal,
+    # has length rho / |n . u|.
     ds = 1.0 / n_s
     s = ds * (np.arange(n_s) + 0.5)
-    span = g_out - g_in
-    pts = g_in[None, :, :] + s[:, None, None] * span[None, :, :]
-    x_theta = d_in[None, :, :] + s[:, None, None] * (d_out - d_in)[None, :, :]
-    jac = np.abs(span[None, :, 0] * x_theta[:, :, 1] - span[None, :, 1] * x_theta[:, :, 0])
-    weights = jac * ds * dtheta
-    arc = np.hypot(d_out[:, 0], d_out[:, 1]) * dtheta
+    pts = g_in[None, :, :] + s[:, None, None] * (g_out - g_in)[None, :, :]
+    r = rho_in[None, :] + s[:, None] * (rho_out - rho_in)[None, :]
+    weights = (rho_out - rho_in)[None, :] * r * ds * dtheta
+    normal = web.domain.outer.outward_normal(g_out)
+    arc = rho_out / np.abs(np.sum(normal * u, axis=1)) * dtheta
     return pts.reshape(-1, 2), weights.ravel(), g_out, arc
 
 
@@ -299,8 +288,7 @@ def rayleigh_quotient(
     if not (beta >= 0.0 and math.isfinite(beta)):
         raise RangeError("Rayleigh quotient needs finite nonnegative beta")
     pts, weights, outer_pts, arc = _quad_grid(web, quad_level)
-    w_vals = web.evaluate(pts)
-    g_vals = web.gradient_magnitude(pts)
+    w_vals, g_vals = web._profile(web.domain.inner.distance(pts), web.domain.outer.distance(pts))
     grad_part = float(np.sum(weights * g_vals * g_vals))
     mass_part = float(np.sum(weights * w_vals * w_vals))
     w_bnd = web.evaluate(outer_pts)

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 from scipy.special import ellipe
 
+from annulus_spectra import geometry
 from annulus_spectra import (
     AnnularDomain,
     Circle,
@@ -14,6 +16,7 @@ from annulus_spectra import (
     EmptyBodyError,
     GeometryError,
     InfeasibleError,
+    NumericalError,
     PolygonCurve,
     RangeError,
     StarShapeError,
@@ -450,3 +453,157 @@ class TestRayLength:
             thin.ray_length((-3.0, 0.0), (1.0, 0.0))
         with pytest.raises(StarShapeError, match="misses"):
             thin.ray_length((-3.0, 0.0), (-1.0, 0.0))
+
+
+def scan_bisection_distance(ell, points):
+    """The foot-point routine the Newton solve replaced: a 128-point
+    parameter scan, then 60 bisection steps on (p - gamma(t)) . gamma'(t)."""
+    q = np.atleast_2d(np.asarray(points, dtype=float)) - np.asarray(ell.center)
+    a, b = ell.a, ell.b
+    out = np.empty(len(q))
+    tgrid = 2.0 * np.pi * np.arange(128) / 128
+    step = 2.0 * np.pi / 128
+    for start in range(0, len(q), 8192):
+        qx, qy = q[start : start + 8192, 0], q[start : start + 8192, 1]
+        d2 = (qx[:, None] - a * np.cos(tgrid)) ** 2 + (qy[:, None] - b * np.sin(tgrid)) ** 2
+        t0 = tgrid[np.argmin(d2, axis=1)]
+
+        def g(t):
+            return (qx - a * np.cos(t)) * (-a * np.sin(t)) + (qy - b * np.sin(t)) * (b * np.cos(t))
+
+        lo, hi = t0 - step, t0 + step
+        glo = g(lo)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            gm = g(mid)
+            left = glo * gm <= 0.0
+            hi = np.where(left, mid, hi)
+            lo = np.where(left, lo, mid)
+            glo = np.where(left, glo, gm)
+        t = 0.5 * (lo + hi)
+        out[start : start + 8192] = np.hypot(qx - a * np.cos(t), qy - b * np.sin(t))
+    return out
+
+
+def minimized_distance(ell, point):
+    """Independent oracle: a dense parameter scan refined by a bounded
+    scalar minimization of the distance itself."""
+    q = np.asarray(point, dtype=float) - np.asarray(ell.center)
+    dist = lambda t: math.hypot(q[0] - ell.a * math.cos(t), q[1] - ell.b * math.sin(t))
+    grid = 2.0 * np.pi * np.arange(4096) / 4096
+    t0 = grid[np.argmin(np.hypot(q[0] - ell.a * np.cos(grid), q[1] - ell.b * np.sin(grid)))]
+    h = 2.0 * np.pi / 4096
+    res = minimize_scalar(dist, bounds=(t0 - h, t0 + h), method="bounded", options={"xatol": 1e-13})
+    return min(res.fun, dist(t0))
+
+
+ELLIPSES = {
+    "wide": Ellipse((0.3, -0.2), 2.0, 1.2),
+    "tall": Ellipse((-0.4, 0.1), 0.7, 1.9),
+    "circle": Ellipse((1.0, 1.0), 1.5, 1.5),
+}
+
+
+class TestEllipseDistance:
+    @pytest.mark.parametrize("kind", sorted(ELLIPSES))
+    def test_points_on_known_normals(self, kind, rng):
+        ell = ELLIPSES[kind]
+        a, b = ell.a, ell.b
+        t = rng.uniform(0.0, 2.0 * np.pi, 4000)
+        foot = np.asarray(ell.center) + np.column_stack([a * np.cos(t), b * np.sin(t)])
+        normal = np.column_stack([b * np.cos(t), a * np.sin(t)])
+        normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
+        # inside, the foot point is unique while s stays below the smallest
+        # radius of curvature min^2 / max
+        s_in = rng.uniform(0.0, 1.0, 4000) * min(a, b) ** 2 / max(a, b)
+        s_out = rng.uniform(0.0, 3.0 * max(a, b), 4000)
+        for pts, s in ((foot - s_in[:, None] * normal, s_in), (foot + s_out[:, None] * normal, s_out)):
+            assert np.max(np.abs(ell.distance(pts) - s)) <= 1e-13 * ell.scale
+
+    def test_centre_and_axes(self):
+        ell = Ellipse((0.0, 0.0), 2.0, 1.2)
+        c = ell.a**2 - ell.b**2  # the evolute meets the major axis at +-c / a = 1.28
+        assert ell.distance((0.0, 0.0))[0] == pytest.approx(1.2, abs=1e-15)
+        pts = [(0.0, y) for y in (0.5, -1.0, 1.2, 2.5)]
+        pts += [(x, 0.0) for x in (0.3, -1.0, 1.279, 1.281, -1.9, 2.0, 2.6)]
+        pts += [(c / ell.a, 0.0), (-c / ell.a, 0.0)]
+        expected = [minimized_distance(ell, p) for p in pts]
+        assert np.max(np.abs(ell.distance(pts) - expected)) <= 1e-13 * ell.scale
+
+    def test_points_near_major_axis(self):
+        # the points where Newton on the unshifted unknown loses its digits
+        ell = Ellipse((0.0, 0.0), 2.0, 1.2)
+        pts = [
+            (x * sx, y * sy)
+            for x in (0.2, 1.0, 1.27, 1.29, 1.9, 2.4)
+            for y in (1e-14, 3e-15, 1e-300, 1e-310, 5e-324)
+            for sx in (1, -1)
+            for sy in (1, -1)
+        ]
+        expected = [minimized_distance(ell, p) for p in pts]
+        assert np.max(np.abs(ell.distance(pts) - expected)) <= 1e-13 * ell.scale
+
+    def test_near_evolute_cusps_settle(self, rng):
+        ell = ELLIPSES["wide"]
+        c = ell.a**2 - ell.b**2
+        cusps = [(c / ell.a, 0.0), (0.0, c / ell.b)]
+        for cusp in cusps:
+            for eps in (1e-2, 1e-6, 1e-10, 1e-15):
+                pts = np.asarray(ell.center) + cusp + rng.uniform(-eps, eps, (2000, 2))
+                d = ell.distance(pts)
+                expected = [minimized_distance(ell, p) for p in pts[:5]]
+                assert np.all(np.isfinite(d))
+                assert np.max(np.abs(d[:5] - expected)) <= 1e-13 * ell.scale
+
+    def test_orientation_and_circle(self, rng):
+        pts = rng.uniform(-3.0, 3.0, (2000, 2))
+        wide, tall = Ellipse((0.0, 0.0), 1.9, 0.7), Ellipse((0.0, 0.0), 0.7, 1.9)
+        assert np.array_equal(tall.distance(pts), wide.distance(pts[:, ::-1]))
+        disk = ELLIPSES["circle"]
+        expected = Circle(disk.center, disk.a).distance(pts)
+        assert np.max(np.abs(disk.distance(pts) - expected)) <= 1e-15 * disk.scale
+
+    def test_matches_scan_bisection(self, rng):
+        ell = ELLIPSES["wide"]
+        pts = np.asarray(ell.center) + rng.uniform(-3.0, 3.0, (100_000, 2))
+        assert np.max(np.abs(ell.distance(pts) - scan_bisection_distance(ell, pts))) <= (
+            1e-12 * ell.scale
+        )
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(geometry, "FOOT_POINT_ITERATIONS", 1)
+        with pytest.raises(NumericalError, match="did not settle"):
+            ELLIPSES["wide"].distance((1.0, 0.5))
+
+
+def broadcast_nearest_edge(poly, points):
+    """The (points x edges x 2) broadcast the edge loop replaced."""
+    p = np.atleast_2d(np.asarray(points, dtype=float))
+    v = poly.vertices
+    d = np.roll(v, -1, axis=0) - v
+    ll = np.sum(d * d, axis=1)
+    t = ((p[:, None, :] - v[None, :, :]) * d[None, :, :]).sum(-1) / ll[None, :]
+    t = np.clip(t, 0.0, 1.0)
+    foot = v[None, :, :] + t[:, :, None] * d[None, :, :]
+    dist = np.hypot(*(p[:, None, :] - foot).transpose(2, 0, 1))
+    return np.min(dist, axis=1), np.argmin(dist, axis=1)
+
+
+POLYGONS = {
+    "rectangle": ConvexPolygon.rectangle(1.5, 0.8, center=(0.1, -0.2)),
+    "2048-gon": ConvexPolygon.regular(2048, 1.3, center=(-0.2, 0.1)),
+}
+
+
+class TestPolygonDistance:
+    @pytest.mark.parametrize("kind", sorted(POLYGONS))
+    def test_bit_identical_to_broadcast(self, kind, rng):
+        poly = POLYGONS[kind]
+        v = poly.vertices
+        midpoints = 0.5 * (v + np.roll(v, -1, axis=0))
+        # vertices and edge midpoints put ties between edges into the set
+        pts = np.concatenate([rng.uniform(-2.0, 2.0, (1000, 2)), v[:4], midpoints[:4]])
+        dist, nearest = broadcast_nearest_edge(poly, pts)
+        assert np.array_equal(poly.distance_to_boundary(pts), dist)
+        normals, _ = poly.edge_normals_offsets()
+        assert np.array_equal(PolygonCurve(poly).outward_normal(pts), normals[nearest])

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from annulus_spectra.geometry import (
 )
 from annulus_spectra.radial import solve_shell
 from annulus_spectra.webfunc import (
+    _quad_grid,
     build_web,
     chain_certificate,
     comparison_curves,
@@ -152,6 +154,76 @@ class TestRayleighQuotient:
         web = build_web(SHELL_DOMAIN, rad)
         with pytest.raises(RangeError):
             rayleigh_quotient(web, float("inf"))
+
+
+def separate_pass_parts(web, beta, quad_level):
+    """Rayleigh parts from the public evaluate and the separate slope
+    formula, each computing its own distances."""
+    pts, weights, outer_pts, arc = _quad_grid(web, quad_level)
+    d_i = web.domain.inner.distance(pts)
+    d_o = web.domain.outer.distance(pts)
+    shell, r_bar = web.radial.shell, web.radial.r_bar
+    in_mi = d_i < web.split_s
+    rising = in_mi & (d_i < r_bar - shell.r_inner)
+    falling = ~in_mi & (d_o < shell.r_outer - r_bar)
+    slope = np.zeros(len(pts))
+    slope[rising] = np.abs(web.radial.slope(shell.r_inner + d_i[rising]))
+    slope[falling] = np.abs(web.radial.slope(shell.r_outer - d_o[falling]))
+    w_vals = web.evaluate(pts)
+    w_bnd = web.evaluate(outer_pts)
+    return {
+        "gradient": float(np.sum(weights * slope * slope)),
+        "boundary": beta * float(np.sum(arc * w_bnd * w_bnd)),
+        "mass": float(np.sum(weights * w_vals * w_vals)),
+    }
+
+
+def ellipse_web():
+    dom = ellipse_rectangle_member()
+    r1, r2, _ = class_s_data(dom)
+    return build_web(dom, solve_shell(2, r1, r2, 1.0))
+
+
+def eccentric_web():
+    dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.3, 0.1), 1.0))
+    return build_web(dom, solve_shell(2, 1.0, 2.0, 1.0))
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize(
+        "outer, hole, area",
+        [
+            (Ellipse((0.2, -0.1), 2.0, 1.4), Circle((0.2, -0.1), 0.6), math.pi * (2.0 * 1.4 - 0.36)),
+            (Circle((0, 0), 2.0), Circle((0, 0), 1.0), math.pi * (4.0 - 1.0)),
+        ],
+    )
+    def test_grid_weights_sum_to_area(self, outer, hole, area):
+        # only the domain enters the grid, so a stand-in web carries it
+        _, weights, _, arc = _quad_grid(SimpleNamespace(domain=AnnularDomain(outer, hole)), (64, 128))
+        assert np.sum(weights) == pytest.approx(area, rel=1e-12)
+        assert np.sum(arc) == pytest.approx(outer.perimeter(), rel=1e-12)
+
+    @pytest.mark.parametrize("make_web", [ellipse_web, eccentric_web])
+    def test_single_pass_matches_evaluate(self, make_web):
+        web = make_web()
+        parts, value = rayleigh_quotient(web, 0.7, quad_level=(96, 160), allow_uncertified=True)
+        assert parts == separate_pass_parts(web, 0.7, (96, 160))
+        assert value == (parts["gradient"] + parts["boundary"]) / parts["mass"]
+
+    def test_one_distance_call_per_curve_per_grid(self, monkeypatch):
+        web = ellipse_web()
+        calls = []
+        for cls in (Ellipse, PolygonCurve):
+
+            def counted(self, points, _distance=cls.distance):
+                calls.append((type(self).__name__, len(points)))
+                return _distance(self, points)
+
+            monkeypatch.setattr(cls, "distance", counted)
+        rayleigh_quotient(web, 1.0, quad_level=(32, 64), allow_uncertified=True)
+        assert sorted(calls) == [
+            ("Ellipse", 64), ("Ellipse", 32 * 64), ("PolygonCurve", 64), ("PolygonCurve", 32 * 64),
+        ]
 
 
 class TestComparisonCurves:
