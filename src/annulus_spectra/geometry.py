@@ -735,8 +735,9 @@ class ShellSpec:
     r_outer: float
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise GeometryError("shell dimension must be >= 2")
+        dim = self.dim
+        if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)) or dim < 2:
+            raise GeometryError("shell dimension must be an integer >= 2")
         if not 0.0 < self.r_inner < self.r_outer:
             raise GeometryError("need 0 < r_inner < r_outer")
 

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
-from scipy.special import jv, yv
+from scipy.special import j0, j1, jv, spherical_jn, spherical_yn, y0, y1, yn, yv
 
 from .errors import BracketError, NumericalError, RangeError
 from .geometry import ShellSpec
@@ -86,9 +86,37 @@ def write_profile_csv(result: RadialEigenResult, path) -> None:
             writer.writerow([f"{v:.17g}" for v in row])
 
 
+def _jy(mu: float, x):
+    """(J_mu(x), Y_mu(x)) for x > 0.
+
+    Arrays of integer or half-integer order mu >= 0 use scipy's kernels for
+    those orders, cephes j0/y0/j1/y1 and yn, and J_(m+1/2)(x) = sqrt(2x/pi)
+    j_m(x) (DLMF 10.47.3): a fraction of the cost of AMOS jv/yv, within
+    8 eps (1 + x) of the modulus sqrt(J^2 + Y^2).  Scalars, such as the
+    root polish, and any other order stay on jv/yv.
+    """
+    if np.ndim(x) == 0 or not mu >= 0.0 or mu % 0.5 != 0.0:
+        return jv(mu, x), yv(mu, x)
+    if mu == 0.0:
+        return j0(x), y0(x)
+    if mu == 1.0:
+        return j1(x), y1(x)
+    if mu % 1.0:
+        s = np.sqrt(2.0 / math.pi * x)
+        return s * spherical_jn(int(mu), x), s * spherical_yn(int(mu), x)
+    return jv(mu, x), yn(int(mu), x)
+
+
 def _cross(nu: float, mu: float, k, r1: float, r):
     """Z_mu(k r) = J_mu(k r) Y_nu(k R1) - Y_mu(k r) J_nu(k R1), vectorized."""
-    return jv(mu, k * r) * yv(nu, k * r1) - yv(mu, k * r) * jv(nu, k * r1)
+    j_mu, y_mu = _jy(mu, k * r)
+    j_nu, y_nu = _jy(nu, k * r1)
+    return j_mu * y_nu - y_mu * j_nu
+
+
+def _check_beta(beta: float) -> None:
+    if not beta >= 0.0:  # also rejects nan
+        raise RangeError("beta must be nonnegative")
 
 
 def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
@@ -131,8 +159,9 @@ def solve_shell(
     the `samples` output radii uniform in r.
     """
     shell = ShellSpec(n, r1, r2)
-    if not beta >= 0.0:  # also rejects nan
-        raise RangeError("beta must be nonnegative")
+    _check_beta(beta)
+    if samples < 2:
+        raise RangeError("need at least 2 output samples")
     nu = 0.5 * n - 1.0
     k = _first_root(n, r1, r2, beta)
     lam = k * k
@@ -147,7 +176,7 @@ def solve_shell(
     phi[0] = 0.0
 
     # the residual's rounding scales with the Bessel moduli sqrt(J^2 + Y^2) of
-    # its products, which may both vanish; measured at most 1.6 of 64 units
+    # its products, which may both vanish; measured at most 5.1 of 64 units
     mod = lambda mu, x: math.hypot(jv(mu, x), yv(mu, x))
     unit = 64.0 * EPS * (1.0 + k * r2) * abs(scale[-1]) * mod(nu, k * r1)
     phi_err = unit * mod(nu, k * r2)
@@ -224,6 +253,7 @@ def closed_form_3d(r1: float, r2: float, beta: float) -> float:
     k R2 cos(k d) + (beta R2 - 1) sin(k d) = 0 with d = R2 - R1.
     """
     ShellSpec(3, r1, r2)
+    _check_beta(beta)
     d = r2 - r1
     if math.isinf(beta):
         return (math.pi / d) ** 2
@@ -255,6 +285,7 @@ def solve_shell_fd(n: int, r1: float, r2: float, beta: float, m: int) -> float:
     matrix.  O(1/m^2) accurate.
     """
     ShellSpec(n, r1, r2)
+    _check_beta(beta)
     if m < 100:
         raise RangeError("need at least 100 grid points")
     h = (r2 - r1) / m

@@ -1,13 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import jv, yv
 
-from annulus_spectra.errors import AnnulusError, RangeError
+from annulus_spectra import radial
+from annulus_spectra.errors import AnnulusError, GeometryError, RangeError
 from annulus_spectra.radial import (
+    EPS,
     LAMBDA_RTOL,
     closed_form_3d,
     distance_profiles,
@@ -32,6 +35,11 @@ class TestClosedForm3d:
         k = math.sqrt(closed_form_3d(1.0, 2.0, 1.0))
         assert math.pi / 2.0 < k < math.pi
         assert math.tan(k) + 2.0 * k == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("beta", [-1.0, float("nan")])
+    def test_invalid_beta_rejected(self, beta):
+        with pytest.raises(RangeError):
+            closed_form_3d(1.0, 2.0, beta)
 
 
 class TestSolveShell:
@@ -86,6 +94,24 @@ class TestSolveShell:
     def test_invalid_beta_rejected(self, beta):
         with pytest.raises(RangeError):
             solve_shell(2, 1.0, 2.0, beta)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(2.0), True, "3", 1])
+    def test_non_integral_dimension_rejected(self, n):
+        with pytest.raises(GeometryError):
+            solve_shell(n, 1.0, 2.0, 1.0)
+
+    def test_numpy_integer_dimension_accepted(self):
+        assert solve_shell(np.int64(3), 1.0, 2.0, 1.0).lam == solve_shell(3, 1.0, 2.0, 1.0).lam
+
+    @pytest.mark.parametrize("samples", [-5, 0, 1])
+    def test_too_few_samples_rejected(self, samples):
+        with pytest.raises(RangeError):
+            solve_shell(2, 1.0, 2.0, 1.0, samples=samples)
+
+    def test_two_samples_are_the_boundary_knots(self):
+        res = solve_shell(2, 1.0, 2.0, 1.0, samples=2)
+        assert list(res.r) == [1.0, 2.0]
+        assert res.phi[0] == 0.0 and res.phi[1] == res.v_m > 0.0
 
     def test_cross_method_random_grid(self, rng):
         for _ in range(6):
@@ -150,9 +176,65 @@ class TestBesselSolver:
         assert res.dphi[0] == pytest.approx(1.0, rel=1e-13)
 
 
+def _plain_jy(mu, x):
+    return jv(mu, x), yv(mu, x)
+
+
+class TestBesselKernels:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_fast_kernels_match_mpmath(self, n):
+        # a one-ulp change of x moves the phase of J and Y by about x eps,
+        # so the bound grows with x; mpmath is the reference because jv is
+        # off by up to 113 eps of the modulus at half-integer orders near x = 15
+        x = np.geomspace(1e-6, 1e3, 61)
+        nu = 0.5 * n - 1.0
+        with mpmath.workdps(40):
+            for mu in (nu, nu + 1.0):
+                j, y = radial._jy(mu, x)
+                exact_j = np.array([float(mpmath.besselj(mu, mpmath.mpf(v))) for v in x])
+                exact_y = np.array([float(mpmath.bessely(mu, mpmath.mpf(v))) for v in x])
+                tol = 8.0 * EPS * (1.0 + x) * np.hypot(exact_j, exact_y)
+                assert np.all(np.abs(j - exact_j) <= tol)
+                assert np.all(np.abs(y - exact_y) <= tol)
+
+    def test_other_orders_and_scalars_stay_on_jv(self):
+        x = np.geomspace(1e-3, 1e2, 50)
+        for mu in (0.25, 1.75, -0.5, -1.0):
+            assert all(np.array_equal(a, b) for a, b in zip(radial._jy(mu, x), _plain_jy(mu, x)))
+        for mu in (0.0, 0.5, 1.0, 3.0, 4.5):
+            assert radial._jy(mu, 7.3) == _plain_jy(mu, 7.3)
+
+    @pytest.mark.parametrize(
+        "shell", [(2, 1.0, 2.0, 1.0), (5, 1e-3, 2.0, 1e9), (8, 1.0, 1.001, math.inf)]
+    )
+    def test_root_and_maximum_bit_identical_to_jv(self, shell, monkeypatch):
+        fast = solve_shell(*shell)
+        monkeypatch.setattr(radial, "_jy", _plain_jy)
+        plain = solve_shell(*shell)
+        assert (fast.lam, fast.r_bar, fast.v_M) == (plain.lam, plain.r_bar, plain.v_M)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_no_array_reaches_jv_or_yv(self, n, monkeypatch):
+        arrays = []
+
+        def counting(f):
+            def wrapped(mu, x):
+                if np.ndim(x) > 0:
+                    arrays.append((f.__name__, mu))
+                return f(mu, x)
+
+            return wrapped
+
+        monkeypatch.setattr(radial, "jv", counting(jv))
+        monkeypatch.setattr(radial, "yv", counting(yv))
+        for beta in (0.0, 1.0, 1e6, math.inf):
+            solve_shell(n, 1.0, 2.0, beta)
+        assert arrays == []
+
+
 @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
 @given(
-    n=st.integers(2, 8),
+    n=st.integers(2, 12),
     r1=st.floats(-3.0, math.log10(2.0)).map(lambda e: 10.0**e),
     width=st.floats(-3.0, math.log10(3.0)).map(lambda e: 10.0**e),
     beta=st.one_of(
@@ -193,6 +275,11 @@ class TestFiniteDifference:
     def test_grid_floor(self):
         with pytest.raises(RangeError):
             solve_shell_fd(2, 1.0, 2.0, 1.0, 50)
+
+    @pytest.mark.parametrize("beta", [-1.0, float("nan")])
+    def test_invalid_beta_rejected(self, beta):
+        with pytest.raises(RangeError):
+            solve_shell_fd(2, 1.0, 2.0, beta, 200)
 
 
 class TestLevelRadii:
