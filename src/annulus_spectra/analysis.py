@@ -165,6 +165,17 @@ def shape_derivative_formula(
     return total
 
 
+def _centered_difference(domain, beta, field, t_step, resolution):
+    """(centered difference, (lambda(+t_step), lambda(-t_step))) over
+    matched meshes."""
+    n_r, n_a = resolution
+    lams = tuple(
+        solve_domain(field.perturbed(domain, t, n_a), beta, n_r, n_a).lam
+        for t in (t_step, -t_step)
+    )
+    return (lams[0] - lams[1]) / (2.0 * t_step), lams
+
+
 def shape_derivative_fd(
     domain: AnnularDomain,
     beta: float,
@@ -173,10 +184,7 @@ def shape_derivative_fd(
     resolution,
 ) -> float:
     """Centered difference of the eigenvalue over matched meshes."""
-    n_r, n_a = resolution
-    lam_plus = solve_domain(field.perturbed(domain, t_step, n_a), beta, n_r, n_a).lam
-    lam_minus = solve_domain(field.perturbed(domain, -t_step, n_a), beta, n_r, n_a).lam
-    return (lam_plus - lam_minus) / (2.0 * t_step)
+    return _centered_difference(domain, beta, field, t_step, resolution)[0]
 
 
 def shape_derivative_fd_with_noise(
@@ -186,11 +194,16 @@ def shape_derivative_fd_with_noise(
     t_step: float,
     resolution,
 ):
-    """(Richardson value, noise floor) from step halving."""
-    coarse = shape_derivative_fd(domain, beta, field, t_step, resolution)
-    fine = shape_derivative_fd(domain, beta, field, t_step / 2.0, resolution)
+    """(Richardson value, noise floor) from step halving.
+
+    The floor is the larger of the Richardson correction and the round-off
+    of a centered difference, 1e-11 lambda / t_step, with lambda the
+    smallest of the four perturbed eigenvalues being differenced.
+    """
+    coarse, lams = _centered_difference(domain, beta, field, t_step, resolution)
+    fine, lams_fine = _centered_difference(domain, beta, field, t_step / 2.0, resolution)
     value = (4.0 * fine - coarse) / 3.0
-    lam_scale = solve_domain(domain, beta, *resolution).lam
+    lam_scale = min(lams + lams_fine)
     noise = max(abs(fine - coarse) / 3.0, 1e-11 * lam_scale / t_step)
     return value, noise
 
@@ -257,8 +270,9 @@ def _eigen_pair_for(target, beta: float, resolution):
         disc = 1e-9 * lam
     else:
         n_r, n_a = resolution
-        lam = solve_domain(target, beta, n_r, n_a).lam
-        lam_dd = solve_domain(target, float("inf"), n_r, n_a).lam
+        mesh = mesh_annular(target, n_r, n_a)
+        lam = solve_on_mesh(mesh, beta).lam
+        lam_dd = solve_on_mesh(mesh, float("inf")).lam
         lam_c = solve_domain(target, beta, max(2, n_r // 2), max(8, n_a // 2)).lam
         volume = target.area
         perimeter = target.outer.perimeter()

@@ -571,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="parameter sweeps with CSV + SVG output")
     p_sweep.add_argument("--kind", choices=("beta", "offset", "resolution"), required=True)
-    p_sweep.add_argument("--n", type=int, default=2)
+    p_sweep.add_argument("--n", type=_int_at_least("--n", 2), default=2)
     p_sweep.add_argument("--r1", type=_positive("--r1"), default=1.0)
     p_sweep.add_argument("--r2", type=_positive("--r2"), default=2.0)
     p_sweep.add_argument("--beta", type=_parse_beta, default=1.0)

@@ -103,6 +103,27 @@ class TestShapeDerivative:
         fd, noise = shape_derivative_fd_with_noise(CONCENTRIC, 1.0, field, 5e-3, (48, 192))
         assert abs(formula) <= 10.0 * noise
 
+    def test_fd_with_noise_solves_four_times(self, monkeypatch):
+        lams = []
+
+        def counting_solve(*args):
+            res = solve_domain(*args)
+            lams.append(res.lam)
+            return res
+
+        monkeypatch.setattr(analysis, "solve_domain", counting_solve)
+        field = PerturbationField(kind="normal_fourier", target="outer", mode=2, amplitude=1.0)
+        value, noise = shape_derivative_fd_with_noise(CONCENTRIC, 1.0, field, 5e-3, (16, 64))
+        assert len(lams) == 4
+        coarse = shape_derivative_fd(CONCENTRIC, 1.0, field, 5e-3, (16, 64))
+        fine = shape_derivative_fd(CONCENTRIC, 1.0, field, 2.5e-3, (16, 64))
+        assert value == (4.0 * fine - coarse) / 3.0
+        # on the stationary shell the round-off floor decides, and it scales
+        # with the smallest of the four eigenvalues differenced
+        floor = 1e-11 * min(lams) / 5e-3
+        assert abs(fine - coarse) / 3.0 < floor
+        assert noise == floor
+
     def test_fd_step_consistency(self):
         field = PerturbationField(kind="translation", target="inner", vector=(1.0, 0.0))
         coarse = shape_derivative_fd(ECCENTRIC, 1.0, field, 2e-3, (24, 96))
@@ -138,6 +159,22 @@ class TestKuttlerBounds:
     def test_fem_domain_passes(self):
         for rep in kuttler_bounds(ECCENTRIC, 1.0, resolution=(24, 96)):
             assert rep.passed
+
+    def test_fem_pair_meshes_once(self, monkeypatch):
+        meshes = []
+
+        def counting_mesh(*args, **kwargs):
+            meshes.append(args[1:3])
+            return mesh_annular(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "mesh_annular", counting_mesh)
+        monkeypatch.setattr("annulus_spectra.fem.mesh_annular", counting_mesh)
+        reports = kuttler_bounds(ECCENTRIC, 1.0, resolution=(24, 96))
+        # one mesh for lambda(beta) and lambda_DD, one for the coarse estimate
+        assert meshes == [(24, 96), (12, 48)]
+        lam = solve_domain(ECCENTRIC, 1.0, 24, 96).lam
+        lam_dd = solve_domain(ECCENTRIC, math.inf, 24, 96).lam
+        assert (reports[0].lhs, reports[0].rhs) == (lam, lam_dd)
 
     def test_small_beta_near_neumann_limit(self):
         # the true relative gap at beta = 1e-3 sits near 1.19e-3 on this

@@ -158,6 +158,11 @@ class TestSweepCommand:
             ["sweep", "--kind", "beta", "--steps", "1", "--out", str(tmp_path)]
         ) == 2
 
+    def test_dimension_floor_usage_error(self, tmp_path, capsys):
+        argv = ["sweep", "--kind", "beta", "--n", "1", "--steps", "3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "--n must be at least 2" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "kind, flag, value",
         [

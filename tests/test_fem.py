@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.sparse.linalg import eigsh, splu
 
 from annulus_spectra.errors import GeometryError, RangeError, StarShapeError
 from annulus_spectra.fem import (
     Mesh,
+    _nested_dissection,
     _validate_mesh,
     assemble,
     assemble_forms,
@@ -167,6 +169,53 @@ class TestAssembly:
             assemble(mesh, float("nan"))
         with pytest.raises(RangeError):
             solve_on_mesh(mesh, float("nan"))
+
+
+class TestNestedDissection:
+    @pytest.mark.parametrize(
+        "n_r, n_a, dirichlet", [(7, 33, False), (5, 8, False), (2, 8, True), (2, 17, True)]
+    )
+    def test_order_is_permutation_of_free_nodes(self, n_r, n_a, dirichlet):
+        mesh = mesh_annular(CONCENTRIC, n_r, n_a)
+        a, m, free = assemble(mesh, 0.0 if dirichlet else 1.0, dirichlet)
+        rings = n_r - 1 if dirichlet else n_r
+        assert np.array_equal(np.sort(free), np.arange(n_a, (rings + 1) * n_a))
+        # the same matrices as the natural numbering, permuted
+        stiffness, mass, boundary = assemble_forms(mesh)
+        full = stiffness if dirichlet else stiffness + boundary
+        assert (a - full[free][:, free]).nnz == 0
+        assert (m - mass[free][:, free]).nnz == 0
+        # rays 0 and n_a // 2 are the first separators, eliminated last
+        last = free[-2 * rings :] - n_a
+        assert np.array_equal(np.sort(last % n_a), np.repeat([0, n_a // 2], rings))
+
+    def test_order_cached_read_only(self):
+        order = _nested_dissection(6, 24)
+        assert order is _nested_dissection(6, 24)
+        assert not order.flags.writeable
+
+    def test_fill_below_natural_order(self):
+        mesh = mesh_annular(ECCENTRIC, 16, 64)
+        a, m, free = assemble(mesh, 1.0)
+        _, _, stats = smallest_eigenpair(a, m)
+        back = np.argsort(free)
+        natural = splu(a[back][:, back].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
+        assert stats["factor_nnz"] < 0.5 * natural.nnz
+        assert solve_on_mesh(mesh, 1.0).report()["factor_nnz"] == stats["factor_nnz"]
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
+    def test_matches_default_ordering_eigsh(self, beta):
+        mesh = mesh_annular(ECCENTRIC, 48, 192)
+        dirichlet = math.isinf(beta)
+        a, m, _ = assemble(mesh, 0.0 if dirichlet else beta, dirichlet)
+        ref = eigsh(a.tocsc(), k=1, M=m.tocsc(), sigma=0.0, which="LM", return_eigenvectors=False)
+        assert solve_on_mesh(mesh, beta).lam == pytest.approx(float(ref[0]), rel=1e-12)
+
+    def test_unstructured_node_count_rejected(self):
+        mesh = mesh_annular(CONCENTRIC, 4, 16)
+        bad = Mesh(mesh.nodes[:-1], mesh.triangles, mesh.inner_edges, mesh.outer_edges, (4, 16))
+        with pytest.raises(GeometryError, match="structured"):
+            assemble(bad, 1.0)
 
 
 class TestSmallestEigenpair:

@@ -607,3 +607,22 @@ class TestPolygonDistance:
         assert np.array_equal(poly.distance_to_boundary(pts), dist)
         normals, _ = poly.edge_normals_offsets()
         assert np.array_equal(PolygonCurve(poly).outward_normal(pts), normals[nearest])
+
+    def test_exact_ties_go_to_the_first_edge(self):
+        square = ConvexPolygon.rectangle(2.0, 1.0)
+        # on the diagonals of the 2 x 1 rectangle two edges are exactly
+        # equally far: (1 - s, 0.5 - s) is s from the right and top edges
+        # (and from the bottom one too at s = 1/2)
+        s = np.arange(1, 9) / 16.0
+        ties = np.concatenate(
+            [np.column_stack([sx * (1.0 - s), sy * (0.5 - s)]) for sx in (1, -1) for sy in (1, -1)]
+        )
+        dist, nearest = square.nearest_edge(ties)
+        assert np.array_equal(dist, np.tile(s, 4))
+        v = square.vertices
+        d = np.roll(v, -1, axis=0) - v
+        for point, k in zip(ties, nearest):
+            t = np.clip(np.sum((point - v) * d, axis=1) / np.sum(d * d, axis=1), 0.0, 1.0)
+            per_edge = np.hypot(*(point - (v + t[:, None] * d)).T)
+            tied = np.flatnonzero(per_edge == per_edge.min())
+            assert len(tied) >= 2 and k == tied[0]
