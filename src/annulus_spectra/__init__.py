@@ -11,7 +11,6 @@ from .errors import (
     BracketError,
     ContainmentError,
     CurvatureUnavailableError,
-    DomainError,
     EmptyBodyError,
     GeometryError,
     InfeasibleError,
@@ -32,16 +31,12 @@ from .geometry import (
     ShellSpec,
     aleksandrov_fenchel_check,
     class_s_data,
-    distance_to_boundary,
     inner_parallel,
     inradius,
     isoperimetric_deficit,
-    outer_parallel_measures,
-    polygon_area,
     quermassintegrals_2d,
     random_convex_polygon,
     scale_hole_to_class_s,
-    shell_quermass,
     unit_ball_volume,
 )
 

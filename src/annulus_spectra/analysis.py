@@ -10,7 +10,6 @@ large-beta limits against the Neumann and Dirichlet closures.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,6 @@ from scipy.integrate import simpson
 from .errors import CurvatureUnavailableError, InfeasibleError, RangeError
 from .fem import (
     FemEigenResult,
-    assemble_forms,
     beta_form_value,
     mesh_annular,
     solve_domain,
@@ -153,7 +151,7 @@ def shape_derivative_formula(
         total += float(np.sum(weights * integrand * vn))
 
     if field.applies_to("inner"):
-        stiffness, mass, boundary = assemble_forms(mesh)
+        stiffness, mass, boundary = mesh.forms
         a_full = stiffness + beta * boundary
         residual = a_full @ u - lam * (mass @ u)
         ring = np.arange(0, n_a)
@@ -532,8 +530,3 @@ def ellipse_members():
 def standard_family(gap=0.08):
     return eccentric_family(gap=gap) + ellipse_members()
 
-
-def write_reports_json(reports, path) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.as_dict() for r in reports], fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -449,8 +449,6 @@ def cmd_sweep(args) -> int:
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "beta":
-        if args.steps < 2:
-            raise UsageError("need at least 2 sweep steps")
         betas = np.logspace(math.log10(args.beta_min), math.log10(args.beta_max), args.steps)
         lams = _map_ordered(
             lambda b: radial.solve_shell(args.n, args.r1, args.r2, b).lam, betas
@@ -465,8 +463,6 @@ def cmd_sweep(args) -> int:
         _print_check("beta_sweep_monotone", ok)
         return 0 if ok else 1
     if args.kind == "offset":
-        if args.steps < 2:
-            raise UsageError("need at least 2 sweep steps")
         n_r, n_a = _parse_res(args.res)
         span = args.r2 - args.r1
         offsets = np.linspace(0.0, 0.9 * (span - args.gap), args.steps)
@@ -492,6 +488,8 @@ def cmd_sweep(args) -> int:
         _print_check("offset_margins_nonnegative", ok, f"min margin {min(margins):+.3e}")
         return 0 if ok else 1
     if args.kind == "resolution":
+        if args.steps < 3:
+            raise UsageError("a resolution sweep needs --steps of at least 3")
         dom = geometry.AnnularDomain(
             geometry.Circle((0, 0), args.r2), geometry.Circle((0, 0), args.r1)
         )
@@ -578,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--beta-min", type=_positive("--beta-min"), default=1e-3)
     p_sweep.add_argument("--beta-max", type=_positive("--beta-max"), default=1e4)
     p_sweep.add_argument("--gap", type=_positive("--gap"), default=0.08)
-    p_sweep.add_argument("--steps", type=int, default=8)
+    p_sweep.add_argument("--steps", type=_int_at_least("--steps", 2), default=8)
     p_sweep.add_argument("--res", default="32x128")
     p_sweep.add_argument("--out", default=".")
     p_sweep.set_defaults(func=cmd_sweep)

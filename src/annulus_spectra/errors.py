@@ -13,10 +13,6 @@ class EmptyBodyError(GeometryError):
     """An erosion or intersection produced an empty convex body."""
 
 
-class DomainError(GeometryError):
-    """A point lies outside the domain where evaluation was requested."""
-
-
 class ContainmentError(GeometryError):
     """A required compact containment between bodies fails."""
 

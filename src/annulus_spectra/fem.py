@@ -80,6 +80,43 @@ class Mesh:
             h = max(h, float(np.max(np.hypot(e[:, 0], e[:, 1]))))
         return h
 
+    @functools.cached_property
+    def forms(self):
+        """Full (un-eliminated) stiffness K, mass M and outer edge mass B,
+        assembled once per mesh; they do not depend on beta."""
+        p, t = self.nodes, self.triangles
+        n = len(p)
+        v0, v1, v2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
+        area = 0.5 * (
+            (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
+            - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0])
+        )
+        b = np.stack([v1[:, 1] - v2[:, 1], v2[:, 1] - v0[:, 1], v0[:, 1] - v1[:, 1]], axis=1)
+        c = np.stack([v2[:, 0] - v1[:, 0], v0[:, 0] - v2[:, 0], v1[:, 0] - v0[:, 0]], axis=1)
+
+        rows, cols, kv, mv = [], [], [], []
+        for i in range(3):
+            for j in range(3):
+                rows.append(t[:, i])
+                cols.append(t[:, j])
+                kv.append((b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area))
+                mv.append(area / 12.0 * (2.0 if i == j else 1.0) * np.ones_like(area))
+        rows = np.concatenate(rows)
+        cols = np.concatenate(cols)
+        stiffness = _from_triplets(rows, cols, np.concatenate(kv), n)
+        mass = _from_triplets(rows, cols, np.concatenate(mv), n)
+
+        e = self.outer_edges
+        lengths = np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)
+        er, ec, ev = [], [], []
+        for i in range(2):
+            for j in range(2):
+                er.append(e[:, i])
+                ec.append(e[:, j])
+                ev.append(lengths / (3.0 if i == j else 6.0))
+        boundary = _from_triplets(np.concatenate(er), np.concatenate(ec), np.concatenate(ev), n)
+        return stiffness, mass, boundary
+
 
 def _validate_mesh(mesh: Mesh, domain: AnnularDomain) -> None:
     areas = mesh.triangle_areas()
@@ -171,42 +208,6 @@ def _from_triplets(rows, cols, vals, n) -> sparse.csr_matrix:
     return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def assemble_forms(mesh: Mesh):
-    """Full (un-eliminated) stiffness K, mass M and outer edge mass B."""
-    p, t = mesh.nodes, mesh.triangles
-    n = len(p)
-    v0, v1, v2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-    area = 0.5 * (
-        (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
-        - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0])
-    )
-    b = np.stack([v1[:, 1] - v2[:, 1], v2[:, 1] - v0[:, 1], v0[:, 1] - v1[:, 1]], axis=1)
-    c = np.stack([v2[:, 0] - v1[:, 0], v0[:, 0] - v2[:, 0], v1[:, 0] - v0[:, 0]], axis=1)
-
-    rows, cols, kv, mv = [], [], [], []
-    for i in range(3):
-        for j in range(3):
-            rows.append(t[:, i])
-            cols.append(t[:, j])
-            kv.append((b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area))
-            mv.append(area / 12.0 * (2.0 if i == j else 1.0) * np.ones_like(area))
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    stiffness = _from_triplets(rows, cols, np.concatenate(kv), n)
-    mass = _from_triplets(rows, cols, np.concatenate(mv), n)
-
-    e = mesh.outer_edges
-    lengths = np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)
-    er, ec, ev = [], [], []
-    for i in range(2):
-        for j in range(2):
-            er.append(e[:, i])
-            ec.append(e[:, j])
-            ev.append(lengths / (3.0 if i == j else 6.0))
-    boundary = _from_triplets(np.concatenate(er), np.concatenate(ec), np.concatenate(ev), n)
-    return stiffness, mass, boundary
-
-
 @functools.lru_cache(maxsize=32)
 def _nested_dissection(rows: int, n_a: int) -> np.ndarray:
     """Nested-dissection order of a rows x n_a grid, periodic in the ray.
@@ -254,7 +255,7 @@ def assemble(mesh: Mesh, beta: float, dirichlet_outer: bool = False):
     n_r, n_a = mesh.resolution
     if len(mesh.nodes) != (n_r + 1) * n_a:
         raise GeometryError("mesh is not a structured rings x rays grid")
-    stiffness, mass, boundary = assemble_forms(mesh)
+    stiffness, mass, boundary = mesh.forms
     a_full = stiffness if dirichlet_outer else (stiffness + beta * boundary).tocsr()
     # ring 0 is the hole; ring n_r is free unless dirichlet_outer
     free_map = n_a + _nested_dissection(n_r - int(dirichlet_outer), n_a)
@@ -383,7 +384,7 @@ def beta_form_value(result: FemEigenResult) -> float:
 
     Equals the derivative of the discrete eigenvalue with respect to beta.
     """
-    _, mass, boundary = assemble_forms(result.mesh)
+    _, mass, boundary = result.mesh.forms
     u = result.u
     return float(u @ (boundary @ u)) / float(u @ (mass @ u))
 
@@ -442,23 +443,6 @@ def write_mesh(mesh: Mesh, path) -> None:
             fh.write(f"{i} {j} outer\n")
         for i, j in mesh.inner_edges:
             fh.write(f"{i} {j} inner\n")
-
-
-def read_mesh(path) -> Mesh:
-    with open(path) as fh:
-        head = fh.readline().split()
-        n, t, e = int(head[1]), int(head[3]), int(head[5])
-        nodes = np.array([[float(v) for v in fh.readline().split()] for _ in range(n)])
-        tris = np.array([[int(v) for v in fh.readline().split()] for _ in range(t)], dtype=np.int64)
-        inner, outer = [], []
-        for _ in range(e):
-            parts = fh.readline().split()
-            if parts[2] not in ("inner", "outer"):
-                raise GeometryError(f"unknown boundary edge tag {parts[2]!r} in {path}")
-            (outer if parts[2] == "outer" else inner).append((int(parts[0]), int(parts[1])))
-    n_a = len(outer)
-    n_r = (n // n_a) - 1 if n_a else 0
-    return Mesh(nodes, tris, np.asarray(inner), np.asarray(outer), (n_r, n_a))
 
 
 def write_eigenvector_csv(result: FemEigenResult, path) -> None:

@@ -3,8 +3,7 @@
 The 2D machinery (areas, perimeters, quermassintegrals, inradius, parallel
 bodies, boundary distances) works on convex polygons and on the three
 boundary-curve kinds used throughout the package: circles, axis-aligned
-ellipses and convex polygons.  Spherical-shell quermassintegrals are
-available in every dimension through the closed Steiner formulas.
+ellipses and convex polygons.
 """
 
 from __future__ import annotations
@@ -14,16 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.special import ellipe
 
 from .errors import (
     ContainmentError,
     CurvatureUnavailableError,
-    DomainError,
     EmptyBodyError,
     GeometryError,
     InfeasibleError,
     NumericalError,
-    RangeError,
     StarShapeError,
 )
 
@@ -218,28 +216,9 @@ def random_convex_polygon(rng: np.random.Generator, n: int, scale: float = 1.0) 
 # ---------------------------------------------------------------------------
 
 
-def polygon_area(poly: ConvexPolygon) -> float:
-    """Shoelace area of a valid convex polygon (always positive)."""
-    a = poly.area
-    if a <= 0.0:
-        raise GeometryError("polygon has nonpositive area")
-    return a
-
-
 def quermassintegrals_2d(poly: ConvexPolygon):
     """(W0, W1, W2) of a planar convex body: area, half perimeter, pi."""
-    return polygon_area(poly), poly.perimeter / 2.0, math.pi
-
-
-def shell_quermass(n: int, radius: float, i: int) -> float:
-    """i-th quermassintegral of the ball B_R in R^n: omega_n R^(n-i)."""
-    if n < 2:
-        raise GeometryError("dimension must be >= 2")
-    if not 0 <= i <= n:
-        raise RangeError(f"quermassintegral index {i} outside [0, {n}]")
-    if radius <= 0.0:
-        raise GeometryError("radius must be positive")
-    return unit_ball_volume(n) * radius ** (n - i)
+    return poly.area, poly.perimeter / 2.0, math.pi
 
 
 def inradius(poly: ConvexPolygon, return_center: bool = False):
@@ -323,19 +302,6 @@ def convex_intersection(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | N
     if len(verts) < 3 or _shoelace(verts) <= 0.0:
         return None
     return ConvexPolygon(verts)
-
-
-def outer_parallel_measures(poly: ConvexPolygon, delta: float):
-    """(area, perimeter) of the outer parallel body at distance delta.
-
-    Planar Steiner polynomial: the dilation of a convex body gains
-    P * delta + pi * delta^2 in area and 2 pi delta in perimeter.
-    """
-    if delta < 0.0:
-        raise GeometryError("offset must be nonnegative")
-    a = polygon_area(poly)
-    p = poly.perimeter
-    return a + p * delta + math.pi * delta * delta, p + 2.0 * math.pi * delta
 
 
 def aleksandrov_fenchel_check(poly: ConvexPolygon) -> float:
@@ -496,24 +462,6 @@ class Circle(BoundaryCurve):
         return f"circle {self.center[0]:.17g} {self.center[1]:.17g} {self.radius:.17g}"
 
 
-def _adaptive_gauss_legendre(f, a, b, rel_tol=1e-12, order=20, depth=0):
-    """Adaptive Gauss-Legendre quadrature by interval halving."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-
-    def gl(lo, hi):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        return half * float(np.sum(weights * f(mid + half * nodes)))
-
-    def recurse(lo, hi, whole, depth):
-        mid = 0.5 * (lo + hi)
-        left, right = gl(lo, mid), gl(mid, hi)
-        if depth > 40 or abs(left + right - whole) <= rel_tol * abs(left + right):
-            return left + right
-        return recurse(lo, mid, left, depth + 1) + recurse(mid, hi, right, depth + 1)
-
-    return recurse(a, b, gl(a, b), 0)
-
-
 @dataclass(frozen=True)
 class Ellipse(BoundaryCurve):
     """Axis-aligned ellipse with semi-axes a (x) and b (y)."""
@@ -534,11 +482,10 @@ class Ellipse(BoundaryCurve):
         return math.pi * self.a * self.b
 
     def perimeter(self):
-        a, b = self.a, self.b
-        if a == b:
-            return 2.0 * math.pi * a
-        speed = lambda t: np.sqrt((a * np.sin(t)) ** 2 + (b * np.cos(t)) ** 2)
-        return 4.0 * _adaptive_gauss_legendre(speed, 0.0, math.pi / 2.0)
+        """4 a E(1 - b^2 / a^2) with a the major semi-axis, E the complete
+        elliptic integral of the second kind (DLMF 19.9.9)."""
+        major, minor = max(self.a, self.b), min(self.a, self.b)
+        return 4.0 * major * float(ellipe(1.0 - (minor / major) ** 2))
 
     def reference_point(self):
         return self._c()
@@ -716,11 +663,6 @@ class PolygonCurve(BoundaryCurve):
         return f"polygon {coords}"
 
 
-def curve_measures(curve: BoundaryCurve):
-    """(area, perimeter) of the region enclosed by a boundary curve."""
-    return curve.area(), curve.perimeter()
-
-
 # ---------------------------------------------------------------------------
 # annular domains
 # ---------------------------------------------------------------------------
@@ -790,25 +732,10 @@ class AnnularDomain:
         return mask if mask.size > 1 else bool(mask[0])
 
 
-def distance_to_boundary(point, domain: AnnularDomain, side: str) -> float:
-    """Distance from a closure point of the annulus to one boundary part."""
-    p = _as_point(point)
-    tol = 1e-9 * domain.outer.scale
-    if not domain.outer.contains(p, tol=tol):
-        raise DomainError("point lies outside the outer region")
-    if domain.inner.contains(p, tol=-tol) and domain.inner.distance(p)[0] > tol:
-        raise DomainError("point lies inside the hole")
-    if side == "outer":
-        return float(domain.outer.distance(p)[0])
-    if side == "inner":
-        return float(domain.inner.distance(p)[0])
-    raise GeometryError(f"side must be 'outer' or 'inner', got {side!r}")
-
-
 def isoperimetric_deficit(curve: BoundaryCurve) -> float:
     """P^2 - 4 pi |K|; zero exactly for disks."""
-    a, p = curve_measures(curve)
-    return p * p - 4.0 * math.pi * a
+    p = curve.perimeter()
+    return p * p - 4.0 * math.pi * curve.area()
 
 
 def class_s_data(domain: AnnularDomain):

@@ -313,93 +313,6 @@ def solve_shell_fd(n: int, r1: float, r2: float, beta: float, m: int) -> float:
     return float(vals[0])
 
 
-# ---------------------------------------------------------------------------
-# level sets and transplanted profiles
-# ---------------------------------------------------------------------------
-
-
-def level_radii(result: RadialEigenResult, t: float):
-    """Radii (r_i, r_o) where the profile crosses the level t.
-
-    r_i lies on the increasing branch [R1, r_bar]; r_o on the decreasing
-    branch [r_bar, R2] and exists only for t >= v_m (None otherwise).
-    """
-    r1, r2 = result.shell.r_inner, result.shell.r_outer
-    if t < 0.0 or t > result.v_M * (1.0 + 1e-12) + 1e-300:
-        raise RangeError(f"level {t} outside [0, {result.v_M}]")
-    t = min(t, result.v_M)
-    d = r2 - r1
-    if t <= 0.0:
-        r_i = r1
-    elif t >= result.v_M:
-        r_i = result.r_bar
-    else:
-        r_i = brentq(lambda r: result.value(r) - t, r1, result.r_bar, xtol=1e-14 * d, rtol=8.9e-16)
-    if t < result.v_m:
-        return r_i, None
-    if t >= result.v_M:
-        return r_i, result.r_bar
-    if t <= result.v_m:
-        return r_i, r2
-    r_o = brentq(lambda r: result.value(r) - t, result.r_bar, r2, xtol=1e-14 * d, rtol=8.9e-16)
-    return r_i, r_o
-
-
-@dataclass(frozen=True)
-class ProfileTransplant:
-    """Profile values as functions of boundary distances, with level slopes.
-
-    inner_value(s) is the profile at distance s from the inner sphere,
-    outer_value(s) at distance s from the outer one; the slope samplers
-    return |phi'| on the matching branch at a given level.  The integral
-    of 1/outer_slope over levels recovers outer distances, which is the
-    identity the transplant is built on.
-    """
-
-    result: RadialEigenResult
-
-    def inner_value(self, s):
-        width = self.result.r_bar - self.result.shell.r_inner
-        s = np.asarray(s, dtype=float)
-        if np.any(s < -1e-12) or np.any(s > width * (1 + 1e-12)):
-            raise RangeError("inner distance outside [0, r_bar - R1]")
-        return self.result.value(self.result.shell.r_inner + np.clip(s, 0.0, width))
-
-    def outer_value(self, s):
-        width = self.result.shell.r_outer - self.result.r_bar
-        s = np.asarray(s, dtype=float)
-        if np.any(s < -1e-12) or np.any(s > width * (1 + 1e-12)):
-            raise RangeError("outer distance outside [0, R2 - r_bar]")
-        return self.result.value(self.result.shell.r_outer - np.clip(s, 0.0, width))
-
-    def inner_value_inverse(self, t: float) -> float:
-        r_i, _ = level_radii(self.result, t)
-        return r_i - self.result.shell.r_inner
-
-    def outer_value_inverse(self, t: float) -> float:
-        if t < self.result.v_m:
-            raise RangeError("level below the outer boundary value")
-        _, r_o = level_radii(self.result, t)
-        return self.result.shell.r_outer - r_o
-
-    def inner_slope(self, tau: float) -> float:
-        r_i, _ = level_radii(self.result, tau)
-        return float(self.result.slope(r_i))
-
-    def outer_slope(self, tau: float) -> float:
-        if tau < self.result.v_m:
-            raise RangeError("level below the outer boundary value")
-        _, r_o = level_radii(self.result, tau)
-        return float(abs(self.result.slope(r_o)))
-
-
-def distance_profiles(result: RadialEigenResult) -> ProfileTransplant:
-    """Samplers of the eigenprofile as a function of boundary distances."""
-    if result.beta == 0.0:
-        raise RangeError("profile transplant needs beta > 0 (interior maximum)")
-    return ProfileTransplant(result)
-
-
 @dataclass(frozen=True)
 class MonotonicityReport:
     radii: np.ndarray

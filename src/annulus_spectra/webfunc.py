@@ -16,14 +16,12 @@ instead of silently accepted.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EmptyBodyError, InfeasibleError, InvalidWebError, RangeError
+from .errors import InfeasibleError, InvalidWebError, RangeError
 from .fem import solve_domain
 from .geometry import (
     AnnularDomain,
@@ -32,10 +30,9 @@ from .geometry import (
     class_s_data,
     convex_intersection,
     disk_intersection_area,
-    inner_parallel,
     outer_parallel_points,
 )
-from .radial import RadialEigenResult, level_radii, solve_shell
+from .radial import RadialEigenResult, solve_shell
 
 CLASS_S_RTOL = 1e-8
 CONTINUITY_FACTOR = 1e-3
@@ -222,17 +219,6 @@ def build_web(
     return web
 
 
-def evaluate_w(web: WebFunction, x) -> float:
-    """Web value at a single point of the closed annulus."""
-    p = np.asarray(x, dtype=float).reshape(1, 2)
-    tol = 1e-9 * web.domain.outer.scale
-    if not web.domain.outer.contains(p[0], tol=tol):
-        raise DomainError("point lies outside the outer region")
-    if web.domain.inner.contains(p[0], tol=-tol) and web.domain.inner.distance(p)[0] > tol:
-        raise DomainError("point lies inside the hole")
-    return float(web.evaluate(p)[0])
-
-
 def _quad_grid(web: WebFunction, quad_level):
     """Structured midpoint grid mapped between the two boundary curves.
 
@@ -298,93 +284,7 @@ def rayleigh_quotient(
 
 
 # ---------------------------------------------------------------------------
-# level-set comparison tables
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ComparisonTable:
-    """Sub/superlevel measures of the web against the shell profile.
-
-    mu columns measure the web's level sets on the domain, eta columns the
-    matching shell quantities; the proof's comparisons are mu_i <= eta_i,
-    mu_o >= eta_o and perimeter(E_t) <= perimeter(F_t).
-    """
-
-    levels: np.ndarray
-    mu_i: np.ndarray
-    eta_i: np.ndarray
-    mu_o: np.ndarray
-    eta_o: np.ndarray
-    perim_e: np.ndarray
-    perim_f: np.ndarray
-
-    def max_violations(self):
-        with np.errstate(invalid="ignore"):
-            v_i = float(np.nanmax(self.mu_i - self.eta_i))
-            v_o = float(np.nanmax(self.eta_o - self.mu_o))
-            v_p = float(np.nanmax(self.perim_e - self.perim_f))
-        return {"inner_measure": v_i, "outer_measure": v_o, "perimeter": v_p}
-
-
-def comparison_curves(web: WebFunction, n_levels: int = 16) -> ComparisonTable:
-    """Tabulate the measure and perimeter comparisons over a level grid."""
-    rad = web.radial
-    r1, r2 = rad.shell.r_inner, rad.shell.r_outer
-    below = np.linspace(0.0, rad.v_m, max(3, n_levels // 4), endpoint=False)
-    above = rad.v_m + (rad.v_M - rad.v_m) * np.linspace(0.0, 0.98, n_levels - len(below))
-    levels = np.concatenate([below, above])
-
-    hole_pts = web.domain.inner.sample(CLIP_SAMPLES)
-    s_free = float(np.min(web.domain.outer.distance(hole_pts)))
-    outer_poly = web.domain.outer.to_polygon(CLIP_SAMPLES)
-    split_body = ConvexPolygon(outer_parallel_points(web.domain.inner, web.split_s, CLIP_SAMPLES))
-    area = web.domain.area
-    m_i_area = _sublevel_area(web.domain, web.split_s, s_free, outer_poly)
-
-    mu_i, eta_i, mu_o, eta_o, p_e, p_f = (np.empty(len(levels)) for _ in range(6))
-    for j, t in enumerate(levels):
-        r_i, r_o = level_radii(rad, t)
-        delta_i = min(r_i - r1, web.split_s)
-        mu_i[j] = _sublevel_area(web.domain, delta_i, s_free, outer_poly)
-        eta_i[j] = math.pi * (r_i * r_i - r1 * r1)
-        if r_o is None:
-            mu_o[j] = area - m_i_area
-            eta_o[j] = math.pi * (r2 * r2 - rad.r_bar**2)
-            p_e[j] = p_f[j] = math.nan
-            continue
-        delta_o = r2 - r_o
-        eroded = _eroded_outer(web.domain, delta_o)
-        if eroded is None:
-            mu_o[j] = 0.0
-            eta_o[j] = math.pi * (r_o * r_o - rad.r_bar**2)
-            p_e[j] = p_f[j] = math.nan
-            continue
-        cap = convex_intersection(split_body, eroded)
-        cap_area = cap.area if cap is not None else 0.0
-        cap_perim = cap.perimeter if cap is not None else 0.0
-        mu_o[j] = eroded.area - cap_area
-        eta_o[j] = math.pi * (r_o * r_o - rad.r_bar**2)
-        p_e[j] = split_body.perimeter + eroded.perimeter - cap_perim
-        p_f[j] = 2.0 * math.pi * r_o
-    return ComparisonTable(levels, mu_i, eta_i, mu_o, eta_o, p_e, p_f)
-
-
-def _eroded_outer(domain: AnnularDomain, delta: float):
-    if delta <= 0.0:
-        return domain.outer.to_polygon(CLIP_SAMPLES)
-    if isinstance(domain.outer, Circle):
-        if delta >= domain.outer.radius:
-            return None
-        return Circle(domain.outer.center, domain.outer.radius - delta).to_polygon(CLIP_SAMPLES)
-    try:
-        return inner_parallel(domain.outer.to_polygon(CLIP_SAMPLES), delta)
-    except EmptyBodyError:
-        return None
-
-
-# ---------------------------------------------------------------------------
-# chain certificate and reports
+# chain certificate
 # ---------------------------------------------------------------------------
 
 
@@ -430,20 +330,3 @@ def chain_certificate(
         }
     )
     return report
-
-
-def write_web_report(report: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_comparison_csv(table: ComparisonTable, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "mu_i", "eta_i", "mu_o", "eta_o", "perim_e", "perim_f"])
-        for row in zip(
-            table.levels, table.mu_i, table.eta_i, table.mu_o, table.eta_o,
-            table.perim_e, table.perim_f,
-        ):
-            writer.writerow([f"{v:.17g}" for v in row])

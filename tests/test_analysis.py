@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import jv, yv
 
-from annulus_spectra import analysis
+from annulus_spectra import analysis, fem
 from annulus_spectra.analysis import (
     InequalityReport,
     PerturbationField,
@@ -19,7 +20,6 @@ from annulus_spectra.analysis import (
     shape_derivative_fd_with_noise,
     shape_derivative_formula,
     standard_family,
-    write_reports_json,
 )
 from annulus_spectra.errors import CurvatureUnavailableError, InfeasibleError, RangeError
 from annulus_spectra.fem import beta_form_value, mesh_annular, solve_domain, solve_on_mesh
@@ -226,6 +226,22 @@ class TestBetaLimits:
         assert rep.method == "fem"
         assert rep.dd_gap_ok
 
+    def test_fem_assembles_once(self, monkeypatch):
+        built = []
+        from_triplets = fem._from_triplets
+
+        def counting(*args):
+            built.append(args)
+            return from_triplets(*args)
+
+        monkeypatch.setattr(fem, "_from_triplets", counting)
+        betas = np.logspace(-2, 2, 4)
+        rep = beta_limits_check(ECCENTRIC, resolution=(16, 64), betas=betas)
+        # K, M and B of the one mesh serve every beta and the slope s
+        assert len(built) == 3
+        fresh = [solve_on_mesh(mesh_annular(ECCENTRIC, 16, 64), b).lam for b in betas]
+        assert list(rep.lams) == fresh
+
     def test_determinism(self):
         a = beta_limits_check(ShellSpec(2, 1.0, 2.0), betas=[1.0])
         b = beta_limits_check(ShellSpec(2, 1.0, 2.0), betas=[1.0])
@@ -305,9 +321,10 @@ class TestInequalityReport:
         assert InequalityReport("x", 2.0, 1.0, 1.5).passed
         assert not InequalityReport("x", 2.0, 1.0, 0.5).passed
 
-    def test_json_export(self, tmp_path):
-        reports = kuttler_bounds(ShellSpec(2, 1.0, 2.0), 1.0)
-        path = tmp_path / "reports.json"
-        write_reports_json(reports, path)
-        text = path.read_text()
-        assert '"margin"' in text and '"pass"' in text
+    def test_json_export(self):
+        for report in kuttler_bounds(ShellSpec(2, 1.0, 2.0), 1.0):
+            data = report.as_dict()
+            assert set(data) >= {"name", "lhs", "rhs", "margin", "tolerance", "pass"}
+            assert data["margin"] == report.rhs - report.lhs
+            assert data["pass"] is report.passed
+            assert json.loads(json.dumps(data)) == data

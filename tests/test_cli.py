@@ -153,10 +153,17 @@ class TestSweepCommand:
         assert lams == sorted(lams)
         assert (tmp_path / "beta_sweep.svg").exists()
 
-    def test_empty_grid_usage_error(self, tmp_path):
+    def test_empty_grid_usage_error(self, tmp_path, capsys):
         assert main(
             ["sweep", "--kind", "beta", "--steps", "1", "--out", str(tmp_path)]
         ) == 2
+        assert "--steps must be at least 2" in capsys.readouterr().err
+
+    def test_resolution_steps_floor_usage_error(self, tmp_path, capsys):
+        argv = ["sweep", "--kind", "resolution", "--steps", "2", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "needs --steps of at least 3" in capsys.readouterr().err
+        assert not (tmp_path / "resolution_sweep.csv").exists()
 
     def test_dimension_floor_usage_error(self, tmp_path, capsys):
         argv = ["sweep", "--kind", "beta", "--n", "1", "--steps", "3", "--out", str(tmp_path)]

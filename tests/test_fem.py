@@ -11,11 +11,9 @@ from annulus_spectra.fem import (
     _nested_dissection,
     _validate_mesh,
     assemble,
-    assemble_forms,
     beta_form_value,
     convergence_study,
     mesh_annular,
-    read_mesh,
     smallest_eigenpair,
     solve_domain,
     solve_on_mesh,
@@ -126,19 +124,19 @@ class TestAssembly:
         tris = np.array([[0, 1, 2]])
         empty = np.empty((0, 2), dtype=np.int64)
         mesh = Mesh(nodes, tris, empty, empty, (1, 1))
-        stiffness, mass, _ = assemble_forms(mesh)
+        stiffness, mass, _ = mesh.forms
         expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         assert np.allclose(stiffness.toarray(), expected, atol=1e-15)
         assert np.allclose(mass.toarray().sum(), 0.5, atol=1e-15)
 
     def test_mass_partition_of_unity(self):
         mesh = mesh_annular(CONCENTRIC, 8, 32)
-        _, mass, _ = assemble_forms(mesh)
+        _, mass, _ = mesh.forms
         assert mass.sum() == pytest.approx(mesh.area, rel=1e-13)
 
     def test_boundary_mass_partition_of_unity(self):
         mesh = mesh_annular(CONCENTRIC, 8, 32)
-        _, _, boundary = assemble_forms(mesh)
+        _, _, boundary = mesh.forms
         p = mesh.nodes
         e = mesh.outer_edges
         perim = float(np.sum(np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)))
@@ -181,7 +179,7 @@ class TestNestedDissection:
         rings = n_r - 1 if dirichlet else n_r
         assert np.array_equal(np.sort(free), np.arange(n_a, (rings + 1) * n_a))
         # the same matrices as the natural numbering, permuted
-        stiffness, mass, boundary = assemble_forms(mesh)
+        stiffness, mass, boundary = mesh.forms
         full = stiffness if dirichlet else stiffness + boundary
         assert (a - full[free][:, free]).nnz == 0
         assert (m - mass[free][:, free]).nnz == 0
@@ -258,7 +256,7 @@ class TestSmallestEigenpair:
         res = solve_domain(CONCENTRIC, 1.0, 32, 128)
         assert np.all(res.u[res.mesh.inner_nodes] == 0.0)
         assert float(np.min(res.u)) >= -1e-10
-        _, mass, _ = assemble_forms(res.mesh)
+        _, mass, _ = res.mesh.forms
         assert float(res.u @ (mass @ res.u)) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -325,20 +323,23 @@ class TestMeshIO:
         mesh = mesh_annular(ECCENTRIC, 4, 16)
         path = tmp_path / "mesh.txt"
         write_mesh(mesh, path)
-        again = read_mesh(path)
-        assert np.allclose(again.nodes, mesh.nodes)
-        assert np.array_equal(again.triangles, mesh.triangles)
-        assert np.array_equal(np.sort(again.outer_edges, axis=None), np.sort(mesh.outer_edges, axis=None))
-        head = path.read_text().splitlines()[0].split()
-        assert head[0] == "nodes" and head[2] == "triangles" and head[4] == "edges"
-
-    def test_unknown_edge_tag_rejected(self, tmp_path):
-        mesh = mesh_annular(ECCENTRIC, 4, 16)
-        path = tmp_path / "mesh.txt"
-        write_mesh(mesh, path)
-        path.write_text(path.read_text().replace(" inner\n", " hole\n", 1))
-        with pytest.raises(GeometryError, match="hole"):
-            read_mesh(path)
+        lines = path.read_text().splitlines()
+        n, t, e = len(mesh.nodes), len(mesh.triangles), len(mesh.inner_edges) + len(mesh.outer_edges)
+        assert lines[0].split() == ["nodes", str(n), "triangles", str(t), "edges", str(e)]
+        assert len(lines) == 1 + n + t + e
+        # 17 significant digits bring every coordinate back exactly
+        nodes = np.array([[float(v) for v in line.split()] for line in lines[1 : 1 + n]])
+        assert np.array_equal(nodes, mesh.nodes)
+        tris = np.array([[int(v) for v in line.split()] for line in lines[1 + n : 1 + n + t]])
+        assert np.array_equal(tris, mesh.triangles)
+        edges = [line.split() for line in lines[1 + n + t :]]
+        tagged = {
+            tag: np.array([[int(i), int(j)] for i, j, k in edges if k == tag])
+            for tag in ("outer", "inner")
+        }
+        assert {k for _, _, k in edges} == {"outer", "inner"}
+        assert np.array_equal(tagged["outer"], mesh.outer_edges)
+        assert np.array_equal(tagged["inner"], mesh.inner_edges)
 
     def test_eigenvector_csv(self, tmp_path):
         res = solve_domain(CONCENTRIC, 1.0, 4, 16)

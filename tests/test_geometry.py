@@ -1,9 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
-from scipy.special import ellipe
 
 from annulus_spectra import geometry
 from annulus_spectra import (
@@ -11,32 +11,34 @@ from annulus_spectra import (
     Circle,
     ContainmentError,
     ConvexPolygon,
-    DomainError,
     Ellipse,
     EmptyBodyError,
     GeometryError,
     InfeasibleError,
     NumericalError,
     PolygonCurve,
-    RangeError,
+    ShellSpec,
     StarShapeError,
     aleksandrov_fenchel_check,
     class_s_data,
-    distance_to_boundary,
     inner_parallel,
     inradius,
     isoperimetric_deficit,
-    outer_parallel_measures,
-    polygon_area,
     quermassintegrals_2d,
     random_convex_polygon,
     scale_hole_to_class_s,
-    shell_quermass,
     unit_ball_volume,
 )
 from annulus_spectra.geometry import BoundaryCurve, convex_intersection
 
 UNIT_SQUARE = ConvexPolygon.rectangle(1.0, 1.0, center=(0.5, 0.5))
+
+
+def ellipse_perimeter_mp(a, b):
+    """40-digit oracle: 4 a E(1 - b^2 / a^2) with a the major semi-axis."""
+    with mpmath.workdps(40):
+        major, minor = mpmath.mpf(max(a, b)), mpmath.mpf(min(a, b))
+        return float(4 * major * mpmath.ellipe(1 - (minor / major) ** 2))
 
 
 def fan_triangulation_area(poly):
@@ -66,15 +68,15 @@ def sampled_erosion_area(poly, delta, grid=1200):
 
 class TestPolygonArea:
     def test_unit_square(self):
-        assert polygon_area(UNIT_SQUARE) == pytest.approx(1.0, abs=1e-15)
+        assert UNIT_SQUARE.area == pytest.approx(1.0, abs=1e-15)
 
     def test_regular_hexagon(self):
         hexa = ConvexPolygon.regular(6, circumradius=1.0)
-        assert polygon_area(hexa) == pytest.approx(3.0 * math.sqrt(3.0) / 2.0, rel=1e-14)
+        assert hexa.area == pytest.approx(3.0 * math.sqrt(3.0) / 2.0, rel=1e-14)
 
     def test_random_heptagon_vs_fan_triangulation(self, rng):
         poly = random_convex_polygon(rng, 7)
-        assert polygon_area(poly) == pytest.approx(fan_triangulation_area(poly), rel=1e-13)
+        assert poly.area == pytest.approx(fan_triangulation_area(poly), rel=1e-13)
 
     def test_degenerate_rejected(self):
         with pytest.raises(GeometryError):
@@ -101,18 +103,9 @@ class TestQuermassintegrals:
 
 
 class TestShellQuermass:
-    def test_ball_w1_3d(self):
-        assert shell_quermass(3, 2.0, 1) == pytest.approx((4.0 * math.pi / 3.0) * 4.0, rel=1e-14)
-
-    def test_w_n_is_omega_n(self):
-        assert shell_quermass(2, 1.0, 2) == pytest.approx(math.pi, rel=1e-15)
-
     def test_volume_3d(self):
-        assert shell_quermass(3, 1.5, 0) == pytest.approx(4.5 * math.pi, rel=1e-14)
-
-    def test_index_out_of_range(self):
-        with pytest.raises(RangeError):
-            shell_quermass(3, 1.0, 4)
+        # W_0 of a shell: omega_3 (1.5^3 - 0.5^3)
+        assert ShellSpec(3, 0.5, 1.5).volume == pytest.approx(13.0 * math.pi / 3.0, rel=1e-14)
 
     def test_omega_n_values(self):
         assert unit_ball_volume(2) == pytest.approx(math.pi)
@@ -190,44 +183,20 @@ class TestInnerParallel:
         assert np.all(np.diff(perims) < 0.0)
 
 
-class TestOuterParallel:
-    def test_square_steiner(self):
-        area, perim = outer_parallel_measures(UNIT_SQUARE, 1.0)
-        assert area == pytest.approx(1.0 + 4.0 + math.pi, rel=1e-15)
-        assert perim == pytest.approx(4.0 + 2.0 * math.pi, rel=1e-15)
-
-    def test_zero_identity(self):
-        area, perim = outer_parallel_measures(UNIT_SQUARE, 0.0)
-        assert (area, perim) == pytest.approx((1.0, 4.0))
-
-    def test_disk(self):
-        disk = ConvexPolygon.regular(4096, circumradius=1.0)
-        area, perim = outer_parallel_measures(disk, 0.5)
-        assert area == pytest.approx(math.pi * 2.25, abs=1e-4)
-        assert perim == pytest.approx(3.0 * math.pi, abs=1e-4)
-
-
 class TestDistanceToBoundary:
     def setup_method(self):
         self.domain = AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
 
     def test_concentric_annulus(self):
         x = (1.4, 0.0)
-        assert distance_to_boundary(x, self.domain, "outer") == pytest.approx(0.6, abs=1e-12)
-        assert distance_to_boundary(x, self.domain, "inner") == pytest.approx(0.4, abs=1e-12)
+        assert self.domain.outer.distance(x)[0] == pytest.approx(0.6, abs=1e-12)
+        assert self.domain.inner.distance(x)[0] == pytest.approx(0.4, abs=1e-12)
 
     def test_on_outer_boundary(self):
-        assert distance_to_boundary((2.0, 0.0), self.domain, "outer") == pytest.approx(0.0, abs=1e-12)
+        assert self.domain.outer.distance((2.0, 0.0))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_ellipse_minor_axis(self):
-        dom = AnnularDomain(Ellipse((0, 0), 2.0, 1.0), Circle((0, 0), 0.3))
-        assert distance_to_boundary((0.0, 0.7), dom, "outer") == pytest.approx(0.3, abs=1e-10)
-
-    def test_outside_raises(self):
-        with pytest.raises(DomainError):
-            distance_to_boundary((3.0, 0.0), self.domain, "outer")
-        with pytest.raises(DomainError):
-            distance_to_boundary((0.1, 0.0), self.domain, "inner")
+        assert Ellipse((0, 0), 2.0, 1.0).distance((0.0, 0.7))[0] == pytest.approx(0.3, abs=1e-10)
 
 
 class TestAleksandrovFenchel:
@@ -273,11 +242,10 @@ class TestClassS:
         assert res == pytest.approx(0.0, abs=1e-12)
 
     def test_ellipse_outer_residual_vs_elliptic_integral(self):
-        # oracle: exact ellipse perimeter 4 a E(e^2) via scipy.special.ellipe
         a, b = 2.0, 1.0
         dom = AnnularDomain(Ellipse((0, 0), a, b), Circle((0, 0), 0.5))
         _, _, res = class_s_data(dom)
-        p_oracle = 4.0 * a * ellipe(1.0 - (b / a) ** 2)
+        p_oracle = ellipse_perimeter_mp(a, b)
         expected = (4.0 * math.pi * (math.pi * a * b) - p_oracle**2) / (4.0 * math.pi)
         assert res == pytest.approx(expected, rel=1e-10)
         assert res < 0.0
@@ -327,7 +295,7 @@ class TestScaleHole:
         s = scale_hole_to_class_s(outer, hole)
         d_hole = isoperimetric_deficit(hole)
         assert d_hole == pytest.approx(8.35504, abs=2e-5)
-        p_oracle = 4.0 * 2.0 * ellipe(1.0 - 0.25)
+        p_oracle = ellipse_perimeter_mp(2.0, 1.0)
         d_out_oracle = p_oracle**2 - 4.0 * math.pi * (math.pi * 2.0)
         assert s == pytest.approx(math.sqrt(d_out_oracle / d_hole), rel=1e-9)
 
@@ -350,15 +318,6 @@ class TestRandomPolygonSuite:
             ratio = poly.area / poly.perimeter
             assert rho / 2.0 - 1e-12 <= ratio <= rho + 1e-12
 
-    def test_steiner_polynomial_exact(self, rng):
-        poly = random_convex_polygon(rng, 10)
-        for delta in (0.0, 0.3, 1.7):
-            area, perim = outer_parallel_measures(poly, delta)
-            assert area == pytest.approx(
-                poly.area + poly.perimeter * delta + math.pi * delta**2, rel=1e-15
-            )
-            assert perim == pytest.approx(poly.perimeter + 2 * math.pi * delta, rel=1e-15)
-
 
 class TestCurveParsing:
     def test_parse_roundtrip(self):
@@ -374,10 +333,13 @@ class TestCurveParsing:
                 BoundaryCurve.parse(bad)
 
     def test_ellipse_perimeter_matches_elliptic_integral(self):
-        for a, b in [(2.0, 1.0), (1.0, 1.0), (3.0, 0.5)]:
-            ell = Ellipse((0, 0), a, b)
-            oracle = 4.0 * max(a, b) * ellipe(1.0 - (min(a, b) / max(a, b)) ** 2)
-            assert ell.perimeter() == pytest.approx(oracle, rel=1e-11)
+        # aspect ratios from the circle down to 1e-3, either axis the major
+        for ratio in (1.0, 0.999999, 0.98, 0.5, 0.1, 1e-2, 1e-3):
+            for a, b in ((2.0, 2.0 * ratio), (0.3 * ratio, 0.3)):
+                assert Ellipse((0, 0), a, b).perimeter() == pytest.approx(
+                    ellipse_perimeter_mp(a, b), rel=1e-15
+                )
+        assert Ellipse((0, 0), 1.5, 1.5).perimeter() == 3.0 * math.pi
 
 
 class TestConvexIntersection:

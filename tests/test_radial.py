@@ -13,8 +13,6 @@ from annulus_spectra.radial import (
     EPS,
     LAMBDA_RTOL,
     closed_form_3d,
-    distance_profiles,
-    level_radii,
     radii_monotonicity,
     solve_shell,
     solve_shell_fd,
@@ -280,75 +278,6 @@ class TestFiniteDifference:
     def test_invalid_beta_rejected(self, beta):
         with pytest.raises(RangeError):
             solve_shell_fd(2, 1.0, 2.0, beta, 200)
-
-
-class TestLevelRadii:
-    def setup_method(self):
-        self.res = solve_shell(2, 1.0, 2.0, 1.0)
-
-    def test_zero_level(self):
-        r_i, r_o = level_radii(self.res, 0.0)
-        assert r_i == 1.0
-        assert r_o is None
-
-    def test_max_level(self):
-        r_i, r_o = level_radii(self.res, self.res.v_M)
-        assert r_i == pytest.approx(self.res.r_bar, abs=1e-10)
-        assert r_o == pytest.approx(self.res.r_bar, abs=1e-10)
-
-    def test_boundary_level(self):
-        r_i, r_o = level_radii(self.res, self.res.v_m)
-        assert r_o == pytest.approx(2.0, abs=1e-12)
-        assert 1.0 < r_i < self.res.r_bar
-
-    def test_interior_level_consistency(self):
-        t = 0.5 * (self.res.v_m + self.res.v_M)
-        r_i, r_o = level_radii(self.res, t)
-        assert self.res.value(r_i) == pytest.approx(t, rel=1e-10)
-        assert self.res.value(r_o) == pytest.approx(t, rel=1e-10)
-        assert r_i < self.res.r_bar < r_o
-
-    def test_above_max_rejected(self):
-        with pytest.raises(RangeError):
-            level_radii(self.res, 1.5 * self.res.v_M)
-
-
-class TestDistanceProfiles:
-    def setup_method(self):
-        self.res = solve_shell(2, 1.0, 2.0, 1.0)
-        self.prof = distance_profiles(self.res)
-
-    def test_endpoint_values(self):
-        assert self.prof.inner_value(0.0) == pytest.approx(0.0, abs=1e-14)
-        assert self.prof.outer_value(0.0) == pytest.approx(self.res.v_m, rel=1e-12)
-        assert self.prof.inner_value(self.res.r_bar - 1.0) == pytest.approx(self.res.v_M, rel=1e-12)
-        assert self.prof.outer_value(2.0 - self.res.r_bar) == pytest.approx(self.res.v_M, rel=1e-12)
-
-    def test_inverse_composition(self):
-        t = 0.7 * self.res.v_M
-        assert self.prof.inner_value(self.prof.inner_value_inverse(t)) == pytest.approx(t, rel=1e-10)
-
-    def test_level_integral_recovers_outer_width(self):
-        # integral of 1 / outer_slope over levels equals R2 - r_bar; the
-        # square-root substitution tau = v_M - u^2 removes the endpoint
-        # singularity where the slope vanishes
-        v_m, v_M = self.res.v_m, self.res.v_M
-        nodes, weights = np.polynomial.legendre.leggauss(80)
-        u_hi = math.sqrt(v_M - v_m)
-        u = 0.5 * u_hi * (nodes + 1.0)
-        w = 0.5 * u_hi * weights
-        vals = np.array([2.0 * ui / self.prof.outer_slope(v_M - ui * ui) for ui in u])
-        integral = float(np.sum(w * vals))
-        assert integral == pytest.approx(2.0 - self.res.r_bar, rel=1e-6)
-
-    def test_slope_vanishes_at_top(self):
-        assert self.prof.inner_slope(self.res.v_M * (1 - 1e-10)) == pytest.approx(0.0, abs=1e-4)
-
-    def test_range_errors(self):
-        with pytest.raises(RangeError):
-            self.prof.outer_value(5.0)
-        with pytest.raises(RangeError):
-            self.prof.outer_slope(0.5 * self.res.v_m)
 
 
 class TestRadiiMonotonicity:
