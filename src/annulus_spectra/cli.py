@@ -28,9 +28,12 @@ THREADS_ENV = "ANNULUS_SPECTRA_THREADS"
 def _thread_cap() -> int:
     raw = os.environ.get(THREADS_ENV, "1")
     try:
-        return max(1, int(raw))
+        cap = int(raw)
     except ValueError:
-        return 1
+        cap = 0
+    if cap < 1:
+        raise UsageError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
+    return cap
 
 
 def _map_ordered(fn, items):

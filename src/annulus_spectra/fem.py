@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -43,6 +43,8 @@ class Mesh:
     inner_edges: np.ndarray
     outer_edges: np.ndarray
     resolution: tuple
+    # free-node blocks per outer condition, filled by _free_forms
+    _free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("nodes", "triangles", "inner_edges", "outer_edges"):
@@ -117,6 +119,45 @@ class Mesh:
         boundary = _from_triplets(np.concatenate(er), np.concatenate(ec), np.concatenate(ev), n)
         return stiffness, mass, boundary
 
+    def _free_forms(self, dirichlet_outer: bool):
+        """(K_ff, M_ff, b_ff, free_map): the forms on the free nodes.
+
+        The inner ring is always constrained, the outer ring too when
+        dirichlet_outer is set.  The free rings are numbered in
+        nested-dissection order and free_map sends free indices back to
+        node ids.  With a free outer ring, K_ff lies on the pattern of
+        K + B and b_ff = (slots, values) holds B's nonzeros as positions
+        in K_ff's values, so K_ff + beta B_ff needs no sparse addition;
+        b_ff is () otherwise.  Built once per outer condition; read-only.
+        """
+        if dirichlet_outer not in self._free:
+            n_r, n_a = self.resolution
+            stiffness, mass, boundary = self.forms
+            # ring 0 is the hole; ring n_r is free unless dirichlet_outer
+            free_map = n_a + _nested_dissection(n_r - int(dirichlet_outer), n_a)
+            m_ff = mass[free_map][:, free_map].tocsr()
+            b_ff = ()
+            if dirichlet_outer:
+                k_ff = stiffness[free_map][:, free_map].tocsr()
+            else:
+                # every K + beta B lies on the pattern of K + B; carrying K
+                # and B on it makes both slice to the same entry order
+                pattern = (stiffness + boundary).tocsr()
+                rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
+                pattern.data = np.asarray(boundary[rows, pattern.indices]).ravel()
+                b_on_k = pattern[free_map][:, free_map].data
+                slots = np.flatnonzero(b_on_k)
+                b_ff = (slots, b_on_k[slots])
+                pattern.data = np.asarray(stiffness[rows, pattern.indices]).ravel()
+                k_ff = pattern[free_map][:, free_map].tocsr()
+            for arr in (
+                free_map, *b_ff, k_ff.data, k_ff.indices, k_ff.indptr,
+                m_ff.data, m_ff.indices, m_ff.indptr,
+            ):
+                arr.setflags(write=False)
+            self._free[dirichlet_outer] = (k_ff, m_ff, b_ff, free_map)
+        return self._free[dirichlet_outer]
+
 
 def _validate_mesh(mesh: Mesh, domain: AnnularDomain) -> None:
     areas = mesh.triangle_areas()
@@ -141,18 +182,22 @@ def _validate_mesh(mesh: Mesh, domain: AnnularDomain) -> None:
         raise GeometryError("outer boundary nodes are off the curve")
 
 
-def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int, validate: bool = True) -> Mesh:
+def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
     """Structured triangulation with n_r radial layers and n_a rays.
 
     Each boundary curve is cast along all n_a ray directions in one
     batched ray_length call.  Nodes interpolate linearly between the two
     boundary crossings of each ray; quads are split along their shorter
-    diagonal, two triangles per quad in ring-major, then ray, order.
+    diagonal, two triangles per quad in ring-major, then ray, order.  The
+    validated mesh is memoised on the (immutable) domain per resolution,
+    so later calls return the same Mesh with its cached forms.
     """
     if n_r < 2:
         raise RangeError("need at least 2 radial layers")
     if n_a < 8:
         raise RangeError("need at least 8 angular rays")
+    if (n_r, n_a) in domain._meshes:
+        return domain._meshes[n_r, n_a]
     center = domain.center
     theta = 2.0 * np.pi * np.arange(n_a) / n_a
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -194,8 +239,8 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int, validate: bool = Tru
     inner_edges = np.column_stack([nid(0, ks), nid(0, ks + 1)])
     outer_edges = np.column_stack([nid(n_r, ks), nid(n_r, ks + 1)])
     mesh = Mesh(nodes, triangles, inner_edges, outer_edges, (n_r, n_a))
-    if validate:
-        _validate_mesh(mesh, domain)
+    _validate_mesh(mesh, domain)
+    domain._meshes[n_r, n_a] = mesh
     return mesh
 
 
@@ -245,22 +290,23 @@ def _nested_dissection(rows: int, n_a: int) -> np.ndarray:
 def assemble(mesh: Mesh, beta: float, dirichlet_outer: bool = False):
     """Robin-Dirichlet system (A, M, free_map) with constrained rows removed.
 
-    A = K + beta B on the free nodes; the inner ring is always eliminated
-    and the outer ring too when dirichlet_outer is set (the beta = inf
-    emulation).  The free rings are numbered in nested-dissection order,
-    and free_map sends free indices back to mesh node ids.
+    A = K_ff + beta B_ff on the free nodes of Mesh._free_forms; the inner
+    ring is always eliminated and the outer ring too when dirichlet_outer
+    is set (the beta = inf emulation, A = K_ff).  Only A is formed per
+    call; M and free_map are the mesh's cached, read-only blocks.
     """
     if not dirichlet_outer and not 0.0 <= beta < math.inf:
         raise RangeError("beta must be finite and nonnegative (use dirichlet_outer for inf)")
     n_r, n_a = mesh.resolution
     if len(mesh.nodes) != (n_r + 1) * n_a:
         raise GeometryError("mesh is not a structured rings x rays grid")
-    stiffness, mass, boundary = mesh.forms
-    a_full = stiffness if dirichlet_outer else (stiffness + beta * boundary).tocsr()
-    # ring 0 is the hole; ring n_r is free unless dirichlet_outer
-    free_map = n_a + _nested_dissection(n_r - int(dirichlet_outer), n_a)
-    a_ff = a_full[free_map][:, free_map].tocsr()
-    m_ff = mass[free_map][:, free_map].tocsr()
+    k_ff, m_ff, b_ff, free_map = mesh._free_forms(dirichlet_outer)
+    if dirichlet_outer:
+        return k_ff, m_ff, free_map
+    slots, b_values = b_ff
+    values = k_ff.data.copy()
+    values[slots] += beta * b_values
+    a_ff = sparse.csr_matrix((values, k_ff.indices, k_ff.indptr), shape=k_ff.shape)
     return a_ff, m_ff, free_map
 
 

@@ -9,7 +9,7 @@ ellipses and convex polygons.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -125,12 +125,15 @@ class ConvexPolygon:
         b = np.sum(n * v, axis=1)
         return n, b
 
-    def contains(self, points, tol: float = 0.0):
-        """Boolean mask of points inside (signed margin >= -tol)."""
+    def margins(self, points) -> np.ndarray:
+        """(m, edges) signed margins b_e - n_e.x, nonnegative inside."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         n, b = self.edge_normals_offsets()
-        margin = b[None, :] - p @ n.T
-        inside = np.all(margin >= -tol, axis=1)
+        return b[None, :] - p @ n.T
+
+    def contains(self, points, tol: float = 0.0):
+        """Boolean mask of points inside (signed margin >= -tol)."""
+        inside = np.all(self.margins(points) >= -tol, axis=1)
         return inside if inside.size > 1 else bool(inside[0])
 
     def nearest_edge(self, points):
@@ -699,12 +702,14 @@ class AnnularDomain:
 
     The center is the star-shape reference used for meshing; it must lie
     strictly inside the hole.  Compact containment of the hole is checked
-    by dense boundary sampling.
+    by dense boundary sampling.  The domain is immutable, so fem keeps its
+    validated meshes in _meshes, keyed by resolution.
     """
 
     outer: BoundaryCurve
     inner: BoundaryCurve
     center: np.ndarray = None
+    _meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         center = self.inner.reference_point() if self.center is None else _as_point(self.center)
@@ -714,9 +719,16 @@ class AnnularDomain:
         if not self.inner.contains(center, tol=-1e-12 * self.inner.scale):
             raise GeometryError("center must lie strictly inside the hole")
         pts = self.inner.sample(CONTAINMENT_SAMPLES)
-        if not np.all(self.outer.contains(pts, tol=0.0)):
+        if isinstance(self.outer, PolygonCurve):
+            # inside a convex polygon the distance to the boundary is the
+            # smallest edge margin, and a negative margin means outside
+            gap = float(np.min(self.outer.polygon.margins(pts)))
+        elif np.all(self.outer.contains(pts, tol=0.0)):
+            gap = float(np.min(self.outer.distance(pts)))
+        else:
+            gap = -math.inf
+        if gap < 0.0:
             raise ContainmentError("hole is not contained in the outer region")
-        gap = float(np.min(self.outer.distance(pts)))
         if gap <= CONTAINMENT_REL_GAP * self.outer.scale:
             raise ContainmentError(f"hole touches the outer boundary (gap {gap:.3e})")
 

@@ -73,6 +73,13 @@ def find_split(domain: AnnularDomain, radial: RadialEigenResult, rtol: float = 1
     domains its root is exactly r_bar - R1; truncation by the outer
     boundary pushes s* up and is resolved by bisection.
     """
+    return _split(domain, radial, rtol)[0]
+
+
+def _split(domain: AnnularDomain, radial: RadialEigenResult, rtol: float = 1e-12):
+    """(s*, s_free, outer_poly) of find_split: s_free is the hole's free
+    distance to the outer curve, outer_poly the clipping polygon, None
+    when s* is the free-regime root."""
     r1, r2, residual = class_s_data(domain)
     if abs(residual) > CLASS_S_RTOL * domain.area:
         raise InfeasibleError(
@@ -88,7 +95,7 @@ def find_split(domain: AnnularDomain, radial: RadialEigenResult, rtol: float = 1
     hole_samples = domain.inner.sample(CLIP_SAMPLES)
     s_free = float(np.min(domain.outer.distance(hole_samples)))
     if radial.r_bar - r1 <= s_free:
-        return radial.r_bar - r1
+        return radial.r_bar - r1, s_free, None
 
     outer_poly = domain.outer.to_polygon(CLIP_SAMPLES)
     boundary_pts = domain.outer.sample(CLIP_SAMPLES)
@@ -102,7 +109,7 @@ def find_split(domain: AnnularDomain, radial: RadialEigenResult, rtol: float = 1
             hi = mid
         if hi - lo <= rtol * s_hi:
             break
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), s_free, outer_poly
 
 
 @dataclass(frozen=True)
@@ -178,10 +185,7 @@ def build_web(
         raise RangeError("web functions are built on planar domains only")
     if radial.beta == 0.0:
         raise RangeError("web construction needs beta > 0")
-    s_star = find_split(domain, radial)
-
-    hole_pts = domain.inner.sample(CLIP_SAMPLES)
-    s_free = float(np.min(domain.outer.distance(hole_pts)))
+    s_star, s_free, outer_poly = _split(domain, radial)
     contained = s_star < s_free
     margin = s_free - s_star
 
@@ -199,7 +203,6 @@ def build_web(
         jump = math.inf
 
     target = math.pi * (radial.r_bar**2 - radial.shell.r_inner**2)
-    outer_poly = domain.outer.to_polygon(CLIP_SAMPLES)
     area_err = abs(_sublevel_area(domain, s_star, s_free, outer_poly) - target) / target
 
     web = WebFunction(

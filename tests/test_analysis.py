@@ -38,6 +38,11 @@ CONCENTRIC = AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
 ECCENTRIC = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
 
 
+def eccentric():
+    """A new domain equal to ECCENTRIC, with no memoised meshes."""
+    return AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
+
+
 class TestPerturbationField:
     def test_validation(self):
         with pytest.raises(RangeError):
@@ -210,6 +215,23 @@ class TestMainTheoremSweep:
         with pytest.raises(InfeasibleError):
             main_theorem_sweep([bad], 1.0, resolution=(16, 64))
 
+    def test_beta_sweep_meshes_and_assembles_once(self, monkeypatch):
+        built = []
+        from_triplets = fem._from_triplets
+
+        def counting(*args):
+            built.append(args)
+            return from_triplets(*args)
+
+        monkeypatch.setattr(fem, "_from_triplets", counting)
+        betas = (0.1, 1.0, 10.0)
+        member = eccentric()
+        reports = [main_theorem_sweep([member], b, resolution=(16, 64))[0] for b in betas]
+        # K, M and B once on the fine mesh and once on the coarse one
+        assert len(built) == 6
+        fresh = [main_theorem_sweep([eccentric()], b, resolution=(16, 64))[0] for b in betas]
+        assert [r.as_dict() for r in reports] == [r.as_dict() for r in fresh]
+
 
 class TestBetaLimits:
     def test_shell_table(self):
@@ -236,10 +258,12 @@ class TestBetaLimits:
 
         monkeypatch.setattr(fem, "_from_triplets", counting)
         betas = np.logspace(-2, 2, 4)
-        rep = beta_limits_check(ECCENTRIC, resolution=(16, 64), betas=betas)
+        # a fresh domain: ECCENTRIC's 16x64 mesh, forms included, is
+        # memoised by the tests above
+        rep = beta_limits_check(eccentric(), resolution=(16, 64), betas=betas)
         # K, M and B of the one mesh serve every beta and the slope s
         assert len(built) == 3
-        fresh = [solve_on_mesh(mesh_annular(ECCENTRIC, 16, 64), b).lam for b in betas]
+        fresh = [solve_on_mesh(mesh_annular(eccentric(), 16, 64), b).lam for b in betas]
         assert list(rep.lams) == fresh
 
     def test_determinism(self):

@@ -185,6 +185,14 @@ class TestSweepCommand:
         assert main(argv) == 2
         assert f"{flag} must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_invalid_thread_cap_usage_error(self, value, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("ANNULUS_SPECTRA_THREADS", value)
+        argv = ["sweep", "--kind", "beta", "--steps", "3", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "ANNULUS_SPECTRA_THREADS must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "beta_sweep.csv").exists()
+
     def test_offset_sweep_margins(self, tmp_path, capsys):
         code = main(
             [

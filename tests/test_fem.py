@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, splu
 
+from annulus_spectra import fem
 from annulus_spectra.errors import GeometryError, RangeError, StarShapeError
 from annulus_spectra.fem import (
     Mesh,
@@ -62,17 +63,13 @@ class TestMeshAnnular:
         )
         shifted = AnnularDomain(Circle((0, 0), 4.0), Circle((1.5, 0), 0.4), center=(1.45, 0.0))
         mesh_annular(shifted, 4, 16)  # fine while the center stays inside
-        with pytest.raises(Exception):
-            bad = AnnularDomain.__new__(AnnularDomain)
-            object.__setattr__(bad, "outer", dom.outer)
-            object.__setattr__(bad, "inner", dom.inner)
+        with pytest.raises(StarShapeError):
+            bad = AnnularDomain(dom.outer, dom.inner)
             object.__setattr__(bad, "center", np.array([3.0, 0.0]))
             mesh_annular(bad, 4, 16)
 
     def test_ray_failure_names_the_center(self):
-        bad = AnnularDomain.__new__(AnnularDomain)
-        object.__setattr__(bad, "outer", ECCENTRIC.outer)
-        object.__setattr__(bad, "inner", ECCENTRIC.inner)
+        bad = AnnularDomain(ECCENTRIC.outer, ECCENTRIC.inner)
         object.__setattr__(bad, "center", np.array([1.7, 0.0]))  # in the annulus
         with pytest.raises(StarShapeError, match="not star shaped about its center"):
             mesh_annular(bad, 4, 16)
@@ -116,6 +113,54 @@ class TestMeshAnnular:
             mesh_annular(CONCENTRIC, 1, 16)
         with pytest.raises(RangeError):
             mesh_annular(CONCENTRIC, 4, 4)
+
+
+class TestMeshMemo:
+    def test_one_mesh_per_domain_and_resolution(self):
+        dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
+        mesh = mesh_annular(dom, 24, 96)
+        assert mesh_annular(dom, 24, 96) is mesh
+        assert mesh_annular(dom, 12, 48) is not mesh
+        # equal but distinct domains do not share meshes
+        twin = mesh_annular(AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0)), 24, 96)
+        assert twin is not mesh
+        assert np.array_equal(twin.nodes, mesh.nodes)
+        assert np.array_equal(twin.triangles, mesh.triangles)
+
+    def test_validated_once_per_built_mesh(self, monkeypatch):
+        checked = []
+        validate = fem._validate_mesh
+
+        def counting(mesh, domain):
+            checked.append(mesh)
+            validate(mesh, domain)
+
+        monkeypatch.setattr(fem, "_validate_mesh", counting)
+        dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
+        mesh = mesh_annular(dom, 8, 32)
+        for _ in range(3):
+            solve_domain(dom, 1.0, 8, 32)
+        assert len(checked) == 1 and checked[0] is mesh
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
+    def test_cached_blocks_match_sliced_forms(self, beta):
+        mesh = mesh_annular(AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0)), 8, 32)
+        dirichlet = math.isinf(beta)
+        a, m, free = assemble(mesh, 0.0 if dirichlet else beta, dirichlet)
+        stiffness, mass, boundary = mesh.forms
+        full = stiffness if dirichlet else stiffness + beta * boundary
+        assert np.array_equal(a.toarray(), full[free][:, free].toarray())
+        assert np.array_equal(m.toarray(), mass[free][:, free].toarray())
+        # the same entries in the same order as slicing K + beta B per beta
+        sliced = full.tocsr()[free][:, free]
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(a, name), getattr(sliced, name))
+        # M and free_map are the mesh's read-only blocks, shared by every beta
+        _, m2, free2 = assemble(mesh, 0.0 if dirichlet else 2.0 * beta, dirichlet)
+        assert m2 is m and free2 is free
+        assert not m.data.flags.writeable
+        with pytest.raises(ValueError):
+            m.data[0] = 1.0
 
 
 class TestAssembly:

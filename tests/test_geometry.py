@@ -199,6 +199,37 @@ class TestDistanceToBoundary:
         assert Ellipse((0, 0), 2.0, 1.0).distance((0.0, 0.7))[0] == pytest.approx(0.3, abs=1e-10)
 
 
+class TestPolygonContainmentGap:
+    SQUARE = PolygonCurve(ConvexPolygon.rectangle(2.0, 2.0))
+
+    def test_no_distance_pass(self, monkeypatch):
+        calls = []
+        distance = PolygonCurve.distance
+
+        def counting(self, points):
+            calls.append(len(points))
+            return distance(self, points)
+
+        monkeypatch.setattr(PolygonCurve, "distance", counting)
+        AnnularDomain(self.SQUARE, Circle((0.1, 0.0), 0.5))
+        assert calls == []
+
+    def test_near_touching_rejected(self):
+        # the hole's rightmost sample sits 1 - x_c - 0.5 from the edge x = 1;
+        # the rejection threshold is CONTAINMENT_REL_GAP * 2 = 2e-9
+        AnnularDomain(self.SQUARE, Circle((0.5 - 4e-9, 0.0), 0.5))
+        with pytest.raises(ContainmentError, match="touches"):
+            AnnularDomain(self.SQUARE, Circle((0.5 - 1e-9, 0.0), 0.5))
+        with pytest.raises(ContainmentError, match="not contained"):
+            AnnularDomain(self.SQUARE, Circle((0.6, 0.0), 0.5))
+
+    def test_smallest_margin_is_the_distance_inside(self, rng):
+        poly = random_convex_polygon(rng, 256)
+        inside = poly.centroid + 0.999 * (poly.sample_boundary(2000) - poly.centroid) * rng.random((2000, 1))
+        margins = np.min(poly.margins(inside), axis=1)
+        assert margins == pytest.approx(poly.distance_to_boundary(inside), abs=1e-15 * poly.scale)
+
+
 class TestAleksandrovFenchel:
     def test_unit_square_margin(self):
         # direct evaluation of 2/pi - sqrt(1/pi)

@@ -18,7 +18,9 @@ from annulus_spectra.geometry import (
 )
 from annulus_spectra.radial import solve_shell
 from annulus_spectra.webfunc import (
+    CLIP_SAMPLES,
     _quad_grid,
+    _sublevel_area,
     build_web,
     chain_certificate,
     find_split,
@@ -75,6 +77,29 @@ class TestFindSplit:
         assert web.contained
         assert web.split_s > 0.0
         assert web.split_area_rel_err <= 1e-9
+
+    @pytest.mark.parametrize("member, clipped", [("eccentric", True), ("ellipse_rectangle", False)])
+    def test_build_web_reuses_the_split(self, member, clipped, monkeypatch):
+        if member == "eccentric":
+            dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
+        else:
+            dom = ellipse_rectangle_member()
+        r1, r2, _ = class_s_data(dom)
+        rad = solve_shell(2, r1, r2, 1.0)
+        polygons = []
+        to_polygon = type(dom.outer).to_polygon
+        monkeypatch.setattr(
+            type(dom.outer), "to_polygon", lambda c, n: polygons.append(n) or to_polygon(c, n)
+        )
+        web = build_web(dom, rad)
+        # one clip polygon past the free distance, none inside it
+        assert polygons == ([CLIP_SAMPLES] if clipped else [])
+        assert web.split_s == find_split(dom, rad)
+        s_free = float(np.min(dom.outer.distance(dom.inner.sample(CLIP_SAMPLES))))
+        assert web.diagnostics["s_free"] == s_free
+        target = math.pi * (rad.r_bar**2 - r1 * r1)
+        area = _sublevel_area(dom, web.split_s, s_free, to_polygon(dom.outer, CLIP_SAMPLES))
+        assert web.split_area_rel_err == abs(area - target) / target
 
     def test_wrong_shell_rejected(self):
         rad = solve_shell(2, 1.0, 1.9, 1.0)
