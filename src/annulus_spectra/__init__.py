@@ -11,7 +11,6 @@ from .errors import (
     BracketError,
     ContainmentError,
     CurvatureUnavailableError,
-    EmptyBodyError,
     GeometryError,
     InfeasibleError,
     InvalidWebError,
@@ -31,7 +30,6 @@ from .geometry import (
     ShellSpec,
     aleksandrov_fenchel_check,
     class_s_data,
-    inner_parallel,
     inradius,
     isoperimetric_deficit,
     quermassintegrals_2d,

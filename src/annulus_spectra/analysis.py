@@ -36,6 +36,9 @@ from .geometry import (
 )
 from .radial import LAMBDA_RTOL, PROFILE_RTOL, solve_shell
 
+# Relative target for the gap to the Neumann closure at the smallest beta.
+ND_GAP_RTOL = 1e-3
+
 
 @dataclass(frozen=True)
 class PerturbationField:
@@ -257,14 +260,10 @@ def _eigen_pair_for(target, beta: float, resolution):
     if isinstance(target, ShellSpec):
         lam = solve_shell(target.dim, target.r_inner, target.r_outer, beta).lam
         lam_dd = solve_shell(target.dim, target.r_inner, target.r_outer, float("inf")).lam
-        n = target.dim
-        from .geometry import unit_ball_volume
-
-        wn = unit_ball_volume(n)
-        volume = wn * (target.r_outer**n - target.r_inner**n)
-        perimeter = n * wn * target.r_outer ** (n - 1)
+        volume = target.volume
+        perimeter = target.outer_area
         rho = target.r_outer
-        context = {"method": "radial", "dim": n}
+        context = {"method": "radial", "dim": target.dim}
         disc = 1e-9 * lam
     else:
         n_r, n_a = resolution
@@ -404,12 +403,12 @@ def _radial_boundary_ratio(result):
     return float(s), float(s * (abs(mass - coarse) / mass + 4.0 * PROFILE_RTOL))
 
 
-def beta_limits_check(target, resolution=(48, 192), betas=None, nd_rel_tol=1e-3) -> BetaLimitsReport:
+def beta_limits_check(target, resolution=(48, 192), betas=None) -> BetaLimitsReport:
     """Eigenvalue table over an increasing grid of beta with endpoint limits.
 
     The table must be nondecreasing (strictly so for the radial route).
     The smallest beta b0 is compared with the Neumann closure lambda_ND in
-    two ways: at nd_rel_tol relative (nd_gap_ok), and through the
+    two ways: at ND_GAP_RTOL relative (nd_gap_ok), and through the
     small-beta bracket (nd_bracket_ok)
 
         lambda_ND + (b0 / b1) (lambda(b1) - lambda_ND) <= lambda(b0)
@@ -444,9 +443,7 @@ def beta_limits_check(target, resolution=(48, 192), betas=None, nd_rel_tol=1e-3)
         lam_tol = lambda res: LAMBDA_RTOL * res.lam
         slope_of = _radial_boundary_ratio
         volume = target.volume
-        from .geometry import unit_ball_volume
-
-        perimeter = target.dim * unit_ball_volume(target.dim) * target.r_outer ** (target.dim - 1)
+        perimeter = target.outer_area
     else:
         method = "fem"
         n_r, n_a = resolution
@@ -488,7 +485,7 @@ def beta_limits_check(target, resolution=(48, 192), betas=None, nd_rel_tol=1e-3)
         monotone=monotone,
         strictly_monotone=strictly,
         nd_gap_rel=float(nd_gap_rel),
-        nd_gap_ok=bool(nd_gap_rel <= nd_rel_tol),
+        nd_gap_ok=bool(nd_gap_rel <= ND_GAP_RTOL),
         nd_slope=float(slope),
         nd_bracket_lo=float(bracket_lo),
         nd_bracket_hi=float(bracket_hi),

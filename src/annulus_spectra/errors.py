@@ -9,10 +9,6 @@ class GeometryError(AnnulusError):
     """Invalid or degenerate geometric input."""
 
 
-class EmptyBodyError(GeometryError):
-    """An erosion or intersection produced an empty convex body."""
-
-
 class ContainmentError(GeometryError):
     """A required compact containment between bodies fails."""
 

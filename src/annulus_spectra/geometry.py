@@ -1,9 +1,10 @@
 """Planar convex-body computations and annular domain bookkeeping.
 
-The 2D machinery (areas, perimeters, quermassintegrals, inradius, parallel
-bodies, boundary distances) works on convex polygons and on the three
-boundary-curve kinds used throughout the package: circles, axis-aligned
-ellipses and convex polygons.
+The 2D machinery (areas, perimeters, quermassintegrals, inradius, outer
+parallel bodies, boundary distances, and the intersection area of two
+convex polygons that share an inner point) works on convex polygons and on
+the three boundary-curve kinds used throughout the package: circles,
+axis-aligned ellipses and convex polygons.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from scipy.special import ellipe
 from .errors import (
     ContainmentError,
     CurvatureUnavailableError,
-    EmptyBodyError,
     GeometryError,
     InfeasibleError,
     NumericalError,
@@ -49,10 +49,22 @@ def _as_point(p) -> np.ndarray:
     return q
 
 
+def _finite_center(center) -> tuple:
+    c = tuple(map(float, center))
+    if not all(map(math.isfinite, c)):
+        raise GeometryError("curve center must be finite")
+    return c
+
+
 def _as_directions(direction):
     """(m, 2) direction rows, and whether a single direction was given."""
     u = np.asarray(direction, dtype=float)
     return u.reshape(-1, 2), u.ndim == 1
+
+
+def _cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise z component of p x q."""
+    return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
 
 
 def _shoelace(verts: np.ndarray) -> float:
@@ -75,6 +87,8 @@ class ConvexPolygon:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 3:
             raise GeometryError("polygon needs at least 3 planar vertices")
+        if not np.all(np.isfinite(v)):
+            raise GeometryError("polygon vertices must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
@@ -241,70 +255,53 @@ def inradius(poly: ConvexPolygon, return_center: bool = False):
     return rho
 
 
-def _clip_halfplane(verts: np.ndarray, normal: np.ndarray, offset: float) -> np.ndarray:
-    """Clip a convex loop against {x : normal . x <= offset} (vectorized)."""
-    if len(verts) == 0:
-        return verts
-    d = verts @ normal - offset
-    d_next = np.roll(d, -1)
-    keep = d <= 0.0
-    cross = keep != np.roll(keep, -1)
-    idx_keep = np.nonzero(keep)[0]
-    idx_cross = np.nonzero(cross)[0]
-    if len(idx_cross) == 0:
-        return verts if keep.all() else np.empty((0, 2))
-    t = d[idx_cross] / (d[idx_cross] - d_next[idx_cross])
-    crossings = verts[idx_cross] + t[:, None] * (
-        np.roll(verts, -1, axis=0)[idx_cross] - verts[idx_cross]
-    )
-    # interleave surviving vertices and edge crossings in loop order
-    keys = np.concatenate([2 * idx_keep, 2 * idx_cross + 1])
-    pts = np.concatenate([verts[idx_keep], crossings])
-    return pts[np.argsort(keys, kind="stable")]
+def _polar_loop(poly: ConvexPolygon, center: np.ndarray):
+    """Vertex angles about center, rotated to increase from the smallest,
+    with the vertices relative to center in the same order."""
+    v = poly.vertices - center
+    # twice the area of (center, v_k, v_k+1), the edge length times the
+    # margin of center: positive on every edge iff the angles increase
+    if not np.all(_cross(v, np.roll(v, -1, axis=0)) > 0.0):
+        raise GeometryError("center is not strictly inside both polygons")
+    theta = np.arctan2(v[:, 1], v[:, 0])
+    first = int(np.argmin(theta))
+    return np.roll(theta, -first), np.roll(v, -first, axis=0)
 
 
-def _dedupe_loop(verts: np.ndarray, scale: float) -> np.ndarray:
-    if len(verts) == 0:
-        return verts
-    keep = [0]
-    for i in range(1, len(verts)):
-        if np.hypot(*(verts[i] - verts[keep[-1]])) > 1e-12 * scale:
-            keep.append(i)
-    if len(keep) > 1 and np.hypot(*(verts[keep[-1]] - verts[keep[0]])) <= 1e-12 * scale:
-        keep.pop()
-    return verts[keep]
+def convex_intersection_area(a: ConvexPolygon, b: ConvexPolygon, center) -> float:
+    """Area of the intersection of two convex polygons that both contain
+    center strictly (GeometryError otherwise).
 
-
-def inner_parallel(poly: ConvexPolygon, delta: float) -> ConvexPolygon:
-    """Erosion of a convex polygon: intersection of inward-offset edges."""
-    if delta < 0.0:
-        raise GeometryError("offset must be nonnegative")
-    if delta == 0.0:
-        return poly
-    n, b = poly.edge_normals_offsets()
-    verts = poly.vertices
-    for k in range(len(b)):
-        verts = _clip_halfplane(verts, n[k], b[k] - delta)
-        if len(verts) < 3:
-            raise EmptyBodyError(f"erosion by {delta} exhausts the polygon")
-    verts = _dedupe_loop(verts, poly.scale)
-    if len(verts) < 3 or _shoelace(verts) <= 0.0:
-        raise EmptyBodyError(f"erosion by {delta} exhausts the polygon")
-    return ConvexPolygon(verts)
-
-
-def convex_intersection(a: ConvexPolygon, b: ConvexPolygon) -> ConvexPolygon | None:
-    """Intersection of two convex polygons, or None when empty."""
-    n, off = b.edge_normals_offsets()
-    verts = a.vertices
-    for k in range(len(off)):
-        verts = _clip_halfplane(verts, n[k], off[k])
-        if len(verts) < 3:
-            return None
-    verts = _dedupe_loop(verts, max(a.scale, b.scale))
-    if len(verts) < 3 or _shoelace(verts) <= 0.0:
-        return None
-    return ConvexPolygon(verts)
+    Both boundaries are graphs r = rho(theta) about center, and the
+    intersection's is their minimum.  Between consecutive vertex angles of
+    either polygon each boundary is one straight edge, so the minimum is a
+    straight segment, or two where the edges cross inside the wedge; the
+    wedge triangles from center add up to the exact area.
+    """
+    c = _as_point(center)
+    loops = [_polar_loop(a, c), _polar_loop(b, c)]
+    theta = np.unique(np.concatenate([th for th, _ in loops]))
+    start, end = (np.column_stack([np.cos(t), np.sin(t)]) for t in (theta, np.roll(theta, -1)))
+    lines, rho = [], []
+    for th, v in loops:
+        # the edge v_k -> v_k+1 spanning each wedge; k = -1 closes the loop
+        k = np.searchsorted(th, theta, side="right") - 1
+        e = np.roll(v, -1, axis=0)[k] - v[k]
+        n = np.column_stack([e[:, 1], -e[:, 0]])
+        h = np.sum(n * v[k], axis=1)
+        lines.append((n, h))
+        rho.append([h / np.sum(n * u, axis=1) for u in (start, end)])
+    (na, ha), (nb, hb) = lines
+    (ra0, ra1), (rb0, rb1) = rho
+    p0 = np.minimum(ra0, rb0)[:, None] * start
+    p1 = np.minimum(ra1, rb1)[:, None] * end
+    # the edges cross inside the wedge where the nearer one changes
+    sw = (ra0 - rb0) * (ra1 - rb1) < 0.0
+    det = _cross(na, nb)[sw]
+    mid = p0.copy()
+    mid[sw, 0] = (ha * nb[:, 1] - hb * na[:, 1])[sw] / det
+    mid[sw, 1] = (hb * na[:, 0] - ha * nb[:, 0])[sw] / det
+    return 0.5 * float(np.sum(_cross(p0, mid) + _cross(mid, p1)))
 
 
 def aleksandrov_fenchel_check(poly: ConvexPolygon) -> float:
@@ -377,7 +374,11 @@ class BoundaryCurve:
         parts = text.split()
         if not parts:
             raise GeometryError("empty curve specification")
-        kind, nums = parts[0].lower(), [float(t) for t in parts[1:]]
+        kind = parts[0].lower()
+        try:
+            nums = [float(t) for t in parts[1:]]
+        except ValueError as exc:
+            raise GeometryError(f"bad number in curve specification {text!r}: {exc}") from None
         if kind == "circle":
             if len(nums) != 3:
                 raise GeometryError("circle needs: cx cy r")
@@ -402,9 +403,9 @@ class Circle(BoundaryCurve):
     radius: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(map(float, self.center)))
-        if self.radius <= 0.0:
-            raise GeometryError("circle radius must be positive")
+        object.__setattr__(self, "center", _finite_center(self.center))
+        if not 0.0 < self.radius < math.inf:
+            raise GeometryError("circle radius must be positive and finite")
 
     def _c(self):
         return np.asarray(self.center)
@@ -474,9 +475,9 @@ class Ellipse(BoundaryCurve):
     b: float
 
     def __post_init__(self):
-        object.__setattr__(self, "center", tuple(map(float, self.center)))
-        if self.a <= 0.0 or self.b <= 0.0:
-            raise GeometryError("ellipse semi-axes must be positive")
+        object.__setattr__(self, "center", _finite_center(self.center))
+        if not (0.0 < self.a < math.inf and 0.0 < self.b < math.inf):
+            raise GeometryError("ellipse semi-axes must be positive and finite")
 
     def _c(self):
         return np.asarray(self.center)
@@ -687,13 +688,14 @@ class ShellSpec:
             raise GeometryError("need 0 < r_inner < r_outer")
 
     @property
-    def width(self) -> float:
-        return self.r_outer - self.r_inner
-
-    @property
     def volume(self) -> float:
         wn = unit_ball_volume(self.dim)
         return wn * (self.r_outer**self.dim - self.r_inner**self.dim)
+
+    @property
+    def outer_area(self) -> float:
+        """(n-1)-dimensional measure of the outer sphere."""
+        return self.dim * unit_ball_volume(self.dim) * self.r_outer ** (self.dim - 1)
 
 
 @dataclass(frozen=True)

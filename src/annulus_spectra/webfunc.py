@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .errors import InfeasibleError, InvalidWebError, RangeError
 from .fem import solve_domain
@@ -28,7 +29,7 @@ from .geometry import (
     Circle,
     ConvexPolygon,
     class_s_data,
-    convex_intersection,
+    convex_intersection_area,
     disk_intersection_area,
     outer_parallel_points,
 )
@@ -38,6 +39,9 @@ CLASS_S_RTOL = 1e-8
 CONTINUITY_FACTOR = 1e-3
 DEFAULT_QUAD_LEVEL = 512 * 512
 CLIP_SAMPLES = 2048
+INTERFACE_SAMPLES = 2048
+# brentq's absolute tolerance on s*, relative to the farthest outer distance
+SPLIT_XTOL = 1e-12
 
 
 def _sublevel_area(domain: AnnularDomain, s: float, s_free: float, outer_poly) -> float:
@@ -45,7 +49,8 @@ def _sublevel_area(domain: AnnularDomain, s: float, s_free: float, outer_poly) -
 
     Steiner-exact while the parallel body stays inside the outer region;
     afterwards the overflow is cut off analytically for circle pairs and
-    by convex clipping otherwise.
+    otherwise by the exact area of the parallel body's polygon inside
+    outer_poly, both star shaped about the domain's center.
     """
     hole = domain.inner
     if s <= 0.0:
@@ -58,28 +63,25 @@ def _sublevel_area(domain: AnnularDomain, s: float, s_free: float, outer_poly) -
         )
         return grown - hole.area()
     body = ConvexPolygon(outer_parallel_points(hole, s, CLIP_SAMPLES))
-    inter = convex_intersection(body, outer_poly)
-    if inter is None:
-        raise InfeasibleError("parallel body lost contact with the outer region")
-    return inter.area - hole.area()
+    return convex_intersection_area(body, outer_poly, domain.center) - hole.area()
 
 
-def find_split(domain: AnnularDomain, radial: RadialEigenResult, rtol: float = 1e-12) -> float:
+def find_split(domain: AnnularDomain, radial: RadialEigenResult) -> float:
     """Distance s* whose hole-distance sublevel set has the matched area.
 
     The target is the area of the shell's inner part, between the inner
     radius and the critical radius.  While the parallel body is compactly
     contained the area law is an exact quadratic in s, and for class-S
     domains its root is exactly r_bar - R1; truncation by the outer
-    boundary pushes s* up and is resolved by bisection.
+    boundary pushes s* up, and brentq finds it on the increasing area law.
     """
-    return _split(domain, radial, rtol)[0]
+    return _split(domain, radial)[0]
 
 
-def _split(domain: AnnularDomain, radial: RadialEigenResult, rtol: float = 1e-12):
+def _split(domain: AnnularDomain, radial: RadialEigenResult):
     """(s*, s_free, outer_poly) of find_split: s_free is the hole's free
-    distance to the outer curve, outer_poly the clipping polygon, None
-    when s* is the free-regime root."""
+    distance to the outer curve, outer_poly the outer polygon of the area
+    law, None when s* is the free-regime root."""
     r1, r2, residual = class_s_data(domain)
     if abs(residual) > CLASS_S_RTOL * domain.area:
         raise InfeasibleError(
@@ -100,16 +102,17 @@ def _split(domain: AnnularDomain, radial: RadialEigenResult, rtol: float = 1e-12
     outer_poly = domain.outer.to_polygon(CLIP_SAMPLES)
     boundary_pts = domain.outer.sample(CLIP_SAMPLES)
     s_hi = float(np.max(domain.inner.distance(boundary_pts)))
-    lo, hi = s_free, s_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _sublevel_area(domain, mid, s_free, outer_poly) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= rtol * s_hi:
-            break
-    return 0.5 * (lo + hi), s_free, outer_poly
+
+    def shortfall(s):
+        return _sublevel_area(domain, s, s_free, outer_poly) - target
+
+    # the Steiner area at s_free is below the target, as r_bar - R1 > s_free
+    if shortfall(s_hi) < 0.0:
+        raise InfeasibleError(
+            f"split area target is not reached within the outer polygon (s <= {s_hi:.6g})"
+        )
+    s_star = brentq(shortfall, s_free, s_hi, xtol=SPLIT_XTOL * s_hi)
+    return s_star, s_free, outer_poly
 
 
 @dataclass(frozen=True)
@@ -174,12 +177,7 @@ class WebFunction:
         }
 
 
-def build_web(
-    domain: AnnularDomain,
-    radial: RadialEigenResult,
-    continuity_factor: float = CONTINUITY_FACTOR,
-    interface_samples: int = 2048,
-) -> WebFunction:
+def build_web(domain: AnnularDomain, radial: RadialEigenResult) -> WebFunction:
     """Construct the web function and measure its validity certificate."""
     if radial.shell.dim != 2:
         raise RangeError("web functions are built on planar domains only")
@@ -192,7 +190,7 @@ def build_web(
     # measured jump across the split curve: the inner side sits on its
     # plateau (s* >= r_bar - R1 always), the outer side may not have
     # reached its own plateau yet
-    pts = outer_parallel_points(domain.inner, s_star, interface_samples)
+    pts = outer_parallel_points(domain.inner, s_star, INTERFACE_SAMPLES)
     keep = np.atleast_1d(domain.outer.contains(pts, tol=-1e-12 * domain.outer.scale))
     inside_val = float(radial.value(min(radial.shell.r_inner + s_star, radial.r_bar)))
     if np.any(keep):
@@ -209,7 +207,7 @@ def build_web(
         domain=domain,
         radial=radial,
         split_s=s_star,
-        continuity_tol=continuity_factor * radial.v_M,
+        continuity_tol=CONTINUITY_FACTOR * radial.v_M,
         interface_jump=jump,
         contained=contained,
         containment_margin=margin,
@@ -297,8 +295,6 @@ def chain_certificate(
     n_r: int = 48,
     n_a: int = 192,
     quad_level=DEFAULT_QUAD_LEVEL,
-    continuity_factor: float = CONTINUITY_FACTOR,
-    fem_tolerance: float = None,
     allow_uncertified: bool = True,
 ) -> dict:
     """Full eigenvalue chain on one class-S domain.
@@ -311,10 +307,9 @@ def chain_certificate(
     r1, r2, _ = class_s_data(domain)
     radial = solve_shell(2, r1, r2, beta)
     fem = solve_domain(domain, beta, n_r, n_a)
-    web = build_web(domain, radial, continuity_factor)
+    web = build_web(domain, radial)
     parts, value = rayleigh_quotient(web, beta, quad_level, allow_uncertified=allow_uncertified)
-    if fem_tolerance is None:
-        fem_tolerance = 2e-3 * fem.lam
+    fem_tolerance = 2e-3 * fem.lam
     lower_ok = fem.lam <= value + fem_tolerance
     upper_ok = value <= 1.02 * radial.lam
     report = web.report()

@@ -5,7 +5,3 @@ import pytest
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240613)
-
-
-def pytest_configure(config):
-    config.addinivalue_line("markers", "slow: long-running verification")

@@ -86,6 +86,19 @@ class TestFemCommand:
         )
         assert code == 1  # parse failure surfaces as a package error
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("circle 0 0 abc", "bad number"),
+            ("circle 0 0 inf", "finite"),
+            ("polygon 0 0 1 0 nan 1", "finite"),
+        ],
+    )
+    def test_bad_curve_numbers(self, spec, message, capsys):
+        code = main(["fem", "--outer", spec, "--inner", "circle 0 0 0.5", "--beta", "1"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_nan_beta_usage_error(self, capsys):
         code = main(
             ["fem", "--outer", "circle 0 0 2", "--inner", "circle 0.5 0 1", "--beta", "nan"]

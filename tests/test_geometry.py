@@ -12,7 +12,6 @@ from annulus_spectra import (
     ContainmentError,
     ConvexPolygon,
     Ellipse,
-    EmptyBodyError,
     GeometryError,
     InfeasibleError,
     NumericalError,
@@ -21,7 +20,6 @@ from annulus_spectra import (
     StarShapeError,
     aleksandrov_fenchel_check,
     class_s_data,
-    inner_parallel,
     inradius,
     isoperimetric_deficit,
     quermassintegrals_2d,
@@ -29,7 +27,7 @@ from annulus_spectra import (
     scale_hole_to_class_s,
     unit_ball_volume,
 )
-from annulus_spectra.geometry import BoundaryCurve, convex_intersection
+from annulus_spectra.geometry import BoundaryCurve, convex_intersection_area
 
 UNIT_SQUARE = ConvexPolygon.rectangle(1.0, 1.0, center=(0.5, 0.5))
 
@@ -49,21 +47,6 @@ def fan_triangulation_area(poly):
         a, b = v[i] - v[0], v[i + 1] - v[0]
         total += 0.5 * (a[0] * b[1] - a[1] * b[0])
     return total
-
-
-def sampled_erosion_area(poly, delta, grid=1200):
-    """Level-set sampling oracle: area of {x in P : dist(x, bd P) >= delta}."""
-    lo = poly.vertices.min(axis=0)
-    hi = poly.vertices.max(axis=0)
-    xs = np.linspace(lo[0], hi[0], grid)
-    ys = np.linspace(lo[1], hi[1], grid)
-    cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
-    xx, yy = np.meshgrid(xs, ys)
-    pts = np.column_stack([xx.ravel(), yy.ravel()])
-    inside = poly.contains(pts)
-    far = np.zeros(len(pts), dtype=bool)
-    far[inside] = poly.distance_to_boundary(pts[inside]) >= delta
-    return far.sum() * cell
 
 
 class TestPolygonArea:
@@ -128,59 +111,6 @@ class TestInradius:
         ratio = rect.area / rect.perimeter
         assert rho / 2.0 <= ratio <= rho
         assert ratio == pytest.approx(3.0 / 8.0)
-
-
-class TestInnerParallel:
-    def test_square_erosion(self):
-        eroded = inner_parallel(UNIT_SQUARE, 0.25)
-        assert eroded.area == pytest.approx(0.25, rel=1e-12)
-        assert eroded.perimeter == pytest.approx(2.0, rel=1e-12)
-
-    def test_zero_is_identity(self):
-        assert inner_parallel(UNIT_SQUARE, 0.0) is UNIT_SQUARE
-
-    def test_hexagon_closed_form_and_sampling_oracle(self):
-        hexa = ConvexPolygon.regular(6, circumradius=1.0)
-        delta = 0.2
-        eroded = inner_parallel(hexa, delta)
-        # every vertex trims 2 tan(alpha/2) per unit offset, alpha = pi/3
-        expected_perim = hexa.perimeter - delta * 6.0 * 2.0 * math.tan(math.pi / 6.0)
-        assert eroded.perimeter == pytest.approx(expected_perim, rel=1e-12)
-        assert eroded.area == pytest.approx(sampled_erosion_area(hexa, delta), rel=5e-3)
-
-    def test_area_derivative_is_perimeter(self):
-        # A(delta) is quadratic while no edge vanishes, so the centered
-        # difference equals -P exactly
-        hexa = ConvexPolygon.regular(6, circumradius=1.0)
-        d, h = 0.2, 0.01
-        a_plus = inner_parallel(hexa, d + h).area
-        a_minus = inner_parallel(hexa, d - h).area
-        assert (a_minus - a_plus) / (2.0 * h) == pytest.approx(
-            inner_parallel(hexa, d).perimeter, rel=1e-10
-        )
-
-    def test_exhaustion_error(self):
-        with pytest.raises(EmptyBodyError):
-            inner_parallel(UNIT_SQUARE, 0.55)
-
-    def test_semigroup_property(self, rng):
-        for _ in range(10):
-            poly = random_convex_polygon(rng, 8)
-            rho = inradius(poly)
-            d1, d2 = 0.2 * rho, 0.3 * rho
-            once = inner_parallel(poly, d1 + d2)
-            twice = inner_parallel(inner_parallel(poly, d1), d2)
-            assert once.area == pytest.approx(twice.area, rel=1e-10)
-            assert once.perimeter == pytest.approx(twice.perimeter, rel=1e-10)
-
-    def test_monotone_in_delta(self, rng):
-        poly = random_convex_polygon(rng, 9)
-        rho = inradius(poly)
-        deltas = np.linspace(0.0, 0.8 * rho, 6)
-        areas = [inner_parallel(poly, d).area for d in deltas]
-        perims = [inner_parallel(poly, d).perimeter for d in deltas]
-        assert np.all(np.diff(areas) < 0.0)
-        assert np.all(np.diff(perims) < 0.0)
 
 
 class TestDistanceToBoundary:
@@ -363,6 +293,29 @@ class TestCurveParsing:
             with pytest.raises(GeometryError):
                 BoundaryCurve.parse(bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["circle 0 0 abc", "circle 0 0 inf", "circle nan 0 1", "ellipse 0 0 1 inf",
+         "ellipse 0 -inf 2 1", "polygon 0 0 1 0 nan 1", "polygon 0 0 1 0 1 inf"],
+    )
+    def test_bad_numbers_rejected(self, bad):
+        with pytest.raises(GeometryError):
+            BoundaryCurve.parse(bad)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Circle((0.0, 0.0), math.inf),
+            lambda: Circle((math.nan, 0.0), 1.0),
+            lambda: Ellipse((0.0, 0.0), math.nan, 1.0),
+            lambda: Ellipse((0.0, math.inf), 2.0, 1.0),
+            lambda: ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [math.nan, 1.0]])),
+        ],
+    )
+    def test_non_finite_curves_rejected(self, make):
+        with pytest.raises(GeometryError, match="finite"):
+            make()
+
     def test_ellipse_perimeter_matches_elliptic_integral(self):
         # aspect ratios from the circle down to 1e-3, either axis the major
         for ratio in (1.0, 0.999999, 0.98, 0.5, 0.1, 1e-2, 1e-3):
@@ -380,13 +333,44 @@ class TestConvexIntersection:
         lens = 2.0 * math.acos(d / 2.0) - 0.5 * d * math.sqrt(4.0 - d * d)
         a = ConvexPolygon.regular(2048, 1.0, center=(0.0, 0.0))
         b = ConvexPolygon.regular(2048, 1.0, center=(d, 0.0))
-        inter = convex_intersection(a, b)
-        assert inter.area == pytest.approx(lens, rel=1e-5)
+        assert convex_intersection_area(a, b, (0.5 * d, 0.1)) == pytest.approx(lens, rel=1e-5)
 
-    def test_disjoint_is_none(self):
-        a = ConvexPolygon.regular(64, 1.0, center=(0.0, 0.0))
-        b = ConvexPolygon.regular(64, 1.0, center=(5.0, 0.0))
-        assert convex_intersection(a, b) is None
+    def test_overlapping_rectangles(self):
+        a = ConvexPolygon.rectangle(2.0, 1.0, center=(1.0, 0.5))
+        b = ConvexPolygon.rectangle(2.0, 1.5, center=(2.0, -0.25))
+        # [1, 2] x [0, 0.5]
+        assert convex_intersection_area(a, b, (1.5, 0.25)) == pytest.approx(0.5, rel=1e-15)
+
+    def test_square_and_rotated_square(self):
+        # the boundaries cross inside every wedge: a regular octagon of inradius 1
+        square = ConvexPolygon.regular(4, math.sqrt(2.0)).vertices
+        rot = np.array([[math.cos(math.pi / 4), -math.sin(math.pi / 4)],
+                        [math.sin(math.pi / 4), math.cos(math.pi / 4)]])
+        a, b = ConvexPolygon(square), ConvexPolygon(square @ rot.T)
+        octagon = 8.0 * math.tan(math.pi / 8.0)
+        for center in [(0.0, 0.0), (0.3, -0.2)]:
+            assert convex_intersection_area(a, b, center) == pytest.approx(octagon, rel=1e-14)
+
+    def test_contained_polygon_keeps_its_area(self, rng):
+        outer = ConvexPolygon.regular(64, 2.0)
+        for _ in range(5):
+            inner = random_convex_polygon(rng, 12, scale=1.0)
+            center = inner.centroid
+            assert convex_intersection_area(inner, outer, center) == pytest.approx(inner.area, rel=1e-13)
+            assert convex_intersection_area(outer, inner, center) == pytest.approx(inner.area, rel=1e-13)
+
+    def test_disjoint_rejected(self):
+        a = ConvexPolygon.regular(4, 1.0, center=(0.0, 0.0))
+        b = ConvexPolygon.regular(4, 1.0, center=(5.0, 0.0))
+        for center in [(0.0, 0.0), (5.0, 0.0), (2.5, 0.0)]:
+            with pytest.raises(GeometryError, match="center is not strictly inside"):
+                convex_intersection_area(a, b, center)
+
+    def test_center_on_the_boundary_rejected(self):
+        a = ConvexPolygon.regular(4, 1.0, center=(0.0, 0.0))
+        for center in [(1.0, 0.0), (-0.5, 0.5)]:  # a vertex and an edge midpoint
+            with pytest.raises(GeometryError, match="center is not strictly inside"):
+                convex_intersection_area(a, a, center)
 
 
 RAY_CURVES = {

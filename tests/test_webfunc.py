@@ -5,6 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from annulus_spectra import webfunc
+from annulus_spectra.analysis import standard_family
 from annulus_spectra.errors import InfeasibleError, InvalidWebError, RangeError
 from annulus_spectra.fem import solve_domain
 from annulus_spectra.geometry import (
@@ -100,6 +102,28 @@ class TestFindSplit:
         target = math.pi * (rad.r_bar**2 - r1 * r1)
         area = _sublevel_area(dom, web.split_s, s_free, to_polygon(dom.outer, CLIP_SAMPLES))
         assert web.split_area_rel_err == abs(area - target) / target
+
+    @pytest.mark.parametrize("member, s_star", [(6, 1.211489127597901), (7, 1.1273553731995172)])
+    def test_clipping_regime_split(self, member, s_star):
+        # ellipse/rectangle members whose beta = 0.1 split lies past the
+        # free distance, so the area law runs through the polygon kernel;
+        # s_star comes from bisection over half-plane clipping, an
+        # independent route to the same area law
+        dom = standard_family()[member]
+        r1, r2, _ = class_s_data(dom)
+        web = build_web(dom, solve_shell(2, r1, r2, 0.1))
+        assert web.split_s > web.diagnostics["s_free"]
+        assert web.split_s == pytest.approx(s_star, rel=1e-10)
+        assert web.split_area_rel_err <= 1e-9
+
+    def test_unreached_target_rejected(self, monkeypatch):
+        # an area law that stays short of the target up to the farthest
+        # outer distance has no split
+        dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
+        rad = solve_shell(2, 1.0, 2.0, 1.0)
+        monkeypatch.setattr(webfunc, "_sublevel_area", lambda *args: 0.0)
+        with pytest.raises(InfeasibleError, match="not reached"):
+            find_split(dom, rad)
 
     def test_wrong_shell_rejected(self):
         rad = solve_shell(2, 1.0, 1.9, 1.0)
