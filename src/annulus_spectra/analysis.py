@@ -361,11 +361,6 @@ class BetaLimitsReport:
     dd_gap_ok: bool
     method: str
 
-    @property
-    def nd_bracket_margins(self) -> tuple:
-        """(lambda(b0) - lower end, upper end - lambda(b0))."""
-        return float(self.lams[0] - self.nd_bracket_lo), float(self.nd_bracket_hi - self.lams[0])
-
     def as_dict(self) -> dict:
         return {
             "betas": self.betas.tolist(),

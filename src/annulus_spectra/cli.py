@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, fem, geometry, radial, webfunc
-from .errors import AnnulusError, UsageError
+from .errors import AnnulusError, GeometryError, UsageError
 
 THREADS_ENV = "ANNULUS_SPECTRA_THREADS"
 
@@ -218,9 +218,12 @@ def cmd_shell(args) -> int:
 
 
 def cmd_fem(args) -> int:
-    outer = geometry.BoundaryCurve.parse(args.outer)
-    inner = geometry.BoundaryCurve.parse(args.inner)
-    domain = geometry.AnnularDomain(outer, inner)
+    try:
+        outer = geometry.BoundaryCurve.parse(args.outer)
+        inner = geometry.BoundaryCurve.parse(args.inner)
+        domain = geometry.AnnularDomain(outer, inner)
+    except GeometryError as err:
+        raise UsageError(str(err)) from err
     n_r, n_a = _parse_res(args.res)
     result = fem.solve_domain(domain, args.beta, n_r, n_a)
     print(f"lambda_h = {result.lam:.12g}  ({n_r}x{n_a} mesh, beta={args.beta})")
@@ -239,18 +242,24 @@ def _dump_json(payload, path):
         fh.write("\n")
 
 
-def _print_check(name: str, ok: bool, detail: str = "") -> bool:
+def _print_check(name: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
     print(f"[{status}] {name}" + (f": {detail}" if detail else ""))
-    return ok
 
 
 # -- verification suites ----------------------------------------------------
+#
+# Each suite takes the parsed arguments and the --res resolution and returns
+# (payload, checks): the JSON report body and its (name, ok, detail) rows.
 
 
-def _suite_geometry(seed: int, quick: bool):
-    rng = np.random.default_rng(seed)
-    count = 30 if quick else 100
+def _check_rows(checks) -> list:
+    return [{"name": n, "pass": bool(ok), "detail": d} for n, ok, d in checks]
+
+
+def _suite_geometry(args, resolution):
+    rng = np.random.default_rng(args.seed)
+    count = 30 if args.quick else 100
     checks = []
     worst_pmi, worst_af = math.inf, math.inf
     for _ in range(count):
@@ -272,19 +281,12 @@ def _suite_geometry(seed: int, quick: bool):
         geometry.AnnularDomain(geometry.Circle((0, 0), 2.0), geometry.Circle((0.5, 0), 1.0))
     )[2]
     checks.append(("class_s_circle_pair", abs(res) < 1e-12, f"residual {res:.3e}"))
-    payload = {
-        "seed": seed,
-        "polygons": count,
-        "checks": [
-            {"name": n, "pass": bool(ok), "detail": d} for n, ok, d in checks
-        ],
-    }
-    return all(ok for _, ok, _ in checks), payload, checks
+    return {"seed": args.seed, "polygons": count, "checks": _check_rows(checks)}, checks
 
 
-def _suite_radial(seed: int, quick: bool):
-    rng = np.random.default_rng(seed)
-    cases = 5 if quick else 12
+def _suite_radial(args, resolution):
+    rng = np.random.default_rng(args.seed)
+    cases = 5 if args.quick else 12
     worst = 0.0
     worst3d = 0.0
     for _ in range(cases):
@@ -297,7 +299,7 @@ def _suite_radial(seed: int, quick: bool):
         worst = max(worst, abs(lam - lam_fd) / lam)
         if n == 3:
             worst3d = max(worst3d, abs(lam - radial.closed_form_3d(r1, r2, beta)) / lam)
-    mono = radial.radii_monotonicity(2, 1.0, 1.0, 2.0, 5 if quick else 9)
+    mono = radial.radii_monotonicity(2, 1.0, 1.0, 2.0, 5 if args.quick else 9)
     base = radial.solve_shell(3, 1.0, 2.0, 2.0).lam
     scaled = radial.solve_shell(3, 2.0, 4.0, 1.0).lam
     scaling_err = abs(base - 4.0 * scaled) / base
@@ -307,18 +309,13 @@ def _suite_radial(seed: int, quick: bool):
         ("radii_monotonicity", mono.violations == 0, f"{mono.violations} violations"),
         ("scaling_law", scaling_err <= 1e-9, f"rel err {scaling_err:.3e}"),
     ]
-    payload = {
-        "seed": seed,
-        "cases": cases,
-        "checks": [{"name": n, "pass": bool(ok), "detail": d} for n, ok, d in checks],
-    }
-    return all(ok for _, ok, _ in checks), payload, checks
+    return {"seed": args.seed, "cases": cases, "checks": _check_rows(checks)}, checks
 
 
-def _suite_theorem(quick: bool, resolution):
+def _suite_theorem(args, resolution):
     family = analysis.standard_family()
-    betas = (1.0,) if quick else (0.1, 1.0, 10.0)
-    res = (24, 96) if quick else resolution
+    betas = (1.0,) if args.quick else (0.1, 1.0, 10.0)
+    res = (24, 96) if args.quick else resolution
     all_reports = []
     for beta in betas:
         all_reports.extend(analysis.main_theorem_sweep(family, beta, resolution=res))
@@ -326,27 +323,20 @@ def _suite_theorem(quick: bool, resolution):
         (rep.name + f"@beta={rep.context['beta']}", rep.passed, f"margin {rep.margin:+.3e}")
         for rep in all_reports
     ]
-    payload = {"reports": [r.as_dict() for r in all_reports]}
-    return all(r.passed for r in all_reports), payload, checks
+    return {"reports": [r.as_dict() for r in all_reports]}, checks
 
 
-def _suite_bounds(seed: int, quick: bool):
+def _suite_bounds(args, resolution):
     reports = []
     for beta in (0.1, 1.0, 1e3):
         reports.extend(analysis.kuttler_bounds(geometry.ShellSpec(2, 1.0, 2.0), beta))
     reports.extend(analysis.kuttler_bounds(geometry.ShellSpec(3, 1.0, 2.0), 1.0))
     checks = [(rep.name, rep.passed, f"margin {rep.margin:+.3e}") for rep in reports]
-    geo_ok, geo_payload, geo_checks = _suite_geometry(seed, quick)
-    checks.extend(geo_checks)
-    payload = {
-        "kuttler": [r.as_dict() for r in reports],
-        "polygon_suite": geo_payload,
-    }
-    return all(ok for _, ok, _ in checks), payload, checks
+    return {"kuttler": [r.as_dict() for r in reports]}, checks
 
 
-def _suite_shape_derivative(quick: bool, resolution):
-    res = (32, 128) if quick else resolution
+def _suite_shape_derivative(args, resolution):
+    res = (32, 128) if args.quick else resolution
     dom = geometry.AnnularDomain(geometry.Circle((0, 0), 2.0), geometry.Circle((0.5, 0), 1.0))
     fem_res = fem.solve_domain(dom, 1.0, *res)
     field = analysis.PerturbationField(kind="translation", target="inner", vector=(1.0, 0.0))
@@ -372,12 +362,12 @@ def _suite_shape_derivative(quick: bool, resolution):
         "resolution": f"{res[0]}x{res[1]}",
         "method": "fem+fd",
     }
-    return all(ok for _, ok, _ in checks), payload, checks
+    return payload, checks
 
 
-def _suite_web(quick: bool, resolution):
-    res = (24, 96) if quick else resolution
-    quad = 128 * 128 if quick else webfunc.DEFAULT_QUAD_LEVEL
+def _suite_web(args, resolution):
+    res = (24, 96) if args.quick else resolution
+    quad = (256, 64) if args.quick else webfunc.DEFAULT_QUAD_LEVEL
     shell_dom = geometry.AnnularDomain(geometry.Circle((0, 0), 2.0), geometry.Circle((0, 0), 1.0))
     rad = radial.solve_shell(2, 1.0, 2.0, 1.0)
     web = webfunc.build_web(shell_dom, rad)
@@ -387,7 +377,7 @@ def _suite_web(quick: bool, resolution):
         ("shell_identity", identity_rel <= 1e-6, f"rel err {identity_rel:.3e}"),
         ("shell_certified", web.certified, f"jump {web.interface_jump:.3e}"),
     ]
-    members = analysis.standard_family()[1:] if not quick else analysis.standard_family()[1:3]
+    members = analysis.standard_family()[1:] if not args.quick else analysis.standard_family()[1:3]
     reports = []
     for i, dom in enumerate(members):
         rep = webfunc.chain_certificate(dom, 1.0, n_r=res[0], n_a=res[1], quad_level=quad)
@@ -401,8 +391,19 @@ def _suite_web(quick: bool, resolution):
                 f"continuity_ok={rep['continuity_ok']}",
             )
         )
-    payload = {"shell_identity_rel": identity_rel, "chains": reports}
-    return all(ok for _, ok, _ in checks), payload, checks
+    return {"shell_identity_rel": identity_rel, "chains": reports}, checks
+
+
+# the only list of suite names: --suite takes a key or "all", which runs
+# every suite once in this order
+SUITES = {
+    "geometry": _suite_geometry,
+    "radial": _suite_radial,
+    "theorem": _suite_theorem,
+    "bounds": _suite_bounds,
+    "shape-derivative": _suite_shape_derivative,
+    "web": _suite_web,
+}
 
 
 def cmd_verify(args) -> int:
@@ -410,37 +411,18 @@ def cmd_verify(args) -> int:
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-    suites = (
-        ["geometry", "radial", "theorem", "bounds", "shape-derivative", "web"]
-        if args.suite == "all"
-        else [args.suite]
-    )
     index = {}
-    all_ok = True
-    for suite in suites:
+    for suite in SUITES if args.suite == "all" else [args.suite]:
         print(f"-- suite {suite}")
-        if suite == "geometry":
-            ok, payload, checks = _suite_geometry(args.seed, args.quick)
-        elif suite == "radial":
-            ok, payload, checks = _suite_radial(args.seed, args.quick)
-        elif suite == "theorem":
-            ok, payload, checks = _suite_theorem(args.quick, resolution)
-        elif suite == "bounds":
-            ok, payload, checks = _suite_bounds(args.seed, args.quick)
-        elif suite == "shape-derivative":
-            ok, payload, checks = _suite_shape_derivative(args.quick, resolution)
-        elif suite == "web":
-            ok, payload, checks = _suite_web(args.quick, resolution)
-        else:
-            raise UsageError(f"unknown suite {suite!r}")
-        for name, check_ok, detail in checks:
-            _print_check(name, check_ok, detail)
-        index[suite] = bool(ok)
-        all_ok &= ok
+        payload, checks = SUITES[suite](args, resolution)
+        for check in checks:
+            _print_check(*check)
+        index[suite] = all(ok for _, ok, _ in checks)
         if out:
             _dump_json(payload, out / f"{suite.replace('-', '_')}_report.json")
     if out:
         _dump_json(index, out / "index.json")
+    all_ok = all(index.values())
     print("verify:", "PASS" if all_ok else "FAIL")
     return 0 if all_ok else 1
 
@@ -561,7 +543,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument(
         "--suite",
-        choices=("geometry", "radial", "theorem", "bounds", "shape-derivative", "web", "all"),
+        choices=(*SUITES, "all"),
         default="all",
     )
     p_verify.add_argument("--seed", type=int, default=7)

@@ -419,7 +419,7 @@ def solve_on_mesh(mesh: Mesh, beta: float) -> FemEigenResult:
     u[free_map] = u_free
     if float(np.min(u)) < -1e-10:
         raise SolverError(f"eigenvector lost positivity (min {float(np.min(u)):.3e})")
-    res = float(np.linalg.norm(a @ u_free - lam * (m @ u_free)))
+    res = stats["residual"]
     if res > RESIDUAL_FACTOR * float(np.linalg.norm(u_free)):
         raise SolverError(f"generalized residual {res:.3e} above tolerance")
     return FemEigenResult(lam=float(lam), u=u, mesh=mesh, beta=beta, free_map=free_map, stats=stats)

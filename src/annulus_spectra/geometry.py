@@ -704,13 +704,15 @@ class AnnularDomain:
 
     The center is the star-shape reference used for meshing; it must lie
     strictly inside the hole.  Compact containment of the hole is checked
-    by dense boundary sampling.  The domain is immutable, so fem keeps its
-    validated meshes in _meshes, keyed by resolution.
+    by dense boundary sampling, and gap keeps the smallest distance from
+    those hole samples to the outer curve.  The domain is immutable, so fem
+    keeps its validated meshes in _meshes, keyed by resolution.
     """
 
     outer: BoundaryCurve
     inner: BoundaryCurve
     center: np.ndarray = None
+    gap: float = field(init=False, compare=False)
     _meshes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -733,6 +735,7 @@ class AnnularDomain:
             raise ContainmentError("hole is not contained in the outer region")
         if gap <= CONTAINMENT_REL_GAP * self.outer.scale:
             raise ContainmentError(f"hole touches the outer boundary (gap {gap:.3e})")
+        object.__setattr__(self, "gap", gap)
 
     @property
     def area(self) -> float:
@@ -821,10 +824,11 @@ def scale_hole_to_class_s(outer: BoundaryCurve, hole_shape: BoundaryCurve, cente
 
 
 def _fits(outer: BoundaryCurve, hole: BoundaryCurve) -> bool:
-    pts = hole.sample(CONTAINMENT_SAMPLES // 4)
-    if not np.all(outer.contains(pts)):
+    try:
+        AnnularDomain(outer, hole)
+    except ContainmentError:
         return False
-    return float(np.min(outer.distance(pts))) > CONTAINMENT_REL_GAP * outer.scale
+    return True
 
 
 def disk_intersection_area(c1, r1: float, c2, r2: float) -> float:

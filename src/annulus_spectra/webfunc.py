@@ -17,7 +17,7 @@ instead of silently accepted.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -37,17 +37,19 @@ from .radial import RadialEigenResult, solve_shell
 
 CLASS_S_RTOL = 1e-8
 CONTINUITY_FACTOR = 1e-3
-DEFAULT_QUAD_LEVEL = 512 * 512
+# (n_s, n_theta): midpoint cells across and along the annulus
+DEFAULT_QUAD_LEVEL = (2048, 128)
 CLIP_SAMPLES = 2048
 INTERFACE_SAMPLES = 2048
 # brentq's absolute tolerance on s*, relative to the farthest outer distance
 SPLIT_XTOL = 1e-12
 
 
-def _sublevel_area(domain: AnnularDomain, s: float, s_free: float, outer_poly) -> float:
+def _sublevel_area(domain: AnnularDomain, s: float, outer_poly) -> float:
     """|{x in Omega : dist(x, hole) < s}|.
 
-    Steiner-exact while the parallel body stays inside the outer region;
+    Steiner-exact while the parallel body stays inside the outer region
+    (s up to the domain's measured gap);
     afterwards the overflow is cut off analytically for circle pairs and
     otherwise by the exact area of the parallel body's polygon inside
     outer_poly, both star shaped about the domain's center.
@@ -55,7 +57,7 @@ def _sublevel_area(domain: AnnularDomain, s: float, s_free: float, outer_poly) -
     hole = domain.inner
     if s <= 0.0:
         return 0.0
-    if s <= s_free:
+    if s <= domain.gap:
         return hole.perimeter() * s + math.pi * s * s
     if isinstance(hole, Circle) and isinstance(domain.outer, Circle):
         grown = disk_intersection_area(
@@ -79,9 +81,9 @@ def find_split(domain: AnnularDomain, radial: RadialEigenResult) -> float:
 
 
 def _split(domain: AnnularDomain, radial: RadialEigenResult):
-    """(s*, s_free, outer_poly) of find_split: s_free is the hole's free
-    distance to the outer curve, outer_poly the outer polygon of the area
-    law, None when s* is the free-regime root."""
+    """(s*, outer_poly) of find_split: outer_poly is the outer polygon of
+    the area law, None when s* is the free-regime root, reached before the
+    hole's free distance domain.gap to the outer curve."""
     r1, r2, residual = class_s_data(domain)
     if abs(residual) > CLASS_S_RTOL * domain.area:
         raise InfeasibleError(
@@ -94,25 +96,23 @@ def _split(domain: AnnularDomain, radial: RadialEigenResult):
     if target >= domain.area:
         raise InfeasibleError("split area target exceeds the domain area")
 
-    hole_samples = domain.inner.sample(CLIP_SAMPLES)
-    s_free = float(np.min(domain.outer.distance(hole_samples)))
-    if radial.r_bar - r1 <= s_free:
-        return radial.r_bar - r1, s_free, None
+    if radial.r_bar - r1 <= domain.gap:
+        return radial.r_bar - r1, None
 
     outer_poly = domain.outer.to_polygon(CLIP_SAMPLES)
     boundary_pts = domain.outer.sample(CLIP_SAMPLES)
     s_hi = float(np.max(domain.inner.distance(boundary_pts)))
 
     def shortfall(s):
-        return _sublevel_area(domain, s, s_free, outer_poly) - target
+        return _sublevel_area(domain, s, outer_poly) - target
 
-    # the Steiner area at s_free is below the target, as r_bar - R1 > s_free
+    # the Steiner area at the gap is below the target, as r_bar - R1 > gap
     if shortfall(s_hi) < 0.0:
         raise InfeasibleError(
             f"split area target is not reached within the outer polygon (s <= {s_hi:.6g})"
         )
-    s_star = brentq(shortfall, s_free, s_hi, xtol=SPLIT_XTOL * s_hi)
-    return s_star, s_free, outer_poly
+    s_star = brentq(shortfall, domain.gap, s_hi, xtol=SPLIT_XTOL * s_hi)
+    return s_star, outer_poly
 
 
 @dataclass(frozen=True)
@@ -131,10 +131,11 @@ class WebFunction:
     split_s: float
     continuity_tol: float
     interface_jump: float
-    contained: bool
-    containment_margin: float
     split_area_rel_err: float
-    diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def contained(self) -> bool:
+        return self.split_s < self.domain.gap
 
     @property
     def certified(self) -> bool:
@@ -183,9 +184,7 @@ def build_web(domain: AnnularDomain, radial: RadialEigenResult) -> WebFunction:
         raise RangeError("web functions are built on planar domains only")
     if radial.beta == 0.0:
         raise RangeError("web construction needs beta > 0")
-    s_star, s_free, outer_poly = _split(domain, radial)
-    contained = s_star < s_free
-    margin = s_free - s_star
+    s_star, outer_poly = _split(domain, radial)
 
     # measured jump across the split curve: the inner side sits on its
     # plateau (s* >= r_bar - R1 always), the outer side may not have
@@ -201,7 +200,7 @@ def build_web(domain: AnnularDomain, radial: RadialEigenResult) -> WebFunction:
         jump = math.inf
 
     target = math.pi * (radial.r_bar**2 - radial.shell.r_inner**2)
-    area_err = abs(_sublevel_area(domain, s_star, s_free, outer_poly) - target) / target
+    area_err = abs(_sublevel_area(domain, s_star, outer_poly) - target) / target
 
     web = WebFunction(
         domain=domain,
@@ -209,28 +208,19 @@ def build_web(domain: AnnularDomain, radial: RadialEigenResult) -> WebFunction:
         split_s=s_star,
         continuity_tol=CONTINUITY_FACTOR * radial.v_M,
         interface_jump=jump,
-        contained=contained,
-        containment_margin=margin,
         split_area_rel_err=area_err,
-        diagnostics={
-            "s_free": s_free,
-            "inner_plateau_width": s_star - (radial.r_bar - radial.shell.r_inner),
-        },
     )
     return web
 
 
 def _quad_grid(web: WebFunction, quad_level):
-    """Structured midpoint grid mapped between the two boundary curves.
+    """Structured midpoint grid of quad_level = (n_s, n_theta) cells mapped
+    between the two boundary curves.
 
-    The cell budget is split with a strong radial bias because the
-    transplanted profile varies across the annulus, not along it.
+    The default budget has a strong radial bias because the transplanted
+    profile varies across the annulus, not along it.
     """
-    if isinstance(quad_level, tuple):
-        n_s, n_theta = quad_level
-    else:
-        n_theta = max(64, int(round(math.sqrt(quad_level / 16.0))))
-        n_s = max(64, int(quad_level) // n_theta)
+    n_s, n_theta = quad_level
     center = web.domain.center
     dtheta = 2.0 * math.pi / n_theta
     theta = dtheta * (np.arange(n_theta) + 0.5)

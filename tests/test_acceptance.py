@@ -237,7 +237,8 @@ def test_criterion_9_beta_limits():
     # = 1.1927 at beta -> 0+), so nd gap rel is printed for reference only
     rep = beta_limits_check(ShellSpec(2, 1.0, 2.0), betas=np.logspace(-3, 4, 8))
     ok = rep.nd_bracket_ok and rep.dd_gap_ok and rep.strictly_monotone
-    lo_margin, hi_margin = rep.nd_bracket_margins
+    lo_margin = float(rep.lams[0] - rep.nd_bracket_lo)
+    hi_margin = float(rep.nd_bracket_hi - rep.lams[0])
     line = verdict(
         9, ok,
         f"lambda(1e-3) {rep.lams[0]:.12f} in [{rep.nd_bracket_lo:.12f}, "

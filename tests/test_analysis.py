@@ -275,7 +275,8 @@ class TestBetaLimits:
         rep = beta_limits_check(ShellSpec(2, 1.0, 2.0), betas=np.logspace(-3, 4, 8))
         assert rep.nd_bracket_ok
         assert rep.nd_bracket_hi - rep.nd_bracket_lo <= 3e-6 * rep.lam_nd
-        lo_margin, hi_margin = rep.nd_bracket_margins
+        lo_margin = float(rep.lams[0] - rep.nd_bracket_lo)
+        hi_margin = float(rep.nd_bracket_hi - rep.lams[0])
         assert min(lo_margin, hi_margin) >= 100.0 * rep.nd_bracket_allowance
         assert rep.nd_bracket_allowance > 0.0
 

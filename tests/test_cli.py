@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from annulus_spectra import cli
 from annulus_spectra.cli import main, write_svg_plot
 
 
@@ -84,7 +85,8 @@ class TestFemCommand:
         code = main(
             ["fem", "--outer", "blob 1 2", "--inner", "circle 0 0 1", "--beta", "1"]
         )
-        assert code == 1  # parse failure surfaces as a package error
+        assert code == 2
+        assert "error: unknown curve kind" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "spec, message",
@@ -96,8 +98,13 @@ class TestFemCommand:
     )
     def test_bad_curve_numbers(self, spec, message, capsys):
         code = main(["fem", "--outer", spec, "--inner", "circle 0 0 0.5", "--beta", "1"])
-        assert code == 1
+        assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_hole_not_contained_usage_error(self, capsys):
+        code = main(["fem", "--outer", "circle 0 0 2", "--inner", "circle 1.5 0 1", "--beta", "1"])
+        assert code == 2
+        assert "error: hole is not contained" in capsys.readouterr().err
 
     def test_nan_beta_usage_error(self, capsys):
         code = main(
@@ -152,6 +159,41 @@ class TestVerifyCommand:
         ) == 0
         index = json.loads((tmp_path / "index.json").read_text())
         assert index == {"geometry": True}
+
+    def test_bounds_suite_reports_kuttler_only(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "bounds", "--out", str(tmp_path)]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+        assert len(rows) == 12
+        assert {row.split(":")[0][len("[PASS] "):] for row in rows} == {
+            "robin_below_dirichlet",
+            "reciprocal_gap_volume_bound",
+            "reciprocal_gap_inradius_bound",
+        }
+        report = json.loads((tmp_path / "bounds_report.json").read_text())
+        assert list(report) == ["kuttler"]
+
+    def test_all_runs_each_suite_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in cli.SUITES:
+
+            def stub(args, resolution, name=name):
+                calls.append(name)
+                return {"suite": name}, [(name + "_check", True, "")]
+
+            monkeypatch.setitem(cli.SUITES, name, stub)
+        assert main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 0
+        assert calls == list(cli.SUITES)
+        index = json.loads((tmp_path / "index.json").read_text())
+        assert index == dict.fromkeys(cli.SUITES, True)
+
+    def test_failing_check_fails_its_suite(self, tmp_path, capsys, monkeypatch):
+        checks = [("good", True, ""), ("bad", False, "margin -1")]
+        monkeypatch.setitem(cli.SUITES, "geometry", lambda args, res: ({}, checks))
+        assert main(["verify", "--suite", "geometry", "--out", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "[PASS] good" in out and "[FAIL] bad: margin -1" in out
+        assert out.rstrip().endswith("verify: FAIL")
+        assert json.loads((tmp_path / "index.json").read_text()) == {"geometry": False}
 
 
 class TestSweepCommand:

@@ -147,7 +147,8 @@ class TestPolygonContainmentGap:
     def test_near_touching_rejected(self):
         # the hole's rightmost sample sits 1 - x_c - 0.5 from the edge x = 1;
         # the rejection threshold is CONTAINMENT_REL_GAP * 2 = 2e-9
-        AnnularDomain(self.SQUARE, Circle((0.5 - 4e-9, 0.0), 0.5))
+        near = AnnularDomain(self.SQUARE, Circle((0.5 - 4e-9, 0.0), 0.5))
+        assert near.gap == pytest.approx(4e-9, rel=1e-6)
         with pytest.raises(ContainmentError, match="touches"):
             AnnularDomain(self.SQUARE, Circle((0.5 - 1e-9, 0.0), 0.5))
         with pytest.raises(ContainmentError, match="not contained"):

@@ -97,10 +97,8 @@ class TestFindSplit:
         # one clip polygon past the free distance, none inside it
         assert polygons == ([CLIP_SAMPLES] if clipped else [])
         assert web.split_s == find_split(dom, rad)
-        s_free = float(np.min(dom.outer.distance(dom.inner.sample(CLIP_SAMPLES))))
-        assert web.diagnostics["s_free"] == s_free
         target = math.pi * (rad.r_bar**2 - r1 * r1)
-        area = _sublevel_area(dom, web.split_s, s_free, to_polygon(dom.outer, CLIP_SAMPLES))
+        area = _sublevel_area(dom, web.split_s, to_polygon(dom.outer, CLIP_SAMPLES))
         assert web.split_area_rel_err == abs(area - target) / target
 
     @pytest.mark.parametrize("member, s_star", [(6, 1.211489127597901), (7, 1.1273553731995172)])
@@ -112,7 +110,8 @@ class TestFindSplit:
         dom = standard_family()[member]
         r1, r2, _ = class_s_data(dom)
         web = build_web(dom, solve_shell(2, r1, r2, 0.1))
-        assert web.split_s > web.diagnostics["s_free"]
+        assert web.split_s > dom.gap
+        assert not web.contained
         assert web.split_s == pytest.approx(s_star, rel=1e-10)
         assert web.split_area_rel_err <= 1e-9
 
@@ -169,7 +168,7 @@ class TestRayleighQuotient:
     def test_shell_identity(self):
         rad = solve_shell(2, 1.0, 2.0, 1.0)
         web = build_web(SHELL_DOMAIN, rad)
-        _, value = rayleigh_quotient(web, 1.0, quad_level=512 * 512)
+        _, value = rayleigh_quotient(web, 1.0, quad_level=(2048, 128))
         assert value == pytest.approx(rad.lam, rel=1e-6)
 
     def test_uncertified_rejected(self):
@@ -269,7 +268,7 @@ class TestQuadrature:
 class TestChainCertificate:
     def test_report_fields_and_chain(self):
         dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.2, 0), 1.0))
-        report = chain_certificate(dom, 1.0, n_r=32, n_a=128, quad_level=128 * 128)
+        report = chain_certificate(dom, 1.0, n_r=32, n_a=128, quad_level=(256, 64))
         for key in (
             "s_star",
             "interface_jump",
