@@ -36,9 +36,6 @@ from .geometry import (
 )
 from .radial import LAMBDA_RTOL, PROFILE_RTOL, solve_shell
 
-# Relative target for the gap to the Neumann closure at the smallest beta.
-ND_GAP_RTOL = 1e-3
-
 
 @dataclass(frozen=True)
 class PerturbationField:
@@ -350,7 +347,6 @@ class BetaLimitsReport:
     monotone: bool
     strictly_monotone: bool
     nd_gap_rel: float
-    nd_gap_ok: bool
     nd_slope: float
     nd_bracket_lo: float
     nd_bracket_hi: float
@@ -370,7 +366,6 @@ class BetaLimitsReport:
             "monotone": self.monotone,
             "strictly_monotone": self.strictly_monotone,
             "nd_gap_rel": self.nd_gap_rel,
-            "nd_gap_ok": self.nd_gap_ok,
             "nd_slope": self.nd_slope,
             "nd_bracket_lo": self.nd_bracket_lo,
             "nd_bracket_hi": self.nd_bracket_hi,
@@ -386,14 +381,16 @@ class BetaLimitsReport:
 def _radial_boundary_ratio(result):
     """(s, error of s) for s = R2^(n-1) phi(R2)^2 / int phi^2 r^(n-1) dr.
 
-    Simpson's rule on the sampled profile; the error is its difference to
-    the rule on every second sample plus the stated profile accuracy of
-    phi^2 in numerator and denominator.
+    Simpson's rule in t = log r, int phi^2 r^n dt, on the profile's knots
+    uniform in t; the error is its difference to the rule on every second
+    knot plus the stated profile accuracy of phi^2 in numerator and
+    denominator.
     """
     shell = result.shell
-    density = result.phi**2 * result.r ** (shell.dim - 1)
-    mass = simpson(density, x=result.r)
-    coarse = simpson(density[::2], x=result.r[::2])
+    density = result.phi**2 * result.r**shell.dim
+    t = np.log(result.r)
+    mass = simpson(density, x=t)
+    coarse = simpson(density[::2], x=t[::2])
     s = shell.r_outer ** (shell.dim - 1) * result.phi[-1] ** 2 / mass
     return float(s), float(s * (abs(mass - coarse) / mass + 4.0 * PROFILE_RTOL))
 
@@ -402,9 +399,9 @@ def beta_limits_check(target, resolution=(48, 192), betas=None) -> BetaLimitsRep
     """Eigenvalue table over an increasing grid of beta with endpoint limits.
 
     The table must be nondecreasing (strictly so for the radial route).
-    The smallest beta b0 is compared with the Neumann closure lambda_ND in
-    two ways: at ND_GAP_RTOL relative (nd_gap_ok), and through the
-    small-beta bracket (nd_bracket_ok)
+    The smallest beta b0 is compared with the Neumann closure lambda_ND
+    through the small-beta bracket (nd_bracket_ok; nd_gap_rel only reports
+    their relative gap)
 
         lambda_ND + (b0 / b1) (lambda(b1) - lambda_ND) <= lambda(b0)
                                                        <= lambda_ND + b0 s,
@@ -480,7 +477,6 @@ def beta_limits_check(target, resolution=(48, 192), betas=None) -> BetaLimitsRep
         monotone=monotone,
         strictly_monotone=strictly,
         nd_gap_rel=float(nd_gap_rel),
-        nd_gap_ok=bool(nd_gap_rel <= ND_GAP_RTOL),
         nd_slope=float(slope),
         nd_bracket_lo=float(bracket_lo),
         nd_bracket_hi=float(bracket_hi),

@@ -22,30 +22,6 @@ import numpy as np
 from . import analysis, fem, geometry, radial, webfunc
 from .errors import AnnulusError, GeometryError, UsageError
 
-THREADS_ENV = "ANNULUS_SPECTRA_THREADS"
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise UsageError(f"{THREADS_ENV} must be an integer >= 1, got {raw!r}")
-    return cap
-
-
-def _map_ordered(fn, items):
-    """Map preserving order; threads only when the env cap allows them."""
-    cap = _thread_cap()
-    items = list(items)
-    if cap <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # tiny SVG plotting (deterministic, no timestamps)
 # ---------------------------------------------------------------------------
@@ -201,9 +177,11 @@ def cmd_shell(args) -> int:
         }
         print(f"lambda = {lam:.12g}  (finite-difference, m={args.fd_points})")
     else:
-        result = radial.solve_shell(args.n, args.r1, args.r2, args.beta, samples=args.grid)
+        result = radial.solve_shell(args.n, args.r1, args.r2, args.beta)
         report = result.report()
-        report["resolution"] = f"{args.grid} samples, profile rtol {radial.PROFILE_RTOL:g}"
+        report["resolution"] = (
+            f"{len(result.r)} knots uniform in log r, profile rtol {radial.PROFILE_RTOL:g}"
+        )
         print(
             f"lambda = {result.lam:.12g}  r_bar = {result.r_bar:.12g}  "
             f"v_m = {result.v_m:.12g}  v_M = {result.v_M:.12g}"
@@ -435,9 +413,8 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "beta":
         betas = np.logspace(math.log10(args.beta_min), math.log10(args.beta_max), args.steps)
-        lams = _map_ordered(
-            lambda b: radial.solve_shell(args.n, args.r1, args.r2, b).lam, betas
-        )
+        # a plain loop: the radial solves hold the GIL, so threads only add overhead
+        lams = [radial.solve_shell(args.n, args.r1, args.r2, b).lam for b in betas]
         rows = list(zip(betas, lams))
         _write_csv(out / "beta_sweep.csv", ["beta", "lambda"], rows)
         write_svg_plot(
@@ -459,7 +436,9 @@ def cmd_sweep(args) -> int:
             )
             return fem.solve_domain(dom, args.beta, n_r, n_a).lam
 
-        lams = _map_ordered(solve_offset, offsets)
+        # SuperLU and ARPACK release the GIL; map keeps the offsets' order
+        with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
+            lams = list(pool.map(solve_offset, offsets))
         margins = [lam_shell - l for l in lams]
         rows = list(zip(offsets, lams, [lam_shell] * len(lams), margins))
         _write_csv(out / "offset_sweep.csv", ["offset", "lambda_fem", "lambda_shell", "margin"], rows)
@@ -527,7 +506,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_shell.add_argument("--r2", type=_positive("--r2"), required=True)
     p_shell.add_argument("--beta", type=_parse_beta, required=True, help="Robin parameter (inf ok)")
     p_shell.add_argument("--method", choices=("bessel", "fd", "closed3d"), default="bessel")
-    p_shell.add_argument("--grid", type=_int_at_least("--grid", 2), default=radial.PROFILE_SAMPLES)
     p_shell.add_argument("--fd-points", type=_int_at_least("--fd-points", 100), default=20000)
     p_shell.add_argument("--out", default=None, help="directory for profile.csv and report JSON")
     p_shell.set_defaults(func=cmd_shell)

@@ -382,7 +382,6 @@ class FemEigenResult:
     u: np.ndarray
     mesh: Mesh
     beta: float
-    free_map: np.ndarray
     stats: dict
 
     def __post_init__(self):
@@ -422,7 +421,7 @@ def solve_on_mesh(mesh: Mesh, beta: float) -> FemEigenResult:
     res = stats["residual"]
     if res > RESIDUAL_FACTOR * float(np.linalg.norm(u_free)):
         raise SolverError(f"generalized residual {res:.3e} above tolerance")
-    return FemEigenResult(lam=float(lam), u=u, mesh=mesh, beta=beta, free_map=free_map, stats=stats)
+    return FemEigenResult(lam=float(lam), u=u, mesh=mesh, beta=beta, stats=stats)
 
 
 def beta_form_value(result: FemEigenResult) -> float:

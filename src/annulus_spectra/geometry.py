@@ -801,17 +801,14 @@ def scale_hole_to_class_s(outer: BoundaryCurve, hole_shape: BoundaryCurve, cente
         return scaled.translated(center - scaled.reference_point())
 
     if zero_hole and zero_out:
-        # any concentric disk-in-disk qualifies; report the feasible range
-        lo, hi = 0.0, 1.0
-        while _fits(outer, recentered(hole_shape, hi)):
-            hi *= 2.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _fits(outer, recentered(hole_shape, mid)):
-                lo = mid
-            else:
-                hi = mid
-        return (0.0, lo)
+        # any disk-in-disk qualifies up to the scale where its gap to the
+        # outer circle, R - o - s r, reaches the touching threshold
+        r_out, r_hole = 0.5 * outer.scale, 0.5 * hole_shape.scale
+        offset = float(np.hypot(*(center - outer.reference_point())))
+        s_max = (r_out * (1.0 - 2.0 * CONTAINMENT_REL_GAP) - offset) / r_hole
+        if not (s_max > 0.0 and _fits(outer, recentered(hole_shape, 0.5 * s_max))):
+            raise ContainmentError("no scaled hole fits in the outer body at this center")
+        return (0.0, s_max)
     if zero_hole:
         raise InfeasibleError("hole has zero deficit but the outer body does not")
     if zero_out and not zero_hole:

@@ -39,11 +39,13 @@ EPS = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class RadialEigenResult:
-    """First eigenpair on a shell with the sampled radial profile.
+    """First eigenpair on a shell with the radial profile on its knots.
 
-    r_bar is the unique interior critical radius of the profile, v_m the
-    boundary value phi(R2) and v_M the maximum phi(r_bar).  For beta = 0
-    the profile is nondecreasing and r_bar degenerates to R2.
+    r, phi and dphi hold the profile on its PROFILE_SAMPLES knots uniform
+    in log r, boundary values imposed.  r_bar is the unique interior
+    critical radius of the profile, v_m the boundary value phi(R2) and v_M
+    the maximum phi(r_bar).  For beta = 0 the profile is nondecreasing and
+    r_bar degenerates to R2.
     """
 
     shell: ShellSpec
@@ -146,22 +148,17 @@ def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
     return brentq(lambda k: float(g(k)), lo, hi, xtol=1e-15 * hi)
 
 
-def solve_shell(
-    n: int, r1: float, r2: float, beta: float, samples: int = PROFILE_SAMPLES
-) -> RadialEigenResult:
+def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     """First Robin-Dirichlet eigenvalue and profile on the shell (R1, R2).
 
     k is the first root of the Bessel characteristic equation, polished by
     Brent's method; beta may be 0 (Neumann closure) or inf (Dirichlet).
     The exact profile on PROFILE_SAMPLES knots uniform in t = log r feeds
     cubic Hermite splines of phi (dphi/dt = r phi') and phi' (by the ODE,
-    d(phi')/dt = -(n-1) phi' - lambda r phi), read by value(), slope() and
-    the `samples` output radii uniform in r.
+    d(phi')/dt = -(n-1) phi' - lambda r phi), read by value() and slope().
     """
     shell = ShellSpec(n, r1, r2)
     _check_beta(beta)
-    if samples < 2:
-        raise RangeError("need at least 2 output samples")
     nu = 0.5 * n - 1.0
     k = _first_root(n, r1, r2, beta)
     lam = k * k
@@ -225,17 +222,13 @@ def solve_shell(
         CubicHermiteSpline(t, phi, r * dphi),
         CubicHermiteSpline(t, dphi, -(n - 1.0) * dphi - lam * r * phi),
     )
-    rr = np.linspace(r1, r2, samples)
-    phi_out, dphi_out = dense[0](np.log(rr)), dense[1](np.log(rr))
-    # the end samples are the knots, boundary conditions included
-    phi_out[[0, -1]], dphi_out[[0, -1]] = phi[[0, -1]], dphi[[0, -1]]
     return RadialEigenResult(
         shell=shell,
         beta=beta,
         lam=float(lam),
-        r=rr,
-        phi=phi_out,
-        dphi=dphi_out,
+        r=r,
+        phi=phi,
+        dphi=dphi,
         r_bar=float(r_bar),
         v_m=v_m,
         v_M=float(v_M),

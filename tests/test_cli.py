@@ -1,10 +1,16 @@
+import csv
 import json
 import math
+import threading
 
+import numpy as np
 import pytest
 
 from annulus_spectra import cli
 from annulus_spectra.cli import main, write_svg_plot
+from annulus_spectra.fem import solve_domain
+from annulus_spectra.geometry import AnnularDomain, Circle
+from annulus_spectra.radial import solve_shell
 
 
 class TestShellCommand:
@@ -42,13 +48,22 @@ class TestShellCommand:
 
     @pytest.mark.parametrize(
         "flag, value, extra",
-        [("--n", "1", []), ("--grid", "0", []), ("--fd-points", "10", ["--method", "fd"])],
+        [
+            ("--n", "1", []),
+            ("--fd-points", "99", ["--method", "fd"]),
+            ("--fd-points", "10", ["--method", "fd"]),
+        ],
     )
     def test_integer_floor_usage_error(self, flag, value, extra, capsys):
         args = {"--n": "2", flag: value}
         argv = ["shell", "--r1", "1", "--r2", "2", "--beta", "1", *extra]
         assert main(argv + [item for pair in args.items() for item in pair]) == 2
         assert f"{flag} must be at least" in capsys.readouterr().err
+
+    def test_removed_grid_option_usage_error(self, capsys):
+        argv = ["shell", "--n", "2", "--r1", "1", "--r2", "2", "--beta", "1", "--grid", "5"]
+        assert main(argv) == 2
+        assert "--grid" in capsys.readouterr().err
 
     def test_writes_profile_and_report(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -240,14 +255,6 @@ class TestSweepCommand:
         assert main(argv) == 2
         assert f"{flag} must be positive and finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
-    def test_invalid_thread_cap_usage_error(self, value, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("ANNULUS_SPECTRA_THREADS", value)
-        argv = ["sweep", "--kind", "beta", "--steps", "3", "--out", str(tmp_path)]
-        assert main(argv) == 2
-        assert "ANNULUS_SPECTRA_THREADS must be an integer >= 1" in capsys.readouterr().err
-        assert not (tmp_path / "beta_sweep.csv").exists()
-
     def test_offset_sweep_margins(self, tmp_path, capsys):
         code = main(
             [
@@ -274,14 +281,26 @@ class TestSweepCommand:
             tmp_path / "b" / "beta_sweep.svg"
         ).read_bytes()
 
-    def test_byte_identical_across_thread_counts(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("ANNULUS_SPECTRA_THREADS", "1")
-        main(["sweep", "--kind", "beta", "--steps", "5", "--out", str(tmp_path / "serial")])
-        monkeypatch.setenv("ANNULUS_SPECTRA_THREADS", "4")
-        main(["sweep", "--kind", "beta", "--steps", "5", "--out", str(tmp_path / "threads")])
-        assert (tmp_path / "serial" / "beta_sweep.csv").read_bytes() == (
-            tmp_path / "threads" / "beta_sweep.csv"
-        ).read_bytes()
+    def test_threaded_offset_sweep_matches_serial_solves(self, tmp_path, monkeypatch):
+        solve_threads = []
+
+        def recording_solve(*args):
+            solve_threads.append(threading.get_ident())
+            return solve_domain(*args)
+
+        monkeypatch.setattr(cli.fem, "solve_domain", recording_solve)
+        argv = ["sweep", "--kind", "offset", "--steps", "4", "--res", "16x64"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        # every FEM solve ran on a pool thread
+        assert len(solve_threads) == 4 and threading.get_ident() not in solve_threads
+        lam_shell = solve_shell(2, 1.0, 2.0, 1.0).lam
+        expected = [["offset", "lambda_fem", "lambda_shell", "margin"]]
+        for off in np.linspace(0.0, 0.9 * (1.0 - 0.08), 4):
+            dom = AnnularDomain(Circle((0, 0), 2.0), Circle((off, 0), 1.0))
+            lam = solve_domain(dom, 1.0, 16, 64).lam
+            expected.append([f"{v:.17g}" for v in (off, lam, lam_shell, lam_shell - lam)])
+        with open(tmp_path / "offset_sweep.csv", newline="") as fh:
+            assert list(csv.reader(fh)) == expected
 
 
 class TestConfigFile:

@@ -251,6 +251,34 @@ class TestScaleHole:
         assert lo == 0.0
         assert hi == pytest.approx(2.0, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "outer, hole, center",
+        [
+            (Circle((0, 0), 2.0), Circle((0, 0), 1.0), None),
+            (Circle((0.3, -0.2), 3.0), Circle((5, 5), 0.7), (0.8, 0.4)),
+            (Ellipse((0, 0), 1.5, 1.5), Circle((1, 0), 0.25), None),
+        ],
+    )
+    def test_disk_in_disk_bound_is_closed_form(self, outer, hole, center, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return AnnularDomain(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "AnnularDomain", counting)
+        lo, hi = scale_hole_to_class_s(outer, hole, center)
+        r_out, r_hole = outer.scale / 2.0, hole.scale / 2.0
+        c = outer.reference_point() if center is None else np.asarray(center)
+        offset = math.hypot(*(c - outer.reference_point()))
+        expected = (r_out * (1.0 - 2.0 * geometry.CONTAINMENT_REL_GAP) - offset) / r_hole
+        assert lo == 0.0 and hi == pytest.approx(expected, rel=1e-15)
+        assert len(built) <= 2
+
+    def test_disk_center_outside_outer_disk_rejected(self):
+        with pytest.raises(ContainmentError):
+            scale_hole_to_class_s(Circle((0, 0), 1.0), Circle((0, 0), 0.2), center=(1.5, 0.0))
+
     def test_ellipse_outer_rectangle_hole(self):
         outer = Ellipse((0, 0), 2.0, 1.0)
         hole = PolygonCurve(ConvexPolygon.rectangle(1.5, 0.1))

@@ -12,6 +12,7 @@ from annulus_spectra.errors import AnnulusError, GeometryError, RangeError
 from annulus_spectra.radial import (
     EPS,
     LAMBDA_RTOL,
+    PROFILE_SAMPLES,
     closed_form_3d,
     radii_monotonicity,
     solve_shell,
@@ -101,15 +102,16 @@ class TestSolveShell:
     def test_numpy_integer_dimension_accepted(self):
         assert solve_shell(np.int64(3), 1.0, 2.0, 1.0).lam == solve_shell(3, 1.0, 2.0, 1.0).lam
 
-    @pytest.mark.parametrize("samples", [-5, 0, 1])
-    def test_too_few_samples_rejected(self, samples):
-        with pytest.raises(RangeError):
-            solve_shell(2, 1.0, 2.0, 1.0, samples=samples)
-
-    def test_two_samples_are_the_boundary_knots(self):
-        res = solve_shell(2, 1.0, 2.0, 1.0, samples=2)
-        assert list(res.r) == [1.0, 2.0]
-        assert res.phi[0] == 0.0 and res.phi[1] == res.v_m > 0.0
+    @pytest.mark.parametrize("shell", [(2, 1.0, 2.0, 1.0), (5, 0.01, 3.0, math.inf)])
+    def test_profile_is_on_the_knots(self, shell):
+        _, r1, r2, _ = shell
+        res = solve_shell(*shell)
+        assert len(res.r) == len(res.phi) == len(res.dphi) == PROFILE_SAMPLES
+        assert res.r[0] == r1 and res.r[-1] == r2
+        step = np.diff(np.log(res.r))
+        assert np.allclose(step, math.log(r2 / r1) / (PROFILE_SAMPLES - 1), rtol=1e-9, atol=0.0)
+        assert res.phi[0] == 0.0 and res.phi[-1] == res.v_m
+        assert np.max(np.abs(res.value(res.r) - res.phi)) <= 1e-14 * np.max(res.phi)
 
     def test_cross_method_random_grid(self, rng):
         for _ in range(6):
@@ -297,9 +299,9 @@ class TestRadiiMonotonicity:
 
 
 def test_profile_csv_roundtrip(tmp_path):
-    res = solve_shell(2, 1.0, 2.0, 1.0, samples=33)
+    res = solve_shell(2, 1.0, 2.0, 1.0)
     path = tmp_path / "profile.csv"
     write_profile_csv(res, path)
     data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (33, 3)
-    assert np.allclose(data[:, 1], res.phi)
+    assert data.shape == (PROFILE_SAMPLES, 3) == (4097, 3)
+    assert np.array_equal(data, np.column_stack([res.r, res.phi, res.dphi]))
