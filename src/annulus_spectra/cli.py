@@ -151,12 +151,19 @@ def _positive(flag: str):
     return parse
 
 
+def _require_below(low: float, high: float, low_flag: str, high_flag: str) -> None:
+    """Usage error unless the value of low_flag is below that of high_flag."""
+    if not low < high:
+        raise UsageError(f"{low_flag} must be below {high_flag}, got {low:g} >= {high:g}")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_shell(args) -> int:
+    _require_below(args.r1, args.r2, "--r1", "--r2")
     out = args.out and Path(args.out)
     if args.method == "closed3d":
         if args.n != 3:
@@ -372,6 +379,52 @@ def _suite_web(args, resolution):
     return {"shell_identity_rel": identity_rel, "chains": reports}, checks
 
 
+def _limits_rows(route, rep, order):
+    """Criterion 9's three checks of one BetaLimitsReport; order is the
+    monotonicity flag the route must meet."""
+    return [
+        (
+            f"{route}.nd_bracket_ok",
+            rep.nd_bracket_ok,
+            f"lambda({rep.betas[0]:g}) {rep.lams[0]:.12g} in [{rep.nd_bracket_lo:.12g}, "
+            f"{rep.nd_bracket_hi:.12g}] +- {rep.nd_bracket_allowance:.3e}",
+        ),
+        (
+            f"{route}.dd_gap_ok",
+            rep.dd_gap_ok,
+            f"dd gap {rep.dd_gap:.3e} <= bound {rep.dd_gap_bound:.3e}",
+        ),
+        (
+            f"{route}.{order}",
+            getattr(rep, order),
+            f"lambda {rep.lams[0]:.6g} .. {rep.lams[-1]:.6g} over beta {rep.betas[0]:g} .. "
+            f"{rep.betas[-1]:g}",
+        ),
+    ]
+
+
+def _suite_limits(args, resolution):
+    res = (24, 96) if args.quick else resolution
+    shell = analysis.beta_limits_check(geometry.ShellSpec(2, 1.0, 2.0))
+    # the hole offset by half the free span
+    member = analysis.standard_family()[3]
+    fem_rep = analysis.beta_limits_check(member, resolution=res)
+    checks = _limits_rows("radial", shell, "strictly_monotone") + _limits_rows(
+        "fem", fem_rep, "monotone"
+    )
+    payload = {
+        "radial": {"shell": {"n": 2, "r1": 1.0, "r2": 2.0}, **shell.as_dict()},
+        "fem": {
+            "outer": member.outer.spec_string(),
+            "inner": member.inner.spec_string(),
+            "resolution": f"{res[0]}x{res[1]}",
+            **fem_rep.as_dict(),
+        },
+        "checks": _check_rows(checks),
+    }
+    return payload, checks
+
+
 # the only list of suite names: --suite takes a key or "all", which runs
 # every suite once in this order
 SUITES = {
@@ -381,6 +434,7 @@ SUITES = {
     "bounds": _suite_bounds,
     "shape-derivative": _suite_shape_derivative,
     "web": _suite_web,
+    "limits": _suite_limits,
 }
 
 
@@ -409,6 +463,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    _require_below(args.r1, args.r2, "--r1", "--r2")
+    if args.kind == "beta":
+        _require_below(args.beta_min, args.beta_max, "--beta-min", "--beta-max")
+    if args.kind == "offset":
+        _require_below(args.gap, args.r2 - args.r1, "--gap", "--r2 - --r1")
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "beta":

@@ -17,6 +17,7 @@ instead of silently accepted.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,12 +294,26 @@ def chain_certificate(
     web and checks lambda_fem <= R(w) <= lambda_shell up to the stated
     tolerances.  The quotient of an uncertified web is still reported by
     default, flagged through the certificate fields.
+
+    The FEM solve shares nothing with the web leg, so it runs on one pool
+    thread while this thread builds the web and its quadrature (SuperLU
+    and ARPACK release the GIL).  The report is the serial one bit for
+    bit.  Errors keep the serial order: a FEM error wins over a web
+    error, and a web error is raised only after the FEM solve has
+    finished, so no thread outlives the call.
     """
     r1, r2, _ = class_s_data(domain)
     radial = solve_shell(2, r1, r2, beta)
-    fem = solve_domain(domain, beta, n_r, n_a)
-    web = build_web(domain, radial)
-    parts, value = rayleigh_quotient(web, beta, quad_level, allow_uncertified=allow_uncertified)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        fem_leg = pool.submit(solve_domain, domain, beta, n_r, n_a)
+        try:
+            web = build_web(domain, radial)
+            parts, value = rayleigh_quotient(
+                web, beta, quad_level, allow_uncertified=allow_uncertified
+            )
+        finally:
+            # raises the FEM error first, whatever the web leg raised
+            fem = fem_leg.result()
     fem_tolerance = 2e-3 * fem.lam
     lower_ok = fem.lam <= value + fem_tolerance
     upper_ok = value <= 1.02 * radial.lam

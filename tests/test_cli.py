@@ -13,6 +13,11 @@ from annulus_spectra.geometry import AnnularDomain, Circle
 from annulus_spectra.radial import solve_shell
 
 
+def usage_case(*argv, message):
+    """A usage-error case, with the test id pytest gives to argv alone."""
+    return pytest.param(*argv, message, id="-".join(argv))
+
+
 class TestShellCommand:
     def test_dirichlet_anchor(self, capsys):
         code = main(["shell", "--n", "3", "--r1", "1", "--r2", "2", "--beta", "inf"])
@@ -38,13 +43,22 @@ class TestShellCommand:
         assert main(["shell", "--n", "2", "--r1", "1", "--r2", "2", "--beta", beta]) == 2
         assert "beta must be nonnegative" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--r1", "nan"), ("--r1", "-1"), ("--r2", "inf")])
-    def test_invalid_radius_usage_error(self, flag, value, capsys):
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            usage_case("--r1", "nan", message="--r1 must be positive and finite"),
+            usage_case("--r1", "-1", message="--r1 must be positive and finite"),
+            usage_case("--r2", "inf", message="--r2 must be positive and finite"),
+            usage_case("--r1", "2", message="--r1 must be below --r2"),
+            usage_case("--r2", "0.5", message="--r1 must be below --r2"),
+        ],
+    )
+    def test_invalid_radius_usage_error(self, flag, value, message, capsys):
         args = {"--r1": "1", "--r2": "2"}
         args[flag] = value
         argv = ["shell", "--n", "2", "--r1", args["--r1"], "--r2", args["--r2"], "--beta", "1"]
         assert main(argv) == 2
-        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flag, value, extra",
@@ -201,6 +215,23 @@ class TestVerifyCommand:
         index = json.loads((tmp_path / "index.json").read_text())
         assert index == dict.fromkeys(cli.SUITES, True)
 
+    def test_quick_limits_suite(self, tmp_path, capsys):
+        assert main(["verify", "--suite", "limits", "--quick", "--out", str(tmp_path)]) == 0
+        rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
+        assert [row.split(":")[0] for row in rows] == [
+            "[PASS] radial.nd_bracket_ok",
+            "[PASS] radial.dd_gap_ok",
+            "[PASS] radial.strictly_monotone",
+            "[PASS] fem.nd_bracket_ok",
+            "[PASS] fem.dd_gap_ok",
+            "[PASS] fem.monotone",
+        ]
+        report = json.loads((tmp_path / "limits_report.json").read_text())
+        assert report["radial"]["method"] == "radial"
+        assert report["fem"]["method"] == "fem"
+        assert report["fem"]["resolution"] == "24x96"
+        assert json.loads((tmp_path / "index.json").read_text()) == {"limits": True}
+
     def test_failing_check_fails_its_suite(self, tmp_path, capsys, monkeypatch):
         checks = [("good", True, ""), ("bad", False, "margin -1")]
         monkeypatch.setitem(cli.SUITES, "geometry", lambda args, res: ({}, checks))
@@ -241,19 +272,33 @@ class TestSweepCommand:
         assert "--n must be at least 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "kind, flag, value",
+        "kind, flag, value, message",
         [
-            ("beta", "--r1", "0"),
-            ("beta", "--r2", "nan"),
-            ("beta", "--beta-min", "nan"),
-            ("beta", "--beta-max", "inf"),
-            ("offset", "--gap", "-0.5"),
+            usage_case("beta", "--r1", "0", message="--r1 must be positive and finite"),
+            usage_case("beta", "--r2", "nan", message="--r2 must be positive and finite"),
+            usage_case(
+                "beta", "--beta-min", "nan", message="--beta-min must be positive and finite"
+            ),
+            usage_case(
+                "beta", "--beta-max", "inf", message="--beta-max must be positive and finite"
+            ),
+            usage_case("offset", "--gap", "-0.5", message="--gap must be positive and finite"),
+            # defaults: r1 1, r2 2, beta in [1e-3, 1e4], gap 0.08
+            usage_case("beta", "--r1", "2", message="--r1 must be below --r2"),
+            usage_case("offset", "--r2", "0.5", message="--r1 must be below --r2"),
+            usage_case("resolution", "--r1", "3", message="--r1 must be below --r2"),
+            usage_case("beta", "--beta-min", "1e4", message="--beta-min must be below --beta-max"),
+            usage_case("beta", "--beta-max", "1e-4", message="--beta-min must be below --beta-max"),
+            usage_case("offset", "--gap", "1", message="--gap must be below --r2 - --r1"),
+            usage_case("offset", "--gap", "5", message="--gap must be below --r2 - --r1"),
         ],
     )
-    def test_invalid_float_flag_usage_error(self, kind, flag, value, tmp_path, capsys):
-        argv = ["sweep", "--kind", kind, flag, value, "--out", str(tmp_path)]
+    def test_invalid_float_flag_usage_error(self, kind, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--kind", kind, flag, value, "--out", str(out)]
         assert main(argv) == 2
-        assert f"{flag} must be positive and finite" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_offset_sweep_margins(self, tmp_path, capsys):
         code = main(

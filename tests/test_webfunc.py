@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 
 from annulus_spectra import webfunc
 from annulus_spectra.analysis import standard_family
-from annulus_spectra.errors import InfeasibleError, InvalidWebError, RangeError
+from annulus_spectra.errors import InfeasibleError, InvalidWebError, RangeError, SolverError
 from annulus_spectra.fem import solve_domain
 from annulus_spectra.geometry import (
     AnnularDomain,
@@ -281,3 +283,73 @@ class TestChainCertificate:
         assert report["chain_ok"]
         assert report["lambda_fem"] <= report["lambda_shell"] * (1.0 + 2e-3)
         assert json.loads(json.dumps(report)) == report
+
+    @pytest.mark.parametrize(
+        "make_domain",
+        [
+            lambda: AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0)),
+            lambda: AnnularDomain(Circle((0, 0), 2.0), Circle((0.4, 0), 1.0)),
+            ellipse_rectangle_member,
+        ],
+        ids=["shell", "eccentric", "ellipse"],
+    )
+    def test_report_equals_serial_composition(self, make_domain):
+        beta, quad = 1.0, (256, 64)
+        report = chain_certificate(make_domain(), beta, n_r=16, n_a=64, quad_level=quad)
+        # the legs one after the other, on a fresh domain (no memoised mesh)
+        dom = make_domain()
+        r1, r2, _ = class_s_data(dom)
+        radial = solve_shell(2, r1, r2, beta)
+        fem = solve_domain(dom, beta, 16, 64)
+        web = build_web(dom, radial)
+        parts, value = rayleigh_quotient(web, beta, quad, allow_uncertified=True)
+        serial = web.report() | {
+            "rayleigh": value,
+            "rayleigh_parts": parts,
+            "lambda_fem": fem.lam,
+            "lambda_shell": radial.lam,
+            "fem_tolerance": 2e-3 * fem.lam,
+        }
+        assert {key: report[key] for key in serial} == serial
+
+    def test_fem_solve_runs_off_the_calling_thread(self, monkeypatch):
+        solve_threads = []
+
+        def recording_solve(*args):
+            solve_threads.append(threading.get_ident())
+            return solve_domain(*args)
+
+        monkeypatch.setattr(webfunc, "solve_domain", recording_solve)
+        chain_certificate(SHELL_DOMAIN, 1.0, n_r=16, n_a=64, quad_level=(64, 32))
+        assert len(solve_threads) == 1 and solve_threads[0] != threading.get_ident()
+
+    def test_fem_error_wins_over_web_error(self, monkeypatch):
+        def failing_solve(*args):
+            raise SolverError("fem leg")
+
+        def failing_web(*args):
+            raise InvalidWebError("web leg")
+
+        monkeypatch.setattr(webfunc, "solve_domain", failing_solve)
+        monkeypatch.setattr(webfunc, "build_web", failing_web)
+        with pytest.raises(SolverError, match="fem leg"):
+            chain_certificate(SHELL_DOMAIN, 1.0, n_r=16, n_a=64)
+
+    def test_web_error_waits_for_the_fem_solve(self, monkeypatch):
+        finished = []
+
+        def slow_solve(*args):
+            time.sleep(0.2)
+            finished.append(True)
+            return solve_domain(*args)
+
+        def failing_web(*args):
+            raise InvalidWebError("web leg")
+
+        monkeypatch.setattr(webfunc, "solve_domain", slow_solve)
+        monkeypatch.setattr(webfunc, "build_web", failing_web)
+        threads = threading.active_count()
+        with pytest.raises(InvalidWebError, match="web leg"):
+            chain_certificate(SHELL_DOMAIN, 1.0, n_r=16, n_a=64)
+        assert finished == [True]
+        assert threading.active_count() == threads
