@@ -468,6 +468,9 @@ def cmd_sweep(args) -> int:
         _require_below(args.beta_min, args.beta_max, "--beta-min", "--beta-max")
     if args.kind == "offset":
         _require_below(args.gap, args.r2 - args.r1, "--gap", "--r2 - --r1")
+        n_r, n_a = _parse_res(args.res)
+    if args.kind == "resolution" and args.steps < 3:
+        raise UsageError("a resolution sweep needs --steps of at least 3")
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "beta":
@@ -484,7 +487,6 @@ def cmd_sweep(args) -> int:
         _print_check("beta_sweep_monotone", ok)
         return 0 if ok else 1
     if args.kind == "offset":
-        n_r, n_a = _parse_res(args.res)
         span = args.r2 - args.r1
         offsets = np.linspace(0.0, 0.9 * (span - args.gap), args.steps)
         lam_shell = radial.solve_shell(2, args.r1, args.r2, args.beta).lam
@@ -511,8 +513,6 @@ def cmd_sweep(args) -> int:
         _print_check("offset_margins_nonnegative", ok, f"min margin {min(margins):+.3e}")
         return 0 if ok else 1
     if args.kind == "resolution":
-        if args.steps < 3:
-            raise UsageError("a resolution sweep needs --steps of at least 3")
         dom = geometry.AnnularDomain(
             geometry.Circle((0, 0), args.r2), geometry.Circle((0, 0), args.r1)
         )

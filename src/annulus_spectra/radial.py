@@ -12,13 +12,28 @@ phi' = -c k r^-nu Z_(nu+1)(k r) (DLMF 10.6.6); c = -pi R1^(nu+1) / 2 gives
 phi'(R1) = 1 by the Wronskian (DLMF 10.5.2).  Three routes to the same
 number: this Bessel characteristic equation (the production path), a
 symmetric finite-difference pencil (oracle) and the 3D closed form.
+
+solve_shell certifies the eigenpair from a subset of the profile's knots:
+the boundary residual, one critical radius r_bar (or a nondecreasing
+profile at beta = 0) and the values phi(R2) < phi(r_bar).  The subset is
+every stride-th knot, stride the largest power of two that keeps it at
+most pi/(4k) apart in r, and it misses no zero of phi'.  sqrt(x) Z_mu(x)
+solves u'' + (1 - (4 mu^2 - 1)/(4 x^2)) u = 0, so for mu = nu + 1 = n/2 >= 1
+Sturm comparison with u'' + u = 0 puts consecutive zeros of Z_(nu+1)(k r)
+more than pi/k apart: each zero of phi', all simple, flips its sign
+between two neighbouring subset knots.  phi(R1) = 0, phi' > 0 before
+r_bar, phi' < 0 after it and phi(R2) >= 0 then make the profile
+positive.  The profile on all knots and its splines are built on first
+read, and that build checks positivity and the single drop of phi' on
+every knot again.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
@@ -41,33 +56,64 @@ EPS = float(np.finfo(float).eps)
 class RadialEigenResult:
     """First eigenpair on a shell with the radial profile on its knots.
 
-    r, phi and dphi hold the profile on its PROFILE_SAMPLES knots uniform
-    in log r, boundary values imposed.  r_bar is the unique interior
-    critical radius of the profile, v_m the boundary value phi(R2) and v_M
-    the maximum phi(r_bar).  For beta = 0 the profile is nondecreasing and
-    r_bar degenerates to R2.
+    r holds the PROFILE_SAMPLES knots uniform in log r.  r_bar is the
+    unique interior critical radius of the profile, v_m the boundary value
+    phi(R2) and v_M the maximum phi(r_bar).  For beta = 0 the profile is
+    nondecreasing and r_bar degenerates to R2.  phi and dphi, the profile
+    on the knots with boundary values imposed, and the splines behind
+    value() and slope() are built on first read.  The arrays are read-only.
     """
 
     shell: ShellSpec
     beta: float
     lam: float
     r: np.ndarray
-    phi: np.ndarray
-    dphi: np.ndarray
     r_bar: float
     v_m: float
     v_M: float
     method: str
     residual: float
-    _dense: tuple = None
+    _k: float = field(repr=False)
+
+    def __post_init__(self):
+        self.r.setflags(write=False)
+
+    @functools.cached_property
+    def _profile(self):
+        """phi and dphi on every knot, checked again, and their splines."""
+        n, r1, r2 = self.shell.dim, self.shell.r_inner, self.shell.r_outer
+        nu, k, r = 0.5 * n - 1.0, self._k, self.r
+        phi, dphi = _phi(nu, k, r1, r), _dphi(nu, k, r1, r)
+        phi[0] = 0.0
+        _impose_outer(phi, dphi, self.beta, k)
+        if np.any(phi[1:-1] <= 0.0):
+            raise NumericalError("profile is not positive inside the shell")
+        _one_drop(dphi, self.beta)
+        phi.setflags(write=False)
+        dphi.setflags(write=False)
+        t = _log_knots(r1, r2)
+        return (
+            phi,
+            dphi,
+            CubicHermiteSpline(t, phi, r * dphi),
+            CubicHermiteSpline(t, dphi, -(n - 1.0) * dphi - self.lam * r * phi),
+        )
+
+    @property
+    def phi(self) -> np.ndarray:
+        return self._profile[0]
+
+    @property
+    def dphi(self) -> np.ndarray:
+        return self._profile[1]
 
     def value(self, r):
         """Profile phi at arbitrary radii inside [R1, R2], by the spline in log r."""
-        return self._dense[0](np.log(np.asarray(r, dtype=float)))
+        return self._profile[2](np.log(np.asarray(r, dtype=float)))
 
     def slope(self, r):
         """Profile derivative phi' at arbitrary radii inside [R1, R2], likewise."""
-        return self._dense[1](np.log(np.asarray(r, dtype=float)))
+        return self._profile[3](np.log(np.asarray(r, dtype=float)))
 
     def report(self) -> dict:
         return {
@@ -116,6 +162,55 @@ def _cross(nu: float, mu: float, k, r1: float, r):
     return j_mu * y_nu - y_mu * j_nu
 
 
+def _scale(nu: float, r1: float, r):
+    """c r^-nu with c = -pi R1^(nu+1) / 2."""
+    return -0.5 * math.pi * r1 ** (nu + 1.0) * r**-nu
+
+
+def _phi(nu: float, k: float, r1: float, r):
+    return _scale(nu, r1, r) * _cross(nu, nu, k, r1, r)
+
+
+def _dphi(nu: float, k: float, r1: float, r):
+    return -k * _scale(nu, r1, r) * _cross(nu, nu + 1.0, k, r1, r)
+
+
+def _log_knots(r1: float, r2: float) -> np.ndarray:
+    return np.linspace(math.log(r1), math.log(r2), PROFILE_SAMPLES)
+
+
+def _stride(r, k: float) -> int:
+    """The largest power-of-two stride of the knots r, increasingly spaced,
+    that keeps them at most pi/(4k) apart."""
+    stride = PROFILE_SAMPLES - 1
+    while stride > 1 and r[-1] - r[-1 - stride] > 0.25 * math.pi / k:
+        stride //= 2
+    return stride
+
+
+def _impose_outer(phi, dphi, beta: float, k: float) -> None:
+    """Impose the boundary condition on the last entries, on the
+    better-conditioned side: phi(R2) nears a zero of Z_nu when beta > k,
+    phi'(R2) one of Z_(nu+1) otherwise."""
+    if beta > k:
+        phi[-1] = 0.0 if math.isinf(beta) else -dphi[-1] / beta
+    else:
+        dphi[-1] = -beta * phi[-1] if beta else 0.0
+
+
+def _one_drop(dphi, beta: float):
+    """Index of the one interval where phi' turns nonpositive; at beta = 0
+    a check that phi' stays positive before R2 instead, giving None."""
+    if beta == 0.0:
+        if np.any(dphi[:-1] <= 0.0):
+            raise NumericalError("Neumann profile should be increasing")
+        return None
+    drop = np.flatnonzero((dphi[:-1] > 0.0) & (dphi[1:] <= 0.0))
+    if len(drop) != 1:
+        raise NumericalError(f"expected one critical radius, found {len(drop)} candidates")
+    return int(drop[0])
+
+
 def _check_beta(beta: float) -> None:
     if not beta >= 0.0:  # also rejects nan
         raise RangeError("beta must be nonnegative")
@@ -149,13 +244,19 @@ def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
 
 
 def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
-    """First Robin-Dirichlet eigenvalue and profile on the shell (R1, R2).
+    """First Robin-Dirichlet eigenvalue of the shell (R1, R2), certified.
 
     k is the first root of the Bessel characteristic equation, polished by
     Brent's method; beta may be 0 (Neumann closure) or inf (Dirichlet).
-    The exact profile on PROFILE_SAMPLES knots uniform in t = log r feeds
+    The solve checks the boundary residual against its rounding allowance
+    and phi' on the stride subset of the knots (module docstring) for one
+    critical radius.  Finer knots narrow the drop of phi' to the knot
+    interval where Brent's method finds r_bar.  Each knot value comes from
+    the same array kernels as the full profile, so it has the same sign.
+    The full profile on PROFILE_SAMPLES knots uniform in t = log r, with
     cubic Hermite splines of phi (dphi/dt = r phi') and phi' (by the ODE,
-    d(phi')/dt = -(n-1) phi' - lambda r phi), read by value() and slope().
+    d(phi')/dt = -(n-1) phi' - lambda r phi), is built on first read of
+    phi, dphi, value() or slope().
     """
     shell = ShellSpec(n, r1, r2)
     _check_beta(beta)
@@ -163,19 +264,16 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     k = _first_root(n, r1, r2, beta)
     lam = k * k
 
-    t = np.linspace(math.log(r1), math.log(r2), PROFILE_SAMPLES)
-    r = np.exp(t)
+    r = np.exp(_log_knots(r1, r2))
     r[0], r[-1] = r1, r2
-    c = -0.5 * math.pi * r1 ** (nu + 1.0)
-    scale = c * r**-nu
-    phi = scale * _cross(nu, nu, k, r1, r)
-    dphi = -k * scale * _cross(nu, nu + 1.0, k, r1, r)
-    phi[0] = 0.0
+    stride = _stride(r, k)
+    dphi = _dphi(nu, k, r1, r[::stride])
+    phi = _phi(nu, k, r1, r[-1:])
 
     # the residual's rounding scales with the Bessel moduli sqrt(J^2 + Y^2) of
     # its products, which may both vanish; measured at most 5.1 of 64 units
     mod = lambda mu, x: math.hypot(jv(mu, x), yv(mu, x))
-    unit = 64.0 * EPS * (1.0 + k * r2) * abs(scale[-1]) * mod(nu, k * r1)
+    unit = 64.0 * EPS * (1.0 + k * r2) * abs(_scale(nu, r1, r[-1:])[0]) * mod(nu, k * r1)
     phi_err = unit * mod(nu, k * r2)
     if math.isinf(beta):
         residual, tol = phi[-1], phi_err
@@ -184,31 +282,27 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
         tol = k * unit * mod(nu + 1.0, k * r2) + beta * phi_err
     if not abs(residual) <= tol:
         raise NumericalError(f"boundary residual {residual:.3e} above rounding allowance {tol:.3e}")
-    # impose the boundary condition on the better-conditioned side: phi(R2)
-    # nears a zero of Z_nu when beta > k, phi'(R2) one of Z_(nu+1) otherwise
-    if beta > k:
-        phi[-1] = 0.0 if math.isinf(beta) else -dphi[-1] / beta
-    else:
-        dphi[-1] = -beta * phi[-1] if beta else 0.0
+    _impose_outer(phi, dphi, beta, k)
 
-    if np.any(phi[1:-1] <= 0.0):
-        raise NumericalError("profile is not positive inside the shell")
     v_m = float(phi[-1])
-    if beta == 0.0:
+    drop = _one_drop(dphi, beta)
+    if drop is None:
         r_bar, v_M = r2, v_m
-        if np.any(dphi[:-1] <= 0.0):
-            raise NumericalError("Neumann profile should be increasing")
     else:
-        drop = np.flatnonzero((dphi[:-1] > 0.0) & (dphi[1:] <= 0.0))
-        if len(drop) != 1:
-            raise NumericalError(f"expected one critical radius, found {len(drop)} candidates")
-        i = int(drop[0])
+        # phi'(r[lo]) > 0 >= phi'(r[hi]); each pass keeps the first drop
+        # among 64 equal steps, so at most two passes reach one knot interval
+        lo, hi = stride * drop, stride * (drop + 1)
+        while hi - lo > 1:
+            step = max((hi - lo) // 64, 1)
+            inner = np.arange(lo + step, hi, step)
+            falls = np.flatnonzero(_dphi(nu, k, r1, r[inner]) <= 0.0)
+            lo, hi = (inner[falls[0]] - step, inner[falls[0]]) if len(falls) else (inner[-1], hi)
         z1 = lambda s: _cross(nu, nu + 1.0, k, r1, s)
         try:
-            r_bar = brentq(z1, r[i], r[i + 1], xtol=EPS * r1)
+            r_bar = brentq(z1, r[lo], r[hi], xtol=EPS * r1)
         except ValueError as err:  # no sign change: beta below the rounding of phi'
             raise NumericalError("critical radius not resolved next to R2") from err
-        v_M = c * r_bar**-nu * _cross(nu, nu, k, r1, r_bar)
+        v_M = _scale(nu, r1, r_bar) * _cross(nu, nu, k, r1, r_bar)
         if not (r1 < r_bar < r2):
             raise NumericalError("critical radius escaped the shell interior")
         if not (v_m < v_M):
@@ -218,23 +312,17 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     if lam <= 0.0:
         raise NumericalError("eigenvalue must be positive")
 
-    dense = (
-        CubicHermiteSpline(t, phi, r * dphi),
-        CubicHermiteSpline(t, dphi, -(n - 1.0) * dphi - lam * r * phi),
-    )
     return RadialEigenResult(
         shell=shell,
         beta=beta,
         lam=float(lam),
         r=r,
-        phi=phi,
-        dphi=dphi,
         r_bar=float(r_bar),
         v_m=v_m,
         v_M=float(v_M),
         method="bessel",
         residual=float(residual),
-        _dense=dense,
+        _k=k,
     )
 
 

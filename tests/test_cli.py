@@ -266,6 +266,19 @@ class TestSweepCommand:
         assert "needs --steps of at least 3" in capsys.readouterr().err
         assert not (tmp_path / "resolution_sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "kind, flag, value, message",
+        [
+            ("offset", "--res", "1x1", "resolution needs at least 2 radial layers"),
+            ("resolution", "--steps", "2", "needs --steps of at least 3"),
+        ],
+    )
+    def test_kind_usage_error_creates_no_out(self, kind, flag, value, message, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["sweep", "--kind", kind, flag, value, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dimension_floor_usage_error(self, tmp_path, capsys):
         argv = ["sweep", "--kind", "beta", "--n", "1", "--steps", "3", "--out", str(tmp_path)]
         assert main(argv) == 2

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.special import jv, yv
 
 from annulus_spectra import radial
-from annulus_spectra.errors import AnnulusError, GeometryError, RangeError
+from annulus_spectra.errors import AnnulusError, GeometryError, NumericalError, RangeError
 from annulus_spectra.radial import (
     EPS,
     LAMBDA_RTOL,
@@ -254,6 +254,83 @@ def test_property_sweep(n, r1, width, beta):
     assert res.lam > 0.0
     assert lam_n * (1.0 - LAMBDA_RTOL) <= res.lam <= lam_d * (1.0 + LAMBDA_RTOL)
     assert np.all(res.phi[1:-1] > 0.0) and res.v_M > 0.0
+
+
+@settings(max_examples=60, deadline=2000, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 12),
+    r1=st.floats(-3.0, math.log10(2.0)).map(lambda e: 10.0**e),
+    width=st.floats(-3.0, math.log10(3.0)).map(lambda e: 10.0**e),
+    k_frac=st.floats(-8.0, 0.0).map(lambda e: 10.0**e),
+)
+def test_stride_subset_sees_every_slope_zero(n, r1, width, k_frac):
+    # the sign changes of Z_(nu+1)(k r) on the stride subset are those on
+    # all knots, one per subset interval, for k up to four times the first
+    # Dirichlet root, where the shell holds several zeros
+    dirichlet = solve_shell(n, r1, r1 + width, math.inf)
+    k = 4.0 * math.sqrt(dirichlet.lam) * k_frac
+    r, nu = dirichlet.r, 0.5 * n - 1.0
+    stride = radial._stride(r, k)
+    assert stride == PROFILE_SAMPLES - 1 or r[-1] - r[-1 - 2 * stride] > 0.25 * math.pi / k
+    assert np.max(np.diff(r[::stride])) <= 0.25 * math.pi / k
+    up = radial._cross(nu, nu + 1.0, k, r1, r) > 0.0
+    dense = np.flatnonzero(up[:-1] != up[1:])
+    coarse = np.flatnonzero(up[::stride][:-1] != up[::stride][1:])
+    assert np.array_equal(dense // stride, coarse)
+
+
+class TestLazyProfile:
+    @pytest.fixture
+    def sizes(self, monkeypatch):
+        sizes = []
+
+        def recording(nu, mu, k, r1, r):
+            sizes.append(np.size(r))
+            return _cross(nu, mu, k, r1, r)
+
+        _cross = radial._cross
+        monkeypatch.setattr(radial, "_cross", recording)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "shell", [(2, 1.0, 2.0, 1.0), (5, 1e-3, 2.0, 1e-3), (8, 1.0, 1.001, 0.0)]
+    )
+    def test_eager_fields_touch_no_full_profile(self, shell, sizes):
+        res = solve_shell(*shell)
+        assert res.lam > 0.0 and res.r_bar <= shell[2] and res.v_m <= res.v_M
+        assert sizes and PROFILE_SAMPLES not in sizes
+
+    def test_profile_built_once(self, sizes):
+        res = solve_shell(3, 1.0, 2.0, 1.0)
+        before = len(sizes)
+        res.phi
+        assert sizes[before:] == [PROFILE_SAMPLES, PROFILE_SAMPLES]
+        built = len(sizes)
+        res.phi, res.dphi, res.value(1.5), res.slope(1.5)
+        assert len(sizes) == built
+
+    @pytest.mark.parametrize(
+        "shell", [(2, 1.0, 2.0, 1.0), (12, 1e-3, 3.0, math.inf), (4, 0.5, 0.6, 0.0)]
+    )
+    def test_eager_fields_do_not_depend_on_reads(self, shell):
+        cold, warm = solve_shell(*shell), solve_shell(*shell)
+        warm.value(warm.r)
+        assert cold.report() == warm.report()
+        assert np.array_equal(cold.r, warm.r)
+
+    def test_arrays_read_only(self):
+        res = solve_shell(2, 1.0, 2.0, 1.0)
+        for arr in (res.r, res.phi, res.dphi):
+            with pytest.raises(ValueError):
+                arr[1] = 0.0
+
+    def test_failed_profile_check_raises_on_read(self, monkeypatch):
+        res = solve_shell(2, 1.0, 2.0, 1.0)
+        monkeypatch.setattr(radial, "_phi", lambda nu, k, r1, r: -np.ones_like(r))
+        with pytest.raises(NumericalError, match="not positive"):
+            res.phi
+        with pytest.raises(NumericalError, match="not positive"):
+            res.value(1.5)
 
 
 class TestFiniteDifference:
