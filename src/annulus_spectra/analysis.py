@@ -65,8 +65,10 @@ class PerturbationField:
         else:
             if self.target not in ("outer", "inner"):
                 raise RangeError("normal perturbation target must be outer or inner")
-            if self.mode < 1:
-                raise RangeError("Fourier mode must be >= 1")
+            # cos(mode * angle) is 2 pi-periodic only for whole modes
+            mode = self.mode
+            if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)) or mode < 1:
+                raise RangeError(f"Fourier mode must be an integer >= 1, got {mode!r}")
 
     def applies_to(self, which: str) -> bool:
         return self.target == which or self.target == "both"
@@ -166,6 +168,8 @@ def shape_derivative_formula(
 def _centered_difference(domain, beta, field, t_step, resolution):
     """(centered difference, (lambda(+t_step), lambda(-t_step))) over
     matched meshes."""
+    if not (t_step > 0.0 and np.isfinite(t_step)):  # also rejects nan
+        raise RangeError(f"finite-difference step must be positive and finite, got {t_step!r}")
     n_r, n_a = resolution
     lams = tuple(
         solve_domain(field.perturbed(domain, t, n_a), beta, n_r, n_a).lam
@@ -213,13 +217,29 @@ def shape_derivative_fd_with_noise(
 
 @dataclass(frozen=True)
 class InequalityReport:
-    """One checked inequality lhs <= rhs with margin = rhs - lhs."""
+    """One checked inequality lhs <= rhs, passed when margin = rhs - lhs
+    is at least -tolerance.  A strict inequality moves its bound to the
+    next float toward 0 (np.nextafter); a count of violations is the record
+    (count, 0, 0).  Numbers are stored as Python floats, for plain JSON."""
 
     name: str
     lhs: float
     rhs: float
     tolerance: float
     context: dict = None
+
+    def __post_init__(self):
+        for attr in ("lhs", "rhs", "tolerance"):
+            object.__setattr__(self, attr, float(getattr(self, attr)))
+
+    @classmethod
+    def between(cls, name, lo, value, hi, tolerance, context=None):
+        """lo <= value <= hi, recorded by its side with the smaller margin."""
+        return min(
+            cls(name, lo, value, tolerance, context),
+            cls(name, value, hi, tolerance, context),
+            key=lambda rep: rep.margin,
+        )
 
     @property
     def margin(self) -> float:
@@ -260,7 +280,9 @@ def _eigen_pair_for(target, beta: float, resolution):
         volume = target.volume
         perimeter = target.outer_area
         rho = target.r_outer
-        context = {"method": "radial", "dim": target.dim}
+        context = {
+            "method": "radial", "dim": int(target.dim), "r1": target.r_inner, "r2": target.r_outer
+        }
         disc = 1e-9 * lam
     else:
         n_r, n_a = resolution
@@ -281,14 +303,18 @@ def kuttler_bounds(target, beta: float, resolution=(48, 192)) -> list:
 
     Checks lambda(beta) <= lambda_DD and the two upper bounds for
     1/lambda(beta) - 1/lambda_DD: |Omega| / (beta P(Omega0)) from the
-    constant test function and its inradius relaxation.
+    constant test function and its inradius relaxation, which are stated
+    for beta > 0.
     """
+    if not beta > 0.0:  # also rejects nan
+        raise RangeError(f"reciprocal-gap bounds need beta > 0, got {beta!r}")
     lam, lam_dd, volume, perimeter, rho, context, disc = _eigen_pair_for(
         target, beta, resolution
     )
+    context = {**context, "beta": beta}
     tol = max(1e-8, 2.0 * disc)
     gap = 1.0 / lam - 1.0 / lam_dd
-    reports = [
+    return [
         InequalityReport("robin_below_dirichlet", lam, lam_dd, tol, context),
         InequalityReport(
             "reciprocal_gap_volume_bound", gap, volume / (beta * perimeter),
@@ -298,7 +324,6 @@ def kuttler_bounds(target, beta: float, resolution=(48, 192)) -> list:
             "reciprocal_gap_inradius_bound", gap, rho / beta, tol / lam**2, context
         ),
     ]
-    return reports
 
 
 def main_theorem_sweep(family, beta: float, resolution=(48, 192)) -> list:
@@ -340,22 +365,33 @@ def main_theorem_sweep(family, beta: float, resolution=(48, 192)) -> list:
 
 @dataclass(frozen=True)
 class BetaLimitsReport:
+    """Beta table with its limit clauses: clauses maps each flag below
+    (nd_bracket_ok, dd_gap_ok, monotone, strictly_monotone) to its record."""
+
     betas: np.ndarray
     lams: np.ndarray
     lam_nd: float
     lam_dd: float
-    monotone: bool
-    strictly_monotone: bool
     nd_gap_rel: float
     nd_slope: float
     nd_bracket_lo: float
     nd_bracket_hi: float
-    nd_bracket_allowance: float
-    nd_bracket_ok: bool
-    dd_gap: float
-    dd_gap_bound: float
-    dd_gap_ok: bool
     method: str
+    clauses: dict
+
+    monotone = property(lambda self: self.clauses["monotone"].passed)
+    strictly_monotone = property(lambda self: self.clauses["strictly_monotone"].passed)
+    nd_bracket_ok = property(lambda self: self.clauses["nd_bracket_ok"].passed)
+    dd_gap_ok = property(lambda self: self.clauses["dd_gap_ok"].passed)
+    nd_bracket_allowance = property(lambda self: self.clauses["nd_bracket_ok"].tolerance)
+    dd_gap = property(lambda self: self.clauses["dd_gap_ok"].lhs)
+    dd_gap_bound = property(lambda self: self.clauses["dd_gap_ok"].rhs)
+
+    @property
+    def checks(self) -> list:
+        """Both limits, and a table that rises strictly (radial) or never falls (FEM)."""
+        order = "strictly_monotone" if self.method == "radial" else "monotone"
+        return [self.clauses[name] for name in ("nd_bracket_ok", "dd_gap_ok", order)]
 
     def as_dict(self) -> dict:
         return {
@@ -363,18 +399,15 @@ class BetaLimitsReport:
             "lambdas": self.lams.tolist(),
             "lambda_nd": self.lam_nd,
             "lambda_dd": self.lam_dd,
-            "monotone": self.monotone,
-            "strictly_monotone": self.strictly_monotone,
             "nd_gap_rel": self.nd_gap_rel,
             "nd_slope": self.nd_slope,
             "nd_bracket_lo": self.nd_bracket_lo,
             "nd_bracket_hi": self.nd_bracket_hi,
             "nd_bracket_allowance": self.nd_bracket_allowance,
-            "nd_bracket_ok": self.nd_bracket_ok,
             "dd_gap": self.dd_gap,
             "dd_gap_bound": self.dd_gap_bound,
-            "dd_gap_ok": self.dd_gap_ok,
             "method": self.method,
+            **{name: rep.passed for name, rep in self.clauses.items()},
         }
 
 
@@ -450,9 +483,6 @@ def beta_limits_check(target, resolution=(48, 192), betas=None) -> BetaLimitsRep
     nd = solve(0.0)
     lam_nd = nd.lam
     lam_dd = solve(float("inf")).lam
-    diffs = np.diff(lams)
-    monotone = bool(np.all(diffs >= -1e-12 * lams[:-1]))
-    strictly = bool(np.all(diffs > 0.0))
     nd_gap_rel = abs(lams[0] - lam_nd) / lam_nd
 
     slope, slope_err = slope_of(nd)
@@ -465,27 +495,33 @@ def beta_limits_check(target, resolution=(48, 192), betas=None) -> BetaLimitsRep
         allowance += weight * lam_tol(results[1])
     else:
         bracket_lo = lam_nd
-    bracket_ok = bracket_lo - allowance <= lams[0] <= bracket_hi + allowance
 
     dd_gap = 1.0 / lams[-1] - 1.0 / lam_dd
     dd_bound = volume / (betas[-1] * perimeter)
+    diffs = np.diff(lams)
+    # violation counts: falls beyond round-off, and steps that do not rise
+    falls, flat = np.sum(diffs < -1e-12 * lams[:-1]), np.sum(diffs <= 0.0)
+    clauses = {
+        "nd_bracket_ok": InequalityReport.between(
+            f"{method}.nd_bracket_ok", bracket_lo, lams[0], bracket_hi, allowance, {"beta": b0}
+        ),
+        "dd_gap_ok": InequalityReport(
+            f"{method}.dd_gap_ok", dd_gap, dd_bound, 1e-9 * dd_bound, {"beta": betas[-1]}
+        ),
+        "monotone": InequalityReport(f"{method}.monotone", falls, 0, 0),
+        "strictly_monotone": InequalityReport(f"{method}.strictly_monotone", flat, 0, 0),
+    }
     return BetaLimitsReport(
         betas=betas,
         lams=lams,
         lam_nd=lam_nd,
         lam_dd=lam_dd,
-        monotone=monotone,
-        strictly_monotone=strictly,
         nd_gap_rel=float(nd_gap_rel),
         nd_slope=float(slope),
         nd_bracket_lo=float(bracket_lo),
         nd_bracket_hi=float(bracket_hi),
-        nd_bracket_allowance=float(allowance),
-        nd_bracket_ok=bool(bracket_ok),
-        dd_gap=float(dd_gap),
-        dd_gap_bound=float(dd_bound),
-        dd_gap_ok=bool(dd_gap <= dd_bound * (1.0 + 1e-9)),
         method=method,
+        clauses=clauses,
     )
 
 

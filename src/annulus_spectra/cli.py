@@ -227,46 +227,47 @@ def _dump_json(payload, path):
         fh.write("\n")
 
 
-def _print_check(name: str, ok: bool, detail: str = "") -> None:
-    status = "PASS" if ok else "FAIL"
-    print(f"[{status}] {name}" + (f": {detail}" if detail else ""))
+def _print_check(check: analysis.InequalityReport) -> None:
+    context = "".join(f" {key}={value}" for key, value in (check.context or {}).items())
+    print(
+        f"[{'PASS' if check.passed else 'FAIL'}] {check.name}: margin {check.margin:+.3e} "
+        f"tolerance {check.tolerance:.3e} lhs {check.lhs:.12g} rhs {check.rhs:.12g}{context}"
+    )
 
 
 # -- verification suites ----------------------------------------------------
 #
 # Each suite takes the parsed arguments and the --res resolution and returns
-# (payload, checks): the JSON report body and its (name, ok, detail) rows.
+# (payload, checks): the JSON report body and its InequalityReport rows.
 
-
-def _check_rows(checks) -> list:
-    return [{"name": n, "pass": bool(ok), "detail": d} for n, ok, d in checks]
+Check = analysis.InequalityReport
 
 
 def _suite_geometry(args, resolution):
     rng = np.random.default_rng(args.seed)
     count = 30 if args.quick else 100
-    checks = []
-    worst_pmi, worst_af = math.inf, math.inf
+    pmi, af = [], []
     for _ in range(count):
         poly = geometry.random_convex_polygon(
             rng, int(rng.integers(3, 24)), scale=float(rng.uniform(0.5, 3.0))
         )
         rho = geometry.inradius(poly)
         ratio = poly.area / poly.perimeter
-        worst_pmi = min(worst_pmi, ratio - rho / 2.0, rho - ratio)
-        worst_af = min(worst_af, geometry.aleksandrov_fenchel_check(poly))
-    checks.append(("pmi_bounds", worst_pmi >= -1e-12, f"worst margin {worst_pmi:.3e}"))
-    checks.append(("aleksandrov_fenchel", worst_af >= -1e-9, f"worst margin {worst_af:.3e}"))
+        pmi.append(Check.between("pmi_bounds", rho / 2.0, ratio, rho, 1e-12))
+        af.append(Check("aleksandrov_fenchel", 0.0, geometry.aleksandrov_fenchel_check(poly), 1e-9))
     # the margin of a regular n-gon decays like pi^2 / (6 n^2), so the
     # 4096-gon sits well below 1e-6 while 1024 straddles it
-    disk = geometry.ConvexPolygon.regular(4096, 1.0)
-    af_disk = geometry.aleksandrov_fenchel_check(disk)
-    checks.append(("af_disk_equality", af_disk < 1e-6, f"4096-gon margin {af_disk:.3e}"))
+    af_disk = geometry.aleksandrov_fenchel_check(geometry.ConvexPolygon.regular(4096, 1.0))
     res = geometry.class_s_data(
         geometry.AnnularDomain(geometry.Circle((0, 0), 2.0), geometry.Circle((0.5, 0), 1.0))
     )[2]
-    checks.append(("class_s_circle_pair", abs(res) < 1e-12, f"residual {res:.3e}"))
-    return {"seed": args.seed, "polygons": count, "checks": _check_rows(checks)}, checks
+    checks = [
+        min(pmi, key=lambda check: check.margin),
+        min(af, key=lambda check: check.margin),
+        Check("af_disk_equality", af_disk, 0.0, np.nextafter(1e-6, 0.0), {"sides": 4096}),
+        Check("class_s_circle_pair", abs(res), 0.0, np.nextafter(1e-12, 0.0)),
+    ]
+    return {"seed": args.seed, "polygons": count}, checks
 
 
 def _suite_radial(args, resolution):
@@ -289,35 +290,30 @@ def _suite_radial(args, resolution):
     scaled = radial.solve_shell(3, 2.0, 4.0, 1.0).lam
     scaling_err = abs(base - 4.0 * scaled) / base
     checks = [
-        ("cross_method_agreement", worst <= 1e-6, f"worst rel diff {worst:.3e}"),
-        ("closed_form_3d_agreement", worst3d <= 1e-9, f"worst rel diff {worst3d:.3e}"),
-        ("radii_monotonicity", mono.violations == 0, f"{mono.violations} violations"),
-        ("scaling_law", scaling_err <= 1e-9, f"rel err {scaling_err:.3e}"),
+        Check("cross_method_agreement", worst, 0.0, 1e-6),
+        Check("closed_form_3d_agreement", worst3d, 0.0, 1e-9),
+        Check("radii_monotonicity", mono.violations, 0.0, 0.0),
+        Check("scaling_law", scaling_err, 0.0, 1e-9),
     ]
-    return {"seed": args.seed, "cases": cases, "checks": _check_rows(checks)}, checks
+    return {"seed": args.seed, "cases": cases}, checks
 
 
 def _suite_theorem(args, resolution):
     family = analysis.standard_family()
     betas = (1.0,) if args.quick else (0.1, 1.0, 10.0)
     res = (24, 96) if args.quick else resolution
-    all_reports = []
+    checks = []
     for beta in betas:
-        all_reports.extend(analysis.main_theorem_sweep(family, beta, resolution=res))
-    checks = [
-        (rep.name + f"@beta={rep.context['beta']}", rep.passed, f"margin {rep.margin:+.3e}")
-        for rep in all_reports
-    ]
-    return {"reports": [r.as_dict() for r in all_reports]}, checks
+        checks.extend(analysis.main_theorem_sweep(family, beta, resolution=res))
+    return {}, checks
 
 
 def _suite_bounds(args, resolution):
-    reports = []
+    checks = []
     for beta in (0.1, 1.0, 1e3):
-        reports.extend(analysis.kuttler_bounds(geometry.ShellSpec(2, 1.0, 2.0), beta))
-    reports.extend(analysis.kuttler_bounds(geometry.ShellSpec(3, 1.0, 2.0), 1.0))
-    checks = [(rep.name, rep.passed, f"margin {rep.margin:+.3e}") for rep in reports]
-    return {"kuttler": [r.as_dict() for r in reports]}, checks
+        checks.extend(analysis.kuttler_bounds(geometry.ShellSpec(2, 1.0, 2.0), beta))
+    checks.extend(analysis.kuttler_bounds(geometry.ShellSpec(3, 1.0, 2.0), 1.0))
+    return {}, checks
 
 
 def _suite_shape_derivative(args, resolution):
@@ -327,27 +323,22 @@ def _suite_shape_derivative(args, resolution):
     field = analysis.PerturbationField(kind="translation", target="inner", vector=(1.0, 0.0))
     formula = analysis.shape_derivative_formula(dom, 1.0, field, fem_res)
     fd_val, noise = analysis.shape_derivative_fd_with_noise(dom, 1.0, field, 1e-3, res)
-    rel = abs(formula - fd_val) / abs(fd_val)
     shell_dom = geometry.AnnularDomain(geometry.Circle((0, 0), 2.0), geometry.Circle((0, 0), 1.0))
     fem_shell = fem.solve_domain(shell_dom, 1.0, *res)
     mode2 = analysis.PerturbationField(kind="normal_fourier", target="outer", mode=2, amplitude=1.0)
     stat_formula = analysis.shape_derivative_formula(shell_dom, 1.0, mode2, fem_shell)
     _, stat_noise = analysis.shape_derivative_fd_with_noise(shell_dom, 1.0, mode2, 5e-3, res)
     checks = [
-        ("translation_formula_vs_fd", rel <= 5e-2, f"rel diff {rel:.3%}"),
-        (
-            "shell_mode2_stationarity",
-            abs(stat_formula) <= 10.0 * stat_noise,
-            f"|formula| {abs(stat_formula):.3e} vs floor {stat_noise:.3e}",
+        Check(
+            "translation_formula_vs_fd", abs(formula - fd_val) / abs(fd_val), 0.0, 5e-2,
+            {"formula": formula, "fd": fd_val, "noise": noise},
+        ),
+        Check(
+            "shell_mode2_stationarity", abs(stat_formula), 0.0, 10.0 * stat_noise,
+            {"formula": stat_formula, "noise_floor": stat_noise},
         ),
     ]
-    payload = {
-        "translation": {"formula": formula, "fd": fd_val, "noise": noise, "rel": rel},
-        "stationarity": {"formula": stat_formula, "noise_floor": stat_noise},
-        "resolution": f"{res[0]}x{res[1]}",
-        "method": "fem+fd",
-    }
-    return payload, checks
+    return {"resolution": f"{res[0]}x{res[1]}", "method": "fem+fd"}, checks
 
 
 def _suite_web(args, resolution):
@@ -357,50 +348,14 @@ def _suite_web(args, resolution):
     rad = radial.solve_shell(2, 1.0, 2.0, 1.0)
     web = webfunc.build_web(shell_dom, rad)
     _, value = webfunc.rayleigh_quotient(web, 1.0, quad_level=webfunc.DEFAULT_QUAD_LEVEL)
-    identity_rel = abs(value - rad.lam) / rad.lam
-    checks = [
-        ("shell_identity", identity_rel <= 1e-6, f"rel err {identity_rel:.3e}"),
-        ("shell_certified", web.certified, f"jump {web.interface_jump:.3e}"),
-    ]
+    checks = [Check("shell_identity", abs(value - rad.lam) / rad.lam, 0.0, 1e-6), *web.checks]
     members = analysis.standard_family()[1:] if not args.quick else analysis.standard_family()[1:3]
     reports = []
     for i, dom in enumerate(members):
         rep = webfunc.chain_certificate(dom, 1.0, n_r=res[0], n_a=res[1], quad_level=quad)
         reports.append(rep)
-        checks.append(
-            (
-                f"chain[{i}]",
-                rep["chain_ok"],
-                f"fem {rep['lambda_fem']:.5f} <= R(w) {rep['rayleigh']:.5f} "
-                f"<= 1.02 shell {rep['lambda_shell']:.5f}; "
-                f"continuity_ok={rep['continuity_ok']}",
-            )
-        )
-    return {"shell_identity_rel": identity_rel, "chains": reports}, checks
-
-
-def _limits_rows(route, rep, order):
-    """Criterion 9's three checks of one BetaLimitsReport; order is the
-    monotonicity flag the route must meet."""
-    return [
-        (
-            f"{route}.nd_bracket_ok",
-            rep.nd_bracket_ok,
-            f"lambda({rep.betas[0]:g}) {rep.lams[0]:.12g} in [{rep.nd_bracket_lo:.12g}, "
-            f"{rep.nd_bracket_hi:.12g}] +- {rep.nd_bracket_allowance:.3e}",
-        ),
-        (
-            f"{route}.dd_gap_ok",
-            rep.dd_gap_ok,
-            f"dd gap {rep.dd_gap:.3e} <= bound {rep.dd_gap_bound:.3e}",
-        ),
-        (
-            f"{route}.{order}",
-            getattr(rep, order),
-            f"lambda {rep.lams[0]:.6g} .. {rep.lams[-1]:.6g} over beta {rep.betas[0]:g} .. "
-            f"{rep.betas[-1]:g}",
-        ),
-    ]
+        checks.extend(webfunc.chain_checks(rep, f"chain[{i}]"))
+    return {"chains": reports}, checks
 
 
 def _suite_limits(args, resolution):
@@ -409,9 +364,6 @@ def _suite_limits(args, resolution):
     # the hole offset by half the free span
     member = analysis.standard_family()[3]
     fem_rep = analysis.beta_limits_check(member, resolution=res)
-    checks = _limits_rows("radial", shell, "strictly_monotone") + _limits_rows(
-        "fem", fem_rep, "monotone"
-    )
     payload = {
         "radial": {"shell": {"n": 2, "r1": 1.0, "r2": 2.0}, **shell.as_dict()},
         "fem": {
@@ -420,9 +372,8 @@ def _suite_limits(args, resolution):
             "resolution": f"{res[0]}x{res[1]}",
             **fem_rep.as_dict(),
         },
-        "checks": _check_rows(checks),
     }
-    return payload, checks
+    return payload, shell.checks + fem_rep.checks
 
 
 # the only list of suite names: --suite takes a key or "all", which runs
@@ -448,9 +399,10 @@ def cmd_verify(args) -> int:
         print(f"-- suite {suite}")
         payload, checks = SUITES[suite](args, resolution)
         for check in checks:
-            _print_check(*check)
-        index[suite] = all(ok for _, ok, _ in checks)
+            _print_check(check)
+        index[suite] = all(check.passed for check in checks)
         if out:
+            payload = {**payload, "checks": [check.as_dict() for check in checks]}
             _dump_json(payload, out / f"{suite.replace('-', '_')}_report.json")
     if out:
         _dump_json(index, out / "index.json")
@@ -483,10 +435,9 @@ def cmd_sweep(args) -> int:
             out / "beta_sweep.svg", betas, [lams], ["lambda(beta)"],
             f"shell n={args.n} ({args.r1},{args.r2})", logx=True,
         )
-        ok = bool(np.all(np.diff(lams) > 0.0))
-        _print_check("beta_sweep_monotone", ok)
-        return 0 if ok else 1
-    if args.kind == "offset":
+        # violations of strict increase
+        check = Check("beta_sweep_monotone", np.sum(np.diff(lams) <= 0.0), 0.0, 0.0)
+    elif args.kind == "offset":
         span = args.r2 - args.r1
         offsets = np.linspace(0.0, 0.9 * (span - args.gap), args.steps)
         lam_shell = radial.solve_shell(2, args.r1, args.r2, args.beta).lam
@@ -509,10 +460,8 @@ def cmd_sweep(args) -> int:
         )
         # the concentric point measures the discretization error directly
         tol = 2.0 * max(abs(margins[0]), 1e-9)
-        ok = all(m >= -tol for m in margins)
-        _print_check("offset_margins_nonnegative", ok, f"min margin {min(margins):+.3e}")
-        return 0 if ok else 1
-    if args.kind == "resolution":
+        check = Check("offset_margins_nonnegative", max(lams), lam_shell, tol)
+    else:
         dom = geometry.AnnularDomain(
             geometry.Circle((0, 0), args.r2), geometry.Circle((0, 0), args.r1)
         )
@@ -529,10 +478,9 @@ def cmd_sweep(args) -> int:
             ["|lambda_h - lambda|"], f"convergence, order ~ {study.order:.2f}",
             logx=True, logy=True,
         )
-        ok = 1.5 <= study.order <= 2.5
-        _print_check("convergence_order", ok, f"{study.order:.3f}")
-        return 0 if ok else 1
-    raise UsageError(f"unknown sweep kind {args.kind!r}")
+        check = Check.between("convergence_order", 1.5, study.order, 2.5, 0.0)
+    _print_check(check)
+    return 0 if check.passed else 1
 
 
 def _write_csv(path, header, rows):
@@ -583,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=(*SUITES, "all"),
         default="all",
     )
-    p_verify.add_argument("--seed", type=int, default=7)
+    p_verify.add_argument("--seed", type=_int_at_least("--seed", 0), default=7)
     p_verify.add_argument("--res", default="48x192")
     p_verify.add_argument("--quick", action="store_true", help="smaller suites for smoke tests")
     p_verify.add_argument("--out", default=None)

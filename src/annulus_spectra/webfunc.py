@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from .analysis import InequalityReport
 from .errors import InfeasibleError, InvalidWebError, RangeError
 from .fem import solve_domain
 from .geometry import (
@@ -135,12 +136,20 @@ class WebFunction:
     split_area_rel_err: float
 
     @property
+    def checks(self) -> list:
+        """Records of split_s < gap and interface_jump <= continuity_tol."""
+        return [
+            InequalityReport("web_contained", self.split_s, np.nextafter(self.domain.gap, 0.0), 0.0),
+            InequalityReport("web_continuous", self.interface_jump, 0.0, self.continuity_tol),
+        ]
+
+    @property
     def contained(self) -> bool:
-        return self.split_s < self.domain.gap
+        return self.checks[0].passed
 
     @property
     def certified(self) -> bool:
-        return self.contained and self.interface_jump <= self.continuity_tol
+        return all(check.passed for check in self.checks)
 
     def evaluate(self, points) -> np.ndarray:
         """Web values at points of the closed annulus (vectorized)."""
@@ -172,9 +181,9 @@ class WebFunction:
             "s_star": self.split_s,
             "interface_jump": self.interface_jump,
             "continuity_tol": self.continuity_tol,
-            "continuity_ok": bool(self.interface_jump <= self.continuity_tol),
-            "inner_region_contained": bool(self.contained),
-            "certified": bool(self.certified),
+            "continuity_ok": self.checks[1].passed,
+            "inner_region_contained": self.contained,
+            "certified": self.certified,
             "split_area_rel_err": self.split_area_rel_err,
         }
 
@@ -292,8 +301,8 @@ def chain_certificate(
 
     Solves the domain (FEM) and the matched shell (radial), builds the
     web and checks lambda_fem <= R(w) <= lambda_shell up to the stated
-    tolerances.  The quotient of an uncertified web is still reported by
-    default, flagged through the certificate fields.
+    tolerances (chain_checks).  The quotient of an uncertified web is
+    still reported by default, flagged through the certificate fields.
 
     The FEM solve shares nothing with the web leg, so it runs on one pool
     thread while this thread builds the web and its quadrature (SuperLU
@@ -314,22 +323,28 @@ def chain_certificate(
         finally:
             # raises the FEM error first, whatever the web leg raised
             fem = fem_leg.result()
-    fem_tolerance = 2e-3 * fem.lam
-    lower_ok = fem.lam <= value + fem_tolerance
-    upper_ok = value <= 1.02 * radial.lam
-    report = web.report()
+    report = web.report() | {
+        "beta": beta,
+        "rayleigh": value,
+        "rayleigh_parts": parts,
+        "lambda_fem": fem.lam,
+        "lambda_shell": radial.lam,
+        "fem_resolution": f"{n_r}x{n_a}",
+        "fem_tolerance": 2e-3 * fem.lam,
+    }
+    lower, upper = chain_checks(report)
     report.update(
-        {
-            "beta": beta,
-            "rayleigh": value,
-            "rayleigh_parts": parts,
-            "lambda_fem": fem.lam,
-            "lambda_shell": radial.lam,
-            "fem_resolution": f"{n_r}x{n_a}",
-            "fem_tolerance": fem_tolerance,
-            "chain_ok": bool(lower_ok and upper_ok),
-            "lower_ok": bool(lower_ok),
-            "upper_ok": bool(upper_ok),
-        }
+        chain_ok=lower.passed and upper.passed, lower_ok=lower.passed, upper_ok=upper.passed
     )
     return report
+
+
+def chain_checks(report: dict, name: str = "chain") -> list:
+    """Records of lambda_fem <= R(w) within fem_tolerance and of
+    R(w) <= lambda_shell within 2% of it, from a chain_certificate report."""
+    fem, value, shell = report["lambda_fem"], report["rayleigh"], report["lambda_shell"]
+    context = {"beta": report["beta"], "resolution": report["fem_resolution"]}
+    return [
+        InequalityReport(f"{name}.lower", fem, value, report["fem_tolerance"], context),
+        InequalityReport(f"{name}.upper", value, shell, 0.02 * shell, context),
+    ]

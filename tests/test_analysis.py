@@ -54,6 +54,15 @@ class TestPerturbationField:
         with pytest.raises(RangeError):
             PerturbationField(kind="normal_fourier", target="outer", mode=0, amplitude=0.1)
 
+    @pytest.mark.parametrize("mode", [2.5, 2.0, True, 0])
+    def test_fourier_mode_must_be_a_whole_number(self, mode):
+        # cos(2.5 theta) is not 2 pi-periodic: the polygon would jump at theta = 0
+        with pytest.raises(RangeError):
+            PerturbationField(kind="normal_fourier", target="outer", mode=mode, amplitude=1.0)
+        assert PerturbationField(
+            kind="normal_fourier", target="outer", mode=np.int64(3), amplitude=1.0
+        ).mode == 3
+
     def test_translation_normal_component(self):
         field = PerturbationField(kind="translation", target="inner", vector=(1.0, 0.0))
         # on the hole's right pole the annulus normal points into the hole
@@ -108,6 +117,14 @@ class TestShapeDerivative:
         fd, noise = shape_derivative_fd_with_noise(CONCENTRIC, 1.0, field, 5e-3, (48, 192))
         assert abs(formula) <= 10.0 * noise
 
+    @pytest.mark.parametrize("t_step", [0.0, -1e-3, math.nan, math.inf])
+    @pytest.mark.parametrize("fd", [shape_derivative_fd, shape_derivative_fd_with_noise])
+    def test_step_checked_before_any_solve(self, fd, t_step, monkeypatch):
+        monkeypatch.setattr(analysis, "solve_domain", lambda *args: pytest.fail("solved"))
+        field = PerturbationField(kind="translation", target="inner", vector=(1.0, 0.0))
+        with pytest.raises(RangeError):
+            fd(ECCENTRIC, 1.0, field, t_step, (16, 64))
+
     def test_fd_with_noise_solves_four_times(self, monkeypatch):
         lams = []
 
@@ -160,6 +177,15 @@ class TestKuttlerBounds:
         assert gap_report.passed
         assert gap_report.rhs == pytest.approx(3.0 * math.pi / (1e3 * 4.0 * math.pi), rel=1e-12)
         assert gap_report.lhs <= gap_report.rhs
+
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+    def test_beta_must_be_positive(self, beta):
+        with pytest.raises(RangeError):
+            kuttler_bounds(ShellSpec(2, 1.0, 2.0), beta)
+
+    def test_context_names_beta_and_shell(self):
+        for rep in kuttler_bounds(ShellSpec(3, 1.0, 2.0), 0.5):
+            assert rep.context == {"method": "radial", "dim": 3, "r1": 1.0, "r2": 2.0, "beta": 0.5}
 
     def test_fem_domain_passes(self):
         for rep in kuttler_bounds(ECCENTRIC, 1.0, resolution=(24, 96)):
@@ -344,6 +370,26 @@ class TestInequalityReport:
         assert InequalityReport("x", 1.0, 2.0, 1e-9).passed
         assert InequalityReport("x", 2.0, 1.0, 1.5).passed
         assert not InequalityReport("x", 2.0, 1.0, 0.5).passed
+
+    def test_numpy_inputs_give_plain_json(self):
+        violations = np.sum(np.diff([1.0, 2.0, 3.0]) <= 0.0)  # np.int64
+        for report in (
+            InequalityReport("x", np.float64(1.0), np.float64(2.0), np.float32(0.0)),
+            InequalityReport("count", violations, 0, 0),
+        ):
+            assert type(report.passed) is bool and type(report.margin) is float
+            data = report.as_dict()
+            assert json.loads(json.dumps(data)) == data
+
+    def test_strict_bound_and_bracket(self):
+        strict = np.nextafter(1e-6, 0.0)
+        assert InequalityReport("x", np.nextafter(1e-6, 0.0), 0.0, strict).passed
+        assert not InequalityReport("x", 1e-6, 0.0, strict).passed
+        inside = InequalityReport.between("b", 1.0, 1.2, 2.0, 0.0)
+        assert (inside.lhs, inside.rhs, inside.passed) == (1.0, 1.2, True)
+        above = InequalityReport.between("b", 1.0, 2.5, 2.0, 0.4)
+        assert (above.lhs, above.rhs, above.passed) == (2.5, 2.0, False)
+        assert InequalityReport.between("b", 1.0, 2.5, 2.0, 0.5).passed
 
     def test_json_export(self):
         for report in kuttler_bounds(ShellSpec(2, 1.0, 2.0), 1.0):

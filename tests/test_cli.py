@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from annulus_spectra import cli
+from annulus_spectra.analysis import InequalityReport
 from annulus_spectra.cli import main, write_svg_plot
 from annulus_spectra.fem import solve_domain
 from annulus_spectra.geometry import AnnularDomain, Circle
@@ -199,7 +200,10 @@ class TestVerifyCommand:
             "reciprocal_gap_inradius_bound",
         }
         report = json.loads((tmp_path / "bounds_report.json").read_text())
-        assert list(report) == ["kuttler"]
+        assert list(report) == ["checks"]
+        # beta = 1 is checked on the 2D and the 3D shell, so dim tells those apart
+        keys = {(c["name"], c["context"]["beta"], c["context"]["dim"]) for c in report["checks"]}
+        assert len(keys) == 12
 
     def test_all_runs_each_suite_once(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -207,7 +211,7 @@ class TestVerifyCommand:
 
             def stub(args, resolution, name=name):
                 calls.append(name)
-                return {"suite": name}, [(name + "_check", True, "")]
+                return {"suite": name}, [InequalityReport(name + "_check", 0.0, 0.0, 0.0)]
 
             monkeypatch.setitem(cli.SUITES, name, stub)
         assert main(["verify", "--suite", "all", "--out", str(tmp_path)]) == 0
@@ -233,13 +237,21 @@ class TestVerifyCommand:
         assert json.loads((tmp_path / "index.json").read_text()) == {"limits": True}
 
     def test_failing_check_fails_its_suite(self, tmp_path, capsys, monkeypatch):
-        checks = [("good", True, ""), ("bad", False, "margin -1")]
+        checks = [InequalityReport("good", 0.0, 1.0, 0.0), InequalityReport("bad", 1.0, 0.0, 0.0)]
         monkeypatch.setitem(cli.SUITES, "geometry", lambda args, res: ({}, checks))
         assert main(["verify", "--suite", "geometry", "--out", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "[PASS] good" in out and "[FAIL] bad: margin -1" in out
         assert out.rstrip().endswith("verify: FAIL")
         assert json.loads((tmp_path / "index.json").read_text()) == {"geometry": False}
+
+
+    @pytest.mark.parametrize("suite", ["geometry", "radial"])
+    def test_negative_seed_usage_error_creates_no_out(self, suite, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["verify", "--suite", suite, "--seed", "-1", "--out", str(out)]) == 2
+        assert "--seed must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepCommand:

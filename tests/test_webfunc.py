@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import threading
@@ -27,6 +28,7 @@ from annulus_spectra.webfunc import (
     _sublevel_area,
     build_web,
     chain_certificate,
+    chain_checks,
     find_split,
     rayleigh_quotient,
 )
@@ -165,6 +167,12 @@ class TestEvaluate:
         assert self.web.certified
         assert self.web.interface_jump == 0.0
 
+    def test_containment_is_strict(self):
+        at_gap = dataclasses.replace(self.web, split_s=self.web.domain.gap)
+        assert not at_gap.contained and not at_gap.certified
+        assert not at_gap.report()["inner_region_contained"]
+        assert [check.passed for check in at_gap.checks] == [False, True]
+
 
 class TestRayleighQuotient:
     def test_shell_identity(self):
@@ -268,6 +276,20 @@ class TestQuadrature:
 
 
 class TestChainCertificate:
+    def test_flags_read_the_checks(self):
+        dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.2, 0), 1.0))
+        report = chain_certificate(dom, 1.0, n_r=16, n_a=64, quad_level=(64, 32))
+        lower, upper = chain_checks(report, "chain[0]")
+        assert (lower.name, upper.name) == ("chain[0].lower", "chain[0].upper")
+        assert (report["lower_ok"], report["upper_ok"]) == (lower.passed, upper.passed)
+        assert (lower.lhs, lower.rhs, lower.tolerance) == (
+            report["lambda_fem"], report["rayleigh"], report["fem_tolerance"]
+        )
+        assert (upper.lhs, upper.rhs) == (report["rayleigh"], report["lambda_shell"])
+        # past the FEM allowance only the lower clause fails
+        past = report | {"lambda_fem": report["rayleigh"] + 1.001 * report["fem_tolerance"]}
+        assert [check.passed for check in chain_checks(past)] == [False, True]
+
     def test_report_fields_and_chain(self):
         dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.2, 0), 1.0))
         report = chain_certificate(dom, 1.0, n_r=32, n_a=128, quad_level=(256, 64))
