@@ -24,6 +24,7 @@ from .fem import (
     solve_on_mesh,
 )
 from .geometry import (
+    CLASS_S_RTOL,
     AnnularDomain,
     Circle,
     ConvexPolygon,
@@ -337,7 +338,7 @@ def main_theorem_sweep(family, beta: float, resolution=(48, 192)) -> list:
     reports = []
     for idx, domain in enumerate(family):
         r1, r2, residual = class_s_data(domain)
-        if abs(residual) > 1e-8 * domain.area:
+        if abs(residual) > CLASS_S_RTOL * domain.area:
             raise InfeasibleError(
                 f"family member {idx} is not in class S "
                 f"(relative residual {residual / domain.area:.3e})"

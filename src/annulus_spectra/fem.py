@@ -225,15 +225,11 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
     # near-ties split uniformly so symmetric domains get
     # rotationally symmetric triangulations
     split_ac = (d_ac <= d_bd * (1.0 + 1e-9))[:, None]
-    first = np.where(split_ac, np.column_stack([a, b, c]), np.column_stack([a, b, d]))
-    second = np.where(split_ac, np.column_stack([a, c, d]), np.column_stack([b, c, d]))
+    # rays turn counterclockwise and rings grow outward, so a, b, c, d run
+    # clockwise; each triangle takes its corners in reverse to be positive
+    first = np.where(split_ac, np.column_stack([a, c, b]), np.column_stack([a, d, b]))
+    second = np.where(split_ac, np.column_stack([a, d, c]), np.column_stack([b, d, c]))
     triangles = np.stack([first, second], axis=1).reshape(-1, 3).astype(np.int64)
-    # enforce positive orientation
-    p = nodes
-    d1 = p[triangles[:, 1]] - p[triangles[:, 0]]
-    d2 = p[triangles[:, 2]] - p[triangles[:, 0]]
-    flip = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0] < 0.0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
     ks = np.arange(n_a)
     inner_edges = np.column_stack([nid(0, ks), nid(0, ks + 1)])

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
+from scipy.spatial import HalfspaceIntersection, QhullError
 from scipy.special import ellipe
 
 from .errors import (
@@ -34,6 +35,8 @@ CONTAINMENT_REL_GAP = 1e-9
 DEFAULT_NGON = 1024
 # Rays x edges per block in the batched polygon ray cast.
 RAY_BLOCK = 1 << 17
+# Class-S membership: |class_s_data residual| <= CLASS_S_RTOL * |Omega|.
+CLASS_S_RTOL = 1e-8
 # Newton steps allowed to the ellipse foot-point solve; points near the
 # evolute's cusps, the slowest, settle in under 50.
 FOOT_POINT_ITERATIONS = 100
@@ -255,53 +258,30 @@ def inradius(poly: ConvexPolygon, return_center: bool = False):
     return rho
 
 
-def _polar_loop(poly: ConvexPolygon, center: np.ndarray):
-    """Vertex angles about center, rotated to increase from the smallest,
-    with the vertices relative to center in the same order."""
-    v = poly.vertices - center
-    # twice the area of (center, v_k, v_k+1), the edge length times the
-    # margin of center: positive on every edge iff the angles increase
-    if not np.all(_cross(v, np.roll(v, -1, axis=0)) > 0.0):
-        raise GeometryError("center is not strictly inside both polygons")
-    theta = np.arctan2(v[:, 1], v[:, 0])
-    first = int(np.argmin(theta))
-    return np.roll(theta, -first), np.roll(v, -first, axis=0)
-
-
 def convex_intersection_area(a: ConvexPolygon, b: ConvexPolygon, center) -> float:
     """Area of the intersection of two convex polygons that both contain
     center strictly (GeometryError otherwise).
 
-    Both boundaries are graphs r = rho(theta) about center, and the
-    intersection's is their minimum.  Between consecutive vertex angles of
-    either polygon each boundary is one straight edge, so the minimum is a
-    straight segment, or two where the edges cross inside the wedge; the
-    wedge triangles from center add up to the exact area.
+    The intersection is that of both polygons' edge halfspaces
+    {n_e . x <= b_e}, found by Qhull (scipy's HalfspaceIntersection) about
+    center; its vertices, sorted by angle about center, give the area.
     """
     c = _as_point(center)
-    loops = [_polar_loop(a, c), _polar_loop(b, c)]
-    theta = np.unique(np.concatenate([th for th, _ in loops]))
-    start, end = (np.column_stack([np.cos(t), np.sin(t)]) for t in (theta, np.roll(theta, -1)))
-    lines, rho = [], []
-    for th, v in loops:
-        # the edge v_k -> v_k+1 spanning each wedge; k = -1 closes the loop
-        k = np.searchsorted(th, theta, side="right") - 1
-        e = np.roll(v, -1, axis=0)[k] - v[k]
-        n = np.column_stack([e[:, 1], -e[:, 0]])
-        h = np.sum(n * v[k], axis=1)
-        lines.append((n, h))
-        rho.append([h / np.sum(n * u, axis=1) for u in (start, end)])
-    (na, ha), (nb, hb) = lines
-    (ra0, ra1), (rb0, rb1) = rho
-    p0 = np.minimum(ra0, rb0)[:, None] * start
-    p1 = np.minimum(ra1, rb1)[:, None] * end
-    # the edges cross inside the wedge where the nearer one changes
-    sw = (ra0 - rb0) * (ra1 - rb1) < 0.0
-    det = _cross(na, nb)[sw]
-    mid = p0.copy()
-    mid[sw, 0] = (ha * nb[:, 1] - hb * na[:, 1])[sw] / det
-    mid[sw, 1] = (hb * na[:, 0] - ha * nb[:, 0])[sw] / det
-    return 0.5 * float(np.sum(_cross(p0, mid) + _cross(mid, p1)))
+    halfspaces = []
+    for poly in (a, b):
+        v = poly.vertices - c
+        # twice the area of (center, v_k, v_k+1), the edge length times the
+        # margin of center: positive on every edge iff center is inside
+        if not np.all(_cross(v, np.roll(v, -1, axis=0)) > 0.0):
+            raise GeometryError("center is not strictly inside both polygons")
+        n, h = poly.edge_normals_offsets()
+        halfspaces.append(np.column_stack([n, -h]))
+    try:
+        verts = HalfspaceIntersection(np.vstack(halfspaces), c).intersections - c
+    except QhullError as err:
+        reason = str(err).splitlines()[0]
+        raise GeometryError(f"Qhull cannot intersect the polygons about center: {reason}") from None
+    return _shoelace(verts[np.argsort(np.arctan2(verts[:, 1], verts[:, 0]))])
 
 
 def aleksandrov_fenchel_check(poly: ConvexPolygon) -> float:
@@ -340,7 +320,7 @@ class BoundaryCurve:
 
         direction is one unit vector, giving a float, or an (m, 2) array
         of unit vectors, giving an (m,) array of lengths.  StarShapeError
-        if any ray fails to leave through exactly one boundary point.
+        unless the origin is strictly inside.
         """
         raise NotImplementedError
 
@@ -617,31 +597,23 @@ class PolygonCurve(BoundaryCurve):
         return self.polygon.distance_to_boundary(points)
 
     def ray_length(self, origin, direction):
-        """Nearest edge crossing along each ray; crossings within
-        1e-9 * scale of each other (at a vertex) count as one."""
+        """Exit through the edge halfspaces: from a strictly inner origin the
+        ray leaves at the smallest (dv x e) / (u x e) over the edges e it
+        faces (u x e > 0), dv running from the origin to each edge's start."""
         u, single = _as_directions(direction)
         v = self.polygon.vertices
         e = np.roll(v, -1, axis=0) - v
         dv = v - _as_point(origin)
         t_num = dv[:, 0] * e[:, 1] - dv[:, 1] * e[:, 0]
-        scale = self.scale
+        if not np.all(t_num > 0.0):
+            raise StarShapeError("ray origin is outside the polygon")
         out = np.empty(len(u))
         step = max(1, RAY_BLOCK // len(v))
         for start in range(0, len(u), step):
             ux, uy = u[start : start + step, :1], u[start : start + step, 1:]
             denom = ux * e[:, 1] - uy * e[:, 0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = t_num / denom
-                s = (dv[:, 0] * uy - dv[:, 1] * ux) / denom
-            hit = (np.abs(denom) >= 1e-300) & (t > 1e-12 * scale)
-            hit &= (s >= -1e-12) & (s <= 1.0 + 1e-12)
-            first = np.min(np.where(hit, t, np.inf), axis=1)
-            last = np.max(np.where(hit, t, -np.inf), axis=1)
-            if not np.all(np.isfinite(first)):
-                raise StarShapeError("ray misses the polygon")
-            if np.any(last - first > 1e-9 * scale):
-                raise StarShapeError("ray crosses the polygon more than once")
-            out[start : start + step] = first
+            t = np.divide(t_num, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
+            out[start : start + step] = np.min(t, axis=1)
         return float(out[0]) if single else out
 
     def sample(self, n):

@@ -346,7 +346,7 @@ def closed_form_3d(r1: float, r2: float, beta: float) -> float:
     k_hi = math.pi / d
     m = 256
     ks = np.linspace(k_hi / m, k_hi, m)
-    fs = np.array([f(k) for k in ks])
+    fs = ks * r2 * np.cos(ks * d) + (beta * r2 - 1.0) * np.sin(ks * d)
     idx = np.where(np.sign(fs[:-1]) != np.sign(fs[1:]))[0]
     if len(idx) == 0:
         if fs[-1] == 0.0:

@@ -27,6 +27,7 @@ from .analysis import InequalityReport
 from .errors import InfeasibleError, InvalidWebError, RangeError
 from .fem import solve_domain
 from .geometry import (
+    CLASS_S_RTOL,
     AnnularDomain,
     Circle,
     ConvexPolygon,
@@ -37,7 +38,6 @@ from .geometry import (
 )
 from .radial import RadialEigenResult, solve_shell
 
-CLASS_S_RTOL = 1e-8
 CONTINUITY_FACTOR = 1e-3
 # (n_s, n_theta): midpoint cells across and along the annulus
 DEFAULT_QUAD_LEVEL = (2048, 128)

@@ -9,9 +9,10 @@ import pytest
 from annulus_spectra import cli
 from annulus_spectra.analysis import InequalityReport
 from annulus_spectra.cli import main, write_svg_plot
+from annulus_spectra.errors import NumericalError
 from annulus_spectra.fem import solve_domain
 from annulus_spectra.geometry import AnnularDomain, Circle
-from annulus_spectra.radial import solve_shell
+from annulus_spectra.radial import closed_form_3d, solve_shell
 
 
 def usage_case(*argv, message):
@@ -38,6 +39,22 @@ class TestShellCommand:
 
     def test_missing_argument_usage_error(self):
         assert main(["shell", "--n", "3", "--r1", "1", "--beta", "1"]) == 2
+
+    def test_closed_form_3d_method(self, capsys):
+        argv = ["shell", "--r1", "1", "--r2", "2", "--beta", "1", "--method", "closed3d"]
+        assert main(argv + ["--n", "3"]) == 0
+        lam = closed_form_3d(1.0, 2.0, 1.0)
+        assert capsys.readouterr().out == f"lambda = {lam:.12g}  (closed-form-3d)\n"
+        assert main(argv + ["--n", "2"]) == 2
+        assert "--method closed3d requires --n 3" in capsys.readouterr().err
+
+    def test_solver_failure_exits_one(self, monkeypatch, capsys):
+        def failing_solve(*args):
+            raise NumericalError("no bracket")
+
+        monkeypatch.setattr(cli.radial, "solve_shell", failing_solve)
+        assert main(["shell", "--n", "2", "--r1", "1", "--r2", "2", "--beta", "1"]) == 1
+        assert "numerical failure: no bracket" in capsys.readouterr().err
 
     @pytest.mark.parametrize("beta", ["nan", "-1"])
     def test_invalid_beta_usage_error(self, beta, capsys):
@@ -246,6 +263,14 @@ class TestVerifyCommand:
         assert json.loads((tmp_path / "index.json").read_text()) == {"geometry": False}
 
 
+    @pytest.mark.parametrize("suite, count", [("theorem", 8), ("shape-derivative", 2), ("web", 7)])
+    def test_quick_suite_runs_its_checks(self, suite, count, tmp_path, capsys):
+        assert main(["verify", "--suite", suite, "--quick", "--out", str(tmp_path)]) == 0
+        report = json.loads((tmp_path / f"{suite.replace('-', '_')}_report.json").read_text())
+        assert len(report["checks"]) == count
+        assert all(check["pass"] for check in report["checks"])
+        assert json.loads((tmp_path / "index.json").read_text()) == {suite: True}
+
     @pytest.mark.parametrize("suite", ["geometry", "radial"])
     def test_negative_seed_usage_error_creates_no_out(self, suite, tmp_path, capsys):
         out = tmp_path / "out"
@@ -290,6 +315,15 @@ class TestSweepCommand:
         assert main(["sweep", "--kind", kind, flag, value, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_resolution_sweep_order(self, tmp_path, capsys):
+        argv = ["sweep", "--kind", "resolution", "--steps", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        rows = (tmp_path / "resolution_sweep.csv").read_text().splitlines()
+        assert rows[0] == "resolution,h,lambda,error"
+        assert [row.split(",")[0] for row in rows[1:]] == ["8x32", "16x64", "32x128"]
+        assert "[PASS] convergence_order" in capsys.readouterr().out
+        assert (tmp_path / "resolution_sweep.svg").exists()
 
     def test_dimension_floor_usage_error(self, tmp_path, capsys):
         argv = ["sweep", "--kind", "beta", "--n", "1", "--steps", "3", "--out", str(tmp_path)]

@@ -401,6 +401,18 @@ class TestConvexIntersection:
             with pytest.raises(GeometryError, match="center is not strictly inside"):
                 convex_intersection_area(a, a, center)
 
+    def test_identical_polygons_keep_their_area(self, rng):
+        # every halfspace appears twice
+        for a in (ConvexPolygon.regular(7, 1.3), random_convex_polygon(rng, 12, scale=2.0)):
+            assert convex_intersection_area(a, a, a.centroid) == pytest.approx(a.area)
+
+    def test_center_next_to_an_edge_raises_geometry_error(self):
+        # the margin test passes, but Qhull finds the center coplanar with
+        # an edge; its QhullError must not escape
+        square = ConvexPolygon.rectangle(2.0, 2.0)
+        with pytest.raises(GeometryError, match="Qhull"):
+            convex_intersection_area(square, square, (1.0 - 1e-15, 0.0))
+
 
 RAY_CURVES = {
     "circle": Circle((0.2, -0.1), 1.5),
@@ -445,7 +457,7 @@ class TestRayLength:
         with pytest.raises(StarShapeError):
             RAY_CURVES[kind].ray_length((5.0, 0.0), dirs)
 
-    @pytest.mark.parametrize("kind", ["circle", "ellipse"])
+    @pytest.mark.parametrize("kind", ["circle", "ellipse", "polygon"])
     def test_origin_outside_raises_toward_curve(self, kind):
         # the ray would meet the curve; the origin itself is the fault
         with pytest.raises(StarShapeError, match="origin is outside"):
@@ -455,9 +467,9 @@ class TestRayLength:
         # from beyond the short side of a thin rectangle, the ray along the
         # long axis enters and leaves through two separated edges
         thin = PolygonCurve(ConvexPolygon.rectangle(4.0, 0.2))
-        with pytest.raises(StarShapeError, match="more than once"):
+        with pytest.raises(StarShapeError, match="origin is outside"):
             thin.ray_length((-3.0, 0.0), (1.0, 0.0))
-        with pytest.raises(StarShapeError, match="misses"):
+        with pytest.raises(StarShapeError, match="origin is outside"):
             thin.ray_length((-3.0, 0.0), (-1.0, 0.0))
 
 
