@@ -531,13 +531,11 @@ def beta_limits_check(target, resolution=(48, 192), betas=None) -> BetaLimitsRep
 # ---------------------------------------------------------------------------
 
 
-def eccentric_family(r1=1.0, r2=2.0, gap=0.08, fractions=(0.1, 0.3, 0.5, 0.7, 0.9)):
-    """Concentric shell plus eccentric annuli at scaled hole offsets."""
-    domains = [AnnularDomain(Circle((0, 0), r2), Circle((0, 0), r1))]
-    span = r2 - r1 - gap
-    for f in fractions:
-        offset = f * span
-        domains.append(AnnularDomain(Circle((0, 0), r2), Circle((offset, 0), r1)))
+def eccentric_family(gap=0.08):
+    """The (1, 2) shell plus eccentric annuli, hole offsets f (1 - gap)."""
+    domains = [AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0))]
+    for f in (0.1, 0.3, 0.5, 0.7, 0.9):
+        domains.append(AnnularDomain(Circle((0, 0), 2.0), Circle((f * (1.0 - gap), 0), 1.0)))
     return domains
 
 

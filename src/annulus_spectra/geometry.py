@@ -31,8 +31,6 @@ CONVEXITY_TOL = 1e-12
 # Boundary sampling density used for containment / gap checks.
 CONTAINMENT_SAMPLES = 4096
 CONTAINMENT_REL_GAP = 1e-9
-# Default discretization when a curve must be reduced to a polygon.
-DEFAULT_NGON = 1024
 # Rays x edges per block in the batched polygon ray cast.
 RAY_BLOCK = 1 << 17
 # Class-S membership: |class_s_data residual| <= CLASS_S_RTOL * |Omega|.
@@ -334,13 +332,14 @@ class BoundaryCurve:
     def outward_normal(self, points) -> np.ndarray:
         raise NotImplementedError
 
-    def to_polygon(self, n: int = DEFAULT_NGON) -> ConvexPolygon:
+    def to_polygon(self, n: int) -> ConvexPolygon:
         return ConvexPolygon(self.sample(n))
 
     def translated(self, vector) -> "BoundaryCurve":
         raise NotImplementedError
 
-    def scaled(self, factor: float, about=None) -> "BoundaryCurve":
+    def scaled(self, factor: float) -> "BoundaryCurve":
+        """The curve scaled by factor about its centre (a polygon's centroid)."""
         raise NotImplementedError
 
     @property
@@ -438,9 +437,8 @@ class Circle(BoundaryCurve):
     def translated(self, vector):
         return Circle(tuple(self._c() + _as_point(vector)), self.radius)
 
-    def scaled(self, factor, about=None):
-        c = self._c() if about is None else _as_point(about) + factor * (self._c() - _as_point(about))
-        return Circle(tuple(c), self.radius * factor)
+    def scaled(self, factor):
+        return Circle(tuple(self._c()), self.radius * factor)
 
     def spec_string(self):
         return f"circle {self.center[0]:.17g} {self.center[1]:.17g} {self.radius:.17g}"
@@ -569,9 +567,8 @@ class Ellipse(BoundaryCurve):
     def translated(self, vector):
         return Ellipse(tuple(self._c() + _as_point(vector)), self.a, self.b)
 
-    def scaled(self, factor, about=None):
-        c = self._c() if about is None else _as_point(about) + factor * (self._c() - _as_point(about))
-        return Ellipse(tuple(c), self.a * factor, self.b * factor)
+    def scaled(self, factor):
+        return Ellipse(tuple(self._c()), self.a * factor, self.b * factor)
 
     def spec_string(self):
         return f"ellipse {self.center[0]:.17g} {self.center[1]:.17g} {self.a:.17g} {self.b:.17g}"
@@ -630,8 +627,8 @@ class PolygonCurve(BoundaryCurve):
     def translated(self, vector):
         return PolygonCurve(ConvexPolygon(self.polygon.vertices + _as_point(vector)))
 
-    def scaled(self, factor, about=None):
-        about = self.polygon.centroid if about is None else _as_point(about)
+    def scaled(self, factor):
+        about = self.polygon.centroid
         return PolygonCurve(ConvexPolygon(about + factor * (self.polygon.vertices - about)))
 
     def spec_string(self):

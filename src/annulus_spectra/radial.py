@@ -21,11 +21,12 @@ most pi/(4k) apart in r, and it misses no zero of phi'.  sqrt(x) Z_mu(x)
 solves u'' + (1 - (4 mu^2 - 1)/(4 x^2)) u = 0, so for mu = nu + 1 = n/2 >= 1
 Sturm comparison with u'' + u = 0 puts consecutive zeros of Z_(nu+1)(k r)
 more than pi/k apart: each zero of phi', all simple, flips its sign
-between two neighbouring subset knots.  phi(R1) = 0, phi' > 0 before
-r_bar, phi' < 0 after it and phi(R2) >= 0 then make the profile
-positive.  The profile on all knots and its splines are built on first
-read, and that build checks positivity and the single drop of phi' on
-every knot again.
+between two neighbouring subset knots, and the one subset interval where
+phi' drops holds r_bar alone, so Brent's method finds it there.
+phi(R1) = 0, phi' > 0 before r_bar, phi' < 0 after it and phi(R2) >= 0
+then make the profile positive.  The profile on all knots and its
+splines are built on first read, and that build checks positivity and
+the single drop of phi' on every knot again.
 """
 
 from __future__ import annotations
@@ -71,7 +72,6 @@ class RadialEigenResult:
     r_bar: float
     v_m: float
     v_M: float
-    method: str
     residual: float
     _k: float = field(repr=False)
 
@@ -121,7 +121,7 @@ class RadialEigenResult:
             "r_bar": self.r_bar,
             "v_m": self.v_m,
             "v_M": self.v_M,
-            "method": self.method,
+            "method": "bessel",
             "residual": self.residual,
         }
 
@@ -250,9 +250,9 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     Brent's method; beta may be 0 (Neumann closure) or inf (Dirichlet).
     The solve checks the boundary residual against its rounding allowance
     and phi' on the stride subset of the knots (module docstring) for one
-    critical radius.  Finer knots narrow the drop of phi' to the knot
-    interval where Brent's method finds r_bar.  Each knot value comes from
-    the same array kernels as the full profile, so it has the same sign.
+    critical radius; Brent's method finds r_bar on the subset interval
+    where phi' drops, the only zero of phi' in it.  Each knot value comes
+    from the same array kernels as the full profile, so it has the same sign.
     The full profile on PROFILE_SAMPLES knots uniform in t = log r, with
     cubic Hermite splines of phi (dphi/dt = r phi') and phi' (by the ODE,
     d(phi')/dt = -(n-1) phi' - lambda r phi), is built on first read of
@@ -289,17 +289,9 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     if drop is None:
         r_bar, v_M = r2, v_m
     else:
-        # phi'(r[lo]) > 0 >= phi'(r[hi]); each pass keeps the first drop
-        # among 64 equal steps, so at most two passes reach one knot interval
-        lo, hi = stride * drop, stride * (drop + 1)
-        while hi - lo > 1:
-            step = max((hi - lo) // 64, 1)
-            inner = np.arange(lo + step, hi, step)
-            falls = np.flatnonzero(_dphi(nu, k, r1, r[inner]) <= 0.0)
-            lo, hi = (inner[falls[0]] - step, inner[falls[0]]) if len(falls) else (inner[-1], hi)
         z1 = lambda s: _cross(nu, nu + 1.0, k, r1, s)
         try:
-            r_bar = brentq(z1, r[lo], r[hi], xtol=EPS * r1)
+            r_bar = brentq(z1, r[stride * drop], r[stride * (drop + 1)], xtol=EPS * r1)
         except ValueError as err:  # no sign change: beta below the rounding of phi'
             raise NumericalError("critical radius not resolved next to R2") from err
         v_M = _scale(nu, r1, r_bar) * _cross(nu, nu, k, r1, r_bar)
@@ -320,7 +312,6 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
         r_bar=float(r_bar),
         v_m=v_m,
         v_M=float(v_M),
-        method="bessel",
         residual=float(residual),
         _k=k,
     )
@@ -331,7 +322,15 @@ def closed_form_3d(r1: float, r2: float, beta: float) -> float:
 
     With psi = r phi the equation flattens to psi'' + lambda psi = 0, so
     phi = sin(k (r - R1)) / r and the boundary condition becomes
-    k R2 cos(k d) + (beta R2 - 1) sin(k d) = 0 with d = R2 - R1.
+    f(k) = k R2 cos(k d) + (beta R2 - 1) sin(k d) = 0 with d = R2 - R1.
+    f has one zero on (0, pi/d]: f(k)/k -> R1 + beta R2 d > 0 as k -> 0+
+    and f(pi/d) = -pi R2/d < 0.  For beta R2 < 1 the root solves tan(k d)
+    = k R2/(1 - beta R2), a line steeper than tan(k d) at 0 that meets it
+    once on (0, pi/(2d)) and never after; for beta R2 > 1 tan(k d) crosses
+    the negative line once on (pi/(2d), pi/d); beta R2 = 1 gives pi/(2d).
+    Brent's method brackets it from 2^-30 pi/d, where f(k)/k is within
+    1e-17 R2 of its limit; BracketError when rounding loses a sign there
+    (R1 below about eps R2) or at pi/d (beta above about 3e16 / d).
     """
     ShellSpec(3, r1, r2)
     _check_beta(beta)
@@ -342,18 +341,10 @@ def closed_form_3d(r1: float, r2: float, beta: float) -> float:
     def f(k):
         return k * r2 * math.cos(k * d) + (beta * r2 - 1.0) * math.sin(k * d)
 
-    # the first root always lies in (0, pi/d]: f(0+) > 0, f(pi/d) < 0
-    k_hi = math.pi / d
-    m = 256
-    ks = np.linspace(k_hi / m, k_hi, m)
-    fs = ks * r2 * np.cos(ks * d) + (beta * r2 - 1.0) * np.sin(ks * d)
-    idx = np.where(np.sign(fs[:-1]) != np.sign(fs[1:]))[0]
-    if len(idx) == 0:
-        if fs[-1] == 0.0:
-            return k_hi**2
+    k_lo, k_hi = 2.0**-30 * math.pi / d, math.pi / d
+    if not f(k_lo) > 0.0 > f(k_hi):
         raise BracketError("no root of the 3D characteristic equation found")
-    i = int(idx[0])
-    k = brentq(f, ks[i], ks[i + 1], rtol=8.9e-16, xtol=1e-15 * k_hi)
+    k = brentq(f, k_lo, k_hi, rtol=8.9e-16, xtol=1e-15 * k_hi)
     return k * k
 
 

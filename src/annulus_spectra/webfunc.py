@@ -57,8 +57,6 @@ def _sublevel_area(domain: AnnularDomain, s: float, outer_poly) -> float:
     outer_poly, both star shaped about the domain's center.
     """
     hole = domain.inner
-    if s <= 0.0:
-        return 0.0
     if s <= domain.gap:
         return hole.perimeter() * s + math.pi * s * s
     if isinstance(hole, Circle) and isinstance(domain.outer, Circle):

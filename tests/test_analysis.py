@@ -85,6 +85,13 @@ class TestPerturbationField:
         assert isinstance(bumpy.outer, PolygonCurve)
         assert bumpy.inner is CONCENTRIC.inner
 
+    def test_inner_normal_perturbation(self):
+        wavy = PerturbationField(kind="normal_fourier", target="inner", mode=2, amplitude=1.0)
+        bumpy = wavy.perturbed(CONCENTRIC, 0.01, 256)
+        assert isinstance(bumpy.inner, PolygonCurve)
+        assert bumpy.inner.area() == pytest.approx(math.pi, rel=1e-3)
+        assert bumpy.outer is CONCENTRIC.outer
+
     def test_excessive_amplitude_rejected(self):
         wavy = PerturbationField(kind="normal_fourier", target="outer", mode=5, amplitude=1.0)
         with pytest.raises(Exception):
@@ -190,6 +197,15 @@ class TestKuttlerBounds:
     def test_fem_domain_passes(self):
         for rep in kuttler_bounds(ECCENTRIC, 1.0, resolution=(24, 96)):
             assert rep.passed
+
+    def test_ellipse_and_polygon_outer_pass(self):
+        # the inradius bound reads min(a, b) on an ellipse, the polygon's
+        # inradius on a 64-gon
+        theta = 2.0 * np.pi * np.arange(64) / 64
+        gon = PolygonCurve(ConvexPolygon(2.0 * np.column_stack([np.cos(theta), np.sin(theta)])))
+        for target in (standard_family()[6], AnnularDomain(gon, Circle((0.2, 0.0), 0.8))):
+            reports = kuttler_bounds(target, 1.0, resolution=(24, 96))
+            assert [rep.passed for rep in reports] == [True, True, True]
 
     def test_fem_pair_meshes_once(self, monkeypatch):
         meshes = []

@@ -167,6 +167,11 @@ class TestFemCommand:
         assert code == 2
         assert "at least 2 radial layers and 8 rays" in capsys.readouterr().err
 
+    def test_malformed_resolution_usage_error(self, capsys):
+        args = ["fem", "--outer", "circle 0 0 2", "--inner", "circle 0.5 0 1", "--beta", "1"]
+        assert main(args + ["--res", "48by192"]) == 2
+        assert "resolution must look like 64x256, got '48by192'" in capsys.readouterr().err
+
     def test_determinism_rerun(self, tmp_path, capsys):
         args = [
             "fem",
@@ -429,6 +434,36 @@ class TestConfigFile:
             ["shell", "--config", str(conf), "--n", "2", "--r1", "1", "--r2", "2", "--beta", "1"]
         )
         assert code == 2
+
+    def test_missing_file_usage_error(self, tmp_path, capsys):
+        code = main(["shell", "--config", str(tmp_path / "absent.conf"), "--n", "2"])
+        assert code == 2
+        assert "cannot read config" in capsys.readouterr().err
+
+    def test_line_without_equals_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("command=shell\nn 3\n")
+        assert main(["shell", "--config", str(conf)]) == 2
+        assert "run.conf:2: expected key=value" in capsys.readouterr().err
+
+    def test_config_without_path_usage_error(self, capsys):
+        assert main(["shell", "--n", "2", "--config"]) == 2
+        assert "error: --config needs a path" in capsys.readouterr().err
+
+    def test_config_before_subcommand_usage_error(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("command=shell\n")
+        assert main(["--config", str(conf), "shell"]) == 2
+        assert "error: --config must follow a subcommand" in capsys.readouterr().err
+
+    def test_true_value_becomes_a_flag(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("command=verify\nsuite=geometry\nquick = true\n")
+        assert main(["verify", "--config", str(conf)]) == 0
+        out = capsys.readouterr().out
+        assert main(["verify", "--suite", "geometry", "--quick"]) == 0
+        assert out == capsys.readouterr().out
+        assert sum("PASS" in line for line in out.splitlines()) == 5
 
     def test_wrong_command_rejected(self, tmp_path):
         conf = tmp_path / "run.conf"

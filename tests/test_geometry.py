@@ -594,6 +594,36 @@ class TestEllipseDistance:
             ELLIPSES["wide"].distance((1.0, 0.5))
 
 
+class TestEllipseCurve:
+    def test_curvature_at_the_vertices(self):
+        ell = ELLIPSES["wide"]
+        a, b = ell.a, ell.b
+        c = np.asarray(ell.center)
+        vertices = c + [(a, 0.0), (-a, 0.0), (0.0, b), (0.0, -b)]
+        expected = [a / b**2, a / b**2, b / a**2, b / a**2]
+        assert ell.curvature_at(vertices) == pytest.approx(expected, rel=1e-14)
+        disk = ELLIPSES["circle"]
+        kappa = disk.curvature_at(disk.sample(64))
+        assert kappa == pytest.approx(np.full(64, 1.0 / disk.a), rel=1e-14)
+
+    def test_translated_and_scaled(self):
+        ell = ELLIPSES["tall"]
+        moved = ell.translated((0.5, -1.0))
+        assert moved.center == pytest.approx((0.1, -0.9), abs=1e-15)
+        assert (moved.a, moved.b) == (ell.a, ell.b)
+        grown = ell.scaled(1.5)
+        assert grown.center == pytest.approx(ell.center, abs=0.0)
+        assert (grown.a, grown.b) == (1.5 * ell.a, 1.5 * ell.b)
+        assert grown.area() == pytest.approx(2.25 * ell.area(), rel=1e-15)
+
+    @pytest.mark.parametrize("delta", [0.05, 0.7])
+    def test_outer_parallel_points(self, delta):
+        ell = Ellipse((0.3, -0.2), 1.1, 0.6)
+        pts = geometry.outer_parallel_points(ell, delta, 512)
+        assert np.max(np.abs(ell.distance(pts) - delta)) <= 1e-15
+        assert not np.any(ell.contains(pts))
+
+
 def broadcast_nearest_edge(poly, points):
     """The (points x edges x 2) broadcast the edge loop replaced."""
     p = np.atleast_2d(np.asarray(points, dtype=float))

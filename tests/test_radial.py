@@ -8,7 +8,13 @@ from hypothesis import strategies as st
 from scipy.special import jv, yv
 
 from annulus_spectra import radial
-from annulus_spectra.errors import AnnulusError, GeometryError, NumericalError, RangeError
+from annulus_spectra.errors import (
+    AnnulusError,
+    BracketError,
+    GeometryError,
+    NumericalError,
+    RangeError,
+)
 from annulus_spectra.radial import (
     EPS,
     LAMBDA_RTOL,
@@ -39,6 +45,12 @@ class TestClosedForm3d:
     def test_invalid_beta_rejected(self, beta):
         with pytest.raises(RangeError):
             closed_form_3d(1.0, 2.0, beta)
+
+    @pytest.mark.parametrize("shell", [(1e-20, 1.0, 0.0), (1.0, 4.0, 1e17)])
+    def test_rounded_bracket_raises(self, shell):
+        # R1 lost in the rounding of R2, or beta sin(pi) outweighing pi R2 / d
+        with pytest.raises(BracketError):
+            closed_form_3d(*shell)
 
 
 class TestSolveShell:
@@ -174,6 +186,51 @@ class TestBesselSolver:
         assert res.v_m == 0.0
         assert res.phi[-1] == 0.0
         assert res.dphi[0] == pytest.approx(1.0, rel=1e-13)
+
+
+class TestRootOracles:
+    @pytest.mark.parametrize(
+        "shell",
+        [
+            (2, 1.0, 2.0, 1.0),
+            (3, 1.0, 2.0, 1.0),
+            (5, 1e-3, 2.0, 1e9),
+            (8, 1.0, 1.001, 1.0),
+            (4, 0.5, 3.5, 1e-3),
+            (12, 2.0, 5.0, 10.0),
+            (7, 1e-3, 2e-3, 1e12),
+        ],
+    )
+    def test_critical_radius_matches_mpmath(self, shell):
+        # r_bar is the zero of Z_(nu+1)(k r) at the solver's own k
+        n, r1, _, _ = shell
+        res = solve_shell(*shell)
+        with mpmath.workdps(30):
+            nu, k = mpmath.mpf(n) / 2 - 1, mpmath.mpf(res._k)
+            j_nu, y_nu = mpmath.besselj(nu, k * r1), mpmath.bessely(nu, k * r1)
+            exact = float(
+                mpmath.findroot(
+                    lambda r: mpmath.besselj(nu + 1, k * r) * y_nu
+                    - mpmath.bessely(nu + 1, k * r) * j_nu,
+                    mpmath.mpf(res.r_bar),
+                )
+            )
+        assert abs(res.r_bar - exact) <= 4.0 * EPS * exact
+
+    @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e12])
+    def test_closed_form_3d_matches_mpmath(self, beta):
+        # tiny holes (R1 / R2 down to 3e-4) and thin shells (width 1e-3);
+        # the 40-digit root must also be the first: f > 0 below it
+        for r1 in (1e-3, 0.01, 0.1, 1.0, 2.0):
+            for width in (1e-3, 0.01, 0.1, 1.0, 3.0):
+                r2 = r1 + width
+                k = math.sqrt(closed_form_3d(r1, r2, beta))
+                with mpmath.workdps(40):
+                    b, d = mpmath.mpf(beta), mpmath.mpf(r2) - r1
+                    f = lambda x: x * r2 * mpmath.cos(x * d) + (b * r2 - 1) * mpmath.sin(x * d)
+                    exact = mpmath.findroot(f, mpmath.mpf(k))
+                    assert all(f(exact * j / 16) > 0 for j in range(1, 16))
+                assert abs(k * k - float(exact**2)) <= 1e-12 * float(exact**2)
 
 
 def _plain_jy(mu, x):
@@ -348,6 +405,11 @@ class TestFiniteDifference:
     def test_neumann_closure_matches_shooting(self):
         lam = solve_shell_fd(2, 1.0, 2.0, 0.0, 20000)
         assert lam == pytest.approx(solve_shell(2, 1.0, 2.0, 0.0).lam, rel=1e-6)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_dirichlet_closure_matches_bessel(self, n):
+        lam = solve_shell_fd(n, 1.0, 2.0, math.inf, 20000)
+        assert lam == pytest.approx(solve_shell(n, 1.0, 2.0, math.inf).lam, rel=1e-7)
 
     def test_grid_floor(self):
         with pytest.raises(RangeError):
