@@ -32,7 +32,6 @@ from .geometry import (
     class_s_data,
     inradius,
     isoperimetric_deficit,
-    quermassintegrals_2d,
     random_convex_polygon,
     scale_hole_to_class_s,
     unit_ball_volume,

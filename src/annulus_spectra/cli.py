@@ -10,6 +10,7 @@ seed any subcommand's options; explicit flags override it.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -195,7 +196,8 @@ def cmd_shell(args) -> int:
         )
         if out:
             out.mkdir(parents=True, exist_ok=True)
-            radial.write_profile_csv(result, out / "profile.csv")
+            rows = zip(result.r, result.phi, result.dphi)
+            _write_csv(out / "profile.csv", ["r", "phi", "dphi"], rows)
     if out:
         out.mkdir(parents=True, exist_ok=True)
         _dump_json(report, out / "shell_report.json")
@@ -216,7 +218,8 @@ def cmd_fem(args) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         fem.write_mesh(result.mesh, out / "mesh.txt")
-        fem.write_eigenvector_csv(result, out / "eigenvector.csv")
+        rows = ((i, x, y, u) for i, ((x, y), u) in enumerate(zip(result.mesh.nodes, result.u)))
+        _write_csv(out / "eigenvector.csv", ["node", "x", "y", "u"], rows)
         _dump_json(result.report(), out / "fem_report.json")
     return 0
 
@@ -292,7 +295,7 @@ def _suite_radial(args, resolution):
     checks = [
         Check("cross_method_agreement", worst, 0.0, 1e-6),
         Check("closed_form_3d_agreement", worst3d, 0.0, 1e-9),
-        Check("radii_monotonicity", mono.violations, 0.0, 0.0),
+        Check("radii_monotonicity", mono, 0.0, 0.0),
         Check("scaling_law", scaling_err, 0.0, 1e-9),
     ]
     return {"seed": args.seed, "cases": cases}, checks
@@ -484,15 +487,13 @@ def cmd_sweep(args) -> int:
 
 
 def _write_csv(path, header, rows):
-    import csv as _csv
-
+    """Every CSV of the CLI: a header row, then rows with strings kept and
+    numbers written as %.17g."""
     with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
+        writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
-            writer.writerow(
-                [v if isinstance(v, str) else f"{v:.17g}" for v in row]
-            )
+            writer.writerow([v if isinstance(v, str) else f"{v:.17g}" for v in row])
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ factorization of the stiffness side, taken in that order without pivoting.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -484,11 +483,3 @@ def write_mesh(mesh: Mesh, path) -> None:
             fh.write(f"{i} {j} outer\n")
         for i, j in mesh.inner_edges:
             fh.write(f"{i} {j} inner\n")
-
-
-def write_eigenvector_csv(result: FemEigenResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node", "x", "y", "u"])
-        for i, ((x, y), val) in enumerate(zip(result.mesh.nodes, result.u)):
-            writer.writerow([i, f"{x:.17g}", f"{y:.17g}", f"{val:.17g}"])

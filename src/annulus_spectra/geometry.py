@@ -169,10 +169,6 @@ class ConvexPolygon:
             np.minimum(best, dist, out=best)
         return best, nearest
 
-    def distance_to_boundary(self, points) -> np.ndarray:
-        """Euclidean distance from each point to the polygon boundary."""
-        return self.nearest_edge(points)[0]
-
     def sample_boundary(self, n: int) -> np.ndarray:
         """n points spread along the boundary, proportional to edge length."""
         v = self.vertices
@@ -234,11 +230,6 @@ def random_convex_polygon(rng: np.random.Generator, n: int, scale: float = 1.0) 
 # ---------------------------------------------------------------------------
 
 
-def quermassintegrals_2d(poly: ConvexPolygon):
-    """(W0, W1, W2) of a planar convex body: area, half perimeter, pi."""
-    return poly.area, poly.perimeter / 2.0, math.pi
-
-
 def inradius(poly: ConvexPolygon, return_center: bool = False):
     """Radius of the largest inscribed disk (Chebyshev center of the edges).
 
@@ -283,9 +274,11 @@ def convex_intersection_area(a: ConvexPolygon, b: ConvexPolygon, center) -> floa
 
 
 def aleksandrov_fenchel_check(poly: ConvexPolygon) -> float:
-    """Margin (W1/omega_2) - sqrt(W0/omega_2); nonnegative, zero for disks."""
-    w0, w1, _ = quermassintegrals_2d(poly)
-    return w1 / math.pi - math.sqrt(w0 / math.pi)
+    """Margin (W1/omega_2) - sqrt(W0/omega_2); nonnegative, zero for disks.
+
+    The quermassintegrals of a planar convex body are W0 = area and
+    W1 = perimeter / 2, and omega_2 = pi."""
+    return poly.perimeter / 2.0 / math.pi - math.sqrt(poly.area / math.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +584,7 @@ class PolygonCurve(BoundaryCurve):
         return self.polygon.contains(points, tol=tol)
 
     def distance(self, points):
-        return self.polygon.distance_to_boundary(points)
+        return self.polygon.nearest_edge(points)[0]
 
     def ray_length(self, origin, direction):
         """Exit through the edge halfspaces: from a strictly inner origin the

@@ -31,7 +31,6 @@ the single drop of phi' on every knot again.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -124,14 +123,6 @@ class RadialEigenResult:
             "method": "bessel",
             "residual": self.residual,
         }
-
-
-def write_profile_csv(result: RadialEigenResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "phi", "dphi"])
-        for row in zip(result.r, result.phi, result.dphi):
-            writer.writerow([f"{v:.17g}" for v in row])
 
 
 def _jy(mu: float, x):
@@ -328,9 +319,14 @@ def closed_form_3d(r1: float, r2: float, beta: float) -> float:
     = k R2/(1 - beta R2), a line steeper than tan(k d) at 0 that meets it
     once on (0, pi/(2d)) and never after; for beta R2 > 1 tan(k d) crosses
     the negative line once on (pi/(2d), pi/d); beta R2 = 1 gives pi/(2d).
-    Brent's method brackets it from 2^-30 pi/d, where f(k)/k is within
-    1e-17 R2 of its limit; BracketError when rounding loses a sign there
-    (R1 below about eps R2) or at pi/d (beta above about 3e16 / d).
+    On tiny holes k R2 cos(k d) and sin(k d) nearly cancel, so f is
+    evaluated as k R1 cos x + (x cos x - sin x) + beta R2 sin x, x = k d,
+    with the middle term from its series, the sum over m >= 1 of
+    (-1)^m 2m x^(2m+1) / (2m+1)!, when x < 1/2.  Brent's method brackets
+    the root from 2^-30 pi/d to a tolerance relative to the root itself;
+    BracketError when the root lies below that start (R1 below about
+    3e-18 d at beta = 0) or rounding loses the sign of f(pi/d) (beta above
+    about 3e16 / d).
     """
     ShellSpec(3, r1, r2)
     _check_beta(beta)
@@ -339,12 +335,20 @@ def closed_form_3d(r1: float, r2: float, beta: float) -> float:
         return (math.pi / d) ** 2
 
     def f(k):
-        return k * r2 * math.cos(k * d) + (beta * r2 - 1.0) * math.sin(k * d)
+        x = k * d
+        if x < 0.5:
+            term, bend = -(x**3) / 3.0, 0.0
+            for m in range(1, 9):  # the ninth term is below 1e-17 of the first
+                bend += term
+                term *= -x * x / (2 * m * (2 * m + 3))
+        else:
+            bend = x * math.cos(x) - math.sin(x)
+        return k * r1 * math.cos(x) + bend + beta * r2 * math.sin(x)
 
     k_lo, k_hi = 2.0**-30 * math.pi / d, math.pi / d
     if not f(k_lo) > 0.0 > f(k_hi):
         raise BracketError("no root of the 3D characteristic equation found")
-    k = brentq(f, k_lo, k_hi, rtol=8.9e-16, xtol=1e-15 * k_hi)
+    k = brentq(f, k_lo, k_hi, rtol=8.9e-16, xtol=EPS * k_lo)
     return k * k
 
 
@@ -385,21 +389,13 @@ def solve_shell_fd(n: int, r1: float, r2: float, beta: float, m: int) -> float:
     return float(vals[0])
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
-    radii: np.ndarray
-    lam_growing_outer: np.ndarray
-    lam_growing_inner: np.ndarray
-    violations: int
-
-
-def radii_monotonicity(n: int, beta: float, r1: float, r2: float, k: int) -> MonotonicityReport:
+def radii_monotonicity(n: int, beta: float, r1: float, r2: float, k: int) -> int:
     """Sweep the shell radii: growing the outer radius must lower the
-    eigenvalue, growing the inner one must raise it."""
+    eigenvalue, growing the inner one must raise it.  Returns the count of
+    sweep steps that break either rule."""
     if k < 3:
         raise RangeError("need at least 3 sweep points")
     radii = np.linspace(r1, r2, k + 2)[1:-1]
     lam_outer = np.array([solve_shell(n, r1, r, beta).lam for r in radii])
     lam_inner = np.array([solve_shell(n, r, r2, beta).lam for r in radii])
-    violations = int(np.sum(np.diff(lam_outer) >= 0.0)) + int(np.sum(np.diff(lam_inner) <= 0.0))
-    return MonotonicityReport(radii, lam_outer, lam_inner, violations)
+    return int(np.sum(np.diff(lam_outer) >= 0.0)) + int(np.sum(np.diff(lam_inner) <= 0.0))

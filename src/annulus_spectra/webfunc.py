@@ -68,22 +68,16 @@ def _sublevel_area(domain: AnnularDomain, s: float, outer_poly) -> float:
     return convex_intersection_area(body, outer_poly, domain.center) - hole.area()
 
 
-def find_split(domain: AnnularDomain, radial: RadialEigenResult) -> float:
-    """Distance s* whose hole-distance sublevel set has the matched area.
-
-    The target is the area of the shell's inner part, between the inner
-    radius and the critical radius.  While the parallel body is compactly
-    contained the area law is an exact quadratic in s, and for class-S
-    domains its root is exactly r_bar - R1; truncation by the outer
-    boundary pushes s* up, and brentq finds it on the increasing area law.
-    """
-    return _split(domain, radial)[0]
-
-
 def _split(domain: AnnularDomain, radial: RadialEigenResult):
-    """(s*, outer_poly) of find_split: outer_poly is the outer polygon of
-    the area law, None when s* is the free-regime root, reached before the
-    hole's free distance domain.gap to the outer curve."""
+    """(s*, outer_poly): the distance s* whose hole-distance sublevel set
+    has the area of the shell's inner part, between R1 and r_bar, and the
+    outer polygon of the area law.
+
+    Up to the hole's free distance domain.gap the area law is an exact
+    quadratic in s whose class-S root is r_bar - R1, returned with
+    outer_poly None; past it the outer boundary truncates the law and
+    brentq finds s* on it.
+    """
     r1, r2, residual = class_s_data(domain)
     if abs(residual) > CLASS_S_RTOL * domain.area:
         raise InfeasibleError(

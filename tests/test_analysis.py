@@ -92,6 +92,19 @@ class TestPerturbationField:
         assert bumpy.inner.area() == pytest.approx(math.pi, rel=1e-3)
         assert bumpy.outer is CONCENTRIC.outer
 
+    @pytest.mark.parametrize("n_a", [64, 256])
+    @pytest.mark.parametrize("target", ["outer", "inner"])
+    def test_concentric_ring_nodes_are_the_vertices(self, target, n_a):
+        # on the shell the normal is radial, so the perturbed polygon keeps
+        # its vertices on the mesh rays: criterion 7's stationarity check
+        # differences eigenvalues of meshes whose rings are those vertices
+        wavy = PerturbationField(kind="normal_fourier", target=target, mode=2, amplitude=1.0)
+        bumpy = wavy.perturbed(CONCENTRIC, 5e-3, n_a)
+        poly = (bumpy.outer if target == "outer" else bumpy.inner).polygon
+        nodes = mesh_annular(bumpy, 4, n_a).nodes
+        ring = nodes[-n_a:] if target == "outer" else nodes[:n_a]
+        assert np.max(np.abs(ring - poly.vertices)) <= 4.0 * np.finfo(float).eps * poly.scale
+
     def test_excessive_amplitude_rejected(self):
         wavy = PerturbationField(kind="normal_fourier", target="outer", mode=5, amplitude=1.0)
         with pytest.raises(Exception):
@@ -113,7 +126,7 @@ class TestShapeDerivative:
         fem = solve_domain(ECCENTRIC, 1.0, 32, 128)
         field = PerturbationField(kind="translation", target="both", vector=(0.4, -0.1))
         formula = shape_derivative_formula(ECCENTRIC, 1.0, field, fem)
-        fd = shape_derivative_fd(ECCENTRIC, 1.0, field, 1e-3, (32, 128))
+        fd, _ = shape_derivative_fd(ECCENTRIC, 1.0, field, 1e-3, (32, 128))
         assert fd == pytest.approx(0.0, abs=1e-9)
         assert abs(formula) < 1e-4
 
@@ -144,9 +157,10 @@ class TestShapeDerivative:
         field = PerturbationField(kind="normal_fourier", target="outer", mode=2, amplitude=1.0)
         value, noise = shape_derivative_fd_with_noise(CONCENTRIC, 1.0, field, 5e-3, (16, 64))
         assert len(lams) == 4
-        coarse = shape_derivative_fd(CONCENTRIC, 1.0, field, 5e-3, (16, 64))
-        fine = shape_derivative_fd(CONCENTRIC, 1.0, field, 2.5e-3, (16, 64))
+        coarse, coarse_lams = shape_derivative_fd(CONCENTRIC, 1.0, field, 5e-3, (16, 64))
+        fine, fine_lams = shape_derivative_fd(CONCENTRIC, 1.0, field, 2.5e-3, (16, 64))
         assert value == (4.0 * fine - coarse) / 3.0
+        assert coarse_lams + fine_lams == tuple(lams[:4])
         # on the stationary shell the round-off floor decides, and it scales
         # with the smallest of the four eigenvalues differenced
         floor = 1e-11 * min(lams) / 5e-3
@@ -155,9 +169,9 @@ class TestShapeDerivative:
 
     def test_fd_step_consistency(self):
         field = PerturbationField(kind="translation", target="inner", vector=(1.0, 0.0))
-        coarse = shape_derivative_fd(ECCENTRIC, 1.0, field, 2e-3, (24, 96))
-        fine = shape_derivative_fd(ECCENTRIC, 1.0, field, 1e-3, (24, 96))
-        finest = shape_derivative_fd(ECCENTRIC, 1.0, field, 5e-4, (24, 96))
+        coarse, _ = shape_derivative_fd(ECCENTRIC, 1.0, field, 2e-3, (24, 96))
+        fine, _ = shape_derivative_fd(ECCENTRIC, 1.0, field, 1e-3, (24, 96))
+        finest, _ = shape_derivative_fd(ECCENTRIC, 1.0, field, 5e-4, (24, 96))
         # second order in the step: differences shrink about fourfold
         assert abs(fine - finest) <= 0.5 * abs(coarse - fine) + 1e-10
 

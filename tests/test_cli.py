@@ -10,7 +10,7 @@ from annulus_spectra import cli
 from annulus_spectra.analysis import InequalityReport
 from annulus_spectra.cli import main, write_svg_plot
 from annulus_spectra.errors import NumericalError
-from annulus_spectra.fem import solve_domain
+from annulus_spectra.fem import convergence_study, solve_domain
 from annulus_spectra.geometry import AnnularDomain, Circle
 from annulus_spectra.radial import closed_form_3d, solve_shell
 
@@ -107,6 +107,50 @@ class TestShellCommand:
         report = json.loads((out / "shell_report.json").read_text())
         assert report["method"] == "bessel"
         assert "resolution" in report
+
+
+class TestCsvWriter:
+    """profile.csv, eigenvector.csv and the sweep tables come from one
+    writer: a header, numbers as %.17g and \r\n line ends."""
+
+    @staticmethod
+    def expected(header, rows):
+        lines = [",".join(header)]
+        lines += [",".join(v if isinstance(v, str) else f"{v:.17g}" for v in row) for row in rows]
+        return "".join(line + "\r\n" for line in lines).encode()
+
+    def test_shell_profile(self, tmp_path, capsys):
+        argv = ["shell", "--n", "2", "--r1", "1", "--r2", "2", "--beta", "1"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        res = solve_shell(2, 1.0, 2.0, 1.0)
+        raw = (tmp_path / "profile.csv").read_bytes()
+        assert raw == self.expected(["r", "phi", "dphi"], zip(res.r, res.phi, res.dphi))
+        data = np.loadtxt(tmp_path / "profile.csv", delimiter=",", skiprows=1)
+        assert data.shape == (len(res.r), 3) == (4097, 3)
+        assert np.array_equal(data, np.column_stack([res.r, res.phi, res.dphi]))
+
+    def test_fem_eigenvector(self, tmp_path, capsys):
+        argv = ["fem", "--outer", "circle 0 0 2", "--inner", "circle 0 0 1", "--beta", "1"]
+        assert main(argv + ["--res", "4x16", "--out", str(tmp_path)]) == 0
+        res = solve_domain(AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0)), 1.0, 4, 16)
+        rows = [(str(i), x, y, u) for i, ((x, y), u) in enumerate(zip(res.mesh.nodes, res.u))]
+        raw = (tmp_path / "eigenvector.csv").read_bytes()
+        assert raw == self.expected(["node", "x", "y", "u"], rows)
+        assert raw.count(b"\r\n") == len(res.mesh.nodes) + 1 == 81
+
+    def test_resolution_sweep(self, tmp_path, capsys):
+        argv = ["sweep", "--kind", "resolution", "--steps", "3", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
+        lam_ref = solve_shell(2, 1.0, 2.0, 1.0).lam
+        study = convergence_study(dom, 1.0, [(8, 32), (16, 64), (32, 128)], lam_ref=lam_ref)
+        rows = [
+            (f"{n_r}x{n_a}", h, lam, abs(lam - lam_ref))
+            for (n_r, n_a), h, lam in zip(study.resolutions, study.h, study.lam_h)
+        ]
+        raw = (tmp_path / "resolution_sweep.csv").read_bytes()
+        assert raw == self.expected(["resolution", "h", "lambda", "error"], rows)
+        assert raw.splitlines()[1].startswith(b"8x32,")
 
 
 class TestFemCommand:

@@ -18,7 +18,6 @@ from annulus_spectra.fem import (
     smallest_eigenpair,
     solve_domain,
     solve_on_mesh,
-    write_eigenvector_csv,
     write_mesh,
 )
 from annulus_spectra.geometry import AnnularDomain, Circle, ConvexPolygon, PolygonCurve
@@ -385,14 +384,6 @@ class TestMeshIO:
         assert {k for _, _, k in edges} == {"outer", "inner"}
         assert np.array_equal(tagged["outer"], mesh.outer_edges)
         assert np.array_equal(tagged["inner"], mesh.inner_edges)
-
-    def test_eigenvector_csv(self, tmp_path):
-        res = solve_domain(CONCENTRIC, 1.0, 4, 16)
-        path = tmp_path / "vec.csv"
-        write_eigenvector_csv(res, path)
-        rows = path.read_text().splitlines()
-        assert rows[0] == "node,x,y,u"
-        assert len(rows) == len(res.mesh.nodes) + 1
 
 
 class TestPolygonHoleDomain:

@@ -22,7 +22,6 @@ from annulus_spectra import (
     class_s_data,
     inradius,
     isoperimetric_deficit,
-    quermassintegrals_2d,
     random_convex_polygon,
     scale_hole_to_class_s,
     unit_ball_volume,
@@ -69,20 +68,18 @@ class TestPolygonArea:
 
 
 class TestQuermassintegrals:
+    # planar W0 and W1 are the area and half the perimeter
     def test_unit_square(self):
-        w0, w1, w2 = quermassintegrals_2d(UNIT_SQUARE)
-        assert (w0, w1, w2) == pytest.approx((1.0, 2.0, math.pi))
+        assert (UNIT_SQUARE.area, UNIT_SQUARE.perimeter / 2.0) == pytest.approx((1.0, 2.0))
 
     def test_disk_4096gon(self):
         disk = ConvexPolygon.regular(4096, circumradius=1.0)
-        w0, w1, w2 = quermassintegrals_2d(disk)
-        assert w0 == pytest.approx(math.pi, abs=1e-5)
-        assert w1 == pytest.approx(math.pi, abs=1e-5)
-        assert w2 == math.pi
+        assert disk.area == pytest.approx(math.pi, abs=1e-5)
+        assert disk.perimeter / 2.0 == pytest.approx(math.pi, abs=1e-5)
 
     def test_rectangle(self):
         rect = ConvexPolygon.rectangle(2.0, 1.0)
-        assert quermassintegrals_2d(rect) == pytest.approx((2.0, 3.0, math.pi))
+        assert (rect.area, rect.perimeter / 2.0) == pytest.approx((2.0, 3.0))
 
 
 class TestShellQuermass:
@@ -158,7 +155,7 @@ class TestPolygonContainmentGap:
         poly = random_convex_polygon(rng, 256)
         inside = poly.centroid + 0.999 * (poly.sample_boundary(2000) - poly.centroid) * rng.random((2000, 1))
         margins = np.min(poly.margins(inside), axis=1)
-        assert margins == pytest.approx(poly.distance_to_boundary(inside), abs=1e-15 * poly.scale)
+        assert margins == pytest.approx(poly.nearest_edge(inside)[0], abs=1e-15 * poly.scale)
 
 
 class TestAleksandrovFenchel:
@@ -652,7 +649,8 @@ class TestPolygonDistance:
         # vertices and edge midpoints put ties between edges into the set
         pts = np.concatenate([rng.uniform(-2.0, 2.0, (1000, 2)), v[:4], midpoints[:4]])
         dist, nearest = broadcast_nearest_edge(poly, pts)
-        assert np.array_equal(poly.distance_to_boundary(pts), dist)
+        assert np.array_equal(poly.nearest_edge(pts)[0], dist)
+        assert np.array_equal(PolygonCurve(poly).distance(pts), dist)
         normals, _ = poly.edge_normals_offsets()
         assert np.array_equal(PolygonCurve(poly).outward_normal(pts), normals[nearest])
 

@@ -23,7 +23,6 @@ from annulus_spectra.radial import (
     radii_monotonicity,
     solve_shell,
     solve_shell_fd,
-    write_profile_csv,
 )
 
 
@@ -48,7 +47,8 @@ class TestClosedForm3d:
 
     @pytest.mark.parametrize("shell", [(1e-20, 1.0, 0.0), (1.0, 4.0, 1e17)])
     def test_rounded_bracket_raises(self, shell):
-        # R1 lost in the rounding of R2, or beta sin(pi) outweighing pi R2 / d
+        # a root (about 1.7e-10) below the bracket start 2^-30 pi / d, or
+        # beta sin(pi) outweighing pi R2 / d
         with pytest.raises(BracketError):
             closed_form_3d(*shell)
 
@@ -219,18 +219,20 @@ class TestRootOracles:
 
     @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e12])
     def test_closed_form_3d_matches_mpmath(self, beta):
-        # tiny holes (R1 / R2 down to 3e-4) and thin shells (width 1e-3);
-        # the 40-digit root must also be the first: f > 0 below it
-        for r1 in (1e-3, 0.01, 0.1, 1.0, 2.0):
-            for width in (1e-3, 0.01, 0.1, 1.0, 3.0):
-                r2 = r1 + width
-                k = math.sqrt(closed_form_3d(r1, r2, beta))
-                with mpmath.workdps(40):
-                    b, d = mpmath.mpf(beta), mpmath.mpf(r2) - r1
-                    f = lambda x: x * r2 * mpmath.cos(x * d) + (b * r2 - 1) * mpmath.sin(x * d)
-                    exact = mpmath.findroot(f, mpmath.mpf(k))
-                    assert all(f(exact * j / 16) > 0 for j in range(1, 16))
-                assert abs(k * k - float(exact**2)) <= 1e-12 * float(exact**2)
+        # small holes (R1 / R2 down to 3e-4) and thin shells (width 1e-3),
+        # then tiny holes (R1 / R2 down to 3e-8), where k R2 cos(k d) and
+        # sin(k d) cancel to k R1 near the root; the 40-digit root must
+        # also be the first: f > 0 below it
+        grid = [(r1, r1 + w) for r1 in (1e-3, 0.01, 0.1, 1.0, 2.0) for w in (1e-3, 0.01, 0.1, 1.0, 3.0)]
+        tiny = [(ratio * r2, r2) for ratio in (3e-8, 1e-6, 1e-4) for r2 in (0.5, 1.0, 7.0)]
+        for r1, r2 in grid + tiny:
+            k = math.sqrt(closed_form_3d(r1, r2, beta))
+            with mpmath.workdps(40):
+                b, d = mpmath.mpf(beta), mpmath.mpf(r2) - r1
+                f = lambda x: x * r2 * mpmath.cos(x * d) + (b * r2 - 1) * mpmath.sin(x * d)
+                exact = mpmath.findroot(f, mpmath.mpf(k))
+                assert all(f(exact * j / 16) > 0 for j in range(1, 16))
+            assert abs(k * k - float(exact**2)) <= 1e-14 * float(exact**2)
 
 
 def _plain_jy(mu, x):
@@ -423,24 +425,13 @@ class TestFiniteDifference:
 
 class TestRadiiMonotonicity:
     def test_standard_sweep(self):
-        report = radii_monotonicity(2, 1.0, 1.0, 2.0, 9)
-        assert report.violations == 0
+        assert radii_monotonicity(2, 1.0, 1.0, 2.0, 9) == 0
 
     def test_high_beta_3d(self):
-        report = radii_monotonicity(3, 5.0, 1.0, 2.0, 5)
-        assert report.violations == 0
+        assert radii_monotonicity(3, 5.0, 1.0, 2.0, 5) == 0
 
     def test_minimal_sweep(self):
-        report = radii_monotonicity(2, 1.0, 1.0, 2.0, 3)
-        assert report.violations == 0
+        assert radii_monotonicity(2, 1.0, 1.0, 2.0, 3) == 0
         with pytest.raises(RangeError):
             radii_monotonicity(2, 1.0, 1.0, 2.0, 2)
 
-
-def test_profile_csv_roundtrip(tmp_path):
-    res = solve_shell(2, 1.0, 2.0, 1.0)
-    path = tmp_path / "profile.csv"
-    write_profile_csv(res, path)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (PROFILE_SAMPLES, 3) == (4097, 3)
-    assert np.array_equal(data, np.column_stack([res.r, res.phi, res.dphi]))

@@ -29,7 +29,6 @@ from annulus_spectra.webfunc import (
     build_web,
     chain_certificate,
     chain_checks,
-    find_split,
     rayleigh_quotient,
 )
 
@@ -62,13 +61,14 @@ def sampled_sublevel_area(domain, s_star, grid=1400):
 class TestFindSplit:
     def test_shell_split_is_critical_width(self):
         rad = solve_shell(2, 1.0, 2.0, 1.0)
-        s = find_split(SHELL_DOMAIN, rad)
-        assert s == rad.r_bar - 1.0
+        web = build_web(SHELL_DOMAIN, rad)
+        assert web.split_s == rad.r_bar - 1.0
+        assert web.split_area_rel_err <= 1e-14
 
     def test_eccentric_area_match_oracle(self):
         rad = solve_shell(2, 1.0, 2.0, 1.0)
         dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
-        s = find_split(dom, rad)
+        s = build_web(dom, rad).split_s
         target = math.pi * (rad.r_bar**2 - 1.0)
         assert sampled_sublevel_area(dom, s) == pytest.approx(target, rel=2e-2)
         # truncation by the outer boundary pushes the split outward
@@ -100,7 +100,7 @@ class TestFindSplit:
         web = build_web(dom, rad)
         # one clip polygon past the free distance, none inside it
         assert polygons == ([CLIP_SAMPLES] if clipped else [])
-        assert web.split_s == find_split(dom, rad)
+        assert web.split_s == webfunc._split(dom, rad)[0]
         target = math.pi * (rad.r_bar**2 - r1 * r1)
         area = _sublevel_area(dom, web.split_s, to_polygon(dom.outer, CLIP_SAMPLES))
         assert web.split_area_rel_err == abs(area - target) / target
@@ -126,18 +126,18 @@ class TestFindSplit:
         rad = solve_shell(2, 1.0, 2.0, 1.0)
         monkeypatch.setattr(webfunc, "_sublevel_area", lambda *args: 0.0)
         with pytest.raises(InfeasibleError, match="not reached"):
-            find_split(dom, rad)
+            build_web(dom, rad)
 
     def test_wrong_shell_rejected(self):
         rad = solve_shell(2, 1.0, 1.9, 1.0)
         with pytest.raises(InfeasibleError):
-            find_split(SHELL_DOMAIN, rad)
+            build_web(SHELL_DOMAIN, rad)
 
     def test_non_class_s_rejected(self):
         rad = solve_shell(2, 0.5, 2.0, 1.0)
         dom = AnnularDomain(Ellipse((0, 0), 2.0, 1.0), Circle((0, 0), 0.5))
         with pytest.raises(InfeasibleError):
-            find_split(dom, rad)
+            build_web(dom, rad)
 
 
 class TestEvaluate:
