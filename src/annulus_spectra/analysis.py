@@ -177,12 +177,14 @@ def shape_derivative_fd(
     resolution,
 ):
     """(centered difference, (lambda(+t_step), lambda(-t_step))) of the
-    eigenvalue over matched meshes."""
+    eigenvalue over matched meshes.  Both perturbed solves are seeded with
+    the base eigenpair, which lies on the same rings x rays grid."""
     if not (t_step > 0.0 and np.isfinite(t_step)):  # also rejects nan
         raise RangeError(f"finite-difference step must be positive and finite, got {t_step!r}")
     n_r, n_a = resolution
+    base = solve_domain(domain, beta, n_r, n_a)
     lams = tuple(
-        solve_domain(field.perturbed(domain, t, n_a), beta, n_r, n_a).lam
+        solve_domain(field.perturbed(domain, t, n_a), beta, n_r, n_a, seed=base).lam
         for t in (t_step, -t_step)
     )
     return (lams[0] - lams[1]) / (2.0 * t_step), lams

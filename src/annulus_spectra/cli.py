@@ -213,7 +213,13 @@ def cmd_fem(args) -> int:
         raise UsageError(str(err)) from err
     n_r, n_a = _parse_res(args.res)
     result = fem.solve_domain(domain, args.beta, n_r, n_a)
+    stats = result.stats
     print(f"lambda_h = {result.lam:.12g}  ({n_r}x{n_a} mesh, beta={args.beta})")
+    print(
+        f"certificate: {stats['negative_pivots']} negative pivot(s) at sigma = "
+        f"{stats['sigma']:.12g}, {stats['factorizations']} factorization(s), "
+        f"{stats['outer_iterations']} LU solves"
+    )
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
@@ -451,7 +457,8 @@ def cmd_sweep(args) -> int:
             )
             return fem.solve_domain(dom, args.beta, n_r, n_a).lam
 
-        # SuperLU and ARPACK release the GIL; map keeps the offsets' order
+        # numpy's array kernels release the GIL (the SuperLU factorization
+        # holds it); map keeps the offsets' order
         with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
             lams = list(pool.map(solve_offset, offsets))
         margins = [lam_shell - l for l in lams]

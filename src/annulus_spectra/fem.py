@@ -7,24 +7,42 @@ produces exact per-triangle P1 stiffness, consistent mass and exact
 two-point Robin edge mass; the inner (Dirichlet) ring is eliminated and the
 free nodes are numbered in a nested-dissection order of the rings x rays
 grid (George, SIAM J. Numer. Anal. 10, 1973).  The smallest eigenpair of
-the SPD pencil comes from shift-invert Lanczos (ARPACK) on one sparse LU
-factorization of the stiffness side, taken in that order without pivoting.
+the SPD pencil is proved to be the smallest: A - sigma M is factored by
+sparse LU in that order without pivoting, with sigma the Rayleigh quotient
+of the eigenvector one level coarser, and its negative pivots count the
+eigenvalues below sigma (Sylvester; Ericsson & Ruhe, Math. Comp. 35,
+1980).  Block inverse iteration on that many vectors then certifies
+lambda_1 by Kahan's residual bound.  The coarse levels are solved the same
+way down to a dense floor and memoised on their meshes.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+from scipy.linalg import eigh, qr
+from scipy.sparse.linalg import splu
 
 from .errors import GeometryError, RangeError, SolverError, StarShapeError
 from .geometry import AnnularDomain
 
 RESIDUAL_FACTOR = 1e-10
+# pencils with at most this many free nodes are solved by dense eigh
+DENSE_FREE_NODES = 300
+# the dense floor's shift, as a fraction of lambda_2 - lambda_1 above lambda_1
+_FLOOR_SHIFT = 0.25
+# pivots this small against the largest one leave the inertia count unsure
+_TINY_PIVOT = 1e-13
+# relative step that moves a shift off an eigenvalue
+_SHIFT_STEP = 1e-6
+_MAX_STEPS = 60
+_EPS = float(np.finfo(float).eps)
+_MAX_BLOCK = 64
 # largest grid block the nested dissection leaves uncut
 _ND_LEAF = 16
 
@@ -44,6 +62,13 @@ class Mesh:
     resolution: tuple
     # free-node blocks per outer condition, filled by _free_forms
     _free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # unseeded eigenpairs per beta as (lam, u, stats), filled by solve_on_mesh
+    _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # set by mesh_annular: a weak reference to the domain (a strong one
+    # would make a domain -> mesh -> domain cycle) and its (outer, inner,
+    # center), from which a collected domain is rebuilt
+    _domain: object = field(default=None, init=False, repr=False, compare=False)
+    _curves: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("nodes", "triangles", "inner_edges", "outer_edges"):
@@ -124,31 +149,37 @@ class Mesh:
         The inner ring is always constrained, the outer ring too when
         dirichlet_outer is set.  The free rings are numbered in
         nested-dissection order and free_map sends free indices back to
-        node ids.  With a free outer ring, K_ff lies on the pattern of
-        K + B and b_ff = (slots, values) holds B's nonzeros as positions
-        in K_ff's values, so K_ff + beta B_ff needs no sparse addition;
-        b_ff is () otherwise.  Built once per outer condition; read-only.
+        node ids.  K shares M's triplets and B's outer edges are triangle
+        edges, so all three lie on M's pattern; one slice of its entry
+        positions takes them to the free nodes in one sorted entry order.
+        b_ff = (slots, values) holds B's nonzeros as positions in K_ff's
+        values, so K_ff + beta B_ff needs no sparse addition (b_ff is ()
+        with a Dirichlet outer ring).  Built once per outer condition;
+        read-only.
         """
         if dirichlet_outer not in self._free:
             n_r, n_a = self.resolution
             stiffness, mass, boundary = self.forms
+            if not np.array_equal(stiffness.indices, mass.indices):
+                raise GeometryError("stiffness and mass patterns differ")
             # ring 0 is the hole; ring n_r is free unless dirichlet_outer
             free_map = n_a + _nested_dissection(n_r - int(dirichlet_outer), n_a)
-            m_ff = mass[free_map][:, free_map].tocsr()
+            positions = mass.copy()
+            positions.data = np.arange(1.0, mass.nnz + 1.0)  # no explicit zeros
+            positions = positions[free_map][:, free_map].sorted_indices()
+            take = positions.data.astype(np.int64) - 1
+            k_ff, m_ff = (
+                sparse.csr_matrix(
+                    (form.data[take], positions.indices, positions.indptr), shape=positions.shape
+                )
+                for form in (stiffness, mass)
+            )
             b_ff = ()
-            if dirichlet_outer:
-                k_ff = stiffness[free_map][:, free_map].tocsr()
-            else:
-                # every K + beta B lies on the pattern of K + B; carrying K
-                # and B on it makes both slice to the same entry order
-                pattern = (stiffness + boundary).tocsr()
-                rows = np.repeat(np.arange(pattern.shape[0]), np.diff(pattern.indptr))
-                pattern.data = np.asarray(boundary[rows, pattern.indices]).ravel()
-                b_on_k = pattern[free_map][:, free_map].data
+            if not dirichlet_outer:
+                rows = np.repeat(np.arange(mass.shape[0]), np.diff(mass.indptr))
+                b_on_k = np.asarray(boundary[rows, mass.indices]).ravel()[take]
                 slots = np.flatnonzero(b_on_k)
                 b_ff = (slots, b_on_k[slots])
-                pattern.data = np.asarray(stiffness[rows, pattern.indices]).ravel()
-                k_ff = pattern[free_map][:, free_map].tocsr()
             for arr in (
                 free_map, *b_ff, k_ff.data, k_ff.indices, k_ff.indptr,
                 m_ff.data, m_ff.indices, m_ff.indptr,
@@ -235,6 +266,8 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
     outer_edges = np.column_stack([nid(n_r, ks), nid(n_r, ks + 1)])
     mesh = Mesh(nodes, triangles, inner_edges, outer_edges, (n_r, n_a))
     _validate_mesh(mesh, domain)
+    object.__setattr__(mesh, "_domain", weakref.ref(domain))
+    object.__setattr__(mesh, "_curves", (domain.outer, domain.inner, domain.center))
     domain._meshes[n_r, n_a] = mesh
     return mesh
 
@@ -310,57 +343,149 @@ def assemble(mesh: Mesh, beta: float, dirichlet_outer: bool = False):
 # ---------------------------------------------------------------------------
 
 
-def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix):
-    """Smallest eigenpair of the SPD pencil (A, M) by shift-invert Lanczos.
+def _shifted_factor(a: sparse.csr_matrix, m: sparse.csr_matrix, sigma: float):
+    """(lu, p): unpivoted LU of A - sigma M and its number of negative pivots.
 
-    A arrives in the nested-dissection order that assemble gives, so it is
-    factored once by sparse LU in that order, with no fill-reducing
-    permutation and no pivoting (A is SPD because the hole is Dirichlet).
-    ARPACK runs Lanczos on A^{-1} M (shift 0) from the constant start
-    vector, so the result is deterministic.  The eigenvector is
-    M-normalised and oriented to a nonnegative sum; the eigenvalue is its
-    Rayleigh quotient.  The returned stats carry outer_iterations (the
-    number of LU solves), factor_nnz (the nonzeros SuperLU stores for
-    L + U), the residual norm and error_bound, a bound on |rho - lambda|
-    from the residual.
+    The factorization keeps assemble's nested-dissection order and does
+    not pivot, so A - sigma M = L D L' with D the diagonal of U, and by
+    Sylvester's law of inertia p is the number of eigenvalues of the
+    pencil below sigma.  lu is None when a pivot vanishes to round-off,
+    where the count cannot be trusted.
     """
-    n = a.shape[0]
     try:
         lu = splu(
-            a.tocsc(),
+            (a - sigma * m).tocsc(),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
         )
-    except RuntimeError as err:
-        raise SolverError(f"LU factorization failed: {err}") from err
-    solves = 0
+    except RuntimeError:  # an exactly zero pivot
+        return None, 0
+    if not np.array_equal(lu.perm_r, np.arange(a.shape[0])):
+        raise SolverError("SuperLU pivoted rows, so its pivots count no inertia")
+    pivots = lu.U.diagonal()
+    if np.min(np.abs(pivots)) <= _TINY_PIVOT * np.max(np.abs(pivots)):
+        return None, 0
+    return lu, int(np.count_nonzero(pivots < 0.0))
 
-    def solve(b):
-        nonlocal solves
-        solves += 1
-        return lu.solve(b)
 
-    op_inv = LinearOperator((n, n), matvec=solve, dtype=float)
-    try:
-        _, vecs = eigsh(a, k=1, M=m, sigma=0.0, which="LM", v0=np.ones(n), OPinv=op_inv)
-    except ArpackNoConvergence as err:
-        raise SolverError(f"shift-invert Lanczos did not converge: {err}") from err
-    y = vecs[:, 0]
-    y /= math.sqrt(float(y @ (m @ y)))
+def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray):
+    """Block inverse iteration with Rayleigh-Ritz under lu = A - shift M.
+
+    Returns (ritz, x, bound, steps, settled): the Ritz values (ascending),
+    their M-orthonormal vectors, the block residual bound
+    2 sqrt(sum r' diag(M)^-1 r) on ||M^(-1/2) R|| (P1 consistent mass has
+    M >= diag(M) / 2), the number of steps, and whether the iteration
+    settled.  It settles when ritz[-1] + bound < shift and
+    bound^2 / (shift - ritz[-1]) is below one rounding of ritz[0]: with
+    every other eigenvalue at or above the shift, as a count of p there
+    says, that quadratic residual bound caps ritz[0] - lambda_1.  It stops
+    unsettled when the bound stops falling or after _MAX_STEPS steps.
+    """
+    weight = 1.0 / m.diagonal()[:, None]
+    best = None
+    for steps in range(1, _MAX_STEPS + 1):
+        y = qr(lu.solve(m @ x), mode="economic", check_finite=False)[0]
+        ay, my = a @ y, m @ y
+        ritz, q = eigh(y.T @ ay, y.T @ my, check_finite=False)
+        x = y @ q
+        r = ay @ q - (my @ q) * ritz
+        bound = 2.0 * math.sqrt(float(np.sum(r * r * weight)))
+        if best is not None and bound >= best[2]:
+            break
+        best = (ritz, x, bound)
+        gap = shift - ritz[-1]
+        if gap > bound and bound * bound <= _EPS * abs(ritz[0]) * gap:
+            return (*best, steps, True)
+    return (*best, steps, False)
+
+
+def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, angles=None):
+    """Smallest eigenpair of the SPD pencil (A, M), certified by inertia.
+
+    The Rayleigh quotient sigma of seed (a first-eigenvector estimate)
+    bounds lambda_1 from above; A - sigma M counts the p eigenvalues below
+    it (_shifted_factor; sigma moves up by _SHIFT_STEP off a vanishing
+    pivot or a round-off exact seed).  Block inverse iteration runs on the
+    seed times 1, cos k theta and sin k theta (theta = angles, the nodes'
+    ray angles), p vectors.  By Kahan's theorem (Parlett, The Symmetric
+    Eigenvalue Problem, ch. 11) the Ritz values lie within the block
+    residual bound of p distinct eigenvalues, so with all of them plus
+    the bound below sigma the smallest is lambda_1.  If the iteration does
+    not settle, A - tau M just above the smallest Ritz value (>= lambda_1)
+    must count exactly one eigenvalue and one-vector iteration there must
+    certify against tau, or SolverError is raised.  Without a seed the
+    pencil may have DENSE_FREE_NODES rows at most: dense eigh gives the
+    seed, and sigma lies _FLOOR_SHIFT of lambda_2 - lambda_1 above
+    lambda_1, where A - sigma M is safely regular.
+
+    The eigenvector is M-normalised and oriented to a nonnegative sum; the
+    eigenvalue is its Rayleigh quotient.  stats carry sigma,
+    negative_pivots (p), factorizations, outer_iterations (LU solves, one
+    per right-hand side), factor_nnz (SuperLU's nonzeros of L + U at
+    sigma), the residual norm and error_bound, the certified bound on
+    |rho - lambda_1|.
+    """
+    n = a.shape[0]
+    if seed is None:
+        if n > DENSE_FREE_NODES:
+            raise SolverError(f"a pencil of {n} rows needs a seed vector")
+        lams, vecs = eigh(a.toarray(), m.toarray(), subset_by_index=[0, 1])
+        seed = vecs[:, 0]
+        sigma = float(lams[0] + _FLOOR_SHIFT * (lams[1] - lams[0]))
+    else:
+        sigma = float(seed @ (a @ seed)) / float(seed @ (m @ seed))
+    factorizations = 0
+    for _ in range(3):
+        lu, p = _shifted_factor(a, m, sigma)
+        factorizations += 1
+        if p > 0:
+            break
+        sigma += _SHIFT_STEP * abs(sigma)
+    else:
+        raise SolverError(f"no reliable factorization near the seed's quotient {sigma:.6g}")
+    if p > _MAX_BLOCK:
+        raise SolverError(f"{p} eigenvalues lie below the seed's quotient {sigma:.6g}")
+    nnz = int(lu.nnz)
+
+    theta = 2.0 * np.pi * np.arange(n) / n if angles is None else angles
+    columns = [seed]
+    for k in range(1, p // 2 + 1):
+        columns += [seed * np.cos(k * theta), seed * np.sin(k * theta)]
+    ritz, x, bound, steps, settled = _inverse_iteration(a, m, lu, sigma, np.column_stack(columns[:p]))
+    solves, shift = steps * p, sigma
+    if not settled:
+        shift = float(ritz[0]) + _SHIFT_STEP * abs(float(ritz[0]))
+        lu, count = _shifted_factor(a, m, shift)
+        factorizations += 1
+        if count != 1:
+            raise SolverError(
+                f"{count} eigenvalues counted below {shift:.9g}, just above the "
+                f"Ritz value {ritz[0]:.9g}: the iteration did not find lambda_1"
+            )
+        ritz, x, bound, steps, _ = _inverse_iteration(a, m, lu, shift, x[:, :1])
+        solves += steps
+    if not ritz[-1] + bound < shift:
+        raise SolverError(f"Ritz values {ritz} within {bound:.3e} of the shift {shift:.9g}")
+
+    y = x[:, 0] / math.sqrt(float(x[:, 0] @ (m @ x[:, 0])))
     if float(np.sum(y)) < 0.0:
         y = -y
-    rho = float(y @ (a @ y))
+    # y'Ay in extended precision: summed in doubles, the cancellation
+    # inside A y leaves about 1e-14 relative rounding noise.  y'My sums
+    # nonnegative terms and needs no more than doubles.
+    yl = y.astype(np.longdouble)
+    y_ay = np.dot(a.data * np.repeat(yl, np.diff(a.indptr)), yl[a.indices])
+    rho = float(y_ay / float(y @ (m @ y)))
     r = a @ y - rho * (m @ y)
-    # certified eigenvalue-error bound |rho - lambda| <= ||r||_(M^-1),
-    # overestimated through the mass diagonal: P1 consistent mass has
-    # M >= diag(M) / 2, so ||r||_(M^-1) <= sqrt(2 r' diag(M)^-1 r)
-    bound = 2.0 * math.sqrt(float(r @ (r / m.diagonal())))
     stats = {
         "outer_iterations": solves,
-        "factor_nnz": int(lu.nnz),
+        "factorizations": factorizations,
+        "negative_pivots": p,
+        "sigma": sigma,
+        "factor_nnz": nnz,
         "residual": float(np.linalg.norm(r)),
-        "error_bound": bound,
+        "error_bound": max(bound, 2.0 * math.sqrt(float(r @ (r / m.diagonal())))),
     }
     return rho, y, stats
 
@@ -370,7 +495,8 @@ class FemEigenResult:
     """Discrete first eigenpair on an annular mesh.
 
     u is the full nodal vector with exact zeros on eliminated nodes, M-unit
-    norm and nonnegative orientation.
+    norm and nonnegative orientation.  stats is smallest_eigenpair's,
+    inertia certificate included.
     """
 
     lam: float
@@ -390,25 +516,50 @@ class FemEigenResult:
             "resolution": f"{n_r}x{n_a}",
             "nodes": int(len(self.mesh.nodes)),
             "outer_iterations": self.stats["outer_iterations"],
+            "factorizations": self.stats["factorizations"],
+            "negative_pivots": self.stats["negative_pivots"],
             "factor_nnz": self.stats["factor_nnz"],
             "residual": self.stats["residual"],
         }
 
 
-def solve_domain(domain: AnnularDomain, beta: float, n_r: int, n_a: int) -> FemEigenResult:
+def solve_domain(
+    domain: AnnularDomain, beta: float, n_r: int, n_a: int, seed: FemEigenResult = None
+) -> FemEigenResult:
     """Mesh, assemble and extract the first Robin-Dirichlet eigenpair.
 
     beta = inf solves the Dirichlet-Dirichlet problem by eliminating both
-    rings; beta = 0 is the Neumann closure on the outer ring.
+    rings; beta = 0 is the Neumann closure on the outer ring.  seed is
+    passed to solve_on_mesh.
     """
     mesh = mesh_annular(domain, n_r, n_a)
-    return solve_on_mesh(mesh, beta)
+    return solve_on_mesh(mesh, beta, seed)
 
 
-def solve_on_mesh(mesh: Mesh, beta: float) -> FemEigenResult:
+def solve_on_mesh(mesh: Mesh, beta: float, seed: FemEigenResult = None) -> FemEigenResult:
+    """First eigenpair on a mesh, certified by smallest_eigenpair.
+
+    The start vector is seed's eigenvector, a result on the rings x rays
+    grid of the same domain at any resolution, interpolated bilinearly in
+    ring fraction and ray angle.  Without a seed it is the eigenpair one
+    level coarser on the mesh's domain, (max(2, n_r // 2), max(8, n_a // 2)),
+    solved the same way down to the dense floor of DENSE_FREE_NODES free
+    nodes.  Unseeded eigenpairs are memoised on the mesh per beta (and
+    the mesh on its domain per resolution), so a level is solved once,
+    whatever order the levels are asked for in.
+    """
+    if seed is None and beta in mesh._eigenpairs:
+        lam, u, stats = mesh._eigenpairs[beta]
+        return FemEigenResult(lam=lam, u=u, mesh=mesh, beta=beta, stats=dict(stats))
     dirichlet_outer = math.isinf(beta)
     a, m, free_map = assemble(mesh, 0.0 if dirichlet_outer else beta, dirichlet_outer)
-    lam, u_free, stats = smallest_eigenpair(a, m)
+    n_r, n_a = mesh.resolution
+    start = seed
+    if seed is None and len(free_map) > DENSE_FREE_NODES:
+        start = solve_on_mesh(_coarse_mesh(mesh), beta)
+    if start is not None:
+        start = _interpolated(start, mesh.resolution)[free_map]
+    lam, u_free, stats = smallest_eigenpair(a, m, start, (2.0 * np.pi / n_a) * (free_map % n_a))
     u = np.zeros(len(mesh.nodes))
     u[free_map] = u_free
     if float(np.min(u)) < -1e-10:
@@ -416,7 +567,45 @@ def solve_on_mesh(mesh: Mesh, beta: float) -> FemEigenResult:
     res = stats["residual"]
     if res > RESIDUAL_FACTOR * float(np.linalg.norm(u_free)):
         raise SolverError(f"generalized residual {res:.3e} above tolerance")
-    return FemEigenResult(lam=float(lam), u=u, mesh=mesh, beta=beta, stats=stats)
+    result = FemEigenResult(lam=float(lam), u=u, mesh=mesh, beta=beta, stats=stats)
+    if seed is None:
+        mesh._eigenpairs[beta] = (result.lam, u, dict(stats))
+    return result
+
+
+def _coarse_mesh(mesh: Mesh) -> Mesh:
+    """The mesh one level coarser on the same domain, its seed level."""
+    n_r, n_a = mesh.resolution
+    domain = mesh._domain() if mesh._domain is not None else None
+    if domain is None:
+        if mesh._curves is None:
+            raise SolverError("a mesh built without a domain needs a seed")
+        domain = AnnularDomain(*mesh._curves)
+    return mesh_annular(domain, max(2, n_r // 2), max(8, n_a // 2))
+
+
+def _linear_weights(fine: int, coarse: int, periodic: bool) -> np.ndarray:
+    """Matrix of linear interpolation from coarse cells to fine ones on
+    [0, 1], with endpoints ((fine + 1) x (coarse + 1)) or periodic
+    (fine x coarse)."""
+    i = np.arange(fine if periodic else fine + 1)
+    j, rem = np.divmod(i * coarse, fine)
+    cols = coarse if periodic else coarse + 1
+    w = rem / fine
+    out = np.zeros((len(i), cols))
+    out[i, j] = 1.0 - w
+    # the right endpoint (j = coarse, w = 0) adds a zero to column 0
+    out[i, (j + 1) % cols] += w
+    return out
+
+
+def _interpolated(result: FemEigenResult, resolution) -> np.ndarray:
+    """result.u on the rings x rays grid of `resolution`, bilinear in ring
+    fraction and ray angle; the identity on the result's own grid."""
+    (n_rc, n_ac), (n_r, n_a) = result.mesh.resolution, resolution
+    grid = result.u.reshape(n_rc + 1, n_ac)
+    rings, rays = _linear_weights(n_r, n_rc, False), _linear_weights(n_a, n_ac, True)
+    return (rings @ grid @ rays.T).ravel()
 
 
 def beta_form_value(result: FemEigenResult) -> float:

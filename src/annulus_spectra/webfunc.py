@@ -297,8 +297,9 @@ def chain_certificate(
     still reported by default, flagged through the certificate fields.
 
     The FEM solve shares nothing with the web leg, so it runs on one pool
-    thread while this thread builds the web and its quadrature (SuperLU
-    and ARPACK release the GIL).  The report is the serial one bit for
+    thread while this thread builds the web and its quadrature.  The legs
+    overlap where numpy's array kernels release the GIL; the SuperLU
+    factorization holds it.  The report is the serial one bit for
     bit.  Errors keep the serial order: a FEM error wins over a web
     error, and a web error is raised only after the FEM solve has
     finished, so no thread outlives the call.

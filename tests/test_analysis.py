@@ -146,21 +146,29 @@ class TestShapeDerivative:
             fd(ECCENTRIC, 1.0, field, t_step, (16, 64))
 
     def test_fd_with_noise_solves_four_times(self, monkeypatch):
-        lams = []
+        calls = []
 
-        def counting_solve(*args):
-            res = solve_domain(*args)
-            lams.append(res.lam)
+        def counting_solve(*args, **kwargs):
+            res = solve_domain(*args, **kwargs)
+            calls.append((args[0], kwargs.get("seed"), res))
             return res
 
         monkeypatch.setattr(analysis, "solve_domain", counting_solve)
         field = PerturbationField(kind="normal_fourier", target="outer", mode=2, amplitude=1.0)
         value, noise = shape_derivative_fd_with_noise(CONCENTRIC, 1.0, field, 5e-3, (16, 64))
-        assert len(lams) == 4
+        # four perturbed domains, each seeded with the base eigenpair on the
+        # same grid; each step asks for the base once, and the second time
+        # its mesh's memo answers
+        base = [res for dom, _, res in calls if dom is CONCENTRIC]
+        perturbed = [(seed, res) for dom, seed, res in calls if dom is not CONCENTRIC]
+        assert len(perturbed) == 4 and len(base) == 2
+        assert base[1].u is base[0].u
+        assert all(seed.u is base[0].u for seed, _ in perturbed)
+        lams = [res.lam for _, res in perturbed]
         coarse, coarse_lams = shape_derivative_fd(CONCENTRIC, 1.0, field, 5e-3, (16, 64))
         fine, fine_lams = shape_derivative_fd(CONCENTRIC, 1.0, field, 2.5e-3, (16, 64))
         assert value == (4.0 * fine - coarse) / 3.0
-        assert coarse_lams + fine_lams == tuple(lams[:4])
+        assert coarse_lams + fine_lams == tuple(lams)
         # on the stationary shell the round-off floor decides, and it scales
         # with the smallest of the four eigenvalues differenced
         floor = 1e-11 * min(lams) / 5e-3
@@ -222,17 +230,25 @@ class TestKuttlerBounds:
             assert [rep.passed for rep in reports] == [True, True, True]
 
     def test_fem_pair_meshes_once(self, monkeypatch):
-        meshes = []
+        calls, built = [], []
+        validate = fem._validate_mesh
 
         def counting_mesh(*args, **kwargs):
-            meshes.append(args[1:3])
+            calls.append(args[1:3])
             return mesh_annular(*args, **kwargs)
 
+        def counting_validate(mesh, domain):
+            built.append(mesh.resolution)
+            validate(mesh, domain)
+
         monkeypatch.setattr(analysis, "mesh_annular", counting_mesh)
-        monkeypatch.setattr("annulus_spectra.fem.mesh_annular", counting_mesh)
-        reports = kuttler_bounds(ECCENTRIC, 1.0, resolution=(24, 96))
-        # one mesh for lambda(beta) and lambda_DD, one for the coarse estimate
-        assert meshes == [(24, 96), (12, 48)]
+        monkeypatch.setattr(fem, "_validate_mesh", counting_validate)
+        reports = kuttler_bounds(eccentric(), 1.0, resolution=(24, 96))
+        # one mesh for lambda(beta) and lambda_DD; the coarse estimate is
+        # their seed level, whose own seed is one level coarser still, and
+        # each resolution is meshed once
+        assert calls == [(24, 96)]
+        assert built == [(24, 96), (12, 48), (6, 24)]
         lam = solve_domain(ECCENTRIC, 1.0, 24, 96).lam
         lam_dd = solve_domain(ECCENTRIC, math.inf, 24, 96).lam
         assert (reports[0].lhs, reports[0].rhs) == (lam, lam_dd)
@@ -316,8 +332,10 @@ class TestBetaLimits:
         # a fresh domain: ECCENTRIC's 16x64 mesh, forms included, is
         # memoised by the tests above
         rep = beta_limits_check(eccentric(), resolution=(16, 64), betas=betas)
-        # K, M and B of the one mesh serve every beta and the slope s
-        assert len(built) == 3
+        # K, M and B once per mesh (args[3] is its node count): the 16x64
+        # mesh serves every beta and the slope s, and its 8x32 seed level,
+        # solved densely, every beta's seed
+        assert [args[3] for args in built] == [17 * 64] * 3 + [9 * 32] * 3
         fresh = [solve_on_mesh(mesh_annular(eccentric(), 16, 64), b).lam for b in betas]
         assert list(rep.lams) == fresh
 

@@ -171,6 +171,10 @@ class TestFemCommand:
             assert (out / name).exists()
         report = json.loads((out / "fem_report.json").read_text())
         assert report["resolution"] == "16x64"
+        # the inertia certificate: one factorization counted one eigenvalue
+        # below the seed's quotient
+        assert (report["factorizations"], report["negative_pivots"]) == (1, 1)
+        assert "1 negative pivot(s) at sigma" in capsys.readouterr().out
 
     def test_bad_curve_spec(self, capsys):
         code = main(

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, splu
 
 from annulus_spectra import fem
-from annulus_spectra.errors import GeometryError, RangeError, StarShapeError
+from annulus_spectra.errors import GeometryError, RangeError, SolverError, StarShapeError
 from annulus_spectra.fem import (
     Mesh,
     _nested_dissection,
@@ -20,7 +21,7 @@ from annulus_spectra.fem import (
     solve_on_mesh,
     write_mesh,
 )
-from annulus_spectra.geometry import AnnularDomain, Circle, ConvexPolygon, PolygonCurve
+from annulus_spectra.geometry import AnnularDomain, Circle, ConvexPolygon, Ellipse, PolygonCurve
 from annulus_spectra.radial import solve_shell
 
 CONCENTRIC = AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
@@ -150,8 +151,8 @@ class TestMeshMemo:
         full = stiffness if dirichlet else stiffness + beta * boundary
         assert np.array_equal(a.toarray(), full[free][:, free].toarray())
         assert np.array_equal(m.toarray(), mass[free][:, free].toarray())
-        # the same entries in the same order as slicing K + beta B per beta
-        sliced = full.tocsr()[free][:, free]
+        # the same entries as slicing K + beta B per beta, in sorted order
+        sliced = full.tocsr()[free][:, free].sorted_indices()
         for name in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(a, name), getattr(sliced, name))
         # M and free_map are the mesh's read-only blocks, shared by every beta
@@ -239,7 +240,8 @@ class TestNestedDissection:
     def test_fill_below_natural_order(self):
         mesh = mesh_annular(ECCENTRIC, 16, 64)
         a, m, free = assemble(mesh, 1.0)
-        _, _, stats = smallest_eigenpair(a, m)
+        # a pencil this large needs a seed; the solve takes its coarse level's
+        stats = solve_on_mesh(mesh, 1.0).stats
         back = np.argsort(free)
         natural = splu(a[back][:, back].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
         assert stats["factor_nnz"] < 0.5 * natural.nnz
@@ -267,6 +269,9 @@ class TestSmallestEigenpair:
         res = solve_domain(dom, 1.0, 8, 512)
         rad = solve_shell(2, 1.0, 1.05, 1.0)
         assert res.lam == pytest.approx(rad.lam, rel=5e-3)
+        # the 4x256 seed lies above the radial value and the k = 1, 2, 3
+        # angular pairs; the block of seed x cos/sin k theta spans them
+        assert res.stats["negative_pivots"] == 7
 
     def test_concentric_matches_radial(self):
         res = solve_domain(CONCENTRIC, 1.0, 64, 256)
@@ -280,10 +285,12 @@ class TestSmallestEigenpair:
 
     @pytest.mark.parametrize("beta", [0.0, 2.5, math.inf])
     def test_matches_dense_eigh(self, beta):
-        # dense LAPACK on the same pencil is an eigensolver independent of
-        # the sparse LU + Lanczos path.  Its eigenvalue carries a backward
-        # error near eps * ||A|| (up to 5e-13 here); the Rayleigh quotient of
-        # its eigenvector is exact to round-off, which error_bound can bound.
+        # dense LAPACK on the same pencil; this 256-row pencil is also the
+        # solver's dense floor, so the check covers the shifted factor, the
+        # iteration and the bound built on that start.  Its eigenvalue
+        # carries a backward error near eps * ||A|| (up to 5e-13 here); the
+        # Rayleigh quotient of its eigenvector is exact to round-off, which
+        # error_bound can bound.
         mesh = mesh_annular(ECCENTRIC, 8, 32)
         dirichlet = math.isinf(beta)
         a, m, _ = assemble(mesh, 0.0 if dirichlet else beta, dirichlet)
@@ -302,6 +309,114 @@ class TestSmallestEigenpair:
         assert float(np.min(res.u)) >= -1e-10
         _, mass, _ = res.mesh.forms
         assert float(res.u @ (mass @ res.u)) == pytest.approx(1.0, rel=1e-12)
+
+
+def _rectangle_hole_member(b, half_width, half_height):
+    """Ellipse (2, b) with a centred rectangular hole, a fresh domain."""
+    hole = PolygonCurve(ConvexPolygon.rectangle(2.0 * half_width, 2.0 * half_height))
+    return AnnularDomain(Ellipse((0, 0), 2.0, b), hole)
+
+
+def _lowest_eigsh(result, k):
+    a, m, _ = assemble(result.mesh, result.beta)
+    return np.sort(eigsh(a.tocsc(), k=k, M=m.tocsc(), sigma=0.0, return_eigenvectors=False))
+
+
+class TestInertiaCertificate:
+    def test_two_lobes_need_a_two_block(self):
+        # the hole splits the domain into two lobes with lambda_1 = 3.70607
+        # and lambda_2 = 3.73887; the interpolated 12x48 seed's quotient lies
+        # above both, and one vector would drift to lambda_2
+        dom = _rectangle_hole_member(1.3625328827801515, 0.70327884071576774, 0.60973820539980894)
+        res = solve_domain(dom, 1.0, 24, 96)
+        ref = _lowest_eigsh(res, 3)
+        assert res.stats["negative_pivots"] == 2
+        assert ref[1] < res.stats["sigma"] < ref[2]
+        assert res.stats["factorizations"] == 1
+        assert res.lam == pytest.approx(ref[0], rel=1e-12)
+        assert ref[0] == pytest.approx(3.70607, abs=1e-5)
+
+    def test_stalled_iteration_refactors_above_the_ritz_value(self):
+        # lambda_2 sits just above the seed's quotient sigma, much nearer to
+        # it than lambda_1, so the iteration at sigma is pulled away; the
+        # factorization just above the Ritz value counts exactly one
+        dom = _rectangle_hole_member(1.3344720734530626, 0.77273318, 0.53210156)
+        res = solve_domain(dom, 1.0, 24, 96)
+        ref = _lowest_eigsh(res, 2)
+        assert res.stats["sigma"] - ref[0] > 10.0 * (ref[1] - res.stats["sigma"]) > 0.0
+        assert res.stats["factorizations"] == 2
+        assert res.lam == pytest.approx(ref[0], rel=1e-12)
+
+    def test_second_eigenvector_seed_never_gives_lambda_2(self):
+        mesh = mesh_annular(ECCENTRIC, 8, 32)
+        a, m, free = assemble(mesh, 1.0)
+        lams, vecs = eigh(a.toarray(), m.toarray(), subset_by_index=[0, 1])
+        try:
+            lam, _, _ = smallest_eigenpair(a, m, vecs[:, 1], 2.0 * np.pi * (free % 32) / 32)
+        except SolverError as err:
+            assert "lambda_1" in str(err)
+        else:
+            assert lam == pytest.approx(lams[0], rel=1e-12)
+
+    def test_large_pencil_needs_a_seed(self):
+        a, m, _ = assemble(mesh_annular(ECCENTRIC, 16, 64), 1.0)
+        with pytest.raises(SolverError, match="needs a seed"):
+            smallest_eigenpair(a, m)
+
+    def test_chain_solves_densely_only_at_the_floor(self, monkeypatch):
+        sizes = []
+        dense = fem.eigh
+
+        def recording(h, *args, **kwargs):
+            sizes.append(len(h))
+            return dense(h, *args, **kwargs)
+
+        monkeypatch.setattr(fem, "eigh", recording)
+        solve_domain(AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0)), 1.0, 48, 192)
+        # one 6x24 floor of 144 free nodes; every other call is a small
+        # Rayleigh-Ritz problem
+        assert max(sizes) == 144 and sorted(sizes)[-2] <= 2
+        assert fem.DENSE_FREE_NODES >= 144
+
+    def test_levels_in_either_order_are_bit_identical(self):
+        def fresh():
+            return AnnularDomain(Circle((0, 0), 2.0), Circle((0.3, 0.2), 0.9))
+
+        up, down = fresh(), fresh()
+        coarse_first = [solve_domain(up, 1.0, *res) for res in ((24, 96), (48, 192))]
+        fine_first = [solve_domain(down, 1.0, *res) for res in ((48, 192), (24, 96))][::-1]
+        for a, b in zip(coarse_first, fine_first):
+            assert a.lam == b.lam
+            assert np.array_equal(a.u, b.u)
+
+    def test_certificate_on_every_result(self):
+        for beta in (0.0, 1.0, math.inf):
+            res = solve_domain(ECCENTRIC, beta, 24, 96)
+            stats = res.stats
+            assert stats["factorizations"] == 1 and stats["negative_pivots"] >= 1
+            assert res.lam + stats["error_bound"] < stats["sigma"]
+            assert stats["outer_iterations"] >= stats["negative_pivots"]
+            report = res.report()
+            assert report["factorizations"] == 1 and report["negative_pivots"] >= 1
+
+    def test_mesh_holds_its_domain_weakly(self):
+        dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
+        ref = weakref.ref(dom)
+        res = solve_domain(dom, 1.0, 24, 96)
+        del dom
+        assert ref() is None
+        # an unseeded solve on the orphaned mesh rebuilds the domain
+        again = solve_on_mesh(res.mesh, 1.0)
+        assert again.lam == res.lam
+        other = solve_on_mesh(res.mesh, 2.0)
+        assert other.lam == solve_domain(ECCENTRIC, 2.0, 24, 96).lam
+
+    def test_seed_on_the_same_grid(self):
+        base = solve_domain(CONCENTRIC, 1.0, 24, 96)
+        moved = AnnularDomain(Circle((0, 0), 2.0), Circle((0.01, 0), 1.0))
+        seeded = solve_domain(moved, 1.0, 24, 96, seed=base)
+        assert seeded.stats["factorizations"] == 1
+        assert seeded.lam == pytest.approx(solve_domain(moved, 1.0, 24, 96).lam, rel=1e-13)
 
 
 class TestSolveDomain:
@@ -352,8 +467,9 @@ class TestConvergence:
         assert 1.7 <= study.order <= 2.2
 
     def test_determinism(self):
-        a = solve_domain(ECCENTRIC, 1.0, 16, 64)
-        b = solve_domain(ECCENTRIC, 1.0, 16, 64)
+        # two equal domains built afresh, so that no memo answers the second
+        a = solve_domain(AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0)), 1.0, 16, 64)
+        b = solve_domain(AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0)), 1.0, 16, 64)
         assert a.lam == b.lam
         assert np.array_equal(a.u, b.u)
 
