@@ -13,9 +13,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -450,17 +448,12 @@ def cmd_sweep(args) -> int:
         span = args.r2 - args.r1
         offsets = np.linspace(0.0, 0.9 * (span - args.gap), args.steps)
         lam_shell = radial.solve_shell(2, args.r1, args.r2, args.beta).lam
-
-        def solve_offset(off):
+        lams = []
+        for off in offsets:
             dom = geometry.AnnularDomain(
                 geometry.Circle((0, 0), args.r2), geometry.Circle((off, 0), args.r1)
             )
-            return fem.solve_domain(dom, args.beta, n_r, n_a).lam
-
-        # numpy's array kernels release the GIL (the SuperLU factorization
-        # holds it); map keeps the offsets' order
-        with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-            lams = list(pool.map(solve_offset, offsets))
+            lams.append(fem.solve_domain(dom, args.beta, n_r, n_a).lam)
         margins = [lam_shell - l for l in lams]
         rows = list(zip(offsets, lams, [lam_shell] * len(lams), margins))
         _write_csv(out / "offset_sweep.csv", ["offset", "lambda_fem", "lambda_shell", "margin"], rows)

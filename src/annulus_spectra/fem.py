@@ -60,7 +60,7 @@ class Mesh:
     inner_edges: np.ndarray
     outer_edges: np.ndarray
     resolution: tuple
-    # free-node blocks per outer condition, filled by _free_forms
+    # (K_ff, M_ff, B_ff, free_map) per outer condition, filled by _free_forms
     _free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # unseeded eigenpairs per beta as (lam, u, stats), filled by solve_on_mesh
     _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -144,48 +144,25 @@ class Mesh:
         return stiffness, mass, boundary
 
     def _free_forms(self, dirichlet_outer: bool):
-        """(K_ff, M_ff, b_ff, free_map): the forms on the free nodes.
+        """(K_ff, M_ff, B_ff, free_map): the forms restricted to the free nodes.
 
         The inner ring is always constrained, the outer ring too when
         dirichlet_outer is set.  The free rings are numbered in
-        nested-dissection order and free_map sends free indices back to
-        node ids.  K shares M's triplets and B's outer edges are triangle
-        edges, so all three lie on M's pattern; one slice of its entry
-        positions takes them to the free nodes in one sorted entry order.
-        b_ff = (slots, values) holds B's nonzeros as positions in K_ff's
-        values, so K_ff + beta B_ff needs no sparse addition (b_ff is ()
-        with a Dirichlet outer ring).  Built once per outer condition;
+        nested-dissection order, free_map sends free indices back to node
+        ids, and each block is its form sliced by free_map on both sides,
+        with sorted column indices.  Built once per outer condition;
         read-only.
         """
         if dirichlet_outer not in self._free:
             n_r, n_a = self.resolution
-            stiffness, mass, boundary = self.forms
-            if not np.array_equal(stiffness.indices, mass.indices):
-                raise GeometryError("stiffness and mass patterns differ")
             # ring 0 is the hole; ring n_r is free unless dirichlet_outer
             free_map = n_a + _nested_dissection(n_r - int(dirichlet_outer), n_a)
-            positions = mass.copy()
-            positions.data = np.arange(1.0, mass.nnz + 1.0)  # no explicit zeros
-            positions = positions[free_map][:, free_map].sorted_indices()
-            take = positions.data.astype(np.int64) - 1
-            k_ff, m_ff = (
-                sparse.csr_matrix(
-                    (form.data[take], positions.indices, positions.indptr), shape=positions.shape
-                )
-                for form in (stiffness, mass)
-            )
-            b_ff = ()
-            if not dirichlet_outer:
-                rows = np.repeat(np.arange(mass.shape[0]), np.diff(mass.indptr))
-                b_on_k = np.asarray(boundary[rows, mass.indices]).ravel()[take]
-                slots = np.flatnonzero(b_on_k)
-                b_ff = (slots, b_on_k[slots])
-            for arr in (
-                free_map, *b_ff, k_ff.data, k_ff.indices, k_ff.indptr,
-                m_ff.data, m_ff.indices, m_ff.indptr,
-            ):
-                arr.setflags(write=False)
-            self._free[dirichlet_outer] = (k_ff, m_ff, b_ff, free_map)
+            free_map.setflags(write=False)
+            blocks = tuple(form[free_map][:, free_map].sorted_indices() for form in self.forms)
+            for block in blocks:
+                for arr in (block.data, block.indices, block.indptr):
+                    arr.setflags(write=False)
+            self._free[dirichlet_outer] = (*blocks, free_map)
         return self._free[dirichlet_outer]
 
 
@@ -318,10 +295,12 @@ def _nested_dissection(rows: int, n_a: int) -> np.ndarray:
 def assemble(mesh: Mesh, beta: float, dirichlet_outer: bool = False):
     """Robin-Dirichlet system (A, M, free_map) with constrained rows removed.
 
-    A = K_ff + beta B_ff on the free nodes of Mesh._free_forms; the inner
+    A = K_ff + beta B_ff from the blocks of Mesh._free_forms; the inner
     ring is always eliminated and the outer ring too when dirichlet_outer
-    is set (the beta = inf emulation, A = K_ff).  Only A is formed per
-    call; M and free_map are the mesh's cached, read-only blocks.
+    is set (the beta = inf emulation, A = K_ff, read-only).  Only A is
+    formed per call; M and free_map are the mesh's cached, read-only
+    blocks.  The sum drops the exact zeros that K_ff stores; A - sigma M
+    keeps M's pattern, whose entries are all positive, either way.
     """
     if not dirichlet_outer and not 0.0 <= beta < math.inf:
         raise RangeError("beta must be finite and nonnegative (use dirichlet_outer for inf)")
@@ -331,11 +310,7 @@ def assemble(mesh: Mesh, beta: float, dirichlet_outer: bool = False):
     k_ff, m_ff, b_ff, free_map = mesh._free_forms(dirichlet_outer)
     if dirichlet_outer:
         return k_ff, m_ff, free_map
-    slots, b_values = b_ff
-    values = k_ff.data.copy()
-    values[slots] += beta * b_values
-    a_ff = sparse.csr_matrix((values, k_ff.indices, k_ff.indptr), shape=k_ff.shape)
-    return a_ff, m_ff, free_map
+    return k_ff + beta * b_ff, m_ff, free_map
 
 
 # ---------------------------------------------------------------------------

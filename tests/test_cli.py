@@ -438,7 +438,7 @@ class TestSweepCommand:
             tmp_path / "b" / "beta_sweep.svg"
         ).read_bytes()
 
-    def test_threaded_offset_sweep_matches_serial_solves(self, tmp_path, monkeypatch):
+    def test_offset_sweep_matches_serial_solves_on_calling_thread(self, tmp_path, monkeypatch):
         solve_threads = []
 
         def recording_solve(*args):
@@ -448,8 +448,8 @@ class TestSweepCommand:
         monkeypatch.setattr(cli.fem, "solve_domain", recording_solve)
         argv = ["sweep", "--kind", "offset", "--steps", "4", "--res", "16x64"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        # every FEM solve ran on a pool thread
-        assert len(solve_threads) == 4 and threading.get_ident() not in solve_threads
+        # all 4 solves ran on the calling thread
+        assert solve_threads == [threading.get_ident()] * 4
         lam_shell = solve_shell(2, 1.0, 2.0, 1.0).lam
         expected = [["offset", "lambda_fem", "lambda_shell", "margin"]]
         for off in np.linspace(0.0, 0.9 * (1.0 - 0.08), 4):

@@ -144,23 +144,27 @@ class TestMeshMemo:
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
     def test_cached_blocks_match_sliced_forms(self, beta):
-        mesh = mesh_annular(AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0)), 8, 32)
+        # an eccentric pair, and the shell, whose K stores exact zeros
+        # that K + beta B drops
         dirichlet = math.isinf(beta)
-        a, m, free = assemble(mesh, 0.0 if dirichlet else beta, dirichlet)
-        stiffness, mass, boundary = mesh.forms
-        full = stiffness if dirichlet else stiffness + beta * boundary
-        assert np.array_equal(a.toarray(), full[free][:, free].toarray())
-        assert np.array_equal(m.toarray(), mass[free][:, free].toarray())
-        # the same entries as slicing K + beta B per beta, in sorted order
-        sliced = full.tocsr()[free][:, free].sorted_indices()
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(a, name), getattr(sliced, name))
-        # M and free_map are the mesh's read-only blocks, shared by every beta
-        _, m2, free2 = assemble(mesh, 0.0 if dirichlet else 2.0 * beta, dirichlet)
-        assert m2 is m and free2 is free
-        assert not m.data.flags.writeable
-        with pytest.raises(ValueError):
-            m.data[0] = 1.0
+        for hole_x in (0.5, 0.0):
+            dom = AnnularDomain(Circle((0, 0), 2.0), Circle((hole_x, 0), 1.0))
+            mesh = mesh_annular(dom, 8, 32)
+            a, m, free = assemble(mesh, 0.0 if dirichlet else beta, dirichlet)
+            stiffness, mass, boundary = mesh.forms
+            full = stiffness if dirichlet else stiffness + beta * boundary
+            assert np.array_equal(a.toarray(), full[free][:, free].toarray())
+            assert np.array_equal(m.toarray(), mass[free][:, free].toarray())
+            # the same entries as slicing K + beta B per beta, in sorted order
+            sliced = full.tocsr()[free][:, free].sorted_indices()
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(a, name), getattr(sliced, name))
+            # M and free_map are the mesh's read-only blocks, shared by every beta
+            _, m2, free2 = assemble(mesh, 0.0 if dirichlet else 2.0 * beta, dirichlet)
+            assert m2 is m and free2 is free
+            assert not m.data.flags.writeable
+            with pytest.raises(ValueError):
+                m.data[0] = 1.0
 
 
 class TestAssembly:

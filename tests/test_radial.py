@@ -156,6 +156,14 @@ class TestBesselSolver:
         lams = [solve_shell(n, 1.0, 2.0, beta).lam for beta in (1e9, 1e12)]
         assert lams[0] < lams[1] < lam_d
 
+    @pytest.mark.parametrize("beta", [1e-8, 1e-10, 1e-12, 1e-14])
+    def test_small_beta_between_neumann_and_larger_beta(self, beta):
+        # r_bar is within 1e-8 of R2, so v_M - v_m is below their rounding
+        lam_n = solve_shell(2, 1.0, 2.0, 0.0).lam
+        res = solve_shell(2, 1.0, 2.0, beta)
+        assert lam_n < res.lam < solve_shell(2, 1.0, 2.0, 1e-7).lam
+        assert np.all(res.phi[1:] > 0.0)
+
     @pytest.mark.parametrize(
         "n, r1, r2",
         [(2, 1e-3, 2.0), (8, 1e-3, 2.0), (3, 1.0, 1.001), (12, 1.0, 2.0)],
