@@ -266,8 +266,6 @@ class InequalityReport:
 
 def _outer_inradius(domain: AnnularDomain) -> float:
     curve = domain.outer
-    if isinstance(curve, Circle):
-        return curve.radius
     if isinstance(curve, Ellipse):
         return min(curve.a, curve.b)
     return inradius(curve.polygon)

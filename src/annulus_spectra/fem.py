@@ -539,8 +539,9 @@ def solve_on_mesh(mesh: Mesh, beta: float, seed: FemEigenResult = None) -> FemEi
     u[free_map] = u_free
     if float(np.min(u)) < -1e-10:
         raise SolverError(f"eigenvector lost positivity (min {float(np.min(u)):.3e})")
-    res = stats["residual"]
-    if res > RESIDUAL_FACTOR * float(np.linalg.norm(u_free)):
+    res, norm_u = stats["residual"], float(np.linalg.norm(u_free))
+    # A u rounds at about eps ||A||_1 ||u||, and ||A|| grows with beta
+    if res > RESIDUAL_FACTOR * norm_u and res > _EPS * sparse.linalg.norm(a, 1) * norm_u:
         raise SolverError(f"generalized residual {res:.3e} above tolerance")
     result = FemEigenResult(lam=float(lam), u=u, mesh=mesh, beta=beta, stats=stats)
     if seed is None:

@@ -3,8 +3,8 @@
 The 2D machinery (areas, perimeters, quermassintegrals, inradius, outer
 parallel bodies, boundary distances, and the intersection area of two
 convex polygons that share an inner point) works on convex polygons and on
-the three boundary-curve kinds used throughout the package: circles,
-axis-aligned ellipses and convex polygons.
+the two boundary-curve kinds used throughout the package: axis-aligned
+ellipses, of which a circle is the a = b case, and convex polygons.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ CONVEXITY_TOL = 1e-12
 # Boundary sampling density used for containment / gap checks.
 CONTAINMENT_SAMPLES = 4096
 CONTAINMENT_REL_GAP = 1e-9
-# Rays x edges per block in the batched polygon ray cast.
-RAY_BLOCK = 1 << 17
 # Class-S membership: |class_s_data residual| <= CLASS_S_RTOL * |Omega|.
 CLASS_S_RTOL = 1e-8
 # Newton steps allowed to the ellipse foot-point solve; points near the
@@ -287,7 +285,8 @@ def aleksandrov_fenchel_check(poly: ConvexPolygon) -> float:
 
 
 class BoundaryCurve:
-    """Closed convex boundary curve: circle, axis-aligned ellipse or polygon."""
+    """Closed convex boundary curve: axis-aligned ellipse (a circle among
+    them) or polygon."""
 
     def area(self) -> float:
         raise NotImplementedError
@@ -370,76 +369,9 @@ class BoundaryCurve:
 
 
 @dataclass(frozen=True)
-class Circle(BoundaryCurve):
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _finite_center(self.center))
-        if not 0.0 < self.radius < math.inf:
-            raise GeometryError("circle radius must be positive and finite")
-
-    def _c(self):
-        return np.asarray(self.center)
-
-    def area(self):
-        return math.pi * self.radius**2
-
-    def perimeter(self):
-        return 2.0 * math.pi * self.radius
-
-    def reference_point(self):
-        return self._c()
-
-    def contains(self, points, tol=0.0):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        inside = np.hypot(*(p - self._c()).T) <= self.radius + tol
-        return inside if inside.size > 1 else bool(inside[0])
-
-    def distance(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.abs(np.hypot(*(p - self._c()).T) - self.radius)
-
-    def ray_length(self, origin, direction):
-        o = _as_point(origin) - self._c()
-        u, single = _as_directions(direction)
-        cc = o @ o - self.radius**2
-        if not cc < 0.0:
-            raise StarShapeError("ray origin is outside the circle")
-        b = u[:, 0] * o[0] + u[:, 1] * o[1]
-        t = -b + np.sqrt(b * b - cc)
-        return float(t[0]) if single else t
-
-    def sample(self, n):
-        th = 2.0 * np.pi * np.arange(n) / n
-        return self._c() + self.radius * np.column_stack([np.cos(th), np.sin(th)])
-
-    def curvature_at(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.full(len(p), 1.0 / self.radius)
-
-    def outward_normal(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        d = p - self._c()
-        return d / np.hypot(*d.T)[:, None]
-
-    @property
-    def scale(self):
-        return 2.0 * self.radius
-
-    def translated(self, vector):
-        return Circle(tuple(self._c() + _as_point(vector)), self.radius)
-
-    def scaled(self, factor):
-        return Circle(tuple(self._c()), self.radius * factor)
-
-    def spec_string(self):
-        return f"circle {self.center[0]:.17g} {self.center[1]:.17g} {self.radius:.17g}"
-
-
-@dataclass(frozen=True)
 class Ellipse(BoundaryCurve):
-    """Axis-aligned ellipse with semi-axes a (x) and b (y)."""
+    """Axis-aligned ellipse with semi-axes a (x) and b (y); Circle is the
+    a = b subclass."""
 
     center: tuple
     a: float
@@ -567,6 +499,44 @@ class Ellipse(BoundaryCurve):
         return f"ellipse {self.center[0]:.17g} {self.center[1]:.17g} {self.a:.17g} {self.b:.17g}"
 
 
+class Circle(Ellipse):
+    """The ellipse a = b = radius.  Its closed-form distance is ten times
+    faster than the foot-point Newton solve, and its ray_length gives t = r
+    exactly on rays from the centre, which keeps meshes on circles exact."""
+
+    def __init__(self, center, radius):
+        if not 0.0 < radius < math.inf:
+            raise GeometryError("circle radius must be positive and finite")
+        super().__init__(center, radius, radius)
+
+    @property
+    def radius(self) -> float:
+        return self.a
+
+    def distance(self, points):
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        return np.abs(np.hypot(*(p - self._c()).T) - self.radius)
+
+    def ray_length(self, origin, direction):
+        o = _as_point(origin) - self._c()
+        u, single = _as_directions(direction)
+        cc = o @ o - self.radius**2
+        if not cc < 0.0:
+            raise StarShapeError("ray origin is outside the circle")
+        b = u[:, 0] * o[0] + u[:, 1] * o[1]
+        t = -b + np.sqrt(b * b - cc)
+        return float(t[0]) if single else t
+
+    def translated(self, vector):
+        return Circle(tuple(self._c() + _as_point(vector)), self.radius)
+
+    def scaled(self, factor):
+        return Circle(tuple(self._c()), self.radius * factor)
+
+    def spec_string(self):
+        return f"circle {self.center[0]:.17g} {self.center[1]:.17g} {self.radius:.17g}"
+
+
 @dataclass(frozen=True)
 class PolygonCurve(BoundaryCurve):
     polygon: ConvexPolygon
@@ -597,13 +567,9 @@ class PolygonCurve(BoundaryCurve):
         t_num = dv[:, 0] * e[:, 1] - dv[:, 1] * e[:, 0]
         if not np.all(t_num > 0.0):
             raise StarShapeError("ray origin is outside the polygon")
-        out = np.empty(len(u))
-        step = max(1, RAY_BLOCK // len(v))
-        for start in range(0, len(u), step):
-            ux, uy = u[start : start + step, :1], u[start : start + step, 1:]
-            denom = ux * e[:, 1] - uy * e[:, 0]
-            t = np.divide(t_num, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
-            out[start : start + step] = np.min(t, axis=1)
+        denom = u[:, :1] * e[:, 1] - u[:, 1:] * e[:, 0]
+        t = np.divide(t_num, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
+        out = np.min(t, axis=1)
         return float(out[0]) if single else out
 
     def sample(self, n):
@@ -814,8 +780,6 @@ def outer_parallel_points(curve: BoundaryCurve, delta: float, n: int) -> np.ndar
         raise GeometryError("offset must be nonnegative")
     theta = 2.0 * np.pi * np.arange(n) / n
     u = np.column_stack([np.cos(theta), np.sin(theta)])
-    if isinstance(curve, Circle):
-        return np.asarray(curve.center) + (curve.radius + delta) * u
     if isinstance(curve, Ellipse):
         psi = np.arctan2(curve.b * u[:, 1], curve.a * u[:, 0])
         base = np.asarray(curve.center) + np.column_stack(

@@ -3,11 +3,20 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, splu
 
 from annulus_spectra import fem
-from annulus_spectra.errors import GeometryError, RangeError, SolverError, StarShapeError
+from annulus_spectra.analysis import standard_family
+from annulus_spectra.errors import (
+    AnnulusError,
+    GeometryError,
+    RangeError,
+    SolverError,
+    StarShapeError,
+)
 from annulus_spectra.fem import (
     Mesh,
     _nested_dissection,
@@ -443,6 +452,14 @@ class TestSolveDomain:
         radius = float(np.hypot(*res.mesh.nodes[int(np.argmax(res.u))]))
         assert abs(radius - rad.r_bar) <= 2.0 * (1.0 / 48)
 
+    @pytest.mark.parametrize("member", [0, 3])
+    def test_large_beta_answers_below_dirichlet(self, member):
+        # at beta >= 1e8 the rounding of A u, about eps ||A||_1 ||u||,
+        # passes 1e-10 ||u||; the residual check allows it
+        domain = standard_family()[member]
+        lams = [solve_domain(domain, b, 48, 192).lam for b in (1e8, 1e9, 1e10, math.inf)]
+        assert lams == sorted(lams) and lams[-2] < lams[-1]
+
     def test_discrete_beta_monotonicity(self):
         mesh = mesh_annular(ECCENTRIC, 24, 96)
         lams = [solve_on_mesh(mesh, b).lam for b in (0.1, 0.5, 1.0, 5.0)]
@@ -456,6 +473,34 @@ class TestSolveDomain:
         mesh = res.mesh
         fd = (solve_on_mesh(mesh, 1.0 + db).lam - solve_on_mesh(mesh, 1.0 - db).lam) / (2 * db)
         assert formula == pytest.approx(fd, rel=1e-4)
+
+
+@settings(max_examples=40, deadline=2000, derandomize=True, database=None)
+@given(
+    r1=st.floats(0.1, 1.8),
+    reach=st.floats(0.0, 0.999),
+    phi=st.floats(0.0, 2.0 * math.pi),
+    resolution=st.sampled_from([(8, 32), (12, 48)]),
+    beta=st.floats(-3.0, 12.0).map(lambda e: 10.0**e),
+)
+def test_property_sweep(r1, reach, phi, resolution, beta):
+    # a hole of radius r1 in radius 2, offset up to 0.999 of the free span:
+    # each beta lies between its Neumann (beta = 0) and Dirichlet (inf)
+    # solves on the same mesh, within the solves' error bounds, or a solve
+    # raises a typed package error (near-touching holes can lose positivity
+    # at 8x32, thin shells can stop on the residual check, and beta >= 1e11
+    # can leave no reliable factorization)
+    offset = reach * (2.0 - r1)
+    try:
+        domain = AnnularDomain(
+            Circle((0, 0), 2.0), Circle((offset * math.cos(phi), offset * math.sin(phi)), r1)
+        )
+        res, lo, hi = (solve_domain(domain, b, *resolution) for b in (beta, 0.0, math.inf))
+    except AnnulusError:
+        return
+    err = res.stats["error_bound"]
+    assert lo.lam - lo.stats["error_bound"] - err <= res.lam
+    assert res.lam <= hi.lam + hi.stats["error_bound"] + err
 
 
 class TestConvergence:

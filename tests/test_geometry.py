@@ -621,6 +621,48 @@ class TestEllipseCurve:
         assert not np.any(ell.contains(pts))
 
 
+class TestCircleIsEllipse:
+    CIRCLE = Circle((0.3, -0.7), 1.37)
+    TWIN = Ellipse((0.3, -0.7), 1.37, 1.37)
+    EPS = np.finfo(float).eps
+
+    def test_inherits_measures_and_samples(self):
+        assert isinstance(self.CIRCLE, Ellipse) and self.CIRCLE.radius == 1.37
+        assert self.CIRCLE.area() == self.TWIN.area()
+        assert self.CIRCLE.perimeter() == self.TWIN.perimeter() == 2.0 * math.pi * 1.37
+        assert np.array_equal(self.CIRCLE.sample(97), self.TWIN.sample(97))
+
+    def test_matches_the_ellipse(self, rng):
+        tol = 4.0 * self.EPS * self.CIRCLE.scale
+        c = np.asarray(self.CIRCLE.center)
+        pts = c + rng.uniform(-3.0, 3.0, (4000, 2))
+        assert np.max(np.abs(self.CIRCLE.distance(pts) - self.TWIN.distance(pts))) <= tol
+        clear = self.CIRCLE.distance(pts) > tol
+        assert np.array_equal(self.CIRCLE.contains(pts)[clear], self.TWIN.contains(pts)[clear])
+        on = self.CIRCLE.sample(257)
+        assert np.max(np.abs(self.CIRCLE.outward_normal(on) - (on - c) / 1.37)) <= 4.0 * self.EPS
+        kappa = self.CIRCLE.curvature_at(on)
+        assert kappa == pytest.approx(np.full(257, 1.0 / 1.37), rel=4.0 * self.EPS)
+        u = (on - c) / 1.37
+        grown = geometry.outer_parallel_points(self.CIRCLE, 0.4, 257)
+        assert np.max(np.abs(grown - (c + 1.77 * u))) <= tol
+        origin = c + (0.2, 0.5)
+        assert np.max(
+            np.abs(self.CIRCLE.ray_length(origin, u) - self.TWIN.ray_length(origin, u))
+        ) <= tol
+
+    def test_stays_a_circle(self):
+        moved, grown = self.CIRCLE.translated((0.5, 1.0)), self.CIRCLE.scaled(2.0)
+        assert type(moved) is Circle and moved.radius == 1.37
+        assert type(grown) is Circle and grown.radius == 2.74 and grown.center == self.CIRCLE.center
+        assert BoundaryCurve.parse(self.CIRCLE.spec_string()) == self.CIRCLE
+
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_radius_keeps_the_circle_message(self, radius):
+        with pytest.raises(GeometryError, match="circle radius must be positive and finite"):
+            Circle((0.0, 0.0), radius)
+
+
 def broadcast_nearest_edge(poly, points):
     """The (points x edges x 2) broadcast the edge loop replaced."""
     p = np.atleast_2d(np.asarray(points, dtype=float))
