@@ -6,9 +6,10 @@ exactly on a ray and boundary nodes sit exactly on the curves.  Assembly
 produces exact per-triangle P1 stiffness, consistent mass and exact
 two-point Robin edge mass; the inner (Dirichlet) ring is eliminated and the
 free nodes are numbered in a nested-dissection order of the rings x rays
-grid (George, SIAM J. Numer. Anal. 10, 1973).  The smallest eigenpair of
-the SPD pencil is proved to be the smallest: A - sigma M is factored by
-sparse LU in that order without pivoting, with sigma the Rayleigh quotient
+grid (George, SIAM J. Numer. Anal. 10, 1973), whose sparsity pattern each
+mesh only fills (Cuvelier, Japhet & Scarella, BIT 56, 2016).  The smallest
+eigenpair of the SPD pencil is proved to be the smallest: A - sigma M is
+factored by sparse LU in that order without pivoting, with sigma the Rayleigh quotient
 of the eigenvector one level coarser, and its negative pivots count the
 eigenvalues below sigma (Sylvester; Ericsson & Ruhe, Math. Comp. 35,
 1980).  Block inverse iteration on that many vectors then certifies
@@ -45,6 +46,11 @@ _EPS = float(np.finfo(float).eps)
 _MAX_BLOCK = 64
 # largest grid block the nested dissection leaves uncut
 _ND_LEAF = 16
+# a quad's corners a, b, c, d as (ring, ray) steps from a, and its two
+# triangles split along ac or bd; rays turn counterclockwise and rings grow
+# outward, so a, b, c, d run clockwise and a triangle takes them in reverse
+_CORNERS = np.array([[0, 0], [0, 1], [1, 1], [1, 0]], dtype=np.int32)
+_SPLITS = np.array([[[0, 2, 1], [0, 3, 2]], [[0, 3, 1], [1, 3, 2]]])
 
 
 @dataclass(frozen=True)
@@ -77,14 +83,6 @@ class Mesh:
             object.__setattr__(self, name, arr)
 
     @property
-    def inner_nodes(self) -> np.ndarray:
-        return np.unique(self.inner_edges)
-
-    @property
-    def outer_nodes(self) -> np.ndarray:
-        return np.unique(self.outer_edges)
-
-    @property
     def scale(self) -> float:
         return float(np.max(np.ptp(self.nodes, axis=0)))
 
@@ -106,86 +104,79 @@ class Mesh:
             h = max(h, float(np.max(np.hypot(e[:, 0], e[:, 1]))))
         return h
 
-    @functools.cached_property
+    @property
     def forms(self):
-        """Full (un-eliminated) stiffness K, mass M and outer edge mass B,
-        assembled once per mesh; they do not depend on beta."""
-        p, t = self.nodes, self.triangles
-        n = len(p)
-        v0, v1, v2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
-        area = 0.5 * (
-            (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
-            - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0])
-        )
-        b = np.stack([v1[:, 1] - v2[:, 1], v2[:, 1] - v0[:, 1], v0[:, 1] - v1[:, 1]], axis=1)
-        c = np.stack([v2[:, 0] - v1[:, 0], v0[:, 0] - v2[:, 0], v1[:, 0] - v0[:, 0]], axis=1)
+        """K, M and B on every node, in natural order; filled on first read."""
+        return self._free_forms(None)[:3]
 
-        rows, cols, kv, mv = [], [], [], []
-        for i in range(3):
-            for j in range(3):
-                rows.append(t[:, i])
-                cols.append(t[:, j])
-                kv.append((b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area))
-                mv.append(area / 12.0 * (2.0 if i == j else 1.0) * np.ones_like(area))
-        rows = np.concatenate(rows)
-        cols = np.concatenate(cols)
-        stiffness = _from_triplets(rows, cols, np.concatenate(kv), n)
-        mass = _from_triplets(rows, cols, np.concatenate(mv), n)
+    @functools.cached_property
+    def _split(self) -> np.ndarray:
+        """Each quad's split, 0 along ac and 1 along bd, read off the
+        triangles; GeometryError unless they and the boundary edges are
+        the rings x rays grid's, in its order."""
+        n_r, n_a = self.resolution
+        if len(self.nodes) != (n_r + 1) * n_a:
+            raise GeometryError("mesh is not a structured rings x rays grid")
+        _, grid, inner, outer = _grid(n_r, n_a)
+        if self.triangles.shape != (2 * n_r * n_a, 3):
+            raise GeometryError("mesh is not conforming")
+        t = self.triangles.reshape(-1, 2, 3)
+        # the first triangle's second corner is c when split along ac
+        split = (t[:, 0, 1] != grid[0, :, 0, 1]).astype(np.intp)
+        if not np.array_equal(t, grid[split, np.arange(len(t))]):
+            raise GeometryError("mesh is not conforming")
+        if not (np.array_equal(self.inner_edges, inner) and np.array_equal(self.outer_edges, outer)):
+            raise GeometryError("boundary edge bookkeeping is inconsistent")
+        return split
 
-        e = self.outer_edges
-        lengths = np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)
-        er, ec, ev = [], [], []
-        for i in range(2):
-            for j in range(2):
-                er.append(e[:, i])
-                ec.append(e[:, j])
-                ev.append(lengths / (3.0 if i == j else 6.0))
-        boundary = _from_triplets(np.concatenate(er), np.concatenate(ec), np.concatenate(ev), n)
-        return stiffness, mass, boundary
-
-    def _free_forms(self, dirichlet_outer: bool):
-        """(K_ff, M_ff, B_ff, free_map): the forms restricted to the free nodes.
-
-        The inner ring is always constrained, the outer ring too when
-        dirichlet_outer is set.  The free rings are numbered in
-        nested-dissection order, free_map sends free indices back to node
-        ids, and each block is its form sliced by free_map on both sides,
-        with sorted column indices.  Built once per outer condition;
-        read-only.
-        """
+    def _free_forms(self, dirichlet_outer):
+        """(K_ff, M_ff, B_ff, free_map) on _pattern's free nodes (None: all),
+        each one bincount in triangle order into the pattern the three share
+        (a quad's unused diagonal is a stored zero); once per condition."""
         if dirichlet_outer not in self._free:
-            n_r, n_a = self.resolution
-            # ring 0 is the hole; ring n_r is free unless dirichlet_outer
-            free_map = n_a + _nested_dissection(n_r - int(dirichlet_outer), n_a)
-            free_map.setflags(write=False)
-            blocks = tuple(form[free_map][:, free_map].sorted_indices() for form in self.forms)
-            for block in blocks:
-                for arr in (block.data, block.indices, block.indptr):
-                    arr.setflags(write=False)
+            indptr, indices, slots, edge_slots, free_map = _pattern(*self.resolution, dirichlet_outer)
+            where = slots[self._split, np.arange(len(self._split))]
+            stiffness, mass = _element_matrices(self)
+            p, e = self.nodes, self.outer_edges
+            edge_mass = np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)[:, None, None] / [[3.0, 6.0], [6.0, 3.0]]
+            nnz, shape = len(indices), (len(free_map), len(free_map))
+
+            def block(at, values):
+                data = np.bincount(at.ravel(), values.ravel(), minlength=nnz + 1)[:nnz]
+                data.setflags(write=False)
+                return sparse.csr_matrix((data, indices, indptr), shape=shape)
+
+            blocks = block(where, stiffness), block(where, mass), block(edge_slots, edge_mass)
             self._free[dirichlet_outer] = (*blocks, free_map)
         return self._free[dirichlet_outer]
 
 
+@functools.lru_cache(maxsize=32)
+def _grid(n_r: int, n_a: int):
+    """(corners, triangles, inner_edges, outer_edges) of the rings x rays
+    grid, node (i, k) = i * n_a + k, read-only: the ids a, b, c, d of each
+    quad, ring-major, and triangles[s, quad] its two under _SPLITS[s]."""
+    i, k = np.divmod(np.arange(n_r * n_a), n_a)
+    a, b = i * n_a + k, i * n_a + (k + 1) % n_a
+    corners = np.array([a, b, b + n_a, a + n_a])
+    triangles = corners[_SPLITS].transpose(0, 3, 1, 2)
+    ring = np.column_stack([np.arange(n_a), (np.arange(n_a) + 1) % n_a])
+    out = (corners, triangles, ring, ring + n_r * n_a)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
 def _validate_mesh(mesh: Mesh, domain: AnnularDomain) -> None:
-    areas = mesh.triangle_areas()
-    if np.any(areas <= 1e-14 * mesh.scale**2):
+    scale = mesh.scale
+    if np.any(mesh.triangle_areas() <= 1e-14 * scale**2):
         raise GeometryError("mesh contains degenerate or inverted triangles")
-    # conformity: interior edges shared by exactly two triangles
-    t = mesh.triangles
-    edges = np.sort(
-        np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]]), axis=1
-    )
-    # one integer key per undirected edge
-    _, counts = np.unique(edges[:, 0] * len(mesh.nodes) + edges[:, 1], return_counts=True)
-    if np.any(counts > 2):
-        raise GeometryError("mesh is not conforming")
-    n_boundary = int(np.sum(counts == 1))
-    if n_boundary != len(mesh.inner_edges) + len(mesh.outer_edges):
-        raise GeometryError("boundary edge bookkeeping is inconsistent")
-    tol = 1e-9 * mesh.scale
-    if np.max(domain.inner.distance(mesh.nodes[mesh.inner_nodes])) > tol:
+    mesh._split  # conformity, read off the grid
+    n_a = mesh.resolution[1]
+    tol = 1e-9 * scale
+    if np.max(domain.inner.distance(mesh.nodes[:n_a])) > tol:
         raise GeometryError("inner boundary nodes are off the curve")
-    if np.max(domain.outer.distance(mesh.nodes[mesh.outer_nodes])) > tol:
+    if np.max(domain.outer.distance(mesh.nodes[-n_a:])) > tol:
         raise GeometryError("outer boundary nodes are off the curve")
 
 
@@ -221,26 +212,13 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
     frac = np.arange(n_r + 1)[:, None, None] / n_r
     nodes = (p_in[None, :, :] * (1.0 - frac) + p_out[None, :, :] * frac).reshape(-1, 2)
 
-    def nid(i, k):
-        return i * n_a + k % n_a
-
-    # quad (i, k) has corners a, b on ring i and d, c on ring i + 1
-    i, k = (g.ravel() for g in np.meshgrid(np.arange(n_r), np.arange(n_a), indexing="ij"))
-    a, b, c, d = nid(i, k), nid(i, k + 1), nid(i + 1, k + 1), nid(i + 1, k)
+    (a, b, c, d), grid, inner_edges, outer_edges = _grid(n_r, n_a)
     d_ac = np.hypot(*(nodes[a] - nodes[c]).T)
     d_bd = np.hypot(*(nodes[b] - nodes[d]).T)
     # near-ties split uniformly so symmetric domains get
     # rotationally symmetric triangulations
-    split_ac = (d_ac <= d_bd * (1.0 + 1e-9))[:, None]
-    # rays turn counterclockwise and rings grow outward, so a, b, c, d run
-    # clockwise; each triangle takes its corners in reverse to be positive
-    first = np.where(split_ac, np.column_stack([a, c, b]), np.column_stack([a, d, b]))
-    second = np.where(split_ac, np.column_stack([a, d, c]), np.column_stack([b, d, c]))
-    triangles = np.stack([first, second], axis=1).reshape(-1, 3).astype(np.int64)
-
-    ks = np.arange(n_a)
-    inner_edges = np.column_stack([nid(0, ks), nid(0, ks + 1)])
-    outer_edges = np.column_stack([nid(n_r, ks), nid(n_r, ks + 1)])
+    split_ac = (d_ac <= d_bd * (1.0 + 1e-9))[:, None, None]
+    triangles = np.where(split_ac, grid[0], grid[1]).reshape(-1, 3)
     mesh = Mesh(nodes, triangles, inner_edges, outer_edges, (n_r, n_a))
     _validate_mesh(mesh, domain)
     object.__setattr__(mesh, "_domain", weakref.ref(domain))
@@ -254,8 +232,54 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
 # ---------------------------------------------------------------------------
 
 
-def _from_triplets(rows, cols, vals, n) -> sparse.csr_matrix:
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+@functools.lru_cache(maxsize=32)
+def _pattern(n_r: int, n_a: int, dirichlet_outer):
+    """(indptr, indices, slots, edge_slots, free_map), read-only, tables int32:
+    row r of the CSR pattern holds the free ones among the 3 x 3 grid
+    neighbours of node free_map[r], ascending; slots[s, q, t, i, j] is the
+    slot of entry (i, j) of triangle t of quad q split along s (_grid),
+    edge_slots[k, i, j] that of outer edge k, nnz that of constrained ones."""
+    corners, _, _, outer_edges = _grid(n_r, n_a)
+    if dirichlet_outer is None:
+        free_map = np.arange((n_r + 1) * n_a)
+    else:
+        # ring 0 is the hole; ring n_r is free unless dirichlet_outer
+        free_map = n_a + _nested_dissection(n_r - int(dirichlet_outer), n_a)
+    # free index of node (i, k) at [i + 1, k + 1], -1 if not free or off the grid
+    number = np.full((n_r + 3, n_a + 2), -1, dtype=np.int32)
+    number[1:-1, 1:-1].flat[free_map] = np.arange(len(free_map))
+    number[:, 0], number[:, -1] = number[:, -2], number[:, 1]
+    # neighbour o = 3 (di + 1) + (dk + 1) of each row, placed with the others
+    di, dk = np.divmod(np.arange(9), 3)
+    i, k = np.divmod(free_map[:, None], n_a)
+    cols = number[i + di, k + dk]
+    order = np.argsort(np.where(cols >= 0, cols, len(free_map)), axis=1)
+    ranked = np.take_along_axis(cols, order, axis=1)
+    indptr = np.concatenate([[0], np.cumsum(np.count_nonzero(cols >= 0, axis=1))])
+    slot = np.full((number.size, 9), indptr[-1], dtype=np.int32)
+    slot[free_map] = np.where(cols >= 0, indptr[:-1, None] + np.argsort(order, axis=1), indptr[-1])
+    # entry (u, v) of a triangle is neighbour (corner v - corner u) of u
+    step = _CORNERS[_SPLITS][..., None, :, :] - _CORNERS[_SPLITS][..., :, None, :]
+    nodes = corners.astype(np.int32)[_SPLITS].transpose(0, 3, 1, 2)[..., :, None]
+    slots = slot.ravel()[9 * nodes + (3 * step[..., 0] + step[..., 1] + 4)[:, None]]
+    edge_slots = slot.ravel()[9 * outer_edges[:, :, None] + [[4, 5], [3, 4]]]
+    out = (indptr.astype(np.int32), ranked[ranked >= 0], slots, edge_slots, free_map)
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+def _element_matrices(mesh: Mesh):
+    """Each triangle's exact P1 stiffness and consistent mass, (triangles, 3, 3)."""
+    x, y = mesh.nodes[mesh.triangles].transpose(2, 0, 1)
+    # gradient of the hat function at corner i: (b_i, c_i) / (2 area)
+    ahead, behind = [1, 2, 0], [2, 0, 1]
+    b, c = y[:, ahead] - y[:, behind], x[:, behind] - x[:, ahead]
+    area = 0.5 * (c[:, 2] * b[:, 1] - b[:, 2] * c[:, 1])
+    stiffness = b[:, :, None] * b[:, None, :]
+    stiffness += c[:, :, None] * c[:, None, :]
+    stiffness /= (4.0 * area)[:, None, None]
+    return stiffness, (area / 12.0)[:, None, None] * (1.0 + np.eye(3))
 
 
 @functools.lru_cache(maxsize=32)
@@ -297,20 +321,19 @@ def assemble(mesh: Mesh, beta: float, dirichlet_outer: bool = False):
 
     A = K_ff + beta B_ff from the blocks of Mesh._free_forms; the inner
     ring is always eliminated and the outer ring too when dirichlet_outer
-    is set (the beta = inf emulation, A = K_ff, read-only).  Only A is
-    formed per call; M and free_map are the mesh's cached, read-only
-    blocks.  The sum drops the exact zeros that K_ff stores; A - sigma M
-    keeps M's pattern, whose entries are all positive, either way.
+    is set (the beta = inf emulation, A = K_ff, read-only).  Only A's
+    values are formed per call, on the blocks' shared pattern; M and
+    free_map are the mesh's cached, read-only blocks.  The pattern stores
+    each quad's unused diagonal as a zero, which A - sigma M drops, so the
+    factored pattern is that of M's positive entries.
     """
     if not dirichlet_outer and not 0.0 <= beta < math.inf:
         raise RangeError("beta must be finite and nonnegative (use dirichlet_outer for inf)")
-    n_r, n_a = mesh.resolution
-    if len(mesh.nodes) != (n_r + 1) * n_a:
-        raise GeometryError("mesh is not a structured rings x rays grid")
     k_ff, m_ff, b_ff, free_map = mesh._free_forms(dirichlet_outer)
     if dirichlet_outer:
         return k_ff, m_ff, free_map
-    return k_ff + beta * b_ff, m_ff, free_map
+    a_data = k_ff.data + beta * b_ff.data
+    return sparse.csr_matrix((a_data, k_ff.indices, k_ff.indptr), shape=k_ff.shape), m_ff, free_map
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +367,7 @@ def _shifted_factor(a: sparse.csr_matrix, m: sparse.csr_matrix, sigma: float):
     return lu, int(np.count_nonzero(pivots < 0.0))
 
 
-def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray):
+def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray, target: float = None):
     """Block inverse iteration with Rayleigh-Ritz under lu = A - shift M.
 
     Returns (ritz, x, bound, steps, settled): the Ritz values (ascending),
@@ -354,7 +377,8 @@ def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray):
     settled.  It settles when ritz[-1] + bound < shift and
     bound^2 / (shift - ritz[-1]) is below one rounding of ritz[0]: with
     every other eigenvalue at or above the shift, as a count of p there
-    says, that quadratic residual bound caps ritz[0] - lambda_1.  It stops
+    says, that quadratic residual bound caps ritz[0] - lambda_1, and the
+    first vector's residual norm is at most target, if given.  It stops
     unsettled when the bound stops falling or after _MAX_STEPS steps.
     """
     weight = 1.0 / m.diagonal()[:, None]
@@ -371,8 +395,21 @@ def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray):
         best = (ritz, x, bound)
         gap = shift - ritz[-1]
         if gap > bound and bound * bound <= _EPS * abs(ritz[0]) * gap:
-            return (*best, steps, True)
+            if target is None or np.linalg.norm(r[:, 0]) <= target:
+                return (*best, steps, True)
     return (*best, steps, False)
+
+
+def _quotient(a, m, x: np.ndarray):
+    """(rho, y, r): x M-normalised with a nonnegative sum, its Rayleigh
+    quotient and its residual A y - rho M y."""
+    y = x / math.sqrt(float(x @ (m @ x)))
+    y = -y if float(np.sum(y)) < 0.0 else y
+    # y'Ay in extended precision: summed in doubles, the cancellation inside
+    # A y leaves about 1e-14 relative noise; y'My sums nonnegative terms
+    yl = y.astype(np.longdouble)
+    rho = float(np.dot(a.data * np.repeat(yl, np.diff(a.indptr)), yl[a.indices]) / float(y @ (m @ y)))
+    return rho, y, a @ y - rho * (m @ y)
 
 
 def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, angles=None):
@@ -389,7 +426,8 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
     the bound below sigma the smallest is lambda_1.  If the iteration does
     not settle, A - tau M just above the smallest Ritz value (>= lambda_1)
     must count exactly one eigenvalue and one-vector iteration there must
-    certify against tau, or SolverError is raised.  Without a seed the
+    certify against tau, or SolverError is raised; so is a residual above
+    max(RESIDUAL_FACTOR, eps ||A||_1) ||y|| after more steps.  Without a seed the
     pencil may have DENSE_FREE_NODES rows at most: dense eigh gives the
     seed, and sigma lies _FLOOR_SHIFT of lambda_2 - lambda_1 above
     lambda_1, where A - sigma M is safely regular.
@@ -440,19 +478,22 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
             )
         ritz, x, bound, steps, _ = _inverse_iteration(a, m, lu, shift, x[:, :1])
         solves += steps
+    rho, y, r = _quotient(a, m, x[:, 0])
+    # A y rounds at about eps ||A||_1 ||y||, and ||A|| grows with beta
+    allowed = RESIDUAL_FACTOR
+    if np.linalg.norm(r) > allowed * np.linalg.norm(y):
+        allowed = max(allowed, _EPS * sparse.linalg.norm(a, 1))
+    if np.linalg.norm(r) > allowed * np.linalg.norm(y):
+        # lambda settled before the vector did: iterate on under the same factor
+        target = allowed * np.linalg.norm(x[:, 0])
+        ritz, x, bound, steps, _ = _inverse_iteration(a, m, lu, shift, x, target)
+        solves += steps * x.shape[1]
+        rho, y, r = _quotient(a, m, x[:, 0])
+        if np.linalg.norm(r) > allowed * np.linalg.norm(y):
+            raise SolverError(f"generalized residual {np.linalg.norm(r):.3e} above tolerance")
     if not ritz[-1] + bound < shift:
         raise SolverError(f"Ritz values {ritz} within {bound:.3e} of the shift {shift:.9g}")
 
-    y = x[:, 0] / math.sqrt(float(x[:, 0] @ (m @ x[:, 0])))
-    if float(np.sum(y)) < 0.0:
-        y = -y
-    # y'Ay in extended precision: summed in doubles, the cancellation
-    # inside A y leaves about 1e-14 relative rounding noise.  y'My sums
-    # nonnegative terms and needs no more than doubles.
-    yl = y.astype(np.longdouble)
-    y_ay = np.dot(a.data * np.repeat(yl, np.diff(a.indptr)), yl[a.indices])
-    rho = float(y_ay / float(y @ (m @ y)))
-    r = a @ y - rho * (m @ y)
     stats = {
         "outer_iterations": solves,
         "factorizations": factorizations,
@@ -539,10 +580,6 @@ def solve_on_mesh(mesh: Mesh, beta: float, seed: FemEigenResult = None) -> FemEi
     u[free_map] = u_free
     if float(np.min(u)) < -1e-10:
         raise SolverError(f"eigenvector lost positivity (min {float(np.min(u)):.3e})")
-    res, norm_u = stats["residual"], float(np.linalg.norm(u_free))
-    # A u rounds at about eps ||A||_1 ||u||, and ||A|| grows with beta
-    if res > RESIDUAL_FACTOR * norm_u and res > _EPS * sparse.linalg.norm(a, 1) * norm_u:
-        raise SolverError(f"generalized residual {res:.3e} above tolerance")
     result = FemEigenResult(lam=float(lam), u=u, mesh=mesh, beta=beta, stats=stats)
     if seed is None:
         mesh._eigenpairs[beta] = (result.lam, u, dict(stats))

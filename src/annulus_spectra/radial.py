@@ -263,17 +263,18 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     phi = _phi(nu, k, r1, r[-1:])
 
     # the residual's rounding scales with the Bessel moduli sqrt(J^2 + Y^2) of
-    # its products, which may both vanish; measured at most 5.1 of 64 units
+    # its products, which may both vanish; measured at most 5.1 of 64 units.
+    # Allowances count units: two moduli overflow together on tiny holes at large n
     mod = lambda mu, x: math.hypot(jv(mu, x), yv(mu, x))
-    unit = 64.0 * EPS * (1.0 + k * r2) * abs(_scale(nu, r1, r[-1:])[0]) * mod(nu, k * r1)
-    phi_err = unit * mod(nu, k * r2)
+    unit = 64.0 * EPS * (1.0 + k * r2) * float(abs(_scale(nu, r1, r2))) * mod(nu, k * r1)
+    phi_err = mod(nu, k * r2)
     if math.isinf(beta):
         residual, tol = phi[-1], phi_err
     else:
         residual = dphi[-1] + beta * phi[-1]
-        tol = k * unit * mod(nu + 1.0, k * r2) + beta * phi_err
-    if not abs(residual) <= tol:
-        raise NumericalError(f"boundary residual {residual:.3e} above rounding allowance {tol:.3e}")
+        tol = k * mod(nu + 1.0, k * r2) + beta * phi_err
+    if not abs(residual) / unit <= tol:
+        raise NumericalError(f"boundary residual {residual:.3e} above {tol:.3e} units of {unit:.3e}")
     _impose_outer(phi, dphi, beta, k)
 
     v_m = float(phi[-1])
@@ -290,8 +291,8 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
         if not (r1 < r_bar < r2):
             raise NumericalError("critical radius escaped the shell interior")
         # v_M - v_m vanishes with beta: allow the rounding of both values
-        bar_err = unit * (r2 / r_bar) ** nu * mod(nu, k * r_bar)
-        if not v_m < v_M + phi_err + bar_err:
+        bar_err = (r2 / r_bar) ** nu * mod(nu, k * r_bar)
+        if not (v_m - v_M) / unit < phi_err + bar_err:
             raise NumericalError("boundary value should stay below the maximum")
         if math.isfinite(beta) and not 0.0 < v_m:
             raise NumericalError("Robin boundary value should be positive")

@@ -288,18 +288,19 @@ class TestMainTheoremSweep:
 
     def test_beta_sweep_meshes_and_assembles_once(self, monkeypatch):
         built = []
-        from_triplets = fem._from_triplets
+        pattern = fem._pattern
 
-        def counting(*args):
-            built.append(args)
-            return from_triplets(*args)
+        def counting(n_r, n_a, dirichlet_outer):  # read once per fill
+            built.append(((n_r, n_a), dirichlet_outer))
+            return pattern(n_r, n_a, dirichlet_outer)
 
-        monkeypatch.setattr(fem, "_from_triplets", counting)
+        monkeypatch.setattr(fem, "_pattern", counting)
         betas = (0.1, 1.0, 10.0)
         member = eccentric()
         reports = [main_theorem_sweep([member], b, resolution=(16, 64))[0] for b in betas]
-        # K, M and B once on the fine mesh and once on the coarse one
-        assert len(built) == 6
+        # K, M and B filled once on the fine mesh and once on the coarse
+        # one, for the Robin outer ring that every beta shares
+        assert built == [((16, 64), False), ((8, 32), False)]
         fresh = [main_theorem_sweep([eccentric()], b, resolution=(16, 64))[0] for b in betas]
         assert [r.as_dict() for r in reports] == [r.as_dict() for r in fresh]
 
@@ -321,21 +322,24 @@ class TestBetaLimits:
 
     def test_fem_assembles_once(self, monkeypatch):
         built = []
-        from_triplets = fem._from_triplets
+        pattern = fem._pattern
 
-        def counting(*args):
-            built.append(args)
-            return from_triplets(*args)
+        def counting(n_r, n_a, dirichlet_outer):  # read once per fill
+            built.append(((n_r, n_a), dirichlet_outer))
+            return pattern(n_r, n_a, dirichlet_outer)
 
-        monkeypatch.setattr(fem, "_from_triplets", counting)
+        monkeypatch.setattr(fem, "_pattern", counting)
         betas = np.logspace(-2, 2, 4)
         # a fresh domain: ECCENTRIC's 16x64 mesh, forms included, is
         # memoised by the tests above
         rep = beta_limits_check(eccentric(), resolution=(16, 64), betas=betas)
-        # K, M and B once per mesh (args[3] is its node count): the 16x64
-        # mesh serves every beta and the slope s, and its 8x32 seed level,
-        # solved densely, every beta's seed
-        assert [args[3] for args in built] == [17 * 64] * 3 + [9 * 32] * 3
+        # K, M and B once per mesh and outer condition: the 16x64 mesh
+        # serves every finite beta, beta = inf and (every node free, None)
+        # the slope s, and its 8x32 seed level, solved densely, every
+        # beta's seed
+        fine, coarse = (16, 64), (8, 32)
+        expected = [(fine, False), (fine, True), (fine, None), (coarse, False), (coarse, True)]
+        assert sorted(built, key=repr) == sorted(expected, key=repr)
         fresh = [solve_on_mesh(mesh_annular(eccentric(), 16, 64), b).lam for b in betas]
         assert list(rep.lams) == fresh
 

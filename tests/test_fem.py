@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import eigsh, splu
 
 from annulus_spectra import fem
-from annulus_spectra.analysis import standard_family
+from annulus_spectra.analysis import PerturbationField, standard_family
 from annulus_spectra.errors import (
     AnnulusError,
     GeometryError,
@@ -35,6 +36,65 @@ from annulus_spectra.radial import solve_shell
 
 CONCENTRIC = AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
 ECCENTRIC = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
+EPS = float(np.finfo(float).eps)
+
+
+def _coo_forms(mesh):
+    """Reference assembly: K, M and B in natural node order from COO
+    triplets, one per element entry, summed by scipy's conversion to CSR."""
+    p, t = mesh.nodes, mesh.triangles
+    n = len(p)
+    v0, v1, v2 = p[t[:, 0]], p[t[:, 1]], p[t[:, 2]]
+    area = 0.5 * (
+        (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1])
+        - (v1[:, 1] - v0[:, 1]) * (v2[:, 0] - v0[:, 0])
+    )
+    b = np.stack([v1[:, 1] - v2[:, 1], v2[:, 1] - v0[:, 1], v0[:, 1] - v1[:, 1]], axis=1)
+    c = np.stack([v2[:, 0] - v1[:, 0], v0[:, 0] - v2[:, 0], v1[:, 0] - v0[:, 0]], axis=1)
+
+    def csr(rows, cols, vals):
+        rows, cols, vals = (np.concatenate(x) for x in (rows, cols, vals))
+        return sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+    rows, cols, kv, mv = [], [], [], []
+    for i in range(3):
+        for j in range(3):
+            rows.append(t[:, i])
+            cols.append(t[:, j])
+            kv.append((b[:, i] * b[:, j] + c[:, i] * c[:, j]) / (4.0 * area))
+            mv.append(area / 12.0 * (2.0 if i == j else 1.0) * np.ones_like(area))
+    stiffness, mass = csr(rows, cols, kv), csr(rows, cols, mv)
+
+    e = mesh.outer_edges
+    lengths = np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)
+    er, ec, ev = [], [], []
+    for i in range(2):
+        for j in range(2):
+            er.append(e[:, i])
+            ec.append(e[:, j])
+            ev.append(lengths / (3.0 if i == j else 6.0))
+    return stiffness, mass, csr(er, ec, ev)
+
+
+def _assert_rows_close(got, want):
+    # entry by entry within 4 eps of the largest entry of its row: the fill
+    # sums in triangle order, the reference in scipy's
+    assert got.shape == want.shape
+    scale = abs(want).max(axis=1).toarray().ravel()
+    diff = abs(got - want).tocoo()
+    assert np.all(diff.data <= 4.0 * EPS * scale[diff.row])
+
+
+def _oracle_domain(name, n_a):
+    if name == "circle-pair":
+        return AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
+    if name == "shell":
+        return AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
+    if name == "ellipse-rectangle":
+        return _rectangle_hole_member(1.5, 0.6, 0.4)
+    # the polygon through the moved outer ray crossings, one vertex per ray
+    field = PerturbationField(kind="normal_fourier", target="outer", mode=2, amplitude=1.0)
+    return field.perturbed(AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0)), 0.05, n_a)
 
 
 class TestMeshAnnular:
@@ -58,8 +118,8 @@ class TestMeshAnnular:
 
     def test_boundary_nodes_on_curves(self):
         mesh = mesh_annular(ECCENTRIC, 4, 16)
-        assert np.max(ECCENTRIC.inner.distance(mesh.nodes[mesh.inner_nodes])) < 1e-12
-        assert np.max(ECCENTRIC.outer.distance(mesh.nodes[mesh.outer_nodes])) < 1e-12
+        assert np.max(ECCENTRIC.inner.distance(mesh.nodes[np.unique(mesh.inner_edges)])) < 1e-12
+        assert np.max(ECCENTRIC.outer.distance(mesh.nodes[np.unique(mesh.outer_edges)])) < 1e-12
 
     def test_positive_orientation(self):
         mesh = mesh_annular(ECCENTRIC, 8, 32)
@@ -117,6 +177,33 @@ class TestMeshAnnular:
         with pytest.raises(GeometryError, match="boundary edge bookkeeping is inconsistent"):
             _validate_mesh(bad, ECCENTRIC)
 
+    def test_validation_rejects_mixed_quad_split(self):
+        # quad 5 takes the ac split's first triangle and the bd split's
+        # second: both positive, overlapping, and an edge shared three times
+        mesh = mesh_annular(ECCENTRIC, 4, 16)
+        _, grid, _, _ = fem._grid(4, 16)
+        tris = mesh.triangles.reshape(-1, 2, 3).copy()
+        tris[5] = [grid[0, 5, 0], grid[1, 5, 1]]
+        bad = Mesh(mesh.nodes, tris.reshape(-1, 3), mesh.inner_edges, mesh.outer_edges, (4, 16))
+        with pytest.raises(GeometryError, match="mesh is not conforming"):
+            _validate_mesh(bad, ECCENTRIC)
+
+    def test_validation_rejects_shuffled_triangles(self):
+        # the fill reads each quad's split off the triangles in grid order
+        mesh = mesh_annular(ECCENTRIC, 4, 16)
+        order = np.random.default_rng(1).permutation(len(mesh.triangles))
+        bad = Mesh(mesh.nodes, mesh.triangles[order], mesh.inner_edges, mesh.outer_edges, (4, 16))
+        with pytest.raises(GeometryError, match="mesh is not conforming"):
+            _validate_mesh(bad, ECCENTRIC)
+
+    @pytest.mark.parametrize("shift", ["rolled", "ring-inward"])
+    def test_validation_rejects_shifted_boundary_edges(self, shift):
+        mesh = mesh_annular(ECCENTRIC, 4, 16)
+        outer = np.roll(mesh.outer_edges, 1, axis=0) if shift == "rolled" else mesh.outer_edges - 16
+        bad = Mesh(mesh.nodes, mesh.triangles, mesh.inner_edges, outer, (4, 16))
+        with pytest.raises(GeometryError, match="boundary edge bookkeeping is inconsistent"):
+            _validate_mesh(bad, ECCENTRIC)
+
     def test_resolution_floor(self):
         with pytest.raises(RangeError):
             mesh_annular(CONCENTRIC, 1, 16)
@@ -164,10 +251,15 @@ class TestMeshMemo:
             full = stiffness if dirichlet else stiffness + beta * boundary
             assert np.array_equal(a.toarray(), full[free][:, free].toarray())
             assert np.array_equal(m.toarray(), mass[free][:, free].toarray())
-            # the same entries as slicing K + beta B per beta, in sorted order
+            # the same entries as slicing K + beta B per beta, in sorted
+            # order, once the stored zeros (unused quad diagonals, and the
+            # shell's exact zeros of K) are eliminated from both
             sliced = full.tocsr()[free][:, free].sorted_indices()
+            stored = a.copy()
+            for matrix in (stored, sliced):
+                matrix.eliminate_zeros()
             for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(a, name), getattr(sliced, name))
+                assert np.array_equal(getattr(stored, name), getattr(sliced, name))
             # M and free_map are the mesh's read-only blocks, shared by every beta
             _, m2, free2 = assemble(mesh, 0.0 if dirichlet else 2.0 * beta, dirichlet)
             assert m2 is m and free2 is free
@@ -182,10 +274,10 @@ class TestAssembly:
         tris = np.array([[0, 1, 2]])
         empty = np.empty((0, 2), dtype=np.int64)
         mesh = Mesh(nodes, tris, empty, empty, (1, 1))
-        stiffness, mass, _ = mesh.forms
+        stiffness, mass = fem._element_matrices(mesh)
         expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
-        assert np.allclose(stiffness.toarray(), expected, atol=1e-15)
-        assert np.allclose(mass.toarray().sum(), 0.5, atol=1e-15)
+        assert np.allclose(stiffness[0], expected, atol=1e-15)
+        assert np.allclose(mass[0].sum(), 0.5, atol=1e-15)
 
     def test_mass_partition_of_unity(self):
         mesh = mesh_annular(CONCENTRIC, 8, 32)
@@ -203,10 +295,11 @@ class TestAssembly:
     def test_elimination_bookkeeping(self):
         mesh = mesh_annular(CONCENTRIC, 4, 16)
         a, m, free = assemble(mesh, 1.0)
-        assert a.shape[0] == m.shape[0] == len(free) == len(mesh.nodes) - len(mesh.inner_nodes)
-        assert not set(free.tolist()) & set(mesh.inner_nodes.tolist())
+        inner, outer = np.unique(mesh.inner_edges), np.unique(mesh.outer_edges)
+        assert a.shape[0] == m.shape[0] == len(free) == len(mesh.nodes) - len(inner)
+        assert not set(free.tolist()) & set(inner.tolist())
         a2, _, free2 = assemble(mesh, 0.0, dirichlet_outer=True)
-        assert a2.shape[0] == len(mesh.nodes) - len(mesh.inner_nodes) - len(mesh.outer_nodes)
+        assert a2.shape[0] == len(mesh.nodes) - len(inner) - len(outer)
 
     def test_symmetry_exact(self):
         mesh = mesh_annular(ECCENTRIC, 8, 32)
@@ -225,6 +318,77 @@ class TestAssembly:
             assemble(mesh, float("nan"))
         with pytest.raises(RangeError):
             solve_on_mesh(mesh, float("nan"))
+
+
+class TestPatternFill:
+    @pytest.mark.parametrize("dirichlet", [False, True])
+    @pytest.mark.parametrize("resolution", [(8, 32), (24, 96)])
+    @pytest.mark.parametrize(
+        "name", ["circle-pair", "shell", "ellipse-rectangle", "polygon-outer"]
+    )
+    def test_matches_coo_reference(self, name, resolution, dirichlet):
+        mesh = mesh_annular(_oracle_domain(name, resolution[1]), *resolution)
+        reference = _coo_forms(mesh)
+        for got, want in zip(mesh.forms, reference):
+            _assert_rows_close(got, want)
+        *blocks, free = mesh._free_forms(dirichlet)
+        sliced = [form[free][:, free].sorted_indices() for form in reference]
+        for got, want in zip(blocks, sliced):
+            _assert_rows_close(got, want)
+        # SuperLU factors the pattern of the sliced and summed reference
+        beta, sigma = (0.0 if dirichlet else 1.5), 2.5
+        a, m, _ = assemble(mesh, beta, dirichlet)
+        k_ff, m_ff, b_ff = sliced
+        want = ((k_ff if dirichlet else k_ff + beta * b_ff) - sigma * m_ff).sorted_indices()
+        got = (a - sigma * m).sorted_indices()
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+
+    def test_blocks_share_one_pattern(self):
+        mesh = mesh_annular(ECCENTRIC, 8, 32)
+        k_ff, m_ff, b_ff, _ = mesh._free_forms(False)
+        a, _, _ = assemble(mesh, 2.0)
+        for block in (m_ff, b_ff, a):
+            assert np.shares_memory(block.indices, k_ff.indices)
+            assert np.shares_memory(block.indptr, k_ff.indptr)
+
+    def test_later_meshes_neither_sort_nor_convert(self, monkeypatch):
+        # the pattern is built once per resolution and outer condition; a
+        # later mesh is validated against the grid and only fills values
+        fem._pattern.cache_clear()
+        n_r, n_a = 24, 96
+        names = ["circle-pair", "ellipse-rectangle", "polygon-outer"]
+        domains = [_oracle_domain(name, n_a) for name in names]
+        first = mesh_annular(domains[0], n_r, n_a)
+        for dirichlet in (False, True):
+            assemble(first, 0.0, dirichlet)
+        sorted_sizes, converted = [], []
+
+        def recording(fn):
+            def wrapped(a, *args, **kwargs):
+                keys = a if isinstance(a, tuple) else (a,)  # lexsort takes a tuple
+                sorted_sizes.append(sum(np.size(key) for key in keys))
+                return fn(a, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("unique", "sort", "argsort", "lexsort"):
+            monkeypatch.setattr(np, name, recording(getattr(np, name)))
+        tocsr = sparse.coo_matrix.tocsr
+
+        def converting(*args, **kwargs):
+            converted.append(args)
+            return tocsr(*args, **kwargs)
+
+        monkeypatch.setattr(sparse.coo_matrix, "tocsr", converting)
+        for domain in domains[1:]:
+            mesh = mesh_annular(domain, n_r, n_a)
+            for dirichlet in (False, True):
+                assemble(mesh, 0.0, dirichlet)
+        assert not converted
+        # boundary work may sort a ring; nothing sorts one entry per triangle
+        assert max(sorted_sizes, default=0) < 2 * n_r * n_a
+        assert fem._pattern.cache_info().misses == 2
 
 
 class TestNestedDissection:
@@ -318,7 +482,7 @@ class TestSmallestEigenpair:
 
     def test_eigenvector_structure(self):
         res = solve_domain(CONCENTRIC, 1.0, 32, 128)
-        assert np.all(res.u[res.mesh.inner_nodes] == 0.0)
+        assert np.all(res.u[np.unique(res.mesh.inner_edges)] == 0.0)
         assert float(np.min(res.u)) >= -1e-10
         _, mass, _ = res.mesh.forms
         assert float(res.u @ (mass @ res.u)) == pytest.approx(1.0, rel=1e-12)
@@ -459,6 +623,18 @@ class TestSolveDomain:
         domain = standard_family()[member]
         lams = [solve_domain(domain, b, 48, 192).lam for b in (1e8, 1e9, 1e10, math.inf)]
         assert lams == sorted(lams) and lams[-2] < lams[-1]
+
+    def test_thin_eccentric_shell_answers(self):
+        # in this thin crescent lambda settles before the eigenvector's
+        # residual passes 1e-10 ||u|| from beta = 10 on; the iteration goes
+        # on under the same factor instead of stopping on the check
+        domain = AnnularDomain(Circle((0, 0), 2.0), Circle((0.04, 0), 1.8))
+        for res in ((12, 48), (24, 96), (48, 192)):
+            results = [solve_domain(domain, b, *res) for b in (1.0, 10.0, 100.0, 1e3, math.inf)]
+            dd = results[-1]
+            for lo, hi in zip(results, results[1:]):
+                assert lo.lam <= hi.lam + lo.stats["error_bound"] + hi.stats["error_bound"]
+                assert lo.lam <= dd.lam + lo.stats["error_bound"] + dd.stats["error_bound"]
 
     def test_discrete_beta_monotonicity(self):
         mesh = mesh_annular(ECCENTRIC, 24, 96)

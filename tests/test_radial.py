@@ -189,6 +189,17 @@ class TestBesselSolver:
         assert np.max(np.abs(res.phi - phi_grid)) <= rtol * np.max(np.abs(phi))
         assert np.max(np.abs(res.dphi - dphi_grid)) <= rtol * np.max(np.abs(dphi))
 
+    @pytest.mark.parametrize("n", [18, 20])
+    def test_tiny_hole_large_n_allowance_stays_finite(self, n):
+        # the moduli at k R1 and k R2 pass 1e160 and their product the
+        # float range; the residual is compared in rounding units, with no
+        # overflow (RuntimeWarning fails the run).  A tiny hole's Neumann
+        # eigenvalue is its capacity over the volume, n (n-2) R1^(n-2) / R2^n
+        r1, r2 = 3.93e-3, 1.58
+        res = solve_shell(n, r1, r2, 0.0)
+        assert res.lam == pytest.approx(n * (n - 2) * r1 ** (n - 2) / r2**n, rel=1e-9)
+        assert math.isfinite(res.residual)
+
     def test_dirichlet_boundary_value_exact(self):
         res = solve_shell(2, 1.0, 2.0, float("inf"))
         assert res.v_m == 0.0
