@@ -37,7 +37,8 @@ RESIDUAL_FACTOR = 1e-10
 DENSE_FREE_NODES = 300
 # the dense floor's shift, as a fraction of lambda_2 - lambda_1 above lambda_1
 _FLOOR_SHIFT = 0.25
-# pivots this small against the largest one leave the inertia count unsure
+# a pivot this small against its own diagonal entry of A - sigma M leaves
+# the inertia count unsure
 _TINY_PIVOT = 1e-13
 # relative step that moves a shift off an eigenvalue
 _SHIFT_STEP = 1e-6
@@ -347,12 +348,17 @@ def _shifted_factor(a: sparse.csr_matrix, m: sparse.csr_matrix, sigma: float):
     The factorization keeps assemble's nested-dissection order and does
     not pivot, so A - sigma M = L D L' with D the diagonal of U, and by
     Sylvester's law of inertia p is the number of eigenvalues of the
-    pencil below sigma.  lu is None when a pivot vanishes to round-off,
-    where the count cannot be trusted.
+    pencil below sigma.  lu is None when a pivot vanishes to round-off
+    against its own diagonal entry of A - sigma M, where the count cannot
+    be trusted.  The diagonal congruence that gives A - sigma M a
+    unit-modulus diagonal keeps the inertia and makes the test scale-free;
+    measured against the largest pivot, which grows like beta h in the
+    Robin rows, sound factorizations would be refused from beta = 1e12 on.
     """
+    shifted = a - sigma * m
     try:
         lu = splu(
-            (a - sigma * m).tocsc(),
+            shifted.tocsc(),
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
             options={"SymmetricMode": True},
@@ -362,7 +368,7 @@ def _shifted_factor(a: sparse.csr_matrix, m: sparse.csr_matrix, sigma: float):
     if not np.array_equal(lu.perm_r, np.arange(a.shape[0])):
         raise SolverError("SuperLU pivoted rows, so its pivots count no inertia")
     pivots = lu.U.diagonal()
-    if np.min(np.abs(pivots)) <= _TINY_PIVOT * np.max(np.abs(pivots)):
+    if np.any(np.abs(pivots) <= _TINY_PIVOT * np.abs(shifted.diagonal())):
         return None, 0
     return lu, int(np.count_nonzero(pivots < 0.0))
 

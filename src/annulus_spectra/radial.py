@@ -40,17 +40,21 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
-from scipy.special import j0, j1, jv, spherical_jn, spherical_yn, y0, y1, yn, yv
+from scipy.special import j0, j1, jv, y0, y1, yn, yv
+from scipy.special._ufuncs import _spherical_jn, _spherical_yn
 
 from .errors import BracketError, NumericalError, RangeError
 from .geometry import ShellSpec
 
 PROFILE_SAMPLES = 4097
-# stated accuracies of lambda (measured: 6e-14 at width 1e-3, else 1e-15)
+# stated accuracies of lambda (measured against 30-digit roots: 1.4e-13 at
+# width 1e-3, 2e-14 on a hole of radius 1e-3 in 2, 4e-15 on (1, 2))
 # and of the profile relative to its maximum (measured: 5e-11 at most)
 LAMBDA_RTOL = 1e-11
 PROFILE_RTOL = 1e-10
 EPS = float(np.finfo(float).eps)
+# the root scan evaluates its grid this many points at a time
+_SCAN_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -130,10 +134,13 @@ def _jy(mu: float, x):
     """(J_mu(x), Y_mu(x)) for x > 0.
 
     Arrays of integer or half-integer order mu >= 0 use scipy's kernels for
-    those orders, cephes j0/y0/j1/y1 and yn, and J_(m+1/2)(x) = sqrt(2x/pi)
-    j_m(x) (DLMF 10.47.3): a fraction of the cost of AMOS jv/yv, within
-    8 eps (1 + x) of the modulus sqrt(J^2 + Y^2).  Scalars, such as the
-    root polish, and any other order stay on jv/yv.
+    those orders: cephes j0/y0 and j1/y1 at orders 0 and 1, jv with yn at
+    higher integer orders, and J_(m+1/2)(x) = sqrt(2x/pi) j_m(x) (DLMF
+    10.47.3) on the ufuncs _spherical_jn/_spherical_yn, which scipy's
+    spherical_jn/spherical_yn call through a wrapper that reflects x < 0
+    (about 30 us per call; x > 0 here); all within 8 eps (1 + x) of the
+    modulus sqrt(J^2 + Y^2), at a fraction of the cost of AMOS jv/yv.
+    Scalars, such as the root polish, and any other order stay on jv/yv.
     """
     if np.ndim(x) == 0 or not mu >= 0.0 or mu % 0.5 != 0.0:
         return jv(mu, x), yv(mu, x)
@@ -143,14 +150,15 @@ def _jy(mu: float, x):
         return j1(x), y1(x)
     if mu % 1.0:
         s = np.sqrt(2.0 / math.pi * x)
-        return s * spherical_jn(int(mu), x), s * spherical_yn(int(mu), x)
+        return s * _spherical_jn(int(mu), x), s * _spherical_yn(int(mu), x)
     return jv(mu, x), yn(int(mu), x)
 
 
-def _cross(nu: float, mu: float, k, r1: float, r):
-    """Z_mu(k r) = J_mu(k r) Y_nu(k R1) - Y_mu(k r) J_nu(k R1), vectorized."""
+def _cross(nu: float, mu: float, k, r1: float, r, inner=None):
+    """Z_mu(k r) = J_mu(k r) Y_nu(k R1) - Y_mu(k r) J_nu(k R1), vectorized;
+    inner is (J_nu(k R1), Y_nu(k R1)) = _jy(nu, k R1) when the caller holds it."""
     j_mu, y_mu = _jy(mu, k * r)
-    j_nu, y_nu = _jy(nu, k * r1)
+    j_nu, y_nu = _jy(nu, k * r1) if inner is None else inner
     return j_mu * y_nu - y_mu * j_nu
 
 
@@ -159,12 +167,12 @@ def _scale(nu: float, r1: float, r):
     return -0.5 * math.pi * r1 ** (nu + 1.0) * r**-nu
 
 
-def _phi(nu: float, k: float, r1: float, r):
-    return _scale(nu, r1, r) * _cross(nu, nu, k, r1, r)
+def _phi(nu: float, k: float, r1: float, r, inner=None):
+    return _scale(nu, r1, r) * _cross(nu, nu, k, r1, r, inner)
 
 
-def _dphi(nu: float, k: float, r1: float, r):
-    return -k * _scale(nu, r1, r) * _cross(nu, nu + 1.0, k, r1, r)
+def _dphi(nu: float, k: float, r1: float, r, inner=None):
+    return -k * _scale(nu, r1, r) * _cross(nu, nu + 1.0, k, r1, r, inner)
 
 
 def _log_knots(r1: float, r2: float) -> np.ndarray:
@@ -213,21 +221,30 @@ def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
 
     Scans the difference, negative below the root, by 1/64 of the root
     spacing pi / d from near zero to lambda = 4 (pi/d)^2 + (n-1)(n-3)/R2^2,
-    a bound on the Dirichlet eigenvalue of the outer half shell.
+    a bound on the Dirichlet eigenvalue of the outer half shell.  The scan
+    evaluates that grid _SCAN_BLOCK points at a time and stops at the block
+    holding the first point where the difference turns nonnegative, so its
+    bracket is the full scan's; each evaluation computes J_nu(k R1) and
+    Y_nu(k R1) once for both cross products.
     """
     nu, d = 0.5 * n - 1.0, r2 - r1
 
     def g(k):
-        z0 = _cross(nu, nu, k, r1, r2)
-        return z0 if math.isinf(beta) else beta * z0 - k * _cross(nu, nu + 1.0, k, r1, r2)
+        inner = _jy(nu, k * r1)
+        z0 = _cross(nu, nu, k, r1, r2, inner)
+        return z0 if math.isinf(beta) else beta * z0 - k * _cross(nu, nu + 1.0, k, r1, r2, inner)
 
     step = math.pi / (64.0 * d)
     k_max = math.sqrt(4.0 * (math.pi / d) ** 2 + max(0.0, (n - 1.0) * (n - 3.0)) / r2**2)
     ks = step * (np.arange(math.ceil(k_max / step) + 2) + 1.0 / 16.0)
-    up = np.flatnonzero(g(ks) >= 0.0)
-    if len(up) == 0:
+    for start in range(0, len(ks), _SCAN_BLOCK):
+        up = np.flatnonzero(g(ks[start : start + _SCAN_BLOCK]) >= 0.0)
+        if len(up):
+            break
+    else:
         raise BracketError(f"no root of the characteristic function below k = {ks[-1]:.6g}")
-    lo, hi = (ks[up[0] - 1], ks[up[0]]) if up[0] > 0 else (ks[0] / 16.0, ks[0])
+    first = start + int(up[0])
+    lo, hi = (ks[first - 1], ks[first]) if first > 0 else (ks[0] / 16.0, ks[0])
     while not g(lo) < 0.0:  # root below the scan: lambda_ND on a tiny hole, n >= 4
         if lo < 1e-200 * ks[0]:
             raise NumericalError("characteristic function should be negative near k = 0")
@@ -248,25 +265,28 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     The full profile on PROFILE_SAMPLES knots uniform in t = log r, with
     cubic Hermite splines of phi (dphi/dt = r phi') and phi' (by the ODE,
     d(phi')/dt = -(n-1) phi' - lambda r phi), is built on first read of
-    phi, dphi, value() or slope().
+    phi, dphi, value() or slope().  J_nu(k R1) and Y_nu(k R1) at the root
+    are computed once and serve the knot values, the Brent function of
+    r_bar, v_M and the rounding unit alike.
     """
     shell = ShellSpec(n, r1, r2)
     _check_beta(beta)
     nu = 0.5 * n - 1.0
     k = _first_root(n, r1, r2, beta)
     lam = k * k
+    inner = _jy(nu, k * r1)
 
     r = np.exp(_log_knots(r1, r2))
     r[0], r[-1] = r1, r2
     stride = _stride(r, k)
-    dphi = _dphi(nu, k, r1, r[::stride])
-    phi = _phi(nu, k, r1, r[-1:])
+    dphi = _dphi(nu, k, r1, r[::stride], inner)
+    phi = _phi(nu, k, r1, r[-1:], inner)
 
     # the residual's rounding scales with the Bessel moduli sqrt(J^2 + Y^2) of
     # its products, which may both vanish; measured at most 5.1 of 64 units.
     # Allowances count units: two moduli overflow together on tiny holes at large n
     mod = lambda mu, x: math.hypot(jv(mu, x), yv(mu, x))
-    unit = 64.0 * EPS * (1.0 + k * r2) * float(abs(_scale(nu, r1, r2))) * mod(nu, k * r1)
+    unit = 64.0 * EPS * (1.0 + k * r2) * float(abs(_scale(nu, r1, r2))) * math.hypot(*inner)
     phi_err = mod(nu, k * r2)
     if math.isinf(beta):
         residual, tol = phi[-1], phi_err
@@ -282,12 +302,12 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     if drop is None:
         r_bar, v_M = r2, v_m
     else:
-        z1 = lambda s: _cross(nu, nu + 1.0, k, r1, s)
+        z1 = lambda s: _cross(nu, nu + 1.0, k, r1, s, inner)
         try:
             r_bar = brentq(z1, r[stride * drop], r[stride * (drop + 1)], xtol=EPS * r1)
         except ValueError as err:  # no sign change: beta below the rounding of phi'
             raise NumericalError("critical radius not resolved next to R2") from err
-        v_M = _scale(nu, r1, r_bar) * _cross(nu, nu, k, r1, r_bar)
+        v_M = _scale(nu, r1, r_bar) * _cross(nu, nu, k, r1, r_bar, inner)
         if not (r1 < r_bar < r2):
             raise NumericalError("critical radius escaped the shell interior")
         # v_M - v_m vanishes with beta: allow the rounding of both values

@@ -298,11 +298,11 @@ def chain_certificate(
 
     The FEM solve shares nothing with the web leg, so it runs on one pool
     thread while this thread builds the web and its quadrature.  The legs
-    overlap where numpy's array kernels release the GIL; the SuperLU
-    factorization holds it.  The report is the serial one bit for
-    bit.  Errors keep the serial order: a FEM error wins over a web
-    error, and a web error is raised only after the FEM solve has
-    finished, so no thread outlives the call.
+    overlap where numpy's array kernels and SuperLU's factorization and
+    solves release the GIL.  The report is the serial one bit for bit.
+    Errors keep the serial order: a FEM error wins over a web error, and
+    a web error is raised only after the FEM solve has finished, so no
+    thread outlives the call.
     """
     r1, r2, _ = class_s_data(domain)
     radial = solve_shell(2, r1, r2, beta)

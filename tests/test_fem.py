@@ -624,6 +624,15 @@ class TestSolveDomain:
         lams = [solve_domain(domain, b, 48, 192).lam for b in (1e8, 1e9, 1e10, math.inf)]
         assert lams == sorted(lams) and lams[-2] < lams[-1]
 
+    @pytest.mark.parametrize("member", [0, 6, 7])
+    def test_beta_1e12_answers_between_1e4_and_dirichlet(self, member):
+        # the Robin rows' pivots grow like beta h: against the largest pivot
+        # every shift at beta = 1e12 looked singular on these members, against
+        # its own diagonal entry of A - sigma M each pivot stays well away
+        domain = standard_family()[member]
+        lo, mid, hi = (solve_domain(domain, b, 48, 192).lam for b in (1e4, 1e12, math.inf))
+        assert lo <= mid <= hi
+
     def test_thin_eccentric_shell_answers(self):
         # in this thin crescent lambda settles before the eigenvector's
         # residual passes 1e-10 ||u|| from beta = 10 on; the iteration goes

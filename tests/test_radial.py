@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import jv, yv
+from scipy.special import jv, spherical_jn, spherical_yn, yv
+from scipy.special._ufuncs import _spherical_jn, _spherical_yn
 
 from annulus_spectra import radial
 from annulus_spectra.errors import (
@@ -236,6 +237,34 @@ class TestRootOracles:
             )
         assert abs(res.r_bar - exact) <= 4.0 * EPS * exact
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 12])
+    def test_first_root_matches_mpmath(self, n):
+        # k is a 30-digit root of beta Z_nu(k R2) - k Z_(nu+1)(k R2), scaled
+        # by the modulus at k R1 and by beta + k, bracketed within 1e-12 of
+        # the solver's; the scaled function keeps one sign on a grid below
+        # it, at most 1/8 of the root spacing pi / d apart, so it is the first
+        for r1, r2 in [(1.0, 2.0), (1.0, 1.001), (1e-3, 2.0)]:
+            for beta in [0.0, 1e-3, 1.0, 1e6, math.inf]:
+                lam = solve_shell(n, r1, r2, beta).lam
+                with mpmath.workdps(30):
+                    nu = mpmath.mpf(n) / 2 - 1
+
+                    def f(k):
+                        j_in, y_in = mpmath.besselj(nu, k * r1), mpmath.bessely(nu, k * r1)
+                        scale = mpmath.hypot(j_in, y_in)
+                        z = lambda mu: (
+                            mpmath.besselj(mu, k * r2) * y_in - mpmath.bessely(mu, k * r2) * j_in
+                        ) / scale
+                        return z(nu) if math.isinf(beta) else (beta * z(nu) - k * z(nu + 1)) / (beta + k)
+
+                    k = mpmath.sqrt(lam)
+                    root = mpmath.findroot(f, (k * (1 - 1e-12), k * (1 + 1e-12)), solver="anderson")
+                    step = min(root, mpmath.pi / (mpmath.mpf(r2) - r1)) / 8
+                    signs = {mpmath.sign(f(x)) for x in mpmath.arange(step, root, step)}
+                    exact = float(root**2)
+                assert abs(lam - exact) <= LAMBDA_RTOL * exact
+                assert len(signs) == 1 and 0 not in signs
+
     @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e12])
     def test_closed_form_3d_matches_mpmath(self, beta):
         # small holes (R1 / R2 down to 3e-4) and thin shells (width 1e-3),
@@ -310,6 +339,98 @@ class TestBesselKernels:
         assert arrays == []
 
 
+def _scan_grid(n, r1, r2):
+    d = r2 - r1
+    step = math.pi / (64.0 * d)
+    k_max = math.sqrt(4.0 * (math.pi / d) ** 2 + max(0.0, (n - 1.0) * (n - 3.0)) / r2**2)
+    return step * (np.arange(math.ceil(k_max / step) + 2) + 1.0 / 16.0)
+
+
+def _full_scan(n, r1, r2, beta):
+    """(first, bracket): the first grid index where the characteristic
+    function turns nonnegative, evaluated on the whole grid at once, and the
+    bracket handed to Brent's method, or (None, None) with no crossing."""
+    nu, ks = 0.5 * n - 1.0, _scan_grid(n, r1, r2)
+
+    def g(k):
+        z0 = radial._cross(nu, nu, k, r1, r2)
+        return z0 if math.isinf(beta) else beta * z0 - k * radial._cross(nu, nu + 1.0, k, r1, r2)
+
+    up = np.flatnonzero(g(ks) >= 0.0)
+    if len(up) == 0:
+        return None, None
+    first = int(up[0])
+    lo, hi = (ks[first - 1], ks[first]) if first > 0 else (ks[0] / 16.0, ks[0])
+    while not g(lo) < 0.0 and lo >= 1e-200 * ks[0]:
+        lo, hi = lo / 16.0, lo
+    return first, (lo, hi)
+
+
+def _scan_bracket(n, r1, r2, beta):
+    """The bracket that _first_root hands to Brent's method, or None."""
+    brackets = []
+
+    def recording(f, lo, hi, **kw):
+        brackets.append((lo, hi))
+        return hi
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(radial, "brentq", recording)
+        try:
+            radial._first_root(n, r1, r2, beta)
+        except BracketError:
+            return None
+    return brackets[0]
+
+
+class TestRootScan:
+    @settings(max_examples=100, deadline=2000, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 12),
+        r1=st.floats(-3.0, math.log10(2.0)).map(lambda e: 10.0**e),
+        width=st.floats(-3.0, math.log10(3.0)).map(lambda e: 10.0**e),
+        beta=st.one_of(
+            st.just(0.0), st.just(math.inf), st.floats(-3.0, 12.0).map(lambda e: 10.0**e)
+        ),
+    )
+    def test_blocked_scan_brackets_as_the_full_scan(self, n, r1, width, beta):
+        assert _scan_bracket(n, r1, r1 + width, beta) == _full_scan(n, r1, r1 + width, beta)[1]
+
+    @pytest.mark.parametrize(
+        "shell",
+        [(2, 1.0, 2.0, 1.0), (3, 1.0, 2.0, math.inf), (5, 1e-3, 2.0, 1e6), (8, 0.5, 3.5, 0.0)],
+    )
+    def test_one_inner_evaluation_per_point_and_early_stop(self, shell, monkeypatch):
+        # every array call of _jy at k R1 is one block of the grid, in order,
+        # and the scan stops at the end of the block holding the crossing
+        n, r1, r2, beta = shell
+        ks = _scan_grid(n, r1, r2)
+        at_r1 = []
+
+        def counting(mu, x):
+            if np.ndim(x) > 0 and np.all(np.isin(x, ks * r1)):
+                at_r1.append(np.array(x))
+            return jy(mu, x)
+
+        jy = radial._jy
+        monkeypatch.setattr(radial, "_jy", counting)
+        radial._first_root(n, r1, r2, beta)
+        points = np.concatenate(at_r1)
+        first = _full_scan(n, r1, r2, beta)[0]
+        blocks = first // radial._SCAN_BLOCK + 1
+        assert np.array_equal(points, ks[: blocks * radial._SCAN_BLOCK] * r1)
+        if first < len(ks) - radial._SCAN_BLOCK:
+            assert len(points) < len(ks)
+
+    @pytest.mark.parametrize("m", range(7))
+    def test_spherical_kernels_are_the_public_functions(self, m):
+        # _jy calls scipy's kernels behind spherical_jn / spherical_yn; a
+        # scipy release that changes either must show here
+        x = np.geomspace(1e-6, 1e3, 401)
+        assert np.array_equal(_spherical_jn(m, x), spherical_jn(m, x))
+        assert np.array_equal(_spherical_yn(m, x), spherical_yn(m, x))
+
+
 @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
 @given(
     n=st.integers(2, 12),
@@ -362,9 +483,9 @@ class TestLazyProfile:
     def sizes(self, monkeypatch):
         sizes = []
 
-        def recording(nu, mu, k, r1, r):
+        def recording(nu, mu, k, r1, r, inner=None):
             sizes.append(np.size(r))
-            return _cross(nu, mu, k, r1, r)
+            return _cross(nu, mu, k, r1, r, inner)
 
         _cross = radial._cross
         monkeypatch.setattr(radial, "_cross", recording)
