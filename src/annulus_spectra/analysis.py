@@ -16,13 +16,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import CurvatureUnavailableError, InfeasibleError, RangeError
-from .fem import (
-    FemEigenResult,
-    beta_form_value,
-    mesh_annular,
-    solve_domain,
-    solve_on_mesh,
-)
+from .fem import FemEigenResult, beta_form_value, coarse_resolution, solve_domain
 from .geometry import (
     CLASS_S_RTOL,
     AnnularDomain,
@@ -291,10 +285,9 @@ def kuttler_bounds(target, beta: float, resolution=(48, 192)) -> list:
         disc = 1e-9 * lam
     else:
         n_r, n_a = resolution
-        mesh = mesh_annular(target, n_r, n_a)
-        lam = solve_on_mesh(mesh, beta).lam
-        lam_dd = solve_on_mesh(mesh, float("inf")).lam
-        lam_c = solve_domain(target, beta, max(2, n_r // 2), max(8, n_a // 2)).lam
+        lam = solve_domain(target, beta, n_r, n_a).lam
+        lam_dd = solve_domain(target, float("inf"), n_r, n_a).lam
+        lam_c = solve_domain(target, beta, *coarse_resolution(n_r, n_a)).lam
         volume, perimeter, rho = target.area, target.outer.perimeter(), _outer_inradius(target)
         context = {"method": "fem", "resolution": f"{n_r}x{n_a}"}
         disc = abs(lam - lam_c)
@@ -330,7 +323,7 @@ def main_theorem_sweep(family, beta: float, resolution=(48, 192)) -> list:
                 f"(relative residual {residual / domain.area:.3e})"
             )
         lam_fine = solve_domain(domain, beta, n_r, n_a).lam
-        lam_coarse = solve_domain(domain, beta, max(2, n_r // 2), max(8, n_a // 2)).lam
+        lam_coarse = solve_domain(domain, beta, *coarse_resolution(n_r, n_a)).lam
         err_est = abs(lam_fine - lam_coarse)
         lam_shell = solve_shell(2, r1, r2, beta).lam
         reports.append(
@@ -458,9 +451,7 @@ def beta_limits_check(target, resolution=(48, 192), betas=None) -> BetaLimitsRep
         perimeter = target.outer_area
     else:
         method = "fem"
-        n_r, n_a = resolution
-        mesh = mesh_annular(target, n_r, n_a)
-        solve = lambda b: solve_on_mesh(mesh, b)
+        solve = lambda b: solve_domain(target, b, *resolution)
         lam_tol = lambda res: res.stats["error_bound"]
         slope_of = lambda res: (beta_form_value(res), 0.0)
         volume = target.area

@@ -320,6 +320,9 @@ def _suite_bounds(args, resolution):
     for beta in (0.1, 1.0, 1e3):
         checks.extend(analysis.kuttler_bounds(geometry.ShellSpec(2, 1.0, 2.0), beta))
     checks.extend(analysis.kuttler_bounds(geometry.ShellSpec(3, 1.0, 2.0), 1.0))
+    # the FEM route on the limits suite's member, the hole offset by half the free span
+    res = (24, 96) if args.quick else resolution
+    checks.extend(analysis.kuttler_bounds(analysis.standard_family()[3], 1.0, resolution=res))
     return {}, checks
 
 

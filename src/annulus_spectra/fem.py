@@ -13,15 +13,14 @@ factored by sparse LU in that order without pivoting, with sigma the Rayleigh qu
 of the eigenvector one level coarser, and its negative pivots count the
 eigenvalues below sigma (Sylvester; Ericsson & Ruhe, Math. Comp. 35,
 1980).  Block inverse iteration on that many vectors then certifies
-lambda_1 by Kahan's residual bound.  The coarse levels are solved the same
-way down to a dense floor and memoised on their meshes.
+lambda_1 by Kahan's residual bound.  solve_domain solves the coarse levels
+the same way down to a dense floor and memoises each on its mesh.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -59,7 +58,8 @@ class Mesh:
     """Conforming triangulation of an annular domain.
 
     boundary edges are stored per ring as (n, 2) index arrays; node ids on
-    ring i of the structured grid are i * n_a + k.
+    ring i of the structured grid are i * n_a + k.  A mesh holds no
+    reference to its domain: the domain holds its meshes (mesh_annular).
     """
 
     nodes: np.ndarray
@@ -69,13 +69,8 @@ class Mesh:
     resolution: tuple
     # (K_ff, M_ff, B_ff, free_map) per outer condition, filled by _free_forms
     _free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # unseeded eigenpairs per beta as (lam, u, stats), filled by solve_on_mesh
+    # unseeded eigenpairs per beta as (lam, u, stats), filled by solve_domain
     _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # set by mesh_annular: a weak reference to the domain (a strong one
-    # would make a domain -> mesh -> domain cycle) and its (outer, inner,
-    # center), from which a collected domain is rebuilt
-    _domain: object = field(default=None, init=False, repr=False, compare=False)
-    _curves: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("nodes", "triangles", "inner_edges", "outer_edges"):
@@ -92,10 +87,6 @@ class Mesh:
         d1 = p[t[:, 1]] - p[t[:, 0]]
         d2 = p[t[:, 2]] - p[t[:, 0]]
         return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-
-    @property
-    def area(self) -> float:
-        return float(np.sum(self.triangle_areas()))
 
     def max_edge_length(self) -> float:
         p, t = self.nodes, self.triangles
@@ -222,8 +213,6 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
     triangles = np.where(split_ac, grid[0], grid[1]).reshape(-1, 3)
     mesh = Mesh(nodes, triangles, inner_edges, outer_edges, (n_r, n_a))
     _validate_mesh(mesh, domain)
-    object.__setattr__(mesh, "_domain", weakref.ref(domain))
-    object.__setattr__(mesh, "_curves", (domain.outer, domain.inner, domain.center))
     domain._meshes[n_r, n_a] = mesh
     return mesh
 
@@ -545,62 +534,62 @@ class FemEigenResult:
         }
 
 
+def coarse_resolution(n_r: int, n_a: int) -> tuple:
+    """The level that seeds an n_r x n_a solve: half the rings and rays,
+    down to the mesher's least of 2 and 8."""
+    return max(2, n_r // 2), max(8, n_a // 2)
+
+
 def solve_domain(
     domain: AnnularDomain, beta: float, n_r: int, n_a: int, seed: FemEigenResult = None
 ) -> FemEigenResult:
-    """Mesh, assemble and extract the first Robin-Dirichlet eigenpair.
+    """Mesh the domain and solve for its first Robin-Dirichlet eigenpair.
 
     beta = inf solves the Dirichlet-Dirichlet problem by eliminating both
-    rings; beta = 0 is the Neumann closure on the outer ring.  seed is
-    passed to solve_on_mesh.
+    rings; beta = 0 is the Neumann closure on the outer ring.  A given
+    seed goes to solve_on_mesh as it is.  Without one, the solve is seeded
+    by this domain's eigenpair at coarse_resolution, itself solved the same
+    way, down to the dense floor of DENSE_FREE_NODES free nodes.  Unseeded
+    eigenpairs are memoised on their mesh per beta (and the mesh on its
+    domain per resolution), so a level is solved once, whatever order the
+    levels are asked for in.
     """
     mesh = mesh_annular(domain, n_r, n_a)
-    return solve_on_mesh(mesh, beta, seed)
+    if seed is not None:
+        return solve_on_mesh(mesh, beta, seed)
+    if beta not in mesh._eigenpairs:
+        # assembled first, so a bad beta is refused before any coarse level
+        dirichlet_outer = float(beta) == math.inf
+        free_map = assemble(mesh, 0.0 if dirichlet_outer else beta, dirichlet_outer)[2]
+        if len(free_map) > DENSE_FREE_NODES:
+            seed = solve_domain(domain, beta, *coarse_resolution(n_r, n_a))
+        result = solve_on_mesh(mesh, beta, seed)
+        mesh._eigenpairs[beta] = (result.lam, result.u, dict(result.stats))
+    lam, u, stats = mesh._eigenpairs[beta]
+    return FemEigenResult(lam=lam, u=u, mesh=mesh, beta=beta, stats=dict(stats))
 
 
 def solve_on_mesh(mesh: Mesh, beta: float, seed: FemEigenResult = None) -> FemEigenResult:
-    """First eigenpair on a mesh, certified by smallest_eigenpair.
+    """First eigenpair on one mesh, certified by smallest_eigenpair.
 
     The start vector is seed's eigenvector, a result on the rings x rays
     grid of the same domain at any resolution, interpolated bilinearly in
-    ring fraction and ray angle.  Without a seed it is the eigenpair one
-    level coarser on the mesh's domain, (max(2, n_r // 2), max(8, n_a // 2)),
-    solved the same way down to the dense floor of DENSE_FREE_NODES free
-    nodes.  Unseeded eigenpairs are memoised on the mesh per beta (and
-    the mesh on its domain per resolution), so a level is solved once,
-    whatever order the levels are asked for in.
+    ring fraction and ray angle.  Without a seed the pencil is solved
+    densely, so it may have DENSE_FREE_NODES free nodes at most; a larger
+    one raises SolverError.  Nothing is memoised here: solve_domain walks
+    and keeps the levels.
     """
-    if seed is None and beta in mesh._eigenpairs:
-        lam, u, stats = mesh._eigenpairs[beta]
-        return FemEigenResult(lam=lam, u=u, mesh=mesh, beta=beta, stats=dict(stats))
-    dirichlet_outer = math.isinf(beta)
+    # -inf is not the Dirichlet limit: assemble refuses it as negative
+    dirichlet_outer = float(beta) == math.inf
     a, m, free_map = assemble(mesh, 0.0 if dirichlet_outer else beta, dirichlet_outer)
-    n_r, n_a = mesh.resolution
-    start = seed
-    if seed is None and len(free_map) > DENSE_FREE_NODES:
-        start = solve_on_mesh(_coarse_mesh(mesh), beta)
-    if start is not None:
-        start = _interpolated(start, mesh.resolution)[free_map]
+    n_a = mesh.resolution[1]
+    start = None if seed is None else _interpolated(seed, mesh.resolution)[free_map]
     lam, u_free, stats = smallest_eigenpair(a, m, start, (2.0 * np.pi / n_a) * (free_map % n_a))
     u = np.zeros(len(mesh.nodes))
     u[free_map] = u_free
     if float(np.min(u)) < -1e-10:
         raise SolverError(f"eigenvector lost positivity (min {float(np.min(u)):.3e})")
-    result = FemEigenResult(lam=float(lam), u=u, mesh=mesh, beta=beta, stats=stats)
-    if seed is None:
-        mesh._eigenpairs[beta] = (result.lam, u, dict(stats))
-    return result
-
-
-def _coarse_mesh(mesh: Mesh) -> Mesh:
-    """The mesh one level coarser on the same domain, its seed level."""
-    n_r, n_a = mesh.resolution
-    domain = mesh._domain() if mesh._domain is not None else None
-    if domain is None:
-        if mesh._curves is None:
-            raise SolverError("a mesh built without a domain needs a seed")
-        domain = AnnularDomain(*mesh._curves)
-    return mesh_annular(domain, max(2, n_r // 2), max(8, n_a // 2))
+    return FemEigenResult(lam=float(lam), u=u, mesh=mesh, beta=beta, stats=stats)
 
 
 def _linear_weights(fine: int, coarse: int, periodic: bool) -> np.ndarray:

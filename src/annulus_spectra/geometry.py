@@ -669,13 +669,6 @@ class AnnularDomain:
     def area(self) -> float:
         return self.outer.area() - self.inner.area()
 
-    def contains(self, points, tol: float = 0.0):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        in_outer = np.atleast_1d(self.outer.contains(p, tol=tol))
-        in_hole = np.atleast_1d(self.inner.contains(p, tol=-tol))
-        mask = in_outer & ~in_hole
-        return mask if mask.size > 1 else bool(mask[0])
-
 
 def isoperimetric_deficit(curve: BoundaryCurve) -> float:
     """P^2 - 4 pi |K|; zero exactly for disks."""
@@ -764,8 +757,9 @@ def disk_intersection_area(c1, r1: float, c2, r2: float) -> float:
     if d <= abs(r1 - r2):
         r = min(r1, r2)
         return math.pi * r * r
-    a1 = math.acos((d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))
-    a2 = math.acos((d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))
+    # within an ulp of tangency a cosine can round past 1 in magnitude
+    a1 = math.acos(min(1.0, max(-1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
+    a2 = math.acos(min(1.0, max(-1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
     return r1 * r1 * (a1 - 0.5 * math.sin(2.0 * a1)) + r2 * r2 * (a2 - 0.5 * math.sin(2.0 * a2))
 
 

@@ -22,7 +22,7 @@ from annulus_spectra.analysis import (
     standard_family,
 )
 from annulus_spectra.errors import CurvatureUnavailableError, InfeasibleError, RangeError
-from annulus_spectra.fem import beta_form_value, mesh_annular, solve_domain, solve_on_mesh
+from annulus_spectra.fem import beta_form_value, mesh_annular, solve_domain
 from annulus_spectra.geometry import (
     AnnularDomain,
     Circle,
@@ -233,21 +233,21 @@ class TestKuttlerBounds:
         calls, built = [], []
         validate = fem._validate_mesh
 
-        def counting_mesh(*args, **kwargs):
-            calls.append(args[1:3])
-            return mesh_annular(*args, **kwargs)
+        def counting_solve(*args, **kwargs):
+            calls.append(args[1:4])
+            return solve_domain(*args, **kwargs)
 
         def counting_validate(mesh, domain):
             built.append(mesh.resolution)
             validate(mesh, domain)
 
-        monkeypatch.setattr(analysis, "mesh_annular", counting_mesh)
+        monkeypatch.setattr(analysis, "solve_domain", counting_solve)
         monkeypatch.setattr(fem, "_validate_mesh", counting_validate)
         reports = kuttler_bounds(eccentric(), 1.0, resolution=(24, 96))
         # one mesh for lambda(beta) and lambda_DD; the coarse estimate is
         # their seed level, whose own seed is one level coarser still, and
         # each resolution is meshed once
-        assert calls == [(24, 96)]
+        assert calls == [(1.0, 24, 96), (math.inf, 24, 96), (1.0, 12, 48)]
         assert built == [(24, 96), (12, 48), (6, 24)]
         lam = solve_domain(ECCENTRIC, 1.0, 24, 96).lam
         lam_dd = solve_domain(ECCENTRIC, math.inf, 24, 96).lam
@@ -340,7 +340,7 @@ class TestBetaLimits:
         fine, coarse = (16, 64), (8, 32)
         expected = [(fine, False), (fine, True), (fine, None), (coarse, False), (coarse, True)]
         assert sorted(built, key=repr) == sorted(expected, key=repr)
-        fresh = [solve_on_mesh(mesh_annular(eccentric(), 16, 64), b).lam for b in betas]
+        fresh = [solve_domain(eccentric(), b, 16, 64).lam for b in betas]
         assert list(rep.lams) == fresh
 
     def test_determinism(self):
@@ -374,7 +374,7 @@ class TestBetaLimits:
     def test_fem_bracket(self):
         rep = beta_limits_check(ECCENTRIC, resolution=(16, 64), betas=np.logspace(-3, 1, 5))
         assert rep.nd_bracket_ok
-        nd = solve_on_mesh(mesh_annular(ECCENTRIC, 16, 64), 0.0)
+        nd = solve_domain(ECCENTRIC, 0.0, 16, 64)
         assert rep.lam_nd == nd.lam
         assert rep.nd_bracket_hi == pytest.approx(nd.lam + 1e-3 * beta_form_value(nd), rel=1e-15)
         assert rep.nd_bracket_lo < rep.lams[0] < rep.nd_bracket_hi

@@ -263,7 +263,7 @@ class TestVerifyCommand:
     def test_bounds_suite_reports_kuttler_only(self, tmp_path, capsys):
         assert main(["verify", "--suite", "bounds", "--out", str(tmp_path)]) == 0
         rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("[")]
-        assert len(rows) == 12
+        assert len(rows) == 15
         assert {row.split(":")[0][len("[PASS] "):] for row in rows} == {
             "robin_below_dirichlet",
             "reciprocal_gap_volume_bound",
@@ -271,9 +271,13 @@ class TestVerifyCommand:
         }
         report = json.loads((tmp_path / "bounds_report.json").read_text())
         assert list(report) == ["checks"]
-        # beta = 1 is checked on the 2D and the 3D shell, so dim tells those apart
-        keys = {(c["name"], c["context"]["beta"], c["context"]["dim"]) for c in report["checks"]}
-        assert len(keys) == 12
+        # beta = 1 is checked on the 2D and the 3D shell, so dim tells those
+        # apart, and on the FEM member at the --res resolution
+        checks = report["checks"]
+        keys = {(c["name"], c["context"]["beta"], c["context"].get("dim")) for c in checks}
+        assert len(keys) == 15
+        fem_rows = [c["context"] for c in checks if c["context"]["method"] == "fem"]
+        assert [ctx["resolution"] for ctx in fem_rows] == ["48x192"] * 3
 
     def test_all_runs_each_suite_once(self, tmp_path, capsys, monkeypatch):
         calls = []
@@ -442,14 +446,15 @@ class TestSweepCommand:
         solve_threads = []
 
         def recording_solve(*args):
-            solve_threads.append(threading.get_ident())
+            solve_threads.append((args[2:4], threading.get_ident()))
             return solve_domain(*args)
 
         monkeypatch.setattr(cli.fem, "solve_domain", recording_solve)
         argv = ["sweep", "--kind", "offset", "--steps", "4", "--res", "16x64"]
         assert main(argv + ["--out", str(tmp_path)]) == 0
-        # all 4 solves ran on the calling thread
-        assert solve_threads == [threading.get_ident()] * 4
+        # all 4 solves, and the 8x32 level that seeds each, ran on the calling thread
+        me = threading.get_ident()
+        assert solve_threads == [((16, 64), me), ((8, 32), me)] * 4
         lam_shell = solve_shell(2, 1.0, 2.0, 1.0).lam
         expected = [["offset", "lambda_fem", "lambda_shell", "margin"]]
         for off in np.linspace(0.0, 0.9 * (1.0 - 0.08), 4):

@@ -105,12 +105,13 @@ class TestMeshAnnular:
         # the mesh covers the inscribed polygons exactly, and their area
         # deficit is the O(1/n_a^2) sine factor
         inscribed = 0.5 * 8 * math.sin(2.0 * math.pi / 8) * (4.0 - 1.0)
-        assert mesh.area == pytest.approx(inscribed, rel=1e-13)
-        assert mesh.area == pytest.approx(3.0 * math.pi, rel=(2.0 * math.pi / 8) ** 2 / 6 * 1.1)
+        area = mesh.triangle_areas().sum()
+        assert area == pytest.approx(inscribed, rel=1e-13)
+        assert area == pytest.approx(3.0 * math.pi, rel=(2.0 * math.pi / 8) ** 2 / 6 * 1.1)
 
     def test_eccentric_area(self):
         mesh = mesh_annular(ECCENTRIC, 32, 128)
-        assert mesh.area == pytest.approx(ECCENTRIC.area, rel=5e-3)
+        assert mesh.triangle_areas().sum() == pytest.approx(ECCENTRIC.area, rel=5e-3)
 
     def test_coarse_mesh_still_conforming(self):
         mesh = mesh_annular(CONCENTRIC, 2, 8)  # validation runs in the mesher
@@ -282,7 +283,7 @@ class TestAssembly:
     def test_mass_partition_of_unity(self):
         mesh = mesh_annular(CONCENTRIC, 8, 32)
         _, mass, _ = mesh.forms
-        assert mass.sum() == pytest.approx(mesh.area, rel=1e-13)
+        assert mass.sum() == pytest.approx(mesh.triangle_areas().sum(), rel=1e-13)
 
     def test_boundary_mass_partition_of_unity(self):
         mesh = mesh_annular(CONCENTRIC, 8, 32)
@@ -418,11 +419,11 @@ class TestNestedDissection:
         mesh = mesh_annular(ECCENTRIC, 16, 64)
         a, m, free = assemble(mesh, 1.0)
         # a pencil this large needs a seed; the solve takes its coarse level's
-        stats = solve_on_mesh(mesh, 1.0).stats
+        stats = solve_domain(ECCENTRIC, 1.0, 16, 64).stats
         back = np.argsort(free)
         natural = splu(a[back][:, back].tocsc(), permc_spec="NATURAL", diag_pivot_thresh=0.0)
         assert stats["factor_nnz"] < 0.5 * natural.nnz
-        assert solve_on_mesh(mesh, 1.0).report()["factor_nnz"] == stats["factor_nnz"]
+        assert solve_domain(ECCENTRIC, 1.0, 16, 64).report()["factor_nnz"] == stats["factor_nnz"]
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
     def test_matches_default_ordering_eigsh(self, beta):
@@ -430,7 +431,7 @@ class TestNestedDissection:
         dirichlet = math.isinf(beta)
         a, m, _ = assemble(mesh, 0.0 if dirichlet else beta, dirichlet)
         ref = eigsh(a.tocsc(), k=1, M=m.tocsc(), sigma=0.0, which="LM", return_eigenvectors=False)
-        assert solve_on_mesh(mesh, beta).lam == pytest.approx(float(ref[0]), rel=1e-12)
+        assert solve_domain(ECCENTRIC, beta, 48, 192).lam == pytest.approx(float(ref[0]), rel=1e-12)
 
     def test_unstructured_node_count_rejected(self):
         mesh = mesh_annular(CONCENTRIC, 4, 16)
@@ -576,17 +577,31 @@ class TestInertiaCertificate:
             report = res.report()
             assert report["factorizations"] == 1 and report["negative_pivots"] >= 1
 
-    def test_mesh_holds_its_domain_weakly(self):
+    def test_mesh_holds_no_domain(self):
         dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
         ref = weakref.ref(dom)
         res = solve_domain(dom, 1.0, 24, 96)
         del dom
         assert ref() is None
-        # an unseeded solve on the orphaned mesh rebuilds the domain
-        again = solve_on_mesh(res.mesh, 1.0)
-        assert again.lam == res.lam
-        other = solve_on_mesh(res.mesh, 2.0)
-        assert other.lam == solve_domain(ECCENTRIC, 2.0, 24, 96).lam
+        # above the dense floor only a seed starts a solve on a bare mesh
+        with pytest.raises(SolverError, match="needs a seed"):
+            solve_on_mesh(res.mesh, 2.0)
+
+    def test_chain_solves_each_level_once(self, monkeypatch):
+        solved = []
+        solve = fem.solve_on_mesh
+
+        def recording(mesh, beta, seed=None):
+            solved.append(mesh.resolution)
+            return solve(mesh, beta, seed)
+
+        monkeypatch.setattr(fem, "solve_on_mesh", recording)
+        dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.3, 0.2), 0.9))
+        solve_domain(dom, 1.0, 48, 192)
+        assert solved == [(6, 24), (12, 48), (24, 96), (48, 192)]
+        # the 24x96 level is memoised on its mesh
+        solve_domain(dom, 1.0, 24, 96)
+        assert len(solved) == 4
 
     def test_seed_on_the_same_grid(self):
         base = solve_domain(CONCENTRIC, 1.0, 24, 96)
@@ -645,9 +660,15 @@ class TestSolveDomain:
                 assert lo.lam <= hi.lam + lo.stats["error_bound"] + hi.stats["error_bound"]
                 assert lo.lam <= dd.lam + lo.stats["error_bound"] + dd.stats["error_bound"]
 
+    @pytest.mark.parametrize("beta", [math.nan, -1.0, -math.inf])
+    def test_invalid_beta_refused_before_the_chain(self, beta):
+        dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
+        with pytest.raises(RangeError):
+            solve_domain(dom, beta, 48, 192)
+        assert list(dom._meshes) == [(48, 192)]
+
     def test_discrete_beta_monotonicity(self):
-        mesh = mesh_annular(ECCENTRIC, 24, 96)
-        lams = [solve_on_mesh(mesh, b).lam for b in (0.1, 0.5, 1.0, 5.0)]
+        lams = [solve_domain(ECCENTRIC, b, 24, 96).lam for b in (0.1, 0.5, 1.0, 5.0)]
         for lo, hi in zip(lams, lams[1:]):
             assert lo <= hi + 1e-12 * abs(hi)
 
@@ -655,8 +676,10 @@ class TestSolveDomain:
         res = solve_domain(ECCENTRIC, 1.0, 32, 128)
         formula = beta_form_value(res)
         db = 1e-4
-        mesh = res.mesh
-        fd = (solve_on_mesh(mesh, 1.0 + db).lam - solve_on_mesh(mesh, 1.0 - db).lam) / (2 * db)
+        fd = (
+            solve_domain(ECCENTRIC, 1.0 + db, 32, 128).lam
+            - solve_domain(ECCENTRIC, 1.0 - db, 32, 128).lam
+        ) / (2 * db)
         assert formula == pytest.approx(fd, rel=1e-4)
 
 

@@ -26,7 +26,7 @@ from annulus_spectra import (
     scale_hole_to_class_s,
     unit_ball_volume,
 )
-from annulus_spectra.geometry import BoundaryCurve, convex_intersection_area
+from annulus_spectra.geometry import BoundaryCurve, convex_intersection_area, disk_intersection_area
 
 UNIT_SQUARE = ConvexPolygon.rectangle(1.0, 1.0, center=(0.5, 0.5))
 
@@ -409,6 +409,20 @@ class TestConvexIntersection:
         square = ConvexPolygon.rectangle(2.0, 2.0)
         with pytest.raises(GeometryError, match="Qhull"):
             convex_intersection_area(square, square, (1.0 - 1e-15, 0.0))
+
+
+class TestDiskIntersectionArea:
+    # the first two pairs rounded a lens cosine past 1 one ulp above
+    # d = |r1 - r2|, where math.acos raised ValueError
+    @pytest.mark.parametrize(
+        "r1, r2", [(2.0, 1.9193180921414008), (0.9792650049457704, 1.4151438794938893), (1.3, 1.3)]
+    )
+    def test_tangent_disks_and_one_ulp_either_side(self, r1, r2):
+        full = math.pi * min(r1, r2) ** 2
+        for touch, area in ((abs(r1 - r2), full), (r1 + r2, 0.0)):
+            for d in (math.nextafter(touch, 0.0), touch, math.nextafter(touch, math.inf)):
+                lens = disk_intersection_area((0.0, 0.0), r1, (d, 0.0), r2)
+                assert lens == pytest.approx(area, abs=4.0 * np.finfo(float).eps * full)
 
 
 RAY_CURVES = {

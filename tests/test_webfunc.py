@@ -52,7 +52,7 @@ def sampled_sublevel_area(domain, s_star, grid=1400):
     cell = (xs[1] - xs[0]) * (ys[1] - ys[0])
     xx, yy = np.meshgrid(xs, ys)
     pts = np.column_stack([xx.ravel(), yy.ravel()])
-    mask = np.atleast_1d(domain.contains(pts))
+    mask = domain.outer.contains(pts) & ~domain.inner.contains(pts)
     inside = pts[mask]
     count = np.count_nonzero(domain.inner.distance(inside) < s_star)
     return count * cell
@@ -118,6 +118,22 @@ class TestFindSplit:
         assert not web.contained
         assert web.split_s == pytest.approx(s_star, rel=1e-10)
         assert web.split_area_rel_err <= 1e-9
+
+    @pytest.mark.parametrize(
+        "offset, r1, beta",
+        [
+            (0.9432461700255518, 0.8058145121455254, 1.0),
+            (0.5391109929402541, 1.157879117474458, 0.5233884721210197),
+            (0.22855038966856703, 0.9455474673363274, 0.33585602074908205),
+        ],
+    )
+    def test_split_where_the_grown_hole_touches_the_outer_circle(self, offset, r1, beta):
+        # the farthest outer sample, (-2, 0), puts the lens at the area law's
+        # upper end one ulp past tangency, where a cosine rounded past 1
+        dom = AnnularDomain(Circle((0, 0), 2.0), Circle((offset, 0), r1))
+        web = build_web(dom, solve_shell(2, *class_s_data(dom)[:2], beta))
+        assert dom.gap < web.split_s
+        assert web.split_area_rel_err <= 1e-12
 
     def test_unreached_target_rejected(self, monkeypatch):
         # an area law that stays short of the target up to the farthest
