@@ -757,10 +757,29 @@ def disk_intersection_area(c1, r1: float, c2, r2: float) -> float:
     if d <= abs(r1 - r2):
         r = min(r1, r2)
         return math.pi * r * r
-    # within an ulp of tangency a cosine can round past 1 in magnitude
+    # within an ulp of tangency a cosine can round past 1 in magnitude.
+    # a1 and a2 are circle_in_disk_angle(r1, d, r2) and (r2, d, r1), kept
+    # on math.acos: np.arccos rounds about one value in ten differently,
+    # which would move the split that brentq finds on this lens
     a1 = math.acos(min(1.0, max(-1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
     a2 = math.acos(min(1.0, max(-1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
     return r1 * r1 * (a1 - 0.5 * math.sin(2.0 * a1)) + r2 * r2 * (a2 - 0.5 * math.sin(2.0 * a2))
+
+
+def circle_in_disk_angle(r, d: float, big_r: float) -> np.ndarray:
+    """Half the angle of the arc of a circle of radius r that lies inside a
+    disk of radius big_r whose center is d away, seen from the circle's
+    center and measured from the direction of the disk's (vectorized in
+    r > 0).
+
+    The arc is 2 r times it.  By the law of cosines it is
+    arccos((r^2 + d^2 - big_r^2) / (2 r d)), clamped as in
+    disk_intersection_area: pi for r <= big_r - d, 0 for r >= big_r + d.
+    """
+    r = np.asarray(r, dtype=float)
+    if d == 0.0:
+        return np.where(r <= big_r, math.pi, 0.0)
+    return np.arccos(np.clip((r * r + d * d - big_r * big_r) / (2.0 * r * d), -1.0, 1.0))
 
 
 def outer_parallel_points(curve: BoundaryCurve, delta: float, n: int) -> np.ndarray:

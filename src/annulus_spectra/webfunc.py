@@ -12,12 +12,19 @@ The construction promises continuity across the split curve only on the
 shell itself; the measured interface jump is therefore part of the
 certificate and webs that exceed the declared tolerance are flagged
 instead of silently accepted.
+
+Each piece of the web depends on one distance, which has unit gradient,
+so by the coarea formula every integral of its Rayleigh quotient is a 1D
+integral of the profile against the length of a level set (the inner
+parallel method).  On circle pairs those lengths are closed-form arcs and
+the quotient is computed to round-off, with its quadrature error; other
+members are still integrated on a midpoint grid between the two curves.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +38,7 @@ from .geometry import (
     AnnularDomain,
     Circle,
     ConvexPolygon,
+    circle_in_disk_angle,
     class_s_data,
     convex_intersection_area,
     disk_intersection_area,
@@ -39,8 +47,12 @@ from .geometry import (
 from .radial import RadialEigenResult, solve_shell
 
 CONTINUITY_FACTOR = 1e-3
-# (n_s, n_theta): midpoint cells across and along the annulus
+# (n_s, n_theta): midpoint cells across and along the annulus, for the
+# members whose curves are not both circles
 DEFAULT_QUAD_LEVEL = (2048, 128)
+# Gauss-Legendre nodes per panel of the coarea quotient on circle pairs,
+# and the coarser count that its quadrature error is read against
+COAREA_NODES = (32, 16)
 CLIP_SAMPLES = 2048
 INTERFACE_SAMPLES = 2048
 # brentq's absolute tolerance on s*, relative to the farthest outer distance
@@ -215,6 +227,82 @@ def build_web(domain: AnnularDomain, radial: RadialEigenResult) -> WebFunction:
     return web
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(n: int):
+    """Read-only n-point Gauss-Legendre nodes and weights on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def _cosine_panels(lo: float, hi: float, breaks, n: int):
+    """Nodes and weights of n-point Gauss-Legendre on each panel of
+    [lo, hi] cut at the breaks inside it.
+
+    Each panel [p, q] is mapped by t = p + (q - p)(1 - cos u)/2, u in
+    [0, pi], whose sin u factor absorbs the square-root ends of the arc
+    lengths at the tangency radii.
+    """
+    cuts = np.unique(np.clip([lo, hi, *breaks], lo, hi))
+    x, wx = _legendre(n)
+    u = 0.5 * math.pi * (x + 1.0)
+    p, q = cuts[:-1, None], cuts[1:, None]
+    t = p + 0.5 * (q - p) * (1.0 - np.cos(u))
+    return t.ravel(), (0.25 * math.pi * (q - p) * np.sin(u) * wx).ravel()
+
+
+def _coarea_quotient(web: WebFunction, beta: float, n: int):
+    """({gradient, boundary, mass}, value) on a circle pair by the coarea
+    formula, n Gauss-Legendre nodes per panel.
+
+    Both distances have unit gradient, so each volume integral is a 1D
+    integral of the profile against the length of a level set.  On the
+    inner piece the level sets of d_i = s in [0, s*] are the circles
+    |x - c_h| = R1 + s inside the outer disk; on the outer piece those of
+    d_o = t are the circles |x - c_o| = R2 - t outside the disk
+    |x - c_h| < b, b = R1 + s*.  The boundary term runs over the angle psi
+    at c_o from the direction of c_h, where |x - c_h|^2 = R2^2 + e^2 -
+    2 R2 e cos psi; it is the constant v_m^2 2 pi R2 when the inner piece
+    stays off the outer circle (b <= R2 - e).  Panels break where an arc
+    length or the profile has a kink: the tangency radii, the plateau
+    radius r_bar and the split.
+    """
+    hole, outer, radial = web.domain.inner, web.domain.outer, web.radial
+    r1, r2 = radial.shell.r_inner, radial.shell.r_outer
+    h1, h2, r_bar = hole.radius, outer.radius, radial.r_bar
+    e = float(np.hypot(*np.subtract(hole.center, outer.center)))
+    b = h1 + web.split_s
+
+    s, ws = _cosine_panels(0.0, web.split_s, [h2 - e - h1, h2 + e - h1, r_bar - r1], n)
+    ws *= 2.0 * (h1 + s) * circle_in_disk_angle(h1 + s, e, h2)
+    rising = s < r_bar - r1
+    gradient = float(np.sum(ws[rising] * radial.slope(r1 + s[rising]) ** 2))
+    mass = float(np.sum(ws * radial.value(np.minimum(r1 + s, r_bar)) ** 2))
+
+    t, wt = _cosine_panels(0.0, h2 - max(0.0, b - e), [h2 - abs(b - e), h2 - b - e, r2 - r_bar], n)
+    wt *= 2.0 * (h2 - t) * (math.pi - circle_in_disk_angle(h2 - t, e, b))
+    falling = t < r2 - r_bar
+    gradient += float(np.sum(wt[falling] * radial.slope(r2 - t[falling]) ** 2))
+    mass += float(np.sum(wt * radial.value(np.maximum(r2 - t, r_bar)) ** 2))
+
+    w_out = float(radial.value(r2)) ** 2
+    if b <= h2 - e:
+        boundary = 2.0 * math.pi * h2 * w_out
+    else:
+        # psi runs to the ends of the outer circle's arcs inside the disks
+        # |x - c_h| < b and < the plateau radius, both centred on psi = 0
+        ends = circle_in_disk_angle(h2, e, np.array([b, h1 + r_bar - r1]))
+        psi, wp = _cosine_panels(0.0, math.pi, ends, n)
+        d_i = np.sqrt(h2 * h2 + e * e - 2.0 * h2 * e * np.cos(psi)) - h1
+        inner = d_i < web.split_s
+        w2 = np.full(len(psi), w_out)
+        w2[inner] = radial.value(np.minimum(r1 + d_i[inner], r_bar)) ** 2
+        boundary = 2.0 * h2 * float(np.sum(wp * w2))
+    parts = {"gradient": gradient, "boundary": beta * boundary, "mass": mass}
+    return parts, (gradient + beta * boundary) / mass
+
+
 def _quad_grid(web: WebFunction, quad_level):
     """Structured midpoint grid of quad_level = (n_s, n_theta) cells mapped
     between the two boundary curves.
@@ -247,25 +335,8 @@ def _quad_grid(web: WebFunction, quad_level):
     return pts.reshape(-1, 2), weights.ravel(), g_out, arc
 
 
-def rayleigh_quotient(
-    web: WebFunction,
-    beta: float,
-    quad_level=DEFAULT_QUAD_LEVEL,
-    allow_uncertified: bool = False,
-):
-    """Quadrature Rayleigh quotient of the web function.
-
-    Returns ({gradient, boundary, mass}, value) with value =
-    (gradient + boundary) / mass.  Uncertified webs are rejected unless
-    explicitly allowed for diagnostic runs.
-    """
-    if not web.certified and not allow_uncertified:
-        raise InvalidWebError(
-            f"web failed its certificate (jump {web.interface_jump:.3e} "
-            f"> tol {web.continuity_tol:.3e} or containment lost)"
-        )
-    if not (beta >= 0.0 and math.isfinite(beta)):
-        raise RangeError("Rayleigh quotient needs finite nonnegative beta")
+def _grid_quotient(web: WebFunction, beta: float, quad_level):
+    """({gradient, boundary, mass}, value) on the midpoint grid of quad_level."""
     pts, weights, outer_pts, arc = _quad_grid(web, quad_level)
     w_vals, g_vals = web._profile(web.domain.inner.distance(pts), web.domain.outer.distance(pts))
     grad_part = float(np.sum(weights * g_vals * g_vals))
@@ -274,6 +345,47 @@ def rayleigh_quotient(
     boundary_part = beta * float(np.sum(arc * w_bnd * w_bnd))
     parts = {"gradient": grad_part, "boundary": boundary_part, "mass": mass_part}
     return parts, (grad_part + boundary_part) / mass_part
+
+
+def _circle_pair(web: WebFunction) -> bool:
+    return isinstance(web.domain.inner, Circle) and isinstance(web.domain.outer, Circle)
+
+
+def rayleigh_quotient(
+    web: WebFunction,
+    beta: float,
+    quad_level=DEFAULT_QUAD_LEVEL,
+    allow_uncertified: bool = False,
+):
+    """Rayleigh quotient of the web function.
+
+    Returns ({gradient, boundary, mass}, value) with value =
+    (gradient + boundary) / mass.  When both curves are circles the parts
+    are the coarea formula's 1D integrals at COAREA_NODES[0] nodes per
+    panel and quad_level is not read; rayleigh_error gives their computed
+    quadrature error.  Other members are integrated on the quad_level
+    midpoint grid, whose error is not computed.  Uncertified webs are
+    rejected unless explicitly allowed for diagnostic runs.
+    """
+    if not web.certified and not allow_uncertified:
+        raise InvalidWebError(
+            f"web failed its certificate (jump {web.interface_jump:.3e} "
+            f"> tol {web.continuity_tol:.3e} or containment lost)"
+        )
+    if not (beta >= 0.0 and math.isfinite(beta)):
+        raise RangeError("Rayleigh quotient needs finite nonnegative beta")
+    if not _circle_pair(web):
+        return _grid_quotient(web, beta, quad_level)
+    return _coarea_quotient(web, beta, COAREA_NODES[0])
+
+
+def rayleigh_error(web: WebFunction, beta: float, value: float):
+    """Computed quadrature error of value = rayleigh_quotient(web, beta)[1]:
+    |value - the coarea value at COAREA_NODES[1] nodes per panel| on a
+    circle pair, None on members integrated on the grid."""
+    if not _circle_pair(web):
+        return None
+    return abs(value - _coarea_quotient(web, beta, COAREA_NODES[1])[1])
 
 
 # ---------------------------------------------------------------------------
@@ -296,29 +408,19 @@ def chain_certificate(
     tolerances (chain_checks).  The quotient of an uncertified web is
     still reported by default, flagged through the certificate fields.
 
-    The FEM solve shares nothing with the web leg, so it runs on one pool
-    thread while this thread builds the web and its quadrature.  The legs
-    overlap where numpy's array kernels and SuperLU's factorization and
-    solves release the GIL.  The report is the serial one bit for bit.
-    Errors keep the serial order: a FEM error wins over a web error, and
-    a web error is raised only after the FEM solve has finished, so no
-    thread outlives the call.
+    The FEM leg runs first, then the web leg, so a FEM error wins over a
+    web error.  The report's rayleigh_error is the quotient's computed
+    quadrature error (rayleigh_error), None on grid members.
     """
     r1, r2, _ = class_s_data(domain)
     radial = solve_shell(2, r1, r2, beta)
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        fem_leg = pool.submit(solve_domain, domain, beta, n_r, n_a)
-        try:
-            web = build_web(domain, radial)
-            parts, value = rayleigh_quotient(
-                web, beta, quad_level, allow_uncertified=allow_uncertified
-            )
-        finally:
-            # raises the FEM error first, whatever the web leg raised
-            fem = fem_leg.result()
+    fem = solve_domain(domain, beta, n_r, n_a)
+    web = build_web(domain, radial)
+    parts, value = rayleigh_quotient(web, beta, quad_level, allow_uncertified=allow_uncertified)
     report = web.report() | {
         "beta": beta,
         "rayleigh": value,
+        "rayleigh_error": rayleigh_error(web, beta, value),
         "rayleigh_parts": parts,
         "lambda_fem": fem.lam,
         "lambda_shell": radial.lam,
@@ -336,7 +438,12 @@ def chain_checks(report: dict, name: str = "chain") -> list:
     """Records of lambda_fem <= R(w) within fem_tolerance and of
     R(w) <= lambda_shell within 2% of it, from a chain_certificate report."""
     fem, value, shell = report["lambda_fem"], report["rayleigh"], report["lambda_shell"]
-    context = {"beta": report["beta"], "resolution": report["fem_resolution"]}
+    error = report["rayleigh_error"]
+    context = {
+        "beta": report["beta"],
+        "resolution": report["fem_resolution"],
+        "rayleigh_error": "not computed" if error is None else error,
+    }
     return [
         InequalityReport(f"{name}.lower", fem, value, report["fem_tolerance"], context),
         InequalityReport(f"{name}.upper", value, shell, 0.02 * shell, context),

@@ -19,3 +19,12 @@ def test_warm_up_and_first_batches_build():
     workloads.warm_up()
     for name, workload in workloads.WORKLOADS.items():
         assert workload.batch(workloads.batch_rng(0, name, 0)), name
+
+
+def test_web_chain_batches_pass_their_checks():
+    # the benchmark's shell identity and chain clauses, on two batches
+    workload = workloads.WORKLOADS["web_chain"]
+    for index in (0, 1):
+        for op in workload.batch(workloads.batch_rng(0, "web_chain", index)):
+            wrong, unmet, _ = workload.check(op, workload.run(op))
+            assert (wrong, unmet) == ([], []), (index, op[0])

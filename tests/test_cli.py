@@ -279,6 +279,25 @@ class TestVerifyCommand:
         fem_rows = [c["context"] for c in checks if c["context"]["method"] == "fem"]
         assert [ctx["resolution"] for ctx in fem_rows] == ["48x192"] * 3
 
+    def test_web_suite_prints_the_quadrature_error(self, tmp_path, capsys):
+        runs = []
+        for out in (tmp_path / "a", tmp_path / "b"):
+            assert main(["verify", "--suite", "web", "--res", "16x64", "--out", str(out)]) == 0
+            runs.append((capsys.readouterr().out, (out / "web_report.json").read_bytes()))
+        assert runs[0] == runs[1]
+        rows = [line for line in runs[0][0].splitlines() if line.startswith("[")]
+        errors = [row.partition(" rayleigh_error=")[2] for row in rows]
+        # the shell row and the chains on the five eccentric circle pairs
+        # carry the computed error, the two ellipse members none
+        assert rows[0].startswith("[PASS] shell_identity:")
+        assert all(float(error) <= 1e-10 for error in errors[:1] + errors[3:13])
+        assert errors[1:3] == ["", ""]
+        assert errors[13:] == ["not computed"] * 4
+        report = json.loads(runs[0][1])
+        assert [chain["rayleigh_error"] is None for chain in report["chains"]] == [False] * 5 + [
+            True
+        ] * 2
+
     def test_all_runs_each_suite_once(self, tmp_path, capsys, monkeypatch):
         calls = []
         for name in cli.SUITES:
@@ -359,6 +378,24 @@ class TestSweepCommand:
         assert main(argv) == 2
         assert "needs --steps of at least 3" in capsys.readouterr().err
         assert not (tmp_path / "resolution_sweep.csv").exists()
+
+    def test_beta_sweep_defaults_to_eight_steps(self, tmp_path, capsys):
+        assert main(["sweep", "--kind", "beta", "--out", str(tmp_path)]) == 0
+        assert len((tmp_path / "beta_sweep.csv").read_text().splitlines()) == 1 + 8
+
+    def test_resolution_sweep_defaults_to_four_steps(self, tmp_path, capsys):
+        assert main(["sweep", "--kind", "resolution", "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "resolution_sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows] == [
+            "resolution", "8x32", "16x64", "32x128", "64x256"
+        ]
+
+    def test_resolution_steps_ceiling_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["sweep", "--kind", "resolution", "--steps", "6", "--out", str(out)]
+        assert main(argv) == 2
+        assert "takes --steps of at most 5, got 6" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "kind, flag, value, message",

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from annulus_spectra import webfunc
-from annulus_spectra.analysis import standard_family
+from annulus_spectra.analysis import eccentric_family, standard_family
 from annulus_spectra.errors import InfeasibleError, InvalidWebError, RangeError, SolverError
 from annulus_spectra.fem import solve_domain
 from annulus_spectra.geometry import (
@@ -24,11 +24,13 @@ from annulus_spectra.geometry import (
 from annulus_spectra.radial import solve_shell
 from annulus_spectra.webfunc import (
     CLIP_SAMPLES,
+    _grid_quotient,
     _quad_grid,
     _sublevel_area,
     build_web,
     chain_certificate,
     chain_checks,
+    rayleigh_error,
     rayleigh_quotient,
 )
 
@@ -192,10 +194,13 @@ class TestEvaluate:
 
 class TestRayleighQuotient:
     def test_shell_identity(self):
-        rad = solve_shell(2, 1.0, 2.0, 1.0)
-        web = build_web(SHELL_DOMAIN, rad)
-        _, value = rayleigh_quotient(web, 1.0, quad_level=(2048, 128))
-        assert value == pytest.approx(rad.lam, rel=1e-6)
+        # on the shell the web is the eigenprofile, so R(w) is lambda_shell
+        # up to the coarea quadrature's round-off
+        for beta in (0.1, 1.0, 10.0):
+            rad = solve_shell(2, 1.0, 2.0, beta)
+            web = build_web(SHELL_DOMAIN, rad)
+            _, value = rayleigh_quotient(web, beta, quad_level=(2048, 128))
+            assert value == pytest.approx(rad.lam, rel=1e-13)
 
     def test_uncertified_rejected(self):
         rad = solve_shell(2, 1.0, 2.0, 1.0)
@@ -219,6 +224,129 @@ class TestRayleighQuotient:
         web = build_web(SHELL_DOMAIN, rad)
         with pytest.raises(RangeError):
             rayleigh_quotient(web, float("inf"))
+
+
+def gauss_panels(cuts, n):
+    """n-point Gauss-Legendre nodes and weights on each panel between
+    consecutive cuts (rows of cuts are independent intervals)."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    p, q = cuts[..., :-1, None], cuts[..., 1:, None]
+    return p + 0.5 * (q - p) * (x + 1.0), 0.5 * (q - p) * w
+
+
+def polar_oracle(web, beta, n=48):
+    """R(w) on a circle pair by nested Gauss-Legendre panels in polar
+    coordinates about the hole centre, with w and |grad w| read through
+    web._profile at the points.
+
+    theta is measured from the direction c_h - c_o, so a ray meets the
+    circle |x - c_o| = rho at a = -e cos(theta) + sqrt(rho^2 - e^2
+    sin(theta)^2).  Rays break at the plateau radius, the split radius b,
+    the radius where |x - c_o| reaches the outer plateau and the outer
+    exit; theta breaks where the exit or that radius crosses b or the
+    plateau radius.  The boundary term runs over the outer circle, broken
+    where |x - c_h| is b or the plateau radius.
+    """
+    hole, outer, rad = web.domain.inner, web.domain.outer, web.radial
+    c_h, c_o = np.asarray(hole.center, float), np.asarray(outer.center, float)
+    h1, h2, e = hole.radius, outer.radius, math.dist(c_h, c_o)
+    phase = math.atan2(*(c_h - c_o)[::-1]) if e > 0.0 else 0.0
+    a_bar = h1 + rad.r_bar - rad.shell.r_inner  # inner piece reaches its plateau
+    rho_bar = h2 - rad.shell.r_outer + rad.r_bar  # outer piece reaches its plateau
+    b = h1 + web.split_s
+    assert e < rho_bar  # each ray meets the circle |x - c_o| = rho_bar once
+
+    def meet(rho, theta):
+        return -e * np.cos(theta) + np.sqrt(rho * rho - (e * np.sin(theta)) ** 2)
+
+    def angle(num, den):
+        return math.acos(min(1.0, max(-1.0, num / den))) if den > 0.0 else 0.0
+
+    theta_cuts = [0.0, math.pi] + [
+        angle(rho * rho - e * e - a * a, 2.0 * e * a)
+        for rho, a in ((h2, b), (h2, a_bar), (rho_bar, b))
+    ]
+    theta, w_theta = gauss_panels(np.unique(theta_cuts), n)
+    theta, w_theta = theta.ravel(), w_theta.ravel()
+    exit_a = meet(h2, theta)
+    cuts = np.column_stack(
+        [np.full_like(theta, h1), np.full_like(theta, a_bar), np.full_like(theta, b),
+         meet(rho_bar, theta), exit_a]
+    )
+    cuts = np.clip(np.sort(cuts, axis=1), h1, exit_a[:, None])
+    a, w_a = gauss_panels(cuts, n)
+    u = np.column_stack([np.cos(theta + phase), np.sin(theta + phase)])
+    pts = c_h + a[..., None] * u[:, None, None, :]
+    pts = pts.reshape(-1, 2)
+    w, g = web._profile(hole.distance(pts), outer.distance(pts))
+    area = (2.0 * w_theta[:, None, None] * w_a * a).ravel()
+    mass = float(np.sum(area * w * w))
+    gradient = float(np.sum(area * g * g))
+
+    psi_cuts = [0.0, math.pi] + [angle(h2 * h2 + e * e - a * a, 2.0 * h2 * e) for a in (b, a_bar)]
+    psi, w_psi = gauss_panels(np.unique(psi_cuts), n)
+    bnd = c_o + h2 * np.column_stack([np.cos(psi.ravel() + phase), np.sin(psi.ravel() + phase)])
+    boundary = 2.0 * h2 * float(np.sum(w_psi.ravel() * web.evaluate(bnd) ** 2))
+    return (gradient + beta * boundary) / mass
+
+
+# R(w) at 32 nodes per panel on eccentric_family() members, to 1e-12
+REFERENCE_RAYLEIGH = [
+    (0, 1.0, 3.6683060233177422),
+    (1, 10.0, 8.037677631090542),
+    (2, 1.0, 3.6406085141647959),
+    (3, 0.1, 1.9718137929381783),
+    (4, 10.0, 10.115181357752306),
+    (5, 0.1, 1.5517498435655699),
+]
+
+
+def family_web(member, beta):
+    dom = eccentric_family()[member]
+    r1, r2, _ = class_s_data(dom)
+    return build_web(dom, solve_shell(2, r1, r2, beta))
+
+
+class TestCoareaQuotient:
+    @pytest.mark.parametrize("member, beta", [(1, 1.0), (3, 1.0), (5, 1.0), (4, 10.0)])
+    def test_matches_polar_oracle(self, member, beta):
+        web = family_web(member, beta)
+        # both boundary branches: only member 1 keeps the inner piece off
+        # the outer circle
+        b = web.domain.inner.radius + web.split_s
+        e = math.dist(web.domain.inner.center, web.domain.outer.center)
+        assert (b > web.domain.outer.radius - e) == (member != 1)
+        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        assert value == pytest.approx(polar_oracle(web, beta), rel=1e-9)
+
+    @pytest.mark.parametrize("member, beta, expected", REFERENCE_RAYLEIGH)
+    def test_reference_values(self, member, beta, expected):
+        _, value = rayleigh_quotient(family_web(member, beta), beta, allow_uncertified=True)
+        assert value == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("member", range(6))
+    def test_computed_error_is_small(self, member):
+        for beta in (0.1, 1.0, 10.0):
+            web = family_web(member, beta)
+            _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+            assert 0.0 <= rayleigh_error(web, beta, value) <= 1e-10 * value
+
+    def test_quad_level_is_not_read(self):
+        web = family_web(3, 1.0)
+        assert rayleigh_quotient(web, 1.0, (8, 8), True) == rayleigh_quotient(web, 1.0, None, True)
+
+    def test_grid_members_report_no_error(self):
+        dom = ellipse_rectangle_member()
+        report = chain_certificate(dom, 1.0, n_r=16, n_a=64, quad_level=(64, 32))
+        assert report["rayleigh_error"] is None
+        # both routes report the same three parts
+        circle_report = chain_certificate(SHELL_DOMAIN, 1.0, n_r=16, n_a=64)
+        assert report["rayleigh_parts"].keys() == circle_report["rayleigh_parts"].keys() == {
+            "gradient", "boundary", "mass"
+        }
+        assert [check.context["rayleigh_error"] for check in chain_checks(report)] == [
+            "not computed"
+        ] * 2
 
 
 def separate_pass_parts(web, beta, quad_level):
@@ -270,8 +398,10 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("make_web", [ellipse_web, eccentric_web])
     def test_single_pass_matches_evaluate(self, make_web):
+        # the grid route directly: rayleigh_quotient takes the coarea rule
+        # on the eccentric circle pair
         web = make_web()
-        parts, value = rayleigh_quotient(web, 0.7, quad_level=(96, 160), allow_uncertified=True)
+        parts, value = _grid_quotient(web, 0.7, (96, 160))
         assert parts == separate_pass_parts(web, 0.7, (96, 160))
         assert value == (parts["gradient"] + parts["boundary"]) / parts["mass"]
 
@@ -350,7 +480,7 @@ class TestChainCertificate:
         }
         assert {key: report[key] for key in serial} == serial
 
-    def test_fem_solve_runs_off_the_calling_thread(self, monkeypatch):
+    def test_fem_solve_runs_on_the_calling_thread(self, monkeypatch):
         solve_threads = []
 
         def recording_solve(*args):
@@ -359,7 +489,7 @@ class TestChainCertificate:
 
         monkeypatch.setattr(webfunc, "solve_domain", recording_solve)
         chain_certificate(SHELL_DOMAIN, 1.0, n_r=16, n_a=64, quad_level=(64, 32))
-        assert len(solve_threads) == 1 and solve_threads[0] != threading.get_ident()
+        assert solve_threads == [threading.get_ident()]
 
     def test_fem_error_wins_over_web_error(self, monkeypatch):
         def failing_solve(*args):
