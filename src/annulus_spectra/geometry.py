@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize_scalar
 from scipy.spatial import HalfspaceIntersection, QhullError
 from scipy.special import ellipe
 
@@ -28,9 +28,9 @@ from .errors import (
 
 # Collinearity slack for convexity tests, scaled by the squared body size.
 CONVEXITY_TOL = 1e-12
-# Boundary sampling density used for containment / gap checks.
-CONTAINMENT_SAMPLES = 4096
 CONTAINMENT_REL_GAP = 1e-9
+# Directions free_distance scans for an ellipse hole in an ellipse outer.
+FREE_DISTANCE_SCAN = 256
 # Class-S membership: |class_s_data residual| <= CLASS_S_RTOL * |Omega|.
 CLASS_S_RTOL = 1e-8
 # Newton steps allowed to the ellipse foot-point solve; points near the
@@ -138,15 +138,11 @@ class ConvexPolygon:
         b = np.sum(n * v, axis=1)
         return n, b
 
-    def margins(self, points) -> np.ndarray:
-        """(m, edges) signed margins b_e - n_e.x, nonnegative inside."""
+    def contains(self, points, tol: float = 0.0):
+        """Boolean mask of points inside (every margin b_e - n_e.x >= -tol)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         n, b = self.edge_normals_offsets()
-        return b[None, :] - p @ n.T
-
-    def contains(self, points, tol: float = 0.0):
-        """Boolean mask of points inside (signed margin >= -tol)."""
-        inside = np.all(self.margins(points) >= -tol, axis=1)
+        inside = np.all(b[None, :] - p @ n.T >= -tol, axis=1)
         return inside if inside.size > 1 else bool(inside[0])
 
     def nearest_edge(self, points):
@@ -318,6 +314,10 @@ class BoundaryCurve:
         """n boundary points in the curve's natural parameterization."""
         raise NotImplementedError
 
+    def support_point(self, u) -> np.ndarray:
+        """(m, 2) boundary points with outward normals the (m, 2) unit u."""
+        raise NotImplementedError
+
     def curvature_at(self, points) -> np.ndarray:
         raise CurvatureUnavailableError("curvature is undefined for this curve")
 
@@ -471,6 +471,11 @@ class Ellipse(BoundaryCurve):
         t = 2.0 * np.pi * np.arange(n) / n
         return self._c() + np.column_stack([self.a * np.cos(t), self.b * np.sin(t)])
 
+    def support_point(self, u):
+        """c + (a cos psi, b sin psi) with psi = atan2(b u_y, a u_x)."""
+        psi = np.arctan2(self.b * u[:, 1], self.a * u[:, 0])
+        return self._c() + np.column_stack([self.a * np.cos(psi), self.b * np.sin(psi)])
+
     def _param_of(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float)) - self._c()
         return np.arctan2(p[:, 1] / self.b, p[:, 0] / self.a)
@@ -575,6 +580,11 @@ class PolygonCurve(BoundaryCurve):
     def sample(self, n):
         return self.polygon.sample_boundary(n)
 
+    def support_point(self, u):
+        """The vertex v maximizing u . v, the first one on ties."""
+        verts = self.polygon.vertices
+        return verts[np.argmax(u @ verts.T, axis=1)]
+
     def outward_normal(self, points):
         n, _ = self.polygon.edge_normals_offsets()
         return n[self.polygon.nearest_edge(points)[1]]
@@ -631,10 +641,10 @@ class AnnularDomain:
     """Region between a convex outer curve and a convex hole inside it.
 
     The center is the star-shape reference used for meshing; it must lie
-    strictly inside the hole.  Compact containment of the hole is checked
-    by dense boundary sampling, and gap keeps the smallest distance from
-    those hole samples to the outer curve.  The domain is immutable, so fem
-    keeps its validated meshes in _meshes, keyed by resolution.
+    strictly inside the hole.  gap is the hole's free distance
+    (free_distance), exact, and the hole must clear the outer curve by
+    more than CONTAINMENT_REL_GAP of its scale.  The domain is immutable,
+    so fem keeps its validated meshes in _meshes, keyed by resolution.
     """
 
     outer: BoundaryCurve
@@ -650,15 +660,7 @@ class AnnularDomain:
         object.__setattr__(self, "center", center)
         if not self.inner.contains(center, tol=-1e-12 * self.inner.scale):
             raise GeometryError("center must lie strictly inside the hole")
-        pts = self.inner.sample(CONTAINMENT_SAMPLES)
-        if isinstance(self.outer, PolygonCurve):
-            # inside a convex polygon the distance to the boundary is the
-            # smallest edge margin, and a negative margin means outside
-            gap = float(np.min(self.outer.polygon.margins(pts)))
-        elif np.all(self.outer.contains(pts, tol=0.0)):
-            gap = float(np.min(self.outer.distance(pts)))
-        else:
-            gap = -math.inf
+        gap = free_distance(self.outer, self.inner)
         if gap < 0.0:
             raise ContainmentError("hole is not contained in the outer region")
         if gap <= CONTAINMENT_REL_GAP * self.outer.scale:
@@ -716,18 +718,13 @@ def scale_hole_to_class_s(outer: BoundaryCurve, hole_shape: BoundaryCurve, cente
         else:
             center = outer.reference_point()
     center = _as_point(center)
-
-    def recentered(curve, s):
-        scaled = curve.scaled(s)
-        return scaled.translated(center - scaled.reference_point())
-
     if zero_hole and zero_out:
         # any disk-in-disk qualifies up to the scale where its gap to the
         # outer circle, R - o - s r, reaches the touching threshold
         r_out, r_hole = 0.5 * outer.scale, 0.5 * hole_shape.scale
         offset = float(np.hypot(*(center - outer.reference_point())))
         s_max = (r_out * (1.0 - 2.0 * CONTAINMENT_REL_GAP) - offset) / r_hole
-        if not (s_max > 0.0 and _fits(outer, recentered(hole_shape, 0.5 * s_max))):
+        if not s_max > 0.0:
             raise ContainmentError("no scaled hole fits in the outer body at this center")
         return (0.0, s_max)
     if zero_hole:
@@ -735,18 +732,43 @@ def scale_hole_to_class_s(outer: BoundaryCurve, hole_shape: BoundaryCurve, cente
     if zero_out and not zero_hole:
         raise InfeasibleError("outer body has zero deficit but the hole does not")
     s = math.sqrt(d_out / d_hole)
-    candidate = recentered(hole_shape, s)
-    if not _fits(outer, candidate):
+    candidate = hole_shape.scaled(s)
+    candidate = candidate.translated(center - candidate.reference_point())
+    if not free_distance(outer, candidate) > CONTAINMENT_REL_GAP * outer.scale:
         raise ContainmentError(f"scaled hole (factor {s:.6g}) does not fit in the outer body")
     return s
 
 
-def _fits(outer: BoundaryCurve, hole: BoundaryCurve) -> bool:
-    try:
-        AnnularDomain(outer, hole)
-    except ContainmentError:
-        return False
-    return True
+def free_distance(outer: BoundaryCurve, hole: BoundaryCurve) -> float:
+    """Largest delta with hole + delta B inside outer; negative when the
+    hole is not inside.
+
+    It is the least h_outer(u) - h_hole(u), h(u) = support_point(u) . u
+    (Schneider, Convex Bodies, sec. 1.7), over a polygon outer's edge
+    normals.  Inside a smooth outer the boundary distance is concave, so
+    it is least at a polygon hole's vertex or a circle hole's centre less
+    the radius; an ellipse hole's scan of FREE_DISTANCE_SCAN directions
+    has its local minima polished by bounded Brent.
+    """
+    if isinstance(outer, PolygonCurve):
+        n, b = outer.polygon.edge_normals_offsets()
+        return float(np.min(b - np.sum(hole.support_point(n) * n, axis=1)))
+    if isinstance(hole, PolygonCurve) or hole.a == hole.b:
+        circle = not isinstance(hole, PolygonCurve)
+        extreme = hole._c()[None] if circle else hole.polygon.vertices
+        d = outer.distance(extreme)
+        return float(np.min(np.where(outer.contains(extreme), d, -d))) - (hole.a if circle else 0.0)
+
+    def slack(theta):
+        u = np.column_stack([np.cos(theta), np.sin(theta)])
+        return np.sum((outer.support_point(u) - hole.support_point(u)) * u, axis=1)
+
+    theta = 2.0 * np.pi * np.arange(FREE_DISTANCE_SCAN) / FREE_DISTANCE_SCAN
+    f, step = slack(theta), theta[1]
+    lows = theta[(f <= np.roll(f, 1)) & (f <= np.roll(f, -1))]
+    brent = {"method": "bounded", "options": {"xatol": 1e-12}}
+    polished = (minimize_scalar(slack, bounds=(t - step, t + step), **brent).fun[0] for t in lows)
+    return float(min(np.min(f), *polished))
 
 
 def disk_intersection_area(c1, r1: float, c2, r2: float) -> float:
@@ -783,24 +805,10 @@ def circle_in_disk_angle(r, d: float, big_r: float) -> np.ndarray:
 
 
 def outer_parallel_points(curve: BoundaryCurve, delta: float, n: int) -> np.ndarray:
-    """n boundary points of the outer parallel body at distance delta.
-
-    Uses support points: the parallel body's support point in direction u
-    is the curve's support point plus delta u, which traces offset edges
-    and corner arcs exactly in the polygon case.
-    """
+    """n boundary points of the outer parallel body at distance delta: its
+    support points, the curve's plus delta u, exact on a polygon's corner arcs."""
     if delta < 0.0:
         raise GeometryError("offset must be nonnegative")
     theta = 2.0 * np.pi * np.arange(n) / n
     u = np.column_stack([np.cos(theta), np.sin(theta)])
-    if isinstance(curve, Ellipse):
-        psi = np.arctan2(curve.b * u[:, 1], curve.a * u[:, 0])
-        base = np.asarray(curve.center) + np.column_stack(
-            [curve.a * np.cos(psi), curve.b * np.sin(psi)]
-        )
-        return base + delta * u
-    if isinstance(curve, PolygonCurve):
-        verts = curve.polygon.vertices
-        support = verts[np.argmax(u @ verts.T, axis=1)]
-        return support + delta * u
-    raise GeometryError(f"unsupported curve kind {type(curve).__name__}")
+    return curve.support_point(u) + delta * u

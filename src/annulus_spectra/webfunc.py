@@ -9,9 +9,9 @@ The resulting function has the shell's boundary data, so its Rayleigh
 quotient sits between the domain's eigenvalue and the shell's.
 
 The construction promises continuity across the split curve only on the
-shell itself; the measured interface jump is therefore part of the
-certificate and webs that exceed the declared tolerance are flagged
-instead of silently accepted.
+shell itself; the interface jump, read in closed form off the hole's free
+distance, is therefore part of the certificate and webs that exceed the
+declared tolerance are flagged instead of silently accepted.
 
 Each piece of the web depends on one distance, which has unit gradient,
 so by the coarea formula every integral of its Rayleigh quotient is a 1D
@@ -54,7 +54,6 @@ DEFAULT_QUAD_LEVEL = (2048, 128)
 # and the coarser count that its quadrature error is read against
 COAREA_NODES = (32, 16)
 CLIP_SAMPLES = 2048
-INTERFACE_SAMPLES = 2048
 # brentq's absolute tolerance on s*, relative to the farthest outer distance
 SPLIT_XTOL = 1e-12
 
@@ -63,10 +62,10 @@ def _sublevel_area(domain: AnnularDomain, s: float, outer_poly) -> float:
     """|{x in Omega : dist(x, hole) < s}|.
 
     Steiner-exact while the parallel body stays inside the outer region
-    (s up to the domain's measured gap);
-    afterwards the overflow is cut off analytically for circle pairs and
-    otherwise by the exact area of the parallel body's polygon inside
-    outer_poly, both star shaped about the domain's center.
+    (s up to the domain's gap); afterwards the overflow is cut off
+    analytically for circle pairs and otherwise by the exact area of the
+    parallel body's polygon inside outer_poly, both star shaped about the
+    domain's center.
     """
     hole = domain.inner
     if s <= domain.gap:
@@ -125,11 +124,11 @@ def _split(domain: AnnularDomain, radial: RadialEigenResult):
 class WebFunction:
     """Transplanted profile with its validity certificate.
 
-    split_s is the gluing distance; interface_jump the largest measured
-    discontinuity across the split curve; contained records whether the
-    inner piece stays away from the outer boundary (needed for the
-    boundary values to match the shell's).  certified means both checks
-    passed at the declared continuity tolerance.
+    split_s is the gluing distance; interface_jump the largest jump across
+    the split curve; contained records whether split_s stays below the
+    domain's gap, so that the inner piece keeps off the outer boundary (as
+    the boundary values must, to match the shell's).  certified means both
+    checks passed at the declared continuity tolerance.
     """
 
     domain: AnnularDomain
@@ -183,6 +182,7 @@ class WebFunction:
     def report(self) -> dict:
         return {
             "s_star": self.split_s,
+            "gap": self.domain.gap,
             "interface_jump": self.interface_jump,
             "continuity_tol": self.continuity_tol,
             "continuity_ok": self.checks[1].passed,
@@ -193,38 +193,30 @@ class WebFunction:
 
 
 def build_web(domain: AnnularDomain, radial: RadialEigenResult) -> WebFunction:
-    """Construct the web function and measure its validity certificate."""
+    """Construct the web function and its validity certificate.
+
+    The jump is closed-form.  On the split curve the inner side is on its
+    plateau (s* >= r_bar - R1).  The outer side phi(max(R2 - d_o, r_bar))
+    is least where d_o is: at the grown hole's free distance gap - s*, or
+    at 0 once s* > gap and the curve crosses the outer boundary.
+    """
     if radial.shell.dim != 2:
         raise RangeError("web functions are built on planar domains only")
     if radial.beta == 0.0:
         raise RangeError("web construction needs beta > 0")
     s_star, outer_poly = _split(domain, radial)
-
-    # measured jump across the split curve: the inner side sits on its
-    # plateau (s* >= r_bar - R1 always), the outer side may not have
-    # reached its own plateau yet
-    pts = outer_parallel_points(domain.inner, s_star, INTERFACE_SAMPLES)
-    keep = np.atleast_1d(domain.outer.contains(pts, tol=-1e-12 * domain.outer.scale))
-    inside_val = float(radial.value(min(radial.shell.r_inner + s_star, radial.r_bar)))
-    if np.any(keep):
-        d_o = domain.outer.distance(pts[keep])
-        outer_val = radial.value(np.maximum(radial.shell.r_outer - d_o, radial.r_bar))
-        jump = float(np.max(np.abs(inside_val - outer_val)))
-    else:
-        jump = math.inf
-
-    target = math.pi * (radial.r_bar**2 - radial.shell.r_inner**2)
-    area_err = abs(_sublevel_area(domain, s_star, outer_poly) - target) / target
-
-    web = WebFunction(
+    shell, r_bar = radial.shell, radial.r_bar
+    inside_val = radial.value(min(shell.r_inner + s_star, r_bar))
+    outer_val = radial.value(max(shell.r_outer - max(domain.gap - s_star, 0.0), r_bar))
+    target = math.pi * (r_bar**2 - shell.r_inner**2)
+    return WebFunction(
         domain=domain,
         radial=radial,
         split_s=s_star,
         continuity_tol=CONTINUITY_FACTOR * radial.v_M,
-        interface_jump=jump,
-        split_area_rel_err=area_err,
+        interface_jump=abs(float(inside_val) - float(outer_val)),
+        split_area_rel_err=abs(_sublevel_area(domain, s_star, outer_poly) - target) / target,
     )
-    return web
 
 
 @functools.lru_cache(maxsize=None)

@@ -11,6 +11,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import workloads  # noqa: E402
 
+from annulus_spectra.geometry import class_s_data  # noqa: E402
+from annulus_spectra.radial import solve_shell  # noqa: E402
+
 
 def test_warm_up_and_first_batches_build():
     # warm_up reaches chain_certificate(..., quad_level=...), fem.assemble's
@@ -28,3 +31,15 @@ def test_web_chain_batches_pass_their_checks():
         for op in workload.batch(workloads.batch_rng(0, "web_chain", index)):
             wrong, unmet, _ = workload.check(op, workload.run(op))
             assert (wrong, unmet) == ([], []), (index, op[0])
+
+
+def test_web_chain_regime_rule_agrees_with_the_gap():
+    # the benchmark redraws ellipse members by its own 2048-sample free
+    # distance (_split_contained); build_web reads the exact gap
+    workload = workloads.WORKLOADS["web_chain"]
+    for seed in range(10):
+        for index in range(4):
+            for _, dom, beta in workload.batch(workloads.batch_rng(seed, "web_chain", index)):
+                r1, r2, _ = class_s_data(dom)
+                exact = solve_shell(2, r1, r2, beta).r_bar - r1 <= dom.gap
+                assert workloads._split_contained(dom, beta) == exact, (seed, index)

@@ -201,6 +201,13 @@ class TestFemCommand:
         assert code == 2
         assert "error: hole is not contained" in capsys.readouterr().err
 
+    def test_hole_poking_out_by_5e8_usage_error(self, tmp_path, capsys):
+        # the ellipse crosses the circle between any 4096 boundary samples
+        argv = ["fem", "--outer", "circle 0.1 0.2 1.68741353179848", "--beta", "1"]
+        argv += ["--inner", "ellipse 0.5 -0.3 1.2 0.5", "--res", "8x32", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "error: hole is not contained" in capsys.readouterr().err
+
     def test_nan_beta_usage_error(self, capsys):
         code = main(
             ["fem", "--outer", "circle 0 0 2", "--inner", "circle 0.5 0 1", "--beta", "nan"]

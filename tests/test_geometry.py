@@ -26,6 +26,7 @@ from annulus_spectra import (
     scale_hole_to_class_s,
     unit_ball_volume,
 )
+from annulus_spectra.analysis import standard_family
 from annulus_spectra.geometry import BoundaryCurve, convex_intersection_area, disk_intersection_area
 
 UNIT_SQUARE = ConvexPolygon.rectangle(1.0, 1.0, center=(0.5, 0.5))
@@ -142,8 +143,9 @@ class TestPolygonContainmentGap:
         assert calls == []
 
     def test_near_touching_rejected(self):
-        # the hole's rightmost sample sits 1 - x_c - 0.5 from the edge x = 1;
-        # the rejection threshold is CONTAINMENT_REL_GAP * 2 = 2e-9
+        # the gap is the margin 1 - x_c - 0.5 of the hole's support point in
+        # the edge x = 1; the rejection threshold is CONTAINMENT_REL_GAP * 2
+        # = 2e-9
         near = AnnularDomain(self.SQUARE, Circle((0.5 - 4e-9, 0.0), 0.5))
         assert near.gap == pytest.approx(4e-9, rel=1e-6)
         with pytest.raises(ContainmentError, match="touches"):
@@ -151,11 +153,131 @@ class TestPolygonContainmentGap:
         with pytest.raises(ContainmentError, match="not contained"):
             AnnularDomain(self.SQUARE, Circle((0.6, 0.0), 0.5))
 
-    def test_smallest_margin_is_the_distance_inside(self, rng):
-        poly = random_convex_polygon(rng, 256)
-        inside = poly.centroid + 0.999 * (poly.sample_boundary(2000) - poly.centroid) * rng.random((2000, 1))
-        margins = np.min(poly.margins(inside), axis=1)
-        assert margins == pytest.approx(poly.nearest_edge(inside)[0], abs=1e-15 * poly.scale)
+
+def farthest_point_gap_mp(center, radius, hole):
+    """30-digit oracle for an ellipse hole in a circle: radius less the
+    largest distance from center to the hole, at a root of the squared
+    distance's derivative in the hole parameter."""
+    dx, dy = np.subtract(hole.center, center)
+    a, b = hole.a, hole.b
+    t = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
+    t0 = t[np.argmax((dx + a * np.cos(t)) ** 2 + (dy + b * np.sin(t)) ** 2)]
+    with mpmath.workdps(30):
+        dx, dy, a, b = map(mpmath.mpf, (dx, dy, a, b))
+        slope = lambda t: -(dx + a * mpmath.cos(t)) * a * mpmath.sin(t) + (
+            dy + b * mpmath.sin(t)
+        ) * b * mpmath.cos(t)
+        t = mpmath.findroot(slope, mpmath.mpf(t0))
+        far = mpmath.sqrt((dx + a * mpmath.cos(t)) ** 2 + (dy + b * mpmath.sin(t)) ** 2)
+        return float(mpmath.mpf(radius) - far)
+
+
+def smallest_distance_along(outer, hole):
+    """Least outer distance over the hole's boundary by its parameter: the
+    best of a 720-point scan, polished by bounded Brent around each of the
+    scan's local minima."""
+    c = np.asarray(hole.center)
+
+    def dist(t):
+        t = np.atleast_1d(t)
+        return outer.distance(c + np.column_stack([hole.a * np.cos(t), hole.b * np.sin(t)]))
+
+    step = 2.0 * math.pi / 720
+    t = step * np.arange(720)
+    f = dist(t)
+    low = t[(f <= np.roll(f, 1)) & (f <= np.roll(f, -1))]
+    polished = [
+        minimize_scalar(lambda x: dist(x)[0], bounds=(s - step, s + step), method="bounded",
+                        options={"xatol": 1e-12}).fun
+        for s in low
+    ]
+    return min(np.min(f), *polished)
+
+
+class TestFreeDistance:
+    ELLIPSE_IN_CIRCLE = (Circle((0.1, 0.2), 3.0), Ellipse((0.5, -0.3), 1.2, 0.5))
+    GAP = 1.3125864182015196
+    SQUARE = PolygonCurve(ConvexPolygon.rectangle(2.0, 2.0))
+
+    def test_ellipse_in_circle_matches_the_farthest_point(self):
+        outer, hole = self.ELLIPSE_IN_CIRCLE
+        oracle = farthest_point_gap_mp(outer.center, outer.radius, hole)
+        assert oracle == pytest.approx(self.GAP, abs=1e-15)
+        assert geometry.free_distance(outer, hole) == pytest.approx(oracle, abs=1e-14)
+        assert AnnularDomain(outer, hole).gap == geometry.free_distance(outer, hole)
+
+    @pytest.mark.parametrize(
+        "outer, hole",
+        [
+            (Ellipse((0.2, -0.1), 2.5, 1.6), Ellipse((0.4, 0.1), 1.1, 0.6)),
+            (Ellipse((0.0, 0.0), 1.5, 2.2), Ellipse((-0.3, 0.4), 0.5, 1.0)),
+            (Ellipse((0.1, 0.0), 3.0, 1.0), Ellipse((0.9, 0.2), 1.4, 0.3)),
+        ],
+    )
+    def test_ellipse_in_ellipse_matches_the_parameter_search(self, outer, hole):
+        assert geometry.free_distance(outer, hole) == pytest.approx(
+            smallest_distance_along(outer, hole), abs=1e-12
+        )
+
+    def test_circle_in_square(self):
+        gap = geometry.free_distance(self.SQUARE, Circle((0.1, 0.0), 0.5))
+        assert gap == pytest.approx(0.4, abs=1e-15)
+
+    def test_concentric_shell_is_exact(self):
+        assert geometry.free_distance(Circle((0, 0), 2.0), Circle((0, 0), 1.0)) == 1.0
+        assert AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0)).gap == 1.0
+
+    @pytest.mark.parametrize(
+        "outer, hole",
+        [
+            (Circle((0, 0), 2.0), Circle((1.5, 0), 1.0)),
+            (Circle((0, 0), 2.0), Circle((5.0, 0), 1.0)),
+            (Ellipse((0, 0), 2.0, 1.0), PolygonCurve(ConvexPolygon.rectangle(1.0, 1.0, (1.5, 0)))),
+            (Ellipse((0, 0), 2.0, 1.0), Ellipse((0.0, 0.3), 1.0, 0.8)),
+            (SQUARE, Ellipse((3.0, 0.0), 0.5, 0.2)),
+            (SQUARE, PolygonCurve(ConvexPolygon.rectangle(1.0, 1.0, (0.8, 0)))),
+        ],
+    )
+    def test_hole_outside_is_negative(self, outer, hole):
+        assert geometry.free_distance(outer, hole) < 0.0
+        with pytest.raises(ContainmentError, match="not contained"):
+            AnnularDomain(outer, hole)
+
+    def test_never_above_the_sampled_distance(self, rng):
+        # the exact minimum can only lie below the least of 4096 samples
+        for _ in range(40):
+            r = rng.uniform(0.5, 1.2)
+            phi, offset = rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 0.95) * (2.0 - r)
+            outer = Circle((0.0, 0.0), 2.0) if rng.random() < 0.5 else Ellipse((0, 0), 2.4, 2.0)
+            a, b = (r, r) if rng.random() < 0.5 else (r, r * rng.uniform(0.3, 1.0))
+            # inside the disk |x| < 2, and so inside either outer curve
+            hole = Ellipse((offset * math.cos(phi), offset * math.sin(phi)), a, b)
+            sampled = np.min(outer.distance(hole.sample(4096)))
+            gap = geometry.free_distance(outer, hole)
+            assert 0.0 < gap <= sampled
+            assert sampled - gap <= 1e-5
+
+    def test_bit_identical_on_the_standard_family(self):
+        expected = [1.0, 0.9079999999999999, 0.724, 0.54, 0.35599999999999987,
+                    0.17199999999999993, 1.1996126389613835, 0.6821998636895442]
+        assert [dom.gap for dom in standard_family()] == expected
+
+    def test_hole_poking_out_is_rejected(self):
+        # the hole crosses the circle by 5e-8, between 4096 boundary samples
+        outer, hole = self.ELLIPSE_IN_CIRCLE
+        poking = Circle(outer.center, outer.radius - self.GAP - 5e-8)
+        with pytest.raises(ContainmentError, match="not contained"):
+            AnnularDomain(poking, hole)
+        assert geometry.free_distance(poking, hole) == pytest.approx(-5e-8, rel=1e-6)
+
+    def test_support_points(self, rng):
+        u = rng.normal(size=(64, 2))
+        u /= np.hypot(*u.T)[:, None]
+        ell = Ellipse((0.3, -0.2), 1.1, 0.6)
+        assert np.max(np.abs(ell.outward_normal(ell.support_point(u)) - u)) <= 1e-15
+        poly = random_convex_polygon(rng, 12)
+        h = np.sum(PolygonCurve(poly).support_point(u) * u, axis=1)
+        assert np.max(np.abs(h - np.max(u @ poly.vertices.T, axis=1))) <= 1e-15
 
 
 class TestAleksandrovFenchel:

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from annulus_spectra import webfunc
+from annulus_spectra import geometry, webfunc
 from annulus_spectra.analysis import eccentric_family, standard_family
 from annulus_spectra.errors import InfeasibleError, InvalidWebError, RangeError, SolverError
 from annulus_spectra.fem import solve_domain
@@ -190,6 +190,56 @@ class TestEvaluate:
         assert not at_gap.contained and not at_gap.certified
         assert not at_gap.report()["inner_region_contained"]
         assert [check.passed for check in at_gap.checks] == [False, True]
+
+
+def sampled_jump(web, n):
+    """Largest jump across the split curve over n of its points inside
+    the outer curve, each at its own outer distance."""
+    dom, rad = web.domain, web.radial
+    pts = geometry.outer_parallel_points(dom.inner, web.split_s, n)
+    pts = pts[dom.outer.contains(pts, tol=-1e-12 * dom.outer.scale)]
+    inside = rad.value(min(rad.shell.r_inner + web.split_s, rad.r_bar))
+    outer = rad.value(np.maximum(rad.shell.r_outer - dom.outer.distance(pts), rad.r_bar))
+    return float(np.max(np.abs(inside - outer)))
+
+
+FAMILY = standard_family()
+
+
+class TestInterfaceJump:
+    @staticmethod
+    def web(member, beta):
+        dom = FAMILY[member]
+        return build_web(dom, solve_shell(2, *class_s_data(dom)[:2], beta))
+
+    @pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+    def test_shell_has_none(self, beta):
+        assert self.web(0, beta).interface_jump == 0.0
+
+    @pytest.mark.parametrize(
+        "member, beta",
+        [(1, 0.1), (3, 1.0), (4, 10.0), (5, 10.0), (6, 0.1), (7, 0.1)],
+    )
+    def test_clipped_split_jumps_the_whole_profile(self, member, beta):
+        # past the gap the split curve reaches the outer curve, where the
+        # outer piece is v_m and the inner piece v_M
+        web = self.web(member, beta)
+        assert web.split_s > web.domain.gap
+        spread = web.radial.v_M - web.radial.v_m
+        assert web.interface_jump == pytest.approx(spread, rel=1e-12)
+        # the samples approach the supremum from below
+        assert sampled_jump(web, 2048) <= sampled_jump(web, 65536) <= web.interface_jump
+
+    @pytest.mark.parametrize("member, beta", [(1, 1.0), (3, 10.0), (6, 1.0), (7, 10.0)])
+    def test_contained_split_matches_dense_samples(self, member, beta):
+        web = self.web(member, beta)
+        assert web.split_s < web.domain.gap
+        sampled = sampled_jump(web, 65536)
+        assert sampled <= web.interface_jump <= sampled * (1.0 + 1e-8)
+
+    def test_report_carries_the_gap(self):
+        web = self.web(6, 1.0)
+        assert web.report()["gap"] == web.domain.gap == FAMILY[6].gap
 
 
 class TestRayleighQuotient:
