@@ -353,11 +353,10 @@ def _suite_shape_derivative(args, resolution):
 
 def _suite_web(args, resolution):
     res = (24, 96) if args.quick else resolution
-    quad = (256, 64) if args.quick else webfunc.DEFAULT_QUAD_LEVEL
     shell_dom = geometry.AnnularDomain(geometry.Circle((0, 0), 2.0), geometry.Circle((0, 0), 1.0))
     rad = radial.solve_shell(2, 1.0, 2.0, 1.0)
     web = webfunc.build_web(shell_dom, rad)
-    _, value = webfunc.rayleigh_quotient(web, 1.0, quad_level=quad)
+    _, value = webfunc.rayleigh_quotient(web, 1.0)
     identity = abs(value - rad.lam) / rad.lam
     error = webfunc.rayleigh_error(web, 1.0, value)
     checks = [
@@ -367,7 +366,7 @@ def _suite_web(args, resolution):
     members = analysis.standard_family()[1:] if not args.quick else analysis.standard_family()[1:3]
     reports = []
     for i, dom in enumerate(members):
-        rep = webfunc.chain_certificate(dom, 1.0, n_r=res[0], n_a=res[1], quad_level=quad)
+        rep = webfunc.chain_certificate(dom, 1.0, n_r=res[0], n_a=res[1])
         reports.append(rep)
         checks.extend(webfunc.chain_checks(rep, f"chain[{i}]"))
     return {"chains": reports}, checks

@@ -31,6 +31,11 @@ CONVEXITY_TOL = 1e-12
 CONTAINMENT_REL_GAP = 1e-9
 # Directions free_distance scans for an ellipse hole in an ellipse outer.
 FREE_DISTANCE_SCAN = 256
+# A scanned function whose spread is within FLAT_ULPS rounding units of its
+# size is flat: its scan is exact to rounding and has no extrema to polish.
+FLAT_ULPS = 16
+# Elements of one (points x edges) block of ConvexPolygon.nearest_edge.
+RAY_BLOCK = 1 << 14
 # Class-S membership: |class_s_data residual| <= CLASS_S_RTOL * |Omega|.
 CLASS_S_RTOL = 1e-8
 # Newton steps allowed to the ellipse foot-point solve; points near the
@@ -147,20 +152,23 @@ class ConvexPolygon:
 
     def nearest_edge(self, points):
         """Distance from each point to the boundary and the index of its
-        nearest edge (the first one on ties), one edge at a time."""
+        nearest edge (the first one on ties), from the (points x edges)
+        broadcast in blocks of at most RAY_BLOCK elements."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         v = self.vertices
-        d = np.roll(v, -1, axis=0) - v
-        ll = np.sum(d * d, axis=1)
-        best = np.full(len(p), np.inf)
-        nearest = np.zeros(len(p), dtype=int)
-        for k in range(len(v)):
-            # projection parameter of every point on edge k, clamped
-            t = ((p[:, 0] - v[k, 0]) * d[k, 0] + (p[:, 1] - v[k, 1]) * d[k, 1]) / ll[k]
-            t = np.clip(t, 0.0, 1.0)
-            dist = np.hypot(p[:, 0] - (v[k, 0] + t * d[k, 0]), p[:, 1] - (v[k, 1] + t * d[k, 1]))
-            nearest[dist < best] = k
-            np.minimum(best, dist, out=best)
+        (vx, vy), (dx, dy) = v.T[:, :, None], (np.roll(v, -1, axis=0) - v).T[:, :, None]
+        ll = dx * dx + dy * dy
+        best = np.empty(len(p))
+        nearest = np.empty(len(p), dtype=int)
+        step = max(1, RAY_BLOCK // len(vx))
+        for lo in range(0, len(p), step):
+            x, y = p[lo : lo + step].T
+            # projection parameter of every point on every edge, clamped
+            t = np.clip(((x - vx) * dx + (y - vy) * dy) / ll, 0.0, 1.0)
+            dist = np.hypot(x - (vx + t * dx), y - (vy + t * dy))
+            near = np.argmin(dist, axis=0)
+            nearest[lo : lo + step] = near
+            best[lo : lo + step] = dist[near, np.arange(len(near))]
         return best, nearest
 
     def sample_boundary(self, n: int) -> np.ndarray:
@@ -368,6 +376,28 @@ class BoundaryCurve:
         raise NotImplementedError
 
 
+def _secular_root(z0, z1, c: float) -> np.ndarray:
+    """tau > 0 with (z0 / (tau + c))^2 + (z1 / tau)^2 = 1, by the monotone
+    Newton iteration of Ellipse.distance."""
+    tau = np.maximum(z1, z0 - c)
+    cap = np.hypot(z0, z1)
+    todo = np.arange(len(tau))
+    for _ in range(FOOT_POINT_ITERATIONS):
+        t = tau[todo]
+        r0, r1 = z0[todo] / (t + c), z1[todo] / t
+        # Newton step for F = 1, with -F'/2 = r0^2 / (t + c) + r1^2 / t
+        step = (r0 * r0 + r1 * r1 - 1.0) / (2.0 * (r0 * r0 / (t + c) + r1 * r1 / t))
+        moved = np.minimum(t + np.maximum(step, 0.0), cap[todo])
+        tau[todo] = moved
+        todo = todo[moved != t]
+        if len(todo) == 0:
+            return tau
+    raise NumericalError(
+        f"ellipse foot-point Newton iteration did not settle in "
+        f"{FOOT_POINT_ITERATIONS} steps at {len(todo)} points"
+    )
+
+
 @dataclass(frozen=True)
 class Ellipse(BoundaryCurve):
     """Axis-aligned ellipse with semi-axes a (x) and b (y); Circle is the
@@ -416,14 +446,10 @@ class Ellipse(BoundaryCurve):
         monotonically to the root under that cap.  Axis points (an offset
         from the major axis that underflows counts as zero) are closed-form.
         """
-        q = np.abs(np.atleast_2d(np.asarray(points, dtype=float)) - self._c())
-        if self.a >= self.b:
-            (e0, e1), (y0, y1) = (self.a, self.b), q.T
-        else:
-            (e0, e1), (y1, y0) = (self.b, self.a), q.T
+        (e0, e1), (y0, y1) = self._folded(points)
         c = (e0 - e1) * (e0 + e1)
         z0, z1 = e0 * y0, e1 * y1
-        out = np.empty(len(q))
+        out = np.empty(len(y0))
         minor = y0 == 0.0
         major = ~minor & (z1 < np.finfo(float).tiny)
         evolute = major & (z0 < c)
@@ -432,27 +458,42 @@ class Ellipse(BoundaryCurve):
         out[major & ~evolute] = np.abs(y0[major & ~evolute] - e0)
 
         free = ~(minor | major)
-        y0, y1, z0, z1 = y0[free], y1[free], z0[free], z1[free]
-        tau = np.maximum(z1, z0 - c)
-        cap = np.hypot(z0, z1)
-        todo = np.arange(len(tau))
-        for _ in range(FOOT_POINT_ITERATIONS):
-            t = tau[todo]
-            r0, r1 = z0[todo] / (t + c), z1[todo] / t
-            # Newton step for F = 1, with -F'/2 = r0^2 / (t + c) + r1^2 / t
-            step = (r0 * r0 + r1 * r1 - 1.0) / (2.0 * (r0 * r0 / (t + c) + r1 * r1 / t))
-            moved = np.minimum(t + np.maximum(step, 0.0), cap[todo])
-            tau[todo] = moved
-            todo = todo[moved != t]
-            if len(todo) == 0:
-                break
-        else:
-            raise NumericalError(
-                f"ellipse foot-point Newton iteration did not settle in "
-                f"{FOOT_POINT_ITERATIONS} steps at {len(todo)} points"
-            )
+        y0, y1 = y0[free], y1[free]
+        tau = _secular_root(z0[free], z1[free], c)
         out[free] = np.abs(tau - e1 * e1) * np.hypot(y0 / (tau + c), y1 / tau)
         return out
+
+    def _folded(self, points):
+        """Semi-axes (e0, e1), major first, and the points' |offsets| (y0,
+        y1) from the centre along them: the first quadrant of distance."""
+        q = np.abs(np.atleast_2d(np.asarray(points, dtype=float)) - self._c())
+        if self.a >= self.b:
+            return (self.a, self.b), q.T
+        return (self.b, self.a), q.T[::-1]
+
+    def foot_parameter(self, points):
+        """theta of each point's nearest curve point c + (a cos theta, b sin
+        theta), from the foot-point solve of distance: the folded foot is
+        (e0 cos f, e1 sin f) with (cos f, sin f) = (e0 y0 / (tau + c), e1 y1 /
+        tau), and the axis points' feet are closed-form as there."""
+        p = np.atleast_2d(np.asarray(points, dtype=float)) - self._c()
+        (e0, e1), (y0, y1) = self._folded(points)
+        c = (e0 - e1) * (e0 + e1)
+        z0, z1 = e0 * y0, e1 * y1
+        cos_f, sin_f = np.zeros(len(p)), np.ones(len(p))
+        minor = y0 == 0.0
+        major = ~minor & (z1 < np.finfo(float).tiny)
+        evolute = major & (z0 < c)
+        cos_f[major] = 1.0
+        cos_f[evolute] = z0[evolute] / c
+        sin_f[major] = np.sqrt(1.0 - cos_f[major] ** 2)
+        free = ~(minor | major)
+        tau = _secular_root(z0[free], z1[free], c)
+        cos_f[free], sin_f[free] = z0[free] / (tau + c), z1[free] / tau
+        sx, sy = np.copysign(1.0, p[:, 0]), np.copysign(1.0, p[:, 1])
+        if self.a >= self.b:
+            return np.arctan2(sy * sin_f, sx * cos_f)
+        return np.arctan2(sy * cos_f, sx * sin_f)
 
     def ray_length(self, origin, direction):
         o = _as_point(origin) - self._c()
@@ -748,7 +789,8 @@ def free_distance(outer: BoundaryCurve, hole: BoundaryCurve) -> float:
     normals.  Inside a smooth outer the boundary distance is concave, so
     it is least at a polygon hole's vertex or a circle hole's centre less
     the radius; an ellipse hole's scan of FREE_DISTANCE_SCAN directions
-    has its local minima polished by bounded Brent.
+    has its local minima polished by bounded Brent, unless the scan is flat
+    to FLAT_ULPS rounding units.
     """
     if isinstance(outer, PolygonCurve):
         n, b = outer.polygon.edge_normals_offsets()
@@ -765,6 +807,10 @@ def free_distance(outer: BoundaryCurve, hole: BoundaryCurve) -> float:
 
     theta = 2.0 * np.pi * np.arange(FREE_DISTANCE_SCAN) / FREE_DISTANCE_SCAN
     f, step = slack(theta), theta[1]
+    if np.ptp(f) <= FLAT_ULPS * np.finfo(float).eps * np.max(np.abs(f)):
+        # a slack flat to rounding (a near-circular hole in a circle) is its
+        # own minimum, and every sample would otherwise be polished
+        return float(np.min(f))
     lows = theta[(f <= np.roll(f, 1)) & (f <= np.roll(f, -1))]
     brent = {"method": "bounded", "options": {"xatol": 1e-12}}
     polished = (minimize_scalar(slack, bounds=(t - step, t + step), **brent).fun[0] for t in lows)

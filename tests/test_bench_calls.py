@@ -13,6 +13,7 @@ import workloads  # noqa: E402
 
 from annulus_spectra.geometry import class_s_data  # noqa: E402
 from annulus_spectra.radial import solve_shell  # noqa: E402
+from annulus_spectra.webfunc import build_web  # noqa: E402
 
 
 def test_warm_up_and_first_batches_build():
@@ -43,3 +44,19 @@ def test_web_chain_regime_rule_agrees_with_the_gap():
                 r1, r2, _ = class_s_data(dom)
                 exact = solve_shell(2, r1, r2, beta).r_bar - r1 <= dom.gap
                 assert workloads._split_contained(dom, beta) == exact, (seed, index)
+
+
+def test_web_chain_ellipse_members_stay_in_the_coarea_rule():
+    # rayleigh_quotient raises on an uncontained web off the circle pairs
+    # and on a falling band R2 - r_bar past the outer ellipse's reach; no
+    # ellipse operation of the benchmark may reach either
+    workload = workloads.WORKLOADS["web_chain"]
+    for seed in range(10):
+        for index in range(4):
+            kind, dom, beta = workload.batch(workloads.batch_rng(seed, "web_chain", index))[2]
+            assert kind == "ellipse"
+            r1, r2, _ = class_s_data(dom)
+            web = build_web(dom, solve_shell(2, r1, r2, beta))
+            reach = min(dom.outer.a, dom.outer.b) ** 2 / max(dom.outer.a, dom.outer.b)
+            assert web.contained, (seed, index)
+            assert r2 - web.radial.r_bar < reach, (seed, index)

@@ -294,16 +294,14 @@ class TestVerifyCommand:
         assert runs[0] == runs[1]
         rows = [line for line in runs[0][0].splitlines() if line.startswith("[")]
         errors = [row.partition(" rayleigh_error=")[2] for row in rows]
-        # the shell row and the chains on the five eccentric circle pairs
-        # carry the computed error, the two ellipse members none
+        # the shell row and the chains on all seven members carry the
+        # computed error; the web's own checks have none
         assert rows[0].startswith("[PASS] shell_identity:")
-        assert all(float(error) <= 1e-10 for error in errors[:1] + errors[3:13])
+        assert len(rows) == 3 + 2 * 7
+        assert all(float(error) <= 1e-10 for error in errors[:1] + errors[3:])
         assert errors[1:3] == ["", ""]
-        assert errors[13:] == ["not computed"] * 4
         report = json.loads(runs[0][1])
-        assert [chain["rayleigh_error"] is None for chain in report["chains"]] == [False] * 5 + [
-            True
-        ] * 2
+        assert [chain["rayleigh_error"] <= 1e-10 for chain in report["chains"]] == [True] * 7
 
     def test_all_runs_each_suite_once(self, tmp_path, capsys, monkeypatch):
         calls = []

@@ -262,6 +262,23 @@ class TestFreeDistance:
                     0.17199999999999993, 1.1996126389613835, 0.6821998636895442]
         assert [dom.gap for dom in standard_family()] == expected
 
+    def test_near_circular_hole_skips_the_polish(self, monkeypatch):
+        # the slack of a hole a rounding unit off a circle is flat to
+        # rounding: every scan point is a local minimum, and the scan's
+        # least value is already exact
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return minimize_scalar(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "minimize_scalar", counted)
+        gap = geometry.free_distance(Circle((0, 0), 2.0), Ellipse((0, 0), 1.0, 1.0 + 1e-15))
+        assert gap == pytest.approx(1.0 - 1e-15, abs=1e-15)
+        assert calls == []
+        geometry.free_distance(*self.ELLIPSE_IN_CIRCLE)
+        assert len(calls) > 0
+
     def test_hole_poking_out_is_rejected(self):
         # the hole crosses the circle by 5e-8, between 4096 boundary samples
         outer, hole = self.ELLIPSE_IN_CIRCLE
@@ -670,6 +687,19 @@ class TestEllipseDistance:
         s_out = rng.uniform(0.0, 3.0 * max(a, b), 4000)
         for pts, s in ((foot - s_in[:, None] * normal, s_in), (foot + s_out[:, None] * normal, s_out)):
             assert np.max(np.abs(ell.distance(pts) - s)) <= 1e-13 * ell.scale
+
+    @pytest.mark.parametrize("kind", sorted(ELLIPSES))
+    def test_foot_parameter_on_known_normals(self, kind, rng):
+        ell = ELLIPSES[kind]
+        a, b = ell.a, ell.b
+        t = np.concatenate([rng.uniform(-np.pi, np.pi, 4000), np.pi / 2.0 * np.arange(-1, 3)])
+        foot = np.asarray(ell.center) + np.column_stack([a * np.cos(t), b * np.sin(t)])
+        normal = np.column_stack([b * np.cos(t), a * np.sin(t)])
+        normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
+        s = rng.uniform(0.0, 1.0, len(t)) * min(a, b) ** 2 / max(a, b)
+        found = ell.foot_parameter(foot - s[:, None] * normal)
+        # angles compared on the circle
+        assert np.max(np.abs(np.angle(np.exp(1j * (found - t))))) <= 1e-12
 
     def test_centre_and_axes(self):
         ell = Ellipse((0.0, 0.0), 2.0, 1.2)

@@ -3,14 +3,20 @@ import json
 import math
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from annulus_spectra import geometry, webfunc
 from annulus_spectra.analysis import eccentric_family, standard_family
-from annulus_spectra.errors import InfeasibleError, InvalidWebError, RangeError, SolverError
+from annulus_spectra.errors import (
+    InfeasibleError,
+    InvalidWebError,
+    NumericalError,
+    RangeError,
+    SolverError,
+)
 from annulus_spectra.fem import solve_domain
 from annulus_spectra.geometry import (
     AnnularDomain,
@@ -24,8 +30,7 @@ from annulus_spectra.geometry import (
 from annulus_spectra.radial import solve_shell
 from annulus_spectra.webfunc import (
     CLIP_SAMPLES,
-    _grid_quotient,
-    _quad_grid,
+    _level_lengths,
     _sublevel_area,
     build_web,
     chain_certificate,
@@ -249,7 +254,7 @@ class TestRayleighQuotient:
         for beta in (0.1, 1.0, 10.0):
             rad = solve_shell(2, 1.0, 2.0, beta)
             web = build_web(SHELL_DOMAIN, rad)
-            _, value = rayleigh_quotient(web, beta, quad_level=(2048, 128))
+            _, value = rayleigh_quotient(web, beta)
             assert value == pytest.approx(rad.lam, rel=1e-13)
 
     def test_uncertified_rejected(self):
@@ -382,99 +387,268 @@ class TestCoareaQuotient:
             assert 0.0 <= rayleigh_error(web, beta, value) <= 1e-10 * value
 
     def test_quad_level_is_not_read(self):
-        web = family_web(3, 1.0)
-        assert rayleigh_quotient(web, 1.0, (8, 8), True) == rayleigh_quotient(web, 1.0, None, True)
+        # chain_certificate still accepts the deleted grid's cell counts
+        dom = eccentric_family()[3]
+        assert chain_certificate(dom, 1.0, 16, 64, (8, 8)) == chain_certificate(dom, 1.0, 16, 64)
 
-    def test_grid_members_report_no_error(self):
+    def test_every_member_reports_its_error(self):
         dom = ellipse_rectangle_member()
-        report = chain_certificate(dom, 1.0, n_r=16, n_a=64, quad_level=(64, 32))
-        assert report["rayleigh_error"] is None
-        # both routes report the same three parts
+        report = chain_certificate(dom, 1.0, n_r=16, n_a=64)
+        assert 0.0 <= report["rayleigh_error"] <= 1e-10 * report["rayleigh"]
+        # both rules report the same three parts
         circle_report = chain_certificate(SHELL_DOMAIN, 1.0, n_r=16, n_a=64)
         assert report["rayleigh_parts"].keys() == circle_report["rayleigh_parts"].keys() == {
             "gradient", "boundary", "mass"
         }
         assert [check.context["rayleigh_error"] for check in chain_checks(report)] == [
-            "not computed"
+            report["rayleigh_error"]
         ] * 2
 
 
-def separate_pass_parts(web, beta, quad_level):
-    """Rayleigh parts from the public evaluate and the separate slope
-    formula, each computing its own distances."""
-    pts, weights, outer_pts, arc = _quad_grid(web, quad_level)
-    d_i = web.domain.inner.distance(pts)
-    d_o = web.domain.outer.distance(pts)
-    shell, r_bar = web.radial.shell, web.radial.r_bar
-    in_mi = d_i < web.split_s
-    rising = in_mi & (d_i < r_bar - shell.r_inner)
-    falling = ~in_mi & (d_o < shell.r_outer - r_bar)
-    slope = np.zeros(len(pts))
-    slope[rising] = np.abs(web.radial.slope(shell.r_inner + d_i[rising]))
-    slope[falling] = np.abs(web.radial.slope(shell.r_outer - d_o[falling]))
-    w_vals = web.evaluate(pts)
-    w_bnd = web.evaluate(outer_pts)
-    return {
-        "gradient": float(np.sum(weights * slope * slope)),
-        "boundary": beta * float(np.sum(arc * w_bnd * w_bnd)),
-        "mass": float(np.sum(weights * w_vals * w_vals)),
-    }
+def bisect(f, lo, hi, steps=60):
+    """Roots of the vectorized f from brackets [lo, hi] with a sign change."""
+    low = f(lo) < 0.0
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        right = (f(mid) < 0.0) == low
+        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
+    return 0.5 * (lo + hi)
 
 
-def ellipse_web():
-    dom = ellipse_rectangle_member()
+def level_set_oracle(web, beta, panels=8, n=16):
+    """R(w) of a contained web in an ellipse by nested Gauss-Legendre panels
+    in polar coordinates about the hole's reference point c, with w and
+    |grad w| read through web._profile at the points.
+
+    Each ray breaks where d_i reaches s* (= r_bar - R1 on a contained web)
+    and d_o reaches R2 - r_bar, both bisected along the ray, and, on a
+    polygon hole, where it crosses the edge-normal lines from the vertices
+    (there the nearest hole point switches between an edge and a vertex).
+    theta breaks at the hole's corners and the split curve's joints seen
+    from c, and where the split curve crosses {d_o = R2 - r_bar}.  The
+    boundary term is the trapezoid rule on the ellipse's parameter.
+    """
+    dom, rad = web.domain, web.radial
+    hole, outer, c = dom.inner, dom.outer, dom.center
+    s_star, top = web.split_s, rad.shell.r_outer - rad.r_bar
+
+    def rays(theta):
+        u = np.column_stack([np.cos(theta), np.sin(theta)])
+        return u, hole.ray_length(c, u), outer.ray_length(c, u)
+
+    def split_radius(u, r_in, r_out):
+        return bisect(lambda r: hole.distance(c + r[:, None] * u) - s_star, r_in, r_out)
+
+    def over_top(theta):
+        u, r_in, r_out = rays(theta)
+        return outer.distance(c + split_radius(u, r_in, r_out)[:, None] * u) - top
+
+    cuts = [np.linspace(0.0, 2.0 * math.pi, panels + 1)]
+    polygon = isinstance(hole, PolygonCurve)
+    if polygon:
+        v = hole.polygon.vertices
+        normal, _ = hole.polygon.edge_normals_offsets()
+        ends = np.vstack([v, v + s_star * normal, v + s_star * np.roll(normal, 1, axis=0)])
+        cuts.append(np.arctan2(ends[:, 1] - c[1], ends[:, 0] - c[0]) % (2.0 * math.pi))
+    scan = np.linspace(0.0, 2.0 * math.pi, 129)
+    h = over_top(scan)
+    k = np.flatnonzero((h[:-1] < 0.0) != (h[1:] < 0.0))
+    cuts.append(bisect(over_top, scan[k], scan[k + 1]))
+    theta, w_theta = gauss_panels(np.unique(np.concatenate(cuts)), n)
+    theta, w_theta = theta.ravel(), w_theta.ravel()
+
+    u, r_in, r_out = rays(theta)
+    assert np.all(outer.distance(c + r_in[:, None] * u) > top)  # one d_o break per ray
+    breaks = [r_in, r_out, split_radius(u, r_in, r_out)]
+    breaks.append(bisect(lambda r: outer.distance(c + r[:, None] * u) - top, r_in, r_out))
+    if polygon:
+        for nrm in (normal, np.roll(normal, 1, axis=0)):
+            # c + r u = v + lambda nrm, solved for r
+            dv = v - c
+            r = (dv[:, 0] * nrm[:, 1] - dv[:, 1] * nrm[:, 0]) / (
+                u[:, :1] * nrm[:, 1] - u[:, 1:] * nrm[:, 0]
+            )
+            breaks.extend(np.clip(r, r_in[:, None], r_out[:, None]).T)
+    r, w_r = gauss_panels(np.sort(np.column_stack(breaks), axis=1), n)
+    pts = (c + r[..., None] * u[:, None, None, :]).reshape(-1, 2)
+    w, g = web._profile(hole.distance(pts), outer.distance(pts))
+    area = (w_theta[:, None, None] * w_r * r).ravel()
+
+    t = 2.0 * math.pi * np.arange(1024) / 1024
+    rim = outer._c() + np.column_stack([outer.a * np.cos(t), outer.b * np.sin(t)])
+    speed = np.hypot(outer.a * np.sin(t), outer.b * np.cos(t))
+    boundary = 2.0 * math.pi / 1024 * float(np.sum(web.evaluate(rim) ** 2 * speed))
+    return (float(np.sum(area * g * g)) + beta * boundary) / float(np.sum(area * w * w))
+
+
+def ellipse_hole_member(offset=(0.0, 0.0)):
+    outer, shape = Ellipse((0, 0), 2.0, 1.6), Ellipse((0, 0), 1.0, 0.6)
+    hole = shape.scaled(scale_hole_to_class_s(outer, shape)).translated(offset)
+    return AnnularDomain(outer, hole)
+
+
+LEVEL_SET_CASES = {
+    "member6-1": (lambda: FAMILY[6], 1.0),
+    "member6-10": (lambda: FAMILY[6], 10.0),
+    "member7-1": (lambda: FAMILY[7], 1.0),
+    "member7-10": (lambda: FAMILY[7], 10.0),
+    # a disk written as an ellipse, so that the circle-pair rule stays out
+    "circle-hole": (
+        lambda: AnnularDomain(Ellipse((0, 0), 2.0, 2.0), Circle((0.1, 0.05), 1.0)), 1.0
+    ),
+    "ellipse-hole": (ellipse_hole_member, 1.0),
+    "ellipse-hole-off-centre": (lambda: ellipse_hole_member((0.1, 0.05)), 10.0),
+}
+
+
+def level_set_web(case):
+    make_domain, beta = LEVEL_SET_CASES[case]
+    dom = make_domain()
     r1, r2, _ = class_s_data(dom)
-    return build_web(dom, solve_shell(2, r1, r2, 1.0))
+    return build_web(dom, solve_shell(2, r1, r2, beta)), beta
 
 
-def eccentric_web():
-    dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.3, 0.1), 1.0))
-    return build_web(dom, solve_shell(2, 1.0, 2.0, 1.0))
+def sampled_level_length(web, t, n=1 << 16):
+    """Length of {d_o = t} outside K + s*B on n chords of the parallel
+    curve gamma - t nu, each crossing placed by linear interpolation of
+    d_i - s* between the chord's ends."""
+    outer, hole = web.domain.outer, web.domain.inner
+    theta = 2.0 * math.pi * np.arange(n + 1) / n
+    cos, sin = np.cos(theta), np.sin(theta)
+    nu = np.column_stack([outer.b * cos, outer.a * sin])
+    nu /= np.hypot(*nu.T)[:, None]
+    pts = outer._c() + np.column_stack([outer.a * cos, outer.b * sin]) - t * nu
+    g = np.where(hole.contains(pts), -web.split_s, hole.distance(pts) - web.split_s)
+    chord = np.hypot(*np.diff(pts, axis=0).T)
+    out = np.where(
+        (g[:-1] > 0.0) == (g[1:] > 0.0),
+        (g[:-1] > 0.0).astype(float),
+        np.maximum(g[:-1], g[1:]) / np.abs(g[1:] - g[:-1]),
+    )
+    return float(np.sum(chord * out))
 
 
-class TestQuadrature:
+class TestLevelSetQuotient:
+    @pytest.mark.parametrize("case", sorted(LEVEL_SET_CASES))
+    def test_matches_polar_oracle(self, case):
+        web, beta = level_set_web(case)
+        assert web.contained
+        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        assert value == pytest.approx(level_set_oracle(web, beta), rel=1e-7)
+
+    @pytest.mark.parametrize("case", sorted(LEVEL_SET_CASES))
+    def test_computed_error_is_small(self, case):
+        web, beta = level_set_web(case)
+        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        assert 0.0 <= rayleigh_error(web, beta, value) <= 1e-10 * value
+
     @pytest.mark.parametrize(
-        "outer, hole, area",
+        "member, beta, expected",
         [
-            (Ellipse((0.2, -0.1), 2.0, 1.4), Circle((0.2, -0.1), 0.6), math.pi * (2.0 * 1.4 - 0.36)),
-            (Circle((0, 0), 2.0), Circle((0, 0), 1.0), math.pi * (4.0 - 1.0)),
+            (6, 1.0, 2.193652743096937),
+            (6, 10.0, 4.735672299115435),
+            (7, 1.0, 4.066625989327172),
+            (7, 10.0, 8.970275531353909),
         ],
     )
-    def test_grid_weights_sum_to_area(self, outer, hole, area):
-        # only the domain enters the grid, so a stand-in web carries it
-        _, weights, _, arc = _quad_grid(SimpleNamespace(domain=AnnularDomain(outer, hole)), (64, 128))
-        assert np.sum(weights) == pytest.approx(area, rel=1e-12)
-        assert np.sum(arc) == pytest.approx(outer.perimeter(), rel=1e-12)
+    def test_scalar_root_values(self, member, beta, expected):
+        # values of a separate implementation of the same rule that found
+        # every crossing by scalar brentq
+        dom = FAMILY[member]
+        web = build_web(dom, solve_shell(2, *class_s_data(dom)[:2], beta))
+        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        assert value == pytest.approx(expected, abs=1e-8)
 
-    @pytest.mark.parametrize("make_web", [ellipse_web, eccentric_web])
-    def test_single_pass_matches_evaluate(self, make_web):
-        # the grid route directly: rayleigh_quotient takes the coarea rule
-        # on the eccentric circle pair
-        web = make_web()
-        parts, value = _grid_quotient(web, 0.7, (96, 160))
-        assert parts == separate_pass_parts(web, 0.7, (96, 160))
-        assert value == (parts["gradient"] + parts["boundary"]) / parts["mass"]
+    def test_disk_as_ellipse_matches_the_circle_pair_rule(self):
+        web, beta = level_set_web("circle-hole")
+        circle = dataclasses.replace(
+            web, domain=AnnularDomain(Circle((0, 0), 2.0), web.domain.inner)
+        )
+        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        assert value == pytest.approx(rayleigh_quotient(circle, beta, True)[1], rel=1e-13)
 
-    def test_one_distance_call_per_curve_per_grid(self, monkeypatch):
-        web = ellipse_web()
-        calls = []
-        for cls in (Ellipse, PolygonCurve):
+    def test_a_run_past_the_plateau_depth_is_cut_at_its_peak(self, monkeypatch):
+        tangencies, peaks = webfunc._tangencies, []
 
-            def counted(self, points, _distance=cls.distance):
-                calls.append((type(self).__name__, len(points)))
-                return _distance(self, points)
+        def counted(*args, **kwargs):
+            peaks.append(args)
+            return minimize_scalar(*args, **kwargs)
 
-            monkeypatch.setattr(cls, "distance", counted)
-        rayleigh_quotient(web, 1.0, quad_level=(32, 64), allow_uncertified=True)
-        assert sorted(calls) == [
-            ("Ellipse", 64), ("Ellipse", 32 * 64), ("PolygonCurve", 64), ("PolygonCurve", 32 * 64),
-        ]
+        def keeping(keep):
+            return lambda *args: (lambda sigma: sigma[keep(sigma)])(tangencies(*args))
+
+        monkeypatch.setattr(webfunc, "minimize_scalar", counted)
+        # the off-centre ellipse hole's split curve has its three tangencies
+        # past sigma = 0.3 all deeper than R2 - r_bar; without them one run
+        # rises past that depth and falls back, and bounded Brent finds its
+        # peak
+        web, beta = level_set_web("ellipse-hole-off-centre")
+        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        monkeypatch.setattr(webfunc, "_tangencies", keeping(lambda sigma: sigma < 0.3))
+        web, beta = level_set_web("ellipse-hole-off-centre")
+        _, cut = rayleigh_quotient(web, beta, allow_uncertified=True)
+        assert len(peaks) == 1
+        assert cut == pytest.approx(value, rel=1e-13)
+        # member 6's moved long edges (pieces 1 and 5) peak at depth 0.429,
+        # short of R2 - r_bar = 0.451 at beta = 1: a missed extremum there
+        # cannot be cut away
+        monkeypatch.setattr(
+            webfunc, "_tangencies",
+            keeping(lambda sigma: (np.floor(sigma) % 4 != 1) | (sigma % 1.0 == 0.0)),
+        )
+        with pytest.raises(NumericalError, match="unresolved extremum"):
+            rayleigh_quotient(level_set_web("member6-1")[0], 1.0, allow_uncertified=True)
+
+    def test_shell_written_as_an_ellipse_keeps_the_shell_identity(self):
+        # the split curve sits at one depth, where no tangency is isolated
+        dom = AnnularDomain(Ellipse((0, 0), 2.0, 2.0), Circle((0, 0), 1.0))
+        rad = solve_shell(2, 1.0, 2.0, 1.0)
+        _, value = rayleigh_quotient(build_web(dom, rad), 1.0)
+        assert value == pytest.approx(rad.lam, rel=1e-13)
+
+    @pytest.mark.parametrize("case", ["member7-10", "ellipse-hole-off-centre"])
+    def test_level_lengths_match_sampled_chords(self, case):
+        web, _ = level_set_web(case)
+        band = web._band
+        top = web.radial.shell.r_outer - web.radial.r_bar
+        # just past each break, where arcs are born at a tangency or pass a joint
+        t = np.sort(np.concatenate([np.linspace(0.02, 0.98, 9), band.breaks / top + 1e-3]) * top)
+        t = t[t < top]
+        sampled = [sampled_level_length(web, level) for level in t]
+        assert _level_lengths(web, band, t) == pytest.approx(sampled, rel=1e-7)
+
+    def test_polygon_outer_is_out_of_range(self):
+        outer = PolygonCurve(ConvexPolygon.regular(6, 2.0))
+        shape = PolygonCurve(ConvexPolygon.rectangle(1.0, 0.1))
+        dom = AnnularDomain(outer, shape.scaled(scale_hole_to_class_s(outer, shape)))
+        web = build_web(dom, solve_shell(2, *class_s_data(dom)[:2], 1.0))
+        assert web.contained
+        with pytest.raises(RangeError, match="elliptic outer"):
+            rayleigh_quotient(web, 1.0, allow_uncertified=True)
+
+    def test_band_past_the_reach_is_out_of_range(self):
+        # the falling band R2 - r_bar = 0.2028 passes the reach 0.6^2 / 2
+        outer, shape = Ellipse((0, 0), 2.0, 0.6), Ellipse((0, 0), 1.0, 0.05)
+        dom = AnnularDomain(outer, shape.scaled(scale_hole_to_class_s(outer, shape)))
+        web = build_web(dom, solve_shell(2, *class_s_data(dom)[:2], 10.0))
+        assert web.contained
+        with pytest.raises(RangeError, match="reach"):
+            rayleigh_quotient(web, 10.0, allow_uncertified=True)
+
+    def test_uncontained_web_is_rejected_even_when_allowed(self):
+        dom = FAMILY[6]
+        web = build_web(dom, solve_shell(2, *class_s_data(dom)[:2], 0.1))
+        assert not web.contained
+        with pytest.raises(InvalidWebError, match="contained"):
+            rayleigh_quotient(web, 0.1, allow_uncertified=True)
+        with pytest.raises(InvalidWebError):
+            chain_certificate(dom, 0.1, n_r=16, n_a=64)
 
 
 class TestChainCertificate:
     def test_flags_read_the_checks(self):
         dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.2, 0), 1.0))
-        report = chain_certificate(dom, 1.0, n_r=16, n_a=64, quad_level=(64, 32))
+        report = chain_certificate(dom, 1.0, n_r=16, n_a=64)
         lower, upper = chain_checks(report, "chain[0]")
         assert (lower.name, upper.name) == ("chain[0].lower", "chain[0].upper")
         assert (report["lower_ok"], report["upper_ok"]) == (lower.passed, upper.passed)
@@ -488,7 +662,7 @@ class TestChainCertificate:
 
     def test_report_fields_and_chain(self):
         dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.2, 0), 1.0))
-        report = chain_certificate(dom, 1.0, n_r=32, n_a=128, quad_level=(256, 64))
+        report = chain_certificate(dom, 1.0, n_r=32, n_a=128)
         for key in (
             "s_star",
             "interface_jump",
@@ -512,15 +686,15 @@ class TestChainCertificate:
         ids=["shell", "eccentric", "ellipse"],
     )
     def test_report_equals_serial_composition(self, make_domain):
-        beta, quad = 1.0, (256, 64)
-        report = chain_certificate(make_domain(), beta, n_r=16, n_a=64, quad_level=quad)
+        beta = 1.0
+        report = chain_certificate(make_domain(), beta, n_r=16, n_a=64)
         # the legs one after the other, on a fresh domain (no memoised mesh)
         dom = make_domain()
         r1, r2, _ = class_s_data(dom)
         radial = solve_shell(2, r1, r2, beta)
         fem = solve_domain(dom, beta, 16, 64)
         web = build_web(dom, radial)
-        parts, value = rayleigh_quotient(web, beta, quad, allow_uncertified=True)
+        parts, value = rayleigh_quotient(web, beta, allow_uncertified=True)
         serial = web.report() | {
             "rayleigh": value,
             "rayleigh_parts": parts,
@@ -538,7 +712,7 @@ class TestChainCertificate:
             return solve_domain(*args)
 
         monkeypatch.setattr(webfunc, "solve_domain", recording_solve)
-        chain_certificate(SHELL_DOMAIN, 1.0, n_r=16, n_a=64, quad_level=(64, 32))
+        chain_certificate(SHELL_DOMAIN, 1.0, n_r=16, n_a=64)
         assert solve_threads == [threading.get_ident()]
 
     def test_fem_error_wins_over_web_error(self, monkeypatch):
