@@ -1,8 +1,8 @@
 """Planar convex-body computations and annular domain bookkeeping.
 
-The 2D machinery (areas, perimeters, quermassintegrals, inradius, outer
-parallel bodies, boundary distances, and the intersection area of two
-convex polygons that share an inner point) works on convex polygons and on
+The 2D machinery (areas, perimeters, quermassintegrals, inradius, support
+points and functions, boundary distances, and the lineups of a hole's
+support points with an outer ellipse's) works on convex polygons and on
 the two boundary-curve kinds used throughout the package: axis-aligned
 ellipses, of which a circle is the a = b case, and convex polygons.
 """
@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog, minimize_scalar
-from scipy.spatial import HalfspaceIntersection, QhullError
+from scipy.optimize import linprog
 from scipy.special import ellipe
 
 from .errors import (
@@ -29,10 +28,12 @@ from .errors import (
 # Collinearity slack for convexity tests, scaled by the squared body size.
 CONVEXITY_TOL = 1e-12
 CONTAINMENT_REL_GAP = 1e-9
-# Directions free_distance scans for an ellipse hole in an ellipse outer.
-FREE_DISTANCE_SCAN = 256
-# A scanned function whose spread is within FLAT_ULPS rounding units of its
-# size is flat: its scan is exact to rounding and has no extrema to polish.
+# Normal angles that lineups scans for sign changes, and the Illinois
+# steps that take each root from its 2 pi / LINEUP_SCAN bracket to rounding.
+LINEUP_SCAN = 256
+LINEUP_STEPS = 10
+# A scanned function within FLAT_ULPS rounding units of zero is flat: it
+# has no isolated roots to bracket.
 FLAT_ULPS = 16
 # Elements of one (points x edges) block of ConvexPolygon.nearest_edge.
 RAY_BLOCK = 1 << 14
@@ -64,11 +65,6 @@ def _as_directions(direction):
     """(m, 2) direction rows, and whether a single direction was given."""
     u = np.asarray(direction, dtype=float)
     return u.reshape(-1, 2), u.ndim == 1
-
-
-def _cross(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise z component of p x q."""
-    return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
 
 
 def _shoelace(verts: np.ndarray) -> float:
@@ -249,32 +245,6 @@ def inradius(poly: ConvexPolygon, return_center: bool = False):
     return rho
 
 
-def convex_intersection_area(a: ConvexPolygon, b: ConvexPolygon, center) -> float:
-    """Area of the intersection of two convex polygons that both contain
-    center strictly (GeometryError otherwise).
-
-    The intersection is that of both polygons' edge halfspaces
-    {n_e . x <= b_e}, found by Qhull (scipy's HalfspaceIntersection) about
-    center; its vertices, sorted by angle about center, give the area.
-    """
-    c = _as_point(center)
-    halfspaces = []
-    for poly in (a, b):
-        v = poly.vertices - c
-        # twice the area of (center, v_k, v_k+1), the edge length times the
-        # margin of center: positive on every edge iff center is inside
-        if not np.all(_cross(v, np.roll(v, -1, axis=0)) > 0.0):
-            raise GeometryError("center is not strictly inside both polygons")
-        n, h = poly.edge_normals_offsets()
-        halfspaces.append(np.column_stack([n, -h]))
-    try:
-        verts = HalfspaceIntersection(np.vstack(halfspaces), c).intersections - c
-    except QhullError as err:
-        reason = str(err).splitlines()[0]
-        raise GeometryError(f"Qhull cannot intersect the polygons about center: {reason}") from None
-    return _shoelace(verts[np.argsort(np.arctan2(verts[:, 1], verts[:, 0]))])
-
-
 def aleksandrov_fenchel_check(poly: ConvexPolygon) -> float:
     """Margin (W1/omega_2) - sqrt(W0/omega_2); nonnegative, zero for disks.
 
@@ -331,9 +301,6 @@ class BoundaryCurve:
 
     def outward_normal(self, points) -> np.ndarray:
         raise NotImplementedError
-
-    def to_polygon(self, n: int) -> ConvexPolygon:
-        return ConvexPolygon(self.sample(n))
 
     def translated(self, vector) -> "BoundaryCurve":
         raise NotImplementedError
@@ -546,9 +513,10 @@ class Ellipse(BoundaryCurve):
 
 
 class Circle(Ellipse):
-    """The ellipse a = b = radius.  Its closed-form distance is ten times
-    faster than the foot-point Newton solve, and its ray_length gives t = r
-    exactly on rays from the centre, which keeps meshes on circles exact."""
+    """The ellipse a = b = radius.  Its closed-form distance and foot
+    parameter are ten to twenty times faster than the foot-point Newton
+    solve, and its ray_length gives t = r exactly on rays from the centre,
+    which keeps meshes on circles exact."""
 
     def __init__(self, center, radius):
         if not 0.0 < radius < math.inf:
@@ -562,6 +530,10 @@ class Circle(Ellipse):
     def distance(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float))
         return np.abs(np.hypot(*(p - self._c()).T) - self.radius)
+
+    def foot_parameter(self, points):
+        p = np.atleast_2d(np.asarray(points, dtype=float)) - self._c()
+        return np.arctan2(p[:, 1], p[:, 0])
 
     def ray_length(self, origin, direction):
         o = _as_point(origin) - self._c()
@@ -788,9 +760,9 @@ def free_distance(outer: BoundaryCurve, hole: BoundaryCurve) -> float:
     (Schneider, Convex Bodies, sec. 1.7), over a polygon outer's edge
     normals.  Inside a smooth outer the boundary distance is concave, so
     it is least at a polygon hole's vertex or a circle hole's centre less
-    the radius; an ellipse hole's scan of FREE_DISTANCE_SCAN directions
-    has its local minima polished by bounded Brent, unless the scan is flat
-    to FLAT_ULPS rounding units.
+    the radius.  For an ellipse hole the slack's derivative in the normal
+    angle is (X(u) - P(u)) . u_perp, so its least value is at one of the
+    same-normal lineups, or at any angle when the lineup is flat.
     """
     if isinstance(outer, PolygonCurve):
         n, b = outer.polygon.edge_normals_offsets()
@@ -800,61 +772,52 @@ def free_distance(outer: BoundaryCurve, hole: BoundaryCurve) -> float:
         extreme = hole._c()[None] if circle else hole.polygon.vertices
         d = outer.distance(extreme)
         return float(np.min(np.where(outer.contains(extreme), d, -d))) - (hole.a if circle else 0.0)
-
-    def slack(theta):
-        u = np.column_stack([np.cos(theta), np.sin(theta)])
-        return np.sum((outer.support_point(u) - hole.support_point(u)) * u, axis=1)
-
-    theta = 2.0 * np.pi * np.arange(FREE_DISTANCE_SCAN) / FREE_DISTANCE_SCAN
-    f, step = slack(theta), theta[1]
-    if np.ptp(f) <= FLAT_ULPS * np.finfo(float).eps * np.max(np.abs(f)):
-        # a slack flat to rounding (a near-circular hole in a circle) is its
-        # own minimum, and every sample would otherwise be polished
-        return float(np.min(f))
-    lows = theta[(f <= np.roll(f, 1)) & (f <= np.roll(f, -1))]
-    brent = {"method": "bounded", "options": {"xatol": 1e-12}}
-    polished = (minimize_scalar(slack, bounds=(t - step, t + step), **brent).fun[0] for t in lows)
-    return float(min(np.min(f), *polished))
+    phi, _, far = lineups(outer, hole)
+    phi = np.append(phi[~far], 0.0)
+    u = np.column_stack([np.cos(phi), np.sin(phi)])
+    return float(np.min(np.sum((outer.support_point(u) - hole.support_point(u)) * u, axis=1)))
 
 
-def disk_intersection_area(c1, r1: float, c2, r2: float) -> float:
-    """Area of the intersection of two disks (lens closed form)."""
-    d = float(np.hypot(*(_as_point(c1) - _as_point(c2))))
-    if d >= r1 + r2:
-        return 0.0
-    if d <= abs(r1 - r2):
-        r = min(r1, r2)
-        return math.pi * r * r
-    # within an ulp of tangency a cosine can round past 1 in magnitude.
-    # a1 and a2 are circle_in_disk_angle(r1, d, r2) and (r2, d, r1), kept
-    # on math.acos: np.arccos rounds about one value in ten differently,
-    # which would move the split that brentq finds on this lens
-    a1 = math.acos(min(1.0, max(-1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
-    a2 = math.acos(min(1.0, max(-1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
-    return r1 * r1 * (a1 - 0.5 * math.sin(2.0 * a1)) + r2 * r2 * (a2 - 0.5 * math.sin(2.0 * a2))
+_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])  # u @ it is u turned by +pi/2
 
 
-def circle_in_disk_angle(r, d: float, big_r: float) -> np.ndarray:
-    """Half the angle of the arc of a circle of radius r that lies inside a
-    disk of radius big_r whose center is d away, seen from the circle's
-    center and measured from the direction of the disk's (vectorized in
-    r > 0).
+def lineups(outer: Ellipse, hole: BoundaryCurve):
+    """(phi, source, far): the normal angles phi at which the outer
+    ellipse's support point X and the hole's P line up along u = (cos phi,
+    sin phi), with the same normal (X(u), far False) or the opposite one
+    (X(-u), far True): the roots of (X(+-u) - P(u)) . u_perp.
 
-    The arc is 2 r times it.  By the law of cosines it is
-    arccos((r^2 + d^2 - big_r^2) / (2 r d)), clamped as in
-    disk_intersection_area: pi for r <= big_r - d, 0 for r >= big_r + d.
+    P is the support point of an ellipse hole (source 0), or polygon vertex
+    source held fixed.  The same-normal roots are the critical points of
+    the support-function slack h_outer - h_hole.  Each root is bracketed on
+    a scan of LINEUP_SCAN angles and polished by the Illinois variant of
+    regula falsi, which keeps the bracket; a row flat to FLAT_ULPS rounding
+    units has none.
     """
-    r = np.asarray(r, dtype=float)
-    if d == 0.0:
-        return np.where(r <= big_r, math.pi, 0.0)
-    return np.arccos(np.clip((r * r + d * d - big_r * big_r) / (2.0 * r * d), -1.0, 1.0))
+    n = LINEUP_SCAN
+    polygon = isinstance(hole, PolygonCurve)
+    vertices = hole.polygon.vertices if polygon else None
 
+    def lineup(phi, source, far):
+        u = np.column_stack([np.cos(phi), np.sin(phi)])
+        p = vertices[source] if polygon else hole.support_point(u)
+        x = outer.support_point(np.where(far[:, None], -u, u))
+        return np.sum((x - p) * (u @ _QUARTER_TURN), axis=1)
 
-def outer_parallel_points(curve: BoundaryCurve, delta: float, n: int) -> np.ndarray:
-    """n boundary points of the outer parallel body at distance delta: its
-    support points, the curve's plus delta u, exact on a polygon's corner arcs."""
-    if delta < 0.0:
-        raise GeometryError("offset must be nonnegative")
-    theta = 2.0 * np.pi * np.arange(n) / n
-    u = np.column_stack([np.cos(theta), np.sin(theta)])
-    return curve.support_point(u) + delta * u
+    # rows 2j and 2j + 1: vertex j (or the whole hole) with X(u) and X(-u)
+    rows = np.repeat(np.arange(2 * (len(vertices) if polygon else 1)), n)
+    phi = np.tile(2.0 * math.pi * np.arange(n) / n, len(rows) // n)
+    g = lineup(phi, rows // 2, rows % 2 == 1).reshape(-1, n)
+    flat = np.max(np.abs(g), axis=1) <= FLAT_ULPS * np.finfo(float).eps * outer.scale
+    k = np.flatnonzero(((g < 0.0) != (np.roll(g, -1, axis=1) < 0.0)) & ~flat[:, None])
+    source, far = k // n // 2, k // n % 2 == 1
+    a, b = phi[k], phi[k] + 2.0 * math.pi / n
+    ga, gb = g.ravel()[k], np.roll(g, -1, axis=1).ravel()[k]
+    for _ in range(LINEUP_STEPS):
+        c = b - gb * (b - a) / (gb - ga)
+        gc = lineup(c, source, far)
+        # b moves to c; a stays, its value halved, while c keeps b's side
+        same = (gc < 0.0) == (gb < 0.0)
+        a, ga = np.where(same, a, b), np.where(same, 0.5 * ga, gb)
+        b, gb = c, gc
+    return b, source, far

@@ -14,15 +14,18 @@ distance, is therefore part of the certificate and webs that exceed the
 declared tolerance are flagged instead of silently accepted.
 
 Each piece of the web depends on one distance, which has unit gradient,
-so by the coarea formula every integral of its Rayleigh quotient is a 1D
-integral of the profile against the length of a level set (the inner
-parallel method).  On circle pairs those lengths are closed-form arcs; for
-a contained web in an ellipse they are whole parallel curves of the hole
-and the parallel curves of the ellipse less their arcs inside the grown
-hole.  Either way the quotient is computed to round-off, with its
-quadrature error, and there is no grid.  The sandwich lambda(Omega) <=
-R(w) <= lambda_shell is read only on certified webs: off the shell the
-interface jump is a real feature of the construction.
+so by the coarea formula the area law that places the split and every
+integral of the Rayleigh quotient are 1D integrals against the length of
+a level set (the inner parallel method).  With an ellipse outside (a
+circle among them) and any convex hole one rule gives those lengths: the
+level sets of the hole distance are the boundaries of the parallel bodies
+K + sB, those of the outer distance are the ellipse's inner parallel
+curves, and each is clipped by the other's region at their crossings,
+between which both have closed-form arc lengths.  The quotient is
+computed to round-off, with its quadrature error, and there is no grid
+and no polygon.  The sandwich lambda(Omega) <= R(w) <= lambda_shell is
+read only on certified webs: off the shell the interface jump is a real
+feature of the construction.
 """
 
 from __future__ import annotations
@@ -33,77 +36,57 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 from scipy.special import ellipeinc
 
 from .analysis import InequalityReport
 from .errors import InfeasibleError, InvalidWebError, NumericalError, RangeError
 from .fem import solve_domain
 from .geometry import (
+    _QUARTER_TURN,
     CLASS_S_RTOL,
-    FLAT_ULPS,
-    FREE_DISTANCE_SCAN,
     AnnularDomain,
-    Circle,
     ConvexPolygon,
     Ellipse,
     PolygonCurve,
-    _cross,
-    circle_in_disk_angle,
     class_s_data,
-    convex_intersection_area,
-    disk_intersection_area,
-    outer_parallel_points,
+    lineups,
 )
 from .radial import RadialEigenResult, solve_shell
 
 CONTINUITY_FACTOR = 1e-3
-# Gauss-Legendre nodes per panel of the coarea quotient, and the coarser
-# count that its quadrature error is read against
+# Gauss-Legendre nodes per panel of the coarea integrals, and the coarser
+# count that their quadrature error is read against
 COAREA_NODES = (32, 16)
-# bisections of a tangency's normal angle from its 2 pi / FREE_DISTANCE_SCAN
-# bracket, down to about 1e-15
-TANGENCY_BISECTIONS = 42
 # Newton steps allowed to a level-set crossing; bisection guards each one
 CROSSING_ITERATIONS = 60
-# split-curve nodes closer than this fraction of its parameter range, and
-# t-panel breaks closer than this fraction of the falling band, are merged
+# Newton steps allowed to the area law past the gap, bisection guarding
+# each, and the step, relative to s*, that ends the solve
+SPLIT_ITERATIONS = 40
+SPLIT_RTOL = 1e-13
+# split-curve nodes closer than this fraction of its parameter range are merged
 MERGE_RTOL = 1e-12
+# read only by perfbench/workloads.py::_split_contained
 CLIP_SAMPLES = 2048
-# brentq's absolute tolerance on s*, relative to the farthest outer distance
-SPLIT_XTOL = 1e-12
-
-
-def _sublevel_area(domain: AnnularDomain, s: float, outer_poly) -> float:
-    """|{x in Omega : dist(x, hole) < s}|.
-
-    Steiner-exact while the parallel body stays inside the outer region
-    (s up to the domain's gap); afterwards the overflow is cut off
-    analytically for circle pairs and otherwise by the exact area of the
-    parallel body's polygon inside outer_poly, both star shaped about the
-    domain's center.
-    """
-    hole = domain.inner
-    if s <= domain.gap:
-        return hole.perimeter() * s + math.pi * s * s
-    if isinstance(hole, Circle) and isinstance(domain.outer, Circle):
-        grown = disk_intersection_area(
-            hole.center, hole.radius + s, domain.outer.center, domain.outer.radius
-        )
-        return grown - hole.area()
-    body = ConvexPolygon(outer_parallel_points(hole, s, CLIP_SAMPLES))
-    return convex_intersection_area(body, outer_poly, domain.center) - hole.area()
 
 
 def _split(domain: AnnularDomain, radial: RadialEigenResult):
-    """(s*, outer_poly): the distance s* whose hole-distance sublevel set
-    has the area of the shell's inner part, between R1 and r_bar, and the
-    outer polygon of the area law.
+    """(s*, area error, integrals): the distance s* whose hole-distance
+    sublevel set has the area of the shell's inner part, between R1 and
+    r_bar, the relative error of that area, and the _coarea_pass integrals
+    of the web split there (None inside the gap).
 
-    Up to the hole's free distance domain.gap the area law is an exact
-    quadratic in s whose class-S root is r_bar - R1, returned with
-    outer_poly None; past it the outer boundary truncates the law and
-    brentq finds s* on it.
+    Up to the hole's free distance domain.gap the area law is Steiner's
+    A(s) = P(K) s + pi s^2, whose class-S root is r_bar - R1.  Past it the
+    outer ellipse clips the parallel body and A' = P_i(s), the length of
+    the boundary of K + sB inside it (_level_lengths at depth 0).  So s* is
+    a safeguarded Newton solve on A = the coarea integral of P_i at
+    COAREA_NODES[0] nodes per panel, started by _area_start, or at r_bar -
+    R1, a lower bound as P_i <= P(K) + 2 pi s.  It stops once its step
+    falls below SPLIT_RTOL of s*, and the area error is the residual there
+    plus |A_32 - A_16|.  Each step is one _coarea_pass, so the last one
+    leaves the quotient's integrals too.  RangeError past the gap unless
+    the outer curve is an ellipse.
     """
     r1, r2, residual = class_s_data(domain)
     if abs(residual) > CLASS_S_RTOL * domain.area:
@@ -116,24 +99,48 @@ def _split(domain: AnnularDomain, radial: RadialEigenResult):
     target = math.pi * (radial.r_bar**2 - r1 * r1)
     if target >= domain.area:
         raise InfeasibleError("split area target exceeds the domain area")
+    lo, hi = radial.r_bar - r1, math.inf
+    if lo <= domain.gap:
+        steiner = domain.inner.perimeter() * lo + math.pi * lo * lo
+        return lo, abs(steiner - target) / target, None
+    if not isinstance(domain.outer, Ellipse):
+        raise RangeError("the area law past the gap needs an elliptic outer curve")
 
-    if radial.r_bar - r1 <= domain.gap:
-        return radial.r_bar - r1, None
+    frame = _frame(domain)
+    s = _area_start(frame, domain, [*frame.exits, lo], target) or lo
+    for _ in range(SPLIT_ITERATIONS):
+        integrals, area, length = _coarea_pass(frame, domain, radial, s)
+        miss = area[0] - target
+        step = miss / length
+        if abs(step) <= SPLIT_RTOL * s:
+            return s, (abs(miss) + abs(area[0] - area[1])) / target, integrals
+        lo, hi = (s, hi) if miss < 0.0 else (lo, s)
+        s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
+    raise NumericalError(f"the area law's Newton solve did not settle near s = {s:.6g}")
 
-    outer_poly = domain.outer.to_polygon(CLIP_SAMPLES)
-    boundary_pts = domain.outer.sample(CLIP_SAMPLES)
-    s_hi = float(np.max(domain.inner.distance(boundary_pts)))
 
-    def shortfall(s):
-        return _sublevel_area(domain, s, outer_poly) - target
+def _area_start(frame, domain: AnnularDomain, breaks, target: float):
+    """A start for the area law's Newton solve, or None.
 
-    # the Steiner area at the gap is below the target, as r_bar - R1 > gap
-    if shortfall(s_hi) < 0.0:
-        raise InfeasibleError(
-            f"split area target is not reached within the outer polygon (s <= {s_hi:.6g})"
-        )
-    s_star = brentq(shortfall, domain.gap, s_hi, xtol=SPLIT_XTOL * s_hi)
-    return s_star, outer_poly
+    One pass of P_i at COAREA_NODES[0] nodes per panel from the gap to the
+    farthest exit, where K + sB covers the ellipse, finds the panel where
+    A reaches target.  There the integrand in the panel's Gauss variable is
+    smooth, and the root of its Legendre interpolant's integral, mapped
+    back through the interpolant of s, is s* to about rounding.
+    """
+    n, gap = COAREA_NODES[0], domain.gap
+    s, w = _cosine_panels(gap, float(np.max(frame.exits)), breaks, n)
+    x, wx = _legendre(n)
+    f = (w * _level_lengths(frame, domain, s, np.zeros(len(s)))[0]).reshape(-1, n)
+    ends = domain.inner.perimeter() * gap + math.pi * gap * gap + np.cumsum(np.sum(f, axis=1))
+    j = int(np.searchsorted(ends, target))
+    if j == len(ends):
+        return None
+    leg = np.polynomial.legendre
+    area = leg.legint(leg.legfit(x, f[j] / wx, n - 1), lbnd=-1.0, k=ends[j] - np.sum(f[j]) - target)
+    roots = np.asarray(leg.legroots(area), dtype=complex)
+    root = roots[np.argmin(np.abs(roots.imag) + np.maximum(np.abs(roots.real) - 1.0, 0.0))].real
+    return float(leg.legval(np.clip(root, -1.0, 1.0), leg.legfit(x, s.reshape(-1, n)[j], n - 1)))
 
 
 @dataclass(frozen=True)
@@ -196,8 +203,8 @@ class WebFunction:
         return value, slope
 
     @functools.cached_property
-    def _band(self):
-        return _outer_band(self)
+    def _integrals(self):
+        return _coarea_pass(_frame(self.domain), self.domain, self.radial, self.split_s)[0]
 
     def report(self) -> dict:
         return {
@@ -224,19 +231,22 @@ def build_web(domain: AnnularDomain, radial: RadialEigenResult) -> WebFunction:
         raise RangeError("web functions are built on planar domains only")
     if radial.beta == 0.0:
         raise RangeError("web construction needs beta > 0")
-    s_star, outer_poly = _split(domain, radial)
+    s_star, area_err, integrals = _split(domain, radial)
     shell, r_bar = radial.shell, radial.r_bar
     inside_val = radial.value(min(shell.r_inner + s_star, r_bar))
     outer_val = radial.value(max(shell.r_outer - max(domain.gap - s_star, 0.0), r_bar))
-    target = math.pi * (r_bar**2 - shell.r_inner**2)
-    return WebFunction(
+    web = WebFunction(
         domain=domain,
         radial=radial,
         split_s=s_star,
         continuity_tol=CONTINUITY_FACTOR * radial.v_M,
         interface_jump=abs(float(inside_val) - float(outer_val)),
-        split_area_rel_err=abs(_sublevel_area(domain, s_star, outer_poly) - target) / target,
+        split_area_rel_err=area_err,
     )
+    if integrals is not None:
+        # the split's last pass serves the quotient: fill the cached_property
+        web.__dict__["_integrals"] = integrals
+    return web
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,7 +264,7 @@ def _cosine_panels(lo: float, hi: float, breaks, n: int):
 
     Each panel [p, q] is mapped by t = p + (q - p)(1 - cos u)/2, u in
     [0, pi], whose sin u factor absorbs the square-root ends of the arc
-    lengths at the tangency radii.
+    lengths where level sets touch.
     """
     cuts = np.unique(np.clip([lo, hi, *breaks], lo, hi))
     x, wx = _legendre(n)
@@ -264,60 +274,6 @@ def _cosine_panels(lo: float, hi: float, breaks, n: int):
     return t.ravel(), (0.25 * math.pi * (q - p) * np.sin(u) * wx).ravel()
 
 
-def _coarea_quotient(web: WebFunction, beta: float, n: int):
-    """({gradient, boundary, mass}, value) on a circle pair by the coarea
-    formula, n Gauss-Legendre nodes per panel.
-
-    Both distances have unit gradient, so each volume integral is a 1D
-    integral of the profile against the length of a level set.  On the
-    inner piece the level sets of d_i = s in [0, s*] are the circles
-    |x - c_h| = R1 + s inside the outer disk; on the outer piece those of
-    d_o = t are the circles |x - c_o| = R2 - t outside the disk
-    |x - c_h| < b, b = R1 + s*.  The boundary term runs over the angle psi
-    at c_o from the direction of c_h, where |x - c_h|^2 = R2^2 + e^2 -
-    2 R2 e cos psi; it is the constant v_m^2 2 pi R2 when the inner piece
-    stays off the outer circle (b <= R2 - e).  Panels break where an arc
-    length or the profile has a kink: the tangency radii, the plateau
-    radius r_bar and the split.
-    """
-    hole, outer, radial = web.domain.inner, web.domain.outer, web.radial
-    r1, r2 = radial.shell.r_inner, radial.shell.r_outer
-    h1, h2, r_bar = hole.radius, outer.radius, radial.r_bar
-    e = float(np.hypot(*np.subtract(hole.center, outer.center)))
-    b = h1 + web.split_s
-
-    s, ws = _cosine_panels(0.0, web.split_s, [h2 - e - h1, h2 + e - h1, r_bar - r1], n)
-    ws *= 2.0 * (h1 + s) * circle_in_disk_angle(h1 + s, e, h2)
-    rising = s < r_bar - r1
-    gradient = float(np.sum(ws[rising] * radial.slope(r1 + s[rising]) ** 2))
-    mass = float(np.sum(ws * radial.value(np.minimum(r1 + s, r_bar)) ** 2))
-
-    t, wt = _cosine_panels(0.0, h2 - max(0.0, b - e), [h2 - abs(b - e), h2 - b - e, r2 - r_bar], n)
-    wt *= 2.0 * (h2 - t) * (math.pi - circle_in_disk_angle(h2 - t, e, b))
-    falling = t < r2 - r_bar
-    gradient += float(np.sum(wt[falling] * radial.slope(r2 - t[falling]) ** 2))
-    mass += float(np.sum(wt * radial.value(np.maximum(r2 - t, r_bar)) ** 2))
-
-    w_out = float(radial.value(r2)) ** 2
-    if b <= h2 - e:
-        boundary = 2.0 * math.pi * h2 * w_out
-    else:
-        # psi runs to the ends of the outer circle's arcs inside the disks
-        # |x - c_h| < b and < the plateau radius, both centred on psi = 0
-        ends = circle_in_disk_angle(h2, e, np.array([b, h1 + r_bar - r1]))
-        psi, wp = _cosine_panels(0.0, math.pi, ends, n)
-        d_i = np.sqrt(h2 * h2 + e * e - 2.0 * h2 * e * np.cos(psi)) - h1
-        inner = d_i < web.split_s
-        w2 = np.full(len(psi), w_out)
-        w2[inner] = radial.value(np.minimum(r1 + d_i[inner], r_bar)) ** 2
-        boundary = 2.0 * h2 * float(np.sum(wp * w2))
-    parts = {"gradient": gradient, "boundary": beta * boundary, "mass": mass}
-    return parts, (gradient + beta * boundary) / mass
-
-
-_QUARTER_TURN = np.array([[0.0, 1.0], [-1.0, 0.0]])  # u @ it is u turned by +pi/2
-
-
 def _corners(polygon: ConvexPolygon):
     """Edge normals and edge vectors, and for each vertex the normal angle
     of the edge before it and the turn to the normal of the edge after it
@@ -325,25 +281,45 @@ def _corners(polygon: ConvexPolygon):
     normal, _ = polygon.edge_normals_offsets()
     edge = np.roll(polygon.vertices, -1, axis=0) - polygon.vertices
     before = np.roll(normal, 1, axis=0)
-    turn = np.arctan2(_cross(before, normal), np.sum(before * normal, axis=1))
+    cross = before[:, 0] * normal[:, 1] - before[:, 1] * normal[:, 0]
+    turn = np.arctan2(cross, np.sum(before * normal, axis=1))
     return normal, edge, np.arctan2(before[:, 1], before[:, 0]), np.maximum(turn, 0.0)
 
 
-def _parallel_boundary(hole, s: float):
-    """(pieces, walk): the boundary of the parallel body K + sB,
-    counterclockwise, with walk(sigma) its points and tangent vectors at
-    sigma in [0, pieces).
+def _arc_and_turn(ellipse: Ellipse, theta):
+    """Arc length of the ellipse c + (a cos theta, b sin theta) and its
+    normal angle, both continuous in theta and up to constants: the
+    incomplete elliptic integral of the second kind (DLMF 19.2.5), and theta
+    plus the normal's lead over it."""
+    a, b = ellipse.a, ellipse.b
+    if a >= b:
+        arc = a * ellipeinc(theta - 0.5 * math.pi, 1.0 - (b / a) ** 2)
+    else:
+        arc = b * ellipeinc(theta, 1.0 - (a / b) ** 2)
+    sin, cos = np.sin(theta), np.cos(theta)
+    return arc, theta + np.arctan((a - b) * sin * cos / (b * cos * cos + a * sin * sin))
+
+
+def _parallel_boundary(hole):
+    """(pieces, walk, length): the boundary of the parallel body K + sB,
+    counterclockwise, with walk(sigma, s) its points and tangent vectors at
+    sigma in [0, pieces) and length(sigma, s) its length from sigma = 0.
 
     A circle or an ellipse is one piece, the support points plus s u at the
-    normal angle 2 pi sigma.  A polygon has 2m: piece 2j is the corner arc of
+    normal angle 2 pi sigma, whose length is the hole's arc up to there plus
+    s times the turn.  A polygon has 2m: piece 2j is the corner arc of
     radius s about vertex j, from the normal of the edge before it to the
     normal of the edge after it, and piece 2j + 1 is edge j moved out by s.
     """
     if isinstance(hole, PolygonCurve):
         v = hole.polygon.vertices
         normal, edge, start, span = _corners(hole.polygon)
+        arc = np.column_stack([np.zeros(len(v)), np.hypot(edge[:, 0], edge[:, 1])]).ravel()
+        turn = np.column_stack([span, np.zeros(len(v))]).ravel()
+        arc_to, turn_to = np.cumsum(arc) - arc, np.cumsum(turn) - turn
 
-        def walk(sigma):
+        def walk(sigma, s):
+            s = np.broadcast_to(s, sigma.shape)[:, None]
             k = np.minimum(sigma.astype(int), 2 * len(v) - 1)
             j, x, corner = k // 2, sigma - k, (k % 2 == 0)[:, None]
             phi = start[j] + x * span[j]
@@ -352,60 +328,48 @@ def _parallel_boundary(hole, s: float):
             side = v[j] + s * normal[j] + x[:, None] * edge[j], edge[j]
             return np.where(corner, arc[0], side[0]), np.where(corner, arc[1], side[1])
 
-        return 2 * len(v), walk
+        def length(sigma, s):
+            k = np.minimum(sigma.astype(int), 2 * len(v) - 1)
+            x = sigma - k
+            return arc_to[k] + x * arc[k] + s * (turn_to[k] + x * turn[k])
 
-    def walk(sigma):
+        return 2 * len(v), walk, length
+
+    def walk(sigma, s):
         phi = 2.0 * math.pi * sigma
         u = np.column_stack([np.cos(phi), np.sin(phi)])
         # radius of curvature at normal u, h + h'' = (a b)^2 / h^3 about the centre
         rho = (hole.a * hole.b) ** 2 / np.hypot(hole.a * u[:, 0], hole.b * u[:, 1]) ** 3
-        return hole.support_point(u) + s * u, 2.0 * math.pi * (rho + s)[:, None] * u @ _QUARTER_TURN
+        s = np.broadcast_to(s, sigma.shape)[:, None]
+        return hole.support_point(u) + s * u, 2.0 * math.pi * (rho[:, None] + s) * u @ _QUARTER_TURN
 
-    return 1, walk
+    def length(sigma, s):
+        # the support point's parameter lies in phi's quadrant, so it runs
+        # continuously over [0, 2 pi) with phi
+        phi = 2.0 * math.pi * sigma
+        psi = np.arctan2(hole.b * np.sin(phi), hole.a * np.cos(phi)) % (2.0 * math.pi)
+        return _arc_and_turn(hole, psi)[0] - _arc_and_turn(hole, 0.0)[0] + s * phi
+
+    return 1, walk, length
 
 
-def _tangencies(outer: Ellipse, hole, s: float) -> np.ndarray:
+def _tangencies(outer: Ellipse, hole) -> np.ndarray:
     """sigma (of _parallel_boundary) of the points where the boundary of
-    K + sB touches a parallel curve of the outer ellipse, and of a polygon's
-    joints.
+    K + sB can touch a parallel curve of the outer ellipse, for every s, and
+    of a polygon's joints.
 
-    Along the boundary, d_o is critical exactly where it touches a level
-    set {d_o = t}: with the same outward normal u, where the support point
-    X(u) of the outer curve and the hole's P(u) line up along u, or with the
-    opposite one, where X(-u) and P(u) do.  Each is a root of
-    (X(+-u) - P(u)) . u_perp, bracketed on a scan of FREE_DISTANCE_SCAN
-    normal angles and bisected; P is the support point of a circle or an
-    ellipse and each vertex on its own corner arc.  Along a moved polygon
-    edge d_o is concave, and its critical point is the foot of X(+-n) on
-    the edge.
+    Along the boundary, d_o is critical where it touches a level set {d_o
+    = t}: with the same outward normal u, where the support point X(u) of
+    the outer curve and the hole's P(u) line up along u, or with the
+    opposite one, where X(-u) and P(u) do (geometry.lineups; P is each
+    vertex on its own corner arc).  Along a moved polygon edge d_o is
+    concave, and its critical point is the foot of X(+-n) on the edge.
     """
-    n = FREE_DISTANCE_SCAN
-    polygon = isinstance(hole, PolygonCurve)
-    vertices = hole.polygon.vertices if polygon else None
-
-    def lineup(phi, source, far):
-        u = np.column_stack([np.cos(phi), np.sin(phi)])
-        p = vertices[source] if polygon else hole.support_point(u)
-        x = outer.support_point(np.where(far[:, None], -u, u))
-        return np.sum((x - p) * (u @ _QUARTER_TURN), axis=1)
-
-    # rows 2j and 2j + 1: vertex j (or the whole hole) with X(u) and X(-u)
-    rows = np.repeat(np.arange(2 * (len(vertices) if polygon else 1)), n)
-    phi = np.tile(2.0 * math.pi * np.arange(n) / n, len(rows) // n)
-    g = lineup(phi, rows // 2, rows % 2 == 1).reshape(-1, n)
-    flat = np.max(np.abs(g), axis=1) <= FLAT_ULPS * np.finfo(float).eps * outer.scale
-    k = np.flatnonzero(((g < 0.0) != (np.roll(g, -1, axis=1) < 0.0)) & ~flat[:, None])
-    source, far = k // n // 2, k // n % 2 == 1
-    lo, hi = phi[k], phi[k] + 2.0 * math.pi / n
-    low_sign = g.ravel()[k] < 0.0
-    for _ in range(TANGENCY_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        right = (lineup(mid, source, far) < 0.0) == low_sign
-        lo, hi = np.where(right, mid, lo), np.where(right, hi, mid)
-    phi = 0.5 * (lo + hi)
-    if not polygon:
+    phi, source, _ = lineups(outer, hole)
+    if not isinstance(hole, PolygonCurve):
         return phi / (2.0 * math.pi) % 1.0
 
+    vertices = hole.polygon.vertices
     m = len(vertices)
     normal, edge, start, span = _corners(hole.polygon)
     turn = (phi - start[source]) % (2.0 * math.pi)
@@ -419,112 +383,156 @@ def _tangencies(outer: Ellipse, hole, s: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class _Band:
-    """The boundary of K + s*B cut into runs [lo, hi] of sigma on which d_o
-    is monotone below the plateau depth, their end depths, and the depths
-    where the level-set length has a kink (breaks)."""
+class _Frame:
+    """The boundaries of the parallel bodies K + sB of a domain's hole, all
+    s at once: walk and length of _parallel_boundary, the nodes (sigma of
+    _tangencies, with 0) between which d_o is monotone where smooth, and
+    the s at which each node's point leaves the outer ellipse (exits), at
+    the ellipse's parameter exit_theta."""
 
     pieces: int
     walk: Callable
-    lo: np.ndarray
-    hi: np.ndarray
-    f_lo: np.ndarray
-    f_hi: np.ndarray
-    breaks: np.ndarray
+    length: Callable
+    nodes: np.ndarray
+    exits: np.ndarray
+    exit_theta: np.ndarray
 
 
-def _outer_band(web: WebFunction) -> _Band:
-    """The runs of web's split curve for _level_lengths.
+def _frame(domain: AnnularDomain) -> _Frame:
+    """The frame of domain's hole in its outer ellipse.
 
-    d_o along the split curve is critical only where the curve touches a
-    level set (_tangencies), so between consecutive nodes it is monotone
-    below the plateau depth T = R2 - r_bar.  A run that rises past T and
-    falls back is cut at its highest point (bounded Brent); one that peaks
-    short of T, a tangency the scan missed, raises NumericalError.  The
-    breaks are the node depths below T and the contact depth gap - s*.
+    sigma = 0 keeps one node on a boundary at a constant depth, and nodes
+    that coincide (say a same- and an opposite-normal root on an axis of
+    symmetry) are merged, as their run would have no direction.  A node's
+    point moves out along its normal, so its exit is the larger root of a
+    quadratic in the ellipse's unit-circle coordinates.
     """
-    dom, s = web.domain, web.split_s
-    top = web.radial.shell.r_outer - web.radial.r_bar
-    pieces, walk = _parallel_boundary(dom.inner, s)
-
-    def depth(sigma):
-        return dom.outer.distance(walk(np.asarray(sigma, dtype=float) % pieces)[0])
-
-    def runs(nodes):
-        f_lo = depth(nodes)
-        return nodes, np.append(nodes[1:], nodes[0] + pieces), f_lo, np.roll(f_lo, -1)
-
-    # sigma = 0 keeps one node on a split curve at a constant depth, and
-    # nodes that coincide (say a same- and an opposite-normal root on an
-    # axis of symmetry) are merged, as their run would have no direction
-    sigma = _tangencies(dom.outer, dom.inner, s) % pieces
+    outer = domain.outer
+    pieces, walk, length = _parallel_boundary(domain.inner)
+    sigma = _tangencies(outer, domain.inner) % pieces
     nodes = np.unique(np.append(sigma[sigma < (1.0 - MERGE_RTOL) * pieces], 0.0))
-    nodes, hi, f_lo, f_hi = runs(nodes[np.diff(nodes, prepend=-np.inf) > MERGE_RTOL * pieces])
-    step = 1e-3 * (hi - nodes)
-    near = depth(np.concatenate([nodes + step, hi - step])).reshape(2, -1)
-    peaks = []
-    for r in np.flatnonzero((near[0] > f_lo) & (near[1] > f_hi) & (np.maximum(f_lo, f_hi) < top)):
-        peak = minimize_scalar(lambda x: -depth([x])[0], bounds=(nodes[r], hi[r]), method="bounded")
-        if -peak.fun < top:
-            raise NumericalError(
-                f"d_o on the split curve has an unresolved extremum near sigma {peak.x:.6g}"
-            )
-        peaks.append(peak.x % pieces)
-    if peaks:
-        nodes, hi, f_lo, f_hi = runs(np.unique(np.append(nodes, peaks)))
-    cuts = np.sort(np.append(f_lo[(f_lo > 0.0) & (f_lo < top)], dom.gap - s))
-    breaks = cuts[np.diff(cuts, prepend=-np.inf) > MERGE_RTOL * top]
-    return _Band(pieces, walk, nodes, hi, f_lo, f_hi, breaks)
+    nodes = nodes[np.diff(nodes, prepend=-np.inf) > MERGE_RTOL * pieces]
+    base, axes = walk(nodes, 0.0)[0], np.array([outer.a, outer.b])
+    q, v = (base - outer.center) / axes, (walk(nodes, 1.0)[0] - base) / axes
+    qv, vv = np.sum(q * v, axis=1), np.sum(v * v, axis=1)
+    exits = (np.sqrt(qv * qv + vv * (1.0 - np.sum(q * q, axis=1))) - qv) / vv
+    at = q + exits[:, None] * v
+    return _Frame(pieces, walk, length, nodes, exits, np.arctan2(at[:, 1], at[:, 0]))
 
 
-def _arc_and_turn(outer: Ellipse, theta):
-    """Arc length of the outer ellipse c + (a cos theta, b sin theta) and its
-    normal angle, both continuous in theta and up to constants: the
-    incomplete elliptic integral of the second kind (DLMF 19.2.5), and theta
-    plus the normal's lead over it."""
-    a, b = outer.a, outer.b
-    if a >= b:
-        arc = a * ellipeinc(theta - 0.5 * math.pi, 1.0 - (b / a) ** 2)
-    else:
-        arc = b * ellipeinc(theta, 1.0 - (a / b) ** 2)
-    sin, cos = np.sin(theta), np.cos(theta)
-    return arc, theta + np.arctan((a - b) * sin * cos / (b * cos * cos + a * sin * sin))
+def _depth(outer: Ellipse, x):
+    """(d_o, nu, theta): the signed distance of points x to the outer
+    ellipse, negative outside, the unit outward normal at their feet and
+    the feet's parameter, from the foot-point solve."""
+    theta = outer.foot_parameter(x)
+    cos, sin = np.cos(theta), np.sin(theta)
+    nu = np.column_stack([outer.b * cos, outer.a * sin])
+    nu /= np.hypot(nu[:, 0], nu[:, 1])[:, None]
+    foot = np.asarray(outer.center) + np.column_stack([outer.a * cos, outer.b * sin])
+    return np.sum((foot - x) * nu, axis=1), nu, theta
 
 
-def _level_lengths(web: WebFunction, band: _Band, t: np.ndarray) -> np.ndarray:
-    """L(t), the length of {d_o = t} outside K + s*B, for depths t in
-    (0, R2 - r_bar) inside the outer ellipse's reach.
+def _runs(frame: _Frame, outer: Ellipse, rows: np.ndarray, top: np.ndarray):
+    """(row, lo, hi, f_lo, f_hi): the boundary of each K + rows[k] B cut
+    into runs [lo, hi] of sigma on which d_o is monotone below the depth
+    top[k], with their end depths, as flat arrays.
 
-    {d_o = t} is the inner parallel curve gamma(theta) - t nu(theta), of
-    speed |gamma'| - t a b / |gamma'|^2 and length P - 2 pi t.  Each run of
-    band whose end depths straddle t crosses it once, at sigma found by
-    safeguarded Newton on d_o(sigma) = t, d_o read off the foot parameter;
-    where d_o rises along the counterclockwise split curve the level curve
-    leaves K + s*B.  The arcs inside have the closed-form length of
-    _arc_and_turn between their crossings, plus one full turn when an arc
-    runs through theta = 0.
+    Between consecutive nodes d_o is monotone where it is smooth; its ridge
+    on the outer ellipse's medial axis lies deeper than the reach.  A run
+    that rises from both ends below top is cut at its highest point
+    (bounded Brent) when that lies at top or deeper; one that peaks between
+    0 and top, a tangency the scan missed, raises NumericalError.
     """
-    outer, hole = web.domain.outer, web.domain.inner
-    run, row = np.nonzero((band.f_lo[:, None] - t) * (band.f_hi[:, None] - t) < 0.0)
-    f_lo, f_hi, level = band.f_lo[run], band.f_hi[run], t[row]
-    rising = f_hi > f_lo
-    lo, hi = band.lo[run], band.hi[run]
+    m = len(frame.nodes)
+    row = np.repeat(np.arange(len(rows)), m)
+    lo = np.tile(frame.nodes, len(rows))
+    hi = np.tile(np.append(frame.nodes[1:], frame.nodes[0] + frame.pieces), len(rows))
+
+    def depth(sigma, k):
+        return _depth(outer, frame.walk(sigma % frame.pieces, rows[k])[0])[0]
+
+    step = 1e-3 * (hi - lo)
+    f_lo, *near = depth(np.concatenate([lo, lo + step, hi - step]), np.tile(row, 3)).reshape(3, -1)
+    f_hi = np.roll(f_lo.reshape(-1, m), -1, axis=1).ravel()
+    cuts = []
+    peaked = (near[0] > f_lo) & (near[1] > f_hi) & (np.maximum(f_lo, f_hi) < top[row])
+    for r in np.flatnonzero(peaked):
+        peak = minimize_scalar(
+            lambda x: -depth(np.array([x]), row[r : r + 1])[0],
+            bounds=(lo[r], hi[r]),
+            method="bounded",
+        )
+        if -peak.fun >= top[row[r]]:
+            cuts.append((r, peak.x, -peak.fun))
+        elif -peak.fun > 0.0:
+            raise NumericalError(
+                f"d_o on the split curve has an unresolved extremum near sigma "
+                f"{peak.x % frame.pieces:.6g}"
+            )
+    if not cuts:
+        return row, lo, hi, f_lo, f_hi
+    r, x, f = (np.array(c) for c in zip(*cuts))
+    keep = np.ones(len(lo), dtype=bool)
+    keep[r] = False
+    # each cut run becomes [lo, peak] and [peak, hi]
+    halves = [(row, row[r], row[r]), (lo, lo[r], x), (hi, x, hi[r])]
+    halves += [(f_lo, f_lo[r], f), (f_hi, f, f_hi[r])]
+    return tuple(np.concatenate([whole[keep], first, second]) for whole, first, second in halves)
+
+
+def _level_lengths(frame: _Frame, domain: AnnularDomain, s: np.ndarray, t: np.ndarray):
+    """(inner, outer, theta, query): for each query (s_q, t_q), the length
+    of {d_i = s_q} where d_o > t_q, along the boundary of K + s_q B, and of
+    {d_o = t_q} where d_i > s_q, along the outer ellipse's parallel curve;
+    and the ellipse parameter theta of every crossing of the two curves,
+    with the index of its query.
+
+    The levels t_q lie in [0, R2 - r_bar], inside the ellipse's reach,
+    where {d_o = t} is gamma(theta) - t nu(theta), of speed |gamma'| - t a
+    b / |gamma'|^2 and length P - 2 pi t.  Each run of K + s_q B (_runs)
+    whose end depths straddle t_q crosses it once, at sigma found by
+    safeguarded Newton on d_o(sigma) = t_q, d_o read off the foot
+    parameter.  Where d_o rises along the counterclockwise boundary of
+    K + s_q B, the boundary enters {d_o > t_q} and the level curve leaves
+    K + s_q B.  Between crossings both curves have closed-form arc lengths:
+    frame.length, and _arc_and_turn less t times the turn.
+    """
+    outer, hole = domain.outer, domain.inner
+    inner = hole.perimeter() + 2.0 * math.pi * s
+    out = outer.perimeter() - 2.0 * math.pi * t
+    # within the gap K + sB lies inside the ellipse: nothing crosses it
+    ask = np.flatnonzero((t > 0.0) | (s > domain.gap))
+    s, t, full_in, full_out = s[ask], t[ask], inner[ask], out[ask]
+    rows, row_q = np.unique(s, return_inverse=True)
+    top = np.full(len(rows), -np.inf)
+    np.maximum.at(top, row_q, t)
+    row, lo, hi, f_lo, f_hi = _runs(frame, outer, rows, top)
+    # pair each query with the runs of its row, and keep those that cross it
+    order = np.argsort(row, kind="stable")
+    lo, hi, f_lo, f_hi = lo[order], hi[order], f_lo[order], f_hi[order]
+    count = np.bincount(row, minlength=len(rows))
+    start, per = np.cumsum(count) - count, count[row_q]
+    query = np.repeat(np.arange(len(s)), per)
+    run = start[row_q][query] + np.arange(len(query)) - np.repeat(np.cumsum(per) - per, per)
+    level = t[query]
+    crossed = (f_lo[run] - level) * (f_hi[run] - level) < 0.0
+    query, run, level = query[crossed], run[crossed], level[crossed]
+    depth = s[query]
+    f0, f1, lo, hi = f_lo[run], f_hi[run], lo[run], hi[run]
+    rising = f1 > f0
     # start as if d_o were quadratic about the run end nearer in depth: a
     # tangency there makes it so, and crossings crowd against tangencies
-    near_lo = np.abs(level - f_lo) <= np.abs(level - f_hi)
-    share = np.sqrt(np.minimum(np.abs(level - f_lo), np.abs(level - f_hi)) / np.abs(f_hi - f_lo))
+    near_lo = np.abs(level - f0) <= np.abs(level - f1)
+    share = np.sqrt(np.minimum(np.abs(level - f0), np.abs(level - f1)) / np.abs(f1 - f0))
     sigma = np.where(near_lo, lo + (hi - lo) * share, hi - (hi - lo) * share)
-    center = np.asarray(outer.center)
-    todo = np.arange(len(sigma))
+    todo, theta = np.arange(len(sigma)), np.empty(len(sigma))
     for _ in range(CROSSING_ITERATIONS):
-        x, tangent = band.walk(sigma[todo] % band.pieces)
-        theta = outer.foot_parameter(x)
-        cos, sin = np.cos(theta), np.sin(theta)
-        nu = np.column_stack([outer.b * cos, outer.a * sin])
-        nu /= np.hypot(nu[:, 0], nu[:, 1])[:, None]
-        foot = center + np.column_stack([outer.a * cos, outer.b * sin])
-        miss = np.sum((foot - x) * nu, axis=1) - level[todo]
-        slope = -np.sum(nu * tangent, axis=1)
+        if len(todo) == 0:
+            break
+        x, tangent = frame.walk(sigma[todo] % frame.pieces, depth[todo])
+        # every crossing leaves todo where it was last read, so theta is its foot
+        d, nu, theta[todo] = _depth(outer, x)
+        miss, slope = d - level[todo], -np.sum(nu * tangent, axis=1)
         # a crossing whose depth is matched to rounding stays where it is
         going = np.abs(miss) > 4.0 * np.finfo(float).eps * outer.scale
         todo, miss, slope = todo[going], miss[going], slope[going]
@@ -539,98 +547,114 @@ def _level_lengths(web: WebFunction, band: _Band, t: np.ndarray) -> np.ndarray:
         stuck = moved == sigma[todo]
         sigma[todo] = moved
         todo = todo[~stuck]
-        if len(todo) == 0:
-            break
     else:
         raise NumericalError(f"level-set crossings did not settle at {len(todo)} points")
-    theta = outer.foot_parameter(band.walk(sigma % band.pieces)[0]) % (2.0 * math.pi)
+    sigma %= frame.pieces
+    theta %= 2.0 * math.pi
     arc, turn = _arc_and_turn(outer, theta)
-    inside = np.bincount(row, np.where(rising, 1.0, -1.0) * (arc - level * turn), minlength=len(t))
+    sign, n = np.where(rising, 1.0, -1.0), len(s)
+    inside = np.bincount(query, sign * (arc - level * turn), minlength=n)
+    along = np.bincount(query, -sign * frame.length(sigma, depth), minlength=n)
 
-    # an arc inside through theta = 0 starts at the last crossing and ends
-    # at the first, so it wants one more turn of the level curve
-    order = np.lexsort((theta, row))
-    first = order[np.diff(row[order], prepend=-1) != 0]
-    wraps = np.zeros(len(t), dtype=bool)
-    wraps[row[first]] = rising[first]
-    alone = np.bincount(row, minlength=len(t)) == 0
+    # the level curve's arc inside K + sB through theta = 0 starts at its
+    # last crossing and ends at its first, and so does the boundary's run
+    # above the level through sigma = 0: each wants one more turn
+    wrap_out, wrap_in = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    for key, wrap, enters in ((theta, wrap_out, rising), (sigma, wrap_in, ~rising)):
+        order = np.lexsort((key, query))
+        first = order[np.diff(query[order], prepend=-1) != 0]
+        wrap[query[first]] = enters[first]
+    alone = np.bincount(query, minlength=n) == 0
     if np.any(alone):
-        # no crossing: the level curve is all inside or all outside
-        x0 = center + np.column_stack([outer.a - t[alone], np.zeros(np.count_nonzero(alone))])
-        wraps[alone] = hole.contains(x0) | (hole.distance(x0) < web.split_s)
-    full = outer.perimeter() - 2.0 * math.pi * t
-    return full - inside - wraps * full
+        # no crossing: each curve is all inside or all outside the other
+        x0 = np.column_stack([outer.a - t[alone], np.zeros(np.count_nonzero(alone))])
+        x0 += np.asarray(outer.center)
+        wrap_out[alone] = hole.contains(x0) | (hole.distance(x0) < s[alone])
+        wrap_in[alone] = f_lo[start[row_q[alone]]] > t[alone]
+    inner[ask] = along + wrap_in * full_in
+    out[ask] = full_out - inside - wrap_out * full_out
+    return inner, out, theta, ask[query]
 
 
-def _level_set_quotient(web: WebFunction, beta: float, n: int):
-    """({gradient, boundary, mass}, value) of a contained web in an ellipse
-    by the coarea formula, n Gauss-Legendre nodes per panel.
+def _coarea_pass(frame: _Frame, domain: AnnularDomain, radial: RadialEigenResult, s_star: float):
+    """({n: (gradient, boundary, mass)}, (A_32, A_16), P_i(s*)): the Rayleigh
+    quotient's parts of the web split at s_star by the coarea formula at n
+    Gauss-Legendre nodes per panel, for each n of COAREA_NODES, with the
+    boundary term at beta = 1, the area law at s_star by both rules, and
+    its derivative; one _level_lengths call serves them all.
 
-    The inner piece's level sets {d_i = s}, s < s* < gap, are whole
-    parallel curves of the hole, of Steiner length P(K) + 2 pi s; the
-    boundary carries v_m all round.  The falling part of the outer piece
-    runs over the level sets {d_o = t}, t < R2 - r_bar, of length L(t)
-    (_level_lengths), on panels cut at the kinks of L, and the plateau v_M
-    fills the rest of the area.
-
-    RangeError unless the outer curve is an ellipse whose reach min(a, b)^2
-    / max(a, b) exceeds R2 - r_bar; InvalidWebError unless s* < gap.
+    The inner piece runs over the level sets {d_i = s}, s < s*, of length
+    P_i(s) (depth 0), on panels cut where a node's point leaves the outer
+    ellipse (a level-set arc is born or a polygon joint passes out) and at
+    r_bar - R1.  The falling part of the outer piece runs over the level
+    sets {d_o = t}, t < R2 - r_bar, outside K + s*B, on panels cut at the
+    node depths of K + s*B, and the plateau v_M fills the rest of the
+    area.  The boundary carries v_m, and phi(min(R1 + d_i, r_bar)) where
+    the ellipse runs inside K + s*B: a 1D integral in its parameter, cut
+    where it crosses {d_i = s*} and {d_i = r_bar - R1} and where a polygon
+    hole's nearest point changes between an edge and a vertex.  A falling
+    band past the ellipse's reach (_check_range) is left out.
     """
-    dom, radial = web.domain, web.radial
-    outer, hole = dom.outer, dom.inner
+    outer, hole = domain.outer, domain.inner
     r1, r2, r_bar = radial.shell.r_inner, radial.shell.r_outer, radial.r_bar
+    top = r2 - r_bar if r2 - r_bar < min(outer.a, outer.b) ** 2 / max(outer.a, outer.b) else 0.0
+    depths = _depth(outer, frame.walk(frame.nodes, s_star)[0])[0]
+    s_panels = [_cosine_panels(0.0, s_star, [*frame.exits, r_bar - r1], n) for n in COAREA_NODES]
+    t_panels = [_cosine_panels(0.0, top, depths, n) for n in COAREA_NODES]
+    sizes = [len(p[0]) for p in s_panels + t_panels]
+    # the inner levels at depth 0, the outer ones on K + s*B, and last
+    # {d_i = s*} and {d_i = r_bar - R1} at depth 0, for P_i(s*) and the
+    # boundary's crossings
+    levels = np.concatenate([p[0] for p in s_panels] + [np.full(sum(sizes[2:]) + 1, s_star)])
+    levels = np.append(levels, r_bar - r1)
+    depth = np.concatenate([np.zeros(sum(sizes[:2]))] + [p[0] for p in t_panels] + [[0.0, 0.0]])
+    inner, outer_len, theta, query = _level_lengths(frame, domain, levels, depth)
+    cuts = np.append(theta[query >= len(levels) - 2], frame.exit_theta) % (2.0 * math.pi)
+    lengths = np.split(np.where(depth > 0.0, outer_len, inner)[:-2], np.cumsum(sizes))
+    v_out, v_top = float(radial.value(r2)) ** 2, float(radial.value(r_bar)) ** 2
+
+    result, area = {}, []
+    rules = zip(COAREA_NODES, s_panels, t_panels, lengths[:2], lengths[2:4])
+    for n, (s, ws), (t, wt), p_i, l_o in rules:
+        ws, wt = ws * p_i, wt * l_o
+        area.append(float(np.sum(ws)))
+        rising = s < r_bar - r1
+        gradient = float(np.sum(ws[rising] * radial.slope(r1 + s[rising]) ** 2))
+        gradient += float(np.sum(wt * radial.slope(r2 - t) ** 2))
+        mass = float(np.sum(ws * radial.value(np.minimum(r1 + s, r_bar)) ** 2))
+        mass += float(np.sum(wt * radial.value(r2 - t) ** 2))
+        mass += v_top * (domain.area - area[-1] - float(np.sum(wt)))
+        psi, wp = _cosine_panels(0.0, 2.0 * math.pi, cuts, n)
+        rim = np.column_stack([outer.a * np.cos(psi), outer.b * np.sin(psi)]) + outer.center
+        wp *= np.hypot(outer.a * np.sin(psi), outer.b * np.cos(psi))
+        d_i = hole.distance(rim)
+        w = radial.value(np.where(d_i < s_star, np.minimum(r1 + d_i, r_bar), r2))
+        boundary = v_out * outer.perimeter() + float(np.sum(wp * (w * w - v_out)))
+        result[n] = (gradient, boundary, mass)
+    return result, area, inner[-2]
+
+
+def _check_range(web: WebFunction) -> None:
+    """RangeError unless the outer curve is an ellipse whose reach min(a,
+    b)^2 / max(a, b), its least radius of curvature, exceeds the falling
+    band R2 - r_bar: up to the reach its inner parallel curves are regular."""
+    outer, band = web.domain.outer, web.radial.shell.r_outer - web.radial.r_bar
     if not isinstance(outer, Ellipse):
         raise RangeError("the coarea Rayleigh quotient needs an elliptic outer curve")
-    if not web.contained:
-        raise InvalidWebError(
-            f"the coarea Rayleigh quotient off circle pairs needs a contained web "
-            f"(s* {web.split_s:.6g} >= gap {dom.gap:.6g})"
-        )
     reach = min(outer.a, outer.b) ** 2 / max(outer.a, outer.b)
-    if r2 - r_bar >= reach:
-        raise RangeError(f"falling band R2 - r_bar {r2 - r_bar:.6g} >= the outer reach {reach:.6g}")
-    s_star, p_hole = web.split_s, hole.perimeter()
-
-    s, ws = _cosine_panels(0.0, s_star, [r_bar - r1], n)
-    ws *= p_hole + 2.0 * math.pi * s
-    rising = s < r_bar - r1
-    gradient = float(np.sum(ws[rising] * radial.slope(r1 + s[rising]) ** 2))
-    mass = float(np.sum(ws * radial.value(np.minimum(r1 + s, r_bar)) ** 2))
-
-    band = web._band
-    t, wt = _cosine_panels(0.0, r2 - r_bar, band.breaks, n)
-    wt *= _level_lengths(web, band, t)
-    gradient += float(np.sum(wt * radial.slope(r2 - t) ** 2))
-    mass += float(np.sum(wt * radial.value(r2 - t) ** 2))
-    plateau = dom.area - p_hole * s_star - math.pi * s_star * s_star - float(np.sum(wt))
-    mass += float(radial.value(r_bar)) ** 2 * plateau
-
-    boundary = float(radial.value(r2)) ** 2 * outer.perimeter()
-    parts = {"gradient": gradient, "boundary": beta * boundary, "mass": mass}
-    return parts, (gradient + beta * boundary) / mass
-
-
-def _circle_pair(web: WebFunction) -> bool:
-    return isinstance(web.domain.inner, Circle) and isinstance(web.domain.outer, Circle)
-
-
-def _quotient(web: WebFunction, beta: float, n: int):
-    if _circle_pair(web):
-        return _coarea_quotient(web, beta, n)
-    return _level_set_quotient(web, beta, n)
+    if band >= reach:
+        raise RangeError(f"falling band R2 - r_bar {band:.6g} >= the outer reach {reach:.6g}")
 
 
 def rayleigh_quotient(web: WebFunction, beta: float, allow_uncertified: bool = False):
     """Rayleigh quotient of the web function.
 
     Returns ({gradient, boundary, mass}, value) with value =
-    (gradient + boundary) / mass, the coarea formula's 1D integrals at
-    COAREA_NODES[0] nodes per panel: closed-form arcs on circle pairs
-    (_coarea_quotient), and the level sets of the outer distance for a
-    contained web in an ellipse (_level_set_quotient), which raises a typed
-    error outside its range.  rayleigh_error gives the computed quadrature
-    error.  Uncertified webs are rejected unless explicitly allowed for
-    diagnostic runs.
+    (gradient + boundary) / mass: the coarea formula's 1D integrals at
+    COAREA_NODES[0] nodes per panel (_coarea_pass), with a typed error
+    outside their range (_check_range).  rayleigh_error gives the computed
+    quadrature error.  Uncertified webs are rejected unless explicitly
+    allowed for diagnostic runs.
     """
     if not web.certified and not allow_uncertified:
         raise InvalidWebError(
@@ -639,13 +663,18 @@ def rayleigh_quotient(web: WebFunction, beta: float, allow_uncertified: bool = F
         )
     if not (beta >= 0.0 and math.isfinite(beta)):
         raise RangeError("Rayleigh quotient needs finite nonnegative beta")
-    return _quotient(web, beta, COAREA_NODES[0])
+    _check_range(web)
+    gradient, boundary, mass = web._integrals[COAREA_NODES[0]]
+    parts = {"gradient": gradient, "boundary": beta * boundary, "mass": mass}
+    return parts, (gradient + beta * boundary) / mass
 
 
 def rayleigh_error(web: WebFunction, beta: float, value: float) -> float:
     """Computed quadrature error of value = rayleigh_quotient(web, beta)[1]:
     |value - the coarea value at COAREA_NODES[1] nodes per panel|."""
-    return abs(value - _quotient(web, beta, COAREA_NODES[1])[1])
+    _check_range(web)
+    gradient, boundary, mass = web._integrals[COAREA_NODES[1]]
+    return abs(value - (gradient + beta * boundary) / mass)
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,10 @@ def test_web_chain_regime_rule_agrees_with_the_gap():
 
 
 def test_web_chain_ellipse_members_stay_in_the_coarea_rule():
-    # rayleigh_quotient raises on an uncontained web off the circle pairs
-    # and on a falling band R2 - r_bar past the outer ellipse's reach; no
-    # ellipse operation of the benchmark may reach either
+    # rayleigh_quotient answers on uncontained webs too, but the benchmark
+    # still redraws those draws through _split_contained, and it raises on a
+    # falling band R2 - r_bar past the outer ellipse's reach; both keep the
+    # ellipse operations as they were drawn
     workload = workloads.WORKLOADS["web_chain"]
     for seed in range(10):
         for index in range(4):

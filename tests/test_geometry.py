@@ -27,7 +27,7 @@ from annulus_spectra import (
     unit_ball_volume,
 )
 from annulus_spectra.analysis import standard_family
-from annulus_spectra.geometry import BoundaryCurve, convex_intersection_area, disk_intersection_area
+from annulus_spectra.geometry import BoundaryCurve, lineups
 
 UNIT_SQUARE = ConvexPolygon.rectangle(1.0, 1.0, center=(0.5, 0.5))
 
@@ -263,21 +263,21 @@ class TestFreeDistance:
         assert [dom.gap for dom in standard_family()] == expected
 
     def test_near_circular_hole_skips_the_polish(self, monkeypatch):
-        # the slack of a hole a rounding unit off a circle is flat to
-        # rounding: every scan point is a local minimum, and the scan's
-        # least value is already exact
-        calls = []
+        # the lineup of a hole a rounding unit off a circle is flat to
+        # rounding: it has no roots to polish, and the slack in any
+        # direction is already exact
+        scans = []
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return minimize_scalar(*args, **kwargs)
+        def counted(outer, hole):
+            scans.append(lineups(outer, hole))
+            return scans[-1]
 
-        monkeypatch.setattr(geometry, "minimize_scalar", counted)
+        monkeypatch.setattr(geometry, "lineups", counted)
         gap = geometry.free_distance(Circle((0, 0), 2.0), Ellipse((0, 0), 1.0, 1.0 + 1e-15))
         assert gap == pytest.approx(1.0 - 1e-15, abs=1e-15)
-        assert calls == []
+        assert len(scans) == 1 and len(scans[0][0]) == 0
         geometry.free_distance(*self.ELLIPSE_IN_CIRCLE)
-        assert len(calls) > 0
+        assert len(scans[1][0]) > 0
 
     def test_hole_poking_out_is_rejected(self):
         # the hole crosses the circle by 5e-8, between 4096 boundary samples
@@ -489,79 +489,6 @@ class TestCurveParsing:
                     ellipse_perimeter_mp(a, b), rel=1e-15
                 )
         assert Ellipse((0, 0), 1.5, 1.5).perimeter() == 3.0 * math.pi
-
-
-class TestConvexIntersection:
-    def test_disk_overlap_area(self):
-        # lens area of two unit disks at center distance 1 (closed form)
-        d = 1.0
-        lens = 2.0 * math.acos(d / 2.0) - 0.5 * d * math.sqrt(4.0 - d * d)
-        a = ConvexPolygon.regular(2048, 1.0, center=(0.0, 0.0))
-        b = ConvexPolygon.regular(2048, 1.0, center=(d, 0.0))
-        assert convex_intersection_area(a, b, (0.5 * d, 0.1)) == pytest.approx(lens, rel=1e-5)
-
-    def test_overlapping_rectangles(self):
-        a = ConvexPolygon.rectangle(2.0, 1.0, center=(1.0, 0.5))
-        b = ConvexPolygon.rectangle(2.0, 1.5, center=(2.0, -0.25))
-        # [1, 2] x [0, 0.5]
-        assert convex_intersection_area(a, b, (1.5, 0.25)) == pytest.approx(0.5, rel=1e-15)
-
-    def test_square_and_rotated_square(self):
-        # the boundaries cross inside every wedge: a regular octagon of inradius 1
-        square = ConvexPolygon.regular(4, math.sqrt(2.0)).vertices
-        rot = np.array([[math.cos(math.pi / 4), -math.sin(math.pi / 4)],
-                        [math.sin(math.pi / 4), math.cos(math.pi / 4)]])
-        a, b = ConvexPolygon(square), ConvexPolygon(square @ rot.T)
-        octagon = 8.0 * math.tan(math.pi / 8.0)
-        for center in [(0.0, 0.0), (0.3, -0.2)]:
-            assert convex_intersection_area(a, b, center) == pytest.approx(octagon, rel=1e-14)
-
-    def test_contained_polygon_keeps_its_area(self, rng):
-        outer = ConvexPolygon.regular(64, 2.0)
-        for _ in range(5):
-            inner = random_convex_polygon(rng, 12, scale=1.0)
-            center = inner.centroid
-            assert convex_intersection_area(inner, outer, center) == pytest.approx(inner.area, rel=1e-13)
-            assert convex_intersection_area(outer, inner, center) == pytest.approx(inner.area, rel=1e-13)
-
-    def test_disjoint_rejected(self):
-        a = ConvexPolygon.regular(4, 1.0, center=(0.0, 0.0))
-        b = ConvexPolygon.regular(4, 1.0, center=(5.0, 0.0))
-        for center in [(0.0, 0.0), (5.0, 0.0), (2.5, 0.0)]:
-            with pytest.raises(GeometryError, match="center is not strictly inside"):
-                convex_intersection_area(a, b, center)
-
-    def test_center_on_the_boundary_rejected(self):
-        a = ConvexPolygon.regular(4, 1.0, center=(0.0, 0.0))
-        for center in [(1.0, 0.0), (-0.5, 0.5)]:  # a vertex and an edge midpoint
-            with pytest.raises(GeometryError, match="center is not strictly inside"):
-                convex_intersection_area(a, a, center)
-
-    def test_identical_polygons_keep_their_area(self, rng):
-        # every halfspace appears twice
-        for a in (ConvexPolygon.regular(7, 1.3), random_convex_polygon(rng, 12, scale=2.0)):
-            assert convex_intersection_area(a, a, a.centroid) == pytest.approx(a.area)
-
-    def test_center_next_to_an_edge_raises_geometry_error(self):
-        # the margin test passes, but Qhull finds the center coplanar with
-        # an edge; its QhullError must not escape
-        square = ConvexPolygon.rectangle(2.0, 2.0)
-        with pytest.raises(GeometryError, match="Qhull"):
-            convex_intersection_area(square, square, (1.0 - 1e-15, 0.0))
-
-
-class TestDiskIntersectionArea:
-    # the first two pairs rounded a lens cosine past 1 one ulp above
-    # d = |r1 - r2|, where math.acos raised ValueError
-    @pytest.mark.parametrize(
-        "r1, r2", [(2.0, 1.9193180921414008), (0.9792650049457704, 1.4151438794938893), (1.3, 1.3)]
-    )
-    def test_tangent_disks_and_one_ulp_either_side(self, r1, r2):
-        full = math.pi * min(r1, r2) ** 2
-        for touch, area in ((abs(r1 - r2), full), (r1 + r2, 0.0)):
-            for d in (math.nextafter(touch, 0.0), touch, math.nextafter(touch, math.inf)):
-                lens = disk_intersection_area((0.0, 0.0), r1, (d, 0.0), r2)
-                assert lens == pytest.approx(area, abs=4.0 * np.finfo(float).eps * full)
 
 
 RAY_CURVES = {
@@ -782,7 +709,9 @@ class TestEllipseCurve:
     @pytest.mark.parametrize("delta", [0.05, 0.7])
     def test_outer_parallel_points(self, delta):
         ell = Ellipse((0.3, -0.2), 1.1, 0.6)
-        pts = geometry.outer_parallel_points(ell, delta, 512)
+        theta = 2.0 * np.pi * np.arange(512) / 512
+        u = np.column_stack([np.cos(theta), np.sin(theta)])
+        pts = ell.support_point(u) + delta * u
         assert np.max(np.abs(ell.distance(pts) - delta)) <= 1e-15
         assert not np.any(ell.contains(pts))
 
@@ -810,8 +739,11 @@ class TestCircleIsEllipse:
         kappa = self.CIRCLE.curvature_at(on)
         assert kappa == pytest.approx(np.full(257, 1.0 / 1.37), rel=4.0 * self.EPS)
         u = (on - c) / 1.37
-        grown = geometry.outer_parallel_points(self.CIRCLE, 0.4, 257)
+        grown = self.CIRCLE.support_point(u) + 0.4 * u
         assert np.max(np.abs(grown - (c + 1.77 * u))) <= tol
+        assert np.max(np.abs(self.CIRCLE.foot_parameter(grown) - self.TWIN.foot_parameter(grown))) <= (
+            4.0 * self.EPS
+        )
         origin = c + (0.2, 0.5)
         assert np.max(
             np.abs(self.CIRCLE.ray_length(origin, u) - self.TWIN.ray_length(origin, u))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
-from annulus_spectra import geometry, webfunc
+from annulus_spectra import webfunc
 from annulus_spectra.analysis import eccentric_family, standard_family
 from annulus_spectra.errors import (
     InfeasibleError,
@@ -29,9 +29,7 @@ from annulus_spectra.geometry import (
 )
 from annulus_spectra.radial import solve_shell
 from annulus_spectra.webfunc import (
-    CLIP_SAMPLES,
     _level_lengths,
-    _sublevel_area,
     build_web,
     chain_certificate,
     chain_checks,
@@ -99,32 +97,34 @@ class TestFindSplit:
             dom = ellipse_rectangle_member()
         r1, r2, _ = class_s_data(dom)
         rad = solve_shell(2, r1, r2, 1.0)
-        polygons = []
-        to_polygon = type(dom.outer).to_polygon
-        monkeypatch.setattr(
-            type(dom.outer), "to_polygon", lambda c, n: polygons.append(n) or to_polygon(c, n)
-        )
+        frames, frame = [], webfunc._frame
+        monkeypatch.setattr(webfunc, "_frame", lambda d: frames.append(d) or frame(d))
         web = build_web(dom, rad)
-        # one clip polygon past the free distance, none inside it
-        assert polygons == ([CLIP_SAMPLES] if clipped else [])
-        assert web.split_s == webfunc._split(dom, rad)[0]
-        target = math.pi * (rad.r_bar**2 - r1 * r1)
-        area = _sublevel_area(dom, web.split_s, to_polygon(dom.outer, CLIP_SAMPLES))
-        assert web.split_area_rel_err == abs(area - target) / target
+        # the area law needs the frame past the free distance only
+        assert (web.split_s > dom.gap) == clipped
+        assert len(frames) == int(clipped)
+        # one frame serves the split and the quotient
+        rayleigh_quotient(web, 1.0, allow_uncertified=True)
+        assert len(frames) == 1
+        assert (web.split_s, web.split_area_rel_err) == webfunc._split(dom, rad)[:2]
 
-    @pytest.mark.parametrize("member, s_star", [(6, 1.211489127597901), (7, 1.1273553731995172)])
-    def test_clipping_regime_split(self, member, s_star):
-        # ellipse/rectangle members whose beta = 0.1 split lies past the
-        # free distance, so the area law runs through the polygon kernel;
-        # s_star comes from bisection over half-plane clipping, an
-        # independent route to the same area law
+    @pytest.mark.parametrize(
+        "member, beta, s_star",
+        [(6, 0.1, 1.2114871977799375), (7, 0.1, 1.1273494157548134), (7, 0.3, 0.9176639765068989)],
+    )
+    def test_clipping_regime_split(self, member, beta, s_star):
+        # ellipse/rectangle members whose split lies past the free distance;
+        # s_star solves a polar quadrature of the sublevel area about the
+        # hole's reference point (bisected ray lengths, Gauss panels cut at
+        # the corners, the split curve's joints and its crossings with the
+        # outer curve), which shares no code with the coarea area law
         dom = standard_family()[member]
         r1, r2, _ = class_s_data(dom)
-        web = build_web(dom, solve_shell(2, r1, r2, 0.1))
+        web = build_web(dom, solve_shell(2, r1, r2, beta))
         assert web.split_s > dom.gap
         assert not web.contained
-        assert web.split_s == pytest.approx(s_star, rel=1e-10)
-        assert web.split_area_rel_err <= 1e-9
+        assert web.split_s == pytest.approx(s_star, rel=1e-13)
+        assert web.split_area_rel_err <= 1e-13
 
     @pytest.mark.parametrize(
         "offset, r1, beta",
@@ -141,15 +141,6 @@ class TestFindSplit:
         web = build_web(dom, solve_shell(2, *class_s_data(dom)[:2], beta))
         assert dom.gap < web.split_s
         assert web.split_area_rel_err <= 1e-12
-
-    def test_unreached_target_rejected(self, monkeypatch):
-        # an area law that stays short of the target up to the farthest
-        # outer distance has no split
-        dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
-        rad = solve_shell(2, 1.0, 2.0, 1.0)
-        monkeypatch.setattr(webfunc, "_sublevel_area", lambda *args: 0.0)
-        with pytest.raises(InfeasibleError, match="not reached"):
-            build_web(dom, rad)
 
     def test_wrong_shell_rejected(self):
         rad = solve_shell(2, 1.0, 1.9, 1.0)
@@ -201,7 +192,9 @@ def sampled_jump(web, n):
     """Largest jump across the split curve over n of its points inside
     the outer curve, each at its own outer distance."""
     dom, rad = web.domain, web.radial
-    pts = geometry.outer_parallel_points(dom.inner, web.split_s, n)
+    theta = 2.0 * math.pi * np.arange(n) / n
+    u = np.column_stack([np.cos(theta), np.sin(theta)])
+    pts = dom.inner.support_point(u) + web.split_s * u
     pts = pts[dom.outer.contains(pts, tol=-1e-12 * dom.outer.scale)]
     inside = rad.value(min(rad.shell.r_inner + web.split_s, rad.r_bar))
     outer = rad.value(np.maximum(rad.shell.r_outer - dom.outer.distance(pts), rad.r_bar))
@@ -415,70 +408,126 @@ def bisect(f, lo, hi, steps=60):
     return 0.5 * (lo + hi)
 
 
-def level_set_oracle(web, beta, panels=8, n=16):
-    """R(w) of a contained web in an ellipse by nested Gauss-Legendre panels
-    in polar coordinates about the hole's reference point c, with w and
-    |grad w| read through web._profile at the points.
+# geometric steps toward a polygon hole's corners, in angle and along rays
+CORNER_GRADING = 8
 
-    Each ray breaks where d_i reaches s* (= r_bar - R1 on a contained web)
-    and d_o reaches R2 - r_bar, both bisected along the ray, and, on a
-    polygon hole, where it crosses the edge-normal lines from the vertices
-    (there the nearest hole point switches between an edge and a vertex).
-    theta breaks at the hole's corners and the split curve's joints seen
-    from c, and where the split curve crosses {d_o = R2 - r_bar}.  The
-    boundary term is the trapezoid rule on the ellipse's parameter.
+
+def crossings(f, lo, hi, scan=129, steps=12):
+    """Roots of the vectorized f on [lo, hi], bracketed on a scan and
+    polished by the Illinois variant of regula falsi."""
+    x = np.linspace(lo, hi, scan)
+    y = f(x)
+    k = np.flatnonzero((y[:-1] < 0.0) != (y[1:] < 0.0))
+    a, b, fa, fb = x[k], x[k + 1], y[k], y[k + 1]
+    for _ in range(steps):
+        with np.errstate(invalid="ignore", divide="ignore"):
+            m = np.where(fb != fa, b - fb * (b - a) / (fb - fa), b)
+        fm = f(m)
+        same = (fm < 0.0) == (fb < 0.0)
+        a, fa = np.where(same, a, b), np.where(same, 0.5 * fa, fb)
+        b, fb = m, fm
+    return b
+
+
+def level_set_oracle(web, beta, panels=8, n=16):
+    """R(w) of a web in an ellipse by nested Gauss-Legendre panels in polar
+    coordinates about the hole's reference point c, with w and |grad w|
+    read through web._profile at the points.
+
+    Each ray breaks where d_i reaches s* and d_o reaches R2 - r_bar, both
+    bisected along the ray, and ends at the outer curve, past the split
+    curve where that leaves the ellipse.  On a polygon hole it also breaks
+    where it crosses the edge-normal lines from the vertices (there the
+    nearest hole point switches between an edge and a vertex), and theta
+    breaks at the hole's corners and the split curve's joints seen from c.
+    A corner is a cone point of d_i: a ray passing at distance delta from
+    it sees sqrt((r - r_c)^2 + delta^2), so rays are graded geometrically
+    away from their closest approach r_c, and theta toward each corner's
+    direction.  theta also breaks where the split curve crosses {d_o = R2 -
+    r_bar} and the outer curve.  The boundary term runs over the ellipse's
+    parameter, broken where d_i there reaches s* and r_bar - R1 and where
+    the normal lines from a polygon's vertices leave the ellipse.
     """
     dom, rad = web.domain, web.radial
     hole, outer, c = dom.inner, dom.outer, dom.center
     s_star, top = web.split_s, rad.shell.r_outer - rad.r_bar
+    polygon = isinstance(hole, PolygonCurve)
 
     def rays(theta):
         u = np.column_stack([np.cos(theta), np.sin(theta)])
         return u, hole.ray_length(c, u), outer.ray_length(c, u)
 
-    def split_radius(u, r_in, r_out):
-        return bisect(lambda r: hole.distance(c + r[:, None] * u) - s_star, r_in, r_out)
+    plateau = rad.r_bar - rad.shell.r_inner  # the inner piece's plateau depth, <= s*
+
+    def radius(u, r_in, r_out, level):
+        return bisect(lambda r: hole.distance(c + r[:, None] * u) - level, r_in, r_out)
 
     def over_top(theta):
         u, r_in, r_out = rays(theta)
-        return outer.distance(c + split_radius(u, r_in, r_out)[:, None] * u) - top
+        return outer.distance(c + radius(u, r_in, r_out, s_star)[:, None] * u) - top
 
-    cuts = [np.linspace(0.0, 2.0 * math.pi, panels + 1)]
-    polygon = isinstance(hole, PolygonCurve)
+    def past_outer(level):
+        def depth_at_exit(theta):
+            u, _, r_out = rays(theta)
+            return hole.distance(c + r_out[:, None] * u) - level
+        return crossings(depth_at_exit, 0.0, 2.0 * math.pi)
+
+    cuts = [np.linspace(0.0, 2.0 * math.pi, panels + 1), crossings(over_top, 0.0, 2.0 * math.pi)]
+    cuts += [past_outer(s_star), past_outer(plateau)]
     if polygon:
         v = hole.polygon.vertices
         normal, _ = hole.polygon.edge_normals_offsets()
-        ends = np.vstack([v, v + s_star * normal, v + s_star * np.roll(normal, 1, axis=0)])
-        cuts.append(np.arctan2(ends[:, 1] - c[1], ends[:, 0] - c[0]) % (2.0 * math.pi))
-    scan = np.linspace(0.0, 2.0 * math.pi, 129)
-    h = over_top(scan)
-    k = np.flatnonzero((h[:-1] < 0.0) != (h[1:] < 0.0))
-    cuts.append(bisect(over_top, scan[k], scan[k + 1]))
-    theta, w_theta = gauss_panels(np.unique(np.concatenate(cuts)), n)
+        normals = np.vstack([normal, np.roll(normal, 1, axis=0)])
+        feet = np.vstack([v, v])
+        # where the normal lines leave the ellipse
+        exits = feet + np.array([outer.ray_length(p, q) for p, q in zip(feet, normals)])[:, None] * normals
+        ends = np.vstack([v, exits, feet + s_star * normals, feet + plateau * normals])
+        cuts.append(np.arctan2(ends[:, 1] - c[1], ends[:, 0] - c[0]))
+        corner = np.arctan2(v[:, 1] - c[1], v[:, 0] - c[0])[:, None]
+        step = 2.0 * math.pi / panels * 0.5 ** np.arange(1, CORNER_GRADING + 1)
+        cuts.append(np.ravel(corner + np.concatenate([step, -step])))
+    theta, w_theta = gauss_panels(np.unique(np.append(np.concatenate(cuts) % (2.0 * math.pi), 2.0 * math.pi)), n)
     theta, w_theta = theta.ravel(), w_theta.ravel()
 
     u, r_in, r_out = rays(theta)
     assert np.all(outer.distance(c + r_in[:, None] * u) > top)  # one d_o break per ray
-    breaks = [r_in, r_out, split_radius(u, r_in, r_out)]
+    breaks = [r_in, r_out, radius(u, r_in, r_out, s_star), radius(u, r_in, r_out, plateau)]
     breaks.append(bisect(lambda r: outer.distance(c + r[:, None] * u) - top, r_in, r_out))
     if polygon:
-        for nrm in (normal, np.roll(normal, 1, axis=0)):
+        dv = feet - c
+        with np.errstate(divide="ignore"):
             # c + r u = v + lambda nrm, solved for r
-            dv = v - c
-            r = (dv[:, 0] * nrm[:, 1] - dv[:, 1] * nrm[:, 0]) / (
-                u[:, :1] * nrm[:, 1] - u[:, 1:] * nrm[:, 0]
-            )
-            breaks.extend(np.clip(r, r_in[:, None], r_out[:, None]).T)
+            r = _cross_rows(dv, normals) / (u[:, :1] * normals[:, 1] - u[:, 1:] * normals[:, 0])
+        breaks.extend(np.clip(r, r_in[:, None], r_out[:, None]).T)
+        # graded away from the closest approach to the nearest corner
+        closest, miss = u @ (v - c).T, np.abs(u[:, :1] * (v - c)[:, 1] - u[:, 1:] * (v - c)[:, 0])
+        k = np.argmin(np.where(closest > 0.0, miss, np.inf), axis=1)
+        near, miss = closest[np.arange(len(u)), k], miss[np.arange(len(u)), k]
+        for scale in 2.0 ** np.arange(CORNER_GRADING):
+            breaks.append(np.clip(near + scale * miss, r_in, r_out))
     r, w_r = gauss_panels(np.sort(np.column_stack(breaks), axis=1), n)
     pts = (c + r[..., None] * u[:, None, None, :]).reshape(-1, 2)
     w, g = web._profile(hole.distance(pts), outer.distance(pts))
     area = (w_theta[:, None, None] * w_r * r).ravel()
 
-    t = 2.0 * math.pi * np.arange(1024) / 1024
-    rim = outer._c() + np.column_stack([outer.a * np.cos(t), outer.b * np.sin(t)])
+    def rim(t):
+        return outer._c() + np.column_stack([outer.a * np.cos(t), outer.b * np.sin(t)])
+
+    t_cuts = [np.linspace(0.0, 2.0 * math.pi, panels + 1)]
+    for level in (s_star, rad.r_bar - rad.shell.r_inner):
+        t_cuts.append(crossings(lambda t: hole.distance(rim(t)) - level, 0.0, 2.0 * math.pi, 1025))
+    if polygon:
+        t_cuts.append(np.arctan2((exits[:, 1] - outer.center[1]) / outer.b,
+                                 (exits[:, 0] - outer.center[0]) / outer.a))
+    t, w_t = gauss_panels(np.unique(np.append(np.concatenate(t_cuts) % (2.0 * math.pi), 2.0 * math.pi)), n)
+    t, w_t = t.ravel(), w_t.ravel()
     speed = np.hypot(outer.a * np.sin(t), outer.b * np.cos(t))
-    boundary = 2.0 * math.pi / 1024 * float(np.sum(web.evaluate(rim) ** 2 * speed))
+    boundary = float(np.sum(w_t * web.evaluate(rim(t)) ** 2 * speed))
     return (float(np.sum(area * g * g)) + beta * boundary) / float(np.sum(area * w * w))
+
+
+def _cross_rows(p, q):
+    return p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0]
 
 
 def ellipse_hole_member(offset=(0.0, 0.0)):
@@ -492,12 +541,16 @@ LEVEL_SET_CASES = {
     "member6-10": (lambda: FAMILY[6], 10.0),
     "member7-1": (lambda: FAMILY[7], 1.0),
     "member7-10": (lambda: FAMILY[7], 10.0),
-    # a disk written as an ellipse, so that the circle-pair rule stays out
+    # a disk written as an ellipse, so that the foot-point Newton solve runs
     "circle-hole": (
         lambda: AnnularDomain(Ellipse((0, 0), 2.0, 2.0), Circle((0.1, 0.05), 1.0)), 1.0
     ),
     "ellipse-hole": (ellipse_hole_member, 1.0),
     "ellipse-hole-off-centre": (lambda: ellipse_hole_member((0.1, 0.05)), 10.0),
+    # splits past the free distance, where the split curve leaves the ellipse
+    "member6-0.1": (lambda: FAMILY[6], 0.1),
+    "member7-0.1": (lambda: FAMILY[7], 0.1),
+    "member7-0.3": (lambda: FAMILY[7], 0.3),
 }
 
 
@@ -532,9 +585,9 @@ class TestLevelSetQuotient:
     @pytest.mark.parametrize("case", sorted(LEVEL_SET_CASES))
     def test_matches_polar_oracle(self, case):
         web, beta = level_set_web(case)
-        assert web.contained
+        assert web.contained == ("-0." not in case)
         _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
-        assert value == pytest.approx(level_set_oracle(web, beta), rel=1e-7)
+        assert value == pytest.approx(level_set_oracle(web, beta), rel=1e-11)
 
     @pytest.mark.parametrize("case", sorted(LEVEL_SET_CASES))
     def test_computed_error_is_small(self, case):
@@ -560,6 +613,8 @@ class TestLevelSetQuotient:
         assert value == pytest.approx(expected, abs=1e-8)
 
     def test_disk_as_ellipse_matches_the_circle_pair_rule(self):
+        # the same rule on the Circle, whose distance and foot parameter
+        # are closed-form
         web, beta = level_set_web("circle-hole")
         circle = dataclasses.replace(
             web, domain=AnnularDomain(Circle((0, 0), 2.0), web.domain.inner)
@@ -606,16 +661,45 @@ class TestLevelSetQuotient:
         _, value = rayleigh_quotient(build_web(dom, rad), 1.0)
         assert value == pytest.approx(rad.lam, rel=1e-13)
 
-    @pytest.mark.parametrize("case", ["member7-10", "ellipse-hole-off-centre"])
+    @pytest.mark.parametrize("case", ["member7-10", "ellipse-hole-off-centre", "member7-0.1"])
     def test_level_lengths_match_sampled_chords(self, case):
         web, _ = level_set_web(case)
-        band = web._band
+        frame, s_star = webfunc._frame(web.domain), web.split_s
         top = web.radial.shell.r_outer - web.radial.r_bar
+        depths = webfunc._depth(web.domain.outer, frame.walk(frame.nodes, s_star)[0])[0]
+        breaks = depths[(depths > 0.0) & (depths < top)]
         # just past each break, where arcs are born at a tangency or pass a joint
-        t = np.sort(np.concatenate([np.linspace(0.02, 0.98, 9), band.breaks / top + 1e-3]) * top)
+        t = np.sort(np.concatenate([np.linspace(0.02, 0.98, 9) * top, breaks + 1e-3 * top]))
         t = t[t < top]
         sampled = [sampled_level_length(web, level) for level in t]
-        assert _level_lengths(web, band, t) == pytest.approx(sampled, rel=1e-7)
+        lengths = _level_lengths(frame, web.domain, np.full(len(t), s_star), t)[1]
+        assert lengths == pytest.approx(sampled, rel=1e-7)
+
+    @pytest.mark.parametrize("case", ["member6-0.1", "member7-0.1", "ellipse-hole-off-centre"])
+    def test_inner_lengths_match_sampled_chords(self, case):
+        # P_i(s), the length of the boundary of K + sB inside the ellipse,
+        # on chords of that boundary's support points plus s u
+        web, _ = level_set_web(case)
+        dom, frame = web.domain, webfunc._frame(web.domain)
+        s = np.linspace(0.05, 1.0, 6) * web.split_s
+        theta = 2.0 * math.pi * np.arange((1 << 16) + 1) / (1 << 16)
+        u = np.column_stack([np.cos(theta), np.sin(theta)])
+        axes = np.array([dom.outer.a, dom.outer.b])
+        sampled = []
+        for depth in s:
+            pts = (dom.inner.support_point(u) + depth * u - dom.outer.center) / axes
+            # each chord p + lam (q - p) is inside the ellipse, the unit disk
+            # here, between the roots of a quadratic in lam
+            p, d = pts[:-1], np.diff(pts, axis=0)
+            a, b, c = np.sum(d * d, axis=1), np.sum(p * d, axis=1), np.sum(p * p, axis=1) - 1.0
+            root = np.sqrt(np.maximum(b * b - a * c, 0.0))
+            share = np.clip((root - b) / a, 0.0, 1.0) - np.clip((-root - b) / a, 0.0, 1.0)
+            sampled.append(float(np.sum(share * np.hypot(*(d * axes).T))))
+        lengths = _level_lengths(frame, dom, s, np.zeros(len(s)))[0]
+        assert lengths == pytest.approx(sampled, rel=1e-7)
+        full = dom.inner.perimeter() + 2.0 * math.pi * s
+        assert np.all(lengths <= full * (1.0 + 1e-15))
+        assert (lengths < full * (1.0 - 1e-9)).tolist() == (s > dom.gap).tolist()
 
     def test_polygon_outer_is_out_of_range(self):
         outer = PolygonCurve(ConvexPolygon.regular(6, 2.0))
@@ -635,14 +719,37 @@ class TestLevelSetQuotient:
         with pytest.raises(RangeError, match="reach"):
             rayleigh_quotient(web, 10.0, allow_uncertified=True)
 
-    def test_uncontained_web_is_rejected_even_when_allowed(self):
-        dom = FAMILY[6]
-        web = build_web(dom, solve_shell(2, *class_s_data(dom)[:2], 0.1))
-        assert not web.contained
-        with pytest.raises(InvalidWebError, match="contained"):
-            rayleigh_quotient(web, 0.1, allow_uncertified=True)
-        with pytest.raises(InvalidWebError):
-            chain_certificate(dom, 0.1, n_r=16, n_a=64)
+
+
+# R(w) at 32 nodes per panel on standard_family() members 0-5, the circle
+# pairs, as the circle-pair rule gave them before every web in an ellipse
+# took one coarea rule
+CIRCLE_PAIR_RAYLEIGH = {
+    (0, 0.1): 2.0681294793185527, (0, 0.3): 2.475413621391993,
+    (0, 1.0): 3.668306023317742, (0, 10.0): 8.050234711949228,
+    (1, 0.1): 2.0680234696145705, (1, 0.3): 2.4741465864829904,
+    (1, 1.0): 3.6658799508785265, (1, 10.0): 8.037677631090538,
+    (2, 0.1): 2.0499527742373935, (2, 0.3): 2.467433318410739,
+    (2, 1.0): 3.640608514164796, (2, 10.0): 7.7518445273785,
+    (3, 0.1): 1.9718137929381787, (3, 0.3): 2.3933198637709707,
+    (3, 1.0): 3.654630630189888, (3, 10.0): 6.967646625214105,
+    (4, 0.1): 1.805859969616917, (4, 0.3): 2.21258403235675,
+    (4, 1.0): 3.4512853272347632, (4, 10.0): 10.115181357752302,
+    (5, 0.1): 1.5517498435655692, (5, 0.3): 1.9224562264851552,
+    (5, 1.0): 3.0502485785395246, (5, 10.0): 9.360519031468135,
+}
+
+
+@pytest.mark.parametrize("beta", [0.1, 0.3, 1.0, 10.0])
+@pytest.mark.parametrize("member", range(len(FAMILY)))
+def test_every_family_member_answers(member, beta):
+    # members 6 and 7 at beta 0.1, and 7 at 0.3, split past the free
+    # distance; every row now answers with a computed error
+    report = chain_certificate(FAMILY[member], beta, n_r=16, n_a=64)
+    assert 0.0 <= report["rayleigh_error"] <= 1e-10 * report["rayleigh"]
+    assert report["split_area_rel_err"] <= 1e-13
+    if (member, beta) in CIRCLE_PAIR_RAYLEIGH:
+        assert report["rayleigh"] == pytest.approx(CIRCLE_PAIR_RAYLEIGH[member, beta], rel=1e-12)
 
 
 class TestChainCertificate:
