@@ -4,7 +4,9 @@ The 2D machinery (areas, perimeters, quermassintegrals, inradius, support
 points and functions, boundary distances, and the lineups of a hole's
 support points with an outer ellipse's) works on convex polygons and on
 the two boundary-curve kinds used throughout the package: axis-aligned
-ellipses, of which a circle is the a = b case, and convex polygons.
+ellipses, of which a circle is the a = b case, and convex polygons.  An
+ellipse has one foot-point solve, Ellipse.foot, which gives the signed
+distance and the foot's parameter; distance and foot_parameter read it.
 """
 
 from __future__ import annotations
@@ -345,7 +347,7 @@ class BoundaryCurve:
 
 def _secular_root(z0, z1, c: float) -> np.ndarray:
     """tau > 0 with (z0 / (tau + c))^2 + (z1 / tau)^2 = 1, by the monotone
-    Newton iteration of Ellipse.distance."""
+    Newton iteration of Ellipse.foot."""
     tau = np.maximum(z1, z0 - c)
     cap = np.hypot(z0, z1)
     todo = np.arange(len(tau))
@@ -401,66 +403,62 @@ class Ellipse(BoundaryCurve):
         inside = r <= 1.0 + tol / min(self.a, self.b)
         return inside if inside.size > 1 else bool(inside[0])
 
-    def distance(self, points):
-        """Foot-point distance by Newton's method on Eberly's secular equation
-        (Geometric Tools, 2013), folded into the first quadrant with e0 >= e1.
+    def foot(self, points):
+        """(theta, d): the parameter of each point's nearest curve point c +
+        (a cos theta, b sin theta) and the signed distance to it, positive
+        inside, by Newton's method on Eberly's secular equation (Geometric
+        Tools, 2013) folded into the first quadrant with e0 >= e1.
 
-        With c = e0^2 - e1^2 the foot point is (e0^2 y0 / (tau + c), e1^2 y1 /
-        tau), where tau > 0, Eberly's t shifted by e1^2 so that near-axis
-        points keep their digits, solves F(tau) = (e0 y0 / (tau + c))^2 +
-        (e1 y1 / tau)^2 = 1.  F is convex and decreasing, >= 1 at max(e1 y1,
-        e0 y0 - c) and <= 1 at hypot(e0 y0, e1 y1), so Newton's iterates rise
-        monotonically to the root under that cap.  Axis points (an offset
-        from the major axis that underflows counts as zero) are closed-form.
+        With c = e0^2 - e1^2 the folded foot is (e0 cos f, e1 sin f), (cos f,
+        sin f) = (e0 y0 / (tau + c), e1 y1 / tau), where tau > 0, Eberly's t
+        shifted by e1^2 so that near-axis points keep their digits, solves
+        F(tau) = (e0 y0 / (tau + c))^2 + (e1 y1 / tau)^2 = 1.  F is convex
+        and decreasing, >= 1 at max(e1 y1, e0 y0 - c) and <= 1 at hypot(e0
+        y0, e1 y1), so Newton's iterates rise monotonically to the root
+        under that cap, and the point is inside where tau < e1^2: d = (e1^2
+        - tau) hypot(y0 / (tau + c), y1 / tau).  Axis points (an offset from
+        the major axis that underflows counts as zero) are closed-form.
         """
-        (e0, e1), (y0, y1) = self._folded(points)
-        c = (e0 - e1) * (e0 + e1)
-        z0, z1 = e0 * y0, e1 * y1
-        out = np.empty(len(y0))
-        minor = y0 == 0.0
-        major = ~minor & (z1 < np.finfo(float).tiny)
-        evolute = major & (z0 < c)
-        out[minor] = np.abs(y1[minor] - e1)
-        out[evolute] = e1 * np.sqrt(1.0 - y0[evolute] ** 2 / c)
-        out[major & ~evolute] = np.abs(y0[major & ~evolute] - e0)
-
-        free = ~(minor | major)
-        y0, y1 = y0[free], y1[free]
-        tau = _secular_root(z0[free], z1[free], c)
-        out[free] = np.abs(tau - e1 * e1) * np.hypot(y0 / (tau + c), y1 / tau)
-        return out
-
-    def _folded(self, points):
-        """Semi-axes (e0, e1), major first, and the points' |offsets| (y0,
-        y1) from the centre along them: the first quadrant of distance."""
-        q = np.abs(np.atleast_2d(np.asarray(points, dtype=float)) - self._c())
-        if self.a >= self.b:
-            return (self.a, self.b), q.T
-        return (self.b, self.a), q.T[::-1]
-
-    def foot_parameter(self, points):
-        """theta of each point's nearest curve point c + (a cos theta, b sin
-        theta), from the foot-point solve of distance: the folded foot is
-        (e0 cos f, e1 sin f) with (cos f, sin f) = (e0 y0 / (tau + c), e1 y1 /
-        tau), and the axis points' feet are closed-form as there."""
         p = np.atleast_2d(np.asarray(points, dtype=float)) - self._c()
-        (e0, e1), (y0, y1) = self._folded(points)
+        wide, q = self.a >= self.b, np.abs(p.T)
+        (e0, e1), (y0, y1) = ((self.a, self.b), q) if wide else ((self.b, self.a), q[::-1])
         c = (e0 - e1) * (e0 + e1)
         z0, z1 = e0 * y0, e1 * y1
-        cos_f, sin_f = np.zeros(len(p)), np.ones(len(p))
+        d, cos_f, sin_f = np.empty(len(p)), np.zeros(len(p)), np.ones(len(p))
         minor = y0 == 0.0
         major = ~minor & (z1 < np.finfo(float).tiny)
         evolute = major & (z0 < c)
+        d[minor] = e1 - y1[minor]
+        d[evolute] = e1 * np.sqrt(1.0 - y0[evolute] ** 2 / c)
+        d[major & ~evolute] = e0 - y0[major & ~evolute]
         cos_f[major] = 1.0
         cos_f[evolute] = z0[evolute] / c
         sin_f[major] = np.sqrt(1.0 - cos_f[major] ** 2)
+
         free = ~(minor | major)
         tau = _secular_root(z0[free], z1[free], c)
+        d[free] = (e1 * e1 - tau) * np.hypot(y0[free] / (tau + c), y1[free] / tau)
         cos_f[free], sin_f[free] = z0[free] / (tau + c), z1[free] / tau
         sx, sy = np.copysign(1.0, p[:, 0]), np.copysign(1.0, p[:, 1])
-        if self.a >= self.b:
-            return np.arctan2(sy * sin_f, sx * cos_f)
-        return np.arctan2(sy * cos_f, sx * sin_f)
+        if wide:
+            return np.arctan2(sy * sin_f, sx * cos_f), d
+        return np.arctan2(sy * cos_f, sx * sin_f), d
+
+    def distance(self, points):
+        """Distance to the curve: |d| of foot."""
+        return np.abs(self.foot(points)[1])
+
+    def foot_parameter(self, points):
+        """theta of each point's nearest curve point c + (a cos theta, b sin
+        theta): the theta of foot."""
+        return self.foot(points)[0]
+
+    @property
+    def reach(self) -> float:
+        """min(a, b)^2 / max(a, b), the least radius of curvature: up to it
+        the inner parallel curves are regular, and a point less deep inside
+        has one foot."""
+        return min(self.a, self.b) ** 2 / max(self.a, self.b)
 
     def ray_length(self, origin, direction):
         o = _as_point(origin) - self._c()
@@ -513,10 +511,10 @@ class Ellipse(BoundaryCurve):
 
 
 class Circle(Ellipse):
-    """The ellipse a = b = radius.  Its closed-form distance and foot
-    parameter are ten to twenty times faster than the foot-point Newton
-    solve, and its ray_length gives t = r exactly on rays from the centre,
-    which keeps meshes on circles exact."""
+    """The ellipse a = b = radius.  Its closed-form foot, (atan2, r - |p -
+    c|), is ten to twenty times faster than the foot-point Newton solve,
+    and its ray_length gives t = r exactly on rays from the centre, which
+    keeps meshes on circles exact."""
 
     def __init__(self, center, radius):
         if not 0.0 < radius < math.inf:
@@ -527,13 +525,9 @@ class Circle(Ellipse):
     def radius(self) -> float:
         return self.a
 
-    def distance(self, points):
-        p = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.abs(np.hypot(*(p - self._c()).T) - self.radius)
-
-    def foot_parameter(self, points):
+    def foot(self, points):
         p = np.atleast_2d(np.asarray(points, dtype=float)) - self._c()
-        return np.arctan2(p[:, 1], p[:, 0])
+        return np.arctan2(p[:, 1], p[:, 0]), self.radius - np.hypot(p[:, 0], p[:, 1])
 
     def ray_length(self, origin, direction):
         o = _as_point(origin) - self._c()
@@ -758,9 +752,9 @@ def free_distance(outer: BoundaryCurve, hole: BoundaryCurve) -> float:
 
     It is the least h_outer(u) - h_hole(u), h(u) = support_point(u) . u
     (Schneider, Convex Bodies, sec. 1.7), over a polygon outer's edge
-    normals.  Inside a smooth outer the boundary distance is concave, so
-    it is least at a polygon hole's vertex or a circle hole's centre less
-    the radius.  For an ellipse hole the slack's derivative in the normal
+    normals.  Inside a smooth outer the signed distance of foot is
+    concave, so it is least at a polygon hole's vertex or a circle hole's
+    centre less the radius.  For an ellipse hole the slack's derivative in the normal
     angle is (X(u) - P(u)) . u_perp, so its least value is at one of the
     same-normal lineups, or at any angle when the lineup is flat.
     """
@@ -770,8 +764,7 @@ def free_distance(outer: BoundaryCurve, hole: BoundaryCurve) -> float:
     if isinstance(hole, PolygonCurve) or hole.a == hole.b:
         circle = not isinstance(hole, PolygonCurve)
         extreme = hole._c()[None] if circle else hole.polygon.vertices
-        d = outer.distance(extreme)
-        return float(np.min(np.where(outer.contains(extreme), d, -d))) - (hole.a if circle else 0.0)
+        return float(np.min(outer.foot(extreme)[1])) - (hole.a if circle else 0.0)
     phi, _, far = lineups(outer, hole)
     phi = np.append(phi[~far], 0.0)
     u = np.column_stack([np.cos(phi), np.sin(phi)])

@@ -420,18 +420,6 @@ def _frame(domain: AnnularDomain) -> _Frame:
     return _Frame(pieces, walk, length, nodes, exits, np.arctan2(at[:, 1], at[:, 0]))
 
 
-def _depth(outer: Ellipse, x):
-    """(d_o, nu, theta): the signed distance of points x to the outer
-    ellipse, negative outside, the unit outward normal at their feet and
-    the feet's parameter, from the foot-point solve."""
-    theta = outer.foot_parameter(x)
-    cos, sin = np.cos(theta), np.sin(theta)
-    nu = np.column_stack([outer.b * cos, outer.a * sin])
-    nu /= np.hypot(nu[:, 0], nu[:, 1])[:, None]
-    foot = np.asarray(outer.center) + np.column_stack([outer.a * cos, outer.b * sin])
-    return np.sum((foot - x) * nu, axis=1), nu, theta
-
-
 def _runs(frame: _Frame, outer: Ellipse, rows: np.ndarray, top: np.ndarray):
     """(row, lo, hi, f_lo, f_hi): the boundary of each K + rows[k] B cut
     into runs [lo, hi] of sigma on which d_o is monotone below the depth
@@ -449,7 +437,7 @@ def _runs(frame: _Frame, outer: Ellipse, rows: np.ndarray, top: np.ndarray):
     hi = np.tile(np.append(frame.nodes[1:], frame.nodes[0] + frame.pieces), len(rows))
 
     def depth(sigma, k):
-        return _depth(outer, frame.walk(sigma % frame.pieces, rows[k])[0])[0]
+        return outer.foot(frame.walk(sigma % frame.pieces, rows[k])[0])[1]
 
     step = 1e-3 * (hi - lo)
     f_lo, *near = depth(np.concatenate([lo, lo + step, hi - step]), np.tile(row, 3)).reshape(3, -1)
@@ -491,11 +479,12 @@ def _level_lengths(frame: _Frame, domain: AnnularDomain, s: np.ndarray, t: np.nd
     where {d_o = t} is gamma(theta) - t nu(theta), of speed |gamma'| - t a
     b / |gamma'|^2 and length P - 2 pi t.  Each run of K + s_q B (_runs)
     whose end depths straddle t_q crosses it once, at sigma found by
-    safeguarded Newton on d_o(sigma) = t_q, d_o read off the foot
-    parameter.  Where d_o rises along the counterclockwise boundary of
-    K + s_q B, the boundary enters {d_o > t_q} and the level curve leaves
-    K + s_q B.  Between crossings both curves have closed-form arc lengths:
-    frame.length, and _arc_and_turn less t times the turn.
+    safeguarded Newton on d_o(sigma) = t_q, with d_o and the crossing's
+    theta read off Ellipse.foot.  Where d_o rises along the
+    counterclockwise boundary of K + s_q B, the boundary enters {d_o > t_q}
+    and the level curve leaves K + s_q B.  Between crossings both curves
+    have closed-form arc lengths: frame.length, and _arc_and_turn less t
+    times the turn.
     """
     outer, hole = domain.outer, domain.inner
     inner = hole.perimeter() + 2.0 * math.pi * s
@@ -531,8 +520,10 @@ def _level_lengths(frame: _Frame, domain: AnnularDomain, s: np.ndarray, t: np.nd
             break
         x, tangent = frame.walk(sigma[todo] % frame.pieces, depth[todo])
         # every crossing leaves todo where it was last read, so theta is its foot
-        d, nu, theta[todo] = _depth(outer, x)
-        miss, slope = d - level[todo], -np.sum(nu * tangent, axis=1)
+        theta[todo], d = outer.foot(x)
+        # d_o falls along the outward normal at the foot
+        nu = np.column_stack([outer.b * np.cos(theta[todo]), outer.a * np.sin(theta[todo])])
+        miss, slope = d - level[todo], -np.sum(nu * tangent, axis=1) / np.hypot(*nu.T)
         # a crossing whose depth is matched to rounding stays where it is
         going = np.abs(miss) > 4.0 * np.finfo(float).eps * outer.scale
         todo, miss, slope = todo[going], miss[going], slope[going]
@@ -597,8 +588,8 @@ def _coarea_pass(frame: _Frame, domain: AnnularDomain, radial: RadialEigenResult
     """
     outer, hole = domain.outer, domain.inner
     r1, r2, r_bar = radial.shell.r_inner, radial.shell.r_outer, radial.r_bar
-    top = r2 - r_bar if r2 - r_bar < min(outer.a, outer.b) ** 2 / max(outer.a, outer.b) else 0.0
-    depths = _depth(outer, frame.walk(frame.nodes, s_star)[0])[0]
+    top = r2 - r_bar if r2 - r_bar < outer.reach else 0.0
+    depths = outer.foot(frame.walk(frame.nodes, s_star)[0])[1]
     s_panels = [_cosine_panels(0.0, s_star, [*frame.exits, r_bar - r1], n) for n in COAREA_NODES]
     t_panels = [_cosine_panels(0.0, top, depths, n) for n in COAREA_NODES]
     sizes = [len(p[0]) for p in s_panels + t_panels]
@@ -635,15 +626,13 @@ def _coarea_pass(frame: _Frame, domain: AnnularDomain, radial: RadialEigenResult
 
 
 def _check_range(web: WebFunction) -> None:
-    """RangeError unless the outer curve is an ellipse whose reach min(a,
-    b)^2 / max(a, b), its least radius of curvature, exceeds the falling
-    band R2 - r_bar: up to the reach its inner parallel curves are regular."""
+    """RangeError unless the outer curve is an ellipse whose reach
+    (Ellipse.reach) exceeds the falling band R2 - r_bar."""
     outer, band = web.domain.outer, web.radial.shell.r_outer - web.radial.r_bar
     if not isinstance(outer, Ellipse):
         raise RangeError("the coarea Rayleigh quotient needs an elliptic outer curve")
-    reach = min(outer.a, outer.b) ** 2 / max(outer.a, outer.b)
-    if band >= reach:
-        raise RangeError(f"falling band R2 - r_bar {band:.6g} >= the outer reach {reach:.6g}")
+    if band >= outer.reach:
+        raise RangeError(f"falling band R2 - r_bar {band:.6g} >= the outer reach {outer.reach:.6g}")
 
 
 def rayleigh_quotient(web: WebFunction, beta: float, allow_uncertified: bool = False):

@@ -631,6 +631,17 @@ class TestSolveDomain:
         radius = float(np.hypot(*res.mesh.nodes[int(np.argmax(res.u))]))
         assert abs(radius - rad.r_bar) <= 2.0 * (1.0 / 48)
 
+    @pytest.mark.xfail(raises=SolverError, strict=True, reason="signed first eigenvector")
+    def test_long_slot_in_a_flat_ellipse_answers(self):
+        # a slot reaching to 0.5 of the ellipse's far vertex, meshed on rays
+        # from its centroid: the discrete first eigenvector is signed at
+        # every level from 2x8 (min / max -0.087) to 64x256 (-0.008), so the
+        # positivity check of solve_on_mesh raises at the dense floor
+        slot = ConvexPolygon(np.array([[-0.2, -0.1], [2.5, -0.1], [2.5, 0.1], [-0.2, 0.1]]))
+        domain = AnnularDomain(Ellipse((0, 0), 3.0, 0.6), PolygonCurve(slot))
+        result = solve_domain(domain, 1.0, 16, 64)
+        assert result.lam > 0.0 and np.min(result.u) >= -1e-10
+
     @pytest.mark.parametrize("member", [0, 3])
     def test_large_beta_answers_below_dirichlet(self, member):
         # at beta >= 1e8 the rounding of A u, about eps ||A||_1 ||u||,

@@ -614,6 +614,11 @@ class TestEllipseDistance:
         s_out = rng.uniform(0.0, 3.0 * max(a, b), 4000)
         for pts, s in ((foot - s_in[:, None] * normal, s_in), (foot + s_out[:, None] * normal, s_out)):
             assert np.max(np.abs(ell.distance(pts) - s)) <= 1e-13 * ell.scale
+        # the signed distance of foot is positive inside
+        inside = ell.foot(foot - s_in[:, None] * normal)[1]
+        outside = ell.foot(foot + s_out[:, None] * normal)[1]
+        assert np.max(np.abs(inside - s_in)) <= 1e-13 * ell.scale
+        assert np.max(np.abs(outside + s_out)) <= 1e-13 * ell.scale
 
     @pytest.mark.parametrize("kind", sorted(ELLIPSES))
     def test_foot_parameter_on_known_normals(self, kind, rng):
@@ -744,6 +749,10 @@ class TestCircleIsEllipse:
         assert np.max(np.abs(self.CIRCLE.foot_parameter(grown) - self.TWIN.foot_parameter(grown))) <= (
             4.0 * self.EPS
         )
+        for x in (pts, grown):
+            (theta, d), (twin_theta, twin_d) = self.CIRCLE.foot(x), self.TWIN.foot(x)
+            assert np.max(np.abs(np.angle(np.exp(1j * (theta - twin_theta))))) <= 4.0 * self.EPS
+            assert np.max(np.abs(d - twin_d)) <= tol
         origin = c + (0.2, 0.5)
         assert np.max(
             np.abs(self.CIRCLE.ray_length(origin, u) - self.TWIN.ray_length(origin, u))

@@ -666,7 +666,7 @@ class TestLevelSetQuotient:
         web, _ = level_set_web(case)
         frame, s_star = webfunc._frame(web.domain), web.split_s
         top = web.radial.shell.r_outer - web.radial.r_bar
-        depths = webfunc._depth(web.domain.outer, frame.walk(frame.nodes, s_star)[0])[0]
+        depths = web.domain.outer.foot(frame.walk(frame.nodes, s_star)[0])[1]
         breaks = depths[(depths > 0.0) & (depths < top)]
         # just past each break, where arcs are born at a tangency or pass a joint
         t = np.sort(np.concatenate([np.linspace(0.02, 0.98, 9) * top, breaks + 1e-3 * top]))
