@@ -5,8 +5,8 @@ points and functions, boundary distances, and the lineups of a hole's
 support points with an outer ellipse's) works on convex polygons and on
 the two boundary-curve kinds used throughout the package: axis-aligned
 ellipses, of which a circle is the a = b case, and convex polygons.  An
-ellipse has one foot-point solve, Ellipse.foot, which gives the signed
-distance and the foot's parameter; distance and foot_parameter read it.
+ellipse has one foot-point solve, Ellipse.foot, which gives the foot's
+parameter and the signed distance; distance reads it.
 """
 
 from __future__ import annotations
@@ -447,11 +447,6 @@ class Ellipse(BoundaryCurve):
     def distance(self, points):
         """Distance to the curve: |d| of foot."""
         return np.abs(self.foot(points)[1])
-
-    def foot_parameter(self, points):
-        """theta of each point's nearest curve point c + (a cos theta, b sin
-        theta): the theta of foot."""
-        return self.foot(points)[0]
 
     @property
     def reach(self) -> float:

@@ -40,7 +40,7 @@ import numpy as np
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
-from scipy.special import j0, j1, jv, y0, y1, yn, yv
+from scipy.special import j0, j1, jv, y0, y1, yn
 from scipy.special._ufuncs import _spherical_jn, _spherical_yn
 
 from .errors import BracketError, NumericalError, RangeError
@@ -131,19 +131,17 @@ class RadialEigenResult:
 
 
 def _jy(mu: float, x):
-    """(J_mu(x), Y_mu(x)) for x > 0.
+    """(J_mu(x), Y_mu(x)) for x > 0: the module's one Bessel evaluation.
 
-    Arrays of integer or half-integer order mu >= 0 use scipy's kernels for
-    those orders: cephes j0/y0 and j1/y1 at orders 0 and 1, jv with yn at
-    higher integer orders, and J_(m+1/2)(x) = sqrt(2x/pi) j_m(x) (DLMF
-    10.47.3) on the ufuncs _spherical_jn/_spherical_yn, which scipy's
-    spherical_jn/spherical_yn call through a wrapper that reflects x < 0
-    (about 30 us per call; x > 0 here); all within 8 eps (1 + x) of the
-    modulus sqrt(J^2 + Y^2), at a fraction of the cost of AMOS jv/yv.
-    Scalars, such as the root polish, and any other order stay on jv/yv.
+    mu is nu or nu + 1 of an integer dimension n >= 2, so an integer or
+    half-integer >= 0, and scipy's kernels for those orders serve scalars
+    and arrays alike, bit for bit: cephes j0/y0 and j1/y1 at orders 0 and
+    1, jv with yn at higher integer orders, and J_(m+1/2)(x) = sqrt(2x/pi)
+    j_m(x) (DLMF 10.47.3) on the ufuncs _spherical_jn/_spherical_yn, which
+    scipy's spherical_jn/spherical_yn call through a wrapper that reflects
+    x < 0 (about 30 us per call; x > 0 here); all within 8 eps (1 + x) of
+    the modulus sqrt(J^2 + Y^2), at a fraction of the cost of AMOS jv/yv.
     """
-    if np.ndim(x) == 0 or not mu >= 0.0 or mu % 0.5 != 0.0:
-        return jv(mu, x), yv(mu, x)
     if mu == 0.0:
         return j0(x), y0(x)
     if mu == 1.0:
@@ -224,8 +222,9 @@ def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
     a bound on the Dirichlet eigenvalue of the outer half shell.  The scan
     evaluates that grid _SCAN_BLOCK points at a time and stops at the block
     holding the first point where the difference turns nonnegative, so its
-    bracket is the full scan's; each evaluation computes J_nu(k R1) and
-    Y_nu(k R1) once for both cross products.
+    bracket is the full scan's, and Brent's method reads the scan's own
+    values at its ends (_jy gives a scalar the array's value); each
+    evaluation computes J_nu(k R1) and Y_nu(k R1) once for both cross products.
     """
     nu, d = 0.5 * n - 1.0, r2 - r1
 
@@ -260,14 +259,17 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     The solve checks the boundary residual against its rounding allowance
     and phi' on the stride subset of the knots (module docstring) for one
     critical radius; Brent's method finds r_bar on the subset interval
-    where phi' drops, the only zero of phi' in it.  Each knot value comes
-    from the same array kernels as the full profile, so it has the same sign.
+    where phi' drops, the only zero of phi' in it.  Every value, scalar or
+    array, comes from the kernels of _jy, so a knot has the same sign in
+    the subset, the full profile and the polish, which can lose its sign
+    change only at R2, where phi' is imposed.
     The full profile on PROFILE_SAMPLES knots uniform in t = log r, with
     cubic Hermite splines of phi (dphi/dt = r phi') and phi' (by the ODE,
     d(phi')/dt = -(n-1) phi' - lambda r phi), is built on first read of
     phi, dphi, value() or slope().  J_nu(k R1) and Y_nu(k R1) at the root
     are computed once and serve the knot values, the Brent function of
-    r_bar, v_M and the rounding unit alike.
+    r_bar, v_M and the rounding unit alike, and _jy also gives the moduli
+    of the residual allowances.
     """
     shell = ShellSpec(n, r1, r2)
     _check_beta(beta)
@@ -285,7 +287,7 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     # the residual's rounding scales with the Bessel moduli sqrt(J^2 + Y^2) of
     # its products, which may both vanish; measured at most 5.1 of 64 units.
     # Allowances count units: two moduli overflow together on tiny holes at large n
-    mod = lambda mu, x: math.hypot(jv(mu, x), yv(mu, x))
+    mod = lambda mu, x: math.hypot(*_jy(mu, x))
     unit = 64.0 * EPS * (1.0 + k * r2) * float(abs(_scale(nu, r1, r2))) * math.hypot(*inner)
     phi_err = mod(nu, k * r2)
     if math.isinf(beta):
@@ -305,7 +307,7 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
         z1 = lambda s: _cross(nu, nu + 1.0, k, r1, s, inner)
         try:
             r_bar = brentq(z1, r[stride * drop], r[stride * (drop + 1)], xtol=EPS * r1)
-        except ValueError as err:  # no sign change: beta below the rounding of phi'
+        except ValueError as err:  # phi'(R2) imposed: beta below the rounding of phi'
             raise NumericalError("critical radius not resolved next to R2") from err
         v_M = _scale(nu, r1, r_bar) * _cross(nu, nu, k, r1, r_bar, inner)
         if not (r1 < r_bar < r2):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import worker  # noqa: E402
 import workloads  # noqa: E402
 
 from annulus_spectra.geometry import class_s_data  # noqa: E402
@@ -32,6 +33,21 @@ def test_web_chain_batches_pass_their_checks():
         for op in workload.batch(workloads.batch_rng(0, "web_chain", index)):
             wrong, unmet, _ = workload.check(op, workload.run(op))
             assert (wrong, unmet) == ([], []), (index, op[0])
+
+
+def test_shell_sweep_batches_pass_their_checks():
+    # the benchmark's oracles and its reference eigenvalues at their rtol,
+    # on two batches of the seed the reference file was made from
+    workload = workloads.WORKLOADS["shell_sweep"]
+    reference = worker._reference("shell_sweep", 0)
+    assert reference is not None
+    for index in (0, 1):
+        ops = workload.batch(workloads.batch_rng(0, "shell_sweep", index))
+        for j, op in enumerate(ops):
+            out = workload.run(op)
+            wrong, unmet, _ = workload.check(op, out)
+            wrong += worker._reference_problems(reference, index, j, workload.eigenvalues(out))
+            assert (wrong, unmet) == ([], []), (index, op)
 
 
 def test_web_chain_regime_rule_agrees_with_the_gap():

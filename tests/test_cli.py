@@ -37,6 +37,15 @@ class TestShellCommand:
         lam_fd = float(capsys.readouterr().out.split("lambda =")[1].split()[0])
         assert lam == pytest.approx(lam_fd, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "n, beta", [("3", "0.504828570311669"), ("4", "19.159121831389143")]
+    )
+    def test_root_on_a_scan_point_and_r_bar_on_a_knot_answer(self, n, beta, capsys):
+        # once an untyped ValueError from Brent's bracket and a spurious
+        # "critical radius not resolved next to R2"
+        assert main(["shell", "--n", n, "--r1", "1", "--r2", "2", "--beta", beta]) == 0
+        assert capsys.readouterr().out.startswith("lambda = ")
+
     def test_missing_argument_usage_error(self):
         assert main(["shell", "--n", "3", "--r1", "1", "--beta", "1"]) == 2
 

@@ -629,7 +629,7 @@ class TestEllipseDistance:
         normal = np.column_stack([b * np.cos(t), a * np.sin(t)])
         normal /= np.hypot(normal[:, 0], normal[:, 1])[:, None]
         s = rng.uniform(0.0, 1.0, len(t)) * min(a, b) ** 2 / max(a, b)
-        found = ell.foot_parameter(foot - s[:, None] * normal)
+        found = ell.foot(foot - s[:, None] * normal)[0]
         # angles compared on the circle
         assert np.max(np.abs(np.angle(np.exp(1j * (found - t))))) <= 1e-12
 
@@ -746,9 +746,7 @@ class TestCircleIsEllipse:
         u = (on - c) / 1.37
         grown = self.CIRCLE.support_point(u) + 0.4 * u
         assert np.max(np.abs(grown - (c + 1.77 * u))) <= tol
-        assert np.max(np.abs(self.CIRCLE.foot_parameter(grown) - self.TWIN.foot_parameter(grown))) <= (
-            4.0 * self.EPS
-        )
+        assert np.max(np.abs(self.CIRCLE.foot(grown)[0] - self.TWIN.foot(grown)[0])) <= 4.0 * self.EPS
         for x in (pts, grown):
             (theta, d), (twin_theta, twin_d) = self.CIRCLE.foot(x), self.TWIN.foot(x)
             assert np.max(np.abs(np.angle(np.exp(1j * (theta - twin_theta))))) <= 4.0 * self.EPS

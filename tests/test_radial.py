@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 from scipy.special import jv, spherical_jn, spherical_yn, yv
 from scipy.special._ufuncs import _spherical_jn, _spherical_yn
 
@@ -208,6 +209,45 @@ class TestBesselSolver:
         assert res.dphi[0] == pytest.approx(1.0, rel=1e-13)
 
 
+def _exact_r_bar(res):
+    """30-digit zero of Z_(nu+1)(k r) at the solver's own k, from its r_bar."""
+    n, r1 = res.shell.dim, res.shell.r_inner
+    with mpmath.workdps(30):
+        nu, k = mpmath.mpf(n) / 2 - 1, mpmath.mpf(res._k)
+        j_nu, y_nu = mpmath.besselj(nu, k * r1), mpmath.bessely(nu, k * r1)
+        return float(
+            mpmath.findroot(
+                lambda r: mpmath.besselj(nu + 1, k * r) * y_nu
+                - mpmath.bessely(nu + 1, k * r) * j_nu,
+                mpmath.mpf(res.r_bar),
+            )
+        )
+
+
+def _exact_lambda(n, r1, r2, beta, lam):
+    """(lambda, signs): the square of a 30-digit root of beta Z_nu(k R2) -
+    k Z_(nu+1)(k R2), scaled by the modulus at k R1 and by beta + k,
+    bracketed within 1e-12 of sqrt(lam), and the signs of the scaled
+    function on a grid below the root, at most 1/8 of the root spacing
+    pi / d apart: one sign there makes the root the first."""
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(n) / 2 - 1
+
+        def f(k):
+            j_in, y_in = mpmath.besselj(nu, k * r1), mpmath.bessely(nu, k * r1)
+            scale = mpmath.hypot(j_in, y_in)
+            z = lambda mu: (
+                mpmath.besselj(mu, k * r2) * y_in - mpmath.bessely(mu, k * r2) * j_in
+            ) / scale
+            return z(nu) if math.isinf(beta) else (beta * z(nu) - k * z(nu + 1)) / (beta + k)
+
+        k = mpmath.sqrt(lam)
+        root = mpmath.findroot(f, (k * (1 - 1e-12), k * (1 + 1e-12)), solver="anderson")
+        step = min(root, mpmath.pi / (mpmath.mpf(r2) - r1)) / 8
+        signs = {mpmath.sign(f(x)) for x in mpmath.arange(step, root, step)}
+        return float(root**2), signs
+
+
 class TestRootOracles:
     @pytest.mark.parametrize(
         "shell",
@@ -222,48 +262,29 @@ class TestRootOracles:
         ],
     )
     def test_critical_radius_matches_mpmath(self, shell):
-        # r_bar is the zero of Z_(nu+1)(k r) at the solver's own k
-        n, r1, _, _ = shell
         res = solve_shell(*shell)
-        with mpmath.workdps(30):
-            nu, k = mpmath.mpf(n) / 2 - 1, mpmath.mpf(res._k)
-            j_nu, y_nu = mpmath.besselj(nu, k * r1), mpmath.bessely(nu, k * r1)
-            exact = float(
-                mpmath.findroot(
-                    lambda r: mpmath.besselj(nu + 1, k * r) * y_nu
-                    - mpmath.bessely(nu + 1, k * r) * j_nu,
-                    mpmath.mpf(res.r_bar),
-                )
-            )
+        exact = _exact_r_bar(res)
         assert abs(res.r_bar - exact) <= 4.0 * EPS * exact
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 8, 12])
     def test_first_root_matches_mpmath(self, n):
-        # k is a 30-digit root of beta Z_nu(k R2) - k Z_(nu+1)(k R2), scaled
-        # by the modulus at k R1 and by beta + k, bracketed within 1e-12 of
-        # the solver's; the scaled function keeps one sign on a grid below
-        # it, at most 1/8 of the root spacing pi / d apart, so it is the first
         for r1, r2 in [(1.0, 2.0), (1.0, 1.001), (1e-3, 2.0)]:
             for beta in [0.0, 1e-3, 1.0, 1e6, math.inf]:
                 lam = solve_shell(n, r1, r2, beta).lam
-                with mpmath.workdps(30):
-                    nu = mpmath.mpf(n) / 2 - 1
-
-                    def f(k):
-                        j_in, y_in = mpmath.besselj(nu, k * r1), mpmath.bessely(nu, k * r1)
-                        scale = mpmath.hypot(j_in, y_in)
-                        z = lambda mu: (
-                            mpmath.besselj(mu, k * r2) * y_in - mpmath.bessely(mu, k * r2) * j_in
-                        ) / scale
-                        return z(nu) if math.isinf(beta) else (beta * z(nu) - k * z(nu + 1)) / (beta + k)
-
-                    k = mpmath.sqrt(lam)
-                    root = mpmath.findroot(f, (k * (1 - 1e-12), k * (1 + 1e-12)), solver="anderson")
-                    step = min(root, mpmath.pi / (mpmath.mpf(r2) - r1)) / 8
-                    signs = {mpmath.sign(f(x)) for x in mpmath.arange(step, root, step)}
-                    exact = float(root**2)
+                exact, signs = _exact_lambda(n, r1, r2, beta, lam)
                 assert abs(lam - exact) <= LAMBDA_RTOL * exact
                 assert len(signs) == 1 and 0 not in signs
+
+    @pytest.mark.parametrize(
+        "shell", [(2, 1.0, 2.0, 1.0), (5, 1e-3, 2.0, 1e9), (8, 1.0, 1.001, math.inf)]
+    )
+    def test_root_and_maximum_match_mpmath(self, shell):
+        # lambda and r_bar against 30-digit roots; beta = 1e9 is off the grid above
+        res = solve_shell(*shell)
+        exact, signs = _exact_lambda(*shell, res.lam)
+        assert abs(res.lam - exact) <= LAMBDA_RTOL * exact
+        assert len(signs) == 1 and 0 not in signs
+        assert abs(res.r_bar - _exact_r_bar(res)) <= 4.0 * EPS * res.r_bar
 
     @pytest.mark.parametrize("beta", [0.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e12])
     def test_closed_form_3d_matches_mpmath(self, beta):
@@ -283,10 +304,6 @@ class TestRootOracles:
             assert abs(k * k - float(exact**2)) <= 1e-14 * float(exact**2)
 
 
-def _plain_jy(mu, x):
-    return jv(mu, x), yv(mu, x)
-
-
 class TestBesselKernels:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_fast_kernels_match_mpmath(self, n):
@@ -304,39 +321,29 @@ class TestBesselKernels:
                 assert np.all(np.abs(j - exact_j) <= tol)
                 assert np.all(np.abs(y - exact_y) <= tol)
 
-    def test_other_orders_and_scalars_stay_on_jv(self):
-        x = np.geomspace(1e-3, 1e2, 50)
-        for mu in (0.25, 1.75, -0.5, -1.0):
-            assert all(np.array_equal(a, b) for a, b in zip(radial._jy(mu, x), _plain_jy(mu, x)))
-        for mu in (0.0, 0.5, 1.0, 3.0, 4.5):
-            assert radial._jy(mu, 7.3) == _plain_jy(mu, 7.3)
-
-    @pytest.mark.parametrize(
-        "shell", [(2, 1.0, 2.0, 1.0), (5, 1e-3, 2.0, 1e9), (8, 1.0, 1.001, math.inf)]
-    )
-    def test_root_and_maximum_bit_identical_to_jv(self, shell, monkeypatch):
-        fast = solve_shell(*shell)
-        monkeypatch.setattr(radial, "_jy", _plain_jy)
-        plain = solve_shell(*shell)
-        assert (fast.lam, fast.r_bar, fast.v_M) == (plain.lam, plain.r_bar, plain.v_M)
+    def test_scalars_read_the_array_kernels(self):
+        # one kernel per order: the root and r_bar polishes re-read the
+        # values the scan and the stride subset saw, bit for bit
+        x = np.concatenate([[5e-324, 1e-300, 1e308], np.geomspace(1e-6, 1e3, 61)])
+        for mu in np.arange(0.0, 6.5, 0.5):  # nu and nu + 1 of n = 2..12
+            j, y = radial._jy(mu, x)
+            for i, v in enumerate(x):
+                assert np.array_equal(radial._jy(mu, float(v)), (j[i], y[i]), equal_nan=True)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_no_array_reaches_jv_or_yv(self, n, monkeypatch):
-        arrays = []
+        # jv serves integer orders >= 2 only, and yv is gone from radial
+        calls = []
 
-        def counting(f):
-            def wrapped(mu, x):
-                if np.ndim(x) > 0:
-                    arrays.append((f.__name__, mu))
-                return f(mu, x)
+        def counting(mu, x):
+            calls.append(mu)
+            return jv(mu, x)
 
-            return wrapped
-
-        monkeypatch.setattr(radial, "jv", counting(jv))
-        monkeypatch.setattr(radial, "yv", counting(yv))
+        monkeypatch.setattr(radial, "jv", counting)
+        assert not hasattr(radial, "yv")
         for beta in (0.0, 1.0, 1e6, math.inf):
             solve_shell(n, 1.0, 2.0, beta)
-        assert arrays == []
+        assert calls == []
 
 
 def _scan_grid(n, r1, r2):
@@ -429,6 +436,57 @@ class TestRootScan:
         x = np.geomspace(1e-6, 1e3, 401)
         assert np.array_equal(_spherical_jn(m, x), spherical_jn(m, x))
         assert np.array_equal(_spherical_yn(m, x), spherical_yn(m, x))
+
+
+def _robin_beta(n, k, r1, r2):
+    """The beta whose characteristic equation has the root k."""
+    nu = 0.5 * n - 1.0
+    return k * float(radial._cross(nu, nu + 1.0, k, r1, r2)) / float(radial._cross(nu, nu, k, r1, r2))
+
+
+def _ulp_probes(beta, m):
+    return beta + np.arange(-m, m + 1) * np.spacing(beta)
+
+
+class TestOneKernelBrackets:
+    # a root next to a scan point, or an r_bar next to a subset knot, keeps
+    # its sign from the scan to Brent's method only if both read one kernel
+    def test_root_next_to_a_scan_point(self):
+        assert solve_shell(3, 1.0, 2.0, 0.504828570311669).lam == pytest.approx(
+            closed_form_3d(1.0, 2.0, 0.504828570311669), rel=1e-13
+        )
+
+    def test_critical_radius_on_a_subset_knot(self):
+        shell = (4, 1.0, 2.0, 19.159121831389143)
+        res = solve_shell(*shell)
+        exact, _ = _exact_lambda(*shell, res.lam)
+        assert abs(res.lam - exact) <= LAMBDA_RTOL * exact
+        assert abs(res.r_bar - _exact_r_bar(res)) <= 4.0 * EPS * res.r_bar
+        assert abs(res.r_bar - math.sqrt(2.0)) <= 4.0 * EPS * res.r_bar
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_roots_on_the_last_scan_points_answer(self, n):
+        # the six scan points below the Dirichlet root, where beta is large
+        # and magnifies the kernels' differences, each at beta* +- 40 ulps
+        ks = _scan_grid(n, 1.0, 2.0)
+        top = np.flatnonzero(ks < solve_shell(n, 1.0, 2.0, math.inf)._k)[-6:]
+        for k in ks[top]:
+            for beta in _ulp_probes(_robin_beta(n, k, 1.0, 2.0), 40):
+                assert solve_shell(n, 1.0, 2.0, beta).lam == pytest.approx(k * k, rel=1e-12)
+
+    def test_critical_radius_on_each_subset_knot_answers(self):
+        # r_bar, where phi' changes sign, on each knot of the Dirichlet
+        # solve's stride subset between its r_bar and R2, at beta* +- 60 ulps
+        n, nu = 4, 1.0
+        res_n, res_d = solve_shell(n, 1.0, 2.0, 0.0), solve_shell(n, 1.0, 2.0, math.inf)
+        knots = res_d.r[:: radial._stride(res_d.r, res_d._k)]
+        knots = knots[(knots > res_d.r_bar) & (knots < 2.0)]
+        assert len(knots) == 4
+        for knot in knots:
+            z1 = lambda k: float(radial._cross(nu, nu + 1.0, k, 1.0, knot))
+            k = brentq(z1, res_n._k, res_d._k, xtol=1e-16)
+            for beta in _ulp_probes(_robin_beta(n, k, 1.0, 2.0), 60):
+                assert solve_shell(n, 1.0, 2.0, beta).r_bar == pytest.approx(knot, rel=1e-12)
 
 
 @settings(max_examples=60, deadline=2000, derandomize=True, database=None)

@@ -752,6 +752,53 @@ def test_every_family_member_answers(member, beta):
         assert report["rayleigh"] == pytest.approx(CIRCLE_PAIR_RAYLEIGH[member, beta], rel=1e-12)
 
 
+def _quarter_turn(domain):
+    """The member turned by 90 degrees about the origin: a tall outer
+    ellipse (a < b) and the rectangle's vertices and the centre turned."""
+    turn = lambda p: np.asarray(p) @ np.array([[0.0, 1.0], [-1.0, 0.0]])  # (x, y) -> (-y, x)
+    outer = domain.outer
+    return AnnularDomain(
+        Ellipse(turn(outer.center), outer.b, outer.a),
+        PolygonCurve(ConvexPolygon(turn(domain.inner.polygon.vertices))),
+        center=turn(domain.center),
+    )
+
+
+@pytest.mark.parametrize("beta", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("member", [6, 7])
+def test_tall_ellipse_member_matches_the_wide_one(member, beta):
+    # the a < b branch of the arc length and normal angle
+    wide, tall = FAMILY[member], _quarter_turn(FAMILY[member])
+    assert tall.outer.a < tall.outer.b
+    r1, r2, _ = class_s_data(wide)
+    radial = solve_shell(2, r1, r2, beta)
+    webs = [build_web(dom, radial) for dom in (wide, tall)]
+    assert webs[1].split_s == pytest.approx(webs[0].split_s, rel=1e-13)
+    assert tall.gap == pytest.approx(wide.gap, rel=1e-13)
+    values = [rayleigh_quotient(web, beta, allow_uncertified=True)[1] for web in webs]
+    assert values[1] == pytest.approx(values[0], rel=1e-13)
+
+
+class TestBuildWebRange:
+    def test_polygon_outer_past_the_gap(self):
+        # the square's split r_bar - R1 = 0.524 passes its gap 0.382
+        outer = PolygonCurve(ConvexPolygon.regular(6, 2.0))
+        shape = PolygonCurve(ConvexPolygon.rectangle(1.0, 1.0))
+        dom = AnnularDomain(outer, shape.scaled(scale_hole_to_class_s(outer, shape)))
+        radial = solve_shell(2, *class_s_data(dom)[:2], 1.0)
+        assert radial.r_bar - radial.shell.r_inner > dom.gap
+        with pytest.raises(RangeError, match="the area law past the gap needs an elliptic outer curve"):
+            build_web(dom, radial)
+
+    def test_three_dimensional_profile(self):
+        with pytest.raises(RangeError, match="planar domains only"):
+            build_web(SHELL_DOMAIN, solve_shell(3, 1.0, 2.0, 1.0))
+
+    def test_neumann_closure(self):
+        with pytest.raises(RangeError, match="needs beta > 0"):
+            build_web(SHELL_DOMAIN, solve_shell(2, 1.0, 2.0, 0.0))
+
+
 class TestChainCertificate:
     def test_flags_read_the_checks(self):
         dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.2, 0), 1.0))
