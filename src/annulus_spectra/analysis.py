@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import CurvatureUnavailableError, InfeasibleError, RangeError
-from .fem import FemEigenResult, beta_form_value, coarse_resolution, solve_domain
+from .fem import FemEigenResult, beta_form_value, coarse_resolution, hole_residual, solve_domain
 from .geometry import (
     CLASS_S_RTOL,
     AnnularDomain,
@@ -151,13 +151,9 @@ def shape_derivative_formula(
         total += float(np.sum(weights * integrand * vn))
 
     if field.applies_to("inner"):
-        stiffness, mass, boundary = mesh.forms
-        a_full = stiffness + beta * boundary
-        residual = a_full @ u - lam * (mass @ u)
-        ring = np.arange(0, n_a)
-        pts = mesh.nodes[ring]
+        pts = mesh.nodes[:n_a]
         weights, _ = _ring_arclength_weights(pts)
-        flux = residual[ring] / weights
+        flux = hole_residual(fem) / weights
         vn = field.velocity_normal_component(domain, pts, "inner")
         total -= float(np.sum(weights * flux**2 * vn))
     return total

@@ -2,7 +2,9 @@
 
 Star-shaped annular domains are meshed by blending the two boundary
 parameterizations along rays through the domain center, so every node sits
-exactly on a ray and boundary nodes sit exactly on the curves.  Assembly
+exactly on a ray and boundary nodes sit exactly on the curves.  A mesh is
+its nodes and the diagonal that splits each quad; its triangles and
+boundary edges are read off the rings x rays grid.  Assembly
 produces exact per-triangle P1 stiffness, consistent mass and exact
 two-point Robin edge mass; the inner (Dirichlet) ring is eliminated and the
 free nodes are numbered in a nested-dissection order of the rings x rays
@@ -55,17 +57,17 @@ _SPLITS = np.array([[[0, 2, 1], [0, 3, 2]], [[0, 3, 1], [1, 3, 2]]])
 
 @dataclass(frozen=True)
 class Mesh:
-    """Conforming triangulation of an annular domain.
+    """Triangulation of an annular domain on the rings x rays grid.
 
-    boundary edges are stored per ring as (n, 2) index arrays; node ids on
-    ring i of the structured grid are i * n_a + k.  A mesh holds no
-    reference to its domain: the domain holds its meshes (mesh_annular).
+    Node (i, k), on ring i and ray k, is nodes[i * n_a + k]; split holds
+    each quad's diagonal, 0 along ac and 1 along bd, ring-major (_grid).
+    The triangles and the boundary edges are read off the grid, so a mesh
+    is conforming by construction.  A mesh holds no reference to its
+    domain: the domain holds its meshes (mesh_annular).
     """
 
     nodes: np.ndarray
-    triangles: np.ndarray
-    inner_edges: np.ndarray
-    outer_edges: np.ndarray
+    split: np.ndarray
     resolution: tuple
     # (K_ff, M_ff, B_ff, free_map) per outer condition, filled by _free_forms
     _free: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -73,10 +75,28 @@ class Mesh:
     _eigenpairs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("nodes", "triangles", "inner_edges", "outer_edges"):
+        for name in ("nodes", "split"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+        n_r, n_a = self.resolution
+        if self.nodes.shape != ((n_r + 1) * n_a, 2) or self.split.shape != (n_r * n_a,):
+            raise GeometryError("mesh is not a structured rings x rays grid")
+
+    @functools.cached_property
+    def triangles(self) -> np.ndarray:
+        """Each quad's two triangles under its split, ring-major, read-only."""
+        triangles = _grid(*self.resolution)[1][self.split, np.arange(len(self.split))].reshape(-1, 3)
+        triangles.setflags(write=False)
+        return triangles
+
+    @property
+    def inner_edges(self) -> np.ndarray:
+        return _grid(*self.resolution)[2]
+
+    @property
+    def outer_edges(self) -> np.ndarray:
+        return _grid(*self.resolution)[3]
 
     @property
     def scale(self) -> float:
@@ -96,39 +116,14 @@ class Mesh:
             h = max(h, float(np.max(np.hypot(e[:, 0], e[:, 1]))))
         return h
 
-    @property
-    def forms(self):
-        """K, M and B on every node, in natural order; filled on first read."""
-        return self._free_forms(None)[:3]
-
-    @functools.cached_property
-    def _split(self) -> np.ndarray:
-        """Each quad's split, 0 along ac and 1 along bd, read off the
-        triangles; GeometryError unless they and the boundary edges are
-        the rings x rays grid's, in its order."""
-        n_r, n_a = self.resolution
-        if len(self.nodes) != (n_r + 1) * n_a:
-            raise GeometryError("mesh is not a structured rings x rays grid")
-        _, grid, inner, outer = _grid(n_r, n_a)
-        if self.triangles.shape != (2 * n_r * n_a, 3):
-            raise GeometryError("mesh is not conforming")
-        t = self.triangles.reshape(-1, 2, 3)
-        # the first triangle's second corner is c when split along ac
-        split = (t[:, 0, 1] != grid[0, :, 0, 1]).astype(np.intp)
-        if not np.array_equal(t, grid[split, np.arange(len(t))]):
-            raise GeometryError("mesh is not conforming")
-        if not (np.array_equal(self.inner_edges, inner) and np.array_equal(self.outer_edges, outer)):
-            raise GeometryError("boundary edge bookkeeping is inconsistent")
-        return split
-
-    def _free_forms(self, dirichlet_outer):
-        """(K_ff, M_ff, B_ff, free_map) on _pattern's free nodes (None: all),
-        each one bincount in triangle order into the pattern the three share
-        (a quad's unused diagonal is a stored zero); once per condition."""
+    def _free_forms(self, dirichlet_outer: bool):
+        """(K_ff, M_ff, B_ff, free_map) on _pattern's free nodes, each one
+        bincount in triangle order into the pattern the three share (a
+        quad's unused diagonal is a stored zero); once per condition."""
         if dirichlet_outer not in self._free:
             indptr, indices, slots, edge_slots, free_map = _pattern(*self.resolution, dirichlet_outer)
-            where = slots[self._split, np.arange(len(self._split))]
-            stiffness, mass = _element_matrices(self)
+            where = slots[self.split, np.arange(len(self.split))]
+            stiffness, mass = _element_matrices(self.nodes, self.triangles)
             p, e = self.nodes, self.outer_edges
             edge_mass = np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)[:, None, None] / [[3.0, 6.0], [6.0, 3.0]]
             nnz, shape = len(indices), (len(free_map), len(free_map))
@@ -163,7 +158,6 @@ def _validate_mesh(mesh: Mesh, domain: AnnularDomain) -> None:
     scale = mesh.scale
     if np.any(mesh.triangle_areas() <= 1e-14 * scale**2):
         raise GeometryError("mesh contains degenerate or inverted triangles")
-    mesh._split  # conformity, read off the grid
     n_a = mesh.resolution[1]
     tol = 1e-9 * scale
     if np.max(domain.inner.distance(mesh.nodes[:n_a])) > tol:
@@ -180,7 +174,7 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
     boundary crossings of each ray; quads are split along their shorter
     diagonal, two triangles per quad in ring-major, then ray, order.  The
     validated mesh is memoised on the (immutable) domain per resolution,
-    so later calls return the same Mesh with its cached forms.
+    so later calls return the same Mesh with its cached blocks.
     """
     if n_r < 2:
         raise RangeError("need at least 2 radial layers")
@@ -204,14 +198,13 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
     frac = np.arange(n_r + 1)[:, None, None] / n_r
     nodes = (p_in[None, :, :] * (1.0 - frac) + p_out[None, :, :] * frac).reshape(-1, 2)
 
-    (a, b, c, d), grid, inner_edges, outer_edges = _grid(n_r, n_a)
+    a, b, c, d = _grid(n_r, n_a)[0]
     d_ac = np.hypot(*(nodes[a] - nodes[c]).T)
     d_bd = np.hypot(*(nodes[b] - nodes[d]).T)
     # near-ties split uniformly so symmetric domains get
     # rotationally symmetric triangulations
-    split_ac = (d_ac <= d_bd * (1.0 + 1e-9))[:, None, None]
-    triangles = np.where(split_ac, grid[0], grid[1]).reshape(-1, 3)
-    mesh = Mesh(nodes, triangles, inner_edges, outer_edges, (n_r, n_a))
+    split = (d_ac > d_bd * (1.0 + 1e-9)).astype(np.intp)
+    mesh = Mesh(nodes, split, (n_r, n_a))
     _validate_mesh(mesh, domain)
     domain._meshes[n_r, n_a] = mesh
     return mesh
@@ -223,18 +216,15 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
 
 
 @functools.lru_cache(maxsize=32)
-def _pattern(n_r: int, n_a: int, dirichlet_outer):
+def _pattern(n_r: int, n_a: int, dirichlet_outer: bool):
     """(indptr, indices, slots, edge_slots, free_map), read-only, tables int32:
     row r of the CSR pattern holds the free ones among the 3 x 3 grid
     neighbours of node free_map[r], ascending; slots[s, q, t, i, j] is the
     slot of entry (i, j) of triangle t of quad q split along s (_grid),
     edge_slots[k, i, j] that of outer edge k, nnz that of constrained ones."""
     corners, _, _, outer_edges = _grid(n_r, n_a)
-    if dirichlet_outer is None:
-        free_map = np.arange((n_r + 1) * n_a)
-    else:
-        # ring 0 is the hole; ring n_r is free unless dirichlet_outer
-        free_map = n_a + _nested_dissection(n_r - int(dirichlet_outer), n_a)
+    # ring 0 is the hole; ring n_r is free unless dirichlet_outer
+    free_map = n_a + _nested_dissection(n_r - int(dirichlet_outer), n_a)
     # free index of node (i, k) at [i + 1, k + 1], -1 if not free or off the grid
     number = np.full((n_r + 3, n_a + 2), -1, dtype=np.int32)
     number[1:-1, 1:-1].flat[free_map] = np.arange(len(free_map))
@@ -259,9 +249,9 @@ def _pattern(n_r: int, n_a: int, dirichlet_outer):
     return out
 
 
-def _element_matrices(mesh: Mesh):
+def _element_matrices(nodes: np.ndarray, triangles: np.ndarray):
     """Each triangle's exact P1 stiffness and consistent mass, (triangles, 3, 3)."""
-    x, y = mesh.nodes[mesh.triangles].transpose(2, 0, 1)
+    x, y = nodes[triangles].transpose(2, 0, 1)
     # gradient of the hat function at corner i: (b_i, c_i) / (2 area)
     ahead, behind = [1, 2, 0], [2, 0, 1]
     b, c = y[:, ahead] - y[:, behind], x[:, behind] - x[:, ahead]
@@ -620,10 +610,22 @@ def beta_form_value(result: FemEigenResult) -> float:
     """Discrete boundary-to-mass ratio (u' B u) / (u' M u).
 
     Equals the derivative of the discrete eigenvalue with respect to beta.
+    u vanishes off the free nodes, so the free blocks of the result's own
+    outer condition hold every term.
     """
-    _, mass, boundary = result.mesh.forms
-    u = result.u
+    _, mass, boundary, free_map = result.mesh._free_forms(float(result.beta) == math.inf)
+    u = result.u[free_map]
     return float(u @ (boundary @ u)) / float(u @ (mass @ u))
+
+
+def hole_residual(result: FemEigenResult) -> np.ndarray:
+    """K u - lambda M u on the hole ring, ring 0, at any beta: B has no hole
+    rows, and only the 2 n_a triangles of the first ring of quads touch it."""
+    n_a = result.mesh.resolution[1]
+    t = result.mesh.triangles[: 2 * n_a]
+    stiffness, mass = _element_matrices(result.mesh.nodes, t)
+    local = (stiffness - result.lam * mass) @ result.u[t][:, :, None]
+    return np.bincount(t.ravel(), local.ravel(), minlength=n_a)[:n_a]
 
 
 @dataclass(frozen=True)

@@ -64,9 +64,11 @@ class RadialEigenResult:
     r holds the PROFILE_SAMPLES knots uniform in log r.  r_bar is the
     unique interior critical radius of the profile, v_m the boundary value
     phi(R2) and v_M the maximum phi(r_bar).  For beta = 0 the profile is
-    nondecreasing and r_bar degenerates to R2.  phi and dphi, the profile
-    on the knots with boundary values imposed, and the splines behind
-    value() and slope() are built on first read.  The arrays are read-only.
+    nondecreasing and r_bar degenerates to R2, with v_M = v_m, as it does
+    where beta phi(R2) lies below the rounding of phi'(R2).  phi and dphi,
+    the profile on the knots with boundary values imposed, and the splines
+    behind value() and slope() are built on first read.  The arrays are
+    read-only.
     """
 
     shell: ShellSpec
@@ -305,13 +307,12 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
         r_bar, v_M = r2, v_m
     else:
         z1 = lambda s: _cross(nu, nu + 1.0, k, r1, s, inner)
-        try:
-            r_bar = brentq(z1, r[stride * drop], r[stride * (drop + 1)], xtol=EPS * r1)
-        except ValueError as err:  # phi'(R2) imposed: beta below the rounding of phi'
-            raise NumericalError("critical radius not resolved next to R2") from err
-        v_M = _scale(nu, r1, r_bar) * _cross(nu, nu, k, r1, r_bar, inner)
-        if not (r1 < r_bar < r2):
-            raise NumericalError("critical radius escaped the shell interior")
+        hi = r[stride * (drop + 1)]
+        # phi' keeps its sign up to hi only at R2, where phi' is imposed: there,
+        # as where its zero rounds to R2, beta phi(R2) lies below the rounding
+        # of phi' and r_bar degenerates to R2 as at beta = 0
+        r_bar = r2 if z1(hi) > 0.0 else brentq(z1, r[stride * drop], hi, xtol=EPS * r1)
+        v_M = v_m if r_bar == r2 else _scale(nu, r1, r_bar) * _cross(nu, nu, k, r1, r_bar, inner)
         # v_M - v_m vanishes with beta: allow the rounding of both values
         bar_err = (r2 / r_bar) ** nu * mod(nu, k * r_bar)
         if not (v_m - v_M) / unit < phi_err + bar_err:

@@ -122,6 +122,16 @@ class TestShapeDerivative:
         # moving the hole outward lowers the eigenvalue (shell maximality)
         assert formula < 0.0
 
+    def test_hole_translation_at_dirichlet_outer_matches_fd(self):
+        # the hole rows of the residual hold no B, so beta = inf reads them
+        # as any beta does (K + inf B once gave inf * 0 = nan there)
+        fem = solve_domain(ECCENTRIC, math.inf, 48, 192)
+        field = PerturbationField(kind="translation", target="inner", vector=(1.0, 0.0))
+        formula = shape_derivative_formula(ECCENTRIC, math.inf, field, fem)
+        fd, noise = shape_derivative_fd_with_noise(ECCENTRIC, math.inf, field, 1e-3, (48, 192))
+        assert abs(fd) > 10.0 * noise
+        assert formula == pytest.approx(fd, rel=5e-2)
+
     def test_rigid_translation_is_stationary(self):
         fem = solve_domain(ECCENTRIC, 1.0, 32, 128)
         field = PerturbationField(kind="translation", target="both", vector=(0.4, -0.1))
@@ -330,15 +340,14 @@ class TestBetaLimits:
 
         monkeypatch.setattr(fem, "_pattern", counting)
         betas = np.logspace(-2, 2, 4)
-        # a fresh domain: ECCENTRIC's 16x64 mesh, forms included, is
+        # a fresh domain: ECCENTRIC's 16x64 mesh, blocks included, is
         # memoised by the tests above
         rep = beta_limits_check(eccentric(), resolution=(16, 64), betas=betas)
         # K, M and B once per mesh and outer condition: the 16x64 mesh
-        # serves every finite beta, beta = inf and (every node free, None)
-        # the slope s, and its 8x32 seed level, solved densely, every
-        # beta's seed
+        # serves every finite beta and the slope s, and beta = inf, and its
+        # 8x32 seed level, solved densely, every beta's seed
         fine, coarse = (16, 64), (8, 32)
-        expected = [(fine, False), (fine, True), (fine, None), (coarse, False), (coarse, True)]
+        expected = [(fine, False), (fine, True), (coarse, False), (coarse, True)]
         assert sorted(built, key=repr) == sorted(expected, key=repr)
         fresh = [solve_domain(eccentric(), b, 16, 64).lam for b in betas]
         assert list(rep.lams) == fresh

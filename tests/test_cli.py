@@ -46,6 +46,26 @@ class TestShellCommand:
         assert main(["shell", "--n", n, "--r1", "1", "--r2", "2", "--beta", beta]) == 0
         assert capsys.readouterr().out.startswith("lambda = ")
 
+    @pytest.mark.parametrize(
+        "n, r1, r2, beta",
+        [
+            ("6", "0.019546290909266396", "0.01963680000248503", "9.80717145424233e-10"),
+            ("10", "0.2646786323063838", "0.26540807099302055", "2.5584259279501987e-12"),
+            ("3", "0.0037636927568804155", "0.0037754944180841523", "2.655308117819235e-09"),
+            ("4", "0.0069587247076742164", "0.006986119006704635", "2.4850526765872826e-11"),
+        ],
+    )
+    def test_tiny_beta_thin_shell_answers(self, n, r1, r2, beta, capsys):
+        # once "critical radius escaped the shell interior" (n = 6, 10) and
+        # "critical radius not resolved next to R2" (n = 3, 4): beta phi(R2)
+        # lies below the rounding of phi'(R2), and r_bar is R2
+        assert main(["shell", "--n", n, "--r1", r1, "--r2", r2, "--beta", beta]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("lambda = ")
+        if n == "3":
+            lam = float(out.split("lambda =")[1].split()[0])
+            assert lam == pytest.approx(closed_form_3d(float(r1), float(r2), float(beta)), rel=1e-11)
+
     def test_missing_argument_usage_error(self):
         assert main(["shell", "--n", "3", "--r1", "1", "--beta", "1"]) == 2
 
@@ -184,6 +204,22 @@ class TestFemCommand:
         # below the seed's quotient
         assert (report["factorizations"], report["negative_pivots"]) == (1, 1)
         assert "1 negative pivot(s) at sigma" in capsys.readouterr().out
+        # mesh.txt: the header counts, then nodes, triangles and tagged edges
+        # of the mesh the solve ran on
+        domain = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
+        mesh = solve_domain(domain, 1.0, 16, 64).mesh
+        lines = (out / "mesh.txt").read_text().splitlines()
+        n, t = len(mesh.nodes), len(mesh.triangles)
+        e = len(mesh.inner_edges) + len(mesh.outer_edges)
+        assert lines[0].split() == ["nodes", str(n), "triangles", str(t), "edges", str(e)]
+        assert len(lines) == 1 + n + t + e
+        tris = np.array([[int(v) for v in line.split()] for line in lines[1 + n : 1 + n + t]])
+        assert np.array_equal(tris, mesh.triangles)
+        edges = [line.split() for line in lines[1 + n + t :]]
+        for tag, want in (("outer", mesh.outer_edges), ("inner", mesh.inner_edges)):
+            got = np.array([[int(i), int(j)] for i, j, k in edges if k == tag])
+            assert np.array_equal(got, want)
+        assert [k for _, _, k in edges] == ["outer"] * 64 + ["inner"] * 64
 
     def test_bad_curve_spec(self, capsys):
         code = main(

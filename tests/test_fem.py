@@ -163,46 +163,29 @@ class TestMeshAnnular:
                     expected.append(tri if cross >= 0.0 else (tri[0], tri[2], tri[1]))
         assert np.array_equal(mesh.triangles, np.array(expected))
 
-    def test_validation_rejects_duplicated_triangle(self):
-        mesh = mesh_annular(ECCENTRIC, 4, 16)
-        tris = np.concatenate([mesh.triangles, mesh.triangles[:1]])
-        bad = Mesh(mesh.nodes, tris, mesh.inner_edges, mesh.outer_edges, mesh.resolution)
-        with pytest.raises(GeometryError, match="mesh is not conforming"):
-            _validate_mesh(bad, ECCENTRIC)
-
-    def test_validation_rejects_dropped_boundary_edge(self):
-        mesh = mesh_annular(ECCENTRIC, 4, 16)
-        bad = Mesh(
-            mesh.nodes, mesh.triangles, mesh.inner_edges, mesh.outer_edges[1:], mesh.resolution
-        )
-        with pytest.raises(GeometryError, match="boundary edge bookkeeping is inconsistent"):
-            _validate_mesh(bad, ECCENTRIC)
-
-    def test_validation_rejects_mixed_quad_split(self):
-        # quad 5 takes the ac split's first triangle and the bd split's
-        # second: both positive, overlapping, and an edge shared three times
-        mesh = mesh_annular(ECCENTRIC, 4, 16)
-        _, grid, _, _ = fem._grid(4, 16)
-        tris = mesh.triangles.reshape(-1, 2, 3).copy()
-        tris[5] = [grid[0, 5, 0], grid[1, 5, 1]]
-        bad = Mesh(mesh.nodes, tris.reshape(-1, 3), mesh.inner_edges, mesh.outer_edges, (4, 16))
-        with pytest.raises(GeometryError, match="mesh is not conforming"):
-            _validate_mesh(bad, ECCENTRIC)
-
-    def test_validation_rejects_shuffled_triangles(self):
-        # the fill reads each quad's split off the triangles in grid order
-        mesh = mesh_annular(ECCENTRIC, 4, 16)
-        order = np.random.default_rng(1).permutation(len(mesh.triangles))
-        bad = Mesh(mesh.nodes, mesh.triangles[order], mesh.inner_edges, mesh.outer_edges, (4, 16))
-        with pytest.raises(GeometryError, match="mesh is not conforming"):
-            _validate_mesh(bad, ECCENTRIC)
-
-    @pytest.mark.parametrize("shift", ["rolled", "ring-inward"])
-    def test_validation_rejects_shifted_boundary_edges(self, shift):
-        mesh = mesh_annular(ECCENTRIC, 4, 16)
-        outer = np.roll(mesh.outer_edges, 1, axis=0) if shift == "rolled" else mesh.outer_edges - 16
-        bad = Mesh(mesh.nodes, mesh.triangles, mesh.inner_edges, outer, (4, 16))
-        with pytest.raises(GeometryError, match="boundary edge bookkeeping is inconsistent"):
+    @pytest.mark.parametrize(
+        "move, message",
+        [
+            ("across-ring-neighbour", "mesh contains degenerate or inverted triangles"),
+            ("off-hole", "inner boundary nodes are off the curve"),
+            ("off-outer", "outer boundary nodes are off the curve"),
+        ],
+    )
+    def test_validation_rejects_moved_node(self, move, message):
+        n_r, n_a = 4, 16
+        mesh = mesh_annular(ECCENTRIC, n_r, n_a)
+        _validate_mesh(mesh, ECCENTRIC)
+        nodes = mesh.nodes.copy()
+        if move == "across-ring-neighbour":
+            # node (2, 5) reflected through node (2, 6): its triangles turn over
+            node, neighbour = 2 * n_a + 5, 2 * n_a + 6
+            nodes[node] = 2.0 * nodes[neighbour] - nodes[node]
+        else:
+            inner = move == "off-hole"
+            node, curve = (5, ECCENTRIC.inner) if inner else (n_r * n_a + 5, ECCENTRIC.outer)
+            nodes[node] += 1e-6 * mesh.scale * curve.outward_normal(nodes[node : node + 1])[0]
+        bad = Mesh(nodes, mesh.split, mesh.resolution)
+        with pytest.raises(GeometryError, match=message):
             _validate_mesh(bad, ECCENTRIC)
 
     def test_resolution_floor(self):
@@ -248,18 +231,22 @@ class TestMeshMemo:
             dom = AnnularDomain(Circle((0, 0), 2.0), Circle((hole_x, 0), 1.0))
             mesh = mesh_annular(dom, 8, 32)
             a, m, free = assemble(mesh, 0.0 if dirichlet else beta, dirichlet)
-            stiffness, mass, boundary = mesh.forms
+            k_ff, m_ff, b_ff, free_ff = mesh._free_forms(dirichlet)
+            assert m is m_ff and free is free_ff
+            block = k_ff if dirichlet else k_ff + beta * b_ff
+            assert np.array_equal(a.toarray(), block.toarray())
+            # the same entries as slicing the reference K + beta B per beta,
+            # in sorted order, once the stored zeros (unused quad diagonals,
+            # and the shell's exact zeros of K) are eliminated from both
+            stiffness, mass, boundary = _coo_forms(mesh)
             full = stiffness if dirichlet else stiffness + beta * boundary
-            assert np.array_equal(a.toarray(), full[free][:, free].toarray())
-            assert np.array_equal(m.toarray(), mass[free][:, free].toarray())
-            # the same entries as slicing K + beta B per beta, in sorted
-            # order, once the stored zeros (unused quad diagonals, and the
-            # shell's exact zeros of K) are eliminated from both
             sliced = full.tocsr()[free][:, free].sorted_indices()
+            _assert_rows_close(a, sliced)
+            _assert_rows_close(m, mass[free][:, free])
             stored = a.copy()
             for matrix in (stored, sliced):
                 matrix.eliminate_zeros()
-            for name in ("indptr", "indices", "data"):
+            for name in ("indptr", "indices"):
                 assert np.array_equal(getattr(stored, name), getattr(sliced, name))
             # M and free_map are the mesh's read-only blocks, shared by every beta
             _, m2, free2 = assemble(mesh, 0.0 if dirichlet else 2.0 * beta, dirichlet)
@@ -272,22 +259,20 @@ class TestMeshMemo:
 class TestAssembly:
     def test_reference_triangle_stiffness(self):
         nodes = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        tris = np.array([[0, 1, 2]])
-        empty = np.empty((0, 2), dtype=np.int64)
-        mesh = Mesh(nodes, tris, empty, empty, (1, 1))
-        stiffness, mass = fem._element_matrices(mesh)
+        stiffness, mass = fem._element_matrices(nodes, np.array([[0, 1, 2]]))
         expected = 0.5 * np.array([[2.0, -1.0, -1.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
         assert np.allclose(stiffness[0], expected, atol=1e-15)
         assert np.allclose(mass[0].sum(), 0.5, atol=1e-15)
 
     def test_mass_partition_of_unity(self):
         mesh = mesh_annular(CONCENTRIC, 8, 32)
-        _, mass, _ = mesh.forms
+        _, mass = fem._element_matrices(mesh.nodes, mesh.triangles)
         assert mass.sum() == pytest.approx(mesh.triangle_areas().sum(), rel=1e-13)
 
     def test_boundary_mass_partition_of_unity(self):
+        # the outer ring is free under the Robin condition: B_ff holds all of B
         mesh = mesh_annular(CONCENTRIC, 8, 32)
-        _, _, boundary = mesh.forms
+        _, _, boundary, _ = mesh._free_forms(False)
         p = mesh.nodes
         e = mesh.outer_edges
         perim = float(np.sum(np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)))
@@ -330,8 +315,6 @@ class TestPatternFill:
     def test_matches_coo_reference(self, name, resolution, dirichlet):
         mesh = mesh_annular(_oracle_domain(name, resolution[1]), *resolution)
         reference = _coo_forms(mesh)
-        for got, want in zip(mesh.forms, reference):
-            _assert_rows_close(got, want)
         *blocks, free = mesh._free_forms(dirichlet)
         sliced = [form[free][:, free].sorted_indices() for form in reference]
         for got, want in zip(blocks, sliced):
@@ -355,7 +338,7 @@ class TestPatternFill:
 
     def test_later_meshes_neither_sort_nor_convert(self, monkeypatch):
         # the pattern is built once per resolution and outer condition; a
-        # later mesh is validated against the grid and only fills values
+        # later mesh only fills values
         fem._pattern.cache_clear()
         n_r, n_a = 24, 96
         names = ["circle-pair", "ellipse-rectangle", "polygon-outer"]
@@ -401,11 +384,11 @@ class TestNestedDissection:
         a, m, free = assemble(mesh, 0.0 if dirichlet else 1.0, dirichlet)
         rings = n_r - 1 if dirichlet else n_r
         assert np.array_equal(np.sort(free), np.arange(n_a, (rings + 1) * n_a))
-        # the same matrices as the natural numbering, permuted
-        stiffness, mass, boundary = mesh.forms
+        # the reference matrices in the natural numbering, permuted
+        stiffness, mass, boundary = _coo_forms(mesh)
         full = stiffness if dirichlet else stiffness + boundary
-        assert (a - full[free][:, free]).nnz == 0
-        assert (m - mass[free][:, free]).nnz == 0
+        _assert_rows_close(a, full[free][:, free])
+        _assert_rows_close(m, mass[free][:, free])
         # rays 0 and n_a // 2 are the first separators, eliminated last
         last = free[-2 * rings :] - n_a
         assert np.array_equal(np.sort(last % n_a), np.repeat([0, n_a // 2], rings))
@@ -435,9 +418,9 @@ class TestNestedDissection:
 
     def test_unstructured_node_count_rejected(self):
         mesh = mesh_annular(CONCENTRIC, 4, 16)
-        bad = Mesh(mesh.nodes[:-1], mesh.triangles, mesh.inner_edges, mesh.outer_edges, (4, 16))
-        with pytest.raises(GeometryError, match="structured"):
-            assemble(bad, 1.0)
+        for nodes, split in ((mesh.nodes[:-1], mesh.split), (mesh.nodes, mesh.split[:-1])):
+            with pytest.raises(GeometryError, match="not a structured rings x rays grid"):
+                Mesh(nodes, split, (4, 16))
 
 
 class TestSmallestEigenpair:
@@ -485,8 +468,9 @@ class TestSmallestEigenpair:
         res = solve_domain(CONCENTRIC, 1.0, 32, 128)
         assert np.all(res.u[np.unique(res.mesh.inner_edges)] == 0.0)
         assert float(np.min(res.u)) >= -1e-10
-        _, mass, _ = res.mesh.forms
-        assert float(res.u @ (mass @ res.u)) == pytest.approx(1.0, rel=1e-12)
+        _, mass, _, free = res.mesh._free_forms(False)
+        u = res.u[free]
+        assert float(u @ (mass @ u)) == pytest.approx(1.0, rel=1e-12)
 
 
 def _rectangle_hole_member(b, half_width, half_height):
@@ -682,6 +666,15 @@ class TestSolveDomain:
         lams = [solve_domain(ECCENTRIC, b, 24, 96).lam for b in (0.1, 0.5, 1.0, 5.0)]
         for lo, hi in zip(lams, lams[1:]):
             assert lo <= hi + 1e-12 * abs(hi)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
+    def test_hole_residual_matches_coo_reference(self, beta):
+        res = solve_domain(ECCENTRIC, beta, 16, 64)
+        stiffness, mass, boundary = _coo_forms(res.mesh)
+        full = stiffness if math.isinf(beta) else stiffness + beta * boundary
+        want = (full @ res.u - res.lam * (mass @ res.u))[:64]
+        got = fem.hole_residual(res)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_beta_derivative_identity(self):
         res = solve_domain(ECCENTRIC, 1.0, 32, 128)

@@ -436,6 +436,43 @@ class TestScaleHole:
             scale_hole_to_class_s(PolygonCurve(ConvexPolygon.rectangle(2.0, 1.0)), Circle((0, 0), 0.5))
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        pytest.param(
+            lambda: ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0]])),
+            GeometryError, "at least 3 planar vertices", id="polygon-two-vertices",
+        ),
+        pytest.param(
+            lambda: ConvexPolygon(np.ones((3, 2))),
+            GeometryError, "zero extent", id="polygon-all-vertices-equal",
+        ),
+        pytest.param(
+            lambda: ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])),
+            GeometryError, "repeated vertices", id="polygon-repeated-vertex",
+        ),
+        pytest.param(
+            lambda: random_convex_polygon(np.random.default_rng(0), 2),
+            GeometryError, "need n >= 3", id="random-polygon-two-vertices",
+        ),
+        pytest.param(
+            lambda: AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 0.5), center=(-1.5, 0.0)),
+            GeometryError, "center must lie strictly inside the hole", id="center-outside-hole",
+        ),
+        pytest.param(
+            lambda: scale_hole_to_class_s(
+                Circle((0, 0), 2.0), PolygonCurve(ConvexPolygon.rectangle(1.0, 1.0))
+            ),
+            InfeasibleError, "outer body has zero deficit but the hole does not",
+            id="disk-outer-square-hole",
+        ),
+    ],
+)
+def test_invalid_input_rejected(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 class TestRandomPolygonSuite:
     def test_pmi_holds_exactly(self, rng):
         for _ in range(100):

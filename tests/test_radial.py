@@ -28,6 +28,14 @@ from annulus_spectra.radial import (
 )
 
 
+@pytest.mark.parametrize(
+    "r1, r2", [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0)], ids=["reversed", "equal", "zero-inner"]
+)
+def test_invalid_radii_rejected(r1, r2):
+    with pytest.raises(GeometryError, match="need 0 < r_inner < r_outer"):
+        solve_shell(2, r1, r2, 1.0)
+
+
 class TestClosedForm3d:
     def test_dirichlet_limit(self):
         assert closed_form_3d(1.0, 2.0, float("inf")) == pytest.approx(math.pi**2, rel=1e-15)
@@ -487,6 +495,34 @@ class TestOneKernelBrackets:
             k = brentq(z1, res_n._k, res_d._k, xtol=1e-16)
             for beta in _ulp_probes(_robin_beta(n, k, 1.0, 2.0), 60):
                 assert solve_shell(n, 1.0, 2.0, beta).r_bar == pytest.approx(knot, rel=1e-12)
+
+
+class TestTinyBetaThinShells:
+    # beta phi(R2) below the rounding of phi'(R2): the computed phi' keeps
+    # its sign up to R2, or its zero rounds to R2, and r_bar is R2
+    def test_critical_radius_next_to_r2_matches_closed_form(self):
+        res = solve_shell(3, 0.0037636927568804155, 0.0037754944180841523, 2.655308117819235e-09)
+        exact = closed_form_3d(0.0037636927568804155, 0.0037754944180841523, 2.655308117819235e-09)
+        assert res.lam == pytest.approx(exact, rel=1e-12)
+        assert res.lam == pytest.approx(1.7670587531e10, rel=1e-10)
+        assert (res.r_bar, res.v_M) == (res.shell.r_outer, res.v_m)
+        assert np.all(res.phi[1:-1] > 0.0)
+
+    def test_seeded_scan_answers(self):
+        # n in 2..20, R1 log-uniform in 1e-3..2, width 1e-3..1e-1 of R1 and
+        # beta log-uniform in 1e-12..1e-7: about 45% of these shells put
+        # r_bar within rounding of R2
+        rng = np.random.default_rng(34)
+        at_r2 = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 21))
+            r1 = float(np.exp(rng.uniform(math.log(1e-3), math.log(2.0))))
+            r2 = r1 * (1.0 + float(np.exp(rng.uniform(math.log(1e-3), math.log(1e-1)))))
+            beta = float(np.exp(rng.uniform(math.log(1e-12), math.log(1e-7))))
+            res = solve_shell(n, r1, r2, beta)
+            assert r1 < res.r_bar <= r2 and res.lam > 0.0 and res.v_m > 0.0
+            at_r2 += res.r_bar == r2
+        assert at_r2 > 0
 
 
 @settings(max_examples=60, deadline=2000, derandomize=True, database=None)
