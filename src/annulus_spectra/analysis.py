@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import simpson
 
 from .errors import CurvatureUnavailableError, InfeasibleError, RangeError
-from .fem import FemEigenResult, beta_form_value, coarse_resolution, hole_residual, solve_domain
+from .fem import FemEigenResult, beta_form_value, boundary_residual, coarse_resolution, solve_domain
 from .geometry import (
     CLASS_S_RTOL,
     AnnularDomain,
@@ -37,9 +37,12 @@ class PerturbationField:
     """Boundary velocity field for domain perturbations.
 
     kind 'translation' moves the target curve rigidly by `vector`; kind
-    'normal_fourier' displaces it along its outward normal with amplitude
-    cos(mode * angle) where the angle is measured around the domain
-    center.  The perturbed curve is the polygon through the moved mesh-ray
+    'normal_fourier' displaces it along its own outward normal with
+    amplitude cos(mode * angle) where the angle is measured around the
+    domain center.  velocity_normal_component gives <V, nu> against the
+    annulus's outward normal nu, which on the hole is minus the hole's own:
+    a hole that grows where cos(mode * angle) > 0 has <V, nu> < 0 there.
+    The perturbed curve is the polygon through the moved mesh-ray
     crossings, so its vertices stay on the mesh rays only where the normal
     is radial, as on a circle about the domain center; on the eccentric
     pair at t = 5e-3 the outer ring nodes sit up to 1.3e-3 from them.
@@ -77,14 +80,14 @@ class PerturbationField:
         if not self.applies_to(which):
             return np.zeros(len(pts))
         curve = domain.outer if which == "outer" else domain.inner
-        nu = curve.outward_normal(pts)
-        if which == "inner":
-            nu = -nu  # outward normal of the annulus points into the hole
+        normal = curve.outward_normal(pts)
+        # outward normal of the annulus points into the hole
+        nu = -normal if which == "inner" else normal
         if self.kind == "translation":
             return nu @ np.asarray(self.vector)
         rel = pts - domain.center
         theta = np.arctan2(rel[:, 1], rel[:, 0])
-        return self.amplitude * np.cos(self.mode * theta) * np.sum(nu * nu, axis=1)
+        return self.amplitude * np.cos(self.mode * theta) * np.sum(normal * nu, axis=1)
 
     def perturbed(self, domain: AnnularDomain, t: float, n_poly: int) -> AnnularDomain:
         """Domain moved by t V, polygonized on the mesh rays when needed."""
@@ -122,13 +125,15 @@ def shape_derivative_formula(
 ) -> float:
     """Boundary-integral first derivative of the eigenvalue along the field.
 
-    On the Robin boundary the integrand is
+    Each curve adds the integral of its integrand times <V, nu>, with nu
+    the annulus's outward normal (into the hole on the inner curve).  On a
+    Dirichlet ring, the hole always and the outer curve at beta = inf, only
+    the squared flux survives, with a negative sign; the flux is recovered
+    variationally from the ring's row of boundary_residual, which is exact
+    for the discrete eigenpair.  On the Robin outer ring the integrand is
     |grad u|^2 + beta kappa u^2 - (lambda + 2 beta^2) u^2 with the
     tangential derivative recovered along the ring and the normal one from
-    the boundary condition.  On the Dirichlet boundary only the squared
-    flux survives and it enters with a negative sign against <V, nu>; the
-    flux is recovered variationally from the discrete residual, which is
-    exact for the discrete eigenpair.
+    the boundary condition.
     """
     for curve in (domain.outer, domain.inner):
         if isinstance(curve, PolygonCurve):
@@ -136,26 +141,25 @@ def shape_derivative_formula(
     mesh = fem.mesh
     lam, u = fem.lam, fem.u
     n_r, n_a = mesh.resolution
+    hole, outer = boundary_residual(fem)
 
     total = 0.0
-    if field.applies_to("outer"):
-        ring = np.arange(n_r * n_a, (n_r + 1) * n_a)
+    for which, ring, residual in (("outer", slice(n_r * n_a, None), outer), ("inner", slice(n_a), hole)):
+        if not field.applies_to(which):
+            continue
         pts = mesh.nodes[ring]
-        ub = u[ring]
         weights, ds = _ring_arclength_weights(pts)
-        du_t = (np.roll(ub, -1) - np.roll(ub, 1)) / (ds + np.roll(ds, 1))
-        kappa = domain.outer.curvature_at(pts)
-        vn = field.velocity_normal_component(domain, pts, "outer")
-        grad2 = du_t**2 + (beta * ub) ** 2
-        integrand = grad2 + beta * kappa * ub**2 - (lam + 2.0 * beta**2) * ub**2
-        total += float(np.sum(weights * integrand * vn))
-
-    if field.applies_to("inner"):
-        pts = mesh.nodes[:n_a]
-        weights, _ = _ring_arclength_weights(pts)
-        flux = hole_residual(fem) / weights
-        vn = field.velocity_normal_component(domain, pts, "inner")
-        total -= float(np.sum(weights * flux**2 * vn))
+        vn = field.velocity_normal_component(domain, pts, which)
+        if which == "inner" or beta == np.inf:
+            flux = residual / weights
+            total -= float(np.sum(weights * flux**2 * vn))
+        else:
+            ub = u[ring]
+            du_t = (np.roll(ub, -1) - np.roll(ub, 1)) / (ds + np.roll(ds, 1))
+            kappa = domain.outer.curvature_at(pts)
+            grad2 = du_t**2 + (beta * ub) ** 2
+            integrand = grad2 + beta * kappa * ub**2 - (lam + 2.0 * beta**2) * ub**2
+            total += float(np.sum(weights * integrand * vn))
     return total
 
 

@@ -352,7 +352,7 @@ def _shifted_factor(a: sparse.csr_matrix, m: sparse.csr_matrix, sigma: float):
     return lu, int(np.count_nonzero(pivots < 0.0))
 
 
-def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray, target: float = None):
+def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray, allowed: float):
     """Block inverse iteration with Rayleigh-Ritz under lu = A - shift M.
 
     Returns (ritz, x, bound, steps, settled): the Ritz values (ascending),
@@ -363,8 +363,8 @@ def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray, target: float = No
     bound^2 / (shift - ritz[-1]) is below one rounding of ritz[0]: with
     every other eigenvalue at or above the shift, as a count of p there
     says, that quadratic residual bound caps ritz[0] - lambda_1, and the
-    first vector's residual norm is at most target, if given.  It stops
-    unsettled when the bound stops falling or after _MAX_STEPS steps.
+    first vector's residual norm is at most allowed times its norm.  It
+    stops unsettled when the bound stops falling or after _MAX_STEPS steps.
     """
     weight = 1.0 / m.diagonal()[:, None]
     best = None
@@ -380,7 +380,7 @@ def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray, target: float = No
         best = (ritz, x, bound)
         gap = shift - ritz[-1]
         if gap > bound and bound * bound <= _EPS * abs(ritz[0]) * gap:
-            if target is None or np.linalg.norm(r[:, 0]) <= target:
+            if np.linalg.norm(r[:, 0]) <= allowed * np.linalg.norm(x[:, 0]):
                 return (*best, steps, True)
     return (*best, steps, False)
 
@@ -408,11 +408,13 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
     ray angles), p vectors.  By Kahan's theorem (Parlett, The Symmetric
     Eigenvalue Problem, ch. 11) the Ritz values lie within the block
     residual bound of p distinct eigenvalues, so with all of them plus
-    the bound below sigma the smallest is lambda_1.  If the iteration does
+    the bound below sigma the smallest is lambda_1.  Both iterations hold
+    the first vector to one residual target from the start,
+    max(RESIDUAL_FACTOR, eps ||A||_1) times its norm.  If the iteration does
     not settle, A - tau M just above the smallest Ritz value (>= lambda_1)
     must count exactly one eigenvalue and one-vector iteration there must
     certify against tau, or SolverError is raised; so is a residual above
-    max(RESIDUAL_FACTOR, eps ||A||_1) ||y|| after more steps.  Without a seed the
+    the target.  Without a seed the
     pencil may have DENSE_FREE_NODES rows at most: dense eigh gives the
     seed, and sigma lies _FLOOR_SHIFT of lambda_2 - lambda_1 above
     lambda_1, where A - sigma M is safely regular.
@@ -446,11 +448,14 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
         raise SolverError(f"{p} eigenvalues lie below the seed's quotient {sigma:.6g}")
     nnz = int(lu.nnz)
 
+    # A y rounds at about eps ||A||_1 ||y||, and ||A|| grows with beta
+    allowed = max(RESIDUAL_FACTOR, _EPS * sparse.linalg.norm(a, 1))
     theta = 2.0 * np.pi * np.arange(n) / n if angles is None else angles
     columns = [seed]
     for k in range(1, p // 2 + 1):
         columns += [seed * np.cos(k * theta), seed * np.sin(k * theta)]
-    ritz, x, bound, steps, settled = _inverse_iteration(a, m, lu, sigma, np.column_stack(columns[:p]))
+    block = np.column_stack(columns[:p])
+    ritz, x, bound, steps, settled = _inverse_iteration(a, m, lu, sigma, block, allowed)
     solves, shift = steps * p, sigma
     if not settled:
         shift = float(ritz[0]) + _SHIFT_STEP * abs(float(ritz[0]))
@@ -461,21 +466,11 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
                 f"{count} eigenvalues counted below {shift:.9g}, just above the "
                 f"Ritz value {ritz[0]:.9g}: the iteration did not find lambda_1"
             )
-        ritz, x, bound, steps, _ = _inverse_iteration(a, m, lu, shift, x[:, :1])
+        ritz, x, bound, steps, _ = _inverse_iteration(a, m, lu, shift, x[:, :1], allowed)
         solves += steps
     rho, y, r = _quotient(a, m, x[:, 0])
-    # A y rounds at about eps ||A||_1 ||y||, and ||A|| grows with beta
-    allowed = RESIDUAL_FACTOR
     if np.linalg.norm(r) > allowed * np.linalg.norm(y):
-        allowed = max(allowed, _EPS * sparse.linalg.norm(a, 1))
-    if np.linalg.norm(r) > allowed * np.linalg.norm(y):
-        # lambda settled before the vector did: iterate on under the same factor
-        target = allowed * np.linalg.norm(x[:, 0])
-        ritz, x, bound, steps, _ = _inverse_iteration(a, m, lu, shift, x, target)
-        solves += steps * x.shape[1]
-        rho, y, r = _quotient(a, m, x[:, 0])
-        if np.linalg.norm(r) > allowed * np.linalg.norm(y):
-            raise SolverError(f"generalized residual {np.linalg.norm(r):.3e} above tolerance")
+        raise SolverError(f"generalized residual {np.linalg.norm(r):.3e} above tolerance")
     if not ritz[-1] + bound < shift:
         raise SolverError(f"Ritz values {ritz} within {bound:.3e} of the shift {shift:.9g}")
 
@@ -618,14 +613,18 @@ def beta_form_value(result: FemEigenResult) -> float:
     return float(u @ (boundary @ u)) / float(u @ (mass @ u))
 
 
-def hole_residual(result: FemEigenResult) -> np.ndarray:
-    """K u - lambda M u on the hole ring, ring 0, at any beta: B has no hole
-    rows, and only the 2 n_a triangles of the first ring of quads touch it."""
-    n_a = result.mesh.resolution[1]
-    t = result.mesh.triangles[: 2 * n_a]
-    stiffness, mass = _element_matrices(result.mesh.nodes, t)
+def boundary_residual(result: FemEigenResult) -> np.ndarray:
+    """K u - lambda M u on the hole ring and the outer ring, rows 0 and 1 of
+    a (2, n_a) array, at any beta.  B is left out, so a Dirichlet ring's
+    row is its flux and a Robin outer ring's is -beta B u; only the 2 n_a
+    triangles of the first and of the last ring of quads touch the rings."""
+    mesh = result.mesh
+    n_r, n_a = mesh.resolution
+    t = np.concatenate([mesh.triangles[: 2 * n_a], mesh.triangles[-2 * n_a :]])
+    stiffness, mass = _element_matrices(mesh.nodes, t)
     local = (stiffness - result.lam * mass) @ result.u[t][:, :, None]
-    return np.bincount(t.ravel(), local.ravel(), minlength=n_a)[:n_a]
+    rows = np.bincount(t.ravel(), local.ravel(), minlength=len(mesh.nodes))
+    return rows.reshape(n_r + 1, n_a)[[0, n_r]]
 
 
 @dataclass(frozen=True)
@@ -638,14 +637,10 @@ class ConvergenceStudy:
 
 
 def convergence_study(
-    domain: AnnularDomain, beta: float, resolutions, lam_ref: float = None
+    domain: AnnularDomain, beta: float, resolutions, lam_ref: float
 ) -> ConvergenceStudy:
-    """Eigenvalue convergence table and observed order on refined meshes.
-
-    lam_ref defaults to Richardson extrapolation of the two finest levels
-    assuming second order; pass the radial eigenvalue when the domain is a
-    concentric shell.
-    """
+    """Eigenvalue convergence table and observed order against lam_ref on
+    refined meshes."""
     if len(resolutions) < 3:
         raise RangeError("need at least 3 resolutions")
     hs, lams = [], []
@@ -655,9 +650,6 @@ def convergence_study(
         lams.append(result.lam)
     hs = np.asarray(hs)
     lams = np.asarray(lams)
-    if lam_ref is None:
-        ratio = (hs[-2] / hs[-1]) ** 2
-        lam_ref = float((ratio * lams[-1] - lams[-2]) / (ratio - 1.0))
     err = np.abs(lams - lam_ref)
     keep = err > 0.0
     order = float(np.polyfit(np.log(hs[keep]), np.log(err[keep]), 1)[0])

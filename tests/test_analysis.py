@@ -132,6 +132,34 @@ class TestShapeDerivative:
         assert abs(fd) > 10.0 * noise
         assert formula == pytest.approx(fd, rel=5e-2)
 
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_inner_fourier_mode_matches_fd(self, mode):
+        # the hole moves along its own outward normal, -nu of the annulus,
+        # so a hole that grows where cos(mode theta) > 0 has <V, nu> < 0
+        domain = standard_family()[3]
+        fem = solve_domain(domain, 1.0, 48, 192)
+        field = PerturbationField(kind="normal_fourier", target="inner", mode=mode, amplitude=1.0)
+        formula = shape_derivative_formula(domain, 1.0, field, fem)
+        fd, noise = shape_derivative_fd_with_noise(domain, 1.0, field, 1e-3, (48, 192))
+        assert abs(fd) > 10.0 * noise
+        assert formula == pytest.approx(fd, rel=5e-2)
+
+    def test_outer_ring_at_dirichlet_outer_reads_its_flux(self):
+        # at beta = inf the outer ring is Dirichlet too, so its term is the
+        # squared flux as on the hole (the Robin integrand gave inf * 0 = nan)
+        domain = standard_family()[3]
+        fem = solve_domain(domain, math.inf, 48, 192)
+        mode2 = PerturbationField(kind="normal_fourier", target="outer", mode=2, amplitude=1.0)
+        formula = shape_derivative_formula(domain, math.inf, mode2, fem)
+        fd, noise = shape_derivative_fd_with_noise(domain, math.inf, mode2, 1e-3, (48, 192))
+        assert abs(fd) > 10.0 * noise
+        assert formula == pytest.approx(fd, rel=5e-2)
+        # a rigid motion of both curves leaves lambda where it is
+        hole = PerturbationField(kind="translation", target="inner", vector=(1.0, 0.0))
+        both = PerturbationField(kind="translation", target="both", vector=(1.0, 0.0))
+        moved = shape_derivative_formula(domain, math.inf, hole, fem)
+        assert abs(shape_derivative_formula(domain, math.inf, both, fem)) < 1e-3 * abs(moved)
+
     def test_rigid_translation_is_stationary(self):
         fem = solve_domain(ECCENTRIC, 1.0, 32, 128)
         field = PerturbationField(kind="translation", target="both", vector=(0.4, -0.1))

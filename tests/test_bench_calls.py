@@ -8,6 +8,8 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
@@ -50,6 +52,20 @@ def test_shell_sweep_batches_pass_their_checks():
             wrong, unmet, _ = workload.check(op, out)
             wrong += worker._reference_problems(reference, index, j, workload.eigenvalues(out))
             assert (wrong, unmet) == ([], []), (index, op)
+
+
+@pytest.mark.parametrize("name", ["theorem_sweep", "shape_derivative"])
+def test_fem_batches_pass_their_checks(name):
+    # shell maximality, and the shape derivative against step-halved FD,
+    # with the reference eigenvalues at their rtol, on the seed's first batch
+    workload = workloads.WORKLOADS[name]
+    reference = worker._reference(name, 0)
+    assert reference is not None
+    for j, op in enumerate(workload.batch(workloads.batch_rng(0, name, 0))):
+        out = workload.run(op)
+        wrong, unmet, _ = workload.check(op, out)
+        wrong += worker._reference_problems(reference, 0, j, workload.eigenvalues(out))
+        assert (wrong, unmet) == ([], []), (j, op)
 
 
 def test_web_chain_regime_rule_agrees_with_the_gap():

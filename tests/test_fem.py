@@ -645,8 +645,8 @@ class TestSolveDomain:
 
     def test_thin_eccentric_shell_answers(self):
         # in this thin crescent lambda settles before the eigenvector's
-        # residual passes 1e-10 ||u|| from beta = 10 on; the iteration goes
-        # on under the same factor instead of stopping on the check
+        # residual passes 1e-10 ||u|| from beta = 10 on; the iteration holds
+        # the vector to its residual target and goes on until it passes
         domain = AnnularDomain(Circle((0, 0), 2.0), Circle((0.04, 0), 1.8))
         for res in ((12, 48), (24, 96), (48, 192)):
             results = [solve_domain(domain, b, *res) for b in (1.0, 10.0, 100.0, 1e3, math.inf)]
@@ -669,12 +669,18 @@ class TestSolveDomain:
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, math.inf])
     def test_hole_residual_matches_coo_reference(self, beta):
+        # rows 0 and 1 are the hole ring and the outer ring of K u - lambda M u,
+        # B left out: on a Robin outer ring that row is -beta B u, and at
+        # beta = 0 only the solve's residual
         res = solve_domain(ECCENTRIC, beta, 16, 64)
         stiffness, mass, boundary = _coo_forms(res.mesh)
-        full = stiffness if math.isinf(beta) else stiffness + beta * boundary
-        want = (full @ res.u - res.lam * (mass @ res.u))[:64]
-        got = fem.hole_residual(res)
+        want = (stiffness @ res.u - res.lam * (mass @ res.u)).reshape(17, 64)[[0, 16]]
+        got = fem.boundary_residual(res)
+        assert got.shape == (2, 64)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        if 0.0 < beta < math.inf:
+            robin = -beta * (boundary @ res.u)[-64:]
+            assert np.max(np.abs(got[1] - robin)) <= 1e-8 * np.max(np.abs(robin))
 
     def test_beta_derivative_identity(self):
         res = solve_domain(ECCENTRIC, 1.0, 32, 128)
@@ -724,7 +730,12 @@ class TestConvergence:
         assert 1.8 <= study.order <= 2.2
 
     def test_order_band_eccentric_richardson(self):
-        study = convergence_study(ECCENTRIC, 1.0, [(12, 48), (24, 96), (48, 192)])
+        # the reference is the Richardson value of the two finest levels,
+        # assuming second order
+        coarse, fine = (solve_domain(ECCENTRIC, 1.0, *res) for res in ((24, 96), (48, 192)))
+        ratio = (coarse.mesh.max_edge_length() / fine.mesh.max_edge_length()) ** 2
+        lam_ref = (ratio * fine.lam - coarse.lam) / (ratio - 1.0)
+        study = convergence_study(ECCENTRIC, 1.0, [(12, 48), (24, 96), (48, 192)], lam_ref)
         assert 1.7 <= study.order <= 2.2
 
     def test_determinism(self):
@@ -736,7 +747,7 @@ class TestConvergence:
 
     def test_too_few_resolutions(self):
         with pytest.raises(RangeError):
-            convergence_study(CONCENTRIC, 1.0, [(8, 32), (16, 64)])
+            convergence_study(CONCENTRIC, 1.0, [(8, 32), (16, 64)], 1.0)
 
 
 class TestMeshIO:
