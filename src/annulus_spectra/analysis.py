@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import CurvatureUnavailableError, InfeasibleError, RangeError
 from .fem import FemEigenResult, beta_form_value, boundary_residual, coarse_resolution, solve_domain
@@ -29,7 +28,7 @@ from .geometry import (
     inradius,
     scale_hole_to_class_s,
 )
-from .radial import LAMBDA_RTOL, PROFILE_RTOL, solve_shell
+from .radial import EPS, LAMBDA_RTOL, _dphi, _phi, solve_shell
 
 
 @dataclass(frozen=True)
@@ -392,20 +391,26 @@ class BetaLimitsReport:
 
 
 def _radial_boundary_ratio(result):
-    """(s, error of s) for s = R2^(n-1) phi(R2)^2 / int phi^2 r^(n-1) dr.
+    """(s, error of s) for s = R2^(n-1) phi(R2)^2 / int phi^2 r^(n-1) dr, beta finite.
 
-    Simpson's rule in t = log r, int phi^2 r^n dt, on the profile's knots
-    uniform in t; the error is its difference to the rule on every second
-    knot plus the stated profile accuracy of phi^2 in numerator and
-    denominator.
+    The mass is F(R2) - F(R1) by Lommel's integral (DLMF 10.22.5): F(r) =
+    (r^n / 2) [phi^2 + (phi'^2 + (n-2) phi phi' / r) / lambda], with F(R1) =
+    R1^n / (2 lambda) and phi'(R2) = -beta v_m.  The error is the largest
+    change of s in closed form at lambda (1 -+ LAMBDA_RTOL), plus 32 eps per
+    unit of the cancellation (F(R2) + F(R1)) / (F(R2) - F(R1)), which
+    amplifies the rounding of v_m (at most 14 units against 60-digit quadrature).
     """
-    shell = result.shell
-    density = result.phi**2 * result.r**shell.dim
-    t = np.log(result.r)
-    mass = simpson(density, x=t)
-    coarse = simpson(density[::2], x=t[::2])
-    s = shell.r_outer ** (shell.dim - 1) * result.phi[-1] ** 2 / mass
-    return float(s), float(s * (abs(mass - coarse) / mass + 4.0 * PROFILE_RTOL))
+    n, r1, r2 = result.shell.dim, result.shell.r_inner, result.shell.r_outer
+
+    def ratio(lam, v, dv):
+        head, tail = r2**n * (v * v + (dv * dv + (n - 2.0) * v * dv / r2) / lam), r1**n / lam
+        return 2.0 * r2 ** (n - 1) * v * v / (head - tail), (head + tail) / (head - tail)
+
+    s, cancel = ratio(result.lam, result.v_m, -result.beta * result.v_m)
+    lam = result.lam * np.array([1.0 - LAMBDA_RTOL, 1.0 + LAMBDA_RTOL])
+    nu, k = 0.5 * n - 1.0, np.sqrt(lam)
+    shifted = ratio(lam, _phi(nu, k, r1, r2), _dphi(nu, k, r1, r2))[0]
+    return float(s), float(np.max(np.abs(shifted - s)) + 32.0 * EPS * cancel * s)
 
 
 def beta_limits_check(target, resolution=(48, 192), betas=None) -> BetaLimitsReport:
@@ -428,8 +433,9 @@ def beta_limits_check(target, resolution=(48, 192), betas=None) -> BetaLimitsRep
     the same mesh, so both ends hold exactly for the discrete pencil.  The
     bracket is widened by an allowance summed from the solvers' stated
     tolerances (LAMBDA_RTOL radially, the eigensolver's residual bound for
-    FEM) and the quadrature error of s.  The largest beta is compared with
-    the Dirichlet closure through the constant-test-function gap bound.
+    FEM) and the error of s, which the radial route takes in closed form
+    (_radial_boundary_ratio).  The largest beta is compared with the
+    Dirichlet closure through the constant-test-function gap bound.
     """
     if betas is None:
         betas = np.logspace(-3, 4, 8)

@@ -441,6 +441,7 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
         factorizations += 1
         if p > 0:
             break
+        del lu  # the dead factor goes before the next one is built
         sigma += _SHIFT_STEP * abs(sigma)
     else:
         raise SolverError(f"no reliable factorization near the seed's quotient {sigma:.6g}")
@@ -459,6 +460,7 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
     solves, shift = steps * p, sigma
     if not settled:
         shift = float(ritz[0]) + _SHIFT_STEP * abs(float(ritz[0]))
+        del lu
         lu, count = _shifted_factor(a, m, shift)
         factorizations += 1
         if count != 1:

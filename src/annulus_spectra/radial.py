@@ -25,9 +25,9 @@ more than pi/k apart: each zero of phi', all simple, flips its sign
 between two neighbouring subset knots, and the one subset interval where
 phi' drops holds r_bar alone, so Brent's method finds it there.
 phi(R1) = 0, phi' > 0 before r_bar, phi' < 0 after it and phi(R2) >= 0
-then make the profile positive.  The profile on all knots and its
-splines are built on first read, and that build checks positivity and
-the single drop of phi' on every knot again.
+then make the profile positive.  The profile on all knots is built on
+first read, and that build checks positivity and the single drop of phi'
+on every knot again; value() and slope() read the closed form itself.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import brentq
 from scipy.special import j0, j1, jv, y0, y1, yn
@@ -66,9 +65,9 @@ class RadialEigenResult:
     phi(R2) and v_M the maximum phi(r_bar).  For beta = 0 the profile is
     nondecreasing and r_bar degenerates to R2, with v_M = v_m, as it does
     where beta phi(R2) lies below the rounding of phi'(R2).  phi and dphi,
-    the profile on the knots with boundary values imposed, and the splines
-    behind value() and slope() are built on first read.  The arrays are
-    read-only.
+    the profile on the knots with boundary values imposed, are built and
+    checked on first read, also by value() and slope(), which give the
+    closed form at any radius.  The arrays are read-only.
     """
 
     shell: ShellSpec
@@ -86,24 +85,19 @@ class RadialEigenResult:
 
     @functools.cached_property
     def _profile(self):
-        """phi and dphi on every knot, checked again, and their splines."""
-        n, r1, r2 = self.shell.dim, self.shell.r_inner, self.shell.r_outer
-        nu, k, r = 0.5 * n - 1.0, self._k, self.r
-        phi, dphi = _phi(nu, k, r1, r), _dphi(nu, k, r1, r)
+        """phi and dphi on every knot, checked again."""
+        phi, dphi = self._closed_form(_phi, self.r), self._closed_form(_dphi, self.r)
         phi[0] = 0.0
-        _impose_outer(phi, dphi, self.beta, k)
+        _impose_outer(phi, dphi, self.beta, self._k)
         if np.any(phi[1:-1] <= 0.0):
             raise NumericalError("profile is not positive inside the shell")
         _one_drop(dphi, self.beta)
         phi.setflags(write=False)
         dphi.setflags(write=False)
-        t = _log_knots(r1, r2)
-        return (
-            phi,
-            dphi,
-            CubicHermiteSpline(t, phi, r * dphi),
-            CubicHermiteSpline(t, dphi, -(n - 1.0) * dphi - self.lam * r * phi),
-        )
+        return phi, dphi
+
+    def _closed_form(self, kernel, r):
+        return kernel(0.5 * self.shell.dim - 1.0, self._k, self.shell.r_inner, r)
 
     @property
     def phi(self) -> np.ndarray:
@@ -114,12 +108,14 @@ class RadialEigenResult:
         return self._profile[1]
 
     def value(self, r):
-        """Profile phi at arbitrary radii inside [R1, R2], by the spline in log r."""
-        return self._profile[2](np.log(np.asarray(r, dtype=float)))
+        """Profile phi at arbitrary radii inside [R1, R2], in closed form."""
+        self._profile  # the knots are built and checked first
+        return self._closed_form(_phi, np.asarray(r, dtype=float))
 
     def slope(self, r):
         """Profile derivative phi' at arbitrary radii inside [R1, R2], likewise."""
-        return self._profile[3](np.log(np.asarray(r, dtype=float)))
+        self._profile  # the knots are built and checked first
+        return self._closed_form(_dphi, np.asarray(r, dtype=float))
 
     def report(self) -> dict:
         return {
@@ -173,10 +169,6 @@ def _phi(nu: float, k: float, r1: float, r, inner=None):
 
 def _dphi(nu: float, k: float, r1: float, r, inner=None):
     return -k * _scale(nu, r1, r) * _cross(nu, nu + 1.0, k, r1, r, inner)
-
-
-def _log_knots(r1: float, r2: float) -> np.ndarray:
-    return np.linspace(math.log(r1), math.log(r2), PROFILE_SAMPLES)
 
 
 def _stride(r, k: float) -> int:
@@ -265,13 +257,12 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     array, comes from the kernels of _jy, so a knot has the same sign in
     the subset, the full profile and the polish, which can lose its sign
     change only at R2, where phi' is imposed.
-    The full profile on PROFILE_SAMPLES knots uniform in t = log r, with
-    cubic Hermite splines of phi (dphi/dt = r phi') and phi' (by the ODE,
-    d(phi')/dt = -(n-1) phi' - lambda r phi), is built on first read of
-    phi, dphi, value() or slope().  J_nu(k R1) and Y_nu(k R1) at the root
-    are computed once and serve the knot values, the Brent function of
-    r_bar, v_M and the rounding unit alike, and _jy also gives the moduli
-    of the residual allowances.
+    The full profile on PROFILE_SAMPLES knots uniform in t = log r is
+    built and checked on first read of phi, dphi, value() or slope(); the
+    latter two evaluate the closed form at the radii they are given.
+    J_nu(k R1) and Y_nu(k R1) at the root are computed once and serve the
+    knot values, the Brent function of r_bar, v_M and the rounding unit
+    alike, and _jy also gives the moduli of the residual allowances.
     """
     shell = ShellSpec(n, r1, r2)
     _check_beta(beta)
@@ -280,7 +271,7 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     lam = k * k
     inner = _jy(nu, k * r1)
 
-    r = np.exp(_log_knots(r1, r2))
+    r = np.exp(np.linspace(math.log(r1), math.log(r2), PROFILE_SAMPLES))
     r[0], r[-1] = r1, r2
     stride = _stride(r, k)
     dphi = _dphi(nu, k, r1, r[::stride], inner)

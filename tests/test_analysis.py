@@ -2,8 +2,10 @@ import dataclasses
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from scipy.optimize import brentq
 from scipy.special import jv, yv
 
@@ -32,7 +34,7 @@ from annulus_spectra.geometry import (
     ShellSpec,
     class_s_data,
 )
-from annulus_spectra.radial import solve_shell
+from annulus_spectra.radial import PROFILE_RTOL, solve_shell
 
 CONCENTRIC = AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
 ECCENTRIC = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
@@ -452,6 +454,57 @@ class TestBetaLimits:
         for betas in ([], [0.0, 1.0], [1.0, 0.5], [1.0, float("inf")]):
             with pytest.raises(RangeError):
                 beta_limits_check(ShellSpec(2, 1.0, 2.0), betas=betas)
+
+
+def _boundary_ratio_mp(n, r1, r2, beta, k0):
+    """s = R2^(n-1) phi(R2)^2 / int phi^2 r^(n-1) dr at the 30-digit root
+    of beta Z_nu(k R2) - k Z_(nu+1)(k R2) next to k0, the mass by quadrature."""
+    with mpmath.workdps(30):
+        nu = mpmath.mpf(n) / 2 - 1
+
+        def z(k, mu, r):
+            j_in, y_in = mpmath.besselj(nu, k * r1), mpmath.bessely(nu, k * r1)
+            return mpmath.besselj(mu, k * r) * y_in - mpmath.bessely(mu, k * r) * j_in
+
+        def f(k):
+            scale = mpmath.hypot(mpmath.besselj(nu, k * r1), mpmath.bessely(nu, k * r1))
+            return (beta * z(k, nu, r2) - k * z(k, nu + 1, r2)) / (scale * (beta + k))
+
+        k0 = mpmath.mpf(k0)
+        k = mpmath.findroot(f, (k0 * (1 - 1e-10), k0 * (1 + 1e-10)), solver="anderson")
+        phi = lambda r: r**-nu * z(k, nu, r)
+        mass = mpmath.quad(lambda r: phi(r) ** 2 * r ** (n - 1), [r1, r2])
+        return float(r2 ** (n - 1) * phi(r2) ** 2 / mass)
+
+
+def _simpson_ratio_error(res):
+    """The error the boundary ratio once carried: Simpson's rule on the
+    profile's knots in log r against the rule on every second knot, plus
+    the profile accuracy of phi^2 in numerator and denominator."""
+    density, t = res.phi**2 * res.r**res.shell.dim, np.log(res.r)
+    mass, coarse = simpson(density, x=t), simpson(density[::2], x=t[::2])
+    s = res.shell.r_outer ** (res.shell.dim - 1) * res.phi[-1] ** 2 / mass
+    return s * (abs(mass - coarse) / mass + 4.0 * PROFILE_RTOL)
+
+
+class TestBoundaryRatio:
+    @pytest.mark.parametrize(
+        "shell",
+        [
+            (2, 1.0, 2.0, 0.0),
+            (3, 1.0, 2.0, 0.0),
+            (5, 0.01, 2.0, 0.0),
+            (8, 1.0, 1.001, 0.0),
+            (2, 0.4, 3.5, 0.3),
+            (4, 1.0, 2.0, 5.0),
+        ],
+    )
+    def test_lommel_matches_quadrature(self, shell):
+        res = solve_shell(*shell)
+        s, err = analysis._radial_boundary_ratio(res)
+        assert abs(s - _boundary_ratio_mp(*shell, math.sqrt(res.lam))) <= err
+        # criterion 9's allowance cannot widen
+        assert err <= _simpson_ratio_error(res)
 
 
 class TestInequalityReport:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -619,3 +623,17 @@ def test_svg_plot_writer(tmp_path):
     assert text.startswith("<svg")
     assert "polyline" in text
     assert "timestamp" not in text
+
+
+def test_import_loads_no_interpolate_or_integrate():
+    # the profile, its slope and the beta-slope are closed forms, so the
+    # whole package (the CLI imports every module) needs neither subpackage
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    code = (
+        "import sys, annulus_spectra.cli; print(sorted(m for m in sys.modules"
+        " if m.startswith(('scipy.interpolate', 'scipy.integrate'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
