@@ -30,6 +30,7 @@ from .geometry import (
     ShellSpec,
     aleksandrov_fenchel_check,
     class_s_data,
+    class_s_radii,
     inradius,
     isoperimetric_deficit,
     random_convex_polygon,

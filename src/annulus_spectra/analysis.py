@@ -14,17 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CurvatureUnavailableError, InfeasibleError, RangeError
+from .errors import CurvatureUnavailableError, RangeError
 from .fem import FemEigenResult, beta_form_value, boundary_residual, coarse_resolution, solve_domain
 from .geometry import (
-    CLASS_S_RTOL,
     AnnularDomain,
     Circle,
     ConvexPolygon,
     Ellipse,
     PolygonCurve,
     ShellSpec,
-    class_s_data,
+    class_s_radii,
     inradius,
     scale_hole_to_class_s,
 )
@@ -310,17 +309,13 @@ def main_theorem_sweep(family, beta: float, resolution=(48, 192)) -> list:
 
     Each domain's FEM eigenvalue must not exceed the matched shell's
     radial eigenvalue beyond twice the discretization-error estimate,
-    itself taken conservatively as the full coarse-to-fine difference.
+    itself taken conservatively as the full coarse-to-fine difference.  A
+    member off class S raises geometry.class_s_radii's InfeasibleError.
     """
     n_r, n_a = resolution
     reports = []
     for idx, domain in enumerate(family):
-        r1, r2, residual = class_s_data(domain)
-        if abs(residual) > CLASS_S_RTOL * domain.area:
-            raise InfeasibleError(
-                f"family member {idx} is not in class S "
-                f"(relative residual {residual / domain.area:.3e})"
-            )
+        r1, r2 = class_s_radii(domain)
         lam_fine = solve_domain(domain, beta, n_r, n_a).lam
         lam_coarse = solve_domain(domain, beta, *coarse_resolution(n_r, n_a)).lam
         err_est = abs(lam_fine - lam_coarse)

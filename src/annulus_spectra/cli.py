@@ -354,8 +354,8 @@ def _suite_shape_derivative(args, resolution):
 def _suite_web(args, resolution):
     res = (24, 96) if args.quick else resolution
     shell_dom = geometry.AnnularDomain(geometry.Circle((0, 0), 2.0), geometry.Circle((0, 0), 1.0))
-    rad = radial.solve_shell(2, 1.0, 2.0, 1.0)
-    web = webfunc.build_web(shell_dom, rad)
+    web = webfunc.build_web(shell_dom, 1.0)
+    rad = web.radial
     _, value = webfunc.rayleigh_quotient(web, 1.0)
     identity = abs(value - rad.lam) / rad.lam
     error = webfunc.rayleigh_error(web, 1.0, value)

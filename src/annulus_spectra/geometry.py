@@ -63,9 +63,9 @@ def _finite_center(center) -> tuple:
     return c
 
 
-def _as_directions(direction):
-    """(m, 2) direction rows, and whether a single direction was given."""
-    u = np.asarray(direction, dtype=float)
+def _as_rows(points):
+    """(m, 2) rows of points or directions, and whether a single one was given."""
+    u = np.asarray(points, dtype=float)
     return u.reshape(-1, 2), u.ndim == 1
 
 
@@ -142,11 +142,12 @@ class ConvexPolygon:
         return n, b
 
     def contains(self, points, tol: float = 0.0):
-        """Boolean mask of points inside (every margin b_e - n_e.x >= -tol)."""
-        p = np.atleast_2d(np.asarray(points, dtype=float))
+        """Whether each point is inside (every margin b_e - n_e.x >= -tol):
+        a bool for one point, a mask for (m, 2) points."""
+        p, single = _as_rows(points)
         n, b = self.edge_normals_offsets()
         inside = np.all(b[None, :] - p @ n.T >= -tol, axis=1)
-        return inside if inside.size > 1 else bool(inside[0])
+        return bool(inside[0]) if single else inside
 
     def nearest_edge(self, points):
         """Distance from each point to the boundary and the index of its
@@ -397,11 +398,11 @@ class Ellipse(BoundaryCurve):
         return self._c()
 
     def contains(self, points, tol=0.0):
-        p = np.atleast_2d(np.asarray(points, dtype=float)) - self._c()
-        r = np.hypot(p[:, 0] / self.a, p[:, 1] / self.b)
+        p, single = _as_rows(points)
+        r = np.hypot((p[:, 0] - self.center[0]) / self.a, (p[:, 1] - self.center[1]) / self.b)
         # tol is a length; convert through the smaller axis (conservative)
         inside = r <= 1.0 + tol / min(self.a, self.b)
-        return inside if inside.size > 1 else bool(inside[0])
+        return bool(inside[0]) if single else inside
 
     def foot(self, points):
         """(theta, d): the parameter of each point's nearest curve point c +
@@ -457,7 +458,7 @@ class Ellipse(BoundaryCurve):
 
     def ray_length(self, origin, direction):
         o = _as_point(origin) - self._c()
-        u, single = _as_directions(direction)
+        u, single = _as_rows(direction)
         os = np.array([o[0] / self.a, o[1] / self.b])
         cc = os @ os - 1.0
         if not cc < 0.0:
@@ -526,7 +527,7 @@ class Circle(Ellipse):
 
     def ray_length(self, origin, direction):
         o = _as_point(origin) - self._c()
-        u, single = _as_directions(direction)
+        u, single = _as_rows(direction)
         cc = o @ o - self.radius**2
         if not cc < 0.0:
             raise StarShapeError("ray origin is outside the circle")
@@ -567,7 +568,7 @@ class PolygonCurve(BoundaryCurve):
         """Exit through the edge halfspaces: from a strictly inner origin the
         ray leaves at the smallest (dv x e) / (u x e) over the edges e it
         faces (u x e > 0), dv running from the origin to each edge's start."""
-        u, single = _as_directions(direction)
+        u, single = _as_rows(direction)
         v = self.polygon.vertices
         e = np.roll(v, -1, axis=0) - v
         dv = v - _as_point(origin)
@@ -699,40 +700,40 @@ def class_s_data(domain: AnnularDomain):
     return r1, r2, residual
 
 
-def scale_hole_to_class_s(outer: BoundaryCurve, hole_shape: BoundaryCurve, center=None):
+def class_s_radii(domain: AnnularDomain):
+    """(R1, R2) of the matched shell of a class-S domain: the one class-S
+    gate, InfeasibleError unless |class_s_data residual| <= CLASS_S_RTOL
+    |Omega|."""
+    r1, r2, residual = class_s_data(domain)
+    if abs(residual) > CLASS_S_RTOL * domain.area:
+        raise InfeasibleError(
+            f"domain is not in class S (relative residual {residual / domain.area:.3e})"
+        )
+    return r1, r2
+
+
+def scale_hole_to_class_s(outer: BoundaryCurve, hole_shape: BoundaryCurve) -> float:
     """Scale factor making the hole's isoperimetric deficit match the outer's.
 
     Deficits scale with the square of the dilation factor, so the matching
     scale is sqrt(deficit_outer / deficit_hole).  The scaled hole is
-    recentered at the outer body's natural center and compact containment
-    is verified.  When both deficits vanish (disk in disk) every scale with
-    containment works and the feasible open interval (0, s_max) is
-    returned instead of a single factor.
+    recentered at the outer body's natural center (a polygon's Chebyshev
+    center) and compact containment is verified.  A hole with zero deficit
+    (a disk, also in a disk, where every contained scale would match)
+    has no single factor: InfeasibleError.
     """
     d_out = isoperimetric_deficit(outer)
     d_hole = isoperimetric_deficit(hole_shape)
-    scale2 = outer.scale**2
-    zero_out = abs(d_out) <= 1e-9 * scale2
+    zero_out = abs(d_out) <= 1e-9 * outer.scale**2
     zero_hole = abs(d_hole) <= 1e-9 * hole_shape.scale**2
-    if center is None:
-        if isinstance(outer, PolygonCurve):
-            _, center = inradius(outer.polygon, return_center=True)
-        else:
-            center = outer.reference_point()
-    center = _as_point(center)
-    if zero_hole and zero_out:
-        # any disk-in-disk qualifies up to the scale where its gap to the
-        # outer circle, R - o - s r, reaches the touching threshold
-        r_out, r_hole = 0.5 * outer.scale, 0.5 * hole_shape.scale
-        offset = float(np.hypot(*(center - outer.reference_point())))
-        s_max = (r_out * (1.0 - 2.0 * CONTAINMENT_REL_GAP) - offset) / r_hole
-        if not s_max > 0.0:
-            raise ContainmentError("no scaled hole fits in the outer body at this center")
-        return (0.0, s_max)
     if zero_hole:
-        raise InfeasibleError("hole has zero deficit but the outer body does not")
-    if zero_out and not zero_hole:
+        raise InfeasibleError("hole has zero deficit, so no single scale matches the outer body")
+    if zero_out:
         raise InfeasibleError("outer body has zero deficit but the hole does not")
+    if isinstance(outer, PolygonCurve):
+        _, center = inradius(outer.polygon, return_center=True)
+    else:
+        center = outer.reference_point()
     s = math.sqrt(d_out / d_hole)
     candidate = hole_shape.scaled(s)
     candidate = candidate.translated(center - candidate.reference_point())

@@ -44,12 +44,11 @@ from .errors import InfeasibleError, InvalidWebError, NumericalError, RangeError
 from .fem import solve_domain
 from .geometry import (
     _QUARTER_TURN,
-    CLASS_S_RTOL,
     AnnularDomain,
     ConvexPolygon,
     Ellipse,
     PolygonCurve,
-    class_s_data,
+    class_s_radii,
     lineups,
 )
 from .radial import RadialEigenResult, solve_shell
@@ -74,7 +73,8 @@ def _split(domain: AnnularDomain, radial: RadialEigenResult):
     """(s*, area error, integrals): the distance s* whose hole-distance
     sublevel set has the area of the shell's inner part, between R1 and
     r_bar, the relative error of that area, and the _coarea_pass integrals
-    of the web split there (None inside the gap).
+    of the web split there (None inside the gap).  radial is the domain's
+    matched shell, which build_web solves from geometry.class_s_radii.
 
     Up to the hole's free distance domain.gap the area law is Steiner's
     A(s) = P(K) s + pi s^2, whose class-S root is r_bar - R1.  Past it the
@@ -88,14 +88,7 @@ def _split(domain: AnnularDomain, radial: RadialEigenResult):
     leaves the quotient's integrals too.  RangeError past the gap unless
     the outer curve is an ellipse.
     """
-    r1, r2, residual = class_s_data(domain)
-    if abs(residual) > CLASS_S_RTOL * domain.area:
-        raise InfeasibleError(
-            f"domain is not in class S (relative residual {residual / domain.area:.3e})"
-        )
-    shell = radial.shell
-    if abs(shell.r_inner - r1) > 1e-6 * r1 or abs(shell.r_outer - r2) > 1e-6 * r2:
-        raise InfeasibleError("radial profile was solved on a different shell")
+    r1 = radial.shell.r_inner
     target = math.pi * (radial.r_bar**2 - r1 * r1)
     if target >= domain.area:
         raise InfeasibleError("split area target exceeds the domain area")
@@ -219,18 +212,21 @@ class WebFunction:
         }
 
 
-def build_web(domain: AnnularDomain, radial: RadialEigenResult) -> WebFunction:
-    """Construct the web function and its validity certificate.
+def build_web(domain: AnnularDomain, beta: float) -> WebFunction:
+    """Construct the web function of a class-S domain at beta > 0 and its
+    validity certificate.
 
-    The jump is closed-form.  On the split curve the inner side is on its
-    plateau (s* >= r_bar - R1).  The outer side phi(max(R2 - d_o, r_bar))
-    is least where d_o is: at the grown hole's free distance gap - s*, or
-    at 0 once s* > gap and the curve crosses the outer boundary.
+    The profile is the planar matched shell's, solve_shell(2, R1, R2,
+    beta) with (R1, R2) from geometry.class_s_radii, the one class-S gate
+    (InfeasibleError off class S).  The jump is closed-form.  On the split
+    curve the inner side is on its plateau (s* >= r_bar - R1).  The outer
+    side phi(max(R2 - d_o, r_bar)) is least where d_o is: at the grown
+    hole's free distance gap - s*, or at 0 once s* > gap and the curve
+    crosses the outer boundary.
     """
-    if radial.shell.dim != 2:
-        raise RangeError("web functions are built on planar domains only")
-    if radial.beta == 0.0:
+    if beta == 0.0:
         raise RangeError("web construction needs beta > 0")
+    radial = solve_shell(2, *class_s_radii(domain), beta)
     s_star, area_err, integrals = _split(domain, radial)
     shell, r_bar = radial.shell, radial.r_bar
     inside_val = radial.value(min(shell.r_inner + s_star, r_bar))
@@ -677,14 +673,13 @@ def chain_certificate(
     n_r: int = 48,
     n_a: int = 192,
     quad_level=None,
-    allow_uncertified: bool = True,
 ) -> dict:
     """Full eigenvalue chain on one class-S domain.
 
-    Solves the domain (FEM) and the matched shell (radial), builds the
-    web and checks lambda_fem <= R(w) <= lambda_shell up to the stated
+    Solves the domain (FEM), builds the web on its matched shell (radial)
+    and checks lambda_fem <= R(w) <= lambda_shell up to the stated
     tolerances (chain_checks).  The quotient of an uncertified web is
-    still reported by default, flagged through the certificate fields.
+    still reported, flagged through the certificate fields.
 
     The FEM leg runs first, then the web leg, so a FEM error wins over a
     web error.  The report's rayleigh_error is the quotient's computed
@@ -692,18 +687,16 @@ def chain_certificate(
     deleted midpoint grid, is accepted and not read, as perfbench's warm-up
     still passes it.
     """
-    r1, r2, _ = class_s_data(domain)
-    radial = solve_shell(2, r1, r2, beta)
     fem = solve_domain(domain, beta, n_r, n_a)
-    web = build_web(domain, radial)
-    parts, value = rayleigh_quotient(web, beta, allow_uncertified=allow_uncertified)
+    web = build_web(domain, beta)
+    parts, value = rayleigh_quotient(web, beta, allow_uncertified=True)
     report = web.report() | {
         "beta": beta,
         "rayleigh": value,
         "rayleigh_error": rayleigh_error(web, beta, value),
         "rayleigh_parts": parts,
         "lambda_fem": fem.lam,
-        "lambda_shell": radial.lam,
+        "lambda_shell": web.radial.lam,
         "fem_resolution": f"{n_r}x{n_a}",
         "fem_tolerance": 2e-3 * fem.lam,
     }

@@ -131,8 +131,8 @@ def test_criterion_5_web_function_chain(family):
     # measured jump grows like lambda * offset^2 / 2 off the shell, which
     # is the construction's genuine behavior
     shell_dom = family[0]
-    rad = solve_shell(2, 1.0, 2.0, 1.0)
-    web0 = build_web(shell_dom, rad)
+    web0 = build_web(shell_dom, 1.0)
+    rad = web0.radial
     _, rq0 = rayleigh_quotient(web0, 1.0)
     shell_identity_rel = abs(rq0 - rad.lam) / rad.lam
     shell_ok = web0.certified and shell_identity_rel <= 1e-6
@@ -140,9 +140,7 @@ def test_criterion_5_web_function_chain(family):
     rows = []
     all_ok = shell_ok
     for i, dom in enumerate(family):
-        rep = chain_certificate(
-            dom, 1.0, n_r=FAMILY_RES[0], n_a=FAMILY_RES[1], allow_uncertified=True
-        )
+        rep = chain_certificate(dom, 1.0, n_r=FAMILY_RES[0], n_a=FAMILY_RES[1])
         ok_i = rep["certified"] and rep["chain_ok"]
         all_ok &= ok_i
         rows.append(

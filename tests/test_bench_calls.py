@@ -90,11 +90,10 @@ def test_web_chain_ellipse_members_stay_in_the_coarea_rule():
         for index in range(4):
             kind, dom, beta = workload.batch(workloads.batch_rng(seed, "web_chain", index))[2]
             assert kind == "ellipse"
-            r1, r2, _ = class_s_data(dom)
-            web = build_web(dom, solve_shell(2, r1, r2, beta))
+            web = build_web(dom, beta)
             reach = min(dom.outer.a, dom.outer.b) ** 2 / max(dom.outer.a, dom.outer.b)
             assert web.contained, (seed, index)
-            assert r2 - web.radial.r_bar < reach, (seed, index)
+            assert web.radial.shell.r_outer - web.radial.r_bar < reach, (seed, index)
 
 
 def test_traced_names_resolve():

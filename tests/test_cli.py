@@ -564,6 +564,15 @@ class TestConfigFile:
         lam = float(capsys.readouterr().out.split("lambda =")[1].split()[0])
         assert lam == pytest.approx(math.pi**2, rel=1e-9)
 
+    def test_comment_and_blank_lines_skipped(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text(
+            "# a Dirichlet shell, beta=1 left out\ncommand=shell\n\nn=3\n  \nr1=1\nr2=2\nbeta=inf\n"
+        )
+        assert main(["shell", "--config", str(conf)]) == 0
+        lam = float(capsys.readouterr().out.split("lambda =")[1].split()[0])
+        assert lam == pytest.approx(math.pi**2, rel=1e-9)
+
     def test_flags_override_config(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("command=shell\nn=3\nr1=1\nr2=2\nbeta=inf\n")

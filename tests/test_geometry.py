@@ -381,39 +381,22 @@ class TestClassS:
 
 class TestScaleHole:
     def test_circle_in_circle_returns_range(self):
-        rng_pair = scale_hole_to_class_s(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
-        assert isinstance(rng_pair, tuple)
-        lo, hi = rng_pair
-        assert lo == 0.0
-        assert hi == pytest.approx(2.0, rel=1e-6)
+        # every contained scale of a disk in a disk matches: no single factor
+        with pytest.raises(InfeasibleError, match="no single scale"):
+            scale_hole_to_class_s(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
 
     @pytest.mark.parametrize(
-        "outer, hole, center",
+        "outer, hole",
         [
-            (Circle((0, 0), 2.0), Circle((0, 0), 1.0), None),
-            (Circle((0.3, -0.2), 3.0), Circle((5, 5), 0.7), (0.8, 0.4)),
-            (Ellipse((0, 0), 1.5, 1.5), Circle((1, 0), 0.25), None),
+            (Circle((0, 0), 2.0), Circle((0, 0), 1.0)),
+            (Circle((0.3, -0.2), 3.0), Circle((5, 5), 0.7)),
+            (Ellipse((0, 0), 1.5, 1.5), Circle((1, 0), 0.25)),
         ],
     )
-    def test_disk_in_disk_bound_is_closed_form(self, outer, hole, center, monkeypatch):
-        built = []
-
-        def counting(*args, **kwargs):
-            built.append(1)
-            return AnnularDomain(*args, **kwargs)
-
-        monkeypatch.setattr(geometry, "AnnularDomain", counting)
-        lo, hi = scale_hole_to_class_s(outer, hole, center)
-        r_out, r_hole = outer.scale / 2.0, hole.scale / 2.0
-        c = outer.reference_point() if center is None else np.asarray(center)
-        offset = math.hypot(*(c - outer.reference_point()))
-        expected = (r_out * (1.0 - 2.0 * geometry.CONTAINMENT_REL_GAP) - offset) / r_hole
-        assert lo == 0.0 and hi == pytest.approx(expected, rel=1e-15)
-        assert len(built) <= 2
-
-    def test_disk_center_outside_outer_disk_rejected(self):
-        with pytest.raises(ContainmentError):
-            scale_hole_to_class_s(Circle((0, 0), 1.0), Circle((0, 0), 0.2), center=(1.5, 0.0))
+    def test_disk_in_disk_bound_is_closed_form(self, outer, hole):
+        # a disk hole in a disk, wherever either sits, has no single scale
+        with pytest.raises(InfeasibleError, match="no single scale"):
+            scale_hole_to_class_s(outer, hole)
 
     def test_ellipse_outer_rectangle_hole(self):
         outer = Ellipse((0, 0), 2.0, 1.0)
@@ -563,6 +546,16 @@ class TestRayLength:
         dist = np.hypot(rel[:, 0], rel[:, 1])
         t = poly.ray_length(RAY_ORIGIN, rel / dist[:, None])
         assert np.max(np.abs(t - dist)) < 1e-12 * poly.scale
+
+    @pytest.mark.parametrize("kind", sorted(RAY_CURVES))
+    def test_contains_answers_by_input_shape(self, kind):
+        # one point gives a bool, (m, 2) points a mask, also for m = 1 and 0
+        curve = RAY_CURVES[kind]
+        assert curve.contains(RAY_ORIGIN) is True
+        for rows in (RAY_ORIGIN[None], np.vstack([RAY_ORIGIN, (9.0, 9.0)]), np.empty((0, 2))):
+            inside = curve.contains(rows)
+            assert isinstance(inside, np.ndarray)
+            assert inside.tolist() == [True, False][: len(rows)]
 
     @pytest.mark.parametrize("kind", sorted(RAY_CURVES))
     def test_origin_outside_raises(self, kind):
