@@ -9,7 +9,8 @@ produces exact per-triangle P1 stiffness, consistent mass and exact
 two-point Robin edge mass; the inner (Dirichlet) ring is eliminated and the
 free nodes are numbered in a nested-dissection order of the rings x rays
 grid (George, SIAM J. Numer. Anal. 10, 1973), whose sparsity pattern each
-mesh only fills (Cuvelier, Japhet & Scarella, BIT 56, 2016).  The smallest
+mesh fills (Cuvelier, Japhet & Scarella, BIT 56, 2016) and prunes of its
+quads' unused diagonals.  The smallest
 eigenpair of the SPD pencil is proved to be the smallest: A - sigma M is
 factored by sparse LU in that order without pivoting, with sigma the Rayleigh quotient
 of the eigenvector one level coarser, and its negative pivots count the
@@ -46,8 +47,12 @@ _SHIFT_STEP = 1e-6
 _MAX_STEPS = 60
 _EPS = float(np.finfo(float).eps)
 _MAX_BLOCK = 64
-# largest grid block the nested dissection leaves uncut
-_ND_LEAF = 16
+# largest grid block the nested dissection leaves uncut, and SuperLU's
+# panel width and relaxed-supernode size, from a sweep of factor times
+# over the rings x rays grids (README)
+_ND_LEAF = 8
+_PANEL_SIZE = 2
+_RELAX = 4
 # a quad's corners a, b, c, d as (ring, ray) steps from a, and its two
 # triangles split along ac or bd; rays turn counterclockwise and rings grow
 # outward, so a, b, c, d run clockwise and a triangle takes them in reverse
@@ -118,8 +123,10 @@ class Mesh:
 
     def _free_forms(self, dirichlet_outer: bool):
         """(K_ff, M_ff, B_ff, free_map) on _pattern's free nodes, each one
-        bincount in triangle order into the pattern the three share (a
-        quad's unused diagonal is a stored zero); once per condition."""
+        bincount in triangle order into the pattern; once per condition.
+        The slots of the quads' unused diagonals are then pruned, so the
+        three share one pattern, that of M's positive entries and of
+        A - sigma M."""
         if dirichlet_outer not in self._free:
             indptr, indices, slots, edge_slots, free_map = _pattern(*self.resolution, dirichlet_outer)
             where = slots[self.split, np.arange(len(self.split))]
@@ -127,13 +134,17 @@ class Mesh:
             p, e = self.nodes, self.outer_edges
             edge_mass = np.hypot(*(p[e[:, 1]] - p[e[:, 0]]).T)[:, None, None] / [[3.0, 6.0], [6.0, 3.0]]
             nnz, shape = len(indices), (len(free_map), len(free_map))
-
-            def block(at, values):
-                data = np.bincount(at.ravel(), values.ravel(), minlength=nnz + 1)[:nnz]
-                data.setflags(write=False)
-                return sparse.csr_matrix((data, indices, indptr), shape=shape)
-
-            blocks = block(where, stiffness), block(where, mass), block(edge_slots, edge_mass)
+            fills = ((where, stiffness), (where, mass), (edge_slots, edge_mass))
+            data = [np.bincount(at.ravel(), v.ravel(), minlength=nnz + 1)[:nnz] for at, v in fills]
+            # a used slot holds a positive mass entry (mesh_annular validated
+            # the areas), an unused one a zero
+            used = data[1] > 0.0
+            indptr = np.cumsum(np.insert(used, 0, False), dtype=np.int32)[indptr]
+            indices = indices[used]
+            data = [values[used] for values in data]
+            for arr in (indptr, indices, *data):
+                arr.setflags(write=False)
+            blocks = [sparse.csr_matrix((v, indices, indptr), shape=shape) for v in data]
             self._free[dirichlet_outer] = (*blocks, free_map)
         return self._free[dirichlet_outer]
 
@@ -303,9 +314,7 @@ def assemble(mesh: Mesh, beta: float, dirichlet_outer: bool = False):
     ring is always eliminated and the outer ring too when dirichlet_outer
     is set (the beta = inf emulation, A = K_ff, read-only).  Only A's
     values are formed per call, on the blocks' shared pattern; M and
-    free_map are the mesh's cached, read-only blocks.  The pattern stores
-    each quad's unused diagonal as a zero, which A - sigma M drops, so the
-    factored pattern is that of M's positive entries.
+    free_map are the mesh's cached, read-only blocks.
     """
     if not dirichlet_outer and not 0.0 <= beta < math.inf:
         raise RangeError("beta must be finite and nonnegative (use dirichlet_outer for inf)")
@@ -324,22 +333,29 @@ def assemble(mesh: Mesh, beta: float, dirichlet_outer: bool = False):
 def _shifted_factor(a: sparse.csr_matrix, m: sparse.csr_matrix, sigma: float):
     """(lu, p): unpivoted LU of A - sigma M and its number of negative pivots.
 
-    The factorization keeps assemble's nested-dissection order and does
-    not pivot, so A - sigma M = L D L' with D the diagonal of U, and by
+    A and M share one CSR pattern (Mesh._free_forms) and are symmetric to
+    the bit, so the pencil's values on that pattern, read as CSC, are
+    A - sigma M: no sparse subtraction and no conversion.  The
+    factorization keeps assemble's nested-dissection order and does not
+    pivot, so A - sigma M = L D L' with D the diagonal of U, and by
     Sylvester's law of inertia p is the number of eigenvalues of the
-    pencil below sigma.  lu is None when a pivot vanishes to round-off
-    against its own diagonal entry of A - sigma M, where the count cannot
-    be trusted.  The diagonal congruence that gives A - sigma M a
-    unit-modulus diagonal keeps the inertia and makes the test scale-free;
-    measured against the largest pivot, which grows like beta h in the
-    Robin rows, sound factorizations would be refused from beta = 1e12 on.
+    pencil below sigma.  Reading lu.U builds CSC copies of both L and U,
+    which the factor keeps for its whole life.  lu is None when a pivot
+    vanishes to round-off against its own diagonal entry of A - sigma M,
+    where the count cannot be trusted.  The diagonal congruence that gives
+    A - sigma M a unit-modulus diagonal keeps the inertia and makes the
+    test scale-free; measured against the largest pivot, which grows like
+    beta h in the Robin rows, sound factorizations would be refused from
+    beta = 1e12 on.
     """
-    shifted = a - sigma * m
+    pencil = sparse.csc_matrix((a.data - sigma * m.data, a.indices, a.indptr), shape=a.shape)
     try:
         lu = splu(
-            shifted.tocsc(),
+            pencil,
             permc_spec="NATURAL",
             diag_pivot_thresh=0.0,
+            relax=_RELAX,
+            panel_size=_PANEL_SIZE,
             options={"SymmetricMode": True},
         )
     except RuntimeError:  # an exactly zero pivot
@@ -347,7 +363,7 @@ def _shifted_factor(a: sparse.csr_matrix, m: sparse.csr_matrix, sigma: float):
     if not np.array_equal(lu.perm_r, np.arange(a.shape[0])):
         raise SolverError("SuperLU pivoted rows, so its pivots count no inertia")
     pivots = lu.U.diagonal()
-    if np.any(np.abs(pivots) <= _TINY_PIVOT * np.abs(shifted.diagonal())):
+    if np.any(np.abs(pivots) <= _TINY_PIVOT * np.abs(pencil.diagonal())):
         return None, 0
     return lu, int(np.count_nonzero(pivots < 0.0))
 
@@ -393,7 +409,7 @@ def _quotient(a, m, x: np.ndarray):
     # y'Ay in extended precision: summed in doubles, the cancellation inside
     # A y leaves about 1e-14 relative noise; y'My sums nonnegative terms
     yl = y.astype(np.longdouble)
-    rho = float(np.dot(a.data * np.repeat(yl, np.diff(a.indptr)), yl[a.indices]) / float(y @ (m @ y)))
+    rho = float(yl @ (a.astype(np.longdouble) @ yl) / float(y @ (m @ y)))
     return rho, y, a @ y - rho * (m @ y)
 
 
@@ -417,7 +433,9 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
     the target.  Without a seed the
     pencil may have DENSE_FREE_NODES rows at most: dense eigh gives the
     seed, and sigma lies _FLOOR_SHIFT of lambda_2 - lambda_1 above
-    lambda_1, where A - sigma M is safely regular.
+    lambda_1, where A - sigma M is safely regular, or at the seed's
+    quotient where eigh's error, near eps ||A||, puts that shift lower.
+    A and M share one CSR pattern, as assemble's blocks do.
 
     The eigenvector is M-normalised and oriented to a nonnegative sum; the
     eigenvalue is its Rayleigh quotient.  stats carry sigma,
@@ -426,15 +444,16 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
     sigma), the residual norm and error_bound, the certified bound on
     |rho - lambda_1|.
     """
-    n = a.shape[0]
+    n, floor = a.shape[0], -math.inf
     if seed is None:
         if n > DENSE_FREE_NODES:
             raise SolverError(f"a pencil of {n} rows needs a seed vector")
         lams, vecs = eigh(a.toarray(), m.toarray(), subset_by_index=[0, 1])
         seed = vecs[:, 0]
-        sigma = float(lams[0] + _FLOOR_SHIFT * (lams[1] - lams[0]))
-    else:
-        sigma = float(seed @ (a @ seed)) / float(seed @ (m @ seed))
+        floor = float(lams[0] + _FLOOR_SHIFT * (lams[1] - lams[0]))
+    # eigh's eigenvalues err by about eps ||A||, which grows with beta, so
+    # the floor's shift is at least the seed's quotient, as a seeded one is
+    sigma = max(float(seed @ (a @ seed)) / float(seed @ (m @ seed)), floor)
     factorizations = 0
     for _ in range(3):
         lu, p = _shifted_factor(a, m, sigma)
@@ -449,8 +468,10 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
         raise SolverError(f"{p} eigenvalues lie below the seed's quotient {sigma:.6g}")
     nnz = int(lu.nnz)
 
-    # A y rounds at about eps ||A||_1 ||y||, and ||A|| grows with beta
-    allowed = max(RESIDUAL_FACTOR, _EPS * sparse.linalg.norm(a, 1))
+    # A y rounds at about eps ||A||_1 ||y||, and ||A|| grows with beta;
+    # A is symmetric, so ||A||_1 is its largest absolute row sum
+    norm = float(np.max(np.add.reduceat(np.abs(a.data), a.indptr[:-1])))
+    allowed = max(RESIDUAL_FACTOR, _EPS * norm)
     theta = 2.0 * np.pi * np.arange(n) / n if angles is None else angles
     columns = [seed]
     for k in range(1, p // 2 + 1):
@@ -470,6 +491,7 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
             )
         ritz, x, bound, steps, _ = _inverse_iteration(a, m, lu, shift, x[:, :1], allowed)
         solves += steps
+    del lu  # the factor, with the CSC copies of L and U it caches, goes first
     rho, y, r = _quotient(a, m, x[:, 0])
     if np.linalg.norm(r) > allowed * np.linalg.norm(y):
         raise SolverError(f"generalized residual {np.linalg.norm(r):.3e} above tolerance")

@@ -37,6 +37,9 @@ from annulus_spectra.radial import solve_shell
 CONCENTRIC = AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
 ECCENTRIC = AnnularDomain(Circle((0, 0), 2.0), Circle((0.5, 0), 1.0))
 EPS = float(np.finfo(float).eps)
+# (b, half_width, half_height) of a rectangle hole that splits the ellipse
+# (2, b) into two lobes (TestInertiaCertificate)
+TWO_LOBES = (1.3625328827801515, 0.70327884071576774, 0.60973820539980894)
 
 
 def _coo_forms(mesh):
@@ -312,7 +315,7 @@ class TestPatternFill:
     @pytest.mark.parametrize(
         "name", ["circle-pair", "shell", "ellipse-rectangle", "polygon-outer"]
     )
-    def test_matches_coo_reference(self, name, resolution, dirichlet):
+    def test_matches_coo_reference(self, name, resolution, dirichlet, monkeypatch):
         mesh = mesh_annular(_oracle_domain(name, resolution[1]), *resolution)
         reference = _coo_forms(mesh)
         *blocks, free = mesh._free_forms(dirichlet)
@@ -327,14 +330,54 @@ class TestPatternFill:
         got = (a - sigma * m).sorted_indices()
         assert np.array_equal(got.indptr, want.indptr)
         assert np.array_equal(got.indices, want.indices)
+        # and the pencil handed to SuperLU is that difference, to the bit
+        handed = []
+
+        def recording(pencil, **kwargs):
+            handed.append(pencil)
+            return splu(pencil, **kwargs)
+
+        monkeypatch.setattr(fem, "splu", recording)
+        fem._shifted_factor(a, m, sigma)
+        difference = (a - sigma * m).tocsc()
+        for field in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(handed[0], field), getattr(difference, field))
 
     def test_blocks_share_one_pattern(self):
         mesh = mesh_annular(ECCENTRIC, 8, 32)
-        k_ff, m_ff, b_ff, _ = mesh._free_forms(False)
-        a, _, _ = assemble(mesh, 2.0)
-        for block in (m_ff, b_ff, a):
-            assert np.shares_memory(block.indices, k_ff.indices)
-            assert np.shares_memory(block.indptr, k_ff.indptr)
+        mass = _coo_forms(mesh)[1]
+        for dirichlet in (False, True):
+            k_ff, m_ff, b_ff, free = mesh._free_forms(dirichlet)
+            a, _, _ = assemble(mesh, 0.0 if dirichlet else 2.0, dirichlet)
+            for block in (m_ff, b_ff, a):
+                assert np.shares_memory(block.indices, k_ff.indices)
+                assert np.shares_memory(block.indptr, k_ff.indptr)
+            # no stored zero of M: the pattern is the reference M's, whose
+            # triplets come from the triangles alone
+            assert np.all(m_ff.data > 0.0)
+            want = mass[free][:, free].sorted_indices()
+            assert np.array_equal(m_ff.indptr, want.indptr)
+            assert np.array_equal(m_ff.indices, want.indices)
+
+    def test_shifted_factor_neither_subtracts_nor_converts(self, monkeypatch):
+        a, m, _ = assemble(mesh_annular(ECCENTRIC, 8, 32), 1.0)
+        calls = []
+
+        def recording(cls, name):
+            method = getattr(cls, name)
+
+            def wrapped(*args, **kwargs):
+                calls.append(f"{cls.__name__}.{name}")
+                return method(*args, **kwargs)
+
+            return wrapped
+
+        for cls in (sparse.csr_matrix, sparse.csc_matrix):
+            for name in ("__sub__", "__rsub__", "__add__", "tocsc", "tocsr", "tocoo", "asformat"):
+                monkeypatch.setattr(cls, name, recording(cls, name))
+        lu, p = fem._shifted_factor(a, m, 3.0)
+        assert lu is not None and p >= 1
+        assert not calls
 
     def test_later_meshes_neither_sort_nor_convert(self, monkeypatch):
         # the pattern is built once per resolution and outer condition; a
@@ -464,6 +507,22 @@ class TestSmallestEigenpair:
         assert float(u @ (m @ u)) == pytest.approx(1.0, rel=1e-12)
         assert float(np.sum(u)) > 0.0
 
+    @pytest.mark.parametrize("case, count", [("eccentric", 1), ("two-lobes", 2), ("thin-ring", 7)])
+    def test_negative_pivots_count_dense_eigenvalues(self, case, count):
+        # the pencils at the seeds' quotients of three 12x48 or 3x192 solves;
+        # the thin ring's, like its 8x512 one above, counts 7
+        domain, resolution = {
+            "eccentric": (ECCENTRIC, (12, 48)),
+            "two-lobes": (_rectangle_hole_member(*TWO_LOBES), (12, 48)),
+            "thin-ring": (AnnularDomain(Circle((0, 0), 1.05), Circle((0, 0), 1.0)), (3, 192)),
+        }[case]
+        res = solve_domain(domain, 1.0, *resolution)
+        a, m, _ = assemble(res.mesh, 1.0)
+        sigma = res.stats["sigma"]
+        lams = eigh(a.toarray(), m.toarray(), eigvals_only=True)
+        _, p = fem._shifted_factor(a, m, sigma)
+        assert p == res.stats["negative_pivots"] == np.count_nonzero(lams < sigma) == count
+
     def test_eigenvector_structure(self):
         res = solve_domain(CONCENTRIC, 1.0, 32, 128)
         assert np.all(res.u[np.unique(res.mesh.inner_edges)] == 0.0)
@@ -489,7 +548,7 @@ class TestInertiaCertificate:
         # the hole splits the domain into two lobes with lambda_1 = 3.70607
         # and lambda_2 = 3.73887; the interpolated 12x48 seed's quotient lies
         # above both, and one vector would drift to lambda_2
-        dom = _rectangle_hole_member(1.3625328827801515, 0.70327884071576774, 0.60973820539980894)
+        dom = _rectangle_hole_member(*TWO_LOBES)
         res = solve_domain(dom, 1.0, 24, 96)
         ref = _lowest_eigsh(res, 3)
         assert res.stats["negative_pivots"] == 2
@@ -642,6 +701,16 @@ class TestSolveDomain:
         domain = standard_family()[member]
         lo, mid, hi = (solve_domain(domain, b, 48, 192).lam for b in (1e4, 1e12, math.inf))
         assert lo <= mid <= hi
+
+    @pytest.mark.parametrize("resolution", [(16, 64), (48, 192)])
+    def test_floor_shift_at_least_the_seed_quotient(self, resolution):
+        # at beta = 1e13 dense eigh's eigenvalues on member 7's floor err by
+        # more than lambda_2 - lambda_1, and a shift a quarter of their gap
+        # above their lambda_1 fell below the true one: no reliable
+        # factorization followed; the seed's quotient bounds it from above
+        domain = standard_family()[7]
+        lams = [solve_domain(domain, b, *resolution).lam for b in (1e4, 1e12, 1e13, math.inf)]
+        assert lams == sorted(lams)
 
     def test_thin_eccentric_shell_answers(self):
         # in this thin crescent lambda settles before the eigenvector's
