@@ -186,7 +186,7 @@ def cmd_shell(args) -> int:
         result = radial.solve_shell(args.n, args.r1, args.r2, args.beta)
         report = result.report()
         report["resolution"] = (
-            f"{len(result.r)} knots uniform in log r, profile rtol {radial.PROFILE_RTOL:g}"
+            f"{radial.PROFILE_SAMPLES} knots uniform in log r, profile rtol {radial.PROFILE_RTOL:g}"
         )
         print(
             f"lambda = {result.lam:.12g}  r_bar = {result.r_bar:.12g}  "

@@ -32,7 +32,7 @@ from scipy.linalg import eigh, qr
 from scipy.sparse.linalg import splu
 
 from .errors import GeometryError, RangeError, SolverError, StarShapeError
-from .geometry import AnnularDomain
+from .geometry import SQUARE_MAX, AnnularDomain
 
 RESIDUAL_FACTOR = 1e-10
 # pencils with at most this many free nodes are solved by dense eigh
@@ -167,6 +167,8 @@ def _grid(n_r: int, n_a: int):
 
 def _validate_mesh(mesh: Mesh, domain: AnnularDomain) -> None:
     scale = mesh.scale
+    if not scale <= SQUARE_MAX:
+        raise RangeError(f"mesh extent {scale:.6g} squares beyond the float range")
     if np.any(mesh.triangle_areas() <= 1e-14 * scale**2):
         raise GeometryError("mesh contains degenerate or inverted triangles")
     n_a = mesh.resolution[1]

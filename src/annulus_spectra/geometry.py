@@ -12,6 +12,7 @@ parameter and the signed distance; distance reads it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ from .errors import (
     GeometryError,
     InfeasibleError,
     NumericalError,
+    RangeError,
     StarShapeError,
 )
 
@@ -44,11 +46,19 @@ CLASS_S_RTOL = 1e-8
 # Newton steps allowed to the ellipse foot-point solve; points near the
 # evolute's cusps, the slowest, settle in under 50.
 FOOT_POINT_ITERATIONS = 100
+# The largest length whose square is a float: x**2 overflows exactly above it.
+SQUARE_MAX = math.sqrt(sys.float_info.max)
 
 
 def unit_ball_volume(n: int) -> float:
     """Volume of the unit ball in R^n."""
     return math.pi ** (n / 2.0) / math.gamma(n / 2.0 + 1.0)
+
+
+def _unit(points) -> float:
+    """The power of two within a factor 2 of 1 / max |coordinate|: points
+    scaled by it, and their products, keep their bits and cannot overflow."""
+    return math.ldexp(1.0, -math.frexp(float(np.max(np.abs(points))))[1])
 
 
 def _as_point(p) -> np.ndarray:
@@ -97,6 +107,9 @@ class ConvexPolygon:
         scale = float(np.max(np.ptp(v, axis=0)))
         if scale <= 0.0:
             raise GeometryError("degenerate polygon: zero extent")
+        # checked on the polygon scaled by _unit: the same outcomes, no overflow
+        unit = _unit(v)
+        scale, v = scale * unit, v * unit
         e = np.roll(v, -1, axis=0) - v
         lengths = np.hypot(e[:, 0], e[:, 1])
         if np.any(lengths <= 1e-14 * scale):
@@ -120,13 +133,14 @@ class ConvexPolygon:
 
     @property
     def centroid(self) -> np.ndarray:
-        v = self.vertices
+        unit = _unit(self.vertices)
+        v = self.vertices * unit
         w = np.roll(v, -1, axis=0)
         cr = v[:, 0] * w[:, 1] - w[:, 0] * v[:, 1]
         a = 0.5 * np.sum(cr)
         cx = np.sum((v[:, 0] + w[:, 0]) * cr) / (6.0 * a)
         cy = np.sum((v[:, 1] + w[:, 1]) * cr) / (6.0 * a)
-        return np.array([cx, cy])
+        return np.array([cx, cy]) / unit
 
     @property
     def scale(self) -> float:
@@ -263,58 +277,24 @@ def aleksandrov_fenchel_check(poly: ConvexPolygon) -> float:
 
 class BoundaryCurve:
     """Closed convex boundary curve: axis-aligned ellipse (a circle among
-    them) or polygon."""
-
-    def area(self) -> float:
-        raise NotImplementedError
-
-    def perimeter(self) -> float:
-        raise NotImplementedError
-
-    def reference_point(self) -> np.ndarray:
-        """A point well inside the enclosed region."""
-        raise NotImplementedError
-
-    def contains(self, points, tol: float = 0.0):
-        raise NotImplementedError
-
-    def distance(self, points) -> np.ndarray:
-        """Distance from points (anywhere) to the curve."""
-        raise NotImplementedError
-
-    def ray_length(self, origin, direction):
-        """t > 0 with origin + t * direction on the curve (origin inside).
-
-        direction is one unit vector, giving a float, or an (m, 2) array
-        of unit vectors, giving an (m,) array of lengths.  StarShapeError
-        unless the origin is strictly inside.
-        """
-        raise NotImplementedError
-
-    def sample(self, n: int) -> np.ndarray:
-        """n boundary points in the curve's natural parameterization."""
-        raise NotImplementedError
-
-    def support_point(self, u) -> np.ndarray:
-        """(m, 2) boundary points with outward normals the (m, 2) unit u."""
-        raise NotImplementedError
+    them) or polygon.  Each kind defines
+    - area(), perimeter(), and reference_point(), a point well inside;
+    - contains(points, tol=0.0), tol a length;
+    - distance(points): from points anywhere to the curve;
+    - ray_length(origin, direction): t > 0 with origin + t * direction on
+      the curve, StarShapeError unless the origin is strictly inside; one
+      unit direction gives a float, an (m, 2) array of them (m,) lengths;
+    - sample(n): n boundary points in the curve's natural parameterization;
+    - support_point(u): (m, 2) boundary points with outward normals the
+      (m, 2) unit u, and outward_normal(points) at boundary points;
+    - translated(vector), scaled(factor): scaled about its centre (a
+      polygon's centroid);
+    - scale, a property: the extent; spec_string(), which parse reads back.
+    curvature_at raises CurvatureUnavailableError where a kind has none.
+    """
 
     def curvature_at(self, points) -> np.ndarray:
         raise CurvatureUnavailableError("curvature is undefined for this curve")
-
-    def outward_normal(self, points) -> np.ndarray:
-        raise NotImplementedError
-
-    def translated(self, vector) -> "BoundaryCurve":
-        raise NotImplementedError
-
-    def scaled(self, factor: float) -> "BoundaryCurve":
-        """The curve scaled by factor about its centre (a polygon's centroid)."""
-        raise NotImplementedError
-
-    @property
-    def scale(self) -> float:
-        raise NotImplementedError
 
     @staticmethod
     def parse(text: str) -> "BoundaryCurve":
@@ -341,9 +321,6 @@ class BoundaryCurve:
                 raise GeometryError("polygon needs >= 3 coordinate pairs")
             return PolygonCurve(ConvexPolygon(np.array(nums).reshape(-1, 2)))
         raise GeometryError(f"unknown curve kind {kind!r}")
-
-    def spec_string(self) -> str:
-        raise NotImplementedError
 
 
 def _secular_root(z0, z1, c: float) -> np.ndarray:
@@ -526,6 +503,8 @@ class Circle(Ellipse):
         return np.arctan2(p[:, 1], p[:, 0]), self.radius - np.hypot(p[:, 0], p[:, 1])
 
     def ray_length(self, origin, direction):
+        if not self.radius <= SQUARE_MAX:
+            raise RangeError(f"circle radius {self.radius:.6g} squares beyond the float range")
         o = _as_point(origin) - self._c()
         u, single = _as_rows(direction)
         cc = o @ o - self.radius**2
@@ -567,17 +546,19 @@ class PolygonCurve(BoundaryCurve):
     def ray_length(self, origin, direction):
         """Exit through the edge halfspaces: from a strictly inner origin the
         ray leaves at the smallest (dv x e) / (u x e) over the edges e it
-        faces (u x e > 0), dv running from the origin to each edge's start."""
+        faces (u x e > 0), dv running from the origin to each edge's start;
+        computed on the polygon scaled by _unit and scaled back."""
         u, single = _as_rows(direction)
-        v = self.polygon.vertices
+        unit = _unit(self.polygon.vertices)
+        v = self.polygon.vertices * unit
         e = np.roll(v, -1, axis=0) - v
-        dv = v - _as_point(origin)
+        dv = v - _as_point(origin) * unit
         t_num = dv[:, 0] * e[:, 1] - dv[:, 1] * e[:, 0]
         if not np.all(t_num > 0.0):
             raise StarShapeError("ray origin is outside the polygon")
         denom = u[:, :1] * e[:, 1] - u[:, 1:] * e[:, 0]
         t = np.divide(t_num, denom, out=np.full(denom.shape, np.inf), where=denom > 0.0)
-        out = np.min(t, axis=1)
+        out = np.min(t, axis=1) / unit
         return float(out[0]) if single else out
 
     def sample(self, n):
@@ -628,15 +609,22 @@ class ShellSpec:
         if not 0.0 < self.r_inner < self.r_outer:
             raise GeometryError("need 0 < r_inner < r_outer")
 
+    def _outer_power(self, p: int) -> float:
+        """R2^p, or RangeError naming the size where it overflows."""
+        try:
+            return self.r_outer**p
+        except OverflowError:
+            raise RangeError(f"R2^{p} overflows at R2 = {self.r_outer:.6g}") from None
+
     @property
     def volume(self) -> float:
         wn = unit_ball_volume(self.dim)
-        return wn * (self.r_outer**self.dim - self.r_inner**self.dim)
+        return wn * (self._outer_power(self.dim) - self.r_inner**self.dim)
 
     @property
     def outer_area(self) -> float:
         """(n-1)-dimensional measure of the outer sphere."""
-        return self.dim * unit_ball_volume(self.dim) * self.r_outer ** (self.dim - 1)
+        return self.dim * unit_ball_volume(self.dim) * self._outer_power(self.dim - 1)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,10 @@ more than pi/k apart: each zero of phi', all simple, flips its sign
 between two neighbouring subset knots, and the one subset interval where
 phi' drops holds r_bar alone, so Brent's method finds it there.
 phi(R1) = 0, phi' > 0 before r_bar, phi' < 0 after it and phi(R2) >= 0
-then make the profile positive.  The profile on all knots is built on
-first read, and that build checks positivity and the single drop of phi'
-on every knot again; value() and slope() read the closed form itself.
+then make the profile positive.  A solve builds the subset knots alone,
+bit for bit the full set's.  All knots and the profile on them are built
+on first read, and that build checks positivity and the single drop of
+phi' on every knot again; value() and slope() read the closed form itself.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from scipy.special import j0, j1, jv, y0, y1, yn
 from scipy.special._ufuncs import _spherical_jn, _spherical_yn
 
 from .errors import BracketError, NumericalError, RangeError
-from .geometry import ShellSpec
+from .geometry import SQUARE_MAX, ShellSpec
 
 PROFILE_SAMPLES = 4097
 # stated accuracies of lambda (measured against 30-digit roots: 1.4e-13 at
@@ -60,12 +61,12 @@ _SCAN_BLOCK = 32
 class RadialEigenResult:
     """First eigenpair on a shell with the radial profile on its knots.
 
-    r holds the PROFILE_SAMPLES knots uniform in log r.  r_bar is the
-    unique interior critical radius of the profile, v_m the boundary value
-    phi(R2) and v_M the maximum phi(r_bar).  For beta = 0 the profile is
-    nondecreasing and r_bar degenerates to R2, with v_M = v_m, as it does
-    where beta phi(R2) lies below the rounding of phi'(R2).  phi and dphi,
-    the profile on the knots with boundary values imposed, are built and
+    r_bar is the unique interior critical radius of the profile, v_m the
+    boundary value phi(R2) and v_M the maximum phi(r_bar).  For beta = 0
+    the profile is nondecreasing and r_bar degenerates to R2, with v_M =
+    v_m, as it does where beta phi(R2) lies below the rounding of
+    phi'(R2).  The PROFILE_SAMPLES knots r, uniform in log r, and phi and
+    dphi, the profile on them with boundary values imposed, are built and
     checked on first read, also by value() and slope(), which give the
     closed form at any radius.  The arrays are read-only.
     """
@@ -73,39 +74,33 @@ class RadialEigenResult:
     shell: ShellSpec
     beta: float
     lam: float
-    r: np.ndarray
     r_bar: float
     v_m: float
     v_M: float
     residual: float
     _k: float = field(repr=False)
 
-    def __post_init__(self):
-        self.r.setflags(write=False)
-
     @functools.cached_property
     def _profile(self):
-        """phi and dphi on every knot, checked again."""
-        phi, dphi = self._closed_form(_phi, self.r), self._closed_form(_dphi, self.r)
+        """The knots, and phi and dphi on every one of them, checked again."""
+        shell = self.shell
+        r = _knots(shell.r_inner, shell.r_outer, np.arange(PROFILE_SAMPLES))
+        phi, dphi = self._closed_form(_phi, r), self._closed_form(_dphi, r)
         phi[0] = 0.0
         _impose_outer(phi, dphi, self.beta, self._k)
         if np.any(phi[1:-1] <= 0.0):
             raise NumericalError("profile is not positive inside the shell")
         _one_drop(dphi, self.beta)
-        phi.setflags(write=False)
-        dphi.setflags(write=False)
-        return phi, dphi
+        for arr in (r, phi, dphi):
+            arr.setflags(write=False)
+        return r, phi, dphi
 
     def _closed_form(self, kernel, r):
         return kernel(0.5 * self.shell.dim - 1.0, self._k, self.shell.r_inner, r)
 
-    @property
-    def phi(self) -> np.ndarray:
-        return self._profile[0]
-
-    @property
-    def dphi(self) -> np.ndarray:
-        return self._profile[1]
+    r = property(lambda self: self._profile[0])
+    phi = property(lambda self: self._profile[1])
+    dphi = property(lambda self: self._profile[2])
 
     def value(self, r):
         """Profile phi at arbitrary radii inside [R1, R2], in closed form."""
@@ -171,13 +166,23 @@ def _dphi(nu: float, k: float, r1: float, r, inner=None):
     return -k * _scale(nu, r1, r) * _cross(nu, nu + 1.0, k, r1, r, inner)
 
 
-def _stride(r, k: float) -> int:
-    """The largest power-of-two stride of the knots r, increasingly spaced,
-    that keeps them at most pi/(4k) apart."""
-    stride = PROFILE_SAMPLES - 1
-    while stride > 1 and r[-1] - r[-1 - stride] > 0.25 * math.pi / k:
-        stride //= 2
-    return stride
+def _knots(r1: float, r2: float, index) -> np.ndarray:
+    """The knots of the given indices among PROFILE_SAMPLES uniform in log r,
+    bit for bit np.exp(np.linspace(log R1, log R2, PROFILE_SAMPLES))[index],
+    as linspace puts i step + log R1 at index i, with the ends R1 and R2."""
+    t1 = math.log(r1)
+    r = np.exp(index * ((math.log(r2) - t1) / (PROFILE_SAMPLES - 1)) + t1)
+    r[index == 0], r[index == PROFILE_SAMPLES - 1] = r1, r2
+    return r
+
+
+def _stride(r1: float, r2: float, k: float) -> int:
+    """The largest power-of-two stride of the knots, increasingly spaced,
+    that keeps them at most pi/(4k) apart: each stride from PROFILE_SAMPLES
+    - 1 down halves while the last interval is wider."""
+    strides = (PROFILE_SAMPLES - 1) >> np.arange((PROFILE_SAMPLES - 1).bit_length() - 1)
+    wide = r2 - _knots(r1, r2, PROFILE_SAMPLES - 1 - strides) > 0.25 * math.pi / k
+    return (PROFILE_SAMPLES - 1) >> int(np.logical_and.accumulate(wide).sum())
 
 
 def _impose_outer(phi, dphi, beta: float, k: float) -> None:
@@ -219,8 +224,11 @@ def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
     bracket is the full scan's, and Brent's method reads the scan's own
     values at its ends (_jy gives a scalar the array's value); each
     evaluation computes J_nu(k R1) and Y_nu(k R1) once for both cross products.
+    RangeError where that bound's squares of R2 and 2 pi / d overflow.
     """
     nu, d = 0.5 * n - 1.0, r2 - r1
+    if not max(2.0 * math.pi / d, r2) <= SQUARE_MAX:
+        raise RangeError(f"shell ({r1:.6g}, {r2:.6g}): R2 or 2 pi/d squares beyond the float range")
 
     def g(k):
         inner = _jy(nu, k * r1)
@@ -257,9 +265,10 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     array, comes from the kernels of _jy, so a knot has the same sign in
     the subset, the full profile and the polish, which can lose its sign
     change only at R2, where phi' is imposed.
-    The full profile on PROFILE_SAMPLES knots uniform in t = log r is
-    built and checked on first read of phi, dphi, value() or slope(); the
-    latter two evaluate the closed form at the radii they are given.
+    The solve builds its subset of the knots alone; all PROFILE_SAMPLES
+    knots, uniform in t = log r, and the profile on them are built and
+    checked on first read of r, phi, dphi, value() or slope(); the latter
+    two evaluate the closed form at the radii they are given.
     J_nu(k R1) and Y_nu(k R1) at the root are computed once and serve the
     knot values, the Brent function of r_bar, v_M and the rounding unit
     alike, and _jy also gives the moduli of the residual allowances.
@@ -271,10 +280,9 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
     lam = k * k
     inner = _jy(nu, k * r1)
 
-    r = np.exp(np.linspace(math.log(r1), math.log(r2), PROFILE_SAMPLES))
-    r[0], r[-1] = r1, r2
-    stride = _stride(r, k)
-    dphi = _dphi(nu, k, r1, r[::stride], inner)
+    stride = _stride(r1, r2, k)
+    r = _knots(r1, r2, np.arange(0, PROFILE_SAMPLES, stride))
+    dphi = _dphi(nu, k, r1, r, inner)
     phi = _phi(nu, k, r1, r[-1:], inner)
 
     # the residual's rounding scales with the Bessel moduli sqrt(J^2 + Y^2) of
@@ -298,11 +306,11 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
         r_bar, v_M = r2, v_m
     else:
         z1 = lambda s: _cross(nu, nu + 1.0, k, r1, s, inner)
-        hi = r[stride * (drop + 1)]
+        hi = r[drop + 1]
         # phi' keeps its sign up to hi only at R2, where phi' is imposed: there,
         # as where its zero rounds to R2, beta phi(R2) lies below the rounding
         # of phi' and r_bar degenerates to R2 as at beta = 0
-        r_bar = r2 if z1(hi) > 0.0 else brentq(z1, r[stride * drop], hi, xtol=EPS * r1)
+        r_bar = r2 if z1(hi) > 0.0 else brentq(z1, r[drop], hi, xtol=EPS * r1)
         v_M = v_m if r_bar == r2 else _scale(nu, r1, r_bar) * _cross(nu, nu, k, r1, r_bar, inner)
         # v_M - v_m vanishes with beta: allow the rounding of both values
         bar_err = (r2 / r_bar) ** nu * mod(nu, k * r_bar)
@@ -317,7 +325,6 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
         shell=shell,
         beta=beta,
         lam=float(lam),
-        r=r,
         r_bar=float(r_bar),
         v_m=v_m,
         v_M=float(v_M),

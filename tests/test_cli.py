@@ -89,6 +89,11 @@ class TestShellCommand:
         assert main(["shell", "--n", "2", "--r1", "1", "--r2", "2", "--beta", "1"]) == 1
         assert "numerical failure: no bracket" in capsys.readouterr().err
 
+    def test_outer_radius_beyond_the_float_range_exits_one(self, capsys):
+        # once an OverflowError traceback from R2^2
+        assert main(["shell", "--n", "2", "--r1", "1", "--r2", "1e300", "--beta", "1"]) == 1
+        assert "numerical failure: shell (1, 1e+300): R2 or" in capsys.readouterr().err
+
     @pytest.mark.parametrize("beta", ["nan", "-1"])
     def test_invalid_beta_usage_error(self, beta, capsys):
         assert main(["shell", "--n", "2", "--r1", "1", "--r2", "2", "--beta", beta]) == 2
@@ -244,6 +249,31 @@ class TestFemCommand:
         code = main(["fem", "--outer", spec, "--inner", "circle 0 0 0.5", "--beta", "1"])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "outer, inner, message",
+        [
+            ("circle 0 0 1e300", "circle 0 0 1", "circle radius 1e+300 squares beyond"),
+            (
+                "polygon -9e298 -9e298 9e298 -9e298 9e298 9e298 -9e298 9e298",
+                "polygon -3e298 -3e298 3e298 -3e298 3e298 3e298 -3e298 3e298",
+                "mesh extent 1.8e+299 squares beyond",
+            ),
+            (
+                "polygon 8.9e298 8.9e298 9.1e298 8.9e298 9.1e298 9.1e298 8.9e298 9.1e298",
+                "polygon 8.95e298 8.95e298 9.05e298 8.95e298 9.05e298 9.05e298 8.95e298 9.05e298",
+                "mesh extent 2e+297 squares beyond",
+            ),
+        ],
+        ids=["circle-1e300", "polygon-9e298", "polygon-near-9e298"],
+    )
+    def test_beyond_the_float_range_exits_one_naming_the_size(self, outer, inner, message, capsys):
+        # once an OverflowError traceback, or a RuntimeWarning and the wrong
+        # "center must lie strictly inside the hole"; the coarsest grid is the
+        # one whose dense eigensolve was reported to raise LinAlgError
+        argv = ["fem", "--outer", outer, "--inner", inner, "--beta", "1", "--res", "2x8"]
+        assert main(argv) == 1
+        assert f"numerical failure: {message} the float range" in capsys.readouterr().err
 
     def test_hole_not_contained_usage_error(self, capsys):
         code = main(["fem", "--outer", "circle 0 0 2", "--inner", "circle 1.5 0 1", "--beta", "1"])

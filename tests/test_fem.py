@@ -850,3 +850,15 @@ class TestPolygonHoleDomain:
         res = solve_domain(dom, 1.0, 24, 96)
         assert res.lam > 0.0
         assert float(np.min(res.u)) >= -1e-10
+
+    def test_polygon_pair_scaled_by_2_400_answers(self):
+        # coordinates near 2.6e120 once overflowed the hole's centroid; the
+        # scaled pair gives the unit pair's lambda scaled by 2^-800
+        outer, hole = ConvexPolygon.regular(6, 2.0), ConvexPolygon.rectangle(1.0, 0.6)
+        lam = solve_domain(AnnularDomain(PolygonCurve(outer), PolygonCurve(hole)), 1.0, 8, 32).lam
+        s = 2.0**400
+        big = AnnularDomain(
+            PolygonCurve(ConvexPolygon(outer.vertices * s)),
+            PolygonCurve(ConvexPolygon(hole.vertices * s)),
+        )
+        assert solve_domain(big, 1.0 / s, 8, 32).lam * s * s == pytest.approx(lam, rel=1e-13)

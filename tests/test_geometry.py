@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -16,6 +17,7 @@ from annulus_spectra import (
     InfeasibleError,
     NumericalError,
     PolygonCurve,
+    RangeError,
     ShellSpec,
     StarShapeError,
     aleksandrov_fenchel_check,
@@ -87,6 +89,13 @@ class TestShellQuermass:
     def test_volume_3d(self):
         # W_0 of a shell: omega_3 (1.5^3 - 0.5^3)
         assert ShellSpec(3, 0.5, 1.5).volume == pytest.approx(13.0 * math.pi / 3.0, rel=1e-14)
+
+    def test_overflowing_measures_name_the_size(self):
+        with pytest.raises(RangeError, match=r"R2\^8 overflows at R2 = 1e\+40"):
+            ShellSpec(8, 1.0, 1e40).volume
+        with pytest.raises(RangeError, match=r"R2\^7 overflows at R2 = 1e\+45"):
+            ShellSpec(8, 1.0, 1e45).outer_area
+        assert ShellSpec(8, 1.0, 1e38).volume > 0.0
 
     def test_omega_n_values(self):
         assert unit_ball_volume(2) == pytest.approx(math.pi)
@@ -452,6 +461,27 @@ def test_invalid_input_rejected(build, error, message):
         build()
 
 
+class TestPolygonAtLargeScale:
+    # the polygon kernels run on coordinates scaled by a power of two, so a
+    # polygon scaled by 2^400, whose coordinates cube beyond the float range,
+    # gives the scaled values bit for bit
+    S = 2.0**400
+
+    def test_centroid_area_and_ray_lengths_scale_exactly(self, rng):
+        poly = random_convex_polygon(rng, 9)
+        big = ConvexPolygon(poly.vertices * self.S)
+        assert np.array_equal(big.centroid, poly.centroid * self.S)
+        assert big.area == poly.area * self.S**2
+        dirs = np.column_stack([np.cos(np.arange(16) / 2.5), np.sin(np.arange(16) / 2.5)])
+        t = PolygonCurve(poly).ray_length(poly.centroid, dirs)
+        assert np.array_equal(PolygonCurve(big).ray_length(big.centroid, dirs), t * self.S)
+
+    def test_checks_see_no_overflow(self):
+        with pytest.raises(GeometryError, match="convex"):
+            ConvexPolygon(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.2], [1.0, 2.0]]) * 1e300)
+        ConvexPolygon(np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 2.0]]) * 1e300)
+
+
 class TestRandomPolygonSuite:
     def test_pmi_holds_exactly(self, rng):
         for _ in range(100):
@@ -473,6 +503,20 @@ class TestCurveParsing:
         for bad in ["", "circle 1 2", "ellipse 0 0 1", "polygon 0 0 1 1", "blob 1 2 3"]:
             with pytest.raises(GeometryError):
                 BoundaryCurve.parse(bad)
+
+    @pytest.mark.parametrize("kind", [Ellipse, Circle, PolygonCurve])
+    def test_every_kind_keeps_the_protocol(self, kind):
+        # every method and property that the BoundaryCurve docstring lists,
+        # which the base class leaves to the kinds
+        doc = BoundaryCurve.__doc__
+        methods = set(re.findall(r"\b([a-z_]+)\(", doc))
+        properties = set(re.findall(r"\b([a-z_]+), a property", doc))
+        assert len(methods) == 12 and {"ray_length", "distance", "scaled"} <= methods
+        assert properties == {"scale"}
+        for name in methods | properties:
+            assert not hasattr(BoundaryCurve, name)
+        assert all(callable(getattr(kind, name)) for name in methods)
+        assert isinstance(kind.scale, property)
 
     @pytest.mark.parametrize(
         "bad",

@@ -17,6 +17,7 @@ from annulus_spectra.errors import (
     NumericalError,
     RangeError,
 )
+from annulus_spectra.geometry import SQUARE_MAX
 from annulus_spectra.radial import (
     EPS,
     LAMBDA_RTOL,
@@ -487,7 +488,7 @@ class TestOneKernelBrackets:
         # solve's stride subset between its r_bar and R2, at beta* +- 60 ulps
         n, nu = 4, 1.0
         res_n, res_d = solve_shell(n, 1.0, 2.0, 0.0), solve_shell(n, 1.0, 2.0, math.inf)
-        knots = res_d.r[:: radial._stride(res_d.r, res_d._k)]
+        knots = res_d.r[:: radial._stride(1.0, 2.0, res_d._k)]
         knots = knots[(knots > res_d.r_bar) & (knots < 2.0)]
         assert len(knots) == 4
         for knot in knots:
@@ -563,13 +564,43 @@ def test_stride_subset_sees_every_slope_zero(n, r1, width, k_frac):
     dirichlet = solve_shell(n, r1, r1 + width, math.inf)
     k = 4.0 * math.sqrt(dirichlet.lam) * k_frac
     r, nu = dirichlet.r, 0.5 * n - 1.0
-    stride = radial._stride(r, k)
+    stride = radial._stride(r1, r1 + width, k)
     assert stride == PROFILE_SAMPLES - 1 or r[-1] - r[-1 - 2 * stride] > 0.25 * math.pi / k
     assert np.max(np.diff(r[::stride])) <= 0.25 * math.pi / k
     up = radial._cross(nu, nu + 1.0, k, r1, r) > 0.0
     dense = np.flatnonzero(up[:-1] != up[1:])
     coarse = np.flatnonzero(up[::stride][:-1] != up[::stride][1:])
     assert np.array_equal(dense // stride, coarse)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    r1=st.floats(-6.0, 6.0).map(lambda e: 10.0**e),
+    rel_width=st.floats(-10.0, 3.0).map(lambda e: 10.0**e),
+    halvings=st.integers(0, 12),
+)
+def test_subset_knots_are_the_full_grid_bit_for_bit(r1, rel_width, halvings):
+    # the knots a solve builds are, bit for bit, every stride-th of the
+    # log-uniform grid that linspace gives, with the ends R1 and R2
+    r2 = r1 * (1.0 + rel_width)
+    stride = (PROFILE_SAMPLES - 1) >> halvings
+    full = np.exp(np.linspace(math.log(r1), math.log(r2), PROFILE_SAMPLES))
+    full[0], full[-1] = r1, r2
+    knots = radial._knots(r1, r2, np.arange(0, PROFILE_SAMPLES, stride))
+    assert knots[0] == r1 and knots[-1] == r2
+    assert np.array_equal(knots.view(np.int64), full[::stride].view(np.int64))
+
+
+class TestFloatRange:
+    def test_largest_outer_radius_answers_and_the_next_is_typed(self):
+        # R2^2 is a float up to SQUARE_MAX and overflows above it
+        assert solve_shell(2, 1.0, SQUARE_MAX, 1.0).lam > 0.0
+        with pytest.raises(RangeError, match=r"shell \(1, 1\.34078e\+154\).*float range"):
+            solve_shell(2, 1.0, math.nextafter(SQUARE_MAX, math.inf), 1.0)
+
+    def test_width_below_the_float_range_is_typed(self):
+        with pytest.raises(RangeError, match=r"2 pi/d squares beyond"):
+            solve_shell(3, 1e-300, 2e-300, 1.0)
 
 
 class TestLazyProfile:
@@ -585,13 +616,37 @@ class TestLazyProfile:
         monkeypatch.setattr(radial, "_cross", recording)
         return sizes
 
+    @pytest.fixture
+    def knots(self, monkeypatch):
+        sizes = []
+
+        def recording(r1, r2, index):
+            sizes.append(np.size(index))
+            return _knots(r1, r2, index)
+
+        _knots = radial._knots
+        monkeypatch.setattr(radial, "_knots", recording)
+        return sizes
+
     @pytest.mark.parametrize(
         "shell", [(2, 1.0, 2.0, 1.0), (5, 1e-3, 2.0, 1e-3), (8, 1.0, 1.001, 0.0)]
     )
-    def test_eager_fields_touch_no_full_profile(self, shell, sizes):
+    def test_eager_fields_touch_no_full_profile(self, shell, sizes, knots):
         res = solve_shell(*shell)
         assert res.lam > 0.0 and res.r_bar <= shell[2] and res.v_m <= res.v_M
         assert sizes and PROFILE_SAMPLES not in sizes
+        assert knots and PROFILE_SAMPLES not in knots
+
+    @pytest.mark.parametrize("read", ["r", "phi", "dphi", "value", "slope"])
+    def test_knots_built_once_on_first_read(self, read, knots):
+        res = solve_shell(3, 1.0, 2.0, 1.0)
+        assert PROFILE_SAMPLES not in knots
+        field = getattr(res, read)
+        if callable(field):
+            field(1.5)
+        assert knots.count(PROFILE_SAMPLES) == 1
+        res.r, res.phi, res.value(1.5)
+        assert knots.count(PROFILE_SAMPLES) == 1
 
     def test_profile_built_once(self, sizes):
         res = solve_shell(3, 1.0, 2.0, 1.0)
