@@ -355,14 +355,9 @@ def _suite_web(args, resolution):
     res = (24, 96) if args.quick else resolution
     shell_dom = geometry.AnnularDomain(geometry.Circle((0, 0), 2.0), geometry.Circle((0, 0), 1.0))
     web = webfunc.build_web(shell_dom, 1.0)
-    rad = web.radial
-    _, value = webfunc.rayleigh_quotient(web, 1.0)
-    identity = abs(value - rad.lam) / rad.lam
-    error = webfunc.rayleigh_error(web, 1.0, value)
-    checks = [
-        Check("shell_identity", identity, 0.0, 1e-12, {"rayleigh_error": error}),
-        *web.checks,
-    ]
+    _, value, error = webfunc.rayleigh_quotient(web)
+    identity = abs(value - web.radial.lam) / web.radial.lam
+    checks = [Check("shell_identity", identity, 0.0, 1e-12, {"rayleigh_error": error}), *web.checks]
     members = analysis.standard_family()[1:] if not args.quick else analysis.standard_family()[1:3]
     reports = []
     for i, dom in enumerate(members):

@@ -396,10 +396,13 @@ class Ellipse(BoundaryCurve):
         under that cap, and the point is inside where tau < e1^2: d = (e1^2
         - tau) hypot(y0 / (tau + c), y1 / tau).  Axis points (an offset from
         the major axis that underflows counts as zero) are closed-form.
+        Computed on the ellipse and points scaled by _unit and d scaled back.
         """
-        p = np.atleast_2d(np.asarray(points, dtype=float)) - self._c()
+        unit = _unit([self.a, self.b])
+        p = (np.atleast_2d(np.asarray(points, dtype=float)) - self._c()) * unit
         wide, q = self.a >= self.b, np.abs(p.T)
-        (e0, e1), (y0, y1) = ((self.a, self.b), q) if wide else ((self.b, self.a), q[::-1])
+        axes = (self.a * unit, self.b * unit)
+        (e0, e1), (y0, y1) = (axes, q) if wide else (axes[::-1], q[::-1])
         c = (e0 - e1) * (e0 + e1)
         z0, z1 = e0 * y0, e1 * y1
         d, cos_f, sin_f = np.empty(len(p)), np.zeros(len(p)), np.ones(len(p))
@@ -419,8 +422,8 @@ class Ellipse(BoundaryCurve):
         cos_f[free], sin_f[free] = z0[free] / (tau + c), z1[free] / tau
         sx, sy = np.copysign(1.0, p[:, 0]), np.copysign(1.0, p[:, 1])
         if wide:
-            return np.arctan2(sy * sin_f, sx * cos_f), d
-        return np.arctan2(sy * cos_f, sx * sin_f), d
+            return np.arctan2(sy * sin_f, sx * cos_f), d / unit
+        return np.arctan2(sy * cos_f, sx * sin_f), d / unit
 
     def distance(self, points):
         """Distance to the curve: |d| of foot."""

@@ -154,8 +154,12 @@ def _cross(nu: float, mu: float, k, r1: float, r, inner=None):
 
 
 def _scale(nu: float, r1: float, r):
-    """c r^-nu with c = -pi R1^(nu+1) / 2."""
-    return -0.5 * math.pi * r1 ** (nu + 1.0) * r**-nu
+    """c r^-nu with c = -pi R1^(nu+1) / 2, RangeError where R1^(nu+1) overflows."""
+    try:
+        c = -0.5 * math.pi * r1 ** (nu + 1.0)
+    except OverflowError:
+        raise RangeError(f"R1^{nu + 1.0:g} overflows at R1 = {r1:.6g}") from None
+    return c * r**-nu
 
 
 def _phi(nu: float, k: float, r1: float, r, inner=None):
@@ -224,7 +228,8 @@ def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
     bracket is the full scan's, and Brent's method reads the scan's own
     values at its ends (_jy gives a scalar the array's value); each
     evaluation computes J_nu(k R1) and Y_nu(k R1) once for both cross products.
-    RangeError where that bound's squares of R2 and 2 pi / d overflow.
+    RangeError where that bound's squares of R2 and 2 pi / d overflow, and
+    NumericalError where Brent's method does not converge.
     """
     nu, d = 0.5 * n - 1.0, r2 - r1
     if not max(2.0 * math.pi / d, r2) <= SQUARE_MAX:
@@ -250,7 +255,10 @@ def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
         if lo < 1e-200 * ks[0]:
             raise NumericalError("characteristic function should be negative near k = 0")
         lo, hi = lo / 16.0, lo
-    return brentq(lambda k: float(g(k)), lo, hi, xtol=1e-15 * hi)
+    try:
+        return brentq(lambda k: float(g(k)), lo, hi, xtol=1e-15 * hi)
+    except RuntimeError:
+        raise NumericalError(f"shell ({r1:.6g}, {r2:.6g}): first root did not converge") from None
 
 
 def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
@@ -310,7 +318,10 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
         # phi' keeps its sign up to hi only at R2, where phi' is imposed: there,
         # as where its zero rounds to R2, beta phi(R2) lies below the rounding
         # of phi' and r_bar degenerates to R2 as at beta = 0
-        r_bar = r2 if z1(hi) > 0.0 else brentq(z1, r[drop], hi, xtol=EPS * r1)
+        try:
+            r_bar = r2 if z1(hi) > 0.0 else brentq(z1, r[drop], hi, xtol=EPS * r1)
+        except RuntimeError:
+            raise NumericalError(f"shell ({r1:.6g}, {r2:.6g}): r_bar did not converge") from None
         v_M = v_m if r_bar == r2 else _scale(nu, r1, r_bar) * _cross(nu, nu, k, r1, r_bar, inner)
         # v_M - v_m vanishes with beta: allow the rounding of both values
         bar_err = (r2 / r_bar) ** nu * mod(nu, k * r_bar)

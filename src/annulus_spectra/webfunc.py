@@ -213,8 +213,8 @@ class WebFunction:
 
 
 def build_web(domain: AnnularDomain, beta: float) -> WebFunction:
-    """Construct the web function of a class-S domain at beta > 0 and its
-    validity certificate.
+    """Construct the web function of a class-S domain at 0 < beta < inf, the
+    one beta gate (RangeError otherwise), and its validity certificate.
 
     The profile is the planar matched shell's, solve_shell(2, R1, R2,
     beta) with (R1, R2) from geometry.class_s_radii, the one class-S gate
@@ -224,8 +224,8 @@ def build_web(domain: AnnularDomain, beta: float) -> WebFunction:
     hole's free distance gap - s*, or at 0 once s* > gap and the curve
     crosses the outer boundary.
     """
-    if beta == 0.0:
-        raise RangeError("web construction needs beta > 0")
+    if not 0.0 < beta < math.inf:  # also refuses nan
+        raise RangeError(f"web construction needs beta > 0 and finite, got {beta!r}")
     radial = solve_shell(2, *class_s_radii(domain), beta)
     s_star, area_err, integrals = _split(domain, radial)
     shell, r_bar = radial.shell, radial.r_bar
@@ -401,7 +401,8 @@ def _frame(domain: AnnularDomain) -> _Frame:
     that coincide (say a same- and an opposite-normal root on an axis of
     symmetry) are merged, as their run would have no direction.  A node's
     point moves out along its normal, so its exit is the larger root of a
-    quadratic in the ellipse's unit-circle coordinates.
+    quadratic in the ellipse's unit-circle coordinates, its normal read off
+    a power-of-two step h near outer.scale / 8, which rounding cannot lose.
     """
     outer = domain.outer
     pieces, walk, length = _parallel_boundary(domain.inner)
@@ -409,7 +410,8 @@ def _frame(domain: AnnularDomain) -> _Frame:
     nodes = np.unique(np.append(sigma[sigma < (1.0 - MERGE_RTOL) * pieces], 0.0))
     nodes = nodes[np.diff(nodes, prepend=-np.inf) > MERGE_RTOL * pieces]
     base, axes = walk(nodes, 0.0)[0], np.array([outer.a, outer.b])
-    q, v = (base - outer.center) / axes, (walk(nodes, 1.0)[0] - base) / axes
+    h = math.ldexp(1.0, math.frexp(outer.scale)[1] - 3)
+    q, v = (base - outer.center) / axes, (walk(nodes, h)[0] - base) / axes / h
     qv, vv = np.sum(q * v, axis=1), np.sum(v * v, axis=1)
     exits = (np.sqrt(qv * qv + vv * (1.0 - np.sum(q * q, axis=1))) - qv) / vv
     at = q + exits[:, None] * v
@@ -580,7 +582,7 @@ def _coarea_pass(frame: _Frame, domain: AnnularDomain, radial: RadialEigenResult
     the ellipse runs inside K + s*B: a 1D integral in its parameter, cut
     where it crosses {d_i = s*} and {d_i = r_bar - R1} and where a polygon
     hole's nearest point changes between an edge and a vertex.  A falling
-    band past the ellipse's reach (_check_range) is left out.
+    band past the ellipse's reach (rayleigh_quotient refuses it) is left out.
     """
     outer, hole = domain.outer, domain.inner
     r1, r2, r_bar = radial.shell.r_inner, radial.shell.r_outer, radial.r_bar
@@ -621,45 +623,33 @@ def _coarea_pass(frame: _Frame, domain: AnnularDomain, radial: RadialEigenResult
     return result, area, inner[-2]
 
 
-def _check_range(web: WebFunction) -> None:
-    """RangeError unless the outer curve is an ellipse whose reach
-    (Ellipse.reach) exceeds the falling band R2 - r_bar."""
-    outer, band = web.domain.outer, web.radial.shell.r_outer - web.radial.r_bar
-    if not isinstance(outer, Ellipse):
-        raise RangeError("the coarea Rayleigh quotient needs an elliptic outer curve")
-    if band >= outer.reach:
-        raise RangeError(f"falling band R2 - r_bar {band:.6g} >= the outer reach {outer.reach:.6g}")
+def rayleigh_quotient(web: WebFunction, *, allow_uncertified: bool = False):
+    """Rayleigh quotient of the web function at the beta its shell was
+    solved at (web.radial.beta).
 
-
-def rayleigh_quotient(web: WebFunction, beta: float, allow_uncertified: bool = False):
-    """Rayleigh quotient of the web function.
-
-    Returns ({gradient, boundary, mass}, value) with value =
+    Returns ({gradient, boundary, mass}, value, error) with value =
     (gradient + boundary) / mass: the coarea formula's 1D integrals at
-    COAREA_NODES[0] nodes per panel (_coarea_pass), with a typed error
-    outside their range (_check_range).  rayleigh_error gives the computed
-    quadrature error.  Uncertified webs are rejected unless explicitly
-    allowed for diagnostic runs.
+    COAREA_NODES[0] nodes per panel (_coarea_pass), and error, its computed
+    quadrature error, |value - the value at COAREA_NODES[1] nodes|.
+    RangeError unless the outer curve is an ellipse whose reach exceeds the
+    falling band R2 - r_bar.  Uncertified webs are rejected unless
+    explicitly allowed for diagnostic runs.
     """
     if not web.certified and not allow_uncertified:
         raise InvalidWebError(
             f"web failed its certificate (jump {web.interface_jump:.3e} "
             f"> tol {web.continuity_tol:.3e} or containment lost)"
         )
-    if not (beta >= 0.0 and math.isfinite(beta)):
-        raise RangeError("Rayleigh quotient needs finite nonnegative beta")
-    _check_range(web)
-    gradient, boundary, mass = web._integrals[COAREA_NODES[0]]
+    outer, band = web.domain.outer, web.radial.shell.r_outer - web.radial.r_bar
+    if not isinstance(outer, Ellipse):
+        raise RangeError("the coarea Rayleigh quotient needs an elliptic outer curve")
+    if band >= outer.reach:
+        raise RangeError(f"falling band R2 - r_bar {band:.6g} >= the outer reach {outer.reach:.6g}")
+    beta = web.radial.beta
+    (gradient, boundary, mass), (g, b, m) = (web._integrals[n] for n in COAREA_NODES)
+    value = (gradient + beta * boundary) / mass
     parts = {"gradient": gradient, "boundary": beta * boundary, "mass": mass}
-    return parts, (gradient + beta * boundary) / mass
-
-
-def rayleigh_error(web: WebFunction, beta: float, value: float) -> float:
-    """Computed quadrature error of value = rayleigh_quotient(web, beta)[1]:
-    |value - the coarea value at COAREA_NODES[1] nodes per panel|."""
-    _check_range(web)
-    gradient, boundary, mass = web._integrals[COAREA_NODES[1]]
-    return abs(value - (gradient + beta * boundary) / mass)
+    return parts, value, abs(value - (g + beta * b) / m)
 
 
 # ---------------------------------------------------------------------------
@@ -683,17 +673,17 @@ def chain_certificate(
 
     The FEM leg runs first, then the web leg, so a FEM error wins over a
     web error.  The report's rayleigh_error is the quotient's computed
-    quadrature error (rayleigh_error).  quad_level, the cell counts of the
+    quadrature error (rayleigh_quotient).  quad_level, the cell counts of the
     deleted midpoint grid, is accepted and not read, as perfbench's warm-up
     still passes it.
     """
     fem = solve_domain(domain, beta, n_r, n_a)
     web = build_web(domain, beta)
-    parts, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+    parts, value, error = rayleigh_quotient(web, allow_uncertified=True)
     report = web.report() | {
         "beta": beta,
         "rayleigh": value,
-        "rayleigh_error": rayleigh_error(web, beta, value),
+        "rayleigh_error": error,
         "rayleigh_parts": parts,
         "lambda_fem": fem.lam,
         "lambda_shell": web.radial.lam,

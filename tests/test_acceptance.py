@@ -133,7 +133,7 @@ def test_criterion_5_web_function_chain(family):
     shell_dom = family[0]
     web0 = build_web(shell_dom, 1.0)
     rad = web0.radial
-    _, rq0 = rayleigh_quotient(web0, 1.0)
+    _, rq0, _ = rayleigh_quotient(web0)
     shell_identity_rel = abs(rq0 - rad.lam) / rad.lam
     shell_ok = web0.certified and shell_identity_rel <= 1e-6
 

@@ -4,6 +4,8 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from annulus_spectra import geometry
@@ -757,6 +759,31 @@ class TestEllipseDistance:
         monkeypatch.setattr(geometry, "FOOT_POINT_ITERATIONS", 1)
         with pytest.raises(NumericalError, match="did not settle"):
             ELLIPSES["wide"].distance((1.0, 0.5))
+
+
+
+class TestEllipseFootAtScale:
+    # the foot runs on the ellipse and points scaled by a power of two, so
+    # scaling both by 2^k scales d by 2^k and keeps theta, bit for bit
+    ELLIPSE = Ellipse((0.3, -0.2), 1.7, 0.6)
+    POINTS = np.random.default_rng(7).uniform(-3.0, 3.0, (500, 2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(k=st.integers(-900, 900))
+    def test_foot_is_covariant(self, k):
+        s = math.ldexp(1.0, k)
+        ell = self.ELLIPSE
+        theta, d = ell.foot(self.POINTS)
+        big = Ellipse(tuple(np.asarray(ell.center) * s), ell.a * s, ell.b * s)
+        big_theta, big_d = big.foot(self.POINTS * s)
+        assert np.array_equal(big_theta, theta)
+        assert np.array_equal(big_d, d * s)
+
+    @pytest.mark.parametrize("s", [1e160, 1e200, 1e300])
+    def test_huge_ellipse_outer_answers(self, s):
+        # semi-axes above about 1.3e154 once overflowed the foot's products
+        dom = AnnularDomain(Ellipse((0, 0), 2.0 * s, 1.5 * s), Circle((0.1 * s, 0), 0.5 * s))
+        assert dom.gap / s == pytest.approx(0.99570814570987, rel=1e-13)
 
 
 class TestEllipseCurve:

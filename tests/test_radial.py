@@ -602,6 +602,24 @@ class TestFloatRange:
         with pytest.raises(RangeError, match=r"2 pi/d squares beyond"):
             solve_shell(3, 1e-300, 2e-300, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "shell, message",
+        [
+            ((3, 1e20, 1e120, 0.0), r"shell \(1e\+20, 1e\+120\): first root did not converge"),
+            ((3, 1e-140, 1e-40, 1.0), r"shell \(1e-140, 1e-40\): r_bar did not converge"),
+        ],
+        ids=["first-root", "r_bar"],
+    )
+    def test_brent_that_does_not_converge_is_typed(self, shell, message):
+        with pytest.raises(NumericalError, match=message):
+            solve_shell(*shell)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_inner_power_is_typed(self):
+        with pytest.raises(RangeError, match=r"R1\^2\.5 overflows at R1 = 1e\+140"):
+            solve_shell(5, 1e140, 2e140, 1.0)
+
 
 class TestLazyProfile:
     @pytest.fixture

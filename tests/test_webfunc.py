@@ -34,10 +34,10 @@ from annulus_spectra.webfunc import (
     build_web,
     chain_certificate,
     chain_checks,
-    rayleigh_error,
     rayleigh_quotient,
 )
 
+EPS = np.finfo(float).eps
 SHELL_DOMAIN = AnnularDomain(Circle((0, 0), 2.0), Circle((0, 0), 1.0))
 
 
@@ -100,7 +100,7 @@ class TestFindSplit:
         assert (web.split_s > dom.gap) == clipped
         assert len(frames) == int(clipped)
         # one frame serves the split and the quotient
-        rayleigh_quotient(web, 1.0, allow_uncertified=True)
+        rayleigh_quotient(web, allow_uncertified=True)
         assert len(frames) == 1
         assert (web.split_s, web.split_area_rel_err) == webfunc._split(dom, web.radial)[:2]
 
@@ -234,7 +234,7 @@ class TestRayleighQuotient:
         # up to the coarea quadrature's round-off
         for beta in (0.1, 1.0, 10.0):
             web = build_web(SHELL_DOMAIN, beta)
-            _, value = rayleigh_quotient(web, beta)
+            _, value, _ = rayleigh_quotient(web)
             assert value == pytest.approx(web.radial.lam, rel=1e-13)
 
     def test_uncertified_rejected(self):
@@ -242,20 +242,15 @@ class TestRayleighQuotient:
         web = build_web(dom, 1.0)
         assert not web.certified  # the jump is a real feature of the construction
         with pytest.raises(InvalidWebError):
-            rayleigh_quotient(web, 1.0)
+            rayleigh_quotient(web)
 
     def test_eccentric_chain_sandwich(self):
         dom = AnnularDomain(Circle((0, 0), 2.0), Circle((0.3, 0), 1.0))
         web = build_web(dom, 1.0)
-        _, value = rayleigh_quotient(web, 1.0, allow_uncertified=True)
+        _, value, _ = rayleigh_quotient(web, allow_uncertified=True)
         fem = solve_domain(dom, 1.0, 48, 192)
         assert fem.lam <= value + 2e-3 * fem.lam
         assert value <= 1.02 * web.radial.lam
-
-    def test_infinite_beta_rejected(self):
-        web = build_web(SHELL_DOMAIN, 1.0)
-        with pytest.raises(RangeError):
-            rayleigh_quotient(web, float("inf"))
 
 
 def gauss_panels(cuts, n):
@@ -346,20 +341,20 @@ class TestCoareaQuotient:
         b = web.domain.inner.radius + web.split_s
         e = math.dist(web.domain.inner.center, web.domain.outer.center)
         assert (b > web.domain.outer.radius - e) == (member != 1)
-        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        _, value, _ = rayleigh_quotient(web, allow_uncertified=True)
         assert value == pytest.approx(polar_oracle(web, beta), rel=1e-9)
 
     @pytest.mark.parametrize("member, beta, expected", REFERENCE_RAYLEIGH)
     def test_reference_values(self, member, beta, expected):
-        _, value = rayleigh_quotient(family_web(member, beta), beta, allow_uncertified=True)
+        _, value, _ = rayleigh_quotient(family_web(member, beta), allow_uncertified=True)
         assert value == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("member", range(6))
     def test_computed_error_is_small(self, member):
         for beta in (0.1, 1.0, 10.0):
             web = family_web(member, beta)
-            _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
-            assert 0.0 <= rayleigh_error(web, beta, value) <= 1e-10 * value
+            _, value, error = rayleigh_quotient(web, allow_uncertified=True)
+            assert 0.0 <= error <= 1e-10 * value
 
     def test_quad_level_is_not_read(self):
         # chain_certificate still accepts the deleted grid's cell counts
@@ -566,14 +561,14 @@ class TestLevelSetQuotient:
     def test_matches_polar_oracle(self, case):
         web, beta = level_set_web(case)
         assert web.contained == ("-0." not in case)
-        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        _, value, _ = rayleigh_quotient(web, allow_uncertified=True)
         assert value == pytest.approx(level_set_oracle(web, beta), rel=1e-11)
 
     @pytest.mark.parametrize("case", sorted(LEVEL_SET_CASES))
     def test_computed_error_is_small(self, case):
         web, beta = level_set_web(case)
-        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
-        assert 0.0 <= rayleigh_error(web, beta, value) <= 1e-10 * value
+        _, value, error = rayleigh_quotient(web, allow_uncertified=True)
+        assert 0.0 <= error <= 1e-10 * value
 
     @pytest.mark.parametrize(
         "member, beta, expected",
@@ -588,7 +583,7 @@ class TestLevelSetQuotient:
         # values of a separate implementation of the same rule that found
         # every crossing by scalar brentq
         web = build_web(FAMILY[member], beta)
-        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        _, value, _ = rayleigh_quotient(web, allow_uncertified=True)
         assert value == pytest.approx(expected, abs=1e-8)
 
     def test_disk_as_ellipse_matches_the_circle_pair_rule(self):
@@ -598,8 +593,10 @@ class TestLevelSetQuotient:
         circle = dataclasses.replace(
             web, domain=AnnularDomain(Circle((0, 0), 2.0), web.domain.inner)
         )
-        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
-        assert value == pytest.approx(rayleigh_quotient(circle, beta, True)[1], rel=1e-13)
+        _, value, _ = rayleigh_quotient(web, allow_uncertified=True)
+        assert value == pytest.approx(
+            rayleigh_quotient(circle, allow_uncertified=True)[1], rel=1e-13
+        )
 
     def test_a_run_past_the_plateau_depth_is_cut_at_its_peak(self, monkeypatch):
         tangencies, peaks = webfunc._tangencies, []
@@ -617,10 +614,10 @@ class TestLevelSetQuotient:
         # rises past that depth and falls back, and bounded Brent finds its
         # peak
         web, beta = level_set_web("ellipse-hole-off-centre")
-        _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        _, value, _ = rayleigh_quotient(web, allow_uncertified=True)
         monkeypatch.setattr(webfunc, "_tangencies", keeping(lambda sigma: sigma < 0.3))
         web, beta = level_set_web("ellipse-hole-off-centre")
-        _, cut = rayleigh_quotient(web, beta, allow_uncertified=True)
+        _, cut, _ = rayleigh_quotient(web, allow_uncertified=True)
         assert len(peaks) == 1
         assert cut == pytest.approx(value, rel=1e-13)
         # member 6's moved long edges (pieces 1 and 5) peak at depth 0.429,
@@ -631,13 +628,13 @@ class TestLevelSetQuotient:
             keeping(lambda sigma: (np.floor(sigma) % 4 != 1) | (sigma % 1.0 == 0.0)),
         )
         with pytest.raises(NumericalError, match="unresolved extremum"):
-            rayleigh_quotient(level_set_web("member6-1")[0], 1.0, allow_uncertified=True)
+            rayleigh_quotient(level_set_web("member6-1")[0], allow_uncertified=True)
 
     def test_shell_written_as_an_ellipse_keeps_the_shell_identity(self):
         # the split curve sits at one depth, where no tangency is isolated
         dom = AnnularDomain(Ellipse((0, 0), 2.0, 2.0), Circle((0, 0), 1.0))
         web = build_web(dom, 1.0)
-        _, value = rayleigh_quotient(web, 1.0)
+        _, value, _ = rayleigh_quotient(web)
         assert value == pytest.approx(web.radial.lam, rel=1e-13)
 
     @pytest.mark.parametrize("case", ["member7-10", "ellipse-hole-off-centre", "member7-0.1"])
@@ -687,7 +684,7 @@ class TestLevelSetQuotient:
         web = build_web(dom, 1.0)
         assert web.contained
         with pytest.raises(RangeError, match="elliptic outer"):
-            rayleigh_quotient(web, 1.0, allow_uncertified=True)
+            rayleigh_quotient(web, allow_uncertified=True)
 
     def test_band_past_the_reach_is_out_of_range(self):
         # the falling band R2 - r_bar = 0.2028 passes the reach 0.6^2 / 2
@@ -696,7 +693,7 @@ class TestLevelSetQuotient:
         web = build_web(dom, 10.0)
         assert web.contained
         with pytest.raises(RangeError, match="reach"):
-            rayleigh_quotient(web, 10.0, allow_uncertified=True)
+            rayleigh_quotient(web, allow_uncertified=True)
 
 
 
@@ -752,7 +749,7 @@ def test_tall_ellipse_member_matches_the_wide_one(member, beta):
     webs = [build_web(dom, beta) for dom in (wide, tall)]
     assert webs[1].split_s == pytest.approx(webs[0].split_s, rel=1e-13)
     assert tall.gap == pytest.approx(wide.gap, rel=1e-13)
-    values = [rayleigh_quotient(web, beta, allow_uncertified=True)[1] for web in webs]
+    values = [rayleigh_quotient(web, allow_uncertified=True)[1] for web in webs]
     assert values[1] == pytest.approx(values[0], rel=1e-13)
 
 
@@ -772,13 +769,37 @@ def test_seeded_class_s_draws_answer_or_raise_typed(rng):
         try:
             hole = shape.scaled(scale_hole_to_class_s(outer, shape)).translated(offset)
             web = build_web(AnnularDomain(outer, hole), beta)
-            _, value = rayleigh_quotient(web, beta, allow_uncertified=True)
-            error = rayleigh_error(web, beta, value)
+            _, value, error = rayleigh_quotient(web, allow_uncertified=True)
         except AnnulusError:
             continue
         assert math.isfinite(value) and math.isfinite(error)
         answered.append(web.contained)
     assert set(answered) == {True, False}
+
+
+def _scaled_curve(curve, factor):
+    """The curve with its points (centre included) scaled about the origin."""
+    if isinstance(curve, PolygonCurve):
+        return PolygonCurve(ConvexPolygon(curve.polygon.vertices * factor))
+    center = tuple(np.asarray(curve.center) * factor)
+    if isinstance(curve, Circle):
+        return Circle(center, curve.radius * factor)
+    return Ellipse(center, curve.a * factor, curve.b * factor)
+
+
+def test_web_quotient_is_covariant_under_power_of_two_scaling():
+    # scaling the domain by 2^k and beta by 2^-k scales R(w) by 2^-2k; the
+    # frame's exits once read the normal off a unit step, lost to rounding
+    # from 2^60 up
+    for member, dom in enumerate(FAMILY):
+        for beta in (1.0, 10.0):
+            expected = rayleigh_quotient(build_web(dom, beta), allow_uncertified=True)[1]
+            for k in (-200, -60, 40, 60, 100, 200):
+                s = math.ldexp(1.0, k)
+                outer, inner = _scaled_curve(dom.outer, s), _scaled_curve(dom.inner, s)
+                web = build_web(AnnularDomain(outer, inner, dom.center * s), beta / s)
+                value = rayleigh_quotient(web, allow_uncertified=True)[1] * s * s
+                assert abs(value - expected) <= 16.0 * EPS * expected, (member, beta, k)
 
 
 class TestBuildWebRange:
@@ -795,6 +816,21 @@ class TestBuildWebRange:
     def test_neumann_closure(self):
         with pytest.raises(RangeError, match="needs beta > 0"):
             build_web(SHELL_DOMAIN, 0.0)
+
+    def test_infinite_beta_rejected(self):
+        # the quotient is taken at the web's own beta, so the gate is here
+        with pytest.raises(RangeError, match="needs beta > 0 and finite"):
+            build_web(SHELL_DOMAIN, float("inf"))
+
+    @pytest.mark.parametrize("beta", [float("nan"), -1.0])
+    def test_beta_outside_the_gate_rejected(self, beta):
+        with pytest.raises(RangeError, match="needs beta > 0 and finite"):
+            build_web(SHELL_DOMAIN, beta)
+
+    def test_quotient_takes_no_beta(self):
+        # a leftover positional beta cannot bind to allow_uncertified
+        with pytest.raises(TypeError):
+            rayleigh_quotient(build_web(SHELL_DOMAIN, 1.0), 10.0)
 
 
 class TestChainCertificate:
@@ -844,7 +880,7 @@ class TestChainCertificate:
         dom = make_domain()
         fem = solve_domain(dom, beta, 16, 64)
         web = build_web(dom, beta)
-        parts, value = rayleigh_quotient(web, beta, allow_uncertified=True)
+        parts, value, _ = rayleigh_quotient(web, allow_uncertified=True)
         serial = web.report() | {
             "rayleigh": value,
             "rayleigh_parts": parts,
