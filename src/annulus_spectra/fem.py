@@ -432,11 +432,11 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
     not settle, A - tau M just above the smallest Ritz value (>= lambda_1)
     must count exactly one eigenvalue and one-vector iteration there must
     certify against tau, or SolverError is raised; so is a residual above
-    the target.  Without a seed the
-    pencil may have DENSE_FREE_NODES rows at most: dense eigh gives the
-    seed, and sigma lies _FLOOR_SHIFT of lambda_2 - lambda_1 above
-    lambda_1, where A - sigma M is safely regular, or at the seed's
-    quotient where eigh's error, near eps ||A||, puts that shift lower.
+    the target.  Without a seed the pencil may have DENSE_FREE_NODES rows
+    at most: dense eigh gives the seed (SolverError short of two pairs),
+    and sigma lies _FLOOR_SHIFT of lambda_2 - lambda_1 above lambda_1,
+    where A - sigma M is safely regular, or at the seed's quotient where
+    eigh's error, near eps ||A||, puts that shift lower.
     A and M share one CSR pattern, as assemble's blocks do.
 
     The eigenvector is M-normalised and oriented to a nonnegative sum; the
@@ -451,6 +451,8 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
         if n > DENSE_FREE_NODES:
             raise SolverError(f"a pencil of {n} rows needs a seed vector")
         lams, vecs = eigh(a.toarray(), m.toarray(), subset_by_index=[0, 1])
+        if len(lams) < 2:
+            raise SolverError(f"dense eigh gave {len(lams)} of the floor's two smallest eigenpairs")
         seed = vecs[:, 0]
         floor = float(lams[0] + _FLOOR_SHIFT * (lams[1] - lams[0]))
     # eigh's eigenvalues err by about eps ||A||, which grows with beta, so

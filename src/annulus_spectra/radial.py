@@ -53,6 +53,7 @@ PROFILE_SAMPLES = 4097
 LAMBDA_RTOL = 1e-11
 PROFILE_RTOL = 1e-10
 EPS = float(np.finfo(float).eps)
+TINY = float(np.finfo(float).tiny)
 # the root scan evaluates its grid this many points at a time
 _SCAN_BLOCK = 32
 
@@ -229,11 +230,15 @@ def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
     values at its ends (_jy gives a scalar the array's value); each
     evaluation computes J_nu(k R1) and Y_nu(k R1) once for both cross products.
     RangeError where that bound's squares of R2 and 2 pi / d overflow, and
+    before the scan where the profile's constant c (_scale) overflows or
+    falls below the normal floats, whose lost bits phi would carry; and
     NumericalError where Brent's method does not converge.
     """
     nu, d = 0.5 * n - 1.0, r2 - r1
     if not max(2.0 * math.pi / d, r2) <= SQUARE_MAX:
         raise RangeError(f"shell ({r1:.6g}, {r2:.6g}): R2 or 2 pi/d squares beyond the float range")
+    if not abs(_scale(nu, r1, 1.0)) >= TINY:
+        raise RangeError(f"R1^{nu + 1.0:g} underflows at R1 = {r1:.6g}")
 
     def g(k):
         inner = _jy(nu, k * r1)

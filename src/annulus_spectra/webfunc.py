@@ -21,8 +21,10 @@ circle among them) and any convex hole one rule gives those lengths: the
 level sets of the hole distance are the boundaries of the parallel bodies
 K + sB, those of the outer distance are the ellipse's inner parallel
 curves, and each is clipped by the other's region at their crossings,
-between which both have closed-form arc lengths.  The quotient is
-computed to round-off, with its quadrature error, and there is no grid
+between which both have closed-form arc lengths.  build_web refuses any
+other outer curve and a falling band as deep as the ellipse's reach.  One
+Newton solve on the area law places every split; its last pass gives the
+quotient's integrals, to round-off with their quadrature error, on no grid
 and no polygon.  The sandwich lambda(Omega) <= R(w) <= lambda_shell is
 read only on certified webs: off the shell the interface jump is a real
 feature of the construction.
@@ -59,8 +61,8 @@ CONTINUITY_FACTOR = 1e-3
 COAREA_NODES = (32, 16)
 # Newton steps allowed to a level-set crossing; bisection guards each one
 CROSSING_ITERATIONS = 60
-# Newton steps allowed to the area law past the gap, bisection guarding
-# each, and the step, relative to s*, that ends the solve
+# Newton steps allowed to the area law, bisection guarding each, and the
+# step, relative to s*, that ends the solve
 SPLIT_ITERATIONS = 40
 SPLIT_RTOL = 1e-13
 # split-curve nodes closer than this fraction of its parameter range are merged
@@ -73,34 +75,24 @@ def _split(domain: AnnularDomain, radial: RadialEigenResult):
     """(s*, area error, integrals): the distance s* whose hole-distance
     sublevel set has the area of the shell's inner part, between R1 and
     r_bar, the relative error of that area, and the _coarea_pass integrals
-    of the web split there (None inside the gap).  radial is the domain's
-    matched shell, which build_web solves from geometry.class_s_radii.
+    of the web split there.  radial is the domain's matched shell.
 
-    Up to the hole's free distance domain.gap the area law is Steiner's
-    A(s) = P(K) s + pi s^2, whose class-S root is r_bar - R1.  Past it the
-    outer ellipse clips the parallel body and A' = P_i(s), the length of
-    the boundary of K + sB inside it (_level_lengths at depth 0).  So s* is
-    a safeguarded Newton solve on A = the coarea integral of P_i at
-    COAREA_NODES[0] nodes per panel, started by _area_start, or at r_bar -
-    R1, a lower bound as P_i <= P(K) + 2 pi s.  It stops once its step
-    falls below SPLIT_RTOL of s*, and the area error is the residual there
-    plus |A_32 - A_16|.  Each step is one _coarea_pass, so the last one
-    leaves the quotient's integrals too.  RangeError past the gap unless
-    the outer curve is an ellipse.
+    A' = P_i(s), the length of the boundary of K + sB inside the outer
+    ellipse (_level_lengths at depth 0), so s* is a safeguarded Newton
+    solve on A = the coarea integral of P_i at COAREA_NODES[0] nodes per
+    panel, each step one _coarea_pass.  Up to the hole's free distance the
+    law is Steiner's, P(K) s + pi s^2, and the solve starts at its class-S
+    root r_bar - R1; past it, at _area_start, with r_bar - R1 a lower bound
+    as P_i <= P(K) + 2 pi s.  It stops once its step falls below SPLIT_RTOL
+    of s*; the area error is the residual there plus |A_32 - A_16|.
     """
     r1 = radial.shell.r_inner
     target = math.pi * (radial.r_bar**2 - r1 * r1)
     if target >= domain.area:
         raise InfeasibleError("split area target exceeds the domain area")
-    lo, hi = radial.r_bar - r1, math.inf
-    if lo <= domain.gap:
-        steiner = domain.inner.perimeter() * lo + math.pi * lo * lo
-        return lo, abs(steiner - target) / target, None
-    if not isinstance(domain.outer, Ellipse):
-        raise RangeError("the area law past the gap needs an elliptic outer curve")
-
     frame = _frame(domain)
-    s = _area_start(frame, domain, [*frame.exits, lo], target) or lo
+    lo, hi = radial.r_bar - r1, math.inf
+    s = lo if lo <= domain.gap else (_area_start(frame, domain, [*frame.exits, lo], target) or lo)
     for _ in range(SPLIT_ITERATIONS):
         integrals, area, length = _coarea_pass(frame, domain, radial, s)
         miss = area[0] - target
@@ -144,7 +136,8 @@ class WebFunction:
     the split curve; contained records whether split_s stays below the
     domain's gap, so that the inner piece keeps off the outer boundary (as
     the boundary values must, to match the shell's).  certified means both
-    checks passed at the declared continuity tolerance.
+    checks passed at the declared continuity tolerance.  integrals are the
+    Rayleigh quotient's parts that the split's last _coarea_pass gave.
     """
 
     domain: AnnularDomain
@@ -153,6 +146,7 @@ class WebFunction:
     continuity_tol: float
     interface_jump: float
     split_area_rel_err: float
+    integrals: dict
 
     @property
     def checks(self) -> list:
@@ -195,10 +189,6 @@ class WebFunction:
         slope[falling] = np.abs(self.radial.slope(shell.r_outer - d_o[falling]))
         return value, slope
 
-    @functools.cached_property
-    def _integrals(self):
-        return _coarea_pass(_frame(self.domain), self.domain, self.radial, self.split_s)[0]
-
     def report(self) -> dict:
         return {
             "s_star": self.split_s,
@@ -213,36 +203,41 @@ class WebFunction:
 
 
 def build_web(domain: AnnularDomain, beta: float) -> WebFunction:
-    """Construct the web function of a class-S domain at 0 < beta < inf, the
-    one beta gate (RangeError otherwise), and its validity certificate.
+    """The web function of a class-S domain at 0 < beta < inf, with its
+    validity certificate and its Rayleigh quotient's integrals.
 
-    The profile is the planar matched shell's, solve_shell(2, R1, R2,
-    beta) with (R1, R2) from geometry.class_s_radii, the one class-S gate
-    (InfeasibleError off class S).  The jump is closed-form.  On the split
-    curve the inner side is on its plateau (s* >= r_bar - R1).  The outer
-    side phi(max(R2 - d_o, r_bar)) is least where d_o is: at the grown
-    hole's free distance gap - s*, or at 0 once s* > gap and the curve
-    crosses the outer boundary.
+    The web layer's one gate, before the split: RangeError at beta <= 0,
+    inf or nan, for an outer curve that is not an ellipse, and for a
+    falling band R2 - r_bar at or past the ellipse's reach.  The profile is
+    the planar matched shell's, solve_shell(2, R1, R2, beta) with (R1, R2)
+    from geometry.class_s_radii, the one class-S gate (InfeasibleError off
+    class S).  The jump is closed-form.  On the split curve the inner side
+    is on its plateau (s* >= r_bar - R1).  The outer side phi(max(R2 - d_o,
+    r_bar)) is least where d_o is: at the grown hole's free distance gap -
+    s*, or at 0 once s* > gap and the curve crosses the outer boundary.
     """
     if not 0.0 < beta < math.inf:  # also refuses nan
         raise RangeError(f"web construction needs beta > 0 and finite, got {beta!r}")
+    outer = domain.outer
+    if not isinstance(outer, Ellipse):
+        raise RangeError("the web's coarea rule needs an elliptic outer curve")
     radial = solve_shell(2, *class_s_radii(domain), beta)
-    s_star, area_err, integrals = _split(domain, radial)
     shell, r_bar = radial.shell, radial.r_bar
+    band = shell.r_outer - r_bar
+    if not band < outer.reach:
+        raise RangeError(f"falling band R2 - r_bar {band:.6g} >= the outer reach {outer.reach:.6g}")
+    s_star, area_err, integrals = _split(domain, radial)
     inside_val = radial.value(min(shell.r_inner + s_star, r_bar))
     outer_val = radial.value(max(shell.r_outer - max(domain.gap - s_star, 0.0), r_bar))
-    web = WebFunction(
+    return WebFunction(
         domain=domain,
         radial=radial,
         split_s=s_star,
         continuity_tol=CONTINUITY_FACTOR * radial.v_M,
         interface_jump=abs(float(inside_val) - float(outer_val)),
         split_area_rel_err=area_err,
+        integrals=integrals,
     )
-    if integrals is not None:
-        # the split's last pass serves the quotient: fill the cached_property
-        web.__dict__["_integrals"] = integrals
-    return web
 
 
 @functools.lru_cache(maxsize=None)
@@ -581,15 +576,14 @@ def _coarea_pass(frame: _Frame, domain: AnnularDomain, radial: RadialEigenResult
     area.  The boundary carries v_m, and phi(min(R1 + d_i, r_bar)) where
     the ellipse runs inside K + s*B: a 1D integral in its parameter, cut
     where it crosses {d_i = s*} and {d_i = r_bar - R1} and where a polygon
-    hole's nearest point changes between an edge and a vertex.  A falling
-    band past the ellipse's reach (rayleigh_quotient refuses it) is left out.
+    hole's nearest point changes between an edge and a vertex.  build_web
+    keeps the falling band inside the ellipse's reach.
     """
     outer, hole = domain.outer, domain.inner
     r1, r2, r_bar = radial.shell.r_inner, radial.shell.r_outer, radial.r_bar
-    top = r2 - r_bar if r2 - r_bar < outer.reach else 0.0
     depths = outer.foot(frame.walk(frame.nodes, s_star)[0])[1]
     s_panels = [_cosine_panels(0.0, s_star, [*frame.exits, r_bar - r1], n) for n in COAREA_NODES]
-    t_panels = [_cosine_panels(0.0, top, depths, n) for n in COAREA_NODES]
+    t_panels = [_cosine_panels(0.0, r2 - r_bar, depths, n) for n in COAREA_NODES]
     sizes = [len(p[0]) for p in s_panels + t_panels]
     # the inner levels at depth 0, the outer ones on K + s*B, and last
     # {d_i = s*} and {d_i = r_bar - R1} at depth 0, for P_i(s*) and the
@@ -629,10 +623,9 @@ def rayleigh_quotient(web: WebFunction, *, allow_uncertified: bool = False):
 
     Returns ({gradient, boundary, mass}, value, error) with value =
     (gradient + boundary) / mass: the coarea formula's 1D integrals at
-    COAREA_NODES[0] nodes per panel (_coarea_pass), and error, its computed
-    quadrature error, |value - the value at COAREA_NODES[1] nodes|.
-    RangeError unless the outer curve is an ellipse whose reach exceeds the
-    falling band R2 - r_bar.  Uncertified webs are rejected unless
+    COAREA_NODES[0] nodes per panel (web.integrals, from build_web), and
+    error, its computed quadrature error, |value - the value at
+    COAREA_NODES[1] nodes|.  Uncertified webs are rejected unless
     explicitly allowed for diagnostic runs.
     """
     if not web.certified and not allow_uncertified:
@@ -640,13 +633,8 @@ def rayleigh_quotient(web: WebFunction, *, allow_uncertified: bool = False):
             f"web failed its certificate (jump {web.interface_jump:.3e} "
             f"> tol {web.continuity_tol:.3e} or containment lost)"
         )
-    outer, band = web.domain.outer, web.radial.shell.r_outer - web.radial.r_bar
-    if not isinstance(outer, Ellipse):
-        raise RangeError("the coarea Rayleigh quotient needs an elliptic outer curve")
-    if band >= outer.reach:
-        raise RangeError(f"falling band R2 - r_bar {band:.6g} >= the outer reach {outer.reach:.6g}")
     beta = web.radial.beta
-    (gradient, boundary, mass), (g, b, m) = (web._integrals[n] for n in COAREA_NODES)
+    (gradient, boundary, mass), (g, b, m) = (web.integrals[n] for n in COAREA_NODES)
     value = (gradient + beta * boundary) / mass
     parts = {"gradient": gradient, "boundary": beta * boundary, "mass": mass}
     return parts, value, abs(value - (g + beta * b) / m)

@@ -94,6 +94,13 @@ class TestShellCommand:
         assert main(["shell", "--n", "2", "--r1", "1", "--r2", "1e300", "--beta", "1"]) == 1
         assert "numerical failure: shell (1, 1e+300): R2 or" in capsys.readouterr().err
 
+    def test_normalization_below_the_float_range_exits_one(self, capsys):
+        # once RuntimeWarnings and "boundary residual 0.000e+00 above
+        # 2.310e+00 units of 0.000e+00"
+        assert main(["shell", "--n", "5", "--r1", "1e-150", "--r2", "1", "--beta", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err == "numerical failure: R1^2.5 underflows at R1 = 1e-150\n"
+
     @pytest.mark.parametrize("beta", ["nan", "-1"])
     def test_invalid_beta_usage_error(self, beta, capsys):
         assert main(["shell", "--n", "2", "--r1", "1", "--r2", "2", "--beta", beta]) == 2
@@ -274,6 +281,14 @@ class TestFemCommand:
         argv = ["fem", "--outer", outer, "--inner", inner, "--beta", "1", "--res", "2x8"]
         assert main(argv) == 1
         assert f"numerical failure: {message} the float range" in capsys.readouterr().err
+
+    def test_empty_dense_floor_exits_one(self, capsys):
+        # the mass entries reach the float minimum, and dense eigh returns no
+        # pair: once an IndexError traceback
+        argv = ["fem", "--outer", "circle 0 0 2e-153", "--inner", "circle 0.5e-153 0 1e-153"]
+        assert main(argv + ["--beta", "1e153", "--res", "4x16"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: dense eigh gave 0 of the floor's two")
 
     def test_hole_not_contained_usage_error(self, capsys):
         code = main(["fem", "--outer", "circle 0 0 2", "--inner", "circle 1.5 0 1", "--beta", "1"])

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath
@@ -619,6 +620,56 @@ class TestFloatRange:
     def test_overflowing_inner_power_is_typed(self):
         with pytest.raises(RangeError, match=r"R1\^2\.5 overflows at R1 = 1e\+140"):
             solve_shell(5, 1e140, 2e140, 1.0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "shell, message",
+        [
+            # c = 0: once RuntimeWarnings from the residual's 0/0
+            ((5, 1e-150, 1.0, 1.0), r"R1\^2\.5 underflows at R1 = 1e-150"),
+            # c subnormal: once an answer whose v_m and v_M were 27% off
+            ((12, 2.0**-179, 2.0**-178, 2.0**179), r"R1\^6 underflows at R1 = 1\.30506e-54"),
+        ],
+        ids=["zero", "subnormal"],
+    )
+    def test_normalization_below_the_normal_floats_is_typed(self, shell, message):
+        assert abs(0.5 * math.pi * shell[1] ** (0.5 * shell[0])) < np.finfo(float).tiny
+        with pytest.raises(RangeError, match=message):
+            solve_shell(*shell)
+
+    @pytest.mark.filterwarnings("error")
+    def test_gate_sits_at_the_smallest_normal(self):
+        # at n = 12, c = -pi R1^6 / 2 is pi/2 2^-1020 at R1 = 2^-170, normal,
+        # and pi/2 2^-1026 one halving below, subnormal
+        lam = solve_shell(12, 1.0, 2.0, 1.0).lam
+        assert solve_shell(12, 2.0**-170, 2.0**-169, 2.0**170).lam * 4.0**-170 == lam
+        with pytest.raises(RangeError, match=r"R1\^6 underflows"):
+            solve_shell(12, 2.0**-171, 2.0**-170, 2.0**171)
+
+
+@functools.lru_cache(maxsize=None)
+def _unscaled_lam(n, r1, r2, beta):
+    return solve_shell(n, r1, r2, beta).lam
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 12),
+    radii=st.sampled_from([(1.0, 2.0), (0.1, 1.7), (0.5, 0.55)]),
+    beta=st.sampled_from([0.0, 0.3, 1.0, 10.0, math.inf]),
+    k=st.integers(-200, 200),
+)
+def test_shell_eigenvalue_is_covariant_under_power_of_two_scaling(n, radii, beta, k):
+    # scaling the shell by 2^k and beta by 2^-k scales lambda by 4^-k bit
+    # for bit, or the solve refuses a normalization R1^(n/2) outside the
+    # normal floats; under warnings as errors, nothing else ends it
+    s = math.ldexp(1.0, k)
+    try:
+        lam = solve_shell(n, radii[0] * s, radii[1] * s, beta / s).lam
+    except RangeError as err:
+        assert "underflows" in str(err) or "overflows" in str(err)
+        return
+    assert lam * 4.0**k == _unscaled_lam(n, *radii, beta)
 
 
 class TestLazyProfile:

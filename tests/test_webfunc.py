@@ -96,10 +96,10 @@ class TestFindSplit:
         frames, frame = [], webfunc._frame
         monkeypatch.setattr(webfunc, "_frame", lambda d: frames.append(d) or frame(d))
         web = build_web(dom, 1.0)
-        # the area law needs the frame past the free distance only
         assert (web.split_s > dom.gap) == clipped
-        assert len(frames) == int(clipped)
-        # one frame serves the split and the quotient
+        # the build makes one frame, inside the free distance as past it
+        assert len(frames) == 1
+        # and it serves the quotient, which makes none
         rayleigh_quotient(web, allow_uncertified=True)
         assert len(frames) == 1
         assert (web.split_s, web.split_area_rel_err) == webfunc._split(dom, web.radial)[:2]
@@ -136,6 +136,16 @@ class TestFindSplit:
         web = build_web(dom, beta)
         assert dom.gap < web.split_s
         assert web.split_area_rel_err <= 1e-12
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 1.0, 10.0])
+    @pytest.mark.parametrize("member", range(len(standard_family())))
+    def test_contained_split_is_the_steiner_root(self, member, beta):
+        # inside the free distance the area law is Steiner's, whose class-S
+        # root r_bar - R1 starts the Newton solve, and one pass ends it there
+        web = build_web(standard_family()[member], beta)
+        if web.contained:
+            assert web.split_s == web.radial.r_bar - web.radial.shell.r_inner
+            assert web.split_area_rel_err <= 1e-14
 
     def test_non_class_s_rejected(self):
         dom = AnnularDomain(Ellipse((0, 0), 2.0, 1.0), Circle((0, 0), 0.5))
@@ -588,11 +598,11 @@ class TestLevelSetQuotient:
 
     def test_disk_as_ellipse_matches_the_circle_pair_rule(self):
         # the same rule on the Circle, whose distance and foot parameter
-        # are closed-form
+        # are closed-form; each web is built on its own domain, as the
+        # build makes the quotient's integrals
         web, beta = level_set_web("circle-hole")
-        circle = dataclasses.replace(
-            web, domain=AnnularDomain(Circle((0, 0), 2.0), web.domain.inner)
-        )
+        circle = build_web(AnnularDomain(Circle((0, 0), 2.0), web.domain.inner), beta)
+        assert circle.split_s == pytest.approx(web.split_s, rel=1e-13)
         _, value, _ = rayleigh_quotient(web, allow_uncertified=True)
         assert value == pytest.approx(
             rayleigh_quotient(circle, allow_uncertified=True)[1], rel=1e-13
@@ -681,19 +691,17 @@ class TestLevelSetQuotient:
         outer = PolygonCurve(ConvexPolygon.regular(6, 2.0))
         shape = PolygonCurve(ConvexPolygon.rectangle(1.0, 0.1))
         dom = AnnularDomain(outer, shape.scaled(scale_hole_to_class_s(outer, shape)))
-        web = build_web(dom, 1.0)
-        assert web.contained
         with pytest.raises(RangeError, match="elliptic outer"):
-            rayleigh_quotient(web, allow_uncertified=True)
+            build_web(dom, 1.0)
 
     def test_band_past_the_reach_is_out_of_range(self):
         # the falling band R2 - r_bar = 0.2028 passes the reach 0.6^2 / 2
         outer, shape = Ellipse((0, 0), 2.0, 0.6), Ellipse((0, 0), 1.0, 0.05)
         dom = AnnularDomain(outer, shape.scaled(scale_hole_to_class_s(outer, shape)))
-        web = build_web(dom, 10.0)
-        assert web.contained
-        with pytest.raises(RangeError, match="reach"):
-            rayleigh_quotient(web, allow_uncertified=True)
+        radial = solve_shell(2, *class_s_data(dom)[:2], 10.0)
+        assert radial.r_bar - radial.shell.r_inner < dom.gap
+        with pytest.raises(RangeError, match=r"falling band R2 - r_bar 0\.2028\d* >= the outer reach 0\.18"):
+            build_web(dom, 10.0)
 
 
 
@@ -810,8 +818,23 @@ class TestBuildWebRange:
         dom = AnnularDomain(outer, shape.scaled(scale_hole_to_class_s(outer, shape)))
         radial = solve_shell(2, *class_s_data(dom)[:2], 1.0)
         assert radial.r_bar - radial.shell.r_inner > dom.gap
-        with pytest.raises(RangeError, match="the area law past the gap needs an elliptic outer curve"):
+        with pytest.raises(RangeError, match="the web's coarea rule needs an elliptic outer curve"):
             build_web(dom, 1.0)
+
+    def test_contained_polygon_outer_is_refused_before_the_split(self, monkeypatch):
+        # the rectangle's split r_bar - R1 stays inside its free distance in
+        # the hexagon, and the build refuses it before the shell solve
+        outer = PolygonCurve(ConvexPolygon.regular(6, 2.0))
+        shape = PolygonCurve(ConvexPolygon.rectangle(1.0, 0.1))
+        dom = AnnularDomain(outer, shape.scaled(scale_hole_to_class_s(outer, shape)))
+        radial = solve_shell(2, *class_s_data(dom)[:2], 1.0)
+        assert radial.r_bar - radial.shell.r_inner < dom.gap
+        calls = []
+        monkeypatch.setattr(webfunc, "solve_shell", lambda *args: calls.append(args))
+        monkeypatch.setattr(webfunc, "_frame", lambda d: calls.append(d))
+        with pytest.raises(RangeError, match="the web's coarea rule needs an elliptic outer curve"):
+            build_web(dom, 1.0)
+        assert calls == []
 
     def test_neumann_closure(self):
         with pytest.raises(RangeError, match="needs beta > 0"):
