@@ -34,10 +34,9 @@ def write_svg_plot(path, xs, series, labels, title, logx=False, logy=False):
     xs = np.asarray(xs, dtype=float)
     if logx:
         xs = np.log10(xs)
-    cooked = []
-    for ys in series:
-        ys = np.asarray(ys, dtype=float)
-        cooked.append(np.log10(ys) if logy else ys)
+    cooked = [np.asarray(ys, dtype=float) for ys in series]
+    if logy:
+        cooked = [np.log10(ys) for ys in cooked]
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo = min(float(y.min()) for y in cooked)
     y_hi = max(float(y.max()) for y in cooked)
@@ -82,13 +81,22 @@ def write_svg_plot(path, xs, series, labels, title, logx=False, logy=False):
 # ---------------------------------------------------------------------------
 
 
-def _read_config_tokens(path: str, command: str) -> list:
-    """Turn key=value lines into CLI tokens injected before user flags."""
-    tokens = []
+def _with_config(argv: list) -> list:
+    """argv with its --config file's key=value lines spliced in as flags
+    after the subcommand, so the user's flags, which come later, win."""
+    if "--config" not in argv:
+        return argv
+    idx = argv.index("--config")
+    if idx + 1 >= len(argv):
+        raise UsageError("--config needs a path")
+    if idx == 0:
+        raise UsageError("--config must follow a subcommand")
+    command, path = argv[0], argv[idx + 1]
     try:
         text = Path(path).read_text()
     except OSError as err:
         raise UsageError(f"cannot read config {path}: {err}") from err
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -106,7 +114,7 @@ def _read_config_tokens(path: str, command: str) -> list:
                 tokens.append(flag)
         else:
             tokens.extend([flag, value])
-    return tokens
+    return [command, *tokens, *argv[1:idx], *argv[idx + 2 :]]
 
 
 def _parse_res(text: str):
@@ -192,12 +200,11 @@ def cmd_shell(args) -> int:
             f"lambda = {result.lam:.12g}  r_bar = {result.r_bar:.12g}  "
             f"v_m = {result.v_m:.12g}  v_M = {result.v_M:.12g}"
         )
-        if out:
-            out.mkdir(parents=True, exist_ok=True)
-            rows = zip(result.r, result.phi, result.dphi)
-            _write_csv(out / "profile.csv", ["r", "phi", "dphi"], rows)
     if out:
         out.mkdir(parents=True, exist_ok=True)
+        if args.method == "bessel":
+            rows = zip(result.r, result.phi, result.dphi)
+            _write_csv(out / "profile.csv", ["r", "phi", "dphi"], rows)
         _dump_json(report, out / "shell_report.json")
     return 0
 
@@ -209,7 +216,7 @@ def cmd_fem(args) -> int:
         domain = geometry.AnnularDomain(outer, inner)
     except GeometryError as err:
         raise UsageError(str(err)) from err
-    n_r, n_a = _parse_res(args.res)
+    n_r, n_a = args.res
     result = fem.solve_domain(domain, args.beta, n_r, n_a)
     stats = result.stats
     print(f"lambda_h = {result.lam:.12g}  ({n_r}x{n_a} mesh, beta={args.beta})")
@@ -399,14 +406,13 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
-    resolution = _parse_res(args.res)
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
     index = {}
     for suite in SUITES if args.suite == "all" else [args.suite]:
         print(f"-- suite {suite}")
-        payload, checks = SUITES[suite](args, resolution)
+        payload, checks = SUITES[suite](args, args.res)
         for check in checks:
             _print_check(check)
         index[suite] = all(check.passed for check in checks)
@@ -422,78 +428,77 @@ def cmd_verify(args) -> int:
 
 # -- sweeps -------------------------------------------------------------------
 
+
+def _sweep_beta(args):
+    _require_below(args.beta_min, args.beta_max, "--beta-min", "--beta-max")
+    betas = np.logspace(math.log10(args.beta_min), math.log10(args.beta_max), args.steps or 8)
+    # a plain loop: the radial solves hold the GIL, so threads only add overhead
+    lams = [radial.solve_shell(args.n, args.r1, args.r2, b).lam for b in betas]
+    title = f"shell n={args.n} ({args.r1},{args.r2})"
+    plot = dict(xs=betas, series=[lams], labels=["lambda(beta)"], title=title, logx=True)
+    # violations of strict increase
+    check = Check("beta_sweep_monotone", np.sum(np.diff(lams) <= 0.0), 0.0, 0.0)
+    return ["beta", "lambda"], zip(betas, lams), plot, check
+
+
+def _sweep_offset(args):
+    span = args.r2 - args.r1
+    _require_below(args.gap, span, "--gap", "--r2 - --r1")
+    offsets = np.linspace(0.0, 0.9 * (span - args.gap), args.steps or 8)
+    lam_shell = radial.solve_shell(2, args.r1, args.r2, args.beta).lam
+    outer = geometry.Circle((0, 0), args.r2)
+    domains = [geometry.AnnularDomain(outer, geometry.Circle((x, 0), args.r1)) for x in offsets]
+    lams = [fem.solve_domain(dom, args.beta, *args.res).lam for dom in domains]
+    margins = [lam_shell - l for l in lams]
+    shells = [lam_shell] * len(lams)
+    labels, title = ["lambda_fem", "lambda_shell"], f"offset sweep beta={args.beta}"
+    plot = dict(xs=offsets, series=[lams, shells], labels=labels, title=title)
+    # the concentric point measures the discretization error directly
+    tol = 2.0 * max(abs(margins[0]), 1e-9)
+    check = Check("offset_margins_nonnegative", max(lams), lam_shell, tol)
+    header = ["offset", "lambda_fem", "lambda_shell", "margin"]
+    return header, zip(offsets, lams, shells, margins), plot, check
+
+
 # step k of a resolution sweep solves 8*2^k x 32*2^k, so 5 steps end at
 # 128x512.  On 2 cores the whole sweep took 1.5 s and 300 MB peak RSS at 5
 # steps and 3.0 s and 1.0 GB at 6; each step has 4x the nodes of the last
 MAX_RESOLUTION_STEPS = 5
 
 
-def cmd_sweep(args) -> int:
-    _require_below(args.r1, args.r2, "--r1", "--r2")
-    if args.kind == "beta":
-        _require_below(args.beta_min, args.beta_max, "--beta-min", "--beta-max")
-    if args.kind == "offset":
-        _require_below(args.gap, args.r2 - args.r1, "--gap", "--r2 - --r1")
-        n_r, n_a = _parse_res(args.res)
-    steps = args.steps or (4 if args.kind == "resolution" else 8)
-    if args.kind == "resolution" and steps < 3:
+def _sweep_resolution(args):
+    steps = args.steps or 4
+    if steps < 3:
         raise UsageError("a resolution sweep needs --steps of at least 3")
-    if args.kind == "resolution" and steps > MAX_RESOLUTION_STEPS:
+    if steps > MAX_RESOLUTION_STEPS:
         raise UsageError(
             f"a resolution sweep takes --steps of at most {MAX_RESOLUTION_STEPS}, got {steps}"
         )
+    dom = geometry.AnnularDomain(geometry.Circle((0, 0), args.r2), geometry.Circle((0, 0), args.r1))
+    lam_ref = radial.solve_shell(2, args.r1, args.r2, args.beta).lam
+    resolutions = [(8 * 2**k, 32 * 2**k) for k in range(steps)]
+    study = fem.convergence_study(dom, args.beta, resolutions, lam_ref=lam_ref)
+    errors = np.abs(study.lam_h - lam_ref)
+    rows = zip((f"{r[0]}x{r[1]}" for r in study.resolutions), study.h, study.lam_h, errors)
+    labels, title = ["|lambda_h - lambda|"], f"convergence, order ~ {study.order:.2f}"
+    plot = dict(xs=study.h, series=[errors], labels=labels, title=title, logx=True, logy=True)
+    check = Check.between("convergence_order", 1.5, study.order, 2.5, 0.0)
+    return ["resolution", "h", "lambda", "error"], rows, plot, check
+
+
+# the only list of sweep kinds: each checks its own flags, runs, and returns
+# the CSV header and rows, the keyword arguments of write_svg_plot and its check
+SWEEPS = {"beta": _sweep_beta, "offset": _sweep_offset, "resolution": _sweep_resolution}
+
+
+def cmd_sweep(args) -> int:
+    _require_below(args.r1, args.r2, "--r1", "--r2")
+    header, rows, plot, check = SWEEPS[args.kind](args)
+    # made once the results exist: a sweep that fails leaves no directory
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
-    if args.kind == "beta":
-        betas = np.logspace(math.log10(args.beta_min), math.log10(args.beta_max), steps)
-        # a plain loop: the radial solves hold the GIL, so threads only add overhead
-        lams = [radial.solve_shell(args.n, args.r1, args.r2, b).lam for b in betas]
-        rows = list(zip(betas, lams))
-        _write_csv(out / "beta_sweep.csv", ["beta", "lambda"], rows)
-        write_svg_plot(
-            out / "beta_sweep.svg", betas, [lams], ["lambda(beta)"],
-            f"shell n={args.n} ({args.r1},{args.r2})", logx=True,
-        )
-        # violations of strict increase
-        check = Check("beta_sweep_monotone", np.sum(np.diff(lams) <= 0.0), 0.0, 0.0)
-    elif args.kind == "offset":
-        span = args.r2 - args.r1
-        offsets = np.linspace(0.0, 0.9 * (span - args.gap), steps)
-        lam_shell = radial.solve_shell(2, args.r1, args.r2, args.beta).lam
-        lams = []
-        for off in offsets:
-            dom = geometry.AnnularDomain(
-                geometry.Circle((0, 0), args.r2), geometry.Circle((off, 0), args.r1)
-            )
-            lams.append(fem.solve_domain(dom, args.beta, n_r, n_a).lam)
-        margins = [lam_shell - l for l in lams]
-        rows = list(zip(offsets, lams, [lam_shell] * len(lams), margins))
-        _write_csv(out / "offset_sweep.csv", ["offset", "lambda_fem", "lambda_shell", "margin"], rows)
-        write_svg_plot(
-            out / "offset_sweep.svg", offsets, [lams, [lam_shell] * len(lams)],
-            ["lambda_fem", "lambda_shell"], f"offset sweep beta={args.beta}",
-        )
-        # the concentric point measures the discretization error directly
-        tol = 2.0 * max(abs(margins[0]), 1e-9)
-        check = Check("offset_margins_nonnegative", max(lams), lam_shell, tol)
-    else:
-        dom = geometry.AnnularDomain(
-            geometry.Circle((0, 0), args.r2), geometry.Circle((0, 0), args.r1)
-        )
-        lam_ref = radial.solve_shell(2, args.r1, args.r2, args.beta).lam
-        resolutions = [(8 * 2**k, 32 * 2**k) for k in range(steps)]
-        study = fem.convergence_study(dom, args.beta, resolutions, lam_ref=lam_ref)
-        rows = [
-            (f"{r[0]}x{r[1]}", h, lam, abs(lam - lam_ref))
-            for r, h, lam in zip(study.resolutions, study.h, study.lam_h)
-        ]
-        _write_csv(out / "resolution_sweep.csv", ["resolution", "h", "lambda", "error"], rows)
-        write_svg_plot(
-            out / "resolution_sweep.svg", study.h, [np.abs(study.lam_h - lam_ref)],
-            ["|lambda_h - lambda|"], f"convergence, order ~ {study.order:.2f}",
-            logx=True, logy=True,
-        )
-        check = Check.between("convergence_order", 1.5, study.order, 2.5, 0.0)
+    _write_csv(out / f"{args.kind}_sweep.csv", header, rows)
+    write_svg_plot(out / f"{args.kind}_sweep.svg", **plot)
     _print_check(check)
     return 0 if check.passed else 1
 
@@ -534,7 +539,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fem.add_argument("--outer", required=True, help='e.g. "circle 0 0 2"')
     p_fem.add_argument("--inner", required=True, help='e.g. "circle 0.5 0 1"')
     p_fem.add_argument("--beta", type=_parse_beta, required=True)
-    p_fem.add_argument("--res", default="64x256", help="n_r x n_a mesh resolution")
+    p_fem.add_argument(
+        "--res", type=_parse_res, default="64x256", help="n_r x n_a mesh resolution"
+    )
     p_fem.add_argument("--out", default=None)
     p_fem.set_defaults(func=cmd_fem)
 
@@ -545,13 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p_verify.add_argument("--seed", type=_int_at_least("--seed", 0), default=7)
-    p_verify.add_argument("--res", default="48x192")
+    p_verify.add_argument("--res", type=_parse_res, default="48x192")
     p_verify.add_argument("--quick", action="store_true", help="smaller suites for smoke tests")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="parameter sweeps with CSV + SVG output")
-    p_sweep.add_argument("--kind", choices=("beta", "offset", "resolution"), required=True)
+    p_sweep.add_argument("--kind", choices=SWEEPS, required=True)
     p_sweep.add_argument("--n", type=_int_at_least("--n", 2), default=2)
     p_sweep.add_argument("--r1", type=_positive("--r1"), default=1.0)
     p_sweep.add_argument("--r2", type=_positive("--r2"), default=2.0)
@@ -563,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--steps", type=_int_at_least("--steps", 2), default=None,
         help="grid points (default 8; 4 for --kind resolution)",
     )
-    p_sweep.add_argument("--res", default="32x128")
+    p_sweep.add_argument("--res", type=_parse_res, default="32x128")
     p_sweep.add_argument("--out", default=".")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
@@ -571,27 +578,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # config seeds defaults; explicit flags override because they come later
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 >= len(argv):
-            print("error: --config needs a path", file=sys.stderr)
-            return 2
-        if idx == 0:
-            print("error: --config must follow a subcommand", file=sys.stderr)
-            return 2
-        path = argv[idx + 1]
-        command = argv[0]
-        rest = argv[:idx] + argv[idx + 2 :]
-        try:
-            injected = _read_config_tokens(path, command)
-        except UsageError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 2
-        argv = [command] + injected + rest[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

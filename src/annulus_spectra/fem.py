@@ -32,7 +32,7 @@ from scipy.linalg import eigh, qr
 from scipy.sparse.linalg import splu
 
 from .errors import GeometryError, RangeError, SolverError, StarShapeError
-from .geometry import SQUARE_MAX, AnnularDomain
+from .geometry import SQUARE_MAX, AnnularDomain, _unit
 
 RESIDUAL_FACTOR = 1e-10
 # pencils with at most this many free nodes are solved by dense eigh
@@ -383,8 +383,10 @@ def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray, allowed: float):
     says, that quadratic residual bound caps ritz[0] - lambda_1, and the
     first vector's residual norm is at most allowed times its norm.  It
     stops unsettled when the bound stops falling or after _MAX_STEPS steps.
+    The bound and the settle test are formed on values scaled by powers of
+    two: the same bits, and no overflow on domains scaled below 2^-260.
     """
-    weight = 1.0 / m.diagonal()[:, None]
+    weight, unit = 1.0 / m.diagonal()[:, None], _unit(shift)
     best = None
     for steps in range(1, _MAX_STEPS + 1):
         y = qr(lu.solve(m @ x), mode="economic", check_finite=False)[0]
@@ -392,12 +394,13 @@ def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray, allowed: float):
         ritz, q = eigh(y.T @ ay, y.T @ my, check_finite=False)
         x = y @ q
         r = ay @ q - (my @ q) * ritz
-        bound = 2.0 * math.sqrt(float(np.sum(r * r * weight)))
+        r_unit = _unit(r)
+        bound = 2.0 * math.sqrt(float(np.sum((r * r_unit) ** 2 * weight))) / r_unit
         if best is not None and bound >= best[2]:
             break
         best = (ritz, x, bound)
-        gap = shift - ritz[-1]
-        if gap > bound and bound * bound <= _EPS * abs(ritz[0]) * gap:
+        gap, scaled = shift - ritz[-1], bound * unit
+        if gap > bound and scaled * scaled <= _EPS * abs(ritz[0] * unit) * (gap * unit):
             if np.linalg.norm(r[:, 0]) <= allowed * np.linalg.norm(x[:, 0]):
                 return (*best, steps, True)
     return (*best, steps, False)
@@ -497,6 +500,8 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
         solves += steps
     del lu  # the factor, with the CSC copies of L and U it caches, goes first
     rho, y, r = _quotient(a, m, x[:, 0])
+    unit = _unit(r)  # the error bound's sum on r scaled as in _inverse_iteration
+    rs = r * unit
     if np.linalg.norm(r) > allowed * np.linalg.norm(y):
         raise SolverError(f"generalized residual {np.linalg.norm(r):.3e} above tolerance")
     if not ritz[-1] + bound < shift:
@@ -509,7 +514,7 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
         "sigma": sigma,
         "factor_nnz": nnz,
         "residual": float(np.linalg.norm(r)),
-        "error_bound": max(bound, 2.0 * math.sqrt(float(r @ (r / m.diagonal())))),
+        "error_bound": max(bound, 2.0 * math.sqrt(float(rs @ (rs / m.diagonal()))) / unit),
     }
     return rho, y, stats
 

@@ -56,9 +56,10 @@ def unit_ball_volume(n: int) -> float:
 
 
 def _unit(points) -> float:
-    """The power of two within a factor 2 of 1 / max |coordinate|: points
+    """The power of two within a factor 2 of 1 / max |coordinate|, at most
+    2^1000 (past which a subnormal maximum would overflow it): points
     scaled by it, and their products, keep their bits and cannot overflow."""
-    return math.ldexp(1.0, -math.frexp(float(np.max(np.abs(points))))[1])
+    return math.ldexp(1.0, min(1000, -math.frexp(float(np.max(np.abs(points))))[1]))
 
 
 def _as_point(p) -> np.ndarray:

@@ -229,10 +229,11 @@ def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
     bracket is the full scan's, and Brent's method reads the scan's own
     values at its ends (_jy gives a scalar the array's value); each
     evaluation computes J_nu(k R1) and Y_nu(k R1) once for both cross products.
-    RangeError where that bound's squares of R2 and 2 pi / d overflow, and
-    before the scan where the profile's constant c (_scale) overflows or
-    falls below the normal floats, whose lost bits phi would carry; and
-    NumericalError where Brent's method does not converge.
+    RangeError where that bound's squares of R2 and 2 pi / d overflow,
+    before the scan where c (_scale) overflows or leaves the normal floats,
+    whose lost bits phi would carry, and below it where Y_nu(k R1)
+    overflows before g turns negative; NumericalError where Brent's method
+    does not converge.
     """
     nu, d = 0.5 * n - 1.0, r2 - r1
     if not max(2.0 * math.pi / d, r2) <= SQUARE_MAX:
@@ -260,6 +261,8 @@ def _first_root(n: int, r1: float, r2: float, beta: float) -> float:
         if lo < 1e-200 * ks[0]:
             raise NumericalError("characteristic function should be negative near k = 0")
         lo, hi = lo / 16.0, lo
+        if not math.isfinite(_jy(nu, lo * r1)[1]):  # |Y_nu(k R1)| only grows as k falls
+            raise RangeError(f"shell ({r1:g}, {r2:g}): Y_{nu:g}(k R1) overflows at k = {lo:.6g}")
     try:
         return brentq(lambda k: float(g(k)), lo, hi, xtol=1e-15 * hi)
     except RuntimeError:
@@ -323,8 +326,10 @@ def solve_shell(n: int, r1: float, r2: float, beta: float) -> RadialEigenResult:
         # phi' keeps its sign up to hi only at R2, where phi' is imposed: there,
         # as where its zero rounds to R2, beta phi(R2) lies below the rounding
         # of phi' and r_bar degenerates to R2 as at beta = 0
+        # toward a tiny r_bar Brent's method may halve [R1, R2] some 1100 times,
+        # once every other step at worst: 2200 steps reach any float
         try:
-            r_bar = r2 if z1(hi) > 0.0 else brentq(z1, r[drop], hi, xtol=EPS * r1)
+            r_bar = r2 if z1(hi) > 0.0 else brentq(z1, r[drop], hi, xtol=EPS * r1, maxiter=2200)
         except RuntimeError:
             raise NumericalError(f"shell ({r1:.6g}, {r2:.6g}): r_bar did not converge") from None
         v_M = v_m if r_bar == r2 else _scale(nu, r1, r_bar) * _cross(nu, nu, k, r1, r_bar, inner)

@@ -13,7 +13,7 @@ import pytest
 from annulus_spectra import cli
 from annulus_spectra.analysis import InequalityReport
 from annulus_spectra.cli import main, write_svg_plot
-from annulus_spectra.errors import NumericalError
+from annulus_spectra.errors import NumericalError, SolverError
 from annulus_spectra.fem import convergence_study, solve_domain
 from annulus_spectra.geometry import AnnularDomain, Circle
 from annulus_spectra.radial import closed_form_3d, solve_shell
@@ -100,6 +100,15 @@ class TestShellCommand:
         assert main(["shell", "--n", "5", "--r1", "1e-150", "--r2", "1", "--beta", "1"]) == 1
         err = capsys.readouterr().err
         assert err == "numerical failure: R1^2.5 underflows at R1 = 1e-150\n"
+
+    def test_inner_bessel_overflow_exits_one(self, capsys):
+        # once a RuntimeWarning from 0 * inf in the characteristic function
+        argv = ["shell", "--n", "22", "--r1", "3.93e-3", "--r2", "1.58", "--beta", "0"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "numerical failure: shell (0.00393, 1.58): Y_10(k R1) overflows at k = 1.00636e-28\n"
+        )
 
     @pytest.mark.parametrize("beta", ["nan", "-1"])
     def test_invalid_beta_usage_error(self, beta, capsys):
@@ -577,6 +586,52 @@ class TestSweepCommand:
         assert (tmp_path / "a" / "beta_sweep.svg").read_bytes() == (
             tmp_path / "b" / "beta_sweep.svg"
         ).read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind, extra", [("offset", ["--res", "16x64"]), ("resolution", [])]
+    )
+    def test_every_kind_writes_byte_identical_outputs(self, kind, extra, tmp_path, capsys):
+        for sub in ("a", "b"):
+            argv = ["sweep", "--kind", kind, "--steps", "3", *extra, "--out", str(tmp_path / sub)]
+            assert main(argv) == 0
+        for suffix in ("csv", "svg"):
+            name = f"{kind}_sweep.{suffix}"
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", ["beta", "resolution"])
+    def test_malformed_resolution_usage_error_on_every_kind(self, kind, tmp_path, capsys):
+        # --res is parsed where it is declared, also for the kinds that do not read it
+        out = tmp_path / "out"
+        assert main(["sweep", "--kind", kind, "--res", "garbage", "--out", str(out)]) == 2
+        assert "resolution must look like 64x256, got 'garbage'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["beta", "offset", "resolution"])
+    def test_failed_solve_exits_one_and_creates_no_out(self, kind, tmp_path, monkeypatch, capsys):
+        def failing_solve(*args, **kwargs):
+            raise SolverError("no convergence")
+
+        monkeypatch.setattr(cli.radial, "solve_shell", failing_solve)
+        monkeypatch.setattr(cli.fem, "solve_domain", failing_solve)
+        out = tmp_path / "out"
+        assert main(["sweep", "--kind", kind, "--steps", "3", "--out", str(out)]) == 1
+        assert "numerical failure: no convergence" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_kinds_are_the_sweep_table(self, tmp_path, monkeypatch, capsys):
+        parser = cli.build_parser()
+        sweep = parser._subparsers._group_actions[0].choices["sweep"]
+        (kind,) = [action for action in sweep._actions if action.dest == "kind"]
+        assert list(kind.choices) == list(cli.SWEEPS) == ["beta", "offset", "resolution"]
+        # a kind added to the table is accepted, run and written like the others
+        check = InequalityReport("stub_check", 0.0, 0.0, 0.0)
+        plot = {"xs": [1.0, 2.0], "series": [[3.0, 4.0]], "labels": ["y"], "title": "stub"}
+        stub = lambda args: (["x", "y"], [(1.0, 3.0), (2.0, 4.0)], plot, check)
+        monkeypatch.setitem(cli.SWEEPS, "stub", stub)
+        assert main(["sweep", "--kind", "stub", "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "stub_sweep.csv").read_text().splitlines() == ["x,y", "1,3", "2,4"]
+        assert (tmp_path / "stub_sweep.svg").exists()
+        assert "[PASS] stub_check" in capsys.readouterr().out
 
     def test_offset_sweep_matches_serial_solves_on_calling_thread(self, tmp_path, monkeypatch):
         solve_threads = []

@@ -1,3 +1,4 @@
+import functools
 import math
 import weakref
 
@@ -788,6 +789,62 @@ def test_property_sweep(r1, reach, phi, resolution, beta):
     err = res.stats["error_bound"]
     assert lo.lam - lo.stats["error_bound"] - err <= res.lam
     assert res.lam <= hi.lam + hi.stats["error_bound"] + err
+
+
+FAMILY = standard_family()
+
+
+def _scaled_domain(dom, k):
+    """The domain with every point and centre times 2^k, exact in floating point."""
+    s = math.ldexp(1.0, k)
+    curves = []
+    for curve in (dom.outer, dom.inner):
+        if isinstance(curve, PolygonCurve):
+            curves.append(PolygonCurve(ConvexPolygon(curve.polygon.vertices * s)))
+        elif isinstance(curve, Circle):
+            curves.append(Circle(tuple(np.asarray(curve.center) * s), curve.radius * s))
+        else:
+            curves.append(Ellipse(tuple(np.asarray(curve.center) * s), curve.a * s, curve.b * s))
+    return AnnularDomain(*curves, dom.center * s)
+
+
+@functools.lru_cache(maxsize=None)
+def _unscaled_fem_lam(member, beta):
+    return solve_domain(FAMILY[member], beta, 16, 64).lam
+
+
+# RuntimeWarnings as errors: the plain "error" filter would also raise the
+# deprecation warning that hypothesis's failure report meets
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    member=st.integers(0, len(FAMILY) - 1),
+    beta=st.sampled_from([0.0, 0.1, 1.0, 10.0, 1e4, math.inf]),
+    k=st.integers(-500, 500),
+)
+def test_fem_eigenvalue_is_covariant_under_power_of_two_scaling(member, beta, k):
+    # scaling the domain by 2^k and beta by 2^-k scales lambda_h by 4^-k; below
+    # about 2^-260 the eigensolver's residual sums and its settle test once
+    # overflowed, as lambda_h^2 and r' diag(M)^-1 r pass the largest float
+    lam = solve_domain(_scaled_domain(FAMILY[member], k), beta * 2.0**-k, 16, 64).lam
+    expected = _unscaled_fem_lam(member, beta)
+    assert abs(lam * 4.0**k - expected) <= 4.0 * EPS * expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "k, error, message",
+    [
+        # the entries of M reach the float minimum, and dense eigh gives no pair
+        (-508, SolverError, "dense eigh gave 0 of the floor's two smallest eigenpairs"),
+        (510, RangeError, r"mesh extent 1\.34078e\+154 squares beyond the float range"),
+    ],
+    ids=["floor", "extent"],
+)
+def test_fem_scale_ends_typed(k, error, message):
+    for beta in (1.0, math.inf):
+        with pytest.raises(error, match=message):
+            solve_domain(_scaled_domain(FAMILY[3], k), beta * 2.0**-k, 16, 64)
 
 
 class TestConvergence:

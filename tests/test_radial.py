@@ -605,16 +605,82 @@ class TestFloatRange:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
-        "shell, message",
+        "shell, failing_call, message",
         [
-            ((3, 1e20, 1e120, 0.0), r"shell \(1e\+20, 1e\+120\): first root did not converge"),
-            ((3, 1e-140, 1e-40, 1.0), r"shell \(1e-140, 1e-40\): r_bar did not converge"),
+            (
+                (3, 1e20, 1e120, 0.0), None,
+                r"shell \(1e\+20, 1e\+120\): first root did not converge",
+            ),
+            # the r_bar polish has the steps to reach any float (test_tiny_r_bar_*),
+            # so its second Brent call, the polish, is made to fail
+            ((3, 1.0, 2.0, 1.0), 2, r"shell \(1, 2\): r_bar did not converge"),
         ],
         ids=["first-root", "r_bar"],
     )
-    def test_brent_that_does_not_converge_is_typed(self, shell, message):
+    def test_brent_that_does_not_converge_is_typed(
+        self, shell, failing_call, message, monkeypatch
+    ):
+        calls, real = [], radial.brentq
+
+        def brentq(*args, **kwargs):
+            calls.append(args)
+            if len(calls) == failing_call:
+                raise RuntimeError("Failed to converge after 100 iterations")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(radial, "brentq", brentq)
         with pytest.raises(NumericalError, match=message):
             solve_shell(*shell)
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_r_bar_on_a_tiny_shell_matches_mpmath(self):
+        # once "r_bar did not converge": the stride spans the shell, and
+        # brentq's 100 default steps bisected [R1, R2] short of r_bar = 1e-60
+        res = solve_shell(3, 1e-140, 1e-40, 1.0)
+        # both 3D equations cancel to about (k R2)^2 = 3e-40 relative, and the
+        # r_bar one, tan(k (r - R1)) = k r, to (k r_bar)^2 = 3e-80
+        with mpmath.workdps(200):
+            r1, r2 = mpmath.mpf(1e-140), mpmath.mpf(1e-40)
+            f = lambda k: k * r2 * mpmath.cos(k * (r2 - r1)) + (r2 - 1) * mpmath.sin(k * (r2 - r1))
+            exact_lam = float(mpmath.findroot(f, mpmath.sqrt(res.lam)) ** 2)
+            # at the solve's own k, as _exact_r_bar
+            k = mpmath.mpf(res._k)
+            g = lambda r: k * r * mpmath.cos(k * (r - r1)) - mpmath.sin(k * (r - r1))
+            exact_r_bar = float(mpmath.findroot(g, mpmath.mpf(res.r_bar)))
+        assert abs(res.lam - exact_lam) <= 4.0 * EPS * exact_lam
+        # the Bessel kernels' rounding moves phi' by some 10 units of its
+        # terms, whose ratio grows like r^3: measured 10.6 eps
+        assert abs(res.r_bar - exact_r_bar) <= 16.0 * EPS * exact_r_bar
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n, r1",
+        [(3, 1e-100), (3, 1e-120), (3, 1e-150), (3, 1e-200), (3, 1e-205)]
+        + [(4, 1e-100), (4, 1e-120), (4, 1e-150), (5, 1e-100), (5, 1e-120), (6, 1e-100)],
+    )
+    def test_tiny_r_bar_answers(self, n, r1):
+        # beta = 1e-3 on (R1, 1): r_bar is (3 R1 / k^2)^(1/3) = 4.6e-33 at n = 3
+        # on 1e-100, a bracket that brentq's 100 default steps did not close
+        res = solve_shell(n, r1, 1.0, 1e-3)
+        assert r1 < res.r_bar < 1e-30 and 0.0 < res.v_m < res.v_M
+        assert res.phi[1:-1].min() > 0.0  # the full profile passes its checks
+        if n == 3:
+            assert abs(res.lam - closed_form_3d(r1, 1.0, 1e-3)) <= 10.0 * EPS * res.lam
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "n, r1, r2, k",
+        [(5, 1e-100, 1.0, "5.12496e-55"), (5, 1e-120, 1.0, "9.45389e-36")]
+        + [(6, 1e-100, 1.0, "5.12496e-55")]
+        + [(n, 3.93e-3, 1.58, None) for n in range(22, 41)],
+    )
+    def test_inner_bessel_overflow_below_the_scan_is_typed(self, n, r1, r2, k):
+        # beta = 0 with the root below the scan: Y_nu(k R1) overflows as the
+        # search halves k, where g once formed 0 * inf (a RuntimeWarning);
+        # g had underflowed to -0 (n = 22, 24, 30) or stayed positive (n = 40)
+        message = rf"shell \({r1:.6g}, {r2:.6g}\): Y_{0.5 * n - 1.0:g}\(k R1\) overflows at k = "
+        with pytest.raises(RangeError, match=message + (k or "")):
+            solve_shell(n, r1, r2, 0.0)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_inner_power_is_typed(self):
