@@ -495,7 +495,7 @@ def cmd_sweep(args) -> int:
     _require_below(args.r1, args.r2, "--r1", "--r2")
     header, rows, plot, check = SWEEPS[args.kind](args)
     # made once the results exist: a sweep that fails leaves no directory
-    out = Path(args.out) if args.out else Path(".")
+    out = Path(args.out)  # Path("") is the working directory, as "."
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / f"{args.kind}_sweep.csv", header, rows)
     write_svg_plot(out / f"{args.kind}_sweep.svg", **plot)

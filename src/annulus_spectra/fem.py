@@ -500,13 +500,13 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
         solves += steps
     del lu  # the factor, with the CSC copies of L and U it caches, goes first
     rho, y, r = _quotient(a, m, x[:, 0])
-    unit = _unit(r)  # the error bound's sum on r scaled as in _inverse_iteration
-    rs = r * unit
     if np.linalg.norm(r) > allowed * np.linalg.norm(y):
         raise SolverError(f"generalized residual {np.linalg.norm(r):.3e} above tolerance")
     if not ritz[-1] + bound < shift:
         raise SolverError(f"Ritz values {ritz} within {bound:.3e} of the shift {shift:.9g}")
 
+    unit = _unit(r)  # the error bound's sum on r scaled as in _inverse_iteration
+    rs = r * unit
     stats = {
         "outer_iterations": solves,
         "factorizations": factorizations,
