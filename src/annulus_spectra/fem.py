@@ -32,7 +32,7 @@ from scipy.linalg import eigh, qr
 from scipy.sparse.linalg import splu
 
 from .errors import GeometryError, RangeError, SolverError, StarShapeError
-from .geometry import SQUARE_MAX, AnnularDomain, _unit
+from .geometry import SQUARE_MAX, SQUARE_MIN, AnnularDomain, _unit
 
 RESIDUAL_FACTOR = 1e-10
 # pencils with at most this many free nodes are solved by dense eigh
@@ -187,7 +187,9 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
     boundary crossings of each ray; quads are split along their shorter
     diagonal, two triangles per quad in ring-major, then ray, order.  The
     validated mesh is memoised on the (immutable) domain per resolution,
-    so later calls return the same Mesh with its cached blocks.
+    so later calls return the same Mesh with its cached blocks.  A domain
+    whose extent squares below the normal floats is refused (RangeError)
+    before any ray is cast.
     """
     if n_r < 2:
         raise RangeError("need at least 2 radial layers")
@@ -195,6 +197,9 @@ def mesh_annular(domain: AnnularDomain, n_r: int, n_a: int) -> Mesh:
         raise RangeError("need at least 8 angular rays")
     if (n_r, n_a) in domain._meshes:
         return domain._meshes[n_r, n_a]
+    extent = domain.outer.scale
+    if not extent >= SQUARE_MIN:
+        raise RangeError(f"domain extent {extent:.6g} squares below the normal floats")
     center = domain.center
     theta = 2.0 * np.pi * np.arange(n_a) / n_a
     dirs = np.column_stack([np.cos(theta), np.sin(theta)])
@@ -370,6 +375,16 @@ def _shifted_factor(a: sparse.csr_matrix, m: sparse.csr_matrix, sigma: float):
     return lu, int(np.count_nonzero(pivots < 0.0))
 
 
+def _scaled_diagonal(m):
+    """(diag(M) half^2, half): M's diagonal scaled by the even power of two
+    half^2 that brings its largest entry near 1, so that a sum over
+    diag(M)^-1 keeps its bits and cannot overflow, and its square root
+    scales back by half alone."""
+    diagonal = m.diagonal()
+    half = _unit(math.sqrt(float(np.max(diagonal))))
+    return diagonal * half * half, half
+
+
 def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray, allowed: float):
     """Block inverse iteration with Rayleigh-Ritz under lu = A - shift M.
 
@@ -384,9 +399,11 @@ def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray, allowed: float):
     first vector's residual norm is at most allowed times its norm.  It
     stops unsettled when the bound stops falling or after _MAX_STEPS steps.
     The bound and the settle test are formed on values scaled by powers of
-    two: the same bits, and no overflow on domains scaled below 2^-260.
+    two (_scaled_diagonal): the same bits, and no overflow on domains
+    scaled down to the dense floor.
     """
-    weight, unit = 1.0 / m.diagonal()[:, None], _unit(shift)
+    diagonal, half = _scaled_diagonal(m)
+    weight, unit = 1.0 / diagonal[:, None], _unit(shift)
     best = None
     for steps in range(1, _MAX_STEPS + 1):
         y = qr(lu.solve(m @ x), mode="economic", check_finite=False)[0]
@@ -395,7 +412,7 @@ def _inverse_iteration(a, m, lu, shift: float, x: np.ndarray, allowed: float):
         x = y @ q
         r = ay @ q - (my @ q) * ritz
         r_unit = _unit(r)
-        bound = 2.0 * math.sqrt(float(np.sum((r * r_unit) ** 2 * weight))) / r_unit
+        bound = 2.0 * math.sqrt(float(np.sum((r * r_unit) ** 2 * weight))) * half / r_unit
         if best is not None and bound >= best[2]:
             break
         best = (ritz, x, bound)
@@ -505,7 +522,8 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
     if not ritz[-1] + bound < shift:
         raise SolverError(f"Ritz values {ritz} within {bound:.3e} of the shift {shift:.9g}")
 
-    unit = _unit(r)  # the error bound's sum on r scaled as in _inverse_iteration
+    # the error bound's sum on r and diag(M) scaled as in _inverse_iteration
+    (diagonal, half), unit = _scaled_diagonal(m), _unit(r)
     rs = r * unit
     stats = {
         "outer_iterations": solves,
@@ -514,7 +532,7 @@ def smallest_eigenpair(a: sparse.csr_matrix, m: sparse.csr_matrix, seed=None, an
         "sigma": sigma,
         "factor_nnz": nnz,
         "residual": float(np.linalg.norm(r)),
-        "error_bound": max(bound, 2.0 * math.sqrt(float(rs @ (rs / m.diagonal()))) / unit),
+        "error_bound": max(bound, 2.0 * math.sqrt(float(rs @ (rs / diagonal))) * half / unit),
     }
     return rho, y, stats
 

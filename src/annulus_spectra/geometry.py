@@ -48,6 +48,8 @@ CLASS_S_RTOL = 1e-8
 FOOT_POINT_ITERATIONS = 100
 # The largest length whose square is a float: x**2 overflows exactly above it.
 SQUARE_MAX = math.sqrt(sys.float_info.max)
+# The smallest length whose square is a normal float: below it x**2 loses bits.
+SQUARE_MIN = math.sqrt(sys.float_info.min)
 
 
 def unit_ball_volume(n: int) -> float:
@@ -246,7 +248,7 @@ def random_convex_polygon(rng: np.random.Generator, n: int, scale: float = 1.0) 
 # ---------------------------------------------------------------------------
 
 
-def inradius(poly: ConvexPolygon, return_center: bool = False):
+def inradius(poly: ConvexPolygon) -> float:
     """Radius of the largest inscribed disk (Chebyshev center of the edges).
 
     Solved as the linear program max t subject to n_e . x + t <= b_e.
@@ -257,10 +259,7 @@ def inradius(poly: ConvexPolygon, return_center: bool = False):
     res = linprog(c=[0.0, 0.0, -1.0], A_ub=a_ub, b_ub=b, bounds=[(None, None)] * 3, method="highs")
     if not res.success:
         raise GeometryError(f"inradius LP failed: {res.message}")
-    rho = float(res.x[2])
-    if return_center:
-        return rho, np.array(res.x[:2])
-    return rho
+    return float(res.x[2])
 
 
 def aleksandrov_fenchel_check(poly: ConvexPolygon) -> float:
@@ -438,16 +437,21 @@ class Ellipse(BoundaryCurve):
         return min(self.a, self.b) ** 2 / max(self.a, self.b)
 
     def ray_length(self, origin, direction):
-        o = _as_point(origin) - self._c()
+        """The larger root of the ray's quadratic in the ellipse's unit-circle
+        coordinates, computed on the ellipse and origin scaled by _unit and
+        scaled back."""
+        unit = _unit([self.a, self.b])
+        a, b = self.a * unit, self.b * unit
+        o = (_as_point(origin) - self._c()) * unit
         u, single = _as_rows(direction)
-        os = np.array([o[0] / self.a, o[1] / self.b])
+        os = np.array([o[0] / a, o[1] / b])
         cc = os @ os - 1.0
         if not cc < 0.0:
             raise StarShapeError("ray origin is outside the ellipse")
-        usx, usy = u[:, 0] / self.a, u[:, 1] / self.b
+        usx, usy = u[:, 0] / a, u[:, 1] / b
         aa = usx * usx + usy * usy
         bb = os[0] * usx + os[1] * usy
-        t = (-bb + np.sqrt(bb * bb - aa * cc)) / aa
+        t = (-bb + np.sqrt(bb * bb - aa * cc)) / aa / unit
         return float(t[0]) if single else t
 
     def sample(self, n):
@@ -708,11 +712,11 @@ def scale_hole_to_class_s(outer: BoundaryCurve, hole_shape: BoundaryCurve) -> fl
     """Scale factor making the hole's isoperimetric deficit match the outer's.
 
     Deficits scale with the square of the dilation factor, so the matching
-    scale is sqrt(deficit_outer / deficit_hole).  The scaled hole is
-    recentered at the outer body's natural center (a polygon's Chebyshev
-    center) and compact containment is verified.  A hole with zero deficit
-    (a disk, also in a disk, where every contained scale would match)
-    has no single factor: InfeasibleError.
+    scale is sqrt(deficit_outer / deficit_hole).  Compact containment is
+    verified for hole_shape.scaled(s) where it lies, the hole its callers
+    build (ContainmentError).  A hole with zero deficit (a disk, also in a
+    disk, where every contained scale would match) has no single factor:
+    InfeasibleError.
     """
     d_out = isoperimetric_deficit(outer)
     d_hole = isoperimetric_deficit(hole_shape)
@@ -722,14 +726,8 @@ def scale_hole_to_class_s(outer: BoundaryCurve, hole_shape: BoundaryCurve) -> fl
         raise InfeasibleError("hole has zero deficit, so no single scale matches the outer body")
     if zero_out:
         raise InfeasibleError("outer body has zero deficit but the hole does not")
-    if isinstance(outer, PolygonCurve):
-        _, center = inradius(outer.polygon, return_center=True)
-    else:
-        center = outer.reference_point()
     s = math.sqrt(d_out / d_hole)
-    candidate = hole_shape.scaled(s)
-    candidate = candidate.translated(center - candidate.reference_point())
-    if not free_distance(outer, candidate) > CONTAINMENT_REL_GAP * outer.scale:
+    if not free_distance(outer, hole_shape.scaled(s)) > CONTAINMENT_REL_GAP * outer.scale:
         raise ContainmentError(f"scaled hole (factor {s:.6g}) does not fit in the outer body")
     return s
 

@@ -23,11 +23,12 @@ K + sB, those of the outer distance are the ellipse's inner parallel
 curves, and each is clipped by the other's region at their crossings,
 between which both have closed-form arc lengths.  build_web refuses any
 other outer curve and a falling band as deep as the ellipse's reach.  One
-Newton solve on the area law places every split; its last pass gives the
-quotient's integrals, to round-off with their quadrature error, on no grid
-and no polygon.  The sandwich lambda(Omega) <= R(w) <= lambda_shell is
-read only on certified webs: off the shell the interface jump is a real
-feature of the construction.
+Newton solve on the area law, which reads only the hole-distance lengths,
+places every split, and one pass there gives the quotient's integrals, to
+round-off with their quadrature error, on no grid and no polygon.  The
+sandwich lambda(Omega) <= R(w) <= lambda_shell is read only on certified
+webs: off the shell the interface jump is a real feature of the
+construction.
 """
 
 from __future__ import annotations
@@ -80,11 +81,12 @@ def _split(domain: AnnularDomain, radial: RadialEigenResult):
     A' = P_i(s), the length of the boundary of K + sB inside the outer
     ellipse (_level_lengths at depth 0), so s* is a safeguarded Newton
     solve on A = the coarea integral of P_i at COAREA_NODES[0] nodes per
-    panel, each step one _coarea_pass.  Up to the hole's free distance the
-    law is Steiner's, P(K) s + pi s^2, and the solve starts at its class-S
-    root r_bar - R1; past it, at _area_start, with r_bar - R1 a lower bound
-    as P_i <= P(K) + 2 pi s.  It stops once its step falls below SPLIT_RTOL
-    of s*; the area error is the residual there plus |A_32 - A_16|.
+    panel, each step one _level_lengths call at depth 0 alone.  It starts
+    at the class-S root r_bar - R1 of Steiner's law P(K) s + pi s^2: exact
+    up to the hole's free distance, and past it a lower bound, as P_i <=
+    P(K) + 2 pi s.  It stops once its step falls below SPLIT_RTOL of s*,
+    where one _coarea_pass gives the integrals and the area error |A_32 -
+    target| + |A_32 - A_16|.
     """
     r1 = radial.shell.r_inner
     target = math.pi * (radial.r_bar**2 - r1 * r1)
@@ -92,40 +94,18 @@ def _split(domain: AnnularDomain, radial: RadialEigenResult):
         raise InfeasibleError("split area target exceeds the domain area")
     frame = _frame(domain)
     lo, hi = radial.r_bar - r1, math.inf
-    s = lo if lo <= domain.gap else (_area_start(frame, domain, [*frame.exits, lo], target) or lo)
+    s, breaks = lo, [*frame.exits, lo]
     for _ in range(SPLIT_ITERATIONS):
-        integrals, area, length = _coarea_pass(frame, domain, radial, s)
-        miss = area[0] - target
-        step = miss / length
+        levels, weights = _cosine_panels(0.0, s, breaks, COAREA_NODES[0])
+        p_i = _level_lengths(frame, domain, np.append(levels, s), np.zeros(len(levels) + 1))[0]
+        miss = float(np.sum(weights * p_i[:-1])) - target
+        step = miss / p_i[-1]
         if abs(step) <= SPLIT_RTOL * s:
-            return s, (abs(miss) + abs(area[0] - area[1])) / target, integrals
+            integrals, area = _coarea_pass(frame, domain, radial, s)
+            return s, (abs(area[0] - target) + abs(area[0] - area[1])) / target, integrals
         lo, hi = (s, hi) if miss < 0.0 else (lo, s)
         s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
     raise NumericalError(f"the area law's Newton solve did not settle near s = {s:.6g}")
-
-
-def _area_start(frame, domain: AnnularDomain, breaks, target: float):
-    """A start for the area law's Newton solve, or None.
-
-    One pass of P_i at COAREA_NODES[0] nodes per panel from the gap to the
-    farthest exit, where K + sB covers the ellipse, finds the panel where
-    A reaches target.  There the integrand in the panel's Gauss variable is
-    smooth, and the root of its Legendre interpolant's integral, mapped
-    back through the interpolant of s, is s* to about rounding.
-    """
-    n, gap = COAREA_NODES[0], domain.gap
-    s, w = _cosine_panels(gap, float(np.max(frame.exits)), breaks, n)
-    x, wx = _legendre(n)
-    f = (w * _level_lengths(frame, domain, s, np.zeros(len(s)))[0]).reshape(-1, n)
-    ends = domain.inner.perimeter() * gap + math.pi * gap * gap + np.cumsum(np.sum(f, axis=1))
-    j = int(np.searchsorted(ends, target))
-    if j == len(ends):
-        return None
-    leg = np.polynomial.legendre
-    area = leg.legint(leg.legfit(x, f[j] / wx, n - 1), lbnd=-1.0, k=ends[j] - np.sum(f[j]) - target)
-    roots = np.asarray(leg.legroots(area), dtype=complex)
-    root = roots[np.argmin(np.abs(roots.imag) + np.maximum(np.abs(roots.real) - 1.0, 0.0))].real
-    return float(leg.legval(np.clip(root, -1.0, 1.0), leg.legfit(x, s.reshape(-1, n)[j], n - 1)))
 
 
 @dataclass(frozen=True)
@@ -137,7 +117,7 @@ class WebFunction:
     domain's gap, so that the inner piece keeps off the outer boundary (as
     the boundary values must, to match the shell's).  certified means both
     checks passed at the declared continuity tolerance.  integrals are the
-    Rayleigh quotient's parts that the split's last _coarea_pass gave.
+    Rayleigh quotient's parts that the _coarea_pass at the split gave.
     """
 
     domain: AnnularDomain
@@ -561,11 +541,11 @@ def _level_lengths(frame: _Frame, domain: AnnularDomain, s: np.ndarray, t: np.nd
 
 
 def _coarea_pass(frame: _Frame, domain: AnnularDomain, radial: RadialEigenResult, s_star: float):
-    """({n: (gradient, boundary, mass)}, (A_32, A_16), P_i(s*)): the Rayleigh
+    """({n: (gradient, boundary, mass)}, (A_32, A_16)): the Rayleigh
     quotient's parts of the web split at s_star by the coarea formula at n
     Gauss-Legendre nodes per panel, for each n of COAREA_NODES, with the
-    boundary term at beta = 1, the area law at s_star by both rules, and
-    its derivative; one _level_lengths call serves them all.
+    boundary term at beta = 1, and the area law at s_star by both rules;
+    one _level_lengths call serves them all.
 
     The inner piece runs over the level sets {d_i = s}, s < s*, of length
     P_i(s) (depth 0), on panels cut where a node's point leaves the outer
@@ -586,8 +566,8 @@ def _coarea_pass(frame: _Frame, domain: AnnularDomain, radial: RadialEigenResult
     t_panels = [_cosine_panels(0.0, r2 - r_bar, depths, n) for n in COAREA_NODES]
     sizes = [len(p[0]) for p in s_panels + t_panels]
     # the inner levels at depth 0, the outer ones on K + s*B, and last
-    # {d_i = s*} and {d_i = r_bar - R1} at depth 0, for P_i(s*) and the
-    # boundary's crossings
+    # {d_i = s*} and {d_i = r_bar - R1} at depth 0, for the boundary's
+    # crossings
     levels = np.concatenate([p[0] for p in s_panels] + [np.full(sum(sizes[2:]) + 1, s_star)])
     levels = np.append(levels, r_bar - r1)
     depth = np.concatenate([np.zeros(sum(sizes[:2]))] + [p[0] for p in t_panels] + [[0.0, 0.0]])
@@ -614,7 +594,7 @@ def _coarea_pass(frame: _Frame, domain: AnnularDomain, radial: RadialEigenResult
         w = radial.value(np.where(d_i < s_star, np.minimum(r1 + d_i, r_bar), r2))
         boundary = v_out * outer.perimeter() + float(np.sum(wp * (w * w - v_out)))
         result[n] = (gradient, boundary, mass)
-    return result, area, inner[-2]
+    return result, area
 
 
 def rayleigh_quotient(web: WebFunction, *, allow_uncertified: bool = False):

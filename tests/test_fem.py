@@ -847,6 +847,39 @@ def test_fem_scale_ends_typed(k, error, message):
             solve_domain(_scaled_domain(FAMILY[3], k), beta * 2.0**-k, 16, 64)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", range(-507, -501))
+def test_fem_answers_or_ends_typed_down_to_the_dense_floor(k):
+    # r' diag(M)^-1 r is summed on diag(M) scaled by an even power of two,
+    # as 1 / diag(M) grows like 4^-k and overflowed from k = -504.  From
+    # k = -506 the smallest entries of M are subnormal and keep fewer bits,
+    # which moves lambda_h by a few more roundings
+    tol = (4.0 if k >= -505 else 8.0) * EPS
+    answered = 0
+    for member, dom in enumerate(FAMILY):
+        for beta in (0.0, 0.1, 1.0, 10.0, 1e4, math.inf):
+            try:
+                lam = solve_domain(_scaled_domain(dom, k), beta * 2.0**-k, 16, 64).lam
+            except SolverError:
+                continue
+            expected = _unscaled_fem_lam(member, beta)
+            assert abs(lam * 4.0**k - expected) <= tol * expected, (member, beta)
+            answered += 1
+    assert answered > 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k", [-520, -540, -560, -1000])
+def test_fem_below_the_floor_ends_in_the_extent_gate(k):
+    # below 2^-511 a length squares below the normal floats, where an
+    # ellipse's ray casting once overflowed and a circle's meshes came out
+    # off the curve, degenerate or not star shaped
+    for dom in FAMILY:
+        for beta in (1.0, math.inf):
+            with pytest.raises(RangeError, match="squares below the normal floats"):
+                solve_domain(_scaled_domain(dom, k), beta * 2.0**-k, 16, 64)
+
+
 class TestConvergence:
     def test_order_band_concentric(self):
         rad = solve_shell(2, 1.0, 2.0, 1.0)

@@ -421,6 +421,14 @@ class TestScaleHole:
         with pytest.raises(ContainmentError):
             scale_hole_to_class_s(outer, hole)
 
+    def test_containment_is_checked_where_the_hole_lies(self):
+        # callers build hole_shape.scaled(s) in place, and this off-centre
+        # rectangle scaled there crosses the ellipse
+        outer = Ellipse((0, 0), 2.0, 1.6)
+        hole = PolygonCurve(ConvexPolygon.rectangle(1.5, 1.0, center=(1.55, 0)))
+        with pytest.raises(ContainmentError, match=r"scaled hole \(factor 0\.620826\) does not fit"):
+            scale_hole_to_class_s(outer, hole)
+
     def test_zero_deficit_mismatch_infeasible(self):
         with pytest.raises(InfeasibleError):
             scale_hole_to_class_s(PolygonCurve(ConvexPolygon.rectangle(2.0, 1.0)), Circle((0, 0), 0.5))
@@ -778,6 +786,17 @@ class TestEllipseFootAtScale:
         big_theta, big_d = big.foot(self.POINTS * s)
         assert np.array_equal(big_theta, theta)
         assert np.array_equal(big_d, d * s)
+
+    @pytest.mark.parametrize("k", [-1000, -515, -60, 60, 515, 1000])
+    def test_ray_length_is_covariant(self, k):
+        # the ray's quadratic squares the directions over the semi-axes, which
+        # overflowed from about 2^-512 and lost bits from about 2^512
+        s = math.ldexp(1.0, k)
+        ell = self.ELLIPSE
+        origin = np.asarray(ell.center) + (0.4, -0.1)
+        dirs = self.POINTS / np.hypot(*self.POINTS.T)[:, None]
+        big = Ellipse(tuple(np.asarray(ell.center) * s), ell.a * s, ell.b * s)
+        assert np.array_equal(big.ray_length(origin * s, dirs), ell.ray_length(origin, dirs) * s)
 
     @pytest.mark.parametrize("s", [1e160, 1e200, 1e300])
     def test_huge_ellipse_outer_answers(self, s):

@@ -105,6 +105,35 @@ class TestFindSplit:
         assert (web.split_s, web.split_area_rel_err) == webfunc._split(dom, web.radial)[:2]
 
     @pytest.mark.parametrize(
+        "dom, beta, contained",
+        [
+            (standard_family()[1], 1.0, True),
+            (standard_family()[2], 1.0, False),
+            # perfbench's web_chain pair of seed 0, batch 2
+            (
+                AnnularDomain(
+                    Circle((0, 0), 2.0),
+                    Circle((-0.5976090944387527, 0.13439505242148764), 0.8693846590126947),
+                ),
+                3.897328650861094,
+                False,
+            ),
+        ],
+        ids=["contained", "member-2-past-the-gap", "web-chain-past-the-gap"],
+    )
+    def test_build_web_makes_one_coarea_pass(self, dom, beta, contained, monkeypatch):
+        # the area law's Newton steps read only the hole-distance lengths, so
+        # the full pass runs once, at s*, also where a split past the free
+        # distance takes several steps
+        passes, coarea_pass = [], webfunc._coarea_pass
+        monkeypatch.setattr(
+            webfunc, "_coarea_pass", lambda *args: passes.append(args[3]) or coarea_pass(*args)
+        )
+        web = build_web(dom, beta)
+        assert web.contained == contained
+        assert passes == [web.split_s]
+
+    @pytest.mark.parametrize(
         "member, beta, s_star",
         [(6, 0.1, 1.2114871977799375), (7, 0.1, 1.1273494157548134), (7, 0.3, 0.9176639765068989)],
     )
